@@ -8,7 +8,11 @@
 # between worker counts shows up here.
 set -eu
 
-IMSC="$1"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf batch_determinism.d && mkdir batch_determinism.d && cd batch_determinism.d
 
 mkdir -p corpus
 for loop in lfk01 lfk02 lfk03 lfk04 lfk05 lfk06 lfk07 lfk08 lfk09 lfk10 \

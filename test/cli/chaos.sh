@@ -22,7 +22,11 @@
 #      circuit breaker instead of restarting forever.
 set -eu
 
-IMSC="$1"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf chaos.d && mkdir chaos.d && cd chaos.d
 
 # Unix-domain socket paths are limited to ~100 bytes and the dune
 # sandbox cwd can exceed that, so the socket (and only the socket)

@@ -7,7 +7,11 @@
 # clock only, never a distance, a schedule, or a printed byte.
 set -eu
 
-BENCH="$1"
+BENCH=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf closure_determinism.d && mkdir closure_determinism.d && cd closure_determinism.d
 
 "$BENCH" --quick --jobs 1 --closure-jobs 2 --closure-threshold 8 \
   > closure-j1.out 2> closure-j1.log

@@ -12,7 +12,11 @@
 #      restart is visible in the fleet diagnostics.
 set -eu
 
-IMSC="$1"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf fleet_chaos.d && mkdir fleet_chaos.d && cd fleet_chaos.d
 
 FLEET_PID=""
 cleanup() {

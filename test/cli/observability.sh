@@ -5,8 +5,12 @@
 # final snapshot, and `perf report` tabulates the BENCH trajectory.
 set -eu
 
-IMSC="$1"
-BENCH_SNAPSHOT="$2"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+BENCH_SNAPSHOT=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf observability.d && mkdir observability.d && cd observability.d
 
 # A single schedule run profiles itself and `perf show` renders it.
 "$IMSC" schedule lfk07 --profile prof-sched.json > /dev/null

@@ -16,7 +16,11 @@
 #      run-level token.
 set -eu
 
-IMSC="$1"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf resilience.d && mkdir resilience.d && cd resilience.d
 
 mkdir -p rcorpus
 for loop in lfk01 lfk02 lfk03 lfk05 lfk07 lfk09 lfk12 lfk20; do

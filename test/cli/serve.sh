@@ -14,7 +14,11 @@
 #      hung request mid-spin.
 set -eu
 
-IMSC="$1"
+IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+
+# The runtest rules share one build directory: work in a private one so
+# no two scripts write the same artifact.
+rm -rf serve.d && mkdir serve.d && cd serve.d
 
 # Unix-domain socket paths are limited to ~100 bytes and the dune
 # sandbox cwd can exceed that, so the socket (and only the socket)

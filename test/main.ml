@@ -8,6 +8,7 @@ let () =
       Test_core.tests;
       Test_hotpath.tests;
       Test_pipeline.tests;
+      Test_replay_golden.tests;
       Test_workloads.tests;
       Test_stats.tests;
       Test_obs.tests;
