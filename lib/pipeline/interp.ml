@@ -26,173 +26,371 @@ let stride = 8.0
 
 exception Unsupported of string
 
-(* Execute one operation instance given [read (reg, distance)] and
-   [write reg value] callbacks and the memory table. *)
-let exec mem (o : Op.t) ~read ~write =
-  let guarded_off =
-    match o.Op.pred with
-    | Some p -> read (p.Op.reg, p.Op.distance) = 0.0
-    | None -> false
+(* --- the compiled loop body ----------------------------------------------
+
+   Every replay runs over one compilation of the loop body: registers
+   renumbered densely (the original numbers kept for [live_in] and the
+   outcome), each operation's semantics resolved once from its opcode and
+   arity, operands and destinations as int arrays. *)
+
+type sem =
+  | Add_stride of float
+  | Sub_stride of float
+  | Sum | Diff | Prod | Quot | Sqrt | Copy | Less | Pred_set | Pred_reset
+  | Store | Load | Branch
+  | Unknown of string  (** Raised as [Unsupported] only when executed. *)
+
+type cop = {
+  sem : sem;
+  srcs : int array;
+  dists : int array;
+  pred : int;  (** -1 when unguarded. *)
+  pred_dist : int;
+  dsts : int array;
+}
+
+type body = {
+  ops : cop array;  (** Operation [id] at index [id - 1]. *)
+  reg : int array;  (** Dense register -> original number. *)
+  defined : bool array;
+  written : int array;  (** Defined registers, ascending original number. *)
+  args : float array;  (** Operand scratch. *)
+}
+
+let semantics (o : Op.t) =
+  match (o.Op.opcode, o.Op.srcs) with
+  | ("aadd" | "asub"), [ s ] ->
+      (* An address stream.  The stride is the explicit immediate when
+         present; otherwise one stride per iteration hopped (a
+         back-substituted self reference at distance d advances d
+         strides, keeping consecutive addresses one stride apart). *)
+      let delta =
+        match o.Op.imm with
+        | Some v -> v
+        | None -> stride *. float_of_int (Int.max 1 s.Op.distance)
+      in
+      if o.Op.opcode = "aadd" then Add_stride delta else Sub_stride delta
+  | ("aadd" | "add" | "fadd"), _ :: _ -> Sum
+  | ("asub" | "sub" | "fsub"), _ :: _ -> Diff
+  | ("mul" | "fmul"), _ :: _ -> Prod
+  | ("div" | "fdiv"), _ :: _ -> Quot
+  | "sqrt", [ _ ] -> Sqrt
+  | "copy", _ :: _ -> Copy
+  | ("cmp" | "fcmp"), [ _; _ ] -> Less
+  | "pred_set", [ _ ] -> Pred_set
+  | "pred_reset", [ _ ] -> Pred_reset
+  | "store", [ _; _ ] -> Store
+  | "load", [ _ ] -> Load
+  | "branch", _ -> Branch
+  | opcode, srcs ->
+      Unknown (Printf.sprintf "no semantics for %s/%d" opcode (List.length srcs))
+
+let compile ddg =
+  let index = Hashtbl.create 32 in
+  let dense r =
+    if not (Hashtbl.mem index r) then Hashtbl.add index r (Hashtbl.length index);
+    Hashtbl.find index r
   in
-  if not guarded_off then begin
-    let srcs = List.map (fun (s : Op.operand) -> read (s.Op.reg, s.Op.distance)) o.Op.srcs in
-    let out =
-      match (o.Op.opcode, srcs) with
-      | ("aadd" | "asub"), [ a ] ->
-          (* An address stream.  The stride is the explicit immediate
-             when present; otherwise one stride per iteration hopped (a
-             back-substituted self reference at distance d advances d
-             strides, keeping consecutive addresses one stride apart). *)
-          let delta =
-            match o.Op.imm with
-            | Some v -> v
-            | None ->
-                let d =
-                  match o.Op.srcs with
-                  | [ s ] -> max 1 s.Op.distance
-                  | _ -> 1
-                in
-                stride *. float_of_int d
-          in
-          Some (if o.Op.opcode = "aadd" then a +. delta else a -. delta)
-      | ("aadd" | "add" | "fadd"), first :: rest ->
-          Some (List.fold_left ( +. ) first rest)
-      | ("asub" | "sub" | "fsub"), first :: rest ->
-          Some (List.fold_left ( -. ) first rest)
-      | ("mul" | "fmul"), first :: rest ->
-          Some (List.fold_left ( *. ) first rest)
-      | ("div" | "fdiv"), first :: rest ->
-          Some (first /. List.fold_left ( *. ) 1.0 rest)
-      | "sqrt", [ a ] -> Some (Float.sqrt (Float.abs a))
-      | "copy", a :: _ -> Some a
-      | ("cmp" | "fcmp"), [ a; b ] -> Some (if a < b then 1.0 else 0.0)
-      | "pred_set", [ c ] -> Some (if c <> 0.0 then 1.0 else 0.0)
-      | "pred_reset", [ c ] -> Some (if c <> 0.0 then 0.0 else 1.0)
-      | "store", [ a; v ] ->
-          Hashtbl.replace mem (int_of_float a) v;
-          None
-      | "load", [ a ] ->
-          let addr = int_of_float a in
-          Some (Option.value ~default:(default_cell addr) (Hashtbl.find_opt mem addr))
-      | "branch", _ -> None
-      | opcode, srcs ->
-          raise
-            (Unsupported
-               (Printf.sprintf "no semantics for %s/%d" opcode (List.length srcs)))
+  let compile_op id =
+    let o = Ddg.op ddg id in
+    let srcs = Array.of_list o.Op.srcs in
+    let pred, pred_dist =
+      Option.fold ~none:(-1, 0) ~some:(fun (p : Op.operand) -> (dense p.reg, p.distance)) o.Op.pred
     in
-    match (out, o.Op.dsts) with
-    | Some v, dsts -> List.iter (fun r -> write r v) dsts
-    | None, _ -> ()
+    {
+      sem = semantics o;
+      srcs = Array.map (fun (s : Op.operand) -> dense s.Op.reg) srcs;
+      dists = Array.map (fun (s : Op.operand) -> s.Op.distance) srcs;
+      pred;
+      pred_dist;
+      dsts = Array.of_list (List.map dense o.Op.dsts);
+    }
+  in
+  let ops = Array.of_list (List.map compile_op (Ddg.real_ids ddg)) in
+  let reg = Array.make (Hashtbl.length index) 0 in
+  Hashtbl.iter (fun r x -> reg.(x) <- r) index;
+  let defined = Array.make (Array.length reg) false in
+  Array.iter (fun o -> Array.iter (fun r -> defined.(r) <- true) o.dsts) ops;
+  let written =
+    List.filter (Array.get defined) (List.init (Array.length reg) Fun.id)
+    |> List.sort (fun a b -> Int.compare reg.(a) reg.(b))
+  in
+  let arity = Array.fold_left (fun m o -> Int.max m (Array.length o.srcs)) 1 ops in
+  { ops; reg; defined; written = Array.of_list written; args = Array.make arity 0.0 }
+
+(* --- register models -------------------------------------------------------
+
+   A replay keeps register values in flat cells; the model maps a
+   (register, instance) pair to its cell. *)
+
+type model =
+  | Walk of int
+      (** Sequential, [iters] instances per register in cells
+          [r * iters + j]; a read finds the youngest instance at or before
+          its target (registers keep their value across unwritten
+          iterations). *)
+  | Exact of int  (** Issue order: the same cells, but exactly [i - d]. *)
+  | Cells of { k : int; spread : bool array }
+      (** Finite MVE registers: [k] kernel copies, one cell each for the
+          [spread] registers, a single cell for the others. *)
+  | File of { size : int; base : int option array }
+      (** The physical rotating file, rotating one cell per iteration. *)
+
+module Mem = Hashtbl.Make (Int)
+
+type state = {
+  body : body;
+  seed : int;
+  model : model;
+  vals : float array;
+  has : Bytes.t;
+  mem : float Mem.t;  (** Memory cells by address. *)
+}
+
+let start body ~seed model =
+  let nregs = Array.length body.reg in
+  let cells =
+    match model with
+    | Walk iters | Exact iters -> nregs * Int.max 0 iters
+    | Cells { k; _ } -> nregs * Int.max 1 (abs k)
+    | File { size; _ } -> size
+  in
+  let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
+  { body; seed; model; vals; has; mem = Mem.create 64 }
+
+let present st c = Bytes.get st.has c <> '\000'
+
+(* The cell of [(r, d)] in iteration [i] under a finite model: MVE
+   copy [(i mod k - d) mod k] ({!Mve.rename}'s instance arithmetic), or
+   rotating cell [(base + d - i) mod size] (architectural register [x]
+   read in iteration [i] is physical cell [(x - i) mod size]); -1 for a
+   register without a rotating base. *)
+let cell st r ~d i =
+  match st.model with
+  | Cells { k; spread } ->
+      let width = Int.max 1 (abs k) and copy = i mod k in
+      if spread.(r) then (r * width) + abs ((((copy - d) mod k) + k) mod k)
+      else r * width
+  | File { size; base } -> (
+      match base.(r) with
+      | Some b -> (((b + d - i) mod size) + size) mod size
+      | None -> -1)
+  | Walk _ | Exact _ -> -1
+
+(* Where iteration [i]'s read of [(r, d)] finds its value: a cell
+   ([>= 0]), or the live-in instance [j < 0] to synthesise. *)
+let locate st r d i =
+  let j = i - d in
+  match st.model with
+  | Walk iters ->
+      let c = ref (Int.min j (iters - 1)) in
+      while !c >= 0 && not (present st ((r * iters) + !c)) do
+        decr c
+      done;
+      if !c < 0 then Int.min j (-1) else (r * iters) + !c
+  | Exact iters ->
+      if j < 0 then j
+      else if j < iters && present st ((r * iters) + j) then (r * iters) + j
+      else -1
+  | Cells _ | File _ ->
+      if not st.body.defined.(r) then -1
+      else if j < 0 then j
+      else
+        let c = cell st r ~d i in
+        if c >= 0 && present st c then c else -1
+
+(* The cell iteration [i]'s write of [r] lands in; -1: nowhere. *)
+let target st r i =
+  match st.model with
+  | Walk iters | Exact iters -> (r * iters) + i
+  | Cells _ | File _ -> cell st r ~d:0 i
+
+(* [args.(x) <- value of (r, d) as read by iteration i]. *)
+let fetch st x r d i =
+  let c = locate st r d i in
+  st.body.args.(x) <-
+    (if c >= 0 then st.vals.(c) else live_in ~seed:st.seed st.body.reg.(r) c)
+
+(* Execute one operation instance: a guarded-off operation reads only
+   its predicate and writes nothing. *)
+let exec st k i =
+  let o = st.body.ops.(k) in
+  let a = st.body.args in
+  if o.pred < 0 || (fetch st 0 o.pred o.pred_dist i; a.(0) <> 0.0) then begin
+    let n = Array.length o.srcs in
+    for x = 0 to n - 1 do
+      fetch st x o.srcs.(x) o.dists.(x) i
+    done;
+    let v =
+      match o.sem with
+      | Add_stride delta -> a.(0) +. delta
+      | Sub_stride delta -> a.(0) -. delta
+      | (Sum | Diff | Prod) as sem ->
+          let s = ref a.(0) in
+          for x = 1 to n - 1 do
+            s := match sem with Sum -> !s +. a.(x) | Diff -> !s -. a.(x) | _ -> !s *. a.(x)
+          done;
+          !s
+      | Quot ->
+          let s = ref 1.0 in
+          for x = 1 to n - 1 do s := !s *. a.(x) done;
+          a.(0) /. !s
+      | Sqrt -> Float.sqrt (Float.abs a.(0))
+      | Copy -> a.(0)
+      | Less -> if a.(0) < a.(1) then 1.0 else 0.0
+      | Pred_set -> if a.(0) <> 0.0 then 1.0 else 0.0
+      | Pred_reset -> if a.(0) <> 0.0 then 0.0 else 1.0
+      | Store ->
+          Mem.replace st.mem (int_of_float a.(0)) a.(1);
+          0.0
+      | Load -> (
+          let addr = int_of_float a.(0) in
+          match Mem.find_opt st.mem addr with
+          | Some v -> v
+          | None -> default_cell addr)
+      | Branch -> 0.0
+      | Unknown msg -> raise (Unsupported msg)
+    in
+    match o.sem with
+    | Store | Branch -> ()
+    | _ ->
+        for x = 0 to Array.length o.dsts - 1 do
+          let c = target st o.dsts.(x) i in
+          if c >= 0 then begin
+            st.vals.(c) <- v;
+            Bytes.set st.has c '\001'
+          end
+        done
   end
 
-let outcome_of ~seed ~trip ddg instances mem =
-  ignore seed;
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i -> List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
-  let finals =
-    Hashtbl.fold (fun r () acc -> r :: acc) defined []
-    |> List.sort compare
-    |> List.filter_map (fun r ->
-           let rec youngest j =
-             if j < 0 then None
-             else
-               match Hashtbl.find_opt instances (r, j) with
-               | Some v -> Some (r, v)
-               | None -> youngest (j - 1)
-           in
-           youngest (trip - 1))
+(* Memory, and the value of every register the loop writes, after
+   [trip] iterations: the youngest instance for the instance models,
+   the last iteration's cell for the finite ones. *)
+let outcome st ~trip =
+  let final r =
+    let c =
+      match st.model with
+      | Walk n | Exact n -> locate { st with model = Walk n } r 0 (trip - 1)
+      | Cells _ | File _ -> if trip < 1 then -1 else target st r (trip - 1)
+    in
+    if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
   in
-  let memory =
-    Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) mem []
-    |> List.sort compare
-  in
-  { memory; finals }
+  {
+    memory =
+      Mem.fold (fun addr v acc -> (addr, v) :: acc) st.mem []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+    finals = List.filter_map final (Array.to_list st.body.written);
+  }
 
-let sequential_instances ~seed ddg ~trip =
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  for i = 0 to trip - 1 do
-    List.iter
-      (fun id ->
-        let o = Ddg.op ddg id in
-        let read (r, d) =
-          (* Registers keep their value across unwritten iterations; the
-             preloaded instances (negative indices) are distinct. *)
-          let target = i - d in
-          let rec walk j =
-            if j < 0 then live_in ~seed r (min target (-1))
-            else
-              match Hashtbl.find_opt instances (r, j) with
-              | Some v -> v
-              | None -> walk (j - 1)
-          in
-          walk target
-        in
-        let write r v = Hashtbl.replace instances (r, i) v in
-        exec mem o ~read ~write)
-      (Ddg.real_ids ddg)
+(* --- replays --------------------------------------------------------------- *)
+
+(* Sequential execution until operation [exit_op]'s first operand is
+   non-zero (or for [max_trip] iterations); in the exiting iteration,
+   operations after the exit do not execute.  [exit_op = 0] (START)
+   never exits.  Returns the state and the exit iteration. *)
+let sequential body ~seed ~exit_op ~max_trip =
+  let st = start body ~seed (Walk max_trip) in
+  let exit_iter = ref max_trip and i = ref 0 in
+  while !i < max_trip && !exit_iter = max_trip do
+    let k = ref 0 in
+    while !k < Array.length body.ops && !exit_iter = max_trip do
+      let o = body.ops.(!k) in
+      exec st !k !i;
+      if !k + 1 = exit_op && Array.length o.srcs > 0 then begin
+        fetch st 0 o.srcs.(0) o.dists.(0) !i;
+        if body.args.(0) <> 0.0 then exit_iter := !i
+      end;
+      incr k
+    done;
+    incr i
   done;
-  (instances, mem)
+  (st, !exit_iter)
 
-let run_sequential ?(seed = 42) ddg ~trip =
-  let instances, mem = sequential_instances ~seed ddg ~trip in
-  outcome_of ~seed ~trip ddg instances mem
+(* Operation instances [i * n + k] (operation id [k + 1] of iteration
+   [i]) of the first [iters] iterations that satisfy [keep], in issue
+   order: by cycle [time + i * II], then iteration, then id.  They are
+   generated in (iteration, id) order, then sorted stably by cycle with
+   an LSD radix sort, 16 bits of the cycle offset per pass (one pass for
+   any sane schedule). *)
+let issue_order ?(keep = fun _ _ -> true) sched ~iters =
+  let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
+  let xs =
+    List.concat_map (fun i -> List.init n (fun k -> (i * n) + k)) (List.init iters Fun.id)
+    |> List.filter (fun x -> keep (x / n) (x mod n))
+  in
+  let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
+  let cycle = Array.init (Int.max 0 iters * n) (fun x -> time.(x mod n) + (x / n * ii)) in
+  let low = Array.fold_left Int.min max_int cycle in
+  let top = Array.fold_left (fun m c -> Int.max m (c - low)) 0 cycle in
+  let order = ref (Array.of_list xs) and shift = ref 0 in
+  while !shift < Sys.int_size && top lsr !shift > 0 do
+    let src = !order and dst = Array.make (Array.length !order) 0 in
+    let digit p = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
+    let count = Array.make (Int.min top 0xFFFF + 2) 0 in
+    for p = 0 to Array.length src - 1 do
+      count.(digit p + 1) <- count.(digit p + 1) + 1
+    done;
+    for d = 1 to Array.length count - 1 do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for p = 0 to Array.length src - 1 do
+      dst.(count.(digit p)) <- src.(p);
+      count.(digit p) <- count.(digit p) + 1
+    done;
+    order := dst;
+    shift := !shift + 16
+  done;
+  !order
+
+let replay st order =
+  let n = Array.length st.body.ops in
+  Array.iter (fun x -> exec st (x mod n) (x / n)) order;
+  st
 
 (* Supported for overlapped replay: every register the loop defines gets
    an instance on every iteration (checked dynamically on a short
    sequential run), so distance-d reads resolve to exactly (r, i-d). *)
-let supported ddg =
+let supports body =
   let trip = 6 in
-  match sequential_instances ~seed:42 ddg ~trip with
+  match sequential body ~seed:42 ~exit_op:0 ~max_trip:trip with
   | exception Unsupported _ -> false
-  | instances, _ ->
-      let defined = Hashtbl.create 32 in
-      List.iter
-        (fun i ->
-          List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-        (Ddg.real_ids ddg);
-      Hashtbl.fold
-        (fun r () acc ->
-          acc
-          && List.for_all
-               (fun i -> Hashtbl.mem instances (r, i))
-               (List.init trip Fun.id))
-        defined true
+  | st, _ ->
+      Array.for_all
+        (fun r -> List.for_all (fun j -> present st ((r * trip) + j)) [ 0; 1; 2; 3; 4; 5 ])
+        body.written
+
+let supported ddg = supports (compile ddg)
+
+let run_sequential ?(seed = 42) ddg ~trip =
+  outcome (fst (sequential (compile ddg) ~seed ~exit_op:0 ~max_trip:trip)) ~trip
+
+let mve_model body (mve : Mve.t) =
+  Cells { k = mve.Mve.unroll; spread = Array.map (Mve.needs_expansion mve) body.reg }
+
+let rotating_model body (alloc : Rotreg.t) =
+  let base = Array.map (Rotreg.base_of alloc) body.reg in
+  File { size = Int.max 1 alloc.Rotreg.file_size; base }
+
+let partially_defined fn = invalid_arg (fn ^ ": loop has partially-defined registers")
+
+(* A public overlapped replay; [model] is built before the support
+   check, like the expansion or allocation it comes from. *)
+let overlapped ?(fn = "Interp") ~seed sched ~trip model =
+  let body = compile sched.Schedule.ddg in
+  let model = model body in
+  if not (supports body) then partially_defined fn;
+  outcome (replay (start body ~seed model) (issue_order sched ~iters:trip)) ~trip
 
 let run_pipelined ?(seed = 42) sched ~trip =
-  let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then
-    invalid_arg "Interp.run_pipelined: loop has partially-defined registers";
-  let ii = sched.Schedule.ii in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.map (fun id -> (Schedule.time sched id + (i * ii), i, id))
-          (Ddg.real_ids ddg))
-      (List.init trip Fun.id)
-    |> List.sort compare
-  in
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  List.iter
-    (fun (_, i, id) ->
-      let o = Ddg.op ddg id in
-      let read (r, d) =
-        let j = i - d in
-        if j < 0 then live_in ~seed r j
-        else
-          match Hashtbl.find_opt instances (r, j) with
-          | Some v -> v
-          | None ->
-              (* Live-in register (never defined in the loop). *)
-              live_in ~seed r (-1)
-      in
-      let write r v = Hashtbl.replace instances (r, i) v in
-      exec mem o ~read ~write)
-    order;
-  outcome_of ~seed ~trip ddg instances mem
+  overlapped ~fn:"Interp.run_pipelined" ~seed sched ~trip (fun _ -> Exact trip)
+
+let run_mve ?(seed = 42) ?mve sched ~trip =
+  let mve = match mve with Some m -> m | None -> Mve.expand sched in
+  overlapped ~seed sched ~trip (fun body -> mve_model body mve)
+
+let run_rotating ?(seed = 42) sched ~trip =
+  let alloc = Rotreg.allocate sched in
+  overlapped ~seed sched ~trip (fun body -> rotating_model body alloc)
 
 let equivalent a b =
   let eq_list l1 l2 =
@@ -201,263 +399,69 @@ let equivalent a b =
   in
   eq_list a.memory b.memory && eq_list a.finals b.finals
 
-
-let replay_finite ?(seed = 42) sched ~trip ~write ~read ~snapshot =
-  let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then
-    invalid_arg "Interp: loop has partially-defined registers";
-  let ii = sched.Schedule.ii in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.map (fun id -> (Schedule.time sched id + (i * ii), i, id))
-          (Ddg.real_ids ddg))
-      (List.init trip Fun.id)
-    |> List.sort compare
-  in
-  let mem = Hashtbl.create 256 in
-  List.iter
-    (fun (_, i, id) ->
-      let o = Ddg.op ddg id in
-      let read (r, d) = read ~seed (r, d) ~iter:i in
-      let write r v = write r v ~iter:i in
-      exec mem o ~read ~write)
-    order;
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
-  let finals =
-    Hashtbl.fold (fun r () acc -> r :: acc) defined []
-    |> List.sort compare
-    |> List.filter_map (fun r -> snapshot r ~last_iter:(trip - 1))
-  in
-  let memory =
-    Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) mem [] |> List.sort compare
-  in
-  { memory; finals }
-
-let run_mve ?(seed = 42) ?mve sched ~trip =
-  let ddg = sched.Schedule.ddg in
-  let mve = match mve with Some m -> m | None -> Mve.expand sched in
-  let k = mve.Mve.unroll in
-  let cells : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
-  let write r v ~iter =
-    Hashtbl.replace cells (Mve.rename mve ~reg:r ~copy:(iter mod k) ~distance:0) v
-  in
-  let read ~seed (r, d) ~iter =
-    if not (Hashtbl.mem defined r) then live_in ~seed r (-1)
-    else begin
-      let j = iter - d in
-      if j < 0 then live_in ~seed r (min (-1) j)
-      else
-        match
-          Hashtbl.find_opt cells (Mve.rename mve ~reg:r ~copy:(iter mod k) ~distance:d)
-        with
-        | Some v -> v
-        | None -> live_in ~seed r (-1)
-    end
-  in
-  let snapshot r ~last_iter =
-    if last_iter < 0 then None
-    else
-      Option.map
-        (fun v -> (r, v))
-        (Hashtbl.find_opt cells
-           (Mve.rename mve ~reg:r ~copy:(last_iter mod k) ~distance:0))
-  in
-  replay_finite ~seed sched ~trip ~write ~read ~snapshot
-
-let run_rotating ?(seed = 42) sched ~trip =
-  let ddg = sched.Schedule.ddg in
-  let alloc = Rotreg.allocate sched in
-  let size = max 1 alloc.Rotreg.file_size in
-  let file = Array.make size None in
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
-  (* The file rotates down one position per iteration: architectural
-     register [x] read in iteration [i] is physical cell [(x - i) mod
-     size].  A definition of [v] (architectural [base_v]) in iteration
-     [j] and its distance-[d] reader (architectural [base_v + d]) in
-     iteration [j + d] thus meet in the same physical cell. *)
-  let cell arch ~iter = ((arch - iter) mod size + size) mod size in
-  let write r v ~iter =
-    match Rotreg.base_of alloc r with
-    | Some base -> file.(cell base ~iter) <- Some v
-    | None -> ()
-  in
-  let read ~seed (r, d) ~iter =
-    if not (Hashtbl.mem defined r) then live_in ~seed r (-1)
-    else begin
-      let j = iter - d in
-      if j < 0 then live_in ~seed r (min (-1) j)
-      else
-        match Rotreg.base_of alloc r with
-        | Some base -> (
-            match file.(cell (base + d) ~iter) with
-            | Some v -> v
-            | None -> live_in ~seed r (-1))
-        | None -> live_in ~seed r (-1)
-    end
-  in
-  let snapshot r ~last_iter =
-    if last_iter < 0 then None
-    else
-      match Rotreg.base_of alloc r with
-      | Some base ->
-          Option.map (fun v -> (r, v)) file.(cell base ~iter:last_iter)
-      | None -> None
-  in
-  replay_finite ~seed sched ~trip ~write ~read ~snapshot
+let exit_trip ~max_trip x = if x = max_trip then max_trip else x + 1
 
 let run_sequential_with_exit ?(seed = 42) ddg ~exit_op ~max_trip =
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  let exit_iter = ref max_trip in
-  let i = ref 0 in
-  while !i < max_trip && !exit_iter = max_trip do
-    let iter = !i in
-    let taken = ref false in
-    List.iter
-      (fun id ->
-        if not !taken || id <= exit_op then begin
-          let o = Ddg.op ddg id in
-          let read (r, d) =
-            let target = iter - d in
-            let rec walk j =
-              if j < 0 then live_in ~seed r (min target (-1))
-              else
-                match Hashtbl.find_opt instances (r, j) with
-                | Some v -> v
-                | None -> walk (j - 1)
-            in
-            walk target
-          in
-          let write r v = Hashtbl.replace instances (r, iter) v in
-          exec mem o ~read ~write;
-          if id = exit_op then begin
-            let cond =
-              match o.Op.srcs with
-              | (c : Op.operand) :: _ -> read (c.Op.reg, c.Op.distance)
-              | [] -> 0.0
-            in
-            if cond <> 0.0 then begin
-              taken := true;
-              exit_iter := iter
-            end
-          end
-        end)
-      (Ddg.real_ids ddg);
-    incr i
-  done;
-  let trip = if !exit_iter = max_trip then max_trip else !exit_iter + 1 in
-  (outcome_of ~seed ~trip ddg instances mem, !exit_iter)
+  let st, x = sequential (compile ddg) ~seed ~exit_op ~max_trip in
+  (outcome st ~trip:(exit_trip ~max_trip x), x)
 
 let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
   let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then
-    invalid_arg "Interp: loop has partially-defined registers";
+  let body = compile ddg in
+  if not (supports body) then partially_defined "Interp";
   (* First find the dynamic exit iteration from the sequential
      semantics (the values, hence the exit decision, are the same). *)
-  let _, exit_iter = run_sequential_with_exit ~seed ddg ~exit_op ~max_trip in
+  let _, exit_iter = sequential body ~seed ~exit_op ~max_trip in
   let ii = sched.Schedule.ii in
   let resolve_time =
     Schedule.time sched exit_op
     + Ims_machine.Machine.latency ddg.Ddg.machine (Ddg.op ddg exit_op).Op.opcode
     + (exit_iter * ii)
   in
-  let executes (i, id) =
-    if i < exit_iter then true
-    else if i = exit_iter then id <= exit_op
-    else begin
-      (* Younger iterations: everything issued before the exit resolved
-         ran speculatively.  Register writes are harmless (their cells
-         are dead once the loop exits) but stores commit — which is why
-         hazardous schedules diverge. *)
-      Schedule.time sched id + (i * ii) < resolve_time
-    end
+  (* Younger iterations: everything issued before the exit resolved ran
+     speculatively.  Register writes are harmless (their cells are dead
+     once the loop exits) but stores commit — which is why hazardous
+     schedules diverge. *)
+  let keep i k =
+    i < exit_iter
+    || (i = exit_iter && k + 1 <= exit_op)
+    || (i > exit_iter && Schedule.time sched (k + 1) + (i * ii) < resolve_time)
   in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun id ->
-            if executes (i, id) then
-              Some (Schedule.time sched id + (i * ii), i, id)
-            else None)
-          (Ddg.real_ids ddg))
-      (List.init (min max_trip (exit_iter + Schedule.stage_count sched + 1)) Fun.id)
-    |> List.sort compare
-  in
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  List.iter
-    (fun (_, i, id) ->
-      let o = Ddg.op ddg id in
-      let read (r, d) =
-        let j = i - d in
-        if j < 0 then live_in ~seed r j
-        else
-          match Hashtbl.find_opt instances (r, j) with
-          | Some v -> v
-          | None -> live_in ~seed r (-1)
-      in
-      let write r v = Hashtbl.replace instances (r, i) v in
-      exec mem o ~read ~write)
-    order;
-  let trip = if exit_iter = max_trip then max_trip else exit_iter + 1 in
-  (outcome_of ~seed ~trip ddg instances mem, exit_iter)
+  let iters = Int.min max_trip (exit_iter + Schedule.stage_count sched + 1) in
+  let st = replay (start body ~seed (Exact iters)) (issue_order ~keep sched ~iters) in
+  (outcome st ~trip:(exit_trip ~max_trip exit_iter), exit_iter)
 
 let check ?(seed = 42) ?metrics ?trip sched =
   let replays =
     Option.map (fun m -> Ims_obs.Metrics.counter m "interp.replays") metrics
   in
-  let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then Ok ()
-  else begin
-    let trip =
-      Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip
-    in
-    match run_sequential ~seed ddg ~trip with
+  let body = compile sched.Schedule.ddg in
+  if not (supports body) then Ok ()
+  else
+    let trip = Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip in
+    match sequential body ~seed ~exit_op:0 ~max_trip:trip with
     | exception Unsupported msg -> Error msg
-    | reference ->
-        let modes =
-          [
-            ("overlapped issue order", run_pipelined ?seed:(Some seed));
-            ("finite MVE registers", fun sched ~trip -> run_mve ~seed sched ~trip);
-            ("physical rotating file", run_rotating ?seed:(Some seed));
-          ]
+    | st, _ ->
+        let reference = outcome st ~trip in
+        (* One compiled body, support verdict and issue order serve all
+           three replays. *)
+        let order = lazy (issue_order sched ~iters:trip) in
+        let against label model =
+          Option.iter Ims_obs.Metrics.incr replays;
+          let b = outcome (replay (start body ~seed (model ())) (Lazy.force order)) ~trip in
+          if equivalent reference b then Ok ()
+          else
+            Error
+              (Printf.sprintf
+                 "%s diverges from sequential execution (%d memory cells vs \
+                  %d, %d finals vs %d)"
+                 label (List.length reference.memory) (List.length b.memory)
+                 (List.length reference.finals) (List.length b.finals))
         in
-        List.fold_left
-          (fun acc (label, run) ->
-            match acc with
-            | Error _ -> acc
-            | Ok () ->
-                Option.iter Ims_obs.Metrics.incr replays;
-                let b = run sched ~trip in
-                if equivalent reference b then Ok ()
-                else
-                  Error
-                    (Printf.sprintf
-                       "%s diverges from sequential execution (%d memory \
-                        cells vs %d, %d finals vs %d)"
-                       label (List.length reference.memory)
-                       (List.length b.memory)
-                       (List.length reference.finals)
-                       (List.length b.finals)))
-          (Ok ()) modes
-  end
-
-(* Shared driver: replay iterations in schedule (issue) order with a
-   caller-supplied finite register model, then rebuild the outcome from
-   the final sequential re-read of the same model.  [write cell value]
-   and [read (reg, distance) ~iter] hide the register structure. *)
+        let ( let* ) = Result.bind in
+        let* () = against "overlapped issue order" (fun () -> Exact trip) in
+        let* () =
+          against "finite MVE registers" (fun () -> mve_model body (Mve.expand sched))
+        in
+        against "physical rotating file" (fun () ->
+            rotating_model body (Rotreg.allocate sched))

@@ -23,5 +23,8 @@ val rename : t -> reg:int -> copy:int -> distance:int -> string
     Registers with a single simultaneously-live instance (including
     live-ins) keep their plain name ["v3"]. *)
 
+val needs_expansion : t -> int -> bool
+(** Whether {!rename} gives the register one name per kernel copy. *)
+
 val code_growth : t -> int
 (** Kernel operations after expansion: [unroll * n_real]. *)

@@ -7,7 +7,8 @@
      the original list-and-Hashtbl implementation ({!Mrt_ref}) with the
      same random command sequences, requiring every observable to agree;
    - a [Gc.allocated_bytes] assertion that the compiled admission probe
-     [Mrt.fits_c] allocates nothing, on both probe paths;
+     [Mrt.fits_c] allocates nothing, on both probe paths, and minor-word
+     ceilings on the checker replays [Interp.check] and [Simulator.run];
    - a counter-regression gate pinning the inner-loop work
      (estart / findslot / mindist / mindist_inc / mrt_bitprobe) of every
      Livermore kernel, so an accidental algorithmic regression fails
@@ -175,6 +176,38 @@ let test_fits_c_allocation_free () =
   in
   measure "count walk" (Mrt.compile ~ii table);
   measure "bitboard" (Mrt.compile ~ii ~caps:[| 2; 1 |] table)
+
+(* --- checker replay allocation ceilings ----------------------------------- *)
+
+(* Minor-heap words per call of the two checker replays.  The replays
+   run over flat per-schedule arrays; the ceilings stop per-instance
+   allocation (tuple or string hashtable keys, closures, list-built
+   operand vectors) from creeping back.  The words before the compiled
+   replays, measured the same way: lfk03 Interp.check 138,979 and
+   Simulator.run 11,280; lfk07 636,447 and 46,304. *)
+let test_replay_allocation_ceilings () =
+  let machine = Machine.cydra5 () in
+  List.iter
+    (fun (name, interp_ceiling, sim_ceiling) ->
+      match (Ims.modulo_schedule (Lfk.build machine name)).Ims.schedule with
+      | None -> Alcotest.failf "%s: no schedule" name
+      | Some s ->
+          let words f =
+            ignore (f ());
+            let before = Gc.minor_words () in
+            ignore (Sys.opaque_identity (f ()));
+            Gc.minor_words () -. before
+          in
+          let check what words ceiling =
+            if words > float_of_int ceiling then
+              Alcotest.failf "%s %s allocates %.0f minor words (ceiling %d)"
+                name what words ceiling
+          in
+          check "Interp.check" (words (fun () -> Ims_pipeline.Interp.check s))
+            interp_ceiling;
+          check "Simulator.run" (words (fun () -> Ims_pipeline.Simulator.run s))
+            sim_ceiling)
+    [ ("lfk03", 12_000, 2_000); ("lfk07", 54_000, 8_000) ]
 
 (* --- counter-regression gate -------------------------------------------- *)
 
@@ -387,6 +420,8 @@ let tests =
       QCheck_alcotest.to_alcotest prop_mrt_oracle;
       Alcotest.test_case "fits_c is allocation-free" `Quick
         test_fits_c_allocation_free;
+      Alcotest.test_case "checker replay allocation ceilings" `Quick
+        test_replay_allocation_ceilings;
       Alcotest.test_case "lfk inner-loop counter ceilings" `Slow
         test_counter_ceilings;
       Alcotest.test_case "golden trace: lfk20" `Quick test_golden_trace_lfk20;
