@@ -211,12 +211,14 @@ let fetch st x r d i =
   st.body.args.(x) <-
     (if c >= 0 then st.vals.(c) else live_in ~seed:st.seed st.body.reg.(r) c)
 
-(* Execute one operation instance: a guarded-off operation reads only
-   its predicate and writes nothing. *)
-let exec st k i =
+(* Issue one operation instance: read its operands and execute it, up
+   to its register write.  Returns whether it writes, the result left in
+   [result.(slot)]; a guarded-off operation reads only its predicate. *)
+let issue st ~result ~slot k i =
   let o = st.body.ops.(k) in
   let a = st.body.args in
-  if o.pred < 0 || (fetch st 0 o.pred o.pred_dist i; a.(0) <> 0.0) then begin
+  (o.pred < 0 || (fetch st 0 o.pred o.pred_dist i; a.(0) <> 0.0))
+  && begin
     let n = Array.length o.srcs in
     for x = 0 to n - 1 do
       fetch st x o.srcs.(x) o.dists.(x) i
@@ -251,17 +253,24 @@ let exec st k i =
       | Branch -> 0.0
       | Unknown msg -> raise (Unsupported msg)
     in
-    match o.sem with
-    | Store | Branch -> ()
-    | _ ->
-        for x = 0 to Array.length o.dsts - 1 do
-          let c = target st o.dsts.(x) i in
-          if c >= 0 then begin
-            st.vals.(c) <- v;
-            Bytes.set st.has c '\001'
-          end
-        done
+    result.(slot) <- v;
+    match o.sem with Store | Branch -> false | _ -> true
   end
+
+(* Write back the result of operation [k] of iteration [i]. *)
+let commit st ~result ~slot k i =
+  let dsts = st.body.ops.(k).dsts in
+  for x = 0 to Array.length dsts - 1 do
+    let c = target st dsts.(x) i in
+    if c >= 0 then begin
+      st.vals.(c) <- result.(slot);
+      Bytes.set st.has c '\001'
+    end
+  done
+
+let exec st k i =
+  let result = st.body.args in
+  if issue st ~result ~slot:0 k i then commit st ~result ~slot:0 k i
 
 (* Memory, and the value of every register the loop writes, after
    [trip] iterations: the youngest instance for the instance models,
@@ -311,7 +320,7 @@ let sequential body ~seed ~exit_op ~max_trip =
    order: by cycle [time + i * II], then iteration, then id.  They are
    generated in (iteration, id) order, then sorted stably by cycle with
    an LSD radix sort, 16 bits of the cycle offset per pass (one pass for
-   any sane schedule). *)
+   any sane schedule).  Returned with every instance's cycle. *)
 let issue_order ?(keep = fun _ _ -> true) sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
   let xs =
@@ -340,11 +349,28 @@ let issue_order ?(keep = fun _ _ -> true) sched ~iters =
     order := dst;
     shift := !shift + 16
   done;
-  !order
+  (!order, cycle)
 
-let replay st order =
-  let n = Array.length st.body.ops in
-  Array.iter (fun x -> exec st (x mod n) (x / n)) order;
+(* Replay an issue order cycle by cycle with VLIW issue semantics: every
+   operation issued in a cycle reads its operands before any operation
+   of that cycle writes its result. *)
+let replay st (order, cycle) =
+  let n = Array.length st.body.ops and len = Array.length order in
+  let result = Array.make len 0.0 and writes = Array.make len false in
+  let first = ref 0 in
+  while !first < len do
+    let last = ref !first in
+    while !last < len && cycle.(order.(!last)) = cycle.(order.(!first)) do
+      let x = order.(!last) in
+      writes.(!last) <- issue st ~result ~slot:!last (x mod n) (x / n);
+      incr last
+    done;
+    for p = !first to !last - 1 do
+      let x = order.(p) in
+      if writes.(p) then commit st ~result ~slot:p (x mod n) (x / n)
+    done;
+    first := !last
+  done;
   st
 
 (* Supported for overlapped replay: every register the loop defines gets

@@ -12,6 +12,13 @@
     any divergence means a dependence the scheduler was allowed to
     break — a front-end bug, not merely a scheduling one.
 
+    Within a cycle the overlapped replays follow VLIW issue semantics:
+    every operation issued in the cycle reads its operands before any of
+    them writes its result, as on a machine whose latencies are all at
+    least 1 (every shipped machine model).  A register may thus be
+    overwritten in the very cycle its last reader issues, which is what
+    {!Lifetime}'s copy count assumes.
+
     Opcode semantics (all values are floats): arithmetic as expected;
     single-source [aadd]/[asub] advance an address stream by the
     implicit stride 8; [load]/[store] act on a sparse memory whose

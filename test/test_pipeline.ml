@@ -480,6 +480,35 @@ let test_interp_check_skips_unsupported () =
       Alcotest.(check bool) "unsupported loop" false (Interp.supported ddg);
       Alcotest.(check bool) "check passes vacuously" true (Interp.check s = Ok ())
 
+(* A corpus loop (syn0002578 of corpus seed 571874767) the finite-MVE
+   replay used to reject.  At II 5, [v5] is written by the fadd (op 4)
+   at cycle 5 and read at distance 2 by the fmul (op 3) at cycle 0, so
+   iteration j+1's write and iteration j+2's read issue in the same
+   cycle.  [Lifetime] gives [v5] one MVE copy, which is right exactly
+   when a read sees the value from before a write of the same cycle. *)
+let same_cycle_loop =
+  {|v3 = aadd v3[1] $8
+v4 = load v3
+v6 = fmul v5[2] v0
+v5 = fadd v6 v2
+v7 = aadd v7[1] $8
+store v7 v1
+v8 = aadd v8[1] $1
+v10 = cmp v8 v9
+branch v10
+|}
+
+let test_interp_same_cycle_read_before_write () =
+  let ddg = Ims_workloads.Loop_parse.parse machine same_cycle_loop in
+  let s = schedule_of ddg in
+  let ii = s.Schedule.ii in
+  Alcotest.(check int) "II" 5 ii;
+  Alcotest.(check int) "write of j+1 and read of j+2 share a cycle"
+    (Schedule.time s 4 + ii) (Schedule.time s 3 + (2 * ii));
+  Alcotest.(check int) "one MVE copy" 1 (Mve.expand s).Mve.unroll;
+  Alcotest.(check (result unit string)) "all replays agree" (Ok ())
+    (Interp.check s)
+
 let prop_interp_equivalence =
   QCheck.Test.make ~count:40
     ~name:"interp: pipelined execution computes sequential values"
@@ -504,6 +533,8 @@ let interp_tests =
     Alcotest.test_case "interp: detects broken schedule" `Quick
       test_interp_detects_broken_schedule;
     Alcotest.test_case "interp: store memory" `Quick test_interp_store_loop_memory;
+    Alcotest.test_case "interp: same-cycle read before write" `Quick
+      test_interp_same_cycle_read_before_write;
     Alcotest.test_case "interp: partial defs unsupported" `Quick
       test_interp_unsupported_partial_defs;
     Alcotest.test_case "interp: check skips unsupported" `Quick

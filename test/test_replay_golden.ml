@@ -139,7 +139,7 @@ let render () =
   List.iteri (render_loop buf) (loops ());
   Buffer.contents buf
 
-let expected_digest = "bb6dd20f8d6964c645e364b7800d257e"
+let expected_digest = "64f237a4f5cdee3c2f2cfadbdc106c47"
 
 let test_digest () =
   Alcotest.(check string)
