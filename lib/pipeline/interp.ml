@@ -91,20 +91,17 @@ let compile ddg =
     if not (Hashtbl.mem index r) then Hashtbl.add index r (Hashtbl.length index);
     Hashtbl.find index r
   in
+  let operands l =
+    ( Array.of_list (List.map (fun (s : Op.operand) -> dense s.reg) l),
+      Array.of_list (List.map (fun (s : Op.operand) -> s.distance) l) )
+  in
   let compile_op id =
     let o = Ddg.op ddg id in
-    let srcs = Array.of_list o.Op.srcs in
-    let pred, pred_dist =
-      Option.fold ~none:(-1, 0) ~some:(fun (p : Op.operand) -> (dense p.reg, p.distance)) o.Op.pred
-    in
-    {
-      sem = semantics o;
-      srcs = Array.map (fun (s : Op.operand) -> dense s.Op.reg) srcs;
-      dists = Array.map (fun (s : Op.operand) -> s.Op.distance) srcs;
-      pred;
-      pred_dist;
-      dsts = Array.of_list (List.map dense o.Op.dsts);
-    }
+    let srcs, dists = operands o.Op.srcs in
+    let pred, pred_dist = operands (Option.to_list o.Op.pred) in
+    let pred, pred_dist = if Array.length pred = 0 then (-1, 0) else (pred.(0), pred_dist.(0)) in
+    let dsts = Array.of_list (List.map dense o.Op.dsts) in
+    { sem = semantics o; srcs; dists; pred; pred_dist; dsts }
   in
   let ops = Array.of_list (List.map compile_op (Ddg.real_ids ddg)) in
   let reg = Array.make (Hashtbl.length index) 0 in
@@ -148,11 +145,10 @@ type state = {
 }
 
 let start body ~seed model =
-  let nregs = Array.length body.reg in
   let cells =
     match model with
-    | Walk iters | Exact iters -> nregs * Int.max 0 iters
-    | Cells { k; _ } -> nregs * Int.max 1 (abs k)
+    | Walk iters | Exact iters -> Array.length body.reg * Int.max 0 iters
+    | Cells { k; _ } -> Array.length body.reg * Int.max 1 (abs k)
     | File { size; _ } -> size
   in
   let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
@@ -211,9 +207,10 @@ let fetch st x r d i =
   st.body.args.(x) <-
     (if c >= 0 then st.vals.(c) else live_in ~seed:st.seed st.body.reg.(r) c)
 
-(* Issue one operation instance: read its operands and execute it, up
-   to its register write.  Returns whether it writes, the result left in
-   [result.(slot)]; a guarded-off operation reads only its predicate. *)
+(* Issue operation [k] of iteration [i]: read its operands and execute
+   it, up to its register write.  Returns whether it writes, the result
+   left in [result.(slot)]; a guarded-off operation reads only its
+   predicate. *)
 let issue st ~result ~slot k i =
   let o = st.body.ops.(k) in
   let a = st.body.args in
@@ -223,8 +220,8 @@ let issue st ~result ~slot k i =
     for x = 0 to n - 1 do
       fetch st x o.srcs.(x) o.dists.(x) i
     done;
-    let v =
-      match o.sem with
+    result.(slot) <-
+      (match o.sem with
       | Add_stride delta -> a.(0) +. delta
       | Sub_stride delta -> a.(0) -. delta
       | (Sum | Diff | Prod) as sem ->
@@ -247,13 +244,9 @@ let issue st ~result ~slot k i =
           0.0
       | Load -> (
           let addr = int_of_float a.(0) in
-          match Mem.find_opt st.mem addr with
-          | Some v -> v
-          | None -> default_cell addr)
+          match Mem.find_opt st.mem addr with Some v -> v | None -> default_cell addr)
       | Branch -> 0.0
-      | Unknown msg -> raise (Unsupported msg)
-    in
-    result.(slot) <- v;
+      | Unknown msg -> raise (Unsupported msg));
     match o.sem with Store | Branch -> false | _ -> true
   end
 
@@ -268,10 +261,6 @@ let commit st ~result ~slot k i =
     end
   done
 
-let exec st k i =
-  let result = st.body.args in
-  if issue st ~result ~slot:0 k i then commit st ~result ~slot:0 k i
-
 (* Memory, and the value of every register the loop writes, after
    [trip] iterations: the youngest instance for the instance models,
    the last iteration's cell for the finite ones. *)
@@ -284,10 +273,9 @@ let outcome st ~trip =
     in
     if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
   in
+  let memory = Mem.fold (fun addr v acc -> (addr, v) :: acc) st.mem [] in
   {
-    memory =
-      Mem.fold (fun addr v acc -> (addr, v) :: acc) st.mem []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+    memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) memory;
     finals = List.filter_map final (Array.to_list st.body.written);
   }
 
@@ -298,13 +286,13 @@ let outcome st ~trip =
    operations after the exit do not execute.  [exit_op = 0] (START)
    never exits.  Returns the state and the exit iteration. *)
 let sequential body ~seed ~exit_op ~max_trip =
-  let st = start body ~seed (Walk max_trip) in
+  let st = start body ~seed (Walk max_trip) and result = body.args in
   let exit_iter = ref max_trip and i = ref 0 in
   while !i < max_trip && !exit_iter = max_trip do
     let k = ref 0 in
     while !k < Array.length body.ops && !exit_iter = max_trip do
       let o = body.ops.(!k) in
-      exec st !k !i;
+      if issue st ~result ~slot:0 !k !i then commit st ~result ~slot:0 !k !i;
       if !k + 1 = exit_op && Array.length o.srcs > 0 then begin
         fetch st 0 o.srcs.(0) o.dists.(0) !i;
         if body.args.(0) <> 0.0 then exit_iter := !i
@@ -323,29 +311,27 @@ let sequential body ~seed ~exit_op ~max_trip =
    any sane schedule).  Returned with every instance's cycle. *)
 let issue_order ?(keep = fun _ _ -> true) sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
-  let xs =
-    List.concat_map (fun i -> List.init n (fun k -> (i * n) + k)) (List.init iters Fun.id)
-    |> List.filter (fun x -> keep (x / n) (x mod n))
-  in
+  let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
+  let add i k = if keep i k then (xs.(!len) <- (i * n) + k; incr len) in
+  List.iter (fun i -> for k = 0 to n - 1 do add i k done) (List.init iters Fun.id);
   let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
   let cycle = Array.init (Int.max 0 iters * n) (fun x -> time.(x mod n) + (x / n * ii)) in
   let low = Array.fold_left Int.min max_int cycle in
   let top = Array.fold_left (fun m c -> Int.max m (c - low)) 0 cycle in
-  let order = ref (Array.of_list xs) and shift = ref 0 in
+  let order = ref (Array.sub xs 0 !len) and shift = ref 0 in
   while !shift < Sys.int_size && top lsr !shift > 0 do
     let src = !order and dst = Array.make (Array.length !order) 0 in
     let digit p = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
     let count = Array.make (Int.min top 0xFFFF + 2) 0 in
-    for p = 0 to Array.length src - 1 do
-      count.(digit p + 1) <- count.(digit p + 1) + 1
-    done;
+    Array.iteri (fun p _ -> count.(digit p + 1) <- count.(digit p + 1) + 1) src;
     for d = 1 to Array.length count - 1 do
       count.(d) <- count.(d) + count.(d - 1)
     done;
-    for p = 0 to Array.length src - 1 do
-      dst.(count.(digit p)) <- src.(p);
-      count.(digit p) <- count.(digit p) + 1
-    done;
+    Array.iteri
+      (fun p x ->
+        dst.(count.(digit p)) <- x;
+        count.(digit p) <- count.(digit p) + 1)
+      src;
     order := dst;
     shift := !shift + 16
   done;
@@ -357,32 +343,32 @@ let issue_order ?(keep = fun _ _ -> true) sched ~iters =
 let replay st (order, cycle) =
   let n = Array.length st.body.ops and len = Array.length order in
   let result = Array.make len 0.0 and writes = Array.make len false in
+  let commit_from first last =
+    for p = first to last - 1 do
+      if writes.(p) then commit st ~result ~slot:p (order.(p) mod n) (order.(p) / n)
+    done
+  in
   let first = ref 0 in
-  while !first < len do
-    let last = ref !first in
-    while !last < len && cycle.(order.(!last)) = cycle.(order.(!first)) do
-      let x = order.(!last) in
-      writes.(!last) <- issue st ~result ~slot:!last (x mod n) (x / n);
-      incr last
-    done;
-    for p = !first to !last - 1 do
-      let x = order.(p) in
-      if writes.(p) then commit st ~result ~slot:p (x mod n) (x / n)
-    done;
-    first := !last
-  done;
+  Array.iteri
+    (fun p x ->
+      if p > 0 && cycle.(x) <> cycle.(order.(p - 1)) then begin
+        commit_from !first p;
+        first := p
+      end;
+      writes.(p) <- issue st ~result ~slot:p (x mod n) (x / n))
+    order;
+  commit_from !first len;
   st
 
 (* Supported for overlapped replay: every register the loop defines gets
    an instance on every iteration (checked dynamically on a short
    sequential run), so distance-d reads resolve to exactly (r, i-d). *)
 let supports body =
-  let trip = 6 in
-  match sequential body ~seed:42 ~exit_op:0 ~max_trip:trip with
+  match sequential body ~seed:42 ~exit_op:0 ~max_trip:6 with
   | exception Unsupported _ -> false
   | st, _ ->
       Array.for_all
-        (fun r -> List.for_all (fun j -> present st ((r * trip) + j)) [ 0; 1; 2; 3; 4; 5 ])
+        (fun r -> List.for_all (fun j -> present st ((r * 6) + j)) [ 0; 1; 2; 3; 4; 5 ])
         body.written
 
 let supported ddg = supports (compile ddg)
