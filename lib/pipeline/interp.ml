@@ -124,8 +124,7 @@ type model =
   | Walk of int
       (** Sequential, [iters] instances per register in cells
           [r * iters + j]; a read finds the youngest instance at or before
-          its target (registers keep their value across unwritten
-          iterations). *)
+          its target (unwritten iterations keep the value). *)
   | Exact of int  (** Issue order: the same cells, but exactly [i - d]. *)
   | Cells of { k : int; spread : bool array }
       (** Finite MVE registers: [k] kernel copies, one cell each for the
@@ -156,13 +155,14 @@ let start body ~seed model =
 
 let present st c = Bytes.get st.has c <> '\000'
 
-(* The cell of [(r, d)] in iteration [i] under a finite model: MVE
-   copy [(i mod k - d) mod k] ({!Mve.rename}'s instance arithmetic), or
+(* The cell of [(r, d)] in iteration [i]: instance [i - d], MVE copy
+   [(i mod k - d) mod k] ({!Mve.rename}'s instance arithmetic), or
    rotating cell [(base + d - i) mod size] (architectural register [x]
    read in iteration [i] is physical cell [(x - i) mod size]); -1 for a
-   register without a rotating base. *)
+   register without a rotating base.  Writes land in [cell ~d:0]. *)
 let cell st r ~d i =
   match st.model with
+  | Walk iters | Exact iters -> (r * iters) + i - d
   | Cells { k; spread } ->
       let width = Int.max 1 (abs k) and copy = i mod k in
       if spread.(r) then (r * width) + abs ((((copy - d) mod k) + k) mod k)
@@ -171,7 +171,6 @@ let cell st r ~d i =
       match base.(r) with
       | Some b -> (((b + d - i) mod size) + size) mod size
       | None -> -1)
-  | Walk _ | Exact _ -> -1
 
 (* Where iteration [i]'s read of [(r, d)] finds its value: a cell
    ([>= 0]), or the live-in instance [j < 0] to synthesise. *)
@@ -194,12 +193,6 @@ let locate st r d i =
       else
         let c = cell st r ~d i in
         if c >= 0 && present st c then c else -1
-
-(* The cell iteration [i]'s write of [r] lands in; -1: nowhere. *)
-let target st r i =
-  match st.model with
-  | Walk iters | Exact iters -> (r * iters) + i
-  | Cells _ | File _ -> cell st r ~d:0 i
 
 (* [args.(x) <- value of (r, d) as read by iteration i]. *)
 let fetch st x r d i =
@@ -254,7 +247,7 @@ let issue st ~result ~slot k i =
 let commit st ~result ~slot k i =
   let dsts = st.body.ops.(k).dsts in
   for x = 0 to Array.length dsts - 1 do
-    let c = target st dsts.(x) i in
+    let c = cell st dsts.(x) ~d:0 i in
     if c >= 0 then begin
       st.vals.(c) <- result.(slot);
       Bytes.set st.has c '\001'
@@ -269,7 +262,7 @@ let outcome st ~trip =
     let c =
       match st.model with
       | Walk n | Exact n -> locate { st with model = Walk n } r 0 (trip - 1)
-      | Cells _ | File _ -> if trip < 1 then -1 else target st r (trip - 1)
+      | Cells _ | File _ -> if trip < 1 then -1 else cell st r ~d:0 (trip - 1)
     in
     if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
   in
