@@ -126,9 +126,9 @@ type model =
           [r * iters + j]; a read finds the youngest instance at or before
           its target (unwritten iterations keep the value). *)
   | Exact of int  (** Issue order: the same cells, but exactly [i - d]. *)
-  | Cells of { k : int; spread : bool array }
-      (** Finite MVE registers: [k] kernel copies, one cell each for the
-          [spread] registers, a single cell for the others. *)
+  | Cells of { mve : Mve.t; spread : bool array }
+      (** Finite MVE registers: one cell per kernel copy for the [spread]
+          registers, a single cell for the others. *)
   | File of { size : int; base : int option array }
       (** The physical rotating file, rotating one cell per iteration. *)
 
@@ -147,7 +147,7 @@ let start body ~seed model =
   let cells =
     match model with
     | Walk iters | Exact iters -> Array.length body.reg * Int.max 0 iters
-    | Cells { k; _ } -> Array.length body.reg * Int.max 1 (abs k)
+    | Cells { mve; _ } -> Array.length body.reg * Int.max 1 (abs mve.Mve.unroll)
     | File { size; _ } -> size
   in
   let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
@@ -155,17 +155,17 @@ let start body ~seed model =
 
 let present st c = Bytes.get st.has c <> '\000'
 
-(* The cell of [(r, d)] in iteration [i]: instance [i - d], MVE copy
-   [(i mod k - d) mod k] ({!Mve.rename}'s instance arithmetic), or
-   rotating cell [(base + d - i) mod size] (architectural register [x]
-   read in iteration [i] is physical cell [(x - i) mod size]); -1 for a
-   register without a rotating base.  Writes land in [cell ~d:0]. *)
+(* The cell of [(r, d)] in iteration [i]: instance [i - d], the MVE
+   copy {!Mve.rename} names, or rotating cell [(base + d - i) mod size]
+   (architectural register [x] read in iteration [i] is physical cell
+   [(x - i) mod size]); -1 for a register without a rotating base.
+   Writes land in [cell ~d:0]. *)
 let cell st r ~d i =
   match st.model with
   | Walk iters | Exact iters -> (r * iters) + i - d
-  | Cells { k; spread } ->
-      let width = Int.max 1 (abs k) and copy = i mod k in
-      if spread.(r) then (r * width) + abs ((((copy - d) mod k) + k) mod k)
+  | Cells { mve; spread } ->
+      let width = Int.max 1 (abs mve.Mve.unroll) and copy = i mod mve.Mve.unroll in
+      if spread.(r) then (r * width) + abs (Mve.instance mve ~copy ~distance:d)
       else r * width
   | File { size; base } -> (
       match base.(r) with
@@ -370,7 +370,7 @@ let run_sequential ?(seed = 42) ddg ~trip =
   outcome (fst (sequential (compile ddg) ~seed ~exit_op:0 ~max_trip:trip)) ~trip
 
 let mve_model body (mve : Mve.t) =
-  Cells { k = mve.Mve.unroll; spread = Array.map (Mve.needs_expansion mve) body.reg }
+  Cells { mve; spread = Array.map (Mve.needs_expansion mve) body.reg }
 
 let rotating_model body (alloc : Rotreg.t) =
   let base = Array.map (Rotreg.base_of alloc) body.reg in

@@ -19,10 +19,12 @@ let needs_expansion t reg =
     (fun (r : Lifetime.range) -> r.reg = reg && (r.copies > 1 || t.unroll > 1))
     t.ranges
 
+let instance t ~copy ~distance =
+  ((copy - distance) mod t.unroll + t.unroll) mod t.unroll
+
 let rename t ~reg ~copy ~distance =
   if needs_expansion t reg then
-    let instance = ((copy - distance) mod t.unroll + t.unroll) mod t.unroll in
-    Printf.sprintf "v%d.%d" reg instance
+    Printf.sprintf "v%d.%d" reg (instance t ~copy ~distance)
   else Printf.sprintf "v%d" reg
 
 let code_growth t = t.unroll * Ddg.n_real t.schedule.Schedule.ddg

@@ -26,5 +26,9 @@ val rename : t -> reg:int -> copy:int -> distance:int -> string
 val needs_expansion : t -> int -> bool
 (** Whether {!rename} gives the register one name per kernel copy. *)
 
+val instance : t -> copy:int -> distance:int -> int
+(** The kernel copy whose instance a distance-[distance] reader in copy
+    [copy] reads: [(copy - distance) mod unroll]. *)
+
 val code_growth : t -> int
 (** Kernel operations after expansion: [unroll * n_real]. *)
