@@ -300,8 +300,9 @@ let sequential body ~seed ~exit_op ~max_trip =
    [i]) of the first [iters] iterations that satisfy [keep], in issue
    order: by cycle [time + i * II], then iteration, then id.  They are
    generated in (iteration, id) order, then sorted stably by cycle with
-   an LSD radix sort, 16 bits of the cycle offset per pass (one pass for
-   any sane schedule).  Returned with every instance's cycle. *)
+   an LSD radix sort, 16 bits of the cycle offset per pass (one pass
+   unless the cycles span 65,536 or more).  Returned with every
+   instance's cycle. *)
 let issue_order ?(keep = fun _ _ -> true) sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
   let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
