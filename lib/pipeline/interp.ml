@@ -159,7 +159,10 @@ let present st c = Bytes.get st.has c <> '\000'
    copy {!Mve.rename} names, or rotating cell [(base + d - i) mod size]
    (architectural register [x] read in iteration [i] is physical cell
    [(x - i) mod size]); -1 for a register without a rotating base.
-   Writes land in [cell ~d:0]. *)
+   Writes land in [cell ~d:0].  A hand-built expansion (the [?mve] hook)
+   may carry an unroll of 0, which raises [Division_by_zero] as
+   {!Mve.rename} does, or a negative one, whose copies number 0, -1, ...
+   — hence [abs]. *)
 let cell st r ~d i =
   match st.model with
   | Walk iters | Exact iters -> (r * iters) + i - d
