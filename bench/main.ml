@@ -33,186 +33,79 @@ open Ims_workloads
 (* --metrics FILE dumps one JSON line per loop (name, bounds, achieved
    II, steps, table 4 counters) so suite-wide regressions in IIs /
    budget / time become diffable artifacts.  Unknown flags and flags
-   missing their value are hard errors — a silently ignored
-   "--metrics" as the last argument cost real debugging time once. *)
+   missing their value are hard errors (usage on stderr, exit 2) — a
+   silently ignored "--metrics" as the last argument cost real
+   debugging time once. *)
 type opts = {
   quick : bool;
   jobs : int;
-  closure_jobs : int;
-  closure_threshold : int;
   metrics_file : string option;
   bench_json : string option;
-  journal : string option;
-  resume : string option;
   profile_file : string option;
   baseline : string option;
   tolerance : float option;  (* fractional: 0.1 = 10% *)
   time_tolerance : float option;
   status_file : string option;
   status_interval : float;
-  fleet_loops : int;  (* 0 = skip the fleet throughput phase *)
-  fleet_workers : int;
-  imsc : string option;  (* the imsc binary the fleet phase spawns *)
 }
 
 let opts =
-  let usage_exit msg =
-    Printf.eprintf "bench: %s\n" msg;
-    prerr_endline
-      "usage: dune exec bench/main.exe -- [--quick] [--jobs N] \
-       [--closure-jobs N] [--closure-threshold M] [--metrics FILE] \
-       [--bench-json FILE] [--journal FILE] [--resume FILE] [--profile \
-       FILE] [--baseline BENCH.json] [--tolerance F] [--time-tolerance F] \
-       [--status-file FILE] [--status-interval SEC] [--fleet-loops N] \
-       [--fleet-workers N] [--imsc PATH]";
-    exit 2
-  in
-  let quick = ref false in
-  let jobs = ref (Ims_exec.Exec.default_jobs ()) in
-  let closure_jobs = ref 1 in
-  let closure_threshold = ref 64 in
-  let metrics = ref None in
-  let bench_json = ref None in
-  let journal = ref None in
-  let resume = ref None in
-  let profile = ref None in
-  let baseline = ref None in
-  let tolerance = ref None in
+  let quick = ref false and jobs = ref (Ims_exec.Exec.default_jobs ()) in
+  let metrics = ref None and bench_json = ref None and profile = ref None in
+  let baseline = ref None and tolerance = ref None in
   let time_tolerance = ref None in
-  let status_file = ref None in
-  let status_interval = ref 1.0 in
-  let fleet_loops = ref 0 in
-  let fleet_workers = ref 4 in
-  let imsc = ref None in
-  let argc = Array.length Sys.argv in
-  let value flag i =
-    if i + 1 >= argc then usage_exit (flag ^ " needs a value")
-    else Sys.argv.(i + 1)
+  let status_file = ref None and status_interval = ref 1.0 in
+  let file r = Arg.String (fun v -> r := Some v) in
+  let non_negative flag set =
+    Arg.Float
+      (fun f ->
+        if f >= 0.0 then set f
+        else
+          raise
+            (Arg.Bad (Printf.sprintf "%s expects a non-negative number" flag)))
   in
-  let float_value flag i =
-    let v = value flag i in
-    match float_of_string_opt v with
-    | Some f when f >= 0.0 -> f
-    | _ ->
-        usage_exit
-          (Printf.sprintf "%s expects a non-negative number, got %S" flag v)
+  let specs =
+    [
+      ("--quick", Arg.Set quick, " 300 loops, no bechamel");
+      ( "--jobs",
+        Arg.Int
+          (fun n ->
+            if n >= 1 then jobs := n
+            else raise (Arg.Bad "--jobs expects a positive integer")),
+        "N  domains for per-loop work (same stdout at every N)" );
+      ("--metrics", file metrics, "FILE  one JSON line per measured loop");
+      ("--bench-json", file bench_json, "FILE  the run's snapshot");
+      ("--profile", file profile, "FILE  the run profile");
+      ("--baseline", file baseline, "BENCH.json  fail on a regression vs it");
+      ( "--tolerance",
+        non_negative "--tolerance" (fun f -> tolerance := Some f),
+        "F  counter tolerance for --baseline (0.1 = 10%)" );
+      ( "--time-tolerance",
+        non_negative "--time-tolerance" (fun f -> time_tolerance := Some f),
+        "F  wall-clock tolerance for --baseline" );
+      ("--status-file", file status_file, "FILE  live status heartbeats");
+      ( "--status-interval",
+        non_negative "--status-interval" (fun f -> status_interval := f),
+        "SEC  seconds between heartbeats (default 1)" );
+    ]
   in
-  let rec scan i =
-    if i < argc then
-      match Sys.argv.(i) with
-      | "--quick" ->
-          quick := true;
-          scan (i + 1)
-      | "--jobs" ->
-          let v = value "--jobs" i in
-          (match int_of_string_opt v with
-          | Some n when n >= 1 -> jobs := n
-          | _ ->
-              usage_exit
-                (Printf.sprintf "--jobs expects a positive integer, got %S" v));
-          scan (i + 2)
-      | "--closure-jobs" ->
-          let v = value "--closure-jobs" i in
-          (match int_of_string_opt v with
-          | Some n when n >= 1 -> closure_jobs := n
-          | _ ->
-              usage_exit
-                (Printf.sprintf
-                   "--closure-jobs expects a positive integer, got %S" v));
-          scan (i + 2)
-      | "--closure-threshold" ->
-          let v = value "--closure-threshold" i in
-          (match int_of_string_opt v with
-          | Some n when n >= 1 -> closure_threshold := n
-          | _ ->
-              usage_exit
-                (Printf.sprintf
-                   "--closure-threshold expects a positive integer, got %S" v));
-          scan (i + 2)
-      | "--metrics" ->
-          metrics := Some (value "--metrics" i);
-          scan (i + 2)
-      | "--bench-json" ->
-          bench_json := Some (value "--bench-json" i);
-          scan (i + 2)
-      | "--journal" ->
-          journal := Some (value "--journal" i);
-          scan (i + 2)
-      | "--resume" ->
-          resume := Some (value "--resume" i);
-          scan (i + 2)
-      | "--profile" ->
-          profile := Some (value "--profile" i);
-          scan (i + 2)
-      | "--baseline" ->
-          baseline := Some (value "--baseline" i);
-          scan (i + 2)
-      | "--tolerance" ->
-          tolerance := Some (float_value "--tolerance" i);
-          scan (i + 2)
-      | "--time-tolerance" ->
-          time_tolerance := Some (float_value "--time-tolerance" i);
-          scan (i + 2)
-      | "--status-file" ->
-          status_file := Some (value "--status-file" i);
-          scan (i + 2)
-      | "--status-interval" ->
-          status_interval := float_value "--status-interval" i;
-          scan (i + 2)
-      | "--fleet-loops" ->
-          let v = value "--fleet-loops" i in
-          (match int_of_string_opt v with
-          | Some n when n >= 0 -> fleet_loops := n
-          | _ ->
-              usage_exit
-                (Printf.sprintf
-                   "--fleet-loops expects a non-negative integer, got %S" v));
-          scan (i + 2)
-      | "--fleet-workers" ->
-          let v = value "--fleet-workers" i in
-          (match int_of_string_opt v with
-          | Some n when n >= 1 -> fleet_workers := n
-          | _ ->
-              usage_exit
-                (Printf.sprintf
-                   "--fleet-workers expects a positive integer, got %S" v));
-          scan (i + 2)
-      | "--imsc" ->
-          imsc := Some (value "--imsc" i);
-          scan (i + 2)
-      | other -> usage_exit (Printf.sprintf "unknown argument %S" other)
-  in
-  scan 1;
-  if !journal <> None && !resume <> None then
-    usage_exit "--journal and --resume are mutually exclusive";
+  Arg.parse (Arg.align specs)
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "usage: dune exec bench/main.exe -- [OPTION]...";
   {
     quick = !quick;
     jobs = !jobs;
-    closure_jobs = !closure_jobs;
-    closure_threshold = !closure_threshold;
     metrics_file = !metrics;
     bench_json = !bench_json;
-    journal = !journal;
-    resume = !resume;
     profile_file = !profile;
     baseline = !baseline;
     tolerance = !tolerance;
     time_tolerance = !time_tolerance;
     status_file = !status_file;
     status_interval = !status_interval;
-    fleet_loops = !fleet_loops;
-    fleet_workers = !fleet_workers;
-    imsc = !imsc;
   }
 
 let quick = opts.quick
-
-(* Opt-in parallel MinDist closure.  The default (jobs = 1) leaves every
-   closure on the serial path; results are value-identical either way,
-   so the bench table stays byte-stable across this knob too. *)
-let () =
-  Mindist.set_parallel ~jobs:opts.closure_jobs
-    ~threshold:opts.closure_threshold
 let jobs = opts.jobs
 let metrics_file = opts.metrics_file
 let bench_json_file = opts.bench_json
@@ -324,85 +217,9 @@ let measure_case ?trace ~budget_ratio (case : Suite.case) =
     counters;
   }
 
-(* --journal FILE / --resume FILE: crash-safe journaling of the measure
-   phase (the dominant cost of a full run).  One fsync'd JSONL record
-   per measured loop; --resume replays journaled records (the suite
-   cases are regenerated deterministically, so a record is keyed by its
-   index) and measures only the rest, losing at most one loop of work
-   to a crash.  The manifest pins suite size, quickness, budget, and
-   the machine model; resume refuses on mismatch. *)
-
-let record_to_json r =
-  let open Ims_obs in
-  Json.Obj
-    [
-      ("n", Json.Int r.n);
-      ("resmii", Json.Int r.mii.Mii.resmii);
-      ("recmii", Json.Int r.mii.Mii.recmii);
-      ("mii", Json.Int r.mii.Mii.mii);
-      ("ii", Json.Int r.ii);
-      ("sl", Json.Int r.sl);
-      ("sl_lb", Json.Int r.sl_lb);
-      ("min_sl", Json.Int r.min_sl);
-      ("steps_final", Json.Int r.steps_final);
-      ("steps_total", Json.Int r.steps_total);
-      ("nontrivial_sccs", Json.Int r.nontrivial_sccs);
-      ("scc_sizes", Json.List (List.map (fun s -> Json.Int s) r.scc_sizes));
-      ( "counters",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) (Counters.to_assoc r.counters))
-      );
-    ]
-
-let record_of_json (case : Suite.case) j =
-  let open Ims_obs in
-  let kvs =
-    match j with
-    | Json.Obj kvs -> kvs
-    | _ -> failwith "bench: malformed journal record"
-  in
-  let int k =
-    match List.assoc_opt k kvs with
-    | Some (Json.Int v) -> v
-    | _ -> failwith (Printf.sprintf "bench: journal record missing %S" k)
-  in
-  let counters =
-    (* [Counters.of_assoc] owns the key list — the journal schema tracks
-       the canonical field table automatically. *)
-    match List.assoc_opt "counters" kvs with
-    | Some (Json.Obj cs) ->
-        Counters.of_assoc
-          (List.filter_map
-             (function k, Json.Int v -> Some (k, v) | _ -> None)
-             cs)
-    | _ -> Counters.create ()
-  in
-  let scc_sizes =
-    match List.assoc_opt "scc_sizes" kvs with
-    | Some (Json.List l) ->
-        List.map (function Json.Int v -> v | _ -> 0) l
-    | _ -> []
-  in
-  {
-    case;
-    n = int "n";
-    mii =
-      { Mii.resmii = int "resmii"; recmii = int "recmii"; mii = int "mii" };
-    ii = int "ii";
-    sl = int "sl";
-    sl_lb = int "sl_lb";
-    min_sl = int "min_sl";
-    steps_final = int "steps_final";
-    steps_total = int "steps_total";
-    nontrivial_sccs = int "nontrivial_sccs";
-    scc_sizes;
-    counters;
-  }
-
 (* The measure manifest pins everything that shapes the per-loop
-   results; it keys both journal resume ("same run?") and the bench
-   snapshot's meta ("which suite was this trajectory point measured
-   on?"). *)
+   results; it keys the bench snapshot's meta ("which suite was this
+   trajectory point measured on?"). *)
 let measure_manifest_hash =
   lazy
     (Ims_exec.Journal.manifest_hash
@@ -425,80 +242,11 @@ let measure_job (shard : Ims_exec.Shard.t) case =
   r
 
 let measure_records ?profile ?progress cases =
-  match (opts.journal, opts.resume) with
-  | None, None ->
-      let outcomes, _, _ =
-        Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
-          ~f:measure_job cases
-      in
-      List.mapi (fun i o -> Ims_exec.Outcome.get ~job:i o) outcomes
-  | _ ->
-      let module J = Ims_exec.Journal in
-      let hash = Lazy.force measure_manifest_hash in
-      let n = List.length cases in
-      let completed : (int, Ims_obs.Json.t) Hashtbl.t = Hashtbl.create 97 in
-      (match opts.resume with
-      | None -> ()
-      | Some path -> (
-          match J.read ~path with
-          | Error msg -> failwith ("bench: cannot resume: " ^ msg)
-          | Ok r ->
-              if r.J.manifest.J.tool <> "bench-measure" then
-                failwith
-                  (Printf.sprintf "bench: %s is a %S journal, not a \
-                                   bench-measure one" path r.J.manifest.J.tool);
-              if r.J.manifest.J.hash <> hash then
-                failwith
-                  (Printf.sprintf
-                     "bench: manifest mismatch: journal %s was written with \
-                      a different suite, flags, or machine — refusing to \
-                      reuse its results"
-                     path);
-              if r.J.torn then
-                Ims_obs.Log.warn log "ignoring torn final record in %s" path;
-              List.iter
-                (fun (i, line) ->
-                  if i >= 0 && i < n then Hashtbl.replace completed i line)
-                r.J.entries;
-              Ims_obs.Log.info log
-                "resuming — %d of %d loop(s) already journaled"
-                (Hashtbl.length completed) n));
-      let writer =
-        match (opts.resume, opts.journal) with
-        | Some path, _ -> J.reopen ~path ()
-        | None, Some path ->
-            J.create ~path
-              { J.version = J.format_version; tool = "bench-measure"; hash;
-                jobs = n; parts = [] }
-        | None, None -> assert false
-      in
-      let indexed = List.mapi (fun i c -> (i, c)) cases in
-      let pending =
-        List.filter (fun (i, _) -> not (Hashtbl.mem completed i)) indexed
-      in
-      let pending_arr = Array.of_list pending in
-      let outcomes, _, _ =
-        Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
-          ~on_result:(fun i outcome ->
-            match outcome with
-            | Ims_exec.Outcome.Done r ->
-                J.append writer ~index:(fst pending_arr.(i)) (record_to_json r)
-            | _ -> ())
-          ~f:(fun shard (_, case) -> measure_job shard case)
-          pending
-      in
-      J.close writer;
-      let fresh : (int, record) Hashtbl.t = Hashtbl.create 97 in
-      List.iter2
-        (fun (i, _) o ->
-          Hashtbl.replace fresh i (Ims_exec.Outcome.get ~job:i o))
-        pending outcomes;
-      List.map
-        (fun (i, case) ->
-          match Hashtbl.find_opt fresh i with
-          | Some r -> r
-          | None -> record_of_json case (Hashtbl.find completed i))
-        indexed
+  let outcomes, _, _ =
+    Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
+      ~f:measure_job cases
+  in
+  List.mapi (fun i o -> Ims_exec.Outcome.get ~job:i o) outcomes
 
 let dump_metrics file records =
   let open Ims_obs in
@@ -557,11 +305,6 @@ let write_file file contents =
    achieved-II histogram, and provenance meta — the trajectory point a
    perf regression is judged against (see BENCH_4.json at the repo
    root). *)
-(* Filled by the fleet throughput phase (--fleet-loops > 0): loops,
-   workers, wall seconds, corpus bytes.  loops_per_s is the headline
-   fleet-scale metric BENCH_6 gates on. *)
-let fleet_stats : (int * int * float * int) option ref = ref None
-
 let bench_snapshot_json records =
   let open Ims_obs in
   let phases =
@@ -584,7 +327,7 @@ let bench_snapshot_json records =
            Json.Obj [ ("ii", Json.Int ii); ("loops", Json.Int count) ])
   in
   Json.Obj
-    ([
+    [
       ("suite_count", Json.Int (List.length records));
       ("quick", Json.Bool quick);
       ("jobs", Json.Int jobs);
@@ -594,24 +337,6 @@ let bench_snapshot_json records =
           (List.map (fun (k, v) -> (k, Json.Int v)) (Counters.to_assoc totals))
       );
       ("ii_histogram", Json.List ii_histogram);
-    ]
-    @ (match !fleet_stats with
-      | None -> []
-      | Some (loops, workers, seconds, corpus_bytes) ->
-          [
-            ( "fleet",
-              Json.Obj
-                [
-                  ("loops", Json.Int loops);
-                  ("workers", Json.Int workers);
-                  ("seconds", Json.Float seconds);
-                  ( "loops_per_s",
-                    Json.Float (float_of_int loops /. Float.max seconds 1e-9)
-                  );
-                  ("corpus_bytes", Json.Int corpus_bytes);
-                ] );
-          ])
-    @ [
       ( "meta",
         Json.Obj
           [
@@ -620,7 +345,7 @@ let bench_snapshot_json records =
             ("jobs", Json.Int jobs);
             ("suite_hash", Json.String (Lazy.force measure_manifest_hash));
           ] );
-    ])
+    ]
 
 let dump_bench_json file snapshot =
   write_file file (Ims_obs.Json.to_string snapshot);
@@ -651,126 +376,6 @@ let check_baseline file snapshot =
             (fun r -> Log.error log "regression vs %s — %s" file (Baseline.describe r))
             regressions;
           exit 1)
-
-(* The fleet-scale throughput phase (--fleet-loops N): stream a seeded
-   corpus to disk with the same writer `imsc corpus gen` uses, run
-   `imsc fleet` over it as real worker subprocesses, and record loops
-   scheduled per second.  No process — bench included — ever holds more
-   than one shard's loops in memory, which is what lets the same phase
-   measure a 1,000,000-loop corpus (BENCH_6's headline).  Stdout keeps
-   only deterministic counts; wall clock goes to stderr and to the
-   snapshot's "fleet" section, where the baseline gate compares it. *)
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
-let fleet_phase () =
-  if opts.fleet_loops > 0 then begin
-    let imsc =
-      match opts.imsc with
-      | Some p -> p
-      | None ->
-          (* bench runs as _build/default/bench/main.exe; the sibling
-             CLI is _build/default/bin/imsc.exe. *)
-          Filename.concat
-            (Filename.dirname (Filename.dirname Sys.executable_name))
-            (Filename.concat "bin" "imsc.exe")
-    in
-    section "FLEET — sharded multi-process scheduling throughput";
-    if not (Sys.file_exists imsc) then
-      Ims_obs.Log.warn log
-        "fleet phase skipped: no imsc binary at %s (pass --imsc PATH)" imsc
-    else begin
-      let loops = opts.fleet_loops and workers = opts.fleet_workers in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "imsc-bench-fleet-%d" (Unix.getpid ()))
-      in
-      rm_rf dir;
-      Unix.mkdir dir 0o700;
-      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-      let corpus = Filename.concat dir "corpus.ilb" in
-      let report = Filename.concat dir "merged.jsonl" in
-      let rundir = Filename.concat dir "run" in
-      let written =
-        timed "fleet corpus gen" (fun () ->
-            Corpus.generate machine ~seed:1994 ~count:loops ~path:corpus)
-      in
-      let corpus_bytes = (Unix.stat corpus).Unix.st_size in
-      let t0 = Unix.gettimeofday () in
-      let pid =
-        Unix.create_process imsc
-          [|
-            imsc;
-            "fleet";
-            "--corpus";
-            corpus;
-            "--workers";
-            string_of_int workers;
-            "--jobs";
-            "1";
-            (* Group journal fsyncs: at a million records, per-append
-               fsync would measure the disk, not the scheduler.
-               Completed writes still survive kill -9 either way. *)
-            "--journal-sync";
-            "64";
-            "--dir";
-            rundir;
-            "--report";
-            report;
-          |]
-          Unix.stdin Unix.stdout Unix.stderr
-      in
-      let _, status = Unix.waitpid [] pid in
-      let dt = Unix.gettimeofday () -. t0 in
-      phase_log := ("fleet run", dt) :: !phase_log;
-      (match status with
-      (* Exit 2 is the batch protocol's "degraded": every loop got a
-         (possibly fallback) schedule and the merged report is
-         complete.  At a million seeded loops a handful of degraded
-         records is expected; only exit 1 (casualties / config error)
-         fails the phase. *)
-      | Unix.WEXITED (0 | 2) -> ()
-      | Unix.WEXITED c ->
-          failwith (Printf.sprintf "bench: fleet phase failed (exit %d)" c)
-      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-          failwith (Printf.sprintf "bench: fleet phase killed (signal %d)" s));
-      let report_lines =
-        let ic = open_in_bin report in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let n = ref 0 in
-            (try
-               while true do
-                 ignore (input_line ic);
-                 incr n
-               done
-             with End_of_file -> ());
-            !n)
-      in
-      if report_lines <> loops then
-        failwith
-          (Printf.sprintf
-             "bench: fleet merged report holds %d line(s), expected %d"
-             report_lines loops);
-      Printf.printf
-        "fleet: %d loop(s) scheduled across %d worker process(es); merged \
-         report complete (%d lines)\n"
-        written workers report_lines;
-      Ims_obs.Log.info log
-        "fleet: %.0f loops/s (%d loops, %d workers, %.1fs wall, %d corpus \
-         bytes)"
-        (float_of_int loops /. Float.max dt 1e-9)
-        loops workers dt corpus_bytes;
-      fleet_stats := Some (loops, workers, dt, corpus_bytes)
-    end
-  end
 
 (* The production scheme of sections 2.2/3: MII via the ResMII-seeded
    search (no exact RecMII), then iterative scheduling — used for the
@@ -1826,67 +1431,81 @@ let main () =
           })
       status
   in
-  figure1 ();
-  table1 ();
-  table2 ();
-  let cases =
-    timed "suite.generate" (fun () ->
-        Suite.cases ~machine ~count:suite_count ~jobs ())
+  let finish () =
+    Option.iter
+      (fun w ->
+        Ims_obs.Status.finish w
+          {
+            Ims_obs.Status.phase = "done";
+            counts = !last_counts;
+            elapsed = Unix.gettimeofday () -. t_start;
+          })
+      status
   in
-  let records =
-    timed "measure (table 3)" (fun () -> measure_records ?profile ?progress cases)
+  (* The final status ("running":false) is published on every exit
+     path, so a watcher never sees a dead run as still running. *)
+  let snapshot =
+    Fun.protect ~finally:finish @@ fun () ->
+    figure1 ();
+    table1 ();
+    table2 ();
+    let cases =
+      timed "suite.generate" (fun () ->
+          Suite.cases ~machine ~count:suite_count ~jobs ())
+    in
+    let records =
+      timed "measure (table 3)" (fun () ->
+          measure_records ?profile ?progress cases)
+    in
+    Option.iter (fun file -> dump_metrics file records) metrics_file;
+    table3 records;
+    headline records;
+    timed "figure 6 sweep" (fun () -> figure6 cases);
+    timed "table 4 fits" (fun () -> table4 cases);
+    section "ABLATIONS — design choices called out in DESIGN.md";
+    ablation_priorities cases;
+    ablation_recmii cases;
+    ablation_delay_model ();
+    ablation_evr ();
+    ablation_code_schemas cases;
+    section "EXTENSIONS — beyond the paper's evaluation";
+    extension_fractional_mii cases;
+    extension_schedulers cases;
+    extension_cross_machine ();
+    extension_speculation ();
+    extension_semantics cases;
+    extension_exit_schemas ();
+    extension_register_pressure ();
+    extension_kernel_family ();
+    if not quick then bechamel ();
+    (match (opts.profile_file, profile) with
+    | Some file, Some p ->
+        (* The bench's own phase wall clock joins the per-job spans, so
+           one profile answers both "where did the run's time go" and
+           "what did the jobs do". *)
+        List.iter
+          (fun (name, dt) ->
+            Ims_obs.Profile.add_phase p name ~count:1 ~seconds:dt)
+          (List.rev !phase_log);
+        write_file file (Ims_obs.Json.to_string (Ims_obs.Profile.to_json p));
+        Ims_obs.Log.info log "run profile written to %s" file
+    | _ -> ());
+    let snapshot = bench_snapshot_json records in
+    Option.iter (fun file -> dump_bench_json file snapshot) bench_json_file;
+    snapshot
   in
-  Option.iter (fun file -> dump_metrics file records) metrics_file;
-  table3 records;
-  headline records;
-  timed "figure 6 sweep" (fun () -> figure6 cases);
-  timed "table 4 fits" (fun () -> table4 cases);
-  section "ABLATIONS — design choices called out in DESIGN.md";
-  ablation_priorities cases;
-  ablation_recmii cases;
-  ablation_delay_model ();
-  ablation_evr ();
-  ablation_code_schemas cases;
-  section "EXTENSIONS — beyond the paper's evaluation";
-  extension_fractional_mii cases;
-  extension_schedulers cases;
-  extension_cross_machine ();
-  extension_speculation ();
-  extension_semantics cases;
-  extension_exit_schemas ();
-  extension_register_pressure ();
-  extension_kernel_family ();
-  if not quick then bechamel ();
-  fleet_phase ();
-  (match (opts.profile_file, profile) with
-  | Some file, Some p ->
-      (* The bench's own phase wall clock joins the per-job spans, so
-         one profile answers both "where did the run's time go" and
-         "what did the jobs do". *)
-      List.iter
-        (fun (name, dt) -> Ims_obs.Profile.add_phase p name ~count:1 ~seconds:dt)
-        (List.rev !phase_log);
-      write_file file (Ims_obs.Json.to_string (Ims_obs.Profile.to_json p));
-      Ims_obs.Log.info log "run profile written to %s" file
-  | _ -> ());
-  let snapshot = bench_snapshot_json records in
-  Option.iter (fun file -> dump_bench_json file snapshot) bench_json_file;
-  Option.iter
-    (fun w ->
-      Ims_obs.Status.finish w
-        {
-          Ims_obs.Status.phase = "done";
-          counts = !last_counts;
-          elapsed = Unix.gettimeofday () -. t_start;
-        })
-    status;
   Option.iter (fun file -> check_baseline file snapshot) opts.baseline;
   section "DONE"
 
-(* Journal/resume errors are reported via [failwith] with a "bench: "
-   prefix; render them as one line and exit 1 rather than letting the
-   exception escape as a Fatal error with an escaped payload. *)
+(* Run errors ([failwith] with a "bench: " prefix) and output errors (an
+   unwritable --metrics, --bench-json, --profile or --status-file) are
+   rendered as one line and exit 1 — 2 stays the usage-error code —
+   rather than escaping as a Fatal error with an escaped payload. *)
 let () =
-  try main () with Failure msg ->
-    prerr_endline msg;
-    exit 1
+  try main () with
+  | Failure msg ->
+      prerr_endline msg;
+      exit 1
+  | Sys_error msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 1

@@ -55,20 +55,6 @@ let max_delta_ii_arg =
   in
   Arg.(value & opt int 1000 & info [ "max-delta-ii" ] ~docv:"D" ~doc)
 
-let closure_jobs_arg =
-  let doc =
-    "Domains for the MinDist transitive closure on large graphs (1 = \
-     serial; results are value-identical either way)."
-  in
-  Arg.(value & opt int 1 & info [ "closure-jobs" ] ~docv:"N" ~doc)
-
-let closure_threshold_arg =
-  let doc =
-    "Node count at which the closure switches to the blocked parallel \
-     kernel (only with --closure-jobs > 1)."
-  in
-  Arg.(value & opt int 64 & info [ "closure-threshold" ] ~docv:"M" ~doc)
-
 let resolve_loop machine name =
   if List.mem name Lfk.names then Lfk.build machine name
   else if List.mem name Kernels.names then Kernels.build machine name
@@ -424,12 +410,10 @@ let observe_back_end tr metrics s =
         (Ims_pipeline.Codegen.code_size Ims_pipeline.Codegen.Rotating s))
 
 let cmd_schedule =
-  let run model name budget max_delta_ii closure_jobs closure_threshold
-      scheduler unroll interleave speculate compact gantt trace_file
-      trace_format metrics_file explain profile_file =
+  let run model name budget max_delta_ii scheduler unroll interleave
+      speculate compact gantt trace_file trace_format metrics_file explain
+      profile_file =
     wrap_code (fun () ->
-        Ims_mii.Mindist.set_parallel ~jobs:closure_jobs
-          ~threshold:closure_threshold;
         let observing =
           trace_file <> None || metrics_file <> None || explain
         in
@@ -552,7 +536,6 @@ let cmd_schedule =
   Cmd.v (Cmd.info "schedule" ~doc:"Iteratively modulo schedule a loop")
     Term.(
       const run $ machine_arg $ loop_arg $ budget_arg $ max_delta_ii_arg
-      $ closure_jobs_arg $ closure_threshold_arg
       $ scheduler_arg $ unroll_arg $ interleave_arg $ speculate_arg
       $ compact_arg $ gantt_arg $ trace_file_arg $ trace_format_arg
       $ metrics_file_arg $ explain_arg $ profile_file_arg)
@@ -2372,9 +2355,9 @@ let cmd_perf =
                   if String.length c > 9 then String.sub c 0 9 else c
               | _ -> "-"
             in
-            (* Fleet-scale throughput (PR 10+): loops scheduled per
-               second by the multi-process fleet phase; "-" on
-               snapshots that predate it or skipped the phase. *)
+            (* Fleet-scale throughput: loops scheduled per second by
+               a multi-process fleet run, recorded in older snapshots
+               such as BENCH_6.json; "-" on snapshots without it. *)
             let fleet_lps =
               match get "fleet" j with
               | Some f -> fnum (get "loops_per_s" f)

@@ -69,7 +69,7 @@ let run_job ~timer ~timeout ~retry ~sleep ~observe ~time_spans ~token ~job ~f x
   attempt_loop 1 1.0 None
 
 let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
-    ?(sleep = fun (_ : float) -> ()) ?(policy = Chunk.default)
+    ?(sleep = fun (_ : float) -> ()) ?(policy = Ims_par.Chunk.default)
     ?(observe = false) ?profile ?progress ?(timer = Sys.time) ~f inputs =
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
@@ -127,8 +127,8 @@ let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
             | None -> ())
   in
   let t_run = timer () in
-  let queue = Work_queue.create ~policy ~workers ~length:n in
-  Pool.parallel_for ~workers ~queue body;
+  let queue = Ims_par.Work_queue.create ~policy ~workers ~length:n in
+  Ims_par.Pool.parallel_for ~workers ~queue body;
   let elapsed = timer () -. t_run in
   let outcomes =
     Array.to_list
@@ -151,7 +151,7 @@ let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
           attempts_of;
       attempts = Array.fold_left ( + ) 0 attempts_of;
       workers;
-      chunks = Work_queue.chunks_taken queue;
+      chunks = Ims_par.Work_queue.chunks_taken queue;
       elapsed;
     }
   in

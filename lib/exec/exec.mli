@@ -30,8 +30,8 @@
     jobs are preempted at their next poll.
 
     {b Self-scheduling.}  Jobs are drawn from a chunked atomic queue
-    ({!Work_queue}) under a guided policy ({!Chunk}), so a long-tail job
-    cannot serialize the run behind a static partition.
+    ({!Ims_par.Work_queue}) under a guided policy ({!Ims_par.Chunk}), so
+    a long-tail job cannot serialize the run behind a static partition.
 
     The engine is synchronous: [run] is itself the barrier. *)
 
@@ -59,7 +59,7 @@ val run :
   ?cancel:Ims_obs.Cancel.t ->
   ?on_result:(int -> 'b Outcome.t -> unit) ->
   ?sleep:(float -> unit) ->
-  ?policy:Chunk.policy ->
+  ?policy:Ims_par.Chunk.policy ->
   ?observe:bool ->
   ?profile:Ims_obs.Profile.t ->
   ?progress:(Ims_obs.Status.counts -> unit) ->
@@ -173,14 +173,14 @@ val streaming_jobs : 'a streaming -> int
 val map :
   ?jobs:int ->
   ?timeout:float ->
-  ?policy:Chunk.policy ->
+  ?policy:Ims_par.Chunk.policy ->
   ('a -> 'b) ->
   'a list ->
   'b Outcome.t list
 (** {!run} without telemetry: just the outcomes, in input order. *)
 
 val map_exn :
-  ?jobs:int -> ?policy:Chunk.policy -> ('a -> 'b) -> 'a list -> 'b list
+  ?jobs:int -> ?policy:Ims_par.Chunk.policy -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with fail-fast reporting: every job runs to the
     barrier (containment still holds mid-run), then the first non-[Done]
     outcome raises [Failure] naming the job index.  The drop-in

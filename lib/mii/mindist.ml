@@ -38,17 +38,9 @@ let index_buffer scratch ~n =
 
 (* --- the max-plus closure core ------------------------------------------- *)
 
-(* Parallel-closure knobs.  Defaults keep every closure on the serial
-   path, so nothing changes — values or counters — unless a driver
-   opts in ([bench --closure-jobs], [imsc schedule --closure-jobs]). *)
-let par_jobs = ref 1
-let par_threshold = ref 64
-
-let set_parallel ~jobs ~threshold =
-  par_jobs := max 1 jobs;
-  par_threshold := max 1 threshold
-
-let closure_serial dist ~m =
+(* In-place max-plus closure of the [m * m] matrix; returns the number
+   of innermost relaxation iterations for the [mindist] counter. *)
+let closure dist ~m =
   let inner = ref 0 in
   for k = 0 to m - 1 do
     let kbase = k * m in
@@ -67,98 +59,6 @@ let closure_serial dist ~m =
     done
   done;
   !inner
-
-(* Blocked (tiled) Floyd-Warshall, parallel across independent tiles.
-
-   For each pivot block K, in order: (1) close the diagonal tile (K,K)
-   serially; (2) relax the row panel (K,.) and column panel (.,K) —
-   every panel tile depends only on itself and the diagonal tile, so
-   they all run in parallel; (3) relax the remainder tiles (I,J),
-   I,J <> K, each depending only on itself and the two finished panels
-   — all parallel.  Tile work and the phase order are fixed, so both
-   the resulting matrix and the per-tile relaxation counts are
-   independent of the worker count; per-tile counts land in a slot
-   owned by the tile and are summed in index order after the joins.
-
-   Values match the serial closure exactly at any feasible II (the
-   closure is the unique max over walks, and every intermediate value
-   either algorithm writes is a genuine walk weight bounded by it).
-   At an infeasible II the finite values may differ — in-place
-   Floyd-Warshall is relaxation-order-dependent once a positive
-   circuit exists — but the verdict cannot: every value is a walk
-   weight (no false positive diagonal), and both compute at least the
-   order-free textbook DP, which puts the circuit's weight on the
-   diagonal.  Callers only ever read matrices computed at feasible IIs
-   (the schedulers' candidates sit at or above RecMII) and verdicts
-   below.  The relaxation *count* does differ from the serial loop's,
-   which is why the parallel path is strictly opt-in. *)
-let block = 32
-
-let closure_blocked dist ~m ~jobs =
-  let nb = (m + block - 1) / block in
-  let tile_inner = Array.make (nb * nb) 0 in
-  let relax ~tk ~ti ~tj =
-    let k0 = tk * block and i0 = ti * block and j0 = tj * block in
-    let k1 = min m (k0 + block)
-    and i1 = min m (i0 + block)
-    and j1 = min m (j0 + block) in
-    let cnt = ref 0 in
-    for k = k0 to k1 - 1 do
-      let kbase = k * m in
-      for i = i0 to i1 - 1 do
-        let ibase = i * m in
-        let dik = dist.(ibase + k) in
-        if dik > neg_inf then begin
-          cnt := !cnt + (j1 - j0);
-          for j = j0 to j1 - 1 do
-            let dkj = dist.(kbase + j) in
-            if dkj > neg_inf && dik + dkj > dist.(ibase + j) then
-              dist.(ibase + j) <- dik + dkj
-          done
-        end
-      done
-    done;
-    tile_inner.((ti * nb) + tj) <- tile_inner.((ti * nb) + tj) + !cnt
-  in
-  let run_parallel tasks =
-    let tasks = Array.of_list tasks in
-    let len = Array.length tasks in
-    let workers = min jobs len in
-    if workers <= 1 then Array.iter (fun f -> f ()) tasks
-    else
-      let queue =
-        Ims_par.Work_queue.create ~policy:Ims_par.Chunk.default ~workers
-          ~length:len
-      in
-      Ims_par.Pool.parallel_for ~workers ~queue (fun i -> tasks.(i) ())
-  in
-  for tk = 0 to nb - 1 do
-    relax ~tk ~ti:tk ~tj:tk;
-    let panels = ref [] in
-    for tb = 0 to nb - 1 do
-      if tb <> tk then begin
-        panels := (fun () -> relax ~tk ~ti:tk ~tj:tb) :: !panels;
-        panels := (fun () -> relax ~tk ~ti:tb ~tj:tk) :: !panels
-      end
-    done;
-    run_parallel !panels;
-    let rest = ref [] in
-    for ti = 0 to nb - 1 do
-      for tj = 0 to nb - 1 do
-        if ti <> tk && tj <> tk then
-          rest := (fun () -> relax ~tk ~ti ~tj) :: !rest
-      done
-    done;
-    run_parallel !rest
-  done;
-  Array.fold_left ( + ) 0 tile_inner
-
-(* In-place max-plus closure of the [m * m] matrix; returns the number
-   of innermost relaxation iterations for the [mindist] counter. *)
-let closure dist ~m =
-  if m >= !par_threshold && !par_jobs > 1 then
-    closure_blocked dist ~m ~jobs:!par_jobs
-  else closure_serial dist ~m
 
 let bump_closure_counters counters inner =
   match counters with

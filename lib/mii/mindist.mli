@@ -70,17 +70,6 @@ val solve : ?counters:Counters.t -> solver -> ii:int -> t
     counted in [mindist_inc].  The result borrows the solver's work
     buffer: it is invalidated by the next [solve] on the same solver. *)
 
-val set_parallel : jobs:int -> threshold:int -> unit
-(** Configure the parallel blocked closure: matrices of side >=
-    [threshold] are closed by tiled Floyd-Warshall on [jobs] domains
-    (diagonal tile, then panels in parallel, then remainder tiles in
-    parallel, per pivot block).  Defaults ([jobs = 1]) keep every
-    closure serial.  Matrix values are identical to the serial closure
-    at feasible IIs and verdict-identical below; the [mindist]
-    relaxation count differs from the serial loop's, which is why the
-    parallel path is opt-in.  Global, not domain-safe: set it once at
-    startup, before scheduling. *)
-
 val get : t -> int -> int -> int
 (** [get t i j] by operation ids; {!neg_inf} when unconnected.
     @raise Invalid_argument if an id is not covered. *)

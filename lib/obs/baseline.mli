@@ -13,7 +13,8 @@
       bench, so they are gated by the loose [time_tolerance] (default
       300%) — set it from CI to whatever the runner noise demands;
     - the {e fleet throughput} ([fleet.loops_per_s], loops scheduled
-      per second by the multi-process fleet phase) is also wall clock
+      per second by a multi-process fleet run; only older snapshots
+      such as [BENCH_6.json] carry it) is also wall clock
       and takes [time_tolerance], inverted (lower is worse) — and only
       when the fleet run shape (corpus size, worker count) matches the
       baseline's.

@@ -10,10 +10,13 @@ let machine = Ims_machine.Machine.cydra5 ()
 (* --- Work queue ------------------------------------------------------------- *)
 
 let test_queue_covers_all () =
-  let q = Work_queue.create ~policy:Chunk.default ~workers:3 ~length:100 in
+  let q =
+    Ims_par.Work_queue.create ~policy:Ims_par.Chunk.default ~workers:3
+      ~length:100
+  in
   let seen = Array.make 100 0 in
   let rec drain () =
-    match Work_queue.take q with
+    match Ims_par.Work_queue.take q with
     | None -> ()
     | Some (lo, hi) ->
         Alcotest.(check bool) "non-empty chunk" true (lo < hi);
@@ -26,17 +29,17 @@ let test_queue_covers_all () =
   Alcotest.(check bool) "every index exactly once" true
     (Array.for_all (fun c -> c = 1) seen);
   Alcotest.(check bool) "chunked, not one-by-one" true
-    (Work_queue.chunks_taken q < 100)
+    (Ims_par.Work_queue.chunks_taken q < 100)
 
 let test_guided_chunks_shrink () =
   let sizes = ref [] in
   let q =
-    Work_queue.create
-      ~policy:(Chunk.Guided { min_chunk = 1; divisor = 2 })
+    Ims_par.Work_queue.create
+      ~policy:(Ims_par.Chunk.Guided { min_chunk = 1; divisor = 2 })
       ~workers:4 ~length:1000
   in
   let rec drain () =
-    match Work_queue.take q with
+    match Ims_par.Work_queue.take q with
     | None -> ()
     | Some (lo, hi) ->
         sizes := (hi - lo) :: !sizes;
@@ -55,9 +58,9 @@ let test_guided_chunks_shrink () =
 
 let test_fixed_chunks () =
   Alcotest.(check int) "fixed capped by remaining" 3
-    (Chunk.size (Chunk.Fixed 10) ~workers:4 ~remaining:3);
+    (Ims_par.Chunk.size (Ims_par.Chunk.Fixed 10) ~workers:4 ~remaining:3);
   Alcotest.(check int) "fixed" 10
-    (Chunk.size (Chunk.Fixed 10) ~workers:4 ~remaining:50)
+    (Ims_par.Chunk.size (Ims_par.Chunk.Fixed 10) ~workers:4 ~remaining:50)
 
 (* --- map: parallel = serial --------------------------------------------------- *)
 
@@ -67,7 +70,10 @@ let prop_map_equals_serial =
     (fun (xs, jobs, chunk) ->
       let f x = (x * x) + 7 in
       let policies =
-        [ Chunk.Fixed chunk; Chunk.Guided { min_chunk = 1; divisor = chunk } ]
+        [
+          Ims_par.Chunk.Fixed chunk;
+          Ims_par.Chunk.Guided { min_chunk = 1; divisor = chunk };
+        ]
       in
       List.for_all
         (fun policy ->

@@ -291,18 +291,26 @@ let decision_string (e : Ims_obs.Event.t) =
            | Ims_obs.Event.Resource -> "resource"))
   | _ -> None
 
-let check_decisions name ddg expected =
+(* Whether [ddg] schedules, and its decision sequence. *)
+let decisions ddg =
   let trace = Ims_obs.Trace.create () in
   let out = Ims.modulo_schedule ~trace ddg in
-  Alcotest.(check bool) (name ^ " schedules") true (out.Ims.schedule <> None);
-  let got = List.filter_map decision_string (Ims_obs.Trace.events trace) in
+  ( out.Ims.schedule <> None,
+    List.filter_map decision_string (Ims_obs.Trace.events trace) )
+
+let check_decisions name (ok, got) expected =
+  Alcotest.(check bool) (name ^ " schedules") true ok;
   Alcotest.(check (list string)) (name ^ " decision sequence") expected got
+
+(* A golden: loop name, a builder for a fresh DDG, recorded decisions. *)
+let check_golden (name, build, expected) =
+  check_decisions name (decisions (build ())) expected
 
 (* lfk20 (first-order recurrence through a divide): the long-latency
    chain drags a cascade of dependence evictions behind it. *)
-let test_golden_trace_lfk20 () =
-  check_decisions "lfk20"
-    (Lfk.build (Machine.cydra5 ()) "lfk20")
+let golden_lfk20 =
+  ( "lfk20",
+    (fun () -> Lfk.build (Machine.cydra5 ()) "lfk20"),
     [
       "place op=1 t=0 alt=0 e=0"; "place op=5 t=3 alt=0 e=3";
       "place op=2 t=0 alt=0 e=0"; "place op=3 t=1 alt=0 e=0";
@@ -316,12 +324,12 @@ let test_golden_trace_lfk20 () =
       "place op=15 t=4 alt=0 e=4"; "place op=16 t=8 alt=0 e=8";
       "place op=4 t=2 alt=0 e=0"; "place op=13 t=59 alt=0 e=59";
       "place op=17 t=60 alt=0 e=60";
-    ]
+    ] )
 
 (* lfk23 (2-D implicit hydrodynamics, recurrence through memory). *)
-let test_golden_trace_lfk23 () =
-  check_decisions "lfk23"
-    (Lfk.build (Machine.cydra5 ()) "lfk23")
+let golden_lfk23 =
+  ( "lfk23",
+    (fun () -> Lfk.build (Machine.cydra5 ()) "lfk23"),
     [
       "place op=1 t=0 alt=0 e=0"; "place op=3 t=0 alt=0 e=0";
       "place op=5 t=1 alt=0 e=0"; "place op=7 t=1 alt=0 e=0";
@@ -344,13 +352,14 @@ let test_golden_trace_lfk23 () =
       "place op=20 t=40 alt=0 e=40"; "evict op=21 by=20 t=41 dependence";
       "place op=21 t=44 alt=0 e=44"; "evict op=22 by=21 t=46 dependence";
       "place op=22 t=49 alt=0 e=49"; "place op=28 t=54 alt=0 e=54";
-    ]
+    ] )
 
 (* A synthetic loop whose resource pressure exercises forced placement:
    both force events and resource-reason evictions appear. *)
-let test_golden_trace_forced () =
-  check_decisions "syn:22"
-    (Synthetic.generate (Machine.cydra5 ()) (Random.State.make [| 22 |]))
+let golden_forced =
+  ( "syn:22",
+    (fun () ->
+      Synthetic.generate (Machine.cydra5 ()) (Random.State.make [| 22 |])),
     [
       "place op=1 t=0 alt=0 e=0"; "place op=2 t=3 alt=0 e=3";
       "place op=7 t=0 alt=0 e=0"; "place op=8 t=3 alt=0 e=3";
@@ -360,20 +369,36 @@ let test_golden_trace_forced () =
       "evict op=9 by=8 t=7 dependence"; "place op=9 t=8 alt=0 e=8";
       "place op=3 t=1 alt=0 e=0"; "place op=5 t=1 alt=0 e=0";
       "place op=6 t=4 alt=0 e=4"; "place op=10 t=27 alt=0 e=27";
-    ]
+    ] )
 
-(* The same three golden sequences with the blocked parallel closure
-   forced on (threshold far below these loops' node counts): the tiled
-   Floyd-Warshall may only change wall clock, never a distance, so the
-   decision traces must not move by a byte. *)
+let test_golden_trace_lfk20 () = check_golden golden_lfk20
+let test_golden_trace_lfk23 () = check_golden golden_lfk23
+let test_golden_trace_forced () = check_golden golden_forced
+
+(* The same three golden sequences, each scheduled twice, on two
+   domains at once.  MinDist's closure and every other scheduler
+   buffer are per call, so concurrent schedules share no state and
+   each decision trace must still match the recording byte for byte.
+   DDGs are built up front so the domains only schedule; results are
+   checked on the calling domain after the join. *)
 let test_golden_traces_parallel_closure () =
-  Ims_mii.Mindist.set_parallel ~jobs:2 ~threshold:4;
-  Fun.protect
-    ~finally:(fun () -> Ims_mii.Mindist.set_parallel ~jobs:1 ~threshold:64)
-    (fun () ->
-      test_golden_trace_lfk20 ();
-      test_golden_trace_lfk23 ();
-      test_golden_trace_forced ())
+  let goldens =
+    Array.of_list
+      (List.concat_map
+         (fun g -> [ g; g ])
+         [ golden_lfk20; golden_lfk23; golden_forced ])
+  in
+  let ddgs = Array.map (fun (_, build, _) -> build ()) goldens in
+  let results = Array.make (Array.length goldens) (false, []) in
+  let queue =
+    Ims_par.Work_queue.create ~policy:(Ims_par.Chunk.Fixed 1) ~workers:2
+      ~length:(Array.length goldens)
+  in
+  Ims_par.Pool.parallel_for ~workers:2 ~queue (fun i ->
+      results.(i) <- decisions ddgs.(i));
+  Array.iteri
+    (fun i (name, _, expected) -> check_decisions name results.(i) expected)
+    goldens
 
 (* --- indexed ready set --------------------------------------------------- *)
 
