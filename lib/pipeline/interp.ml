@@ -88,8 +88,12 @@ let semantics (o : Op.t) =
 let compile ddg =
   let index = Hashtbl.create 32 in
   let dense r =
-    if not (Hashtbl.mem index r) then Hashtbl.add index r (Hashtbl.length index);
-    Hashtbl.find index r
+    match Hashtbl.find_opt index r with
+    | Some x -> x
+    | None ->
+        let x = Hashtbl.length index in
+        Hashtbl.add index r x;
+        x
   in
   let operands l =
     ( Array.of_list (List.map (fun (s : Op.operand) -> dense s.reg) l),
@@ -129,10 +133,61 @@ type model =
   | Cells of { mve : Mve.t; spread : bool array }
       (** Finite MVE registers: one cell per kernel copy for the [spread]
           registers, a single cell for the others. *)
-  | File of { size : int; base : int option array }
-      (** The physical rotating file, rotating one cell per iteration. *)
+  | File of { size : int; base : int array }
+      (** The physical rotating file, rotating one cell per iteration;
+          [base] is -1 for a register without a rotating base. *)
 
 module Mem = Hashtbl.Make (Int)
+
+(* What a recorded sequential run saw, by producer identity rather than
+   value.  Instance [x = i * n + k] is operation id [k + 1] of iteration
+   [i]; a producer is the instance whose register write a read found, or
+   the live-in index [j < 0] it synthesised. *)
+type log = {
+  slot : int array;  (** Operation [k]'s first slot in an iteration. *)
+  width : int;  (** Slots per iteration. *)
+  seen : int array;
+      (** Instance [x]'s slots, from [i * width + slot.(k)]: the producer
+          its predicate read (if guarded) and each source read; then, for
+          a store or load, the dense index of its address, and for a
+          load, the store instance it read (-1: none). *)
+  executed : Bytes.t;  (** Per instance: its guard held. *)
+  writer : int array;  (** Walk cell -> instance of its latest write, or -1. *)
+  index : int Mem.t;  (** Address -> dense index. *)
+  stores : int array;  (** Dense address -> its latest store instance, or -1. *)
+  mutable id : int;  (** The instance issuing. *)
+  mutable pos : int;  (** Its next slot. *)
+}
+
+let new_log body ~trip =
+  let n = Array.length body.ops in
+  let slot = Array.make (n + 1) 0 and memory = ref 0 in
+  Array.iteri
+    (fun k o ->
+      let extra = match o.sem with Store -> 1 | Load -> 2 | _ -> 0 in
+      if extra > 0 then incr memory;
+      slot.(k + 1) <- slot.(k) + Array.length o.srcs + extra + if o.pred >= 0 then 1 else 0)
+    body.ops;
+  {
+    slot;
+    width = slot.(n);
+    seen = Array.make (slot.(n) * trip) 0;
+    executed = Bytes.make (n * trip) '\000';
+    writer = Array.make (Array.length body.reg * trip) (-1);
+    index = Mem.create 16;
+    stores = Array.make (!memory * trip) (-1);
+    id = 0;
+    pos = 0;
+  }
+
+(* The dense index of [addr], allocated on first sight. *)
+let address log addr =
+  match Mem.find_opt log.index addr with
+  | Some x -> x
+  | None ->
+      let x = Mem.length log.index in
+      Mem.add log.index addr x;
+      x
 
 type state = {
   body : body;
@@ -141,9 +196,10 @@ type state = {
   vals : float array;
   has : Bytes.t;
   mem : float Mem.t;  (** Memory cells by address. *)
+  log : log option;  (** Recording a [Walk] run. *)
 }
 
-let start body ~seed model =
+let start ?log body ~seed model =
   let cells =
     match model with
     | Walk iters | Exact iters -> Array.length body.reg * Int.max 0 iters
@@ -151,7 +207,7 @@ let start body ~seed model =
     | File { size; _ } -> size
   in
   let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
-  { body; seed; model; vals; has; mem = Mem.create 64 }
+  { body; seed; model; vals; has; mem = Mem.create 64; log }
 
 let present st c = Bytes.get st.has c <> '\000'
 
@@ -170,10 +226,8 @@ let cell st r ~d i =
       let width = Int.max 1 (abs mve.Mve.unroll) and copy = i mod mve.Mve.unroll in
       if spread.(r) then (r * width) + abs (Mve.instance mve ~copy ~distance:d)
       else r * width
-  | File { size; base } -> (
-      match base.(r) with
-      | Some b -> (((b + d - i) mod size) + size) mod size
-      | None -> -1)
+  | File { size; base } ->
+      if base.(r) < 0 then -1 else (((base.(r) + d - i) mod size) + size) mod size
 
 (* Where iteration [i]'s read of [(r, d)] finds its value: a cell
    ([>= 0]), or the live-in instance [j < 0] to synthesise. *)
@@ -181,7 +235,8 @@ let locate st r d i =
   let j = i - d in
   match st.model with
   | Walk iters ->
-      let c = ref (Int.min j (iters - 1)) in
+      (* A register the loop never writes has no instance to find. *)
+      let c = ref (if st.body.defined.(r) then Int.min j (iters - 1) else -1) in
       while !c >= 0 && not (present st ((r * iters) + !c)) do
         decr c
       done;
@@ -200,6 +255,11 @@ let locate st r d i =
 (* [args.(x) <- value of (r, d) as read by iteration i]. *)
 let fetch st x r d i =
   let c = locate st r d i in
+  (match st.log with
+  | Some l ->
+      l.seen.(l.pos) <- (if c >= 0 then l.writer.(c) else c);
+      l.pos <- l.pos + 1
+  | None -> ());
   st.body.args.(x) <-
     (if c >= 0 then st.vals.(c) else live_in ~seed:st.seed st.body.reg.(r) c)
 
@@ -210,8 +270,14 @@ let fetch st x r d i =
 let issue st ~result ~slot k i =
   let o = st.body.ops.(k) in
   let a = st.body.args in
+  (match st.log with
+  | Some l ->
+      l.id <- (i * Array.length st.body.ops) + k;
+      l.pos <- (i * l.width) + l.slot.(k)
+  | None -> ());
   (o.pred < 0 || (fetch st 0 o.pred o.pred_dist i; a.(0) <> 0.0))
   && begin
+    (match st.log with Some l -> Bytes.set l.executed l.id '\001' | None -> ());
     let n = Array.length o.srcs in
     for x = 0 to n - 1 do
       fetch st x o.srcs.(x) o.dists.(x) i
@@ -236,10 +302,23 @@ let issue st ~result ~slot k i =
       | Pred_set -> if a.(0) <> 0.0 then 1.0 else 0.0
       | Pred_reset -> if a.(0) <> 0.0 then 0.0 else 1.0
       | Store ->
-          Mem.replace st.mem (int_of_float a.(0)) a.(1);
+          let addr = int_of_float a.(0) in
+          (match st.log with
+          | Some l ->
+              let x = address l addr in
+              l.seen.(l.pos) <- x;
+              l.stores.(x) <- l.id
+          | None -> ());
+          Mem.replace st.mem addr a.(1);
           0.0
       | Load -> (
           let addr = int_of_float a.(0) in
+          (match st.log with
+          | Some l ->
+              let x = address l addr in
+              l.seen.(l.pos) <- x;
+              l.seen.(l.pos + 1) <- l.stores.(x)
+          | None -> ());
           match Mem.find_opt st.mem addr with Some v -> v | None -> default_cell addr)
       | Branch -> 0.0
       | Unknown msg -> raise (Unsupported msg));
@@ -253,7 +332,10 @@ let commit st ~result ~slot k i =
     let c = cell st dsts.(x) ~d:0 i in
     if c >= 0 then begin
       st.vals.(c) <- result.(slot);
-      Bytes.set st.has c '\001'
+      Bytes.set st.has c '\001';
+      match st.log with
+      | Some l -> l.writer.(c) <- (i * Array.length st.body.ops) + k
+      | None -> ()
     end
   done
 
@@ -281,8 +363,8 @@ let outcome st ~trip =
    non-zero (or for [max_trip] iterations); in the exiting iteration,
    operations after the exit do not execute.  [exit_op = 0] (START)
    never exits.  Returns the state and the exit iteration. *)
-let sequential body ~seed ~exit_op ~max_trip =
-  let st = start body ~seed (Walk max_trip) and result = body.args in
+let sequential ?log body ~seed ~exit_op ~max_trip =
+  let st = start ?log body ~seed (Walk max_trip) and result = body.args in
   let exit_iter = ref max_trip and i = ref 0 in
   while !i < max_trip && !exit_iter = max_trip do
     let k = ref 0 in
@@ -308,27 +390,36 @@ let sequential body ~seed ~exit_op ~max_trip =
    instance's cycle. *)
 let issue_order ?(keep = fun _ _ -> true) sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
-  let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
-  let add i k = if keep i k then (xs.(!len) <- (i * n) + k; incr len) in
-  List.iter (fun i -> for k = 0 to n - 1 do add i k done) (List.init iters Fun.id);
   let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
-  let cycle = Array.init (Int.max 0 iters * n) (fun x -> time.(x mod n) + (x / n * ii)) in
+  let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
+  let cycle = Array.make (Int.max 0 iters * n) 0 in
+  List.iter
+    (fun i ->
+      for k = 0 to n - 1 do
+        let x = (i * n) + k in
+        cycle.(x) <- time.(k) + (i * ii);
+        if keep i k then (xs.(!len) <- x; incr len)
+      done)
+    (List.init iters Fun.id);
   let low = Array.fold_left Int.min max_int cycle in
   let top = Array.fold_left (fun m c -> Int.max m (c - low)) 0 cycle in
-  let order = ref (Array.sub xs 0 !len) and shift = ref 0 in
+  let order = ref (if !len = Array.length xs then xs else Array.sub xs 0 !len)
+  and shift = ref 0 in
   while !shift < Sys.int_size && top lsr !shift > 0 do
-    let src = !order and dst = Array.make (Array.length !order) 0 in
-    let digit p = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
+    let src = !order and dst = Array.make !len 0 in
     let count = Array.make (Int.min top 0xFFFF + 2) 0 in
-    Array.iteri (fun p _ -> count.(digit p + 1) <- count.(digit p + 1) + 1) src;
+    for p = 0 to !len - 1 do
+      let d = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
+      count.(d + 1) <- count.(d + 1) + 1
+    done;
     for d = 1 to Array.length count - 1 do
       count.(d) <- count.(d) + count.(d - 1)
     done;
-    Array.iteri
-      (fun p x ->
-        dst.(count.(digit p)) <- x;
-        count.(digit p) <- count.(digit p) + 1)
-      src;
+    for p = 0 to !len - 1 do
+      let d = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
+      dst.(count.(d)) <- src.(p);
+      count.(d) <- count.(d) + 1
+    done;
     order := dst;
     shift := !shift + 16
   done;
@@ -373,11 +464,27 @@ let supported ddg = supports (compile ddg)
 let run_sequential ?(seed = 42) ddg ~trip =
   outcome (fst (sequential (compile ddg) ~seed ~exit_op:0 ~max_trip:trip)) ~trip
 
+(* A register the loop never writes needs no cell: its reads resolve to
+   live-ins before the model is consulted. *)
 let mve_model body (mve : Mve.t) =
-  Cells { mve; spread = Array.map (Mve.needs_expansion mve) body.reg }
+  let spread = Array.mapi (fun r reg -> body.defined.(r) && Mve.needs_expansion mve reg) body.reg in
+  Cells { mve; spread }
 
 let rotating_model body (alloc : Rotreg.t) =
-  let base = Array.map (Rotreg.base_of alloc) body.reg in
+  (* [Rotreg.base_of] of every written register in one merge: [written]
+     and [alloc.base] both ascend by register. *)
+  let base = Array.make (Array.length body.reg) (-1) in
+  let rec merge bases w =
+    if w < Array.length body.written then
+      let r = body.written.(w) in
+      match bases with
+      | (reg, _) :: rest when reg < body.reg.(r) -> merge rest w
+      | (reg, b) :: rest when reg = body.reg.(r) ->
+          base.(r) <- b;
+          merge rest (w + 1)
+      | _ -> merge bases (w + 1)
+  in
+  merge alloc.Rotreg.base 0;
   File { size = Int.max 1 alloc.Rotreg.file_size; base }
 
 let partially_defined fn = invalid_arg (fn ^ ": loop has partially-defined registers")
@@ -440,24 +547,210 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
   let st = replay (start body ~seed (Exact iters)) (issue_order ~keep sched ~iters) in
   (outcome st ~trip:(exit_trip ~max_trip exit_iter), exit_iter)
 
+(* --- the producer pass -------------------------------------------------------
+
+   [check] first replays the issue order over producer identities
+   instead of values: which instance every read finds, whatever it
+   holds.  A model whose every read, final register and final memory
+   cell finds the producer the recorded sequential run found computes
+   the reference's outcome — by induction over its issue order, each
+   instance reads the same inputs as in the reference, and float
+   arithmetic is deterministic — so its value replay is skipped.  A
+   mismatch proves nothing (two producers may write equal values): that
+   model's value replay decides. *)
+
+(* Whether each model — issue order, MVE [cells], rotating [file]; a
+   finite model is [None] when building it raised — reproduces [log].
+   Every model keeps one owner array, cell -> instance whose write it
+   holds (-1 when empty), and maps instance [j >= 0] of register [r] to
+   a cell from [(r, j)] alone, as [cell] does: [r * trip + j]; kernel
+   copy [j mod unroll] of an expanded register (unroll >= 1 from
+   {!Mve.expand}), else [r]'s one cell; rotating cell
+   [(base - j) mod size], none without a base.  The rules are
+   [replay]'s: reads resolve as [locate] does, stores and loads act at
+   issue, register writes commit at the end of the cycle.  Memory does
+   not depend on the register model, so one owner array serves all
+   three. *)
+let producers body log ~trip (order, cycle) ~cells ~file =
+  let ops = body.ops and n = Array.length body.ops and nr = Array.length body.reg in
+  let unroll, spread =
+    match cells with
+    | Some (Cells { mve; spread }) -> (mve.Mve.unroll, spread)
+    | _ -> (1, Array.make nr false)
+  in
+  let size, base =
+    match file with Some (File { size; base }) -> (size, base) | _ -> (1, Array.make nr (-1))
+  in
+  (* Division-free cells for the iterations run: [back.(j)] is
+     [-j mod size], added to a base reduced into [0, size). *)
+  let copy = Array.init trip (fun j -> j mod unroll)
+  and back = Array.init trip (fun j -> (size - (j mod size)) mod size)
+  and base = Array.map (fun b -> if b < 0 then -1 else ((b mod size) + size) mod size) base in
+  let copy_cell r j =
+    if not spread.(r) then r * unroll
+    else (r * unroll) + if j < trip then copy.(j) else j mod unroll
+  and file_cell r j =
+    if base.(r) < 0 then -1
+    else
+      let c = base.(r) + if j < trip then back.(j) else (size - (j mod size)) mod size in
+      if c >= size then c - size else c
+  in
+  let exact = Array.make (nr * trip) (-1) and copies = Array.make (nr * unroll) (-1) in
+  let rotating = Array.make size (-1) and memory = Array.make (Mem.length log.index) (-1) in
+  let ok_exact = ref true and ok_cells = ref (Option.is_some cells)
+  and ok_file = ref (Option.is_some file) in
+  let fail () = ok_exact := false; ok_cells := false; ok_file := false in
+  let read r d i want =
+    let j = i - d in
+    if !ok_exact && want <> (if j < 0 then j else if j < trip then exact.((r * trip) + j) else -1)
+    then ok_exact := false;
+    if (not body.defined.(r)) || j < 0 then begin
+      if want <> (if body.defined.(r) then j else -1) then (ok_cells := false; ok_file := false)
+    end
+    else begin
+      if !ok_cells && copies.(copy_cell r j) <> want then ok_cells := false;
+      if !ok_file then
+        let c = file_cell r j in
+        if (if c < 0 then -1 else rotating.(c)) <> want then ok_file := false
+    end
+  in
+  (* Register writes of the current cycle, committed at its end: at most
+     one instance of each operation issues in a cycle when II >= 1. *)
+  let pending = Array.make n 0 and npending = ref 0 in
+  let commit () =
+    for p = 0 to !npending - 1 do
+      let x = pending.(p) in
+      let o = ops.(x mod n) and i = x / n in
+      for y = 0 to Array.length o.dsts - 1 do
+        let r = o.dsts.(y) in
+        exact.((r * trip) + i) <- x;
+        copies.(copy_cell r i) <- x;
+        let c = file_cell r i in
+        if c >= 0 then rotating.(c) <- x
+      done
+    done;
+    npending := 0
+  in
+  let len = Array.length order and p = ref 0 in
+  while !p < len && (!ok_exact || !ok_cells || !ok_file) do
+    let x = order.(!p) in
+    if !p > 0 && cycle.(x) <> cycle.(order.(!p - 1)) then commit ();
+    let k = x mod n and i = x / n in
+    let o = ops.(k) and s = (i * log.width) + log.slot.(k) in
+    if o.pred >= 0 then read o.pred o.pred_dist i log.seen.(s);
+    if Bytes.get log.executed x <> '\000' then begin
+      let s = if o.pred >= 0 then s + 1 else s and srcs = Array.length o.srcs in
+      for y = 0 to srcs - 1 do
+        read o.srcs.(y) o.dists.(y) i log.seen.(s + y)
+      done;
+      match o.sem with
+      | Store -> memory.(log.seen.(s + srcs)) <- x
+      | Branch -> ()
+      | sem ->
+          (match sem with
+          | Load -> if memory.(log.seen.(s + srcs)) <> log.seen.(s + srcs + 1) then fail ()
+          | _ -> ());
+          pending.(!npending) <- x;
+          incr npending
+    end;
+    incr p
+  done;
+  if !p < len then (false, false, false)
+  else begin
+    commit ();
+    (* Finals: the youngest instance for the instance models, the last
+       iteration's cell for the finite ones. *)
+    let youngest cells r =
+      let c = ref (trip - 1) in
+      while !c >= 0 && cells.((r * trip) + !c) < 0 do decr c done;
+      if !c < 0 then -1 else cells.((r * trip) + !c)
+    in
+    Array.iter
+      (fun r ->
+        let want = youngest log.writer r in
+        if youngest exact r <> want then ok_exact := false;
+        if copies.(copy_cell r (trip - 1)) <> want then ok_cells := false;
+        let c = file_cell r (trip - 1) in
+        if (if c < 0 then -1 else rotating.(c)) <> want then ok_file := false)
+      body.written;
+    for a = 0 to Mem.length log.index - 1 do
+      if memory.(a) <> log.stores.(a) then fail ()
+    done;
+    (!ok_exact, !ok_cells, !ok_file)
+  end
+
+(* The sequential reference of [check]: [`Unsupported] for a loop
+   {!supported} rejects, [`Error] when an executed operation has no
+   semantics, else the state after [trip] iterations and, when the
+   producer pass applies (II and trip at least 1), its log. *)
+let reference body ~seed ?trip sched =
+  let ii = sched.Schedule.ii and n = Array.length body.ops in
+  let trip () = Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip in
+  if seed = 42 && ii <> 0 && trip () >= 6 then begin
+    (* [supports] is this very run cut after six iterations: the same
+       seed, and a [Walk] read in iteration [i < 6] finds the same
+       instance whether the run keeps 6 or [trip] iterations per
+       register, since no iteration after [i] has written yet.  So
+       [supports] raises iff this run raises before iteration 6, and
+       otherwise reads the same presence of instances 0-5. *)
+    let trip = trip () in
+    let log = new_log body ~trip in
+    let supported () =
+      Array.for_all
+        (fun r ->
+          let rec from j = j > 5 || (log.writer.((r * trip) + j) >= 0 && from (j + 1)) in
+          from 0)
+        body.written
+    in
+    match sequential ~log body ~seed ~exit_op:0 ~max_trip:trip with
+    | exception Unsupported msg ->
+        if log.id / n < 6 || not (supported ()) then `Unsupported else `Error msg
+    | st, _ ->
+        if supported () then `Ran (st, trip, if ii >= 1 then Some log else None)
+        else `Unsupported
+  end
+  else if not (supports body) then `Unsupported
+  else
+    let trip = trip () in
+    let log = if ii >= 1 && trip >= 1 then Some (new_log body ~trip) else None in
+    match sequential ?log body ~seed ~exit_op:0 ~max_trip:trip with
+    | exception Unsupported msg -> `Error msg
+    | st, _ -> `Ran (st, trip, log)
+
 let check ?(seed = 42) ?metrics ?trip sched =
   let replays =
     Option.map (fun m -> Ims_obs.Metrics.counter m "interp.replays") metrics
   in
   let body = compile sched.Schedule.ddg in
-  if not (supports body) then Ok ()
-  else
-    let trip = Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip in
-    match sequential body ~seed ~exit_op:0 ~max_trip:trip with
-    | exception Unsupported msg -> Error msg
-    | st, _ ->
-        let reference = outcome st ~trip in
-        (* One compiled body, support verdict and issue order serve all
-           three replays. *)
-        let order = lazy (issue_order sched ~iters:trip) in
-        let against label model =
-          Option.iter Ims_obs.Metrics.incr replays;
-          let b = outcome (replay (start body ~seed (model ())) (Lazy.force order)) ~trip in
+  match reference body ~seed ?trip sched with
+  | `Unsupported -> Ok ()
+  | `Error msg -> Error msg
+  | `Ran (st, trip, log) ->
+      (* One compiled body, issue order and producer pass serve all
+         three models.  The expansion and the allocation are built under
+         a guard, so that an exception from either surfaces only where
+         its value replay would raise it. *)
+      let reference = lazy (outcome st ~trip) and order = lazy (issue_order sched ~iters:trip) in
+      let guarded f = lazy (match f () with m -> Ok m | exception e -> Error e) in
+      let cells = guarded (fun () -> mve_model body (Mve.expand sched))
+      and file = guarded (fun () -> rotating_model body (Rotreg.allocate sched)) in
+      let proved =
+        lazy
+          (match log with
+          | None -> (false, false, false)
+          | Some log ->
+              let built m = Result.to_option (Lazy.force m) in
+              producers body log ~trip (Lazy.force order) ~cells:(built cells)
+                ~file:(built file))
+      in
+      let against label ok model =
+        Option.iter Ims_obs.Metrics.incr replays;
+        if ok (Lazy.force proved) then Ok ()
+        else
+          let order = Lazy.force order in
+          let model = match Lazy.force model with Ok m -> m | Error e -> raise e in
+          let b = outcome (replay (start body ~seed model) order) ~trip in
+          let reference = Lazy.force reference in
           if equivalent reference b then Ok ()
           else
             Error
@@ -466,11 +759,10 @@ let check ?(seed = 42) ?metrics ?trip sched =
                   %d, %d finals vs %d)"
                  label (List.length reference.memory) (List.length b.memory)
                  (List.length reference.finals) (List.length b.finals))
-        in
-        let ( let* ) = Result.bind in
-        let* () = against "overlapped issue order" (fun () -> Exact trip) in
-        let* () =
-          against "finite MVE registers" (fun () -> mve_model body (Mve.expand sched))
-        in
-        against "physical rotating file" (fun () ->
-            rotating_model body (Rotreg.allocate sched))
+      in
+      let ( let* ) = Result.bind in
+      let* () =
+        against "overlapped issue order" (fun (e, _, _) -> e) (lazy (Ok (Exact trip)))
+      in
+      let* () = against "finite MVE registers" (fun (_, m, _) -> m) cells in
+      against "physical rotating file" (fun (_, _, f) -> f) file

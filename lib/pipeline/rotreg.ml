@@ -30,7 +30,7 @@ let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
    allocations clobbering live values). *)
 let vacating_distance ~ii (v : Lifetime.range) (w : Lifetime.range) =
   let d = v.last_use_time - w.def_time in
-  max 1 (if d < 0 then 1 else cdiv d ii + 1)
+  Int.max 1 (if d < 0 then 1 else cdiv d ii + 1)
 
 let ranges_of ?keep schedule =
   let keep = Option.value ~default:(fun _ -> true) keep in
@@ -40,55 +40,47 @@ let ranges_of ?keep schedule =
 
 let allocate ?keep schedule =
   let ii = schedule.Schedule.ii in
-  let ranges =
-    ranges_of ?keep schedule
-    |> List.sort (fun (a : Lifetime.range) b ->
-           compare (a.def_time, a.reg) (b.def_time, b.reg))
-  in
+  (* [ranges] ascends by register ({!Lifetime.analyze}); [placed] is the
+     placement order, by definition time then register. *)
+  let ranges = Array.of_list (ranges_of ?keep schedule) in
+  let m = Array.length ranges in
+  let placed = Array.init m Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let a = ranges.(a) and b = ranges.(b) in
+      match Int.compare a.Lifetime.def_time b.Lifetime.def_time with
+      | 0 -> Int.compare a.reg b.reg
+      | c -> c)
+    placed;
+  let vacating v w = vacating_distance ~ii ranges.(v) ranges.(w) in
   (* Greedy linear placement: each variant goes at the smallest base
      satisfying the vacating distance from every already-placed one;
      the wraparound constraints then fix the file size. *)
-  let placed = ref [] in  (* (range, base), reverse order *)
-  List.iter
-    (fun (r : Lifetime.range) ->
-      let base =
-        List.fold_left
-          (fun acc ((p : Lifetime.range), pbase) ->
-            max acc (pbase + vacating_distance ~ii p r))
-          0 !placed
-      in
-      placed := (r, base) :: !placed)
-    ranges;
-  let placed = List.rev !placed in
+  let base = Array.make m 0 in
+  Array.iteri
+    (fun q v ->
+      for p = 0 to q - 1 do
+        let u = placed.(p) in
+        base.(v) <- Int.max base.(v) (base.(u) + vacating u v)
+      done)
+    placed;
   (* size >= base_v - base_w + D(v,w) for every pair with base_w <=
      base_v (w's writes reach v's cell around the wrap), including
      v = w (the variant's own next write: its lifetime in iterations). *)
-  let file_size =
-    List.fold_left
-      (fun acc ((v : Lifetime.range), vbase) ->
-        List.fold_left
-          (fun acc ((w : Lifetime.range), wbase) ->
-            if wbase <= vbase then
-              max acc (vbase - wbase + vacating_distance ~ii v w)
-            else acc)
-          acc placed)
-      1 placed
-  in
-  let blocks =
-    List.map
-      (fun ((r : Lifetime.range), base) ->
-        (r.reg, base, vacating_distance ~ii r r))
-      placed
-    |> List.sort compare
-  in
+  let file_size = ref 1 in
+  for v = 0 to m - 1 do
+    for w = 0 to m - 1 do
+      if base.(w) <= base.(v) then
+        file_size := Int.max !file_size (base.(v) - base.(w) + vacating v w)
+    done
+  done;
+  let reg v = ranges.(v).Lifetime.reg in
   {
     schedule;
-    domain = List.map (fun (r : Lifetime.range) -> r.Lifetime.reg) ranges;
-    base =
-      List.map (fun ((r : Lifetime.range), base) -> (r.reg, base)) placed
-      |> List.sort compare;
-    blocks;
-    file_size;
+    domain = List.map reg (Array.to_list placed);
+    base = List.init m (fun v -> (reg v, base.(v)));
+    blocks = List.init m (fun v -> (reg v, base.(v), vacating v v));
+    file_size = !file_size;
   }
 
 let base_of t reg = List.assoc_opt reg t.base
