@@ -646,10 +646,8 @@ let producers body log ~trip (order, cycle) ~cells ~file =
       match o.sem with
       | Store -> memory.(log.seen.(s + srcs)) <- x
       | Branch -> ()
-      | sem ->
-          (match sem with
-          | Load -> if memory.(log.seen.(s + srcs)) <> log.seen.(s + srcs + 1) then fail ()
-          | _ -> ());
+      | Load when memory.(log.seen.(s + srcs)) <> log.seen.(s + srcs + 1) -> fail ()
+      | _ ->
           pending.(!npending) <- x;
           incr npending
     end;
@@ -683,46 +681,47 @@ let producers body log ~trip (order, cycle) ~cells ~file =
    {!supported} rejects, [`Error] when an executed operation has no
    semantics, else the state after [trip] iterations and, when the
    producer pass applies (II and trip at least 1), its log. *)
-let reference body ~seed ?trip sched =
+let reference_run body ~seed ?trip sched =
   let ii = sched.Schedule.ii and n = Array.length body.ops in
   let trip () = Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip in
-  if seed = 42 && ii <> 0 && trip () >= 6 then begin
-    (* [supports] is this very run cut after six iterations: the same
-       seed, and a [Walk] read in iteration [i < 6] finds the same
-       instance whether the run keeps 6 or [trip] iterations per
-       register, since no iteration after [i] has written yet.  So
-       [supports] raises iff this run raises before iteration 6, and
-       otherwise reads the same presence of instances 0-5. *)
-    let trip = trip () in
-    let log = new_log body ~trip in
-    let supported () =
-      Array.for_all
-        (fun r ->
-          let rec from j = j > 5 || (log.writer.((r * trip) + j) >= 0 && from (j + 1)) in
-          from 0)
-        body.written
-    in
-    match sequential ~log body ~seed ~exit_op:0 ~max_trip:trip with
-    | exception Unsupported msg ->
-        if log.id / n < 6 || not (supported ()) then `Unsupported else `Error msg
-    | st, _ ->
-        if supported () then `Ran (st, trip, if ii >= 1 then Some log else None)
-        else `Unsupported
-  end
-  else if not (supports body) then `Unsupported
-  else
-    let trip = trip () in
-    let log = if ii >= 1 && trip >= 1 then Some (new_log body ~trip) else None in
-    match sequential ?log body ~seed ~exit_op:0 ~max_trip:trip with
-    | exception Unsupported msg -> `Error msg
-    | st, _ -> `Ran (st, trip, log)
+  match if seed = 42 && ii <> 0 then Some (trip ()) else None with
+  | Some trip when trip >= 6 -> (
+      (* [supports] is this very run cut after six iterations: the same
+         seed, and a [Walk] read in iteration [i < 6] finds the same
+         instance whether the run keeps 6 or [trip] iterations per
+         register, since no iteration after [i] has written yet.  So
+         [supports] raises iff this run raises before iteration 6, and
+         otherwise sees the same presence of instances 0-5.  (Folding
+         needs the trip first, and the default one divides by II: at
+         II 0, [supports] must answer first.) *)
+      let log = new_log body ~trip in
+      let supported () =
+        Array.for_all
+          (fun r ->
+            let rec from j = j > 5 || (log.writer.((r * trip) + j) >= 0 && from (j + 1)) in
+            from 0)
+          body.written
+      in
+      match sequential ~log body ~seed ~exit_op:0 ~max_trip:trip with
+      | exception Unsupported msg ->
+          if log.id / n < 6 || not (supported ()) then `Unsupported else `Error msg
+      | st, _ ->
+          if supported () then `Ran (st, trip, if ii >= 1 then Some log else None)
+          else `Unsupported)
+  | _ when not (supports body) -> `Unsupported
+  | _ -> (
+      let trip = trip () in
+      let log = if ii >= 1 && trip >= 1 then Some (new_log body ~trip) else None in
+      match sequential ?log body ~seed ~exit_op:0 ~max_trip:trip with
+      | exception Unsupported msg -> `Error msg
+      | st, _ -> `Ran (st, trip, log))
 
 let check ?(seed = 42) ?metrics ?trip sched =
   let replays =
     Option.map (fun m -> Ims_obs.Metrics.counter m "interp.replays") metrics
   in
   let body = compile sched.Schedule.ddg in
-  match reference body ~seed ?trip sched with
+  match reference_run body ~seed ?trip sched with
   | `Unsupported -> Ok ()
   | `Error msg -> Error msg
   | `Ran (st, trip, log) ->

@@ -182,12 +182,14 @@ let test_fits_c_allocation_free () =
 (* Minor-heap words per call of the two checker replays.  The replays
    run over flat per-schedule arrays; the ceilings stop per-instance
    allocation (tuple or string hashtable keys, closures, list-built
-   operand vectors) from creeping back.  Measured this way, the compiled
-   replays take 5,675 and 1,361 words on lfk03 (Interp.check,
-   Simulator.run) and 26,285 and 5,310 on lfk07; the hashtable replays
-   before them took 138,979 and 11,280, and 636,447 and 46,304.  Arrays
-   past the minor heap's size limit are allocated on the major heap and
-   not counted. *)
+   operand vectors) from creeping back.  Measured this way, Interp.check
+   takes 4,054 words on lfk03 and 15,322 on lfk07, and Simulator.run
+   1,361 and 5,310.  Before Interp.check proved its register models by
+   producer identity, its three value replays took 5,675 and 26,285.
+   The hashtable replays before those took 138,979 (Interp) and 11,280
+   (Simulator) on lfk03, and 636,447 and 46,304 on lfk07.  Arrays past
+   the minor heap's size limit are allocated on the major heap and not
+   counted. *)
 let test_replay_allocation_ceilings () =
   let machine = Machine.cydra5 () in
   List.iter
@@ -210,7 +212,7 @@ let test_replay_allocation_ceilings () =
             interp_ceiling;
           check "Simulator.run" (words (fun () -> Ims_pipeline.Simulator.run s))
             sim_ceiling)
-    [ ("lfk03", 8_500, 2_000); ("lfk07", 40_000, 8_000) ]
+    [ ("lfk03", 6_100, 2_000); ("lfk07", 23_000, 8_000) ]
 
 (* --- counter-regression gate -------------------------------------------- *)
 

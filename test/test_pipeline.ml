@@ -509,6 +509,111 @@ let test_interp_same_cycle_read_before_write () =
   Alcotest.(check (result unit string)) "all replays agree" (Ok ())
     (Interp.check s)
 
+(* Hand-made faults, each visible in one kind of producer only: the
+   late store in memory (iteration i + 1 loads before iteration i
+   stores), the reordered stores in final memory, the reordered writes
+   in a final register, the late recurrence in a distance-1 read.  Loop
+   text, II, and the time of every entry (START first, STOP last). *)
+let interp_faults =
+  [
+    ( "late store",
+      "v1 = aadd v1[1] $8\nv2 = load v1\nv3 = fadd v2 v0\nv4 = aadd v1 $8\nstore v4 v3\n",
+      2,
+      [| 0; 0; 3; 6; 3; 10; 11 |] );
+    ( "reordered stores",
+      "v1 = fadd v0 v2\nv3 = fmul v0 v2\nstore v4 v1\nstore v4 v3\n",
+      10,
+      [| 0; 0; 0; 5; 3; 6 |] );
+    ("reordered writes", "v1 = copy v0\nv1 = fadd v0 v0\n", 10, [| 0; 3; 0; 4 |]);
+    ("late recurrence", "v1 = fadd v2[1] v0\nv2 = fmul v1 v0\n", 2, [| 0; 0; 5; 6 |]);
+  ]
+
+let hand_schedule text ~ii times =
+  Schedule.make (Ims_workloads.Loop_parse.parse machine text) ~ii
+    ~entries:(Array.map (fun time -> { Schedule.time; alt = 0 }) times)
+
+(* [Interp.check] against the public replays it stands for: [Ok] exactly
+   when the loop is unsupported or the issue-order, finite-MVE and
+   rotating-file replays all reproduce the sequential outcome, else an
+   error naming the first replay that diverges.  Inputs:
+   corpus loops and the fault loops, each scheduled and with seeded
+   mutants of its schedule (one operation's time shifted, or two
+   operations' entries swapped), and the faults themselves, which must
+   be rejected. *)
+let test_interp_check_matches_replays () =
+  let mutant st s =
+    let ids = Array.of_list (Ddg.real_ids s.Schedule.ddg) in
+    let n = Array.length ids and entries = Array.copy s.Schedule.entries in
+    let a = ids.(Random.State.int st n) and b = ids.(Random.State.int st n) in
+    if Random.State.bool st || a = b then
+      entries.(a) <-
+        { (entries.(a)) with Schedule.time = entries.(a).Schedule.time + Random.State.int st 10 - 3 }
+    else begin
+      let ea = entries.(a) in
+      entries.(a) <- entries.(b);
+      entries.(b) <- ea
+    end;
+    Schedule.with_entries s entries
+  in
+  (* The first replay that diverges, named as [check] names it. *)
+  let diverging s =
+    let ddg = s.Schedule.ddg in
+    if not (Interp.supported ddg) then None
+    else
+      let trip = (3 * Schedule.stage_count s) + 5 in
+      let reference = Interp.run_sequential ddg ~trip in
+      List.find_map
+        (fun (label, run) ->
+          if Interp.equivalent reference (run s ~trip) then None else Some label)
+        [
+          ("overlapped issue order", fun s ~trip -> Interp.run_pipelined s ~trip);
+          ("finite MVE registers", fun s ~trip -> Interp.run_mve s ~trip);
+          ("physical rotating file", fun s ~trip -> Interp.run_rotating s ~trip);
+        ]
+  in
+  let agree name s =
+    match (Interp.check s, diverging s) with
+    | Ok (), None -> true
+    | Error msg, Some label when String.starts_with ~prefix:label msg -> false
+    | Ok (), Some label -> Alcotest.failf "%s: check passes, %s diverges" name label
+    | Error msg, _ -> Alcotest.failf "%s: check fails with %S" name msg
+  in
+  (* Besides the fault loops, one that reads a live-in at distance 2:
+     the finite models keep no live-in history, so their replays read
+     instance -1 where the sequential run reads -2, and diverge. *)
+  let parse (name, text) = (name, Ims_workloads.Loop_parse.parse machine text) in
+  let loops =
+    List.map parse
+      (("distant live-in", "v1 = fadd v1[1] v0[2]\n")
+      :: List.map (fun (name, text, _, _) -> (name, text)) interp_faults)
+    @ List.init 200 (fun i -> Ims_workloads.Corpus.build machine ~seed:29 i)
+  in
+  let rejected = ref 0 in
+  List.iteri
+    (fun i (name, ddg) ->
+      let st = Random.State.make [| 29; i |] in
+      let s = schedule_of ddg in
+      List.iteri
+        (fun k s -> if not (agree (Printf.sprintf "%s schedule %d" name k) s) then incr rejected)
+        (s :: List.init 4 (fun _ -> mutant st s)))
+    loops;
+  Alcotest.(check bool) "some mutants rejected" true (!rejected > 0);
+  List.iter
+    (fun (name, text, ii, times) ->
+      Alcotest.(check bool) (name ^ " rejected") false (agree name (hand_schedule text ~ii times)))
+    interp_faults
+
+(* Two operations write [v1] with the same value, and the reader issues
+   between them: the overlapped replays read the first write where the
+   sequential run read the second.  The producers differ, the values do
+   not, so every replay agrees and [check] must pass. *)
+let test_interp_check_equal_values () =
+  let s = hand_schedule "v1 = copy v0\nv1 = copy v0\nv2 = fadd v1 v1\n" ~ii:3 [| 0; 0; 2; 1; 3 |] in
+  Alcotest.(check bool) "supported" true (Interp.supported s.Schedule.ddg);
+  Alcotest.(check (result unit string)) "check passes" (Ok ()) (Interp.check s);
+  Alcotest.(check bool) "the reader issues before the second write" true
+    (Schedule.time s 3 < Schedule.time s 2)
+
 let prop_interp_equivalence =
   QCheck.Test.make ~count:40
     ~name:"interp: pipelined execution computes sequential values"
@@ -539,6 +644,10 @@ let interp_tests =
       test_interp_unsupported_partial_defs;
     Alcotest.test_case "interp: check skips unsupported" `Quick
       test_interp_check_skips_unsupported;
+    Alcotest.test_case "interp: check agrees with the replays" `Quick
+      test_interp_check_matches_replays;
+    Alcotest.test_case "interp: equal values, other producers" `Quick
+      test_interp_check_equal_values;
     QCheck_alcotest.to_alcotest prop_interp_equivalence;
   ]
 
