@@ -393,16 +393,18 @@ let issue_order ?(keep = fun _ _ -> true) sched ~iters =
   let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
   let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
   let cycle = Array.make (Int.max 0 iters * n) 0 in
+  let low = ref max_int and high = ref min_int in
   List.iter
     (fun i ->
       for k = 0 to n - 1 do
-        let x = (i * n) + k in
-        cycle.(x) <- time.(k) + (i * ii);
+        let x = (i * n) + k and c = time.(k) + (i * ii) in
+        cycle.(x) <- c;
+        low := Int.min !low c;
+        high := Int.max !high c;
         if keep i k then (xs.(!len) <- x; incr len)
       done)
     (List.init iters Fun.id);
-  let low = Array.fold_left Int.min max_int cycle in
-  let top = Array.fold_left (fun m c -> Int.max m (c - low)) 0 cycle in
+  let low = !low and top = if !high < !low then 0 else !high - !low in
   let order = ref (if !len = Array.length xs then xs else Array.sub xs 0 !len)
   and shift = ref 0 in
   while !shift < Sys.int_size && top lsr !shift > 0 do

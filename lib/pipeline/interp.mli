@@ -31,7 +31,25 @@
     register written under a predicate is written on {e every} iteration
     (complementary guard arms) — otherwise a reader needs the
     youngest surviving instance, whose producer the overlapped order is
-    not obliged to have executed yet. *)
+    not obliged to have executed yet.
+
+    {!check} decides most replays without running them.  Its sequential
+    reference run also records, by identity, the producer of every read:
+    the operation instance whose write it found, or the live-in it
+    synthesised.  It also records which instances executed, the address
+    and source store of every load and store, and the final producer of
+    every register and memory cell.  One integer pass over the issue
+    order then tracks, for each register model, which instance every
+    cell holds; each model maps instance [j] of register [r] to its cell
+    from [(r, j)] alone ([r * trip + j], kernel copy [j mod unroll], or
+    rotating cell [(base_r - j) mod size]).  A model under which every
+    read, final register and final memory cell finds the recorded
+    producer computes the reference's outcome: by induction over the
+    issue order, every instance reads the same inputs, and float
+    arithmetic is deterministic.  Only a model where the pass finds a
+    mismatch (which may be harmless: two producers can write equal
+    values) runs its value replay, which then decides the verdict and
+    message. *)
 
 open Ims_ir
 open Ims_core
