@@ -583,19 +583,9 @@ let producers body log ~trip (order, cycle) ~cells ~file =
   let size, base =
     match file with Some (File { size; base }) -> (size, base) | _ -> (1, Array.make nr (-1))
   in
-  (* Division-free cells for the iterations run: [back.(j)] is
-     [-j mod size], added to a base reduced into [0, size). *)
-  let copy = Array.init trip (fun j -> j mod unroll)
-  and back = Array.init trip (fun j -> (size - (j mod size)) mod size)
-  and base = Array.map (fun b -> if b < 0 then -1 else ((b mod size) + size) mod size) base in
-  let copy_cell r j =
-    if not spread.(r) then r * unroll
-    else (r * unroll) + if j < trip then copy.(j) else j mod unroll
+  let copy_cell r j = if spread.(r) then (r * unroll) + (j mod unroll) else r * unroll
   and file_cell r j =
-    if base.(r) < 0 then -1
-    else
-      let c = base.(r) + if j < trip then back.(j) else (size - (j mod size)) mod size in
-      if c >= size then c - size else c
+    if base.(r) < 0 then -1 else (((base.(r) - j) mod size) + size) mod size
   in
   let exact = Array.make (nr * trip) (-1) and copies = Array.make (nr * unroll) (-1) in
   let rotating = Array.make size (-1) and memory = Array.make (Mem.length log.index) (-1) in
