@@ -85,16 +85,20 @@ let semantics (o : Op.t) =
   | opcode, srcs ->
       Unknown (Printf.sprintf "no semantics for %s/%d" opcode (List.length srcs))
 
+module Mem = Hashtbl.Make (Int)
+
+(* The dense index of [key] in [index], allocated on first sight. *)
+let dense index key =
+  match Mem.find_opt index key with
+  | Some x -> x
+  | None ->
+      let x = Mem.length index in
+      Mem.add index key x;
+      x
+
 let compile ddg =
-  let index = Hashtbl.create 32 in
-  let dense r =
-    match Hashtbl.find_opt index r with
-    | Some x -> x
-    | None ->
-        let x = Hashtbl.length index in
-        Hashtbl.add index r x;
-        x
-  in
+  let index = Mem.create 32 in
+  let dense = dense index in
   let operands l =
     ( Array.of_list (List.map (fun (s : Op.operand) -> dense s.reg) l),
       Array.of_list (List.map (fun (s : Op.operand) -> s.distance) l) )
@@ -108,8 +112,8 @@ let compile ddg =
     { sem = semantics o; srcs; dists; pred; pred_dist; dsts }
   in
   let ops = Array.of_list (List.map compile_op (Ddg.real_ids ddg)) in
-  let reg = Array.make (Hashtbl.length index) 0 in
-  Hashtbl.iter (fun r x -> reg.(x) <- r) index;
+  let reg = Array.make (Mem.length index) 0 in
+  Mem.iter (fun r x -> reg.(x) <- r) index;
   let defined = Array.make (Array.length reg) false in
   Array.iter (fun o -> Array.iter (fun r -> defined.(r) <- true) o.dsts) ops;
   let written =
@@ -136,8 +140,6 @@ type model =
   | File of { size : int; base : int array }
       (** The physical rotating file, rotating one cell per iteration;
           [base] is -1 for a register without a rotating base. *)
-
-module Mem = Hashtbl.Make (Int)
 
 (* What a recorded sequential run saw, by producer identity rather than
    value.  Instance [x = i * n + k] is operation id [k + 1] of iteration
@@ -179,15 +181,6 @@ let new_log body ~trip =
     id = 0;
     pos = 0;
   }
-
-(* The dense index of [addr], allocated on first sight. *)
-let address log addr =
-  match Mem.find_opt log.index addr with
-  | Some x -> x
-  | None ->
-      let x = Mem.length log.index in
-      Mem.add log.index addr x;
-      x
 
 type state = {
   body : body;
@@ -305,7 +298,7 @@ let issue st ~result ~slot k i =
           let addr = int_of_float a.(0) in
           (match st.log with
           | Some l ->
-              let x = address l addr in
+              let x = dense l.index addr in
               l.seen.(l.pos) <- x;
               l.stores.(x) <- l.id
           | None -> ());
@@ -315,7 +308,7 @@ let issue st ~result ~slot k i =
           let addr = int_of_float a.(0) in
           (match st.log with
           | Some l ->
-              let x = address l addr in
+              let x = dense l.index addr in
               l.seen.(l.pos) <- x;
               l.seen.(l.pos + 1) <- l.stores.(x)
           | None -> ());

@@ -33,10 +33,10 @@
     youngest surviving instance, whose producer the overlapped order is
     not obliged to have executed yet.
 
-    {!check} decides most replays without running them.  Its sequential
-    reference run also records, by identity, the producer of every read:
-    the operation instance whose write it found, or the live-in it
-    synthesised.  It also records which instances executed, the address
+    {!check} decides most register models without a value replay.  Its
+    sequential reference run also records, by identity, the producer of
+    every read: the operation instance whose write it found, or the
+    live-in it synthesised.  It also records which instances executed, the address
     and source store of every load and store, and the final producer of
     every register and memory cell.  One integer pass over the issue
     order then tracks, for each register model, which instance every
@@ -76,11 +76,13 @@ val check :
   ?trip:int ->
   Schedule.t ->
   (unit, string) result
-(** Sequential execution against all three overlapped replays — issue
-    order, finite MVE registers, and the physical rotating file — for a
-    supported loop ([trip] defaults to 3 * stages + 5); [Ok] for
-    unsupported loops (nothing to disprove).  [metrics] counts each
-    replay actually performed under ["interp.replays"]. *)
+(** Sequential execution against all three overlapped register models —
+    issue order, finite MVE registers, and the physical rotating file —
+    for a supported loop ([trip] defaults to 3 * stages + 5), stopping at
+    the first that diverges; [Ok] for unsupported loops (nothing to
+    disprove).  A model is proved by the producer pass or by its value
+    replay (see above).  [metrics] counts each model checked under
+    ["interp.replays"]. *)
 
 val run_mve : ?seed:int -> ?mve:Mve.t -> Schedule.t -> trip:int -> outcome
 (** Replay through the {e finite} register set of the MVE schema: each

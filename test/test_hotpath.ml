@@ -183,7 +183,7 @@ let test_fits_c_allocation_free () =
    run over flat per-schedule arrays; the ceilings stop per-instance
    allocation (tuple or string hashtable keys, closures, list-built
    operand vectors) from creeping back.  Measured this way, Interp.check
-   takes 4,054 words on lfk03 and 15,322 on lfk07, and Simulator.run
+   takes 3,969 words on lfk03 and 15,205 on lfk07, and Simulator.run
    1,361 and 5,310.  Before Interp.check proved its register models by
    producer identity, its three value replays took 5,675 and 26,285.
    The hashtable replays before those took 138,979 (Interp) and 11,280
@@ -212,7 +212,7 @@ let test_replay_allocation_ceilings () =
             interp_ceiling;
           check "Simulator.run" (words (fun () -> Ims_pipeline.Simulator.run s))
             sim_ceiling)
-    [ ("lfk03", 6_100, 2_000); ("lfk07", 23_000, 8_000) ]
+    [ ("lfk03", 6_000, 2_000); ("lfk07", 23_000, 8_000) ]
 
 (* --- counter-regression gate -------------------------------------------- *)
 
