@@ -38,6 +38,59 @@ let test_lint_alt_out_of_range () =
   Alcotest.(check bool) "bogus alternative reported" true
     (Lint.schedule (Schedule.with_entries s entries) <> [])
 
+(* Per-alternative demand: a usage repeated past the resource's count is
+   reported once, at the repetition that exceeds it, and a usage of an
+   undeclared resource is reported and not counted.  Opcodes come in
+   name order, usages in table order. *)
+let lint_machine () =
+  let b = Machine.builder "lint test" in
+  let a = Machine.add_resource b "A" ~count:1 in
+  let bb = Machine.add_resource b "B" ~count:2 in
+  Machine.add_opcode b ~name:"y" ~latency:1
+    ~alternatives:
+      [ ("u", [ (bb, 1); (7, 0); (bb, 1); (bb, 1); (a, 0) ]); ("v", [ (bb, 0); (bb, 0) ]) ];
+  Machine.add_opcode b ~name:"x" ~latency:2
+    ~alternatives:[ ("u", [ (a, 0); (a, 2); (a, 0); (a, 0) ]) ];
+  Machine.finish b
+
+let test_lint_machine_diagnostics () =
+  Alcotest.(check (list string))
+    "machine diagnostics"
+    [
+      "opcode \"x\" alternative 0: table demands more than 1 copies of A at relative cycle 0";
+      "opcode \"y\" alternative 0: usage of unknown resource 7";
+      "opcode \"y\" alternative 0: table demands more than 2 copies of B at relative cycle 1";
+    ]
+    (Lint.machine (lint_machine ()))
+
+(* [Schedule.verify] on the same machine: an operation that does not fit
+   is reported and takes no capacity; a usage of an undeclared resource,
+   an II below 1 and an alternative past the opcode's list raise. *)
+let test_verify_resource_verdicts () =
+  let g = Ims_ir.Builder.create (lint_machine ()) in
+  let v = Ims_ir.Builder.vreg g "v" in
+  ignore (Ims_ir.Builder.add g ~opcode:"y" ~dsts:[ v ] ~srcs:[] ());
+  ignore (Ims_ir.Builder.add g ~opcode:"y" ~dsts:[] ~srcs:[ (v, 0) ] ());
+  ignore (Ims_ir.Builder.add g ~opcode:"x" ~dsts:[] ~srcs:[ (v, 0) ] ());
+  let ddg = Ims_ir.Builder.finish g in
+  let verify ii alts =
+    let entries = Array.of_list (List.mapi (fun i alt -> { Schedule.time = 2 * i; alt }) alts) in
+    match Schedule.verify (Schedule.make ddg ~ii ~entries) with
+    | Ok () -> [ "ok" ]
+    | Error es -> es
+    | exception e -> [ Printexc.to_string e ]
+  in
+  let check name want ii alts = Alcotest.(check (list string)) name want (verify ii alts) in
+  check "oversubscribed"
+    [
+      "operation 2 oversubscribes a resource at time 4";
+      "operation 3 oversubscribes a resource at time 6";
+    ]
+    2 [ 0; 1; 1; 0; 0 ];
+  check "unknown resource" [ "Invalid_argument(\"index out of bounds\")" ] 2 [ 0; 1; 0; 0; 0 ];
+  check "II 0" [ "Invalid_argument(\"Mrt.create: ii must be >= 1\")" ] 0 [ 0; 1; 1; 0; 0 ];
+  check "no such alternative" [ "Failure(\"nth\")" ] 1 [ 0; 1; 1; 1; 0 ]
+
 (* --- The unified verdict -------------------------------------------------- *)
 
 let test_check_all_passes_lfk () =
@@ -160,6 +213,10 @@ let tests =
       Alcotest.test_case "lint: negative time" `Quick test_lint_negative_time;
       Alcotest.test_case "lint: alternative out of range" `Quick
         test_lint_alt_out_of_range;
+      Alcotest.test_case "lint: machine diagnostics" `Quick
+        test_lint_machine_diagnostics;
+      Alcotest.test_case "verify: resource verdicts" `Quick
+        test_verify_resource_verdicts;
       Alcotest.test_case "all: every LFK schedule passes" `Quick
         test_check_all_passes_lfk;
       Alcotest.test_case "all: pass summary wording" `Quick

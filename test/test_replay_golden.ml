@@ -1,5 +1,6 @@
-(* A verdict digest for the two checker replays, [Interp] and
-   [Simulator].
+(* Verdict digests for the checker stack: one for the two checker
+   replays, [Interp] and [Simulator], and one for the two static
+   checkers, [Lint] and [Schedule.verify].
 
    Every result the replays produce over a fixed input set is rendered
    into one string — the [Interp.check] verdict text, every field of the
@@ -15,15 +16,54 @@
    of them six seeded mutants built through [Schedule.with_entries] —
    one operation's time shifted (possibly before zero), or two
    operations' entries swapped (possibly leaving an alternative index
-   out of range for the new opcode). *)
+   out of range for the new opcode).
+
+   The static digest renders, for the same schedules, every
+   [Lint.schedule] diagnostic and the [Schedule.verify] verdict (or the
+   [Printexc.to_string] of what either raised), once on the machine the
+   loop was built for and once on a copy of it rebuilt through
+   [Machine.builder] with one resource's count lowered by one, as
+   [Mutate]'s [Lower_resource] does: resource [index mod nres] for the
+   [index]-th loop, so a count of 1 drops to 0 for some loops. *)
 
 open Ims_machine
 open Ims_ir
 open Ims_core
 open Ims_pipeline
 open Ims_workloads
+open Ims_check
 
 let machine = Machine.cydra5 ()
+
+(* [machine] rebuilt with resource [victim]'s count lowered by one. *)
+let lowered victim =
+  let b = Machine.builder machine.Machine.name in
+  Array.iter
+    (fun (r : Resource.t) ->
+      let count = if r.Resource.id = victim then r.Resource.count - 1 else r.Resource.count in
+      ignore (Machine.add_resource b r.Resource.name ~count))
+    machine.Machine.resources;
+  List.iter
+    (fun name ->
+      let oc = Machine.opcode machine name in
+      Machine.add_opcode b ~name ~latency:oc.Opcode.latency
+        ~alternatives:
+          (List.map
+             (fun (a : Opcode.alternative) ->
+               ( a.Opcode.unit_name,
+                 List.map
+                   (fun (u : Reservation.usage) -> (u.Reservation.resource, u.Reservation.at))
+                   a.Opcode.table.Reservation.usages ))
+             oc.Opcode.alternatives))
+    (Machine.opcode_names machine);
+  Machine.finish b
+
+let lowered_machines =
+  Array.of_list
+    (List.filter_map
+       (fun (r : Resource.t) ->
+         if r.Resource.count >= 2 then Some (lowered r.Resource.id) else None)
+       (Array.to_list machine.Machine.resources))
 
 let guard f = match f () with s -> s | exception e -> "raised " ^ Printexc.to_string e
 
@@ -92,9 +132,22 @@ let render_exit s =
       in
       seq ^ "\n" ^ pipe
 
-let render_schedule buf label s =
+let render_static s =
+  Printf.sprintf "lint [%s]\nverify %s"
+    (guard (fun () -> String.concat " | " (Lint.schedule s)))
+    (guard (fun () ->
+         match Schedule.verify s with
+         | Ok () -> "ok"
+         | Error es -> "error: " ^ String.concat " | " es))
+
+let render_schedule (buf, static, lower) label s =
   Printf.bprintf buf "%s ii=%d\n%s\n%s\n" label s.Schedule.ii (render_check s)
-    (render_sim s)
+    (render_sim s);
+  let on_lowered =
+    Schedule.with_entries s ~ddg:(Ddg.map_machine s.Schedule.ddg lower) s.Schedule.entries
+  in
+  Printf.bprintf static "%s ii=%d\n%s\nlowered %s\n" label s.Schedule.ii (render_static s)
+    (render_static on_lowered)
 
 let mutants st s =
   let ids = Array.of_list (Ddg.real_ids s.Schedule.ddg) in
@@ -120,34 +173,49 @@ let mutants st s =
         (Printf.sprintf "swap ops %d %d" a b, Schedule.with_entries s entries)
       end)
 
-let render_loop buf index (name, ddg) =
+let render_loop (buf, static) index (name, ddg) =
   Printf.bprintf buf "== %s supported=%b\n%s\n" name (Interp.supported ddg)
     (guard (fun () -> render_outcome (Interp.run_sequential ddg ~trip:8)));
+  Printf.bprintf static "== %s\n" name;
+  let bufs = (buf, static, lowered_machines.(index mod Array.length lowered_machines)) in
   match (Ims.modulo_schedule ddg).Ims.schedule with
-  | None -> Printf.bprintf buf "unscheduled\n"
+  | None ->
+      Printf.bprintf buf "unscheduled\n";
+      Printf.bprintf static "unscheduled\n"
   | Some s ->
-      render_schedule buf "pristine" s;
+      render_schedule bufs "pristine" s;
       Printf.bprintf buf "%s\n%s\n" (render_wrong_stage s) (render_exit s);
       let st = Random.State.make [| 1994; index |] in
-      List.iter (fun (label, m) -> render_schedule buf label m) (mutants st s)
+      List.iter (fun (label, m) -> render_schedule bufs label m) (mutants st s)
 
 let loops () =
   Lfk.all machine @ List.init 400 (fun i -> Corpus.build machine ~seed:13 i)
 
-let render () =
-  let buf = Buffer.create (1 lsl 20) in
-  List.iteri (render_loop buf) (loops ());
-  Buffer.contents buf
+(* Both renderings, made in one pass over the inputs. *)
+let rendered =
+  lazy
+    (let buf = Buffer.create (1 lsl 20) and static = Buffer.create (1 lsl 20) in
+     List.iteri (render_loop (buf, static)) (loops ());
+     (Buffer.contents buf, Buffer.contents static))
 
 let expected_digest = "64f237a4f5cdee3c2f2cfadbdc106c47"
+let expected_static_digest = "3faa1a90b379ab14f1df4545c7378d0e"
 
 let test_digest () =
   Alcotest.(check string)
     "replay verdict digest" expected_digest
-    (Digest.to_hex (Digest.string (render ())))
+    (Digest.to_hex (Digest.string (fst (Lazy.force rendered))))
+
+let test_static_digest () =
+  Alcotest.(check string)
+    "static verdict digest" expected_static_digest
+    (Digest.to_hex (Digest.string (snd (Lazy.force rendered))))
 
 (* A suite name longer than the others widens Alcotest's label column
    and truncates every other test's printed name. *)
 let tests =
   ( "replay",
-    [ Alcotest.test_case "checker replay verdict digest" `Slow test_digest ] )
+    [
+      Alcotest.test_case "checker replay verdict digest" `Slow test_digest;
+      Alcotest.test_case "static checker verdict digest" `Slow test_static_digest;
+    ] )
