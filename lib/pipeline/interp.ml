@@ -710,14 +710,19 @@ let check ?(seed = 42) ?metrics ?trip sched =
   | `Unsupported -> Ok ()
   | `Error msg -> Error msg
   | `Ran (st, trip, log) ->
-      (* One compiled body, issue order and producer pass serve all
-         three models.  The expansion and the allocation are built under
-         a guard, so that an exception from either surfaces only where
-         its value replay would raise it. *)
+      (* One compiled body, issue order, lifetime analysis and producer
+         pass serve all three models.  The expansion and the allocation
+         are built under a guard, so that an exception from either (or
+         from the lifetime analysis they share, which a forced lazy
+         re-raises) surfaces only where its value replay would raise
+         it. *)
       let reference = lazy (outcome st ~trip) and order = lazy (issue_order sched ~iters:trip) in
       let guarded f = lazy (match f () with m -> Ok m | exception e -> Error e) in
-      let cells = guarded (fun () -> mve_model body (Mve.expand sched))
-      and file = guarded (fun () -> rotating_model body (Rotreg.allocate sched)) in
+      let ranges = lazy (Lifetime.analyze sched) in
+      let cells = guarded (fun () -> mve_model body (Mve.of_ranges sched (Lazy.force ranges)))
+      and file =
+        guarded (fun () -> rotating_model body (Rotreg.place sched (Lazy.force ranges)))
+      in
       let proved =
         lazy
           (match log with

@@ -12,57 +12,58 @@ type range = {
 
 let cdiv a b = (a + b - 1) / b
 
+(* Apply [f reg read_time] to every operand and predicate read of
+   operation [o] issued at [t]. *)
+let iter_reads f ~ii t (o : Op.t) =
+  let read (s : Op.operand) = f s.reg (t + (ii * s.distance)) in
+  List.iter read o.Op.srcs;
+  Option.iter read o.Op.pred
+
+(* One pass finds the register span, a second fills flat per-register
+   tables indexed by [reg - lo]: the earliest definition (ties to the
+   highest id, as operations are visited in id order), and the latest
+   read. *)
 let analyze sched =
-  let ddg = sched.Schedule.ddg in
-  let ii = sched.Schedule.ii in
-  let defs = Hashtbl.create 31 in  (* reg -> (op, time) list *)
-  let uses = Hashtbl.create 31 in  (* reg -> issue-relative read time list *)
-  List.iter
-    (fun i ->
-      let o = Ddg.op ddg i in
-      let t = Schedule.time sched i in
-      List.iter
-        (fun v ->
-          let old = Option.value ~default:[] (Hashtbl.find_opt defs v) in
-          Hashtbl.replace defs v ((i, t) :: old))
-        o.Op.dsts;
-      let record (operand : Op.operand) =
-        let read_time = t + (ii * operand.distance) in
-        let old =
-          Option.value ~default:[] (Hashtbl.find_opt uses operand.reg)
-        in
-        Hashtbl.replace uses operand.reg (read_time :: old)
-      in
-      List.iter record o.Op.srcs;
-      Option.iter record o.Op.pred)
-    (Ddg.real_ids ddg);
-  Hashtbl.fold
-    (fun reg def_list acc ->
-      let def_op, def_time =
-        List.fold_left
-          (fun (bo, bt) (o, t) -> if t < bt then (o, t) else (bo, bt))
-          (List.hd def_list) (List.tl def_list)
-      in
-      let last_use_time =
-        List.fold_left max def_time
-          (Option.value ~default:[] (Hashtbl.find_opt uses reg))
-      in
+  let ddg = sched.Schedule.ddg and ii = sched.Schedule.ii in
+  let n = Ddg.n_real ddg in
+  let lo = ref max_int and hi = ref min_int in
+  let span r = lo := Int.min !lo r; hi := Int.max !hi r in
+  for i = 1 to n do
+    let o = Ddg.op ddg i in
+    List.iter span o.Op.dsts;
+    iter_reads (fun r _ -> span r) ~ii:0 0 o
+  done;
+  let lo = !lo and width = Int.max 0 (!hi - !lo + 1) in
+  let def_op = Array.make width (-1) and def_time = Array.make width 0 in
+  let last_use = Array.make width min_int in
+  for i = 1 to n do
+    let o = Ddg.op ddg i and t = Schedule.time sched i in
+    List.iter
+      (fun v ->
+        let x = v - lo in
+        if def_op.(x) < 0 || t <= def_time.(x) then begin
+          def_op.(x) <- i;
+          def_time.(x) <- t
+        end)
+      o.Op.dsts;
+    iter_reads (fun r read_time -> last_use.(r - lo) <- Int.max last_use.(r - lo) read_time) ~ii t o
+  done;
+  let ranges = ref [] in
+  for x = width - 1 downto 0 do
+    if def_op.(x) >= 0 then begin
+      let def_time = def_time.(x) in
+      let last_use_time = Int.max def_time last_use.(x) in
       let length = last_use_time - def_time in
-      {
-        reg;
-        def_op;
-        def_time;
-        last_use_time;
-        length;
-        copies = max 1 (cdiv length ii);
-      }
-      :: acc)
-    defs []
-  |> List.sort (fun a b -> compare a.reg b.reg)
-
-let max_copies sched =
-  List.fold_left (fun acc r -> max acc r.copies) 1 (analyze sched)
-
-let pp ppf r =
-  Format.fprintf ppf "v%d: def@%d (op %d) last-use@%d len=%d copies=%d" r.reg
-    r.def_time r.def_op r.last_use_time r.length r.copies
+      ranges :=
+        {
+          reg = x + lo;
+          def_op = def_op.(x);
+          def_time;
+          last_use_time;
+          length;
+          copies = max 1 (cdiv length ii);
+        }
+        :: !ranges
+    end
+  done;
+  !ranges

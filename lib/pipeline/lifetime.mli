@@ -11,7 +11,9 @@ open Ims_core
 
 type range = {
   reg : int;
-  def_op : int;  (** First defining operation (program order). *)
+  def_op : int;
+      (** The defining operation with the earliest issue time; on a tie,
+          the one with the highest id. *)
   def_time : int;  (** Earliest definition issue time. *)
   last_use_time : int;
       (** Latest reader issue time, with [d*II] added for distance-[d]
@@ -25,9 +27,3 @@ type range = {
 val analyze : Schedule.t -> range list
 (** One range per register defined in the loop, ascending by register.
     Registers that are defined but never read get a zero-length range. *)
-
-val max_copies : Schedule.t -> int
-(** The largest [copies] over all ranges; 1 for a loop needing no
-    expansion. *)
-
-val pp : Format.formatter -> range -> unit

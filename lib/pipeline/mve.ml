@@ -7,12 +7,13 @@ type t = {
   ranges : Lifetime.range list;
 }
 
-let expand schedule =
-  let ranges = Lifetime.analyze schedule in
+let of_ranges schedule ranges =
   let unroll =
     List.fold_left (fun acc (r : Lifetime.range) -> max acc r.copies) 1 ranges
   in
   { schedule; unroll; ranges }
+
+let expand schedule = of_ranges schedule (Lifetime.analyze schedule)
 
 let needs_expansion t reg =
   List.exists

@@ -16,6 +16,11 @@ type t = {
 }
 
 val expand : Schedule.t -> t
+(** [of_ranges s (Lifetime.analyze s)]. *)
+
+val of_ranges : Schedule.t -> Lifetime.range list -> t
+(** The expansion for ranges already computed by [Lifetime.analyze] on
+    the same schedule. *)
 
 val rename : t -> reg:int -> copy:int -> distance:int -> string
 (** The expanded name, e.g. [rename mve ~reg:3 ~copy:2 ~distance:1] is

@@ -22,12 +22,13 @@ let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
      def_time(w) + II * Delta(v->w)  >  last_use_time(v)
 
-   so [Delta(v->w) >= D(v,w) := floor((last_use(v) - def(w)) / II) + 1]
-   when [last_use(v) >= def(w)], and at least 1 always.  [allocate]
-   places variants on the circle greedily in definition order, enforcing
-   every ordered pair; disjoint architectural blocks alone would NOT be
-   sufficient (the semantic replay [Interp.run_rotating] catches such
-   allocations clobbering live values). *)
+   so [Delta(v->w) > (last_use(v) - def(w)) / II].  [allocate] enforces
+   [D(v,w) := ceil((last_use(v) - def(w)) / II) + 1] when
+   [last_use(v) >= def(w)], and 1 otherwise.  It places variants on the
+   circle greedily in definition order, enforcing every ordered pair;
+   disjoint architectural blocks alone would NOT be sufficient (the
+   semantic replay [Interp.run_rotating] catches such allocations
+   clobbering live values). *)
 let vacating_distance ~ii (v : Lifetime.range) (w : Lifetime.range) =
   let d = v.last_use_time - w.def_time in
   Int.max 1 (if d < 0 then 1 else cdiv d ii + 1)
@@ -38,11 +39,11 @@ let ranges_of ?keep schedule =
     (fun (r : Lifetime.range) -> keep r.Lifetime.reg)
     (Lifetime.analyze schedule)
 
-let allocate ?keep schedule =
+let place schedule ranges =
   let ii = schedule.Schedule.ii in
   (* [ranges] ascends by register ({!Lifetime.analyze}); [placed] is the
      placement order, by definition time then register. *)
-  let ranges = Array.of_list (ranges_of ?keep schedule) in
+  let ranges = Array.of_list ranges in
   let m = Array.length ranges in
   let placed = Array.init m Fun.id in
   Array.stable_sort
@@ -82,6 +83,8 @@ let allocate ?keep schedule =
     blocks = List.init m (fun v -> (reg v, base.(v), vacating v v));
     file_size = !file_size;
   }
+
+let allocate ?keep schedule = place schedule (ranges_of ?keep schedule)
 
 let base_of t reg = List.assoc_opt reg t.base
 

@@ -28,6 +28,11 @@ val allocate : ?keep:(int -> bool) -> Schedule.t -> t
     [keep] restricts the file to a subset of registers (used by
     {!allocate_by_class}); default everything. *)
 
+val place : Schedule.t -> Lifetime.range list -> t
+(** The placement {!allocate} makes, over ranges already computed by
+    [Lifetime.analyze] on the same schedule (ascending by register, any
+    subset): [allocate s] is [place s (Lifetime.analyze s)]. *)
+
 val base_of : t -> int -> int option
 (** Block base for a register; [None] for live-ins (registers the loop
     never defines). *)
