@@ -44,15 +44,33 @@ let verify t =
             report "edge %a violated by %d cycles" Dep.pp d (-slack))
         edges)
     t.ddg.Ddg.succs;
-  (* Resource constraints: replay into a fresh MRT. *)
-  let mrt = Mrt.create t.ddg.Ddg.machine ~ii:t.ii in
-  List.iter
-    (fun i ->
-      let table = reservation t i in
-      if Mrt.fits mrt table ~time:(time t i) then
-        Mrt.reserve mrt ~op:i table ~time:(time t i)
-      else report "operation %d oversubscribes a resource at time %d" i (time t i))
-    (Ddg.real_ids t.ddg);
+  (* Resource constraints, in a flat [ii * nres] count matrix filled in
+     id order: an operation adds its usages, and if a touched cell is
+     then over capacity it takes them back out and is reported — the
+     verdict of [Mrt]'s fits-then-reserve, whose exception texts are
+     kept.  An unknown resource raises before a negative time, as the
+     MRT's table compilation did. *)
+  if t.ii < 1 then invalid_arg "Mrt.create: ii must be >= 1";
+  let resources = t.ddg.Ddg.machine.Machine.resources in
+  let nres = Array.length resources in
+  let counts = Array.make (t.ii * nres) 0 in
+  let cell tm (u : Reservation.usage) = ((tm + u.at) mod t.ii * nres) + u.resource in
+  for i = 1 to Ddg.n_real t.ddg do
+    let usages = (reservation t i).Reservation.usages and tm = time t i in
+    List.iter (fun (u : Reservation.usage) -> ignore resources.(u.resource)) usages;
+    if tm < 0 then invalid_arg "Mrt: negative time";
+    let add by = List.iter (fun u -> counts.(cell tm u) <- counts.(cell tm u) + by) usages in
+    add 1;
+    if
+      List.exists
+        (fun (u : Reservation.usage) ->
+          counts.(cell tm u) > resources.(u.resource).Resource.count)
+        usages
+    then begin
+      add (-1);
+      report "operation %d oversubscribes a resource at time %d" i tm
+    end
+  done;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let kernel_rows t =
