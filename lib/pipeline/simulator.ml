@@ -31,71 +31,94 @@ let run ?trip sched =
   let usages =
     if trip <= 0 then [||]
     else
+      (* Per operation, packed (cycle offset, resource, capacity)
+         triples. *)
       Array.map
         (fun id ->
-          (Schedule.reservation sched id).Reservation.usages
-          |> List.map (fun (u : Reservation.usage) ->
-                 (u.at, u.resource, resources.(u.resource).Resource.count))
-          |> Array.of_list)
+          let us = (Schedule.reservation sched id).Reservation.usages in
+          let packed = Array.make (3 * List.length us) 0 in
+          List.iteri
+            (fun x (u : Reservation.usage) ->
+              packed.(3 * x) <- u.at;
+              packed.((3 * x) + 1) <- u.resource;
+              packed.((3 * x) + 2) <- resources.(u.resource).Resource.count)
+            us;
+          packed)
         ids
   in
   (* Write-back time of register [v] in iteration [j]: its last writer
-     [k] in program order completes at [time + j * II + latency]. *)
-  let writer = Hashtbl.create 32 in
-  Array.iteri
-    (fun k o -> List.iter (fun v -> Hashtbl.replace writer v k) o.Op.dsts)
+     [k] in program order completes at [time + j * II + latency].
+     [writer] holds it by [v - low] over the span of defined registers
+     ([-1]: not defined). *)
+  let low = ref max_int and high = ref min_int in
+  Array.iter
+    (fun o ->
+      List.iter (fun v -> low := Int.min !low v; high := Int.max !high v) o.Op.dsts)
     ops;
+  let low = !low and high = !high in
+  let writer = Array.make (Int.max 0 (high - low + 1)) (-1) in
+  Array.iteri (fun k o -> List.iter (fun v -> writer.(v - low) <- k) o.Op.dsts) ops;
+  let writer_of v = if v < low || v > high then -1 else writer.(v - low) in
   let ready k j = time.(k) + (j * ii) + latency.(k) in
-  (* Every operand read, with its writer (-1 for a live-in). *)
+  (* Per operation, every operand read (sources, then the predicate) as
+     packed (register, distance, writer) triples; writer -1 is a
+     live-in. *)
   let reads =
     Array.map
       (fun o ->
-        o.Op.srcs @ Option.to_list o.Op.pred
-        |> List.map (fun (s : Op.operand) ->
-               (s, Option.value ~default:(-1) (Hashtbl.find_opt writer s.Op.reg)))
-        |> Array.of_list)
+        let operands = o.Op.srcs @ Option.to_list o.Op.pred in
+        let packed = Array.make (3 * List.length operands) 0 in
+        List.iteri
+          (fun x (s : Op.operand) ->
+            packed.(3 * x) <- s.reg;
+            packed.((3 * x) + 1) <- s.distance;
+            packed.((3 * x) + 2) <- writer_of s.reg)
+          operands;
+        packed)
       ops
   in
   (* Value-timing check. *)
   for iter = 0 to trip - 1 do
     for k = 0 to Array.length ops - 1 do
-      let t = time.(k) + (iter * ii) in
-      for x = 0 to Array.length reads.(k) - 1 do
-        let (s : Op.operand), w = reads.(k).(x) in
-        let src_iter = iter - s.distance in
+      let t = time.(k) + (iter * ii) and rd = reads.(k) in
+      for x = 0 to (Array.length rd / 3) - 1 do
+        let reg = rd.(3 * x) and d = rd.((3 * x) + 1) and w = rd.((3 * x) + 2) in
+        let src_iter = iter - d in
         if src_iter >= 0 && w >= 0 then
           if src_iter >= trip then
-            report_err "op %d iter %d reads undefined v%d instance" ids.(k) iter
-              s.reg
+            report_err "op %d iter %d reads undefined v%d instance" ids.(k) iter reg
           else if ready w src_iter > t then
             report_err
               "op %d iter %d reads v%d[%d] at cycle %d but it is ready only at %d"
-              ids.(k) iter s.reg s.distance t (ready w src_iter)
+              ids.(k) iter reg d t (ready w src_iter)
       done
     done
   done;
   (* Resource occupancy, re-derived from the chosen reservation tables,
      counted per (absolute cycle, resource) over the cycles [lo, hi] the
-     replay touches. *)
-  let cycles =
-    Array.to_list usages
-    |> List.mapi (fun k us ->
-           Array.to_list us
-           |> List.concat_map (fun (at, _, _) ->
-                  [ time.(k) + at; time.(k) + ((trip - 1) * ii) + at ]))
-    |> List.concat
-  in
-  let lo = List.fold_left Int.min max_int cycles in
-  let hi = List.fold_left Int.max (lo - 1) cycles in
+     replay touches: each usage's cycle in the first and last
+     iteration. *)
+  let lo = ref max_int and hi = ref min_int in
+  Array.iteri
+    (fun k us ->
+      for x = 0 to (Array.length us / 3) - 1 do
+        let first = time.(k) + us.(3 * x) in
+        let last = first + ((trip - 1) * ii) in
+        lo := Int.min !lo (Int.min first last);
+        hi := Int.max !hi (Int.max first last)
+      done)
+    usages;
+  let lo = !lo in
+  let hi = Int.max !hi (lo - 1) in
   let occupancy = Array.make ((hi - lo + 1) * nres) 0 in
   for iter = 0 to trip - 1 do
     for k = 0 to Array.length usages - 1 do
-      let t = time.(k) + (iter * ii) in
-      for x = 0 to Array.length usages.(k) - 1 do
-        let at, r, cap = usages.(k).(x) in
+      let t = time.(k) + (iter * ii) and us = usages.(k) in
+      for x = 0 to (Array.length us / 3) - 1 do
+        let at = us.(3 * x) and r = us.((3 * x) + 1) in
         let cell = ((t + at - lo) * nres) + r in
         occupancy.(cell) <- occupancy.(cell) + 1;
-        if occupancy.(cell) = cap + 1 then
+        if occupancy.(cell) = us.((3 * x) + 2) + 1 then
           report_err "resource %s oversubscribed at cycle %d"
             resources.(r).Resource.name (t + at)
       done
@@ -105,9 +128,10 @@ let run ?trip sched =
   (* Completion time: the latest write-back of any register instance. *)
   let completion = ref 0 in
   if trip > 0 then
-    Hashtbl.iter
-      (fun _ w ->
-        completion := Int.max !completion (Int.max (ready w 0) (ready w (trip - 1))))
+    Array.iter
+      (fun w ->
+        if w >= 0 then
+          completion := Int.max !completion (Int.max (ready w 0) (ready w (trip - 1))))
       writer;
   let formula = Schedule.length sched + ((trip - 1) * ii) in
   if !completion > formula then
