@@ -5,6 +5,13 @@ open Ims_core
 (* Diagnostics accumulate in reverse; every entry point reverses once at
    the end. *)
 
+(* How many of the first [x] of [usages] fall on [u]'s (resource, cycle)
+   cell. *)
+let rec same_cell (u : Reservation.usage) x = function
+  | (v : Reservation.usage) :: rest when x > 0 ->
+      Bool.to_int (v.resource = u.resource && v.at = u.at) + same_cell u (x - 1) rest
+  | _ -> 0
+
 let machine (m : Machine.t) =
   let diags = ref [] in
   let bad fmt = Format.kasprintf (fun s -> diags := s :: !diags) fmt in
@@ -29,10 +36,12 @@ let machine (m : Machine.t) =
         (fun k (a : Opcode.alternative) ->
           (* Demand per (resource, cycle) of this single alternative: if
              it already exceeds the multiplicity, no schedule could ever
-             issue the opcode on this unit. *)
-          let demand = Hashtbl.create 8 in
-          List.iter
-            (fun (u : Reservation.usage) ->
+             issue the opcode on this unit.  The [x]-th usage's demand is
+             itself plus the usages before it on its cell (all valid when
+             it is). *)
+          let usages = a.Opcode.table.Reservation.usages in
+          List.iteri
+            (fun x (u : Reservation.usage) ->
               if u.Reservation.resource < 0 || u.Reservation.resource >= n_res
               then
                 bad "opcode %S alternative %d: usage of unknown resource %d"
@@ -41,19 +50,14 @@ let machine (m : Machine.t) =
                 bad "opcode %S alternative %d: usage at negative cycle %d"
                   name k u.Reservation.at
               else begin
-                let key = (u.Reservation.resource, u.Reservation.at) in
-                let n =
-                  1 + Option.value ~default:0 (Hashtbl.find_opt demand key)
-                in
-                Hashtbl.replace demand key n;
                 let r = m.Machine.resources.(u.Reservation.resource) in
-                if n = r.Resource.count + 1 then
+                if 1 + same_cell u x usages = r.Resource.count + 1 then
                   bad
                     "opcode %S alternative %d: table demands more than %d \
                      copies of %s at relative cycle %d"
                     name k r.Resource.count r.Resource.name u.Reservation.at
               end)
-            a.Opcode.table.Reservation.usages)
+            usages)
         oc.Opcode.alternatives)
     (Machine.opcode_names m);
   List.rev !diags
