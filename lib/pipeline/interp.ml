@@ -239,8 +239,8 @@ let locate st r d i =
       else if j < iters && present st ((r * iters) + j) then (r * iters) + j
       else -1
   | Cells _ | File _ ->
-      if not st.body.defined.(r) then -1
-      else if j < 0 then j
+      if j < 0 then j
+      else if not st.body.defined.(r) then -1
       else
         let c = cell st r ~d i in
         if c >= 0 && present st c then c else -1
@@ -589,8 +589,8 @@ let producers body log ~trip (order, cycle) ~cells ~file =
     let j = i - d in
     if !ok_exact && want <> (if j < 0 then j else if j < trip then exact.((r * trip) + j) else -1)
     then ok_exact := false;
-    if (not body.defined.(r)) || j < 0 then begin
-      if want <> (if body.defined.(r) then j else -1) then (ok_cells := false; ok_file := false)
+    if j < 0 || not body.defined.(r) then begin
+      if want <> (if j < 0 then j else -1) then (ok_cells := false; ok_file := false)
     end
     else begin
       if !ok_cells && copies.(copy_cell r j) <> want then ok_cells := false;

@@ -578,9 +578,8 @@ let test_interp_check_matches_replays () =
     | Ok (), Some label -> Alcotest.failf "%s: check passes, %s diverges" name label
     | Error msg, _ -> Alcotest.failf "%s: check fails with %S" name msg
   in
-  (* Besides the fault loops, one that reads a live-in at distance 2:
-     the finite models keep no live-in history, so their replays read
-     instance -1 where the sequential run reads -2, and diverge. *)
+  (* Besides the fault loops, one that reads a live-in at distance 2,
+     which every model resolves to the same live-in instance. *)
   let parse (name, text) = (name, Ims_workloads.Loop_parse.parse machine text) in
   let loops =
     List.map parse
@@ -602,6 +601,25 @@ let test_interp_check_matches_replays () =
     (fun (name, text, ii, times) ->
       Alcotest.(check bool) (name ^ " rejected") false (agree name (hand_schedule text ~ii times)))
     interp_faults
+
+(* [v0] is never written, so [v0[2]] in iteration [i] is live-in
+   instance [i - 2] while [i < 2]; the finite models read the same
+   instance as the sequential run, so [check] and every public replay
+   agree with it. *)
+let test_interp_distant_live_in () =
+  let ddg = Ims_workloads.Loop_parse.parse machine "v1 = fadd v1[1] v0[2]\n" in
+  let s = schedule_of ddg in
+  Alcotest.(check (result unit string)) "check passes" (Ok ()) (Interp.check s);
+  let trip = (3 * Schedule.stage_count s) + 5 in
+  let reference = Interp.run_sequential ddg ~trip in
+  List.iter
+    (fun (label, run) ->
+      Alcotest.(check bool) (label ^ " matches") true (Interp.equivalent reference (run s ~trip)))
+    [
+      ("overlapped issue order", fun s ~trip -> Interp.run_pipelined s ~trip);
+      ("finite MVE registers", fun s ~trip -> Interp.run_mve s ~trip);
+      ("physical rotating file", fun s ~trip -> Interp.run_rotating s ~trip);
+    ]
 
 (* Two operations write [v1] with the same value, and the reader issues
    between them: the overlapped replays read the first write where the
@@ -648,6 +666,7 @@ let interp_tests =
       test_interp_check_matches_replays;
     Alcotest.test_case "interp: equal values, other producers" `Quick
       test_interp_check_equal_values;
+    Alcotest.test_case "interp: distant live-in" `Quick test_interp_distant_live_in;
     QCheck_alcotest.to_alcotest prop_interp_equivalence;
   ]
 
