@@ -218,9 +218,6 @@ let map ?jobs ?timeout ?policy f inputs =
 let map_exn ?jobs ?policy f inputs =
   List.mapi (fun i o -> Outcome.get ~job:i o) (map ?jobs ?policy f inputs)
 
-let casualties outcomes =
-  List.filter (fun o -> not (Outcome.is_done o)) outcomes
-
 let pp_stats ppf s =
   Format.fprintf ppf "%d job%s: %d ok, %d failed, %d timed out" s.jobs
     (if s.jobs = 1 then "" else "s")

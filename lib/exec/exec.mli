@@ -187,9 +187,6 @@ val map_exn :
     replacement for a serial [List.map] whose exceptions were fatal
     anyway. *)
 
-val casualties : 'a Outcome.t list -> 'a Outcome.t list
-(** The non-[Done] outcomes, in job order. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 (** ["N jobs: N ok, N failed, N timed out; N workers, N chunks"], with
     [", N cancelled"] and ["; N retried (N attempts total)"] appended

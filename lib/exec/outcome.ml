@@ -6,10 +6,6 @@ type 'a t =
   | Timed_out of { elapsed : float; limit : float }
   | Cancelled of { elapsed : float; limit : float }
 
-let done_ = function
-  | Done v -> Some v
-  | Failed _ | Timed_out _ | Cancelled _ -> None
-
 let is_done = function
   | Done _ -> true
   | Failed _ | Timed_out _ | Cancelled _ -> false
@@ -46,13 +42,3 @@ let status = function
   | Failed _ -> "failed"
   | Timed_out _ -> "timed_out"
   | Cancelled _ -> "cancelled"
-
-let describe = function
-  | Done _ -> "ok"
-  | Failed e -> "failed: " ^ e.exn
-  | Timed_out { elapsed; limit } ->
-      Printf.sprintf "timed out after %.3fs (limit %.3fs)" elapsed limit
-  | Cancelled { elapsed; limit } ->
-      if limit = infinity then Printf.sprintf "cancelled after %.3fs" elapsed
-      else
-        Printf.sprintf "cancelled after %.3fs (deadline %.3fs)" elapsed limit

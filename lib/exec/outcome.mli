@@ -35,7 +35,6 @@ type 'a t =
           [infinity] when it was cancelled for another reason (run-level
           fail-fast, explicit token). *)
 
-val done_ : 'a t -> 'a option
 val is_done : 'a t -> bool
 val map : ('a -> 'b) -> 'a t -> 'b t
 
@@ -50,6 +49,3 @@ val get_exn : 'a t -> 'a
 val status : 'a t -> string
 (** ["ok"], ["failed"], ["timed_out"] or ["cancelled"] — the stable tag
     exported in JSONL reports. *)
-
-val describe : 'a t -> string
-(** One human-readable line, e.g. ["failed: Failure(\"no schedule\")"]. *)
