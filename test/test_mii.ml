@@ -310,6 +310,44 @@ let prop_rational_below_integer =
           && float_of_int m.Mii.mii < r.Rational.mii +. 1.0
       | exception Ims_graph.Circuits.Limit_exceeded -> true)
 
+(* A closed-form oracle for ResMII (the lower bound of a 2-ALU / 1-MUL /
+   1-MEM VLIW with single-cycle tables): [max(1, ceil(alu/2), mul, mem)]
+   over the loop's op mix.  The ALU is modelled either as one resource of
+   count 2, or as two count-1 units offered as the ALU opcode's two
+   alternatives, which the greedy alternative selection must balance. *)
+let closed_form_machine ~split_alu =
+  let b = Machine.builder "alu2-mul1-mem1" in
+  let alus =
+    if split_alu then
+      [ Machine.add_resource b "ALU0" ~count:1; Machine.add_resource b "ALU1" ~count:1 ]
+    else [ Machine.add_resource b "ALU" ~count:2 ]
+  in
+  let mul = Machine.add_resource b "MUL" ~count:1 in
+  let mem = Machine.add_resource b "MEM" ~count:1 in
+  Machine.add_opcode b ~name:"add" ~latency:1
+    ~alternatives:(List.mapi (fun k r -> (Printf.sprintf "alu%d" k, [ (r, 0) ])) alus);
+  Machine.add_opcode b ~name:"mul" ~latency:3 ~alternatives:[ ("mul", [ (mul, 0) ]) ];
+  Machine.add_opcode b ~name:"load" ~latency:2 ~alternatives:[ ("mem", [ (mem, 0) ]) ];
+  Machine.finish b
+
+let prop_resmii_closed_form ~split_alu =
+  let m = closed_form_machine ~split_alu in
+  QCheck.Test.make ~count:300
+    ~name:
+      (if split_alu then "resmii: closed form, 2 ALU alts"
+       else "resmii: closed form, ALU count 2")
+    QCheck.(list_of_size Gen.(0 -- 40) (int_bound 2))
+    (fun kinds ->
+      let b = Builder.create m in
+      List.iteri
+        (fun i kind ->
+          let v = Builder.vreg b (Printf.sprintf "v%d" i) in
+          ignore (Builder.add b ~opcode:[| "add"; "mul"; "load" |].(kind) ~dsts:[ v ] ~srcs:[] ()))
+        kinds;
+      let count k = List.length (List.filter (( = ) k) kinds) in
+      Resmii.compute (Builder.finish b)
+      = List.fold_left max 1 [ (count 0 + 1) / 2; count 1; count 2 ])
+
 let mii_extension_tests =
   [
     Alcotest.test_case "rational: res" `Quick test_rational_res;
@@ -319,6 +357,8 @@ let mii_extension_tests =
     Alcotest.test_case "rational: recommended unroll" `Quick
       test_recommended_unroll;
     QCheck_alcotest.to_alcotest prop_rational_below_integer;
+    QCheck_alcotest.to_alcotest (prop_resmii_closed_form ~split_alu:false);
+    QCheck_alcotest.to_alcotest (prop_resmii_closed_form ~split_alu:true);
   ]
 
 let tests =
