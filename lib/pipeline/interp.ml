@@ -96,32 +96,51 @@ let dense index key =
       Mem.add index key x;
       x
 
+(* Registers are numbered densely in first-sight order (sources,
+   predicate, destinations, operation by operation), through a flat
+   table over the span of register numbers. *)
 let compile ddg =
-  let index = Mem.create 32 in
-  let dense = dense index in
-  let operands l =
-    ( Array.of_list (List.map (fun (s : Op.operand) -> dense s.reg) l),
-      Array.of_list (List.map (fun (s : Op.operand) -> s.distance) l) )
+  let n = Ddg.n_real ddg in
+  let iter_regs f (o : Op.t) =
+    List.iter (fun (s : Op.operand) -> f s.reg) o.Op.srcs;
+    Option.iter (fun (s : Op.operand) -> f s.reg) o.Op.pred;
+    List.iter f o.Op.dsts
   in
-  let compile_op id =
-    let o = Ddg.op ddg id in
-    let srcs, dists = operands o.Op.srcs in
-    let pred, pred_dist = operands (Option.to_list o.Op.pred) in
-    let pred, pred_dist = if Array.length pred = 0 then (-1, 0) else (pred.(0), pred_dist.(0)) in
+  let lo = ref max_int and hi = ref min_int in
+  for id = 1 to n do
+    iter_regs (fun r -> lo := Int.min !lo r; hi := Int.max !hi r) (Ddg.op ddg id)
+  done;
+  let lo = !lo in
+  let index = Array.make (Int.max 0 (!hi - lo + 1)) (-1) and count = ref 0 in
+  let dense r =
+    if index.(r - lo) < 0 then begin
+      index.(r - lo) <- !count;
+      incr count
+    end;
+    index.(r - lo)
+  in
+  let compile_op k =
+    let o = Ddg.op ddg (k + 1) in
+    let srcs = Array.of_list o.Op.srcs in
+    let dists = Array.map (fun (s : Op.operand) -> s.distance) srcs in
+    let srcs = Array.map (fun (s : Op.operand) -> dense s.reg) srcs in
+    let pred, pred_dist =
+      match o.Op.pred with Some p -> (dense p.reg, p.distance) | None -> (-1, 0)
+    in
     let dsts = Array.of_list (List.map dense o.Op.dsts) in
     { sem = semantics o; srcs; dists; pred; pred_dist; dsts }
   in
-  let ops = Array.of_list (List.map compile_op (Ddg.real_ids ddg)) in
-  let reg = Array.make (Mem.length index) 0 in
-  Mem.iter (fun r x -> reg.(x) <- r) index;
-  let defined = Array.make (Array.length reg) false in
+  let ops = Array.init n compile_op in
+  let reg = Array.make !count 0 and defined = Array.make !count false in
+  Array.iteri (fun i x -> if x >= 0 then reg.(x) <- i + lo) index;
   Array.iter (fun o -> Array.iter (fun r -> defined.(r) <- true) o.dsts) ops;
-  let written =
-    List.filter (Array.get defined) (List.init (Array.length reg) Fun.id)
-    |> List.sort (fun a b -> Int.compare reg.(a) reg.(b))
-  in
+  let written = ref [] in
+  for i = Array.length index - 1 downto 0 do
+    let x = index.(i) in
+    if x >= 0 && defined.(x) then written := x :: !written
+  done;
   let arity = Array.fold_left (fun m o -> Int.max m (Array.length o.srcs)) 1 ops in
-  { ops; reg; defined; written = Array.of_list written; args = Array.make arity 0.0 }
+  { ops; reg; defined; written = Array.of_list !written; args = Array.make arity 0.0 }
 
 (* --- register models -------------------------------------------------------
 
@@ -576,9 +595,15 @@ let producers body log ~trip (order, cycle) ~cells ~file =
   let size, base =
     match file with Some (File { size; base }) -> (size, base) | _ -> (1, Array.make nr (-1))
   in
-  let copy_cell r j = if spread.(r) then (r * unroll) + (j mod unroll) else r * unroll
+  (* Instance [j]'s kernel copy and rotation, tabled for [0 <= j < trip],
+     with the bases reduced into [0, size): no division per access. *)
+  let copy = Array.init trip (fun j -> j mod unroll)
+  and turn = Array.init trip (fun j -> j mod size)
+  and base = Array.map (fun b -> if b < 0 then -1 else b mod size) base in
+  let copy_cell r j = if spread.(r) then (r * unroll) + copy.(j) else r * unroll
   and file_cell r j =
-    if base.(r) < 0 then -1 else (((base.(r) - j) mod size) + size) mod size
+    let b = base.(r) and t = turn.(j) in
+    if b < 0 then -1 else if b >= t then b - t else b - t + size
   in
   let exact = Array.make (nr * trip) (-1) and copies = Array.make (nr * unroll) (-1) in
   let rotating = Array.make size (-1) and memory = Array.make (Mem.length log.index) (-1) in
