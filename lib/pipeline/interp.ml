@@ -54,6 +54,7 @@ type body = {
   reg : int array;  (** Dense register -> original number. *)
   defined : bool array;
   written : int array;  (** Defined registers, ascending original number. *)
+  accesses : int;  (** Loads and stores per iteration. *)
   args : float array;  (** Operand scratch. *)
 }
 
@@ -140,7 +141,10 @@ let compile ddg =
     if x >= 0 && defined.(x) then written := x :: !written
   done;
   let arity = Array.fold_left (fun m o -> Int.max m (Array.length o.srcs)) 1 ops in
-  { ops; reg; defined; written = Array.of_list !written; args = Array.make arity 0.0 }
+  let accesses =
+    Array.fold_left (fun a o -> match o.sem with Store | Load -> a + 1 | _ -> a) 0 ops
+  in
+  { ops; reg; defined; written = Array.of_list !written; accesses; args = Array.make arity 0.0 }
 
 (* --- register models -------------------------------------------------------
 
@@ -182,11 +186,10 @@ type log = {
 
 let new_log body ~trip =
   let n = Array.length body.ops in
-  let slot = Array.make (n + 1) 0 and memory = ref 0 in
+  let slot = Array.make (n + 1) 0 in
   Array.iteri
     (fun k o ->
       let extra = match o.sem with Store -> 1 | Load -> 2 | _ -> 0 in
-      if extra > 0 then incr memory;
       slot.(k + 1) <- slot.(k) + Array.length o.srcs + extra + if o.pred >= 0 then 1 else 0)
     body.ops;
   {
@@ -196,7 +199,7 @@ let new_log body ~trip =
     executed = Bytes.make (n * trip) '\000';
     writer = Array.make (Array.length body.reg * trip) (-1);
     index = Mem.create 16;
-    stores = Array.make (!memory * trip) (-1);
+    stores = Array.make (body.accesses * trip) (-1);
     id = 0;
     pos = 0;
   }
@@ -207,11 +210,17 @@ type state = {
   model : model;
   vals : float array;
   has : Bytes.t;
-  mem : float Mem.t;  (** Memory cells by address. *)
+  addr : int Mem.t;
+      (** Address -> dense index, allocated by the first load or store
+          of the address; the log's own when recording. *)
+  mem : float array;  (** Dense address -> the value stored there. *)
+  stored : Bytes.t;  (** Dense address -> a store wrote it. *)
   log : log option;  (** Recording a [Walk] run. *)
 }
 
-let start ?log body ~seed model =
+(* A replay of [iters] iterations: each access finds at most one new
+   address, so [accesses * iters] dense addresses suffice. *)
+let start ?log body ~seed ~iters model =
   let cells =
     match model with
     | Walk iters | Exact iters -> Array.length body.reg * Int.max 0 iters
@@ -219,7 +228,10 @@ let start ?log body ~seed model =
     | File { size; _ } -> size
   in
   let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
-  { body; seed; model; vals; has; mem = Mem.create 64; log }
+  let addresses = body.accesses * Int.max 0 iters in
+  let addr = match log with Some (l : log) -> l.index | None -> Mem.create 16 in
+  let mem = Array.make addresses 0.0 and stored = Bytes.make addresses '\000' in
+  { body; seed; model; vals; has; addr; mem; stored; log }
 
 let present st c = Bytes.get st.has c <> '\000'
 
@@ -314,24 +326,24 @@ let issue st ~result ~slot k i =
       | Pred_set -> if a.(0) <> 0.0 then 1.0 else 0.0
       | Pred_reset -> if a.(0) <> 0.0 then 0.0 else 1.0
       | Store ->
-          let addr = int_of_float a.(0) in
+          let x = dense st.addr (int_of_float a.(0)) in
           (match st.log with
           | Some l ->
-              let x = dense l.index addr in
               l.seen.(l.pos) <- x;
               l.stores.(x) <- l.id
           | None -> ());
-          Mem.replace st.mem addr a.(1);
+          st.mem.(x) <- a.(1);
+          Bytes.set st.stored x '\001';
           0.0
-      | Load -> (
+      | Load ->
           let addr = int_of_float a.(0) in
+          let x = dense st.addr addr in
           (match st.log with
           | Some l ->
-              let x = dense l.index addr in
               l.seen.(l.pos) <- x;
               l.seen.(l.pos + 1) <- l.stores.(x)
           | None -> ());
-          match Mem.find_opt st.mem addr with Some v -> v | None -> default_cell addr)
+          if Bytes.get st.stored x <> '\000' then st.mem.(x) else default_cell addr
       | Branch -> 0.0
       | Unknown msg -> raise (Unsupported msg));
     match o.sem with Store | Branch -> false | _ -> true
@@ -363,7 +375,11 @@ let outcome st ~trip =
     in
     if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
   in
-  let memory = Mem.fold (fun addr v acc -> (addr, v) :: acc) st.mem [] in
+  let memory =
+    Mem.fold
+      (fun addr x acc -> if Bytes.get st.stored x <> '\000' then (addr, st.mem.(x)) :: acc else acc)
+      st.addr []
+  in
   {
     memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) memory;
     finals = List.filter_map final (Array.to_list st.body.written);
@@ -376,7 +392,7 @@ let outcome st ~trip =
    operations after the exit do not execute.  [exit_op = 0] (START)
    never exits.  Returns the state and the exit iteration. *)
 let sequential ?log body ~seed ~exit_op ~max_trip =
-  let st = start ?log body ~seed (Walk max_trip) and result = body.args in
+  let st = start ?log body ~seed ~iters:max_trip (Walk max_trip) and result = body.args in
   let exit_iter = ref max_trip and i = ref 0 in
   while !i < max_trip && !exit_iter = max_trip do
     let k = ref 0 in
@@ -509,7 +525,7 @@ let overlapped ?(fn = "Interp") ~seed sched ~trip model =
   let body = compile sched.Schedule.ddg in
   let model = model body in
   if not (supports body) then partially_defined fn;
-  outcome (replay (start body ~seed model) (issue_order sched ~iters:trip)) ~trip
+  outcome (replay (start body ~seed ~iters:trip model) (issue_order sched ~iters:trip)) ~trip
 
 let run_pipelined ?(seed = 42) sched ~trip =
   overlapped ~fn:"Interp.run_pipelined" ~seed sched ~trip (fun _ -> Exact trip)
@@ -558,7 +574,7 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
     || (i > exit_iter && Schedule.time sched (k + 1) + (i * ii) < resolve_time)
   in
   let iters = Int.min max_trip (exit_iter + Schedule.stage_count sched + 1) in
-  let st = replay (start body ~seed (Exact iters)) (issue_order ~keep sched ~iters) in
+  let st = replay (start body ~seed ~iters (Exact iters)) (issue_order ~keep sched ~iters) in
   (outcome st ~trip:(exit_trip ~max_trip exit_iter), exit_iter)
 
 (* --- the producer pass -------------------------------------------------------
@@ -763,7 +779,7 @@ let check ?(seed = 42) ?metrics ?trip sched =
         else
           let order = Lazy.force order in
           let model = match Lazy.force model with Ok m -> m | Error e -> raise e in
-          let b = outcome (replay (start body ~seed model) order) ~trip in
+          let b = outcome (replay (start body ~seed ~iters:trip model) order) ~trip in
           let reference = Lazy.force reference in
           if equivalent reference b then Ok ()
           else
