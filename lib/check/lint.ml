@@ -25,9 +25,12 @@ let machine (m : Machine.t) =
           r.Resource.count)
     m.Machine.resources;
   let n_res = Machine.num_resources m in
-  List.iter
-    (fun name ->
-      let oc = Machine.opcode m name in
+  (* Opcodes are checked in table order, each into a list of its own;
+     only the lists that are not empty are sorted, into name order. *)
+  let resource_diags = !diags and per_opcode = ref [] in
+  Hashtbl.iter
+    (fun name (oc : Opcode.t) ->
+      diags := [];
       if oc.Opcode.latency < 0 then
         bad "opcode %S: negative latency %d" name oc.Opcode.latency;
       if oc.Opcode.alternatives = [] then
@@ -37,8 +40,9 @@ let machine (m : Machine.t) =
           (* Demand per (resource, cycle) of this single alternative: if
              it already exceeds the multiplicity, no schedule could ever
              issue the opcode on this unit.  The [x]-th usage's demand is
-             itself plus the usages before it on its cell (all valid when
-             it is). *)
+             itself plus the usages before it on its cell (as valid as it
+             is), so the usage that first exceeds the count is the one
+             whose predecessors on the cell already fill it. *)
           let usages = a.Opcode.table.Reservation.usages in
           List.iteri
             (fun x (u : Reservation.usage) ->
@@ -51,18 +55,33 @@ let machine (m : Machine.t) =
                   name k u.Reservation.at
               else begin
                 let r = m.Machine.resources.(u.Reservation.resource) in
-                if 1 + same_cell u x usages = r.Resource.count + 1 then
+                if same_cell u x usages = r.Resource.count then
                   bad
                     "opcode %S alternative %d: table demands more than %d \
                      copies of %s at relative cycle %d"
                     name k r.Resource.count r.Resource.name u.Reservation.at
               end)
             usages)
-        oc.Opcode.alternatives)
-    (Machine.opcode_names m);
-  List.rev !diags
+        oc.Opcode.alternatives;
+      if !diags <> [] then per_opcode := (name, !diags) :: !per_opcode)
+    m.Machine.opcodes;
+  List.rev
+    (List.fold_left
+       (fun acc (_, ds) -> ds @ acc)
+       resource_diags
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) !per_opcode))
 
-let ddg (g : Ddg.t) =
+(* Each operation's opcode, looked up once: [None] if the machine does
+   not declare it. *)
+let opcodes (g : Ddg.t) =
+  Array.map
+    (fun (o : Op.t) ->
+      match Machine.opcode g.Ddg.machine o.Op.opcode with
+      | oc -> Some oc
+      | exception Machine.Unknown_opcode _ -> None)
+    g.Ddg.ops
+
+let ddg_with opcodes (g : Ddg.t) =
   let diags = ref [] in
   let bad fmt = Format.kasprintf (fun s -> diags := s :: !diags) fmt in
   let n = Ddg.n_total g in
@@ -75,20 +94,17 @@ let ddg (g : Ddg.t) =
     bad "vertex 0 is not the START pseudo-operation";
   if n >= 2 && not (Op.is_pseudo g.Ddg.ops.(n - 1)) then
     bad "vertex %d is not the STOP pseudo-operation" (n - 1);
-  List.iter
-    (fun i ->
-      let o = Ddg.op g i in
-      (match Machine.opcode g.Ddg.machine o.Op.opcode with
-      | exception Machine.Unknown_opcode _ ->
-          bad "op %d: opcode %S is not in machine %S" i o.Op.opcode
-            g.Ddg.machine.Machine.name
-      | _ -> ());
-      List.iter
-        (fun (s : Op.operand) ->
-          if s.Op.distance < 0 then
-            bad "op %d: negative operand distance on v%d" i s.Op.reg)
-        o.Op.srcs)
-    (Ddg.real_ids g);
+  for i = 1 to Ddg.n_real g do
+    let o = Ddg.op g i in
+    if Option.is_none opcodes.(i) then
+      bad "op %d: opcode %S is not in machine %S" i o.Op.opcode
+        g.Ddg.machine.Machine.name;
+    List.iter
+      (fun (s : Op.operand) ->
+        if s.Op.distance < 0 then
+          bad "op %d: negative operand distance on v%d" i s.Op.reg)
+      o.Op.srcs
+  done;
   let succ_edges = ref 0 and pred_edges = ref 0 in
   Array.iteri
     (fun v es ->
@@ -122,8 +138,11 @@ let ddg (g : Ddg.t) =
       !pred_edges;
   List.rev !diags
 
+let ddg g = ddg_with (opcodes g) g
+
 let schedule (s : Schedule.t) =
   let g = s.Schedule.ddg in
+  let opcodes = opcodes g in
   let diags = ref [] in
   let bad fmt = Format.kasprintf (fun s -> diags := s :: !diags) fmt in
   if s.Schedule.ii < 1 then bad "II %d is not positive" s.Schedule.ii;
@@ -132,12 +151,12 @@ let schedule (s : Schedule.t) =
       if e.Schedule.time < 0 then
         bad "op %d scheduled at negative time %d" i e.Schedule.time;
       if i < Array.length g.Ddg.ops then
-        match Machine.opcode g.Ddg.machine g.Ddg.ops.(i).Op.opcode with
-        | exception Machine.Unknown_opcode _ -> () (* reported by the ddg lint *)
-        | oc ->
+        match opcodes.(i) with
+        | None -> () (* reported by the ddg lint *)
+        | Some oc ->
             let na = Opcode.num_alternatives oc in
             if e.Schedule.alt < 0 || e.Schedule.alt >= na then
               bad "op %d: alternative %d out of range (opcode %S has %d)" i
                 e.Schedule.alt g.Ddg.ops.(i).Op.opcode na)
     s.Schedule.entries;
-  machine g.Ddg.machine @ ddg g @ List.rev !diags
+  machine g.Ddg.machine @ ddg_with opcodes g @ List.rev !diags
