@@ -8,7 +8,8 @@
      same random command sequences, requiring every observable to agree;
    - a [Gc.allocated_bytes] assertion that the compiled admission probe
      [Mrt.fits_c] allocates nothing, on both probe paths, and minor-word
-     ceilings on the checker replays [Interp.check] and [Simulator.run];
+     ceilings on the four checkers ([Interp.check], [Simulator.run],
+     [Schedule.verify], [Lint.schedule]);
    - a counter-regression gate pinning the inner-loop work
      (estart / findslot / mindist / mindist_inc / mrt_bitprobe) of every
      Livermore kernel, so an accidental algorithmic regression fails
@@ -179,21 +180,26 @@ let test_fits_c_allocation_free () =
 
 (* --- checker replay allocation ceilings ----------------------------------- *)
 
-(* Minor-heap words per call of the two checker replays.  The replays
-   run over flat per-schedule arrays; the ceilings stop per-instance
-   allocation (tuple or string hashtable keys, closures, list-built
-   operand vectors) from creeping back.  Measured this way, Interp.check
-   takes 3,969 words on lfk03 and 15,205 on lfk07, and Simulator.run
-   1,361 and 5,310.  Before Interp.check proved its register models by
-   producer identity, its three value replays took 5,675 and 26,285.
-   The hashtable replays before those took 138,979 (Interp) and 11,280
-   (Simulator) on lfk03, and 636,447 and 46,304 on lfk07.  Arrays past
-   the minor heap's size limit are allocated on the major heap and not
-   counted. *)
+(* Minor-heap words per call of the four checkers.  They build their
+   tables from the schedule once, in flat arrays; the ceilings stop
+   per-instance allocation (tuple or string hashtable keys, closures,
+   list-built operand vectors, a hash table per reservation table) from
+   creeping back.  Measured this way, Interp.check takes 2,868 words on
+   lfk03 and 10,031 on lfk07, Simulator.run 708 and 2,420,
+   Schedule.verify 360 and 1,390, and Lint.schedule 738 and 1,458.
+   Before the checkers shared one lifetime analysis and dropped their
+   per-call hash tables, Interp.check took 3,969 and 15,205,
+   Simulator.run 1,361 and 5,310, Schedule.verify 1,731 and 3,283, and
+   Lint.schedule 1,981 and 2,761.  Before Interp.check proved its
+   register models by producer identity, its three value replays took
+   5,675 and 26,285.  The hashtable replays before those took 138,979
+   (Interp) and 11,280 (Simulator) on lfk03, and 636,447 and 46,304 on
+   lfk07.  Arrays past the minor heap's size limit are allocated on the
+   major heap and not counted. *)
 let test_replay_allocation_ceilings () =
   let machine = Machine.cydra5 () in
   List.iter
-    (fun (name, interp_ceiling, sim_ceiling) ->
+    (fun (name, interp_ceiling, sim_ceiling, verify_ceiling, lint_ceiling) ->
       match (Ims.modulo_schedule (Lfk.build machine name)).Ims.schedule with
       | None -> Alcotest.failf "%s: no schedule" name
       | Some s ->
@@ -211,8 +217,10 @@ let test_replay_allocation_ceilings () =
           check "Interp.check" (words (fun () -> Ims_pipeline.Interp.check s))
             interp_ceiling;
           check "Simulator.run" (words (fun () -> Ims_pipeline.Simulator.run s))
-            sim_ceiling)
-    [ ("lfk03", 6_000, 2_000); ("lfk07", 23_000, 8_000) ]
+            sim_ceiling;
+          check "Schedule.verify" (words (fun () -> Schedule.verify s)) verify_ceiling;
+          check "Lint.schedule" (words (fun () -> Ims_check.Lint.schedule s)) lint_ceiling)
+    [ ("lfk03", 4_300, 1_100, 550, 1_100); ("lfk07", 15_000, 3_600, 2_100, 2_200) ]
 
 (* --- counter-regression gate -------------------------------------------- *)
 
