@@ -39,10 +39,9 @@ let machine (m : Machine.t) =
         (fun k (a : Opcode.alternative) ->
           (* Demand per (resource, cycle) of this single alternative: if
              it already exceeds the multiplicity, no schedule could ever
-             issue the opcode on this unit.  The [x]-th usage's demand is
-             itself plus the usages before it on its cell (as valid as it
-             is), so the usage that first exceeds the count is the one
-             whose predecessors on the cell already fill it. *)
+             issue the opcode on this unit.  It is reported once, at the
+             first usage whose earlier usages on the same cell already
+             fill the resource. *)
           let usages = a.Opcode.table.Reservation.usages in
           List.iteri
             (fun x (u : Reservation.usage) ->

@@ -13,6 +13,17 @@ let stop t = Array.length t.ops - 1
 let n_total t = Array.length t.ops
 let n_real t = Array.length t.ops - 2
 let real_ids t = List.init (n_real t) (fun i -> i + 1)
+
+let reg_span t =
+  let lo = ref max_int and hi = ref min_int in
+  let see r = lo := Int.min !lo r; hi := Int.max !hi r in
+  for i = 1 to n_real t do
+    let o = t.ops.(i) in
+    List.iter see o.Op.dsts;
+    List.iter (fun (s : Op.operand) -> see s.reg) o.Op.srcs;
+    Option.iter (fun (s : Op.operand) -> see s.reg) o.Op.pred
+  done;
+  (!lo, !hi)
 let op t i = t.ops.(i)
 let latency t i = Machine.latency t.machine t.ops.(i).Op.opcode
 let is_pseudo t i = i = start || i = stop t

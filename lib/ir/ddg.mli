@@ -40,6 +40,11 @@ val n_real : t -> int
 val real_ids : t -> int list
 (** Ids [1 .. n_real]. *)
 
+val reg_span : t -> int * int
+(** [(lo, hi)]: the least and the greatest register number a real
+    operation reads or writes ([hi < lo] when none does), so that flat
+    per-register tables can be indexed by [reg - lo]. *)
+
 val op : t -> int -> Op.t
 val latency : t -> int -> int
 

@@ -101,18 +101,8 @@ let dense index key =
    predicate, destinations, operation by operation), through a flat
    table over the span of register numbers. *)
 let compile ddg =
-  let n = Ddg.n_real ddg in
-  let iter_regs f (o : Op.t) =
-    List.iter (fun (s : Op.operand) -> f s.reg) o.Op.srcs;
-    Option.iter (fun (s : Op.operand) -> f s.reg) o.Op.pred;
-    List.iter f o.Op.dsts
-  in
-  let lo = ref max_int and hi = ref min_int in
-  for id = 1 to n do
-    iter_regs (fun r -> lo := Int.min !lo r; hi := Int.max !hi r) (Ddg.op ddg id)
-  done;
-  let lo = !lo in
-  let index = Array.make (Int.max 0 (!hi - lo + 1)) (-1) and count = ref 0 in
+  let n = Ddg.n_real ddg and lo, hi = Ddg.reg_span ddg in
+  let index = Array.make (Int.max 0 (hi - lo + 1)) (-1) and count = ref 0 in
   let dense r =
     if index.(r - lo) < 0 then begin
       index.(r - lo) <- !count;

@@ -12,31 +12,16 @@ type range = {
 
 let cdiv a b = (a + b - 1) / b
 
-(* Apply [f reg read_time] to every operand and predicate read of
-   operation [o] issued at [t]. *)
-let iter_reads f ~ii t (o : Op.t) =
-  let read (s : Op.operand) = f s.reg (t + (ii * s.distance)) in
-  List.iter read o.Op.srcs;
-  Option.iter read o.Op.pred
-
-(* One pass finds the register span, a second fills flat per-register
-   tables indexed by [reg - lo]: the earliest definition (ties to the
-   highest id, as operations are visited in id order), and the latest
-   read. *)
+(* Flat per-register tables indexed by [reg - lo]: the earliest
+   definition (ties to the highest id, as operations are visited in id
+   order), and the latest read. *)
 let analyze sched =
   let ddg = sched.Schedule.ddg and ii = sched.Schedule.ii in
-  let n = Ddg.n_real ddg in
-  let lo = ref max_int and hi = ref min_int in
-  let span r = lo := Int.min !lo r; hi := Int.max !hi r in
-  for i = 1 to n do
-    let o = Ddg.op ddg i in
-    List.iter span o.Op.dsts;
-    iter_reads (fun r _ -> span r) ~ii:0 0 o
-  done;
-  let lo = !lo and width = Int.max 0 (!hi - !lo + 1) in
+  let lo, hi = Ddg.reg_span ddg in
+  let width = Int.max 0 (hi - lo + 1) in
   let def_op = Array.make width (-1) and def_time = Array.make width 0 in
   let last_use = Array.make width min_int in
-  for i = 1 to n do
+  for i = 1 to Ddg.n_real ddg do
     let o = Ddg.op ddg i and t = Schedule.time sched i in
     List.iter
       (fun v ->
@@ -46,7 +31,11 @@ let analyze sched =
           def_time.(x) <- t
         end)
       o.Op.dsts;
-    iter_reads (fun r read_time -> last_use.(r - lo) <- Int.max last_use.(r - lo) read_time) ~ii t o
+    let read (s : Op.operand) =
+      last_use.(s.reg - lo) <- Int.max last_use.(s.reg - lo) (t + (ii * s.distance))
+    in
+    List.iter read o.Op.srcs;
+    Option.iter read o.Op.pred
   done;
   let ranges = ref [] in
   for x = width - 1 downto 0 do

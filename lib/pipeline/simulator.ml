@@ -48,17 +48,10 @@ let run ?trip sched =
   in
   (* Write-back time of register [v] in iteration [j]: its last writer
      [k] in program order completes at [time + j * II + latency].
-     [writer] holds it by [v - low] over the span of defined registers
-     ([-1]: not defined). *)
-  let low = ref max_int and high = ref min_int in
-  Array.iter
-    (fun o ->
-      List.iter (fun v -> low := Int.min !low v; high := Int.max !high v) o.Op.dsts)
-    ops;
-  let low = !low and high = !high in
+     [writer] holds it by [v - low] ([-1]: not defined). *)
+  let low, high = Ddg.reg_span ddg in
   let writer = Array.make (Int.max 0 (high - low + 1)) (-1) in
   Array.iteri (fun k o -> List.iter (fun v -> writer.(v - low) <- k) o.Op.dsts) ops;
-  let writer_of v = if v < low || v > high then -1 else writer.(v - low) in
   let ready k j = time.(k) + (j * ii) + latency.(k) in
   (* Per operation, every operand read (sources, then the predicate) as
      packed (register, distance, writer) triples; writer -1 is a
@@ -72,7 +65,7 @@ let run ?trip sched =
           (fun x (s : Op.operand) ->
             packed.(3 * x) <- s.reg;
             packed.((3 * x) + 1) <- s.distance;
-            packed.((3 * x) + 2) <- writer_of s.reg)
+            packed.((3 * x) + 2) <- writer.(s.reg - low))
           operands;
         packed)
       ops
