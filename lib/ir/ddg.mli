@@ -42,8 +42,9 @@ val real_ids : t -> int list
 
 val reg_span : t -> int * int
 (** [(lo, hi)]: the least and the greatest register number a real
-    operation reads or writes ([hi < lo] when none does), so that flat
-    per-register tables can be indexed by [reg - lo]. *)
+    operation reads or writes ([(0, -1)] when none does), so that flat
+    per-register tables of [hi - lo + 1] entries can be indexed by
+    [reg - lo]. *)
 
 val op : t -> int -> Op.t
 val latency : t -> int -> int

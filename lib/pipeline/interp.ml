@@ -102,7 +102,7 @@ let dense index key =
    table over the span of register numbers. *)
 let compile ddg =
   let n = Ddg.n_real ddg and lo, hi = Ddg.reg_span ddg in
-  let index = Array.make (Int.max 0 (hi - lo + 1)) (-1) and count = ref 0 in
+  let index = Array.make (hi - lo + 1) (-1) and count = ref 0 in
   let dense r =
     if index.(r - lo) < 0 then begin
       index.(r - lo) <- !count;

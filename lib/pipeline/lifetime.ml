@@ -18,7 +18,7 @@ let cdiv a b = (a + b - 1) / b
 let analyze sched =
   let ddg = sched.Schedule.ddg and ii = sched.Schedule.ii in
   let lo, hi = Ddg.reg_span ddg in
-  let width = Int.max 0 (hi - lo + 1) in
+  let width = hi - lo + 1 in
   let def_op = Array.make width (-1) and def_time = Array.make width 0 in
   let last_use = Array.make width min_int in
   for i = 1 to Ddg.n_real ddg do

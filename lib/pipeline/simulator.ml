@@ -50,7 +50,7 @@ let run ?trip sched =
      [k] in program order completes at [time + j * II + latency].
      [writer] holds it by [v - low] ([-1]: not defined). *)
   let low, high = Ddg.reg_span ddg in
-  let writer = Array.make (Int.max 0 (high - low + 1)) (-1) in
+  let writer = Array.make (high - low + 1) (-1) in
   Array.iteri (fun k o -> List.iter (fun v -> writer.(v - low) <- k) o.Op.dsts) ops;
   let ready k j = time.(k) + (j * ii) + latency.(k) in
   (* Per operation, every operand read (sources, then the predicate) as

@@ -574,6 +574,18 @@ let rendering_tests =
       test_op_pp_includes_imm_and_pred;
   ]
 
+(* The register span covers sources, predicates and destinations. *)
+let test_reg_span () =
+  Alcotest.(check (pair int int)) "no registers" (0, -1)
+    (Ddg.reg_span (Builder.finish (Builder.create machine)));
+  let b = Builder.create machine in
+  let x = Builder.vreg b "x" and p = Builder.vreg b "p" and y = Builder.vreg b "y" in
+  ignore (Builder.add b ~opcode:"fadd" ~pred:(p, 0) ~dsts:[ y ] ~srcs:[ (x, 1) ] ());
+  Alcotest.(check (pair int int)) "sources, predicate, destination"
+    (let ids = List.map (Builder.reg_id b) [ x; p; y ] in
+     (List.fold_left min max_int ids, List.fold_left max min_int ids))
+    (Ddg.reg_span (Builder.finish b))
+
 let tests =
   ( "ir",
     [
@@ -611,4 +623,5 @@ let tests =
         test_if_conversion_nested_predicates_guarded;
       QCheck_alcotest.to_alcotest prop_builder_flow_edges_forward;
     ]
-    @ ir_extension_tests @ speculate_tests @ rendering_tests )
+    @ ir_extension_tests @ speculate_tests @ rendering_tests
+    @ [ Alcotest.test_case "ddg: register span" `Quick test_reg_span ] )
