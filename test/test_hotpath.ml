@@ -184,8 +184,8 @@ let test_fits_c_allocation_free () =
    tables from the schedule once, in flat arrays; the ceilings stop
    per-instance allocation (tuple or string hashtable keys, closures,
    list-built operand vectors, a hash table per reservation table) from
-   creeping back.  Measured this way, Interp.check takes 2,868 words on
-   lfk03 and 10,031 on lfk07, Simulator.run 708 and 2,420,
+   creeping back.  Measured this way, Interp.check takes 2,762 words on
+   lfk03 and 9,535 on lfk07, Simulator.run 742 and 2,577,
    Schedule.verify 360 and 1,390, and Lint.schedule 738 and 1,458.
    Before the checkers shared one lifetime analysis and dropped their
    per-call hash tables, Interp.check took 3,969 and 15,205,
@@ -220,7 +220,7 @@ let test_replay_allocation_ceilings () =
             sim_ceiling;
           check "Schedule.verify" (words (fun () -> Schedule.verify s)) verify_ceiling;
           check "Lint.schedule" (words (fun () -> Ims_check.Lint.schedule s)) lint_ceiling)
-    [ ("lfk03", 4_300, 1_100, 550, 1_100); ("lfk07", 15_000, 3_600, 2_100, 2_200) ]
+    [ ("lfk03", 4_200, 1_100, 550, 1_100); ("lfk07", 14_500, 3_900, 2_100, 2_200) ]
 
 (* --- counter-regression gate -------------------------------------------- *)
 
