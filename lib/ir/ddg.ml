@@ -24,6 +24,7 @@ let reg_span t =
     Option.iter (fun (s : Op.operand) -> see s.reg) o.Op.pred
   done;
   if !hi < !lo then (0, -1) else (!lo, !hi)
+
 let op t i = t.ops.(i)
 let latency t i = Machine.latency t.machine t.ops.(i).Op.opcode
 let is_pseudo t i = i = start || i = stop t
