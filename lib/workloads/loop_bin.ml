@@ -234,11 +234,6 @@ let get_str r len what =
 let get_str8 r what = get_str r (get_u8 r what) what
 let get_str16 r what = get_str r (get_u16 r what) what
 
-let get_operand r what =
-  let reg = get_u32 r what in
-  let distance = get_u32 r what in
-  { Op.reg; distance }
-
 let decode ?(base = 0) machine payload =
   let r = { s = payload; base; pos = 0 } in
   let name = get_str16 r "loop name" in
@@ -250,15 +245,22 @@ let decode ?(base = 0) machine payload =
   let regs =
     Array.init nregs (fun k -> Builder.vreg b (Printf.sprintf "v%d" k))
   in
-  let vreg reg =
+  (* A bad register is reported at the start of its own field, like
+     every other malformed field. *)
+  let check_reg at reg =
     if reg >= nregs then
-      corrupt (base + r.pos) "register v%d out of range (%d declared)"
-        reg nregs
+      corrupt at "register v%d out of range (%d declared)" reg nregs
     else regs.(reg)
   in
+  let vreg what =
+    let at = base + r.pos in
+    check_reg at (get_u32 r what)
+  in
   let operand what =
-    let o = get_operand r what in
-    (vreg o.Op.reg, o.Op.distance)
+    let at = base + r.pos in
+    let reg = get_u32 r what in
+    let distance = get_u32 r what in
+    (check_reg at reg, distance)
   in
   let nops = get_u16 r "operation count" in
   let refs =
@@ -266,7 +268,7 @@ let decode ?(base = 0) machine payload =
         let at = base + r.pos in
         let opcode = get_str8 r "opcode" in
         let ndsts = get_u8 r "destination count" in
-        let dsts = List.init ndsts (fun _ -> vreg (get_u32 r "dst reg")) in
+        let dsts = List.init ndsts (fun _ -> vreg "dst reg") in
         let nsrcs = get_u8 r "source count" in
         let srcs = List.init nsrcs (fun _ -> operand "src operand") in
         let pred =

@@ -142,6 +142,60 @@ let test_bad_magic () =
   | exception Loop_bin.Corrupt { offset; _ } ->
       Alcotest.(check int) "offset of the magic" 0 offset
 
+(* A one-operation payload, "fadd v<dst> <- v<src> if v<pred>", laid out
+   by hand so that every field's offset is known:
+
+     0 name length | 2 "t" | 3 model | 4 register count (2) |
+     8 operation count (1) | 10 opcode length | 11 "fadd" |
+     15 destination count | 16 dst | 20 source count | 21 src | 25 its
+     distance | 29 predicate flag | 30 pred | 34 its distance |
+     38 immediate flag | 39 tag length | 41 dependence count *)
+let one_op_payload ~dst ~src ~pred =
+  let b = Buffer.create 48 in
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  Buffer.add_uint16_le b 1;
+  Buffer.add_string b "t";
+  Buffer.add_uint8 b 0;
+  u32 2;
+  Buffer.add_uint16_le b 1;
+  Buffer.add_uint8 b 4;
+  Buffer.add_string b "fadd";
+  Buffer.add_uint8 b 1;
+  u32 dst;
+  Buffer.add_uint8 b 1;
+  u32 src;
+  u32 0;
+  Buffer.add_uint8 b 1;
+  u32 pred;
+  u32 0;
+  Buffer.add_uint8 b 0;
+  Buffer.add_uint16_le b 0;
+  u32 0;
+  Buffer.contents b
+
+(* An out-of-range register is reported at the start of its own field,
+   like every other malformed field of a record. *)
+let test_register_offsets () =
+  ignore (Loop_bin.decode machine (one_op_payload ~dst:0 ~src:1 ~pred:1));
+  List.iter
+    (fun (what, payload, at) ->
+      match Loop_bin.decode machine payload with
+      | _ -> Alcotest.failf "%s register v7 accepted" what
+      | exception (Loop_bin.Corrupt { offset; _ } as e) ->
+          Alcotest.(check int) (what ^ " register offset") at offset;
+          Alcotest.(check string)
+            (what ^ " register message")
+            (Printf.sprintf
+               "corrupt loop record at byte %d: register v7 out of range (2 \
+                declared)"
+               at)
+            (Printexc.to_string e))
+    [
+      ("destination", one_op_payload ~dst:7 ~src:1 ~pred:1, 16);
+      ("source", one_op_payload ~dst:0 ~src:7 ~pred:1, 21);
+      ("predicate", one_op_payload ~dst:0 ~src:1 ~pred:7, 30);
+    ]
+
 (* --- Corpus: sharded generation --------------------------------------------- *)
 
 (* Shard generation is byte-deterministic: generating only the residue
@@ -347,6 +401,8 @@ let tests =
       Alcotest.test_case "future format version refused at offset 4" `Quick
         test_version_skew;
       Alcotest.test_case "bad magic refused at offset 0" `Quick test_bad_magic;
+      Alcotest.test_case "bad register refused at its field's offset" `Quick
+        test_register_offsets;
       Alcotest.test_case "shard generation byte-deterministic" `Quick
         test_shard_generation_deterministic;
       Alcotest.test_case "resume mismatch names the diverged component" `Quick
