@@ -142,6 +142,29 @@ let test_bad_magic () =
   | exception Loop_bin.Corrupt { offset; _ } ->
       Alcotest.(check int) "offset of the magic" 0 offset
 
+(* --- Loop_bin: the frame CRC ----------------------------------------------- *)
+
+let test_crc_check_value () =
+  Alcotest.(check int32) "empty string" 0l (Loop_bin.crc32 "");
+  Alcotest.(check int32) "check value" 0xCBF43926l (Loop_bin.crc32 "123456789")
+
+(* Bit at a time, no table: the definition of the reflected CRC-32. *)
+let crc32_bitwise s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xffffffff)
+
+let test_crc_matches_bitwise =
+  QCheck.Test.make ~count:200 ~name:"crc32 agrees with a bitwise reference"
+    QCheck.(string_of_size Gen.(0 -- 4096))
+    (fun s -> Loop_bin.crc32 s = crc32_bitwise s)
+
 (* A one-operation payload, "fadd v<dst> <- v<src> if v<pred>", laid out
    by hand so that every field's offset is known:
 
@@ -390,6 +413,8 @@ let tests =
   ( "fleet",
     [
       QCheck_alcotest.to_alcotest test_roundtrip_qcheck;
+      Alcotest.test_case "crc32 check values" `Quick test_crc_check_value;
+      QCheck_alcotest.to_alcotest test_crc_matches_bitwise;
       Alcotest.test_case "Loop_bin round-trips every Livermore kernel" `Quick
         test_roundtrip_lfk;
       Alcotest.test_case "corpus file round-trips through iter" `Quick
