@@ -182,6 +182,63 @@ let test_longest_path () =
   let dist = Topo.longest_path ~n:4 ~succs ~source:0 in
   Alcotest.(check int) "longest to 3 via 2" 11 dist.(3)
 
+(* The Kahn sort Topo used before its ready set became a heap, kept as
+   the oracle: a [Set.Make (Int)] ready set, and on a stall the smallest
+   blocked vertex is released. *)
+let reference_kahn ~n ~succs ~force =
+  let deg = Array.make n 0 in
+  for v = 0 to n - 1 do
+    List.iter (fun w -> deg.(w) <- deg.(w) + 1) (succs v)
+  done;
+  let emitted = Array.make n false in
+  let module S = Set.Make (Int) in
+  let ready = ref S.empty in
+  for v = 0 to n - 1 do
+    if deg.(v) = 0 then ready := S.add v !ready
+  done;
+  let order = ref [] in
+  let remaining = ref n in
+  let emit v =
+    emitted.(v) <- true;
+    order := v :: !order;
+    decr remaining;
+    List.iter
+      (fun w ->
+        deg.(w) <- deg.(w) - 1;
+        if deg.(w) = 0 && not emitted.(w) then ready := S.add w !ready)
+      (succs v)
+  in
+  let exception Cyclic in
+  try
+    while !remaining > 0 do
+      match S.min_elt_opt !ready with
+      | Some v ->
+          ready := S.remove v !ready;
+          if not emitted.(v) then emit v
+      | None ->
+          if not force then raise Cyclic;
+          let v = ref (-1) in
+          for u = n - 1 downto 0 do
+            if (not emitted.(u)) && deg.(u) > 0 then v := u
+          done;
+          emit !v
+    done;
+    Some (List.rev !order)
+  with Cyclic -> None
+
+(* Random graphs with cycles, self-loops, parallel edges and isolated
+   vertices: both sorts must return exactly the reference's order. *)
+let prop_topo_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"topo agrees with the reference Kahn"
+    QCheck.(
+      pair (int_range 1 16)
+        (list_of_size Gen.(0 -- 40) (pair (int_range 0 15) (int_range 0 15))))
+    (fun (n, edges) ->
+      let succs = adj (List.filter (fun (a, b) -> a < n && b < n) edges) n in
+      Topo.sort ~n ~succs = reference_kahn ~n ~succs ~force:false
+      && Some (Topo.sort_ignoring_cycles ~n ~succs)
+         = reference_kahn ~n ~succs ~force:true)
+
 let test_longest_path_unreachable () =
   let dist = Topo.longest_path ~n:3 ~succs:(fun _ -> []) ~source:0 in
   Alcotest.(check bool) "unreachable is min_int" true (dist.(2) = min_int)
@@ -204,6 +261,7 @@ let tests =
       Alcotest.test_case "topo: cycle gives none" `Quick test_topo_cycle_none;
       Alcotest.test_case "topo: forced is a permutation" `Quick
         test_topo_forced_is_permutation;
+      QCheck_alcotest.to_alcotest prop_topo_matches_reference;
       Alcotest.test_case "longest path" `Quick test_longest_path;
       Alcotest.test_case "longest path: unreachable" `Quick
         test_longest_path_unreachable;
