@@ -185,6 +185,14 @@ let compile ~ii ?caps (table : Reservation.t) =
         slow = pack_triples slow;
       }
 
+let pp_ctable ppf c =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Format.fprintf ppf
+    "ii=%d packed=[%s] nres=%d never_fits=%b bb_off=[%s] bb_word=[%s] \
+     bb_mask=[%s] slow=[%s]"
+    c.c_ii (ints c.packed) c.c_nres c.never_fits (ints c.bb_off)
+    (ints c.bb_word) (ints c.bb_mask) (ints c.slow)
+
 let compiled t table =
   match Tbl_memo.find_opt t.memo table with
   | Some c -> c

@@ -58,6 +58,9 @@ val compile : ii:int -> ?caps:int array -> Reservation.t -> ctable
     is only valid on MRTs with that many resources.
     @raise Invalid_argument if [ii < 1]. *)
 
+val pp_ctable : Format.formatter -> ctable -> unit
+(** Every field of a compiled table, for tests and debugging. *)
+
 val bitprobes : t -> int
 (** Number of {!fits_c} probes this MRT answered through the bit
     planes (i.e. with a caps-compiled ctable) since creation.  Feeds

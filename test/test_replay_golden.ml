@@ -24,7 +24,17 @@
    loop was built for and once on a copy of it rebuilt through
    [Machine.builder] with one resource's count lowered by one, as
    [Mutate]'s [Lower_resource] does: resource [index mod nres] for the
-   [index]-th loop, so a count of 1 drops to 0 for some loops. *)
+   [index]-th loop, so a count of 1 drops to 0 for some loops.
+
+   The compile digest pins the compile path: the Livermore kernels and
+   the same 400 corpus loops, once on the Cydra 5 and once retargeted to
+   the 4-issue superscalar.  Per loop it renders the payload CRC, the
+   [Loop_dump] of the decoded payload, the MII, the [Priority.plan]
+   order, the [Ims.modulo_schedule] outcome with every entry and every
+   counter, and the [Printexc.to_string] of what decoding a corrupted
+   copy of the payload raised (one byte flipped; truncated).  It also
+   renders every field of [Mrt.compile] for every alternative of the
+   four built-in machines at II 1..64, with and without capacities. *)
 
 open Ims_machine
 open Ims_ir
@@ -201,6 +211,96 @@ let rendered =
 let expected_digest = "64f237a4f5cdee3c2f2cfadbdc106c47"
 let expected_static_digest = "3faa1a90b379ab14f1df4545c7378d0e"
 
+(* --- the compile path ------------------------------------------------- *)
+
+let render_decode machine payload =
+  guard (fun () ->
+      let name, ddg = Loop_bin.decode machine payload in
+      name ^ "\n" ^ Loop_dump.dump ddg)
+
+(* Two corruptions of [payload]: one byte flipped and a truncation.  The
+   register-count word is never flipped: a flip there may legitimately
+   declare millions of registers, which would only make the test slow. *)
+let render_corruptions machine st ~name payload =
+  let len = String.length payload in
+  let nregs_at = 3 + String.length name in
+  let rec victim () =
+    let i = Random.State.int st len in
+    if i >= nregs_at && i < nregs_at + 4 then victim () else i
+  in
+  let i = victim () in
+  let flipped = Bytes.of_string payload in
+  Bytes.set flipped i
+    (Char.chr (Char.code payload.[i] lxor (1 + Random.State.int st 255)));
+  let cut = Random.State.int st len in
+  Printf.sprintf "flip %d: %s\ncut %d: %s" i
+    (render_decode machine (Bytes.to_string flipped))
+    cut
+    (render_decode machine (String.sub payload 0 cut))
+
+let render_compile buf machine index (name, ddg) =
+  let payload = Loop_bin.encode ~name ddg in
+  Printf.bprintf buf "== %s crc=%08lx\n%s\n" name (Loop_bin.crc32 payload)
+    (render_decode machine payload);
+  let st = Random.State.make [| 17; index |] in
+  Printf.bprintf buf "%s\n" (render_corruptions machine st ~name payload);
+  let _, ddg = Loop_bin.decode machine payload in
+  Printf.bprintf buf "plan [%s]\n"
+    (String.concat "," (List.map string_of_int (Priority.plan ddg)));
+  let o = Ims.modulo_schedule ddg in
+  Printf.bprintf buf "%s ii=%d attempts=%d steps=%d/%d\n"
+    (Format.asprintf "%a" Ims_mii.Mii.pp o.Ims.mii)
+    o.Ims.ii o.Ims.attempts o.Ims.steps_total o.Ims.steps_final;
+  (match o.Ims.schedule with
+  | None -> Printf.bprintf buf "unscheduled\n"
+  | Some s ->
+      Array.iter
+        (fun (e : Schedule.entry) ->
+          Printf.bprintf buf " %d:%d" e.Schedule.time e.Schedule.alt)
+        s.Schedule.entries;
+      Printf.bprintf buf "\n");
+  List.iter
+    (fun (k, v) -> Printf.bprintf buf " %s=%d" k v)
+    (Ims_mii.Counters.to_assoc o.Ims.counters);
+  Printf.bprintf buf "\n"
+
+let render_ctables buf =
+  List.iter
+    (fun (m : Machine.t) ->
+      let caps =
+        Array.map (fun (r : Resource.t) -> r.Resource.count) m.Machine.resources
+      in
+      List.iter
+        (fun name ->
+          List.iteri
+            (fun k (a : Opcode.alternative) ->
+              for ii = 1 to 64 do
+                Printf.bprintf buf "%s %s/%d ii=%d\n%a\n%a\n" m.Machine.name
+                  name k ii
+                  (fun b c -> Buffer.add_string b (Format.asprintf "%a" Mrt.pp_ctable c))
+                  (Mrt.compile ~ii a.Opcode.table)
+                  (fun b c -> Buffer.add_string b (Format.asprintf "%a" Mrt.pp_ctable c))
+                  (Mrt.compile ~ii ~caps a.Opcode.table)
+              done)
+            (Machine.opcode m name).Opcode.alternatives)
+        (Machine.opcode_names m))
+    [ Machine.cydra5 (); Machine.figure1 (); Machine.simple_vliw ();
+      Machine.superscalar4 () ]
+
+let compile_rendered () =
+  let buf = Buffer.create (1 lsl 22) in
+  let loops = loops () in
+  List.iteri (render_compile buf machine) loops;
+  let wide = Machine.superscalar4 () in
+  List.iteri
+    (fun index (name, ddg) ->
+      render_compile buf wide index (name, Ddg.map_machine ddg wide))
+    loops;
+  render_ctables buf;
+  Buffer.contents buf
+
+let expected_compile_digest = "afa65d46a25c3e732bdfb11900dafd4f"
+
 let test_digest () =
   Alcotest.(check string)
     "replay verdict digest" expected_digest
@@ -211,6 +311,11 @@ let test_static_digest () =
     "static verdict digest" expected_static_digest
     (Digest.to_hex (Digest.string (snd (Lazy.force rendered))))
 
+let test_compile_digest () =
+  Alcotest.(check string)
+    "compile path digest" expected_compile_digest
+    (Digest.to_hex (Digest.string (compile_rendered ())))
+
 (* A suite name longer than the others widens Alcotest's label column
    and truncates every other test's printed name. *)
 let tests =
@@ -218,4 +323,5 @@ let tests =
     [
       Alcotest.test_case "checker replay verdict digest" `Slow test_digest;
       Alcotest.test_case "static checker verdict digest" `Slow test_static_digest;
+      Alcotest.test_case "compile path digest" `Slow test_compile_digest;
     ] )
