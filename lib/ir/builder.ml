@@ -9,6 +9,7 @@ type t = {
   reg_names : (string, int) Hashtbl.t;
   mutable next_reg : int;
   mutable ops : Op.t list;  (* reversed *)
+  mutable lats : int list;  (* latency of each op in [ops], reversed *)
   mutable n : int;
   mutable raw_deps : (Dep.kind * int * int * int) list;  (* kind, dist, src, dst *)
 }
@@ -20,6 +21,7 @@ let create ?(model = Dep.Vliw) machine =
     reg_names = Hashtbl.create 31;
     next_reg = 0;
     ops = [];
+    lats = [];
     n = 0;
     raw_deps = [];
   }
@@ -33,12 +35,17 @@ let vreg b name =
       Hashtbl.replace b.reg_names name v;
       v
 
+let vregs b n =
+  let first = b.next_reg in
+  b.next_reg <- first + n;
+  Array.init n (fun k -> first + k)
+
 let operand (reg, distance) =
   if distance < 0 then invalid_arg "Builder: negative operand distance";
   { Op.reg; distance }
 
 let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
-  ignore (Machine.opcode b.machine opcode);
+  let latency = (Machine.opcode b.machine opcode).Opcode.latency in
   b.n <- b.n + 1;
   let op =
     {
@@ -52,6 +59,7 @@ let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
     }
   in
   b.ops <- op :: b.ops;
+  b.lats <- latency :: b.lats;
   b.n
 
 let mem_dep b ?(distance = 0) kind ~src ~dst =
@@ -77,15 +85,12 @@ let reaching_defs ~defs ~preds_of ~u_id ~d =
 
 let finish ?(keep_false_deps = false) b =
   let ops = List.rev b.ops in
-  let op_arr = Array.make (b.n + 1) None in
-  List.iter (fun (o : Op.t) -> op_arr.(o.id) <- Some o) ops;
-  let opcode_of id =
-    match op_arr.(id) with Some o -> o.Op.opcode | None -> assert false
-  in
-  let pred_of id =
-    match op_arr.(id) with Some o -> o.Op.pred | None -> assert false
-  in
-  let latency id = Machine.latency b.machine (opcode_of id) in
+  (* Operation [id] sits at index [id - 1]; the latencies are the ones
+     [add] found when it validated each opcode. *)
+  let op_arr = Array.of_list ops in
+  let lat_arr = Array.of_list (List.rev b.lats) in
+  let pred_of id = op_arr.(id - 1).Op.pred in
+  let latency id = lat_arr.(id - 1) in
   let deps = ref [] in
   let emit kind ~src ~dst ~distance =
     deps :=

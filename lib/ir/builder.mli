@@ -31,6 +31,11 @@ val vreg : t -> string -> vreg
 (** [vreg b name] returns the virtual register called [name], creating it
     on first use. *)
 
+val vregs : t -> int -> vreg array
+(** [vregs b n] creates [n] fresh, unnamed virtual registers, numbered
+    consecutively after those created so far.  A later {!vreg} never
+    returns one of them. *)
+
 val add :
   t ->
   ?tag:string ->

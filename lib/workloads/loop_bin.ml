@@ -44,33 +44,24 @@ let frame_bytes = 8
    loop record approaches this. *)
 let max_record_bytes = 1 lsl 24
 
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. *)
+(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven over native
+   ints: the 32-bit register lives in the low bits of an OCaml int, so
+   only the result is boxed.  The table is built once, when the module
+   is initialised, and never written again. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xffffffffl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand
-             (Int32.logxor !c (Int32.of_int (Char.code ch)))
-             0xffl)
-      in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xffffffffl
+  let c = ref 0xffffffff in
+  for i = 0 to String.length s - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
 
 (* -- encoding ------------------------------------------------------- *)
 
@@ -242,9 +233,7 @@ let decode ?(base = 0) machine payload =
   let nregs = get_u32 r "register count" in
   if nregs > max_record_bytes then
     corrupt (base + r.pos - 4) "implausible register count %d" nregs;
-  let regs =
-    Array.init nregs (fun k -> Builder.vreg b (Printf.sprintf "v%d" k))
-  in
+  let regs = Builder.vregs b nregs in
   (* A bad register is reported at the start of its own field, like
      every other malformed field. *)
   let check_reg at reg =
