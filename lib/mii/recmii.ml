@@ -4,13 +4,16 @@ open Ims_graph
 (* ceil(a / b) for b > 0 and any sign of a. *)
 let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
+(* Each vertex's real successors are filtered out of its edges once, not
+   on every visit of Tarjan's walk and of the self-loop test. *)
 let scc_of ?counters ddg =
   let n = Ddg.n_total ddg in
-  let r = Scc.compute ~n ~succs:(Ddg.real_succ_ids ddg) in
+  let succs = Array.init n (Ddg.real_succ_ids ddg) in
+  let r = Scc.compute ~n ~succs:(Array.get succs) in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
-  Scc.non_trivial ~succs:(Ddg.real_succ_ids ddg) r
+  Scc.non_trivial ~succs:(Array.get succs) r
 
 (* No recurrence can require more than the sum of the positive delays:
    every circuit has distance >= 1, so at that II its slack is already

@@ -3,7 +3,20 @@ open Ims_ir
 
 let cdiv a b = (a + b - 1) / b
 
-(* Greedy usage accumulation; returns the final per-resource usage. *)
+(* Per-alternative usage vectors of one opcode: [v.(k).(r)] is the
+   number of cycles alternative [k] holds resource [r]. *)
+let usage_vectors nres (op : Opcode.t) =
+  Array.of_list
+    (List.map
+       (fun (alt : Opcode.alternative) ->
+         let v = Array.make nres 0 in
+         Reservation.usage_count alt.table v;
+         v)
+       op.Opcode.alternatives)
+
+(* Greedy usage accumulation; returns the final per-resource usage.
+   Each distinct opcode's vectors are built once per call, and an
+   operation with a single alternative is added without being scored. *)
 let accumulate ?counters ddg =
   let machine = ddg.Ddg.machine in
   let nres = Machine.num_resources machine in
@@ -11,39 +24,50 @@ let accumulate ?counters ddg =
     Array.map (fun (r : Resource.t) -> r.count) machine.Machine.resources
   in
   let usage = Array.make nres 0 in
-  let ops =
-    Ddg.real_ids ddg
-    |> List.map (fun id -> Machine.opcode machine (Ddg.op ddg id).Op.opcode)
-    |> List.sort (fun a b ->
-           compare (Opcode.num_alternatives a) (Opcode.num_alternatives b))
+  let built = ref [] in
+  let vectors_of id =
+    let op = Machine.opcode machine (Ddg.op ddg id).Op.opcode in
+    match List.assq_opt op !built with
+    | Some v -> v
+    | None ->
+        let v = usage_vectors nres op in
+        built := (op, v) :: !built;
+        v
   in
-  let partial_with (alt : Opcode.alternative) =
-    let extra = Array.make nres 0 in
-    Reservation.usage_count alt.table extra;
+  let ops =
+    Ddg.real_ids ddg |> List.map vectors_of
+    |> List.stable_sort (fun a b -> compare (Array.length a) (Array.length b))
+  in
+  let score extra =
     let worst = ref 0 in
     for r = 0 to nres - 1 do
       let total = usage.(r) + extra.(r) in
       if total > 0 then worst := max !worst (cdiv total caps.(r))
     done;
-    (!worst, extra)
+    !worst
   in
   List.iter
-    (fun (op : Opcode.t) ->
-      let best = ref None in
-      List.iter
-        (fun alt ->
-          (match counters with
-          | Some c -> c.Counters.resmii_steps <- c.Counters.resmii_steps + 1
-          | None -> ());
-          let score, extra = partial_with alt in
-          match !best with
-          | Some (s, _) when s <= score -> ()
-          | _ -> best := Some (score, extra))
-        op.Opcode.alternatives;
-      match !best with
-      | Some (_, extra) ->
-          Array.iteri (fun r e -> usage.(r) <- usage.(r) + e) extra
-      | None -> ())
+    (fun alts ->
+      let nalts = Array.length alts in
+      (match counters with
+      | Some c -> c.Counters.resmii_steps <- c.Counters.resmii_steps + nalts
+      | None -> ());
+      (* The first alternative of lowest score wins. *)
+      let best = ref 0 in
+      if nalts > 1 then begin
+        let best_score = ref (score alts.(0)) in
+        for k = 1 to nalts - 1 do
+          let s = score alts.(k) in
+          if s < !best_score then begin
+            best := k;
+            best_score := s
+          end
+        done
+      end;
+      let extra = alts.(!best) in
+      for r = 0 to nres - 1 do
+        usage.(r) <- usage.(r) + extra.(r)
+      done)
     ops;
   (usage, caps)
 
