@@ -15,6 +15,10 @@ let skeleton_order ddg =
 
 let plan = skeleton_order
 
+(* [edge_weight] returns [no_edge] for an edge that does not constrain
+   the heights, so a relaxation round allocates nothing. *)
+let no_edge = min_int
+
 let relax ?counters ?order ?buf ddg ~edge_weight =
   let n = Ddg.n_total ddg in
   let height =
@@ -42,14 +46,14 @@ let relax ?counters ?order ?buf ddg ~edge_weight =
         List.iter
           (fun (d : Dep.t) ->
             incr steps;
-            match edge_weight d with
-            | None -> ()
-            | Some w ->
-                let candidate = height.(d.dst) + w in
-                if candidate > height.(p) then begin
-                  height.(p) <- candidate;
-                  changed := true
-                end)
+            let w = edge_weight d in
+            if w <> no_edge then begin
+              let candidate = height.(d.dst) + w in
+              if candidate > height.(p) then begin
+                height.(p) <- candidate;
+                changed := true
+              end
+            end)
           ddg.Ddg.succs.(p))
       order
   done;
@@ -60,8 +64,8 @@ let relax ?counters ?order ?buf ddg ~edge_weight =
 
 let heights ?counters ?order ?buf ddg ~ii =
   relax ?counters ?order ?buf ddg ~edge_weight:(fun d ->
-      Some (d.Dep.delay - (ii * d.Dep.distance)))
+      d.Dep.delay - (ii * d.Dep.distance))
 
 let acyclic_heights ddg =
   relax ddg ~edge_weight:(fun d ->
-      if d.Dep.distance = 0 then Some d.Dep.delay else None)
+      if d.Dep.distance = 0 then d.Dep.delay else no_edge)
