@@ -93,20 +93,44 @@ let bitprobes t = t.bitprobes
 
 (* --- compilation --------------------------------------------------------- *)
 
-let pack_triples triples =
-  let packed = Array.make (3 * List.length triples) 0 in
+(* The (at mod ii, resource) collapse over a sorted int array: each
+   usage becomes the key [slot * stride + resource], so usages of one
+   modulo cell sort next to each other and the key order is the
+   (slot, resource) order.  Returns the packed triples. *)
+let collapse ~ii (table : Reservation.t) =
+  let stride =
+    1
+    + List.fold_left
+        (fun m (u : Reservation.usage) -> max m u.resource)
+        0 table.usages
+  in
+  let keys = Array.make (List.length table.usages) 0 in
   List.iteri
-    (fun i (slot, resource, mult) ->
-      packed.(3 * i) <- slot;
-      packed.((3 * i) + 1) <- resource;
-      packed.((3 * i) + 2) <- mult)
-    triples;
+    (fun i (u : Reservation.usage) ->
+      keys.(i) <- ((u.at mod ii) * stride) + u.resource)
+    table.usages;
+  Array.sort Int.compare keys;
+  let n = Array.length keys in
+  let distinct = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
+  done;
+  let packed = Array.make (3 * !distinct) 0 in
+  let j = ref (-3) in
+  for i = 0 to n - 1 do
+    if i = 0 || keys.(i) <> keys.(i - 1) then begin
+      j := !j + 3;
+      packed.(!j) <- keys.(i) / stride;
+      packed.(!j + 1) <- keys.(i) mod stride
+    end;
+    packed.(!j + 2) <- packed.(!j + 2) + 1
+  done;
   packed
 
 let compile ~ii ?caps (table : Reservation.t) =
   if ii < 1 then invalid_arg "Mrt.compile: ii must be >= 1";
-  let triples = Reservation.collapse table ~modulus:ii in
-  let packed = pack_triples triples in
+  let packed = collapse ~ii table in
+  let ntrip = Array.length packed / 3 in
   match caps with
   | None ->
       {
@@ -122,12 +146,32 @@ let compile ~ii ?caps (table : Reservation.t) =
   | Some caps ->
       let nres = Array.length caps in
       let wpr = words_per_row ii in
-      let never_fits =
-        List.exists (fun (_, r, m) -> m > caps.(r)) triples
-      in
-      let fast, slow =
-        List.partition (fun (_, r, m) -> caps.(r) - m < planes) triples
-      in
+      (* One pass splits the usages: a fast one is decided by the bit
+         planes, and its cell offset and base word (plane, resource row)
+         are kept for the merge below; a slow one is copied to [slow].
+         The offsets are already reduced mod ii, so the merge can
+         subtract instead of taking a modulus. *)
+      let never_fits = ref false in
+      let u_off = Array.make ntrip 0 in
+      let u_base = Array.make ntrip 0 in
+      let slow = Array.make (3 * ntrip) 0 in
+      let nfast = ref 0 and nslow = ref 0 in
+      for i = 0 to ntrip - 1 do
+        let off = packed.(3 * i)
+        and r = packed.((3 * i) + 1)
+        and m = packed.((3 * i) + 2) in
+        if m > caps.(r) then never_fits := true;
+        if caps.(r) - m < planes then begin
+          u_off.(!nfast) <- off;
+          u_base.(!nfast) <- (((caps.(r) - m) * nres) + r) * wpr;
+          incr nfast
+        end
+        else begin
+          Array.blit packed (3 * i) slow (3 * !nslow) 3;
+          incr nslow
+        end
+      done;
+      let nfast = !nfast in
       (* Merge the fast usages into per-word masks for every issue slot:
          at issue time [time], the usage (off, r, m) probes plane
          [caps r - m] of cell ((time + off) mod ii, r), and the slot
@@ -136,17 +180,6 @@ let compile ~ii ?caps (table : Reservation.t) =
          this runs per (opcode, II) in every candidate-II attempt, and
          an assoc-list version of it once turned the whole bench into
          minor-GC rendezvous thrash under multiple domains. *)
-      let nfast = List.length fast in
-      (* Per-usage precomputation: base word (plane, resource row) and
-         the cell offset; [Reservation.collapse] returns offsets already
-         reduced mod ii, so the inner loop can subtract instead of mod. *)
-      let u_off = Array.make (max 1 nfast) 0 in
-      let u_base = Array.make (max 1 nfast) 0 in
-      List.iteri
-        (fun j (off, r, m) ->
-          u_off.(j) <- off;
-          u_base.(j) <- (((caps.(r) - m) * nres) + r) * wpr)
-        fast;
       let cap_entries = max 1 (ii * nfast) in
       let bb_word = Array.make cap_entries 0 in
       let bb_mask = Array.make cap_entries 0 in
@@ -161,16 +194,16 @@ let compile ~ii ?caps (table : Reservation.t) =
           in
           let word = u_base.(j) + (cell / bits_per_word) in
           let bit = 1 lsl (cell mod bits_per_word) in
-          let rec merge i =
-            if i >= !k then begin
-              bb_word.(!k) <- word;
-              bb_mask.(!k) <- bit;
-              incr k
-            end
-            else if bb_word.(i) = word then bb_mask.(i) <- bb_mask.(i) lor bit
-            else merge (i + 1)
-          in
-          merge bb_off.(s)
+          let i = ref bb_off.(s) in
+          while !i < !k && bb_word.(!i) <> word do
+            incr i
+          done;
+          if !i < !k then bb_mask.(!i) <- bb_mask.(!i) lor bit
+          else begin
+            bb_word.(!k) <- word;
+            bb_mask.(!k) <- bit;
+            incr k
+          end
         done
       done;
       bb_off.(ii) <- !k;
@@ -178,11 +211,11 @@ let compile ~ii ?caps (table : Reservation.t) =
         c_ii = ii;
         packed;
         c_nres = nres;
-        never_fits;
+        never_fits = !never_fits;
         bb_off;
         bb_word = Array.sub bb_word 0 (max 1 !k);
         bb_mask = Array.sub bb_mask 0 (max 1 !k);
-        slow = pack_triples slow;
+        slow = Array.sub slow 0 (3 * !nslow);
       }
 
 let pp_ctable ppf c =

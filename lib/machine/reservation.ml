@@ -39,18 +39,6 @@ let shape t =
 let usage_count t acc =
   List.iter (fun u -> acc.(u.resource) <- acc.(u.resource) + 1) t.usages
 
-(* Two usages occupy the same modulo cell iff their cycles agree modulo
-   the wrap, independently of the issue time — the collapse is a
-   property of the (table, modulus) pair alone, which is what lets the
-   MRT precompile it. *)
-let collapse t ~modulus =
-  if modulus < 1 then invalid_arg "Reservation.collapse: modulus must be >= 1";
-  let keys = List.map (fun u -> (u.at mod modulus, u.resource)) t.usages in
-  List.map
-    (fun ((slot, resource) as key) ->
-      (slot, resource, List.length (List.filter (( = ) key) keys)))
-    (List.sort_uniq compare keys)
-
 let pp ppf t =
   let pp_usage ppf u = Format.fprintf ppf "r%d@@%d" u.resource u.at in
   Format.fprintf ppf "[%a]" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp_usage) t.usages

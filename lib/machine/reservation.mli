@@ -41,14 +41,6 @@ val usage_count : t -> int array -> unit
 (** [usage_count t acc] adds, for each resource [r], the number of uses of
     [r] in [t] to [acc.(r)].  Used by the ResMII bin-packing. *)
 
-val collapse : t -> modulus:int -> (int * int * int) list
-(** [collapse t ~modulus] is the table's demand on a wrap-around
-    reservation table of [modulus] rows: [(slot, resource, multiplicity)]
-    triples, sorted by [(slot, resource)], with usages that land in the
-    same modulo cell merged.  The collapse does not depend on the issue
-    time, only on [(t, modulus)] — the basis of {!Mrt.compile}.
-    @raise Invalid_argument if [modulus < 1]. *)
-
 val pp : Format.formatter -> t -> unit
 
 val pp_grid :
