@@ -98,17 +98,14 @@ let finish ?(keep_false_deps = false) b =
         ~succ_latency:(latency dst)
       :: !deps
   in
-  (* Definitions of each register, in program order. *)
-  let defs = Hashtbl.create 31 in
+  (* Definitions of each register, in program order: consed while
+     walking the body backwards.  Registers are numbered densely from 0
+     by [vreg] and [vregs]. *)
+  let defs = Array.make b.next_reg [] in
   List.iter
-    (fun (o : Op.t) ->
-      List.iter
-        (fun v ->
-          let old = Option.value ~default:[] (Hashtbl.find_opt defs v) in
-          Hashtbl.replace defs v (old @ [ o.id ]))
-        o.dsts)
-    ops;
-  let defs_of v = Option.value ~default:[] (Hashtbl.find_opt defs v) in
+    (fun (o : Op.t) -> List.iter (fun v -> defs.(v) <- o.id :: defs.(v)) o.dsts)
+    b.ops;
+  let defs_of v = defs.(v) in
   (* Flow (and control, for predicates) dependences. *)
   let flow_for kind (u : Op.t) (operand : Op.operand) =
     let v = operand.reg and d = operand.distance in
@@ -136,7 +133,18 @@ let finish ?(keep_false_deps = false) b =
     ops;
   if keep_false_deps then begin
     (* Output dependences: successive definitions in order, plus the
-       distance-1 back edge from the last to the first. *)
+       distance-1 back edge from the last to the first.  Registers are
+       visited in the iteration order of a hash table filled in order
+       of first definition, the order these edges have always had. *)
+    let by_first_def = Hashtbl.create 31 in
+    List.iter
+      (fun (o : Op.t) ->
+        List.iter
+          (fun v ->
+            if not (Hashtbl.mem by_first_def v) then
+              Hashtbl.replace by_first_def v defs.(v))
+          o.dsts)
+      ops;
     Hashtbl.iter
       (fun _ ds ->
         let rec chain = function
@@ -151,7 +159,7 @@ let finish ?(keep_false_deps = false) b =
             let last = List.nth ds (List.length ds - 1) in
             emit Dep.Output ~src:last ~dst:first ~distance:1
         | [] -> ())
-      defs;
+      by_first_def;
     (* Anti dependences: each read must precede the next write of the
        register it reads.  A distance-0 read is destroyed by the next
        definition later in the body (same iteration) or, failing that, by

@@ -33,41 +33,59 @@ let pseudo_op id opcode =
   { Op.id; opcode; dsts = []; srcs = []; pred = None; imm = None; tag = "" }
 
 let make machine ?(model = Dep.Vliw) ops deps =
-  let ops = List.sort (fun (a : Op.t) b -> compare a.id b.id) ops in
-  List.iteri
-    (fun i (o : Op.t) ->
-      if o.id <> i + 1 then
-        invalid_arg "Ddg.make: operation ids must be dense, starting at 1")
-    ops;
+  (* Builders hand the operations over in id order; sort only when not. *)
+  let rec dense id = function
+    | [] -> true
+    | (o : Op.t) :: rest -> o.id = id && dense (id + 1) rest
+  in
+  let ops =
+    if dense 1 ops then ops
+    else begin
+      let ops = List.sort (fun (a : Op.t) b -> compare a.id b.id) ops in
+      List.iteri
+        (fun i (o : Op.t) ->
+          if o.id <> i + 1 then
+            invalid_arg "Ddg.make: operation ids must be dense, starting at 1")
+        ops;
+      ops
+    end
+  in
   let n_real = List.length ops in
   let n = n_real + 2 in
   let stop_id = n - 1 in
-  let all =
-    Array.of_list ((pseudo_op 0 "START" :: ops) @ [ pseudo_op stop_id "STOP" ])
-  in
+  let all = Array.make n (pseudo_op 0 "START") in
+  List.iteri (fun i o -> all.(i + 1) <- o) ops;
+  all.(stop_id) <- pseudo_op stop_id "STOP";
+  List.iter
+    (fun (d : Dep.t) ->
+      if d.src < 0 || d.src >= n || d.dst < 0 || d.dst >= n then
+        invalid_arg "Ddg.make: edge endpoint out of range")
+    deps;
+  let lat = Array.make n 0 in
+  for i = 1 to n_real do
+    lat.(i) <- Machine.latency machine all.(i).Op.opcode
+  done;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   let add (d : Dep.t) =
-    if d.src < 0 || d.src >= n || d.dst < 0 || d.dst >= n then
-      invalid_arg "Ddg.make: edge endpoint out of range";
     succs.(d.src) <- d :: succs.(d.src);
     preds.(d.dst) <- d :: preds.(d.dst)
   in
-  List.iter add deps;
-  (* Pseudo edges: START precedes everything at delay 0; everything
-     precedes STOP with its own latency as delay so that STOP's schedule
-     time is the length of one iteration's schedule. *)
-  for i = 1 to n_real do
-    let lat = Machine.latency machine all.(i).Op.opcode in
+  (* Each list holds the given edges in order, then the pseudo edges:
+     START precedes everything at delay 0; everything precedes STOP with
+     its own latency as delay so that STOP's schedule time is the length
+     of one iteration's schedule.  Consing the edges in reverse builds
+     the lists in that order. *)
+  for i = n_real downto 1 do
+    add
+      (Dep.make model Flow ~src:i ~dst:stop_id ~distance:0
+         ~pred_latency:lat.(i) ~succ_latency:0);
     add
       (Dep.make model Control ~src:0 ~dst:i ~distance:0 ~pred_latency:0
-         ~succ_latency:lat);
-    add
-      (Dep.make model Flow ~src:i ~dst:stop_id ~distance:0 ~pred_latency:lat
-         ~succ_latency:0)
+         ~succ_latency:lat.(i))
   done;
-  let rev a = Array.map List.rev a in
-  { machine; ops = all; succs = rev succs; preds = rev preds; model }
+  List.iter add (List.rev deps);
+  { machine; ops = all; succs; preds; model }
 
 let succ_ids t i = List.map (fun (d : Dep.t) -> d.dst) t.succs.(i)
 
