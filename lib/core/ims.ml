@@ -171,12 +171,10 @@ let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
     | Source_order -> Array.init n (fun i -> n - i)
     | Reverse_order -> Array.init n (fun i -> i)
   in
+  (* A stable sort of the ids in increasing order by height alone keeps
+     equal heights in id order: the (height desc, id asc) order. *)
   let by_rank = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      if height.(a) <> height.(b) then compare height.(b) height.(a)
-      else compare a b)
-    by_rank;
+  Array.stable_sort (fun a b -> compare height.(b) height.(a)) by_rank;
   let rank_of = Array.make n 0 in
   Array.iteri (fun r op -> rank_of.(op) <- r) by_rank;
   let ready = Ready.create n in

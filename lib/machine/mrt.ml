@@ -109,8 +109,14 @@ let collapse ~ii (table : Reservation.t) =
     (fun i (u : Reservation.usage) ->
       keys.(i) <- ((u.at mod ii) * stride) + u.resource)
     table.usages;
-  Array.sort Int.compare keys;
   let n = Array.length keys in
+  (* Reservation.make sorts the usages by (at, resource), so below the
+     table's length the keys arrive sorted. *)
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if keys.(i) < keys.(i - 1) then sorted := false
+  done;
+  if not !sorted then Array.sort Int.compare keys;
   let distinct = ref 0 in
   for i = 0 to n - 1 do
     if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
