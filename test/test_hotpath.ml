@@ -9,7 +9,9 @@
    - a [Gc.allocated_bytes] assertion that the compiled admission probe
      [Mrt.fits_c] allocates nothing, on both probe paths, and minor-word
      ceilings on the four checkers ([Interp.check], [Simulator.run],
-     [Schedule.verify], [Lint.schedule]);
+     [Schedule.verify], [Lint.schedule]) and on the compile path
+     ([Loop_bin.decode], [Mii.compute], [Ims.modulo_schedule],
+     [Loop_bin.crc32]);
    - a counter-regression gate pinning the inner-loop work
      (estart / findslot / mindist / mindist_inc / mrt_bitprobe) of every
      Livermore kernel, so an accidental algorithmic regression fails
@@ -180,6 +182,14 @@ let test_fits_c_allocation_free () =
 
 (* --- checker replay allocation ceilings ----------------------------------- *)
 
+(* Minor-heap words allocated by the second of two calls of [f]. *)
+let words f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+
 (* Minor-heap words per call of the four checkers.  They build their
    tables from the schedule once, in flat arrays; the ceilings stop
    per-instance allocation (tuple or string hashtable keys, closures,
@@ -203,12 +213,6 @@ let test_replay_allocation_ceilings () =
       match (Ims.modulo_schedule (Lfk.build machine name)).Ims.schedule with
       | None -> Alcotest.failf "%s: no schedule" name
       | Some s ->
-          let words f =
-            ignore (f ());
-            let before = Gc.minor_words () in
-            ignore (Sys.opaque_identity (f ()));
-            Gc.minor_words () -. before
-          in
           let check what words ceiling =
             if words > float_of_int ceiling then
               Alcotest.failf "%s %s allocates %.0f minor words (ceiling %d)"
@@ -221,6 +225,39 @@ let test_replay_allocation_ceilings () =
           check "Schedule.verify" (words (fun () -> Schedule.verify s)) verify_ceiling;
           check "Lint.schedule" (words (fun () -> Ims_check.Lint.schedule s)) lint_ceiling)
     [ ("lfk03", 4_200, 1_100, 550, 1_100); ("lfk07", 14_500, 3_900, 2_100, 2_200) ]
+
+(* --- compile-path allocation ceilings -------------------------------------- *)
+
+(* Minor-heap words per call of the compile path's stages.  Decode,
+   MII and IMS set up each loop over flat arrays and native ints; the
+   ceilings stop name-keyed lookups, per-edge options and list-built
+   tables from creeping back.  Measured this way, Loop_bin.decode takes
+   1,745 words on lfk03 and 6,969 on lfk07, Mii.compute 1,653 and 5,406,
+   and Ims.modulo_schedule (MII included) 3,933 and 11,991; before, they
+   took 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
+   Loop_bin.crc32 allocates only its boxed result (3 words) on any
+   input; the boxed Int32 loop took 12,298 on 4 KiB. *)
+let test_compile_allocation_ceilings () =
+  let machine = Machine.cydra5 () in
+  let check name what words ceiling =
+    if words > float_of_int ceiling then
+      Alcotest.failf "%s %s allocates %.0f minor words (ceiling %d)" name what
+        words ceiling
+  in
+  List.iter
+    (fun (name, decode_ceiling, mii_ceiling, ims_ceiling) ->
+      let ddg = Lfk.build machine name in
+      let payload = Loop_bin.encode ~name ddg in
+      check name "Loop_bin.decode"
+        (words (fun () -> Loop_bin.decode machine payload))
+        decode_ceiling;
+      check name "Mii.compute" (words (fun () -> Ims_mii.Mii.compute ddg)) mii_ceiling;
+      check name "Ims.modulo_schedule"
+        (words (fun () -> Ims.modulo_schedule ddg))
+        ims_ceiling)
+    [ ("lfk03", 2_600, 2_500, 5_900); ("lfk07", 10_500, 8_100, 18_000) ];
+  let s = String.init 4096 (fun i -> Char.chr ((i * 7) land 255)) in
+  check "4 KiB" "Loop_bin.crc32" (words (fun () -> Loop_bin.crc32 s)) 3
 
 (* --- counter-regression gate -------------------------------------------- *)
 
@@ -460,6 +497,8 @@ let tests =
         test_fits_c_allocation_free;
       Alcotest.test_case "checker replay allocation ceilings" `Quick
         test_replay_allocation_ceilings;
+      Alcotest.test_case "compile path allocation ceilings" `Quick
+        test_compile_allocation_ceilings;
       Alcotest.test_case "lfk inner-loop counter ceilings" `Slow
         test_counter_ceilings;
       Alcotest.test_case "golden trace: lfk20" `Quick test_golden_trace_lfk20;
