@@ -32,7 +32,9 @@ val frame_bytes : int
 (** Size of a record's frame prefix (length + CRC). *)
 
 val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3) of a string; exposed for tests. *)
+(** CRC-32 (IEEE 802.3, the zlib polynomial) of a string; exposed for
+    tests.  [crc32 "" = 0l] and the check value is
+    [crc32 "123456789" = 0xCBF43926l]. *)
 
 val encode : name:string -> Ddg.t -> string
 (** One record payload (no frame).
