@@ -110,8 +110,9 @@ let collapse ~ii (table : Reservation.t) =
       keys.(i) <- ((u.at mod ii) * stride) + u.resource)
     table.usages;
   let n = Array.length keys in
-  (* Reservation.make sorts the usages by (at, resource), so below the
-     table's length the keys arrive sorted. *)
+  (* Reservation.make sorts the usages by (at, resource), so when no
+     usage wraps (ii at least the table's length) the keys arrive
+     sorted. *)
   let sorted = ref true in
   for i = 1 to n - 1 do
     if keys.(i) < keys.(i - 1) then sorted := false
@@ -136,7 +137,6 @@ let collapse ~ii (table : Reservation.t) =
 let compile ~ii ?caps (table : Reservation.t) =
   if ii < 1 then invalid_arg "Mrt.compile: ii must be >= 1";
   let packed = collapse ~ii table in
-  let ntrip = Array.length packed / 3 in
   match caps with
   | None ->
       {
@@ -152,6 +152,7 @@ let compile ~ii ?caps (table : Reservation.t) =
   | Some caps ->
       let nres = Array.length caps in
       let wpr = words_per_row ii in
+      let ntrip = Array.length packed / 3 in
       (* One pass splits the usages: a fast one is decided by the bit
          planes, and its cell offset and base word (plane, resource row)
          are kept for the merge below; a slow one is copied to [slow].
