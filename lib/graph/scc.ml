@@ -1,64 +1,64 @@
 type result = { component : int array; count : int; steps : int }
 
 (* Iterative Tarjan: an explicit work stack keeps deep dependence chains
-   (long straight-line loop bodies) from overflowing the OCaml stack. *)
+   (long straight-line loop bodies) from overflowing the OCaml stack.
+   Each vertex is entered once, so both stacks live in arrays of [n]
+   slots: Tarjan's vertex stack, and the work stack of (vertex, its
+   successors not yet explored). *)
 let compute ~n ~succs =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
   let component = Array.make n (-1) in
-  let stack = ref [] in
+  let stack = Array.make n 0 and top = ref 0 in
+  let work_v = Array.make n 0 and work_rest = Array.make n [] in
+  let sp = ref 0 in
   let next_index = ref 0 in
   let count = ref 0 in
   let steps = ref 0 in
-  (* Work items: (vertex, remaining successors). *)
-  let visit v =
+  let enter v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
     incr next_index;
-    stack := v :: !stack;
+    stack.(!top) <- v;
+    incr top;
     on_stack.(v) <- true;
-    let work = ref [ (v, succs v) ] in
-    while !work <> [] do
-      incr steps;
-      match !work with
-      | [] -> ()
-      | (u, []) :: rest ->
-          work := rest;
-          (match rest with
-          | (parent, _) :: _ ->
-              if lowlink.(u) < lowlink.(parent) then
-                lowlink.(parent) <- lowlink.(u)
-          | [] -> ());
-          if lowlink.(u) = index.(u) then begin
-            let rec pop () =
-              match !stack with
-              | [] -> assert false
-              | w :: rest ->
-                  stack := rest;
-                  on_stack.(w) <- false;
-                  component.(w) <- !count;
-                  if w <> u then pop ()
-            in
-            pop ();
-            incr count
-          end
-      | (u, w :: ws) :: rest ->
-          work := (u, ws) :: rest;
-          if index.(w) = -1 then begin
-            index.(w) <- !next_index;
-            lowlink.(w) <- !next_index;
-            incr next_index;
-            stack := w :: !stack;
-            on_stack.(w) <- true;
-            work := (w, succs w) :: !work
-          end
-          else if on_stack.(w) && index.(w) < lowlink.(u) then
-            lowlink.(u) <- index.(w)
-    done
+    work_v.(!sp) <- v;
+    work_rest.(!sp) <- succs v;
+    incr sp
   in
   for v = 0 to n - 1 do
-    if index.(v) = -1 then visit v
+    if index.(v) = -1 then begin
+      enter v;
+      while !sp > 0 do
+        incr steps;
+        let u = work_v.(!sp - 1) in
+        match work_rest.(!sp - 1) with
+        | [] ->
+            decr sp;
+            if !sp > 0 then begin
+              let parent = work_v.(!sp - 1) in
+              if lowlink.(u) < lowlink.(parent) then
+                lowlink.(parent) <- lowlink.(u)
+            end;
+            if lowlink.(u) = index.(u) then begin
+              let popped = ref false in
+              while not !popped do
+                decr top;
+                let w = stack.(!top) in
+                on_stack.(w) <- false;
+                component.(w) <- !count;
+                popped := w = u
+              done;
+              incr count
+            end
+        | w :: ws ->
+            work_rest.(!sp - 1) <- ws;
+            if index.(w) = -1 then enter w
+            else if on_stack.(w) && index.(w) < lowlink.(u) then
+              lowlink.(u) <- index.(w)
+      done
+    end
   done;
   { component; count = !count; steps = !steps }
 
@@ -73,12 +73,10 @@ let members r =
 
 let non_trivial ~succs r =
   let all = members r in
-  Array.map
-    (fun vs ->
-      match vs with
-      | [ v ] -> if List.mem v (succs v) then vs else []
-      | _ -> vs)
-    all
-  |> Array.to_seq
-  |> Seq.filter (fun vs -> vs <> [])
-  |> Array.of_seq
+  let found = ref [] in
+  for c = Array.length all - 1 downto 0 do
+    match all.(c) with
+    | [ v ] when not (List.mem v (succs v)) -> ()
+    | vs -> found := vs :: !found
+  done;
+  Array.of_list !found

@@ -34,10 +34,7 @@ let accumulate ?counters ddg =
         built := (op, v) :: !built;
         v
   in
-  let ops =
-    Ddg.real_ids ddg |> List.map vectors_of
-    |> List.stable_sort (fun a b -> compare (Array.length a) (Array.length b))
-  in
+  let ops = Array.init (Ddg.n_real ddg) (fun i -> vectors_of (i + 1)) in
   let score extra =
     let worst = ref 0 in
     for r = 0 to nres - 1 do
@@ -46,29 +43,34 @@ let accumulate ?counters ddg =
     done;
     !worst
   in
-  List.iter
-    (fun alts ->
-      let nalts = Array.length alts in
-      (match counters with
-      | Some c -> c.Counters.resmii_steps <- c.Counters.resmii_steps + nalts
-      | None -> ());
-      (* The first alternative of lowest score wins. *)
-      let best = ref 0 in
-      if nalts > 1 then begin
-        let best_score = ref (score alts.(0)) in
-        for k = 1 to nalts - 1 do
-          let s = score alts.(k) in
-          if s < !best_score then begin
-            best := k;
-            best_score := s
-          end
-        done
-      end;
-      let extra = alts.(!best) in
-      for r = 0 to nres - 1 do
-        usage.(r) <- usage.(r) + extra.(r)
-      done)
-    ops;
+  let take alts =
+    let nalts = Array.length alts in
+    (match counters with
+    | Some c -> c.Counters.resmii_steps <- c.Counters.resmii_steps + nalts
+    | None -> ());
+    (* The first alternative of lowest score wins. *)
+    let best = ref 0 in
+    if nalts > 1 then begin
+      let best_score = ref (score alts.(0)) in
+      for k = 1 to nalts - 1 do
+        let s = score alts.(k) in
+        if s < !best_score then begin
+          best := k;
+          best_score := s
+        end
+      done
+    end;
+    let extra = alts.(!best) in
+    for r = 0 to nres - 1 do
+      usage.(r) <- usage.(r) + extra.(r)
+    done
+  in
+  (* Operations in increasing order of their number of alternatives,
+     in id order among equals. *)
+  let most = Array.fold_left (fun m alts -> max m (Array.length alts)) 0 ops in
+  for nalts = 1 to most do
+    Array.iter (fun alts -> if Array.length alts = nalts then take alts) ops
+  done;
   (usage, caps)
 
 let compute ?counters ddg =

@@ -232,8 +232,8 @@ let test_replay_allocation_ceilings () =
    MII and IMS set up each loop over flat arrays and native ints; the
    ceilings stop name-keyed lookups, per-edge options and list-built
    tables from creeping back.  Measured this way, Loop_bin.decode takes
-   1,745 words on lfk03 and 6,969 on lfk07, Mii.compute 1,653 and 5,406,
-   and Ims.modulo_schedule (MII included) 3,933 and 11,991; before, they
+   1,745 words on lfk03 and 6,969 on lfk07, Mii.compute 1,137 and 3,189,
+   and Ims.modulo_schedule (MII included) 3,417 and 9,774; before, they
    took 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
    Loop_bin.crc32 allocates only its boxed result (3 words) on any
    input; the boxed Int32 loop took 12,298 on 4 KiB. *)
@@ -255,7 +255,7 @@ let test_compile_allocation_ceilings () =
       check name "Ims.modulo_schedule"
         (words (fun () -> Ims.modulo_schedule ddg))
         ims_ceiling)
-    [ ("lfk03", 2_600, 2_500, 5_900); ("lfk07", 10_500, 8_100, 18_000) ];
+    [ ("lfk03", 2_600, 1_700, 5_100); ("lfk07", 10_500, 4_800, 14_700) ];
   let s = String.init 4096 (fun i -> Char.chr ((i * 7) land 255)) in
   check "4 KiB" "Loop_bin.crc32" (words (fun () -> Loop_bin.crc32 s)) 3
 
