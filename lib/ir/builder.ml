@@ -135,7 +135,8 @@ let finish ?(keep_false_deps = false) b =
     (* Output dependences: successive definitions in order, plus the
        distance-1 back edge from the last to the first.  Registers are
        visited in the iteration order of a hash table filled in order
-       of first definition, the order these edges have always had. *)
+       of first definition: the edge order, and so every schedule
+       derived from the graph, depends on it. *)
     let by_first_def = Hashtbl.create 31 in
     List.iter
       (fun (o : Op.t) ->
