@@ -1464,7 +1464,7 @@ let cmd_fleet =
       value & opt (some string) None & info [ "status-file" ] ~docv:"FILE" ~doc)
   in
   let status_interval_arg =
-    let doc = "Seconds between merged status heartbeats." in
+    let doc = "Seconds between merged status heartbeats; must be positive." in
     Arg.(value & opt float 1.0 & info [ "status-interval" ] ~docv:"S" ~doc)
   in
   let run model corpus workers dir jobs budget max_delta_ii timeout deadline
@@ -1473,6 +1473,8 @@ let cmd_fleet =
     wrap_code (fun () ->
         ignore (machine_of model);
         if workers < 1 then failwith "fleet: --workers must be at least 1";
+        if not (status_interval > 0.0) then
+          failwith "fleet: --status-interval must be positive";
         if not (Sys.file_exists corpus) then
           failwith (Printf.sprintf "fleet: no such corpus: %s" corpus);
         (match Sys.is_directory dir with

@@ -181,6 +181,16 @@ let resumable ~log w =
       Sys.remove path;
       false
 
+(* Block until [pid] exits.  Once the supervisor handles SIGCHLD,
+   another shard's exit interrupts the wait with EINTR; retry, or the
+   shard would be marked done without being reaped.  ECHILD means it
+   was reaped already. *)
+let rec wait_exit pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_exit pid
+  | exception Unix.Unix_error _ -> ()
+
 let term_all ~log workers =
   List.iter
     (fun w ->
@@ -195,16 +205,16 @@ let term_all ~log workers =
     (fun w ->
       match w.state with
       | Running pid ->
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+          wait_exit pid;
           w.state <- Done 1
       | _ -> ())
     workers
 
-let interrupted = ref false
-
-let run ?(poll = 0.05) ?max_failures ?(backoff = fun () -> Backoff.create ())
+let run ?max_failures ?(backoff = fun () -> Backoff.create ())
     ?(resume = false) ~log ~status_file ~status_interval ~tty ~prog ~specs
     () =
+  if not (status_interval > 0.0) then
+    invalid_arg "Fleet.run: status_interval must be positive";
   let workers =
     List.map
       (fun spec ->
@@ -272,24 +282,68 @@ let run ?(poll = 0.05) ?max_failures ?(backoff = fun () -> Backoff.create ())
     end
   in
   Fun.protect ~finally:finish @@ fun () ->
-  interrupted := false;
-  let old_term =
-    try
-      Sys.signal Sys.sigterm
-        (Sys.Signal_handle (fun _ -> interrupted := true))
-    with Invalid_argument _ -> Sys.Signal_default
-  in
-  let old_int =
-    try
-      Sys.signal Sys.sigint
-        (Sys.Signal_handle (fun _ -> interrupted := true))
-    with Invalid_argument _ -> Sys.Signal_default
-  in
+  (* The loop sleeps in [select] on a self-pipe that the SIGCHLD,
+     SIGTERM and SIGINT handlers each write a byte to, so a signal that
+     lands between the loop's checks and the [select] still ends the
+     wait.  [live] keeps a handler that runs late from writing to a
+     closed (or reused) descriptor. *)
+  let interrupted = ref false in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let live = ref true in
+  let installed = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      (try Sys.set_signal Sys.sigterm old_term with Invalid_argument _ -> ());
-      try Sys.set_signal Sys.sigint old_int with Invalid_argument _ -> ())
+      List.iter
+        (fun (signal, old) ->
+          try Sys.set_signal signal old with Invalid_argument _ -> ())
+        !installed;
+      live := false;
+      Unix.close wake_r;
+      Unix.close wake_w)
   @@ fun () ->
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let poke () =
+    if !live then
+      try ignore (Unix.single_write_substring wake_w "!" 0 1)
+      with Unix.Unix_error _ -> ()
+  in
+  let handle signal f =
+    match Sys.signal signal (Sys.Signal_handle f) with
+    | old -> installed := (signal, old) :: !installed
+    | exception Invalid_argument _ -> ()
+  in
+  let stop _ =
+    interrupted := true;
+    poke ()
+  in
+  handle Sys.sigchld (fun _ -> poke ());
+  handle Sys.sigterm stop;
+  handle Sys.sigint stop;
+  let drained = Bytes.create 64 in
+  let rec drain () =
+    match Unix.read wake_r drained 0 (Bytes.length drained) with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  (* Sleep until a signal arrives or the next heartbeat or backoff
+     restart is due. *)
+  let wait () =
+    let deadline =
+      List.fold_left
+        (fun d w ->
+          match w.state with Backing_off at -> Float.min d at | _ -> d)
+        (!last_beat +. status_interval)
+        workers
+    in
+    let timeout = deadline -. Unix.gettimeofday () in
+    if timeout > 0.0 then begin
+      (try ignore (Unix.select [ wake_r ] [] [] timeout)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      drain ()
+    end
+  in
   (* Initial launch: fresh by default; with [resume], shards whose
      journal survived a previous fleet run pick up where it died. *)
   List.iter
@@ -397,7 +451,7 @@ let run ?(poll = 0.05) ?max_failures ?(backoff = fun () -> Backoff.create ())
                workers ->
           result := Some Completed
       | _ -> ());
-      if !result = None then Unix.sleepf poll
+      if !result = None then wait ()
     end
   done;
   finish ();

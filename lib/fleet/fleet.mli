@@ -44,7 +44,6 @@ type outcome = {
 }
 
 val run :
-  ?poll:float ->
   ?max_failures:int ->
   ?backoff:(unit -> Ims_serve.Supervisor.Backoff.t) ->
   ?resume:bool ->
@@ -57,16 +56,21 @@ val run :
   unit ->
   outcome
 (** Launch one worker per spec and supervise until every shard
-    completes or the fleet stops.  [poll] (default 0.05 s) is the
-    reap/heartbeat loop period; [backoff] builds each shard's restart
-    policy (default {!Ims_serve.Supervisor.Backoff.create}[ ()]).
+    completes or the fleet stops.  The supervisor sleeps until a shard
+    exits (SIGCHLD), SIGTERM or SIGINT arrives, or its next heartbeat
+    or backoff restart is due; it never wakes on a fixed period.  The
+    three signal dispositions are restored on return.  [backoff]
+    builds each shard's restart policy (default
+    {!Ims_serve.Supervisor.Backoff.create}[ ()]).
     With [resume] (default false), the {e initial} launch also resumes
     shards whose journal survived a previous fleet run; restarts after
     a crash always resume when possible.  The merged status snapshot
     (aggregated counts plus per-shard pid/state/restarts) is published
     atomically to [status_file] and as a TTY line to [tty] at most once
-    per [status_interval]; the final snapshot carries
-    ["running":false] on {e every} exit path, including exceptions. *)
+    per [status_interval], and fleet-wide fail-fast is checked at each
+    of those heartbeats; the final snapshot carries ["running":false]
+    on {e every} exit path, including exceptions.
+    @raise Invalid_argument if [status_interval] is not positive. *)
 
 type merge_stats = {
   lines : int;  (** Total report lines merged. *)

@@ -9,7 +9,11 @@
 #      restarts it with --resume from its fsync'd journal, and the
 #      merged report is STILL byte-identical to the clean run;
 #   4. the merged status file ends with "running":false and the
-#      restart is visible in the fleet diagnostics.
+#      restart is visible in the fleet diagnostics;
+#   5. a non-positive --status-interval is refused before any shard
+#      starts;
+#   6. SIGTERM to a live fleet stops every shard, and the fleet exits 1
+#      with a settled status file.
 set -eu
 
 IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -54,10 +58,11 @@ FLEET_PID=$!
 
 # The status file carries every worker's pid; kill the first live one
 # as soon as the first heartbeat lands (early in the run, so the shard
-# has real work left to resume).
+# has real work left to resume).  The supervisor reaps a shard as soon
+# as it exits, so poll often: the whole run takes about 0.1 s.
 KILLED=0
 i=0
-while [ "$i" -lt 100 ]; do
+while [ "$i" -lt 1000 ]; do
   if [ -f fleet-status.json ]; then
     PID=$(grep -o '"pid":[1-9][0-9]*' fleet-status.json | head -1 | cut -d: -f2 || true)
     if [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null; then
@@ -65,7 +70,7 @@ while [ "$i" -lt 100 ]; do
       break
     fi
   fi
-  sleep 0.1
+  sleep 0.01
   i=$((i + 1))
 done
 test "$KILLED" -eq 1
@@ -78,6 +83,65 @@ cmp single.jsonl fleet-chaos.jsonl
 # --- 4. observability: final snapshot settled, restart recorded --------------
 
 grep -q '"running":false' fleet-status.json
-grep -q "restart" fleet-chaos.stderr
+grep -q "shard [0-9]*: crashed" fleet-chaos.stderr
+
+# --- 5. a non-positive --status-interval is refused up front ----------------
+
+rm -rf runbad
+mkdir runbad
+RC=0
+"$IMSC" fleet --corpus corpus.ilb --workers 2 --dir runbad \
+  --report fleet-bad.jsonl --status-interval 0 2> fleet-bad.stderr || RC=$?
+test "$RC" -eq 1
+test "$(wc -l < fleet-bad.stderr)" -eq 1
+grep -q -- "--status-interval" fleet-bad.stderr
+test -z "$(ls runbad)"
+
+# --- 6. SIGTERM a live fleet: shards stopped, exit 1, status settled ---------
+
+# A longer corpus, so the fleet is still running when the signal lands.
+"$IMSC" corpus gen --out corpus-long.ilb --count 5000 --seed 2026 2> /dev/null
+rm -rf runterm
+mkdir runterm
+"$IMSC" fleet --corpus corpus-long.ilb --workers 3 --dir runterm \
+  --report fleet-term.jsonl --status-file term-status.json \
+  --status-interval 0.1 2> fleet-term.stderr &
+FLEET_PID=$!
+
+# Keep the shard pids the first heartbeat lists.
+PIDS=""
+i=0
+while [ -z "$PIDS" ] && [ "$i" -lt 1000 ]; do
+  if [ -f term-status.json ]; then
+    PIDS=$(grep -o '"pid":[1-9][0-9]*' term-status.json | cut -d: -f2 || true)
+  fi
+  [ -n "$PIDS" ] || sleep 0.01
+  i=$((i + 1))
+done
+test -n "$PIDS"
+kill -TERM "$FLEET_PID"
+
+i=0
+while kill -0 "$FLEET_PID" 2> /dev/null && [ "$i" -lt 50 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+if kill -0 "$FLEET_PID" 2> /dev/null; then
+  echo "fleet still running 5 s after SIGTERM" >&2
+  exit 1
+fi
+RC=0
+wait "$FLEET_PID" || RC=$?
+FLEET_PID=""
+test "$RC" -eq 1
+
+grep -q '"running":false' term-status.json
+LEFT=$(grep -o '"pid":[1-9][0-9]*' term-status.json | cut -d: -f2 || true)
+for PID in $PIDS $LEFT; do
+  if kill -0 "$PID" 2> /dev/null; then
+    echo "shard pid $PID outlived the fleet" >&2
+    exit 1
+  fi
+done
 
 echo "fleet chaos gate: OK"

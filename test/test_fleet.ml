@@ -1,8 +1,9 @@
 (* Tests for the fleet-scale substrate: the binary loop wire format
    (round-trip, corruption rejection with byte offsets, version skew),
    sharded corpus generation determinism, journal component-hash
-   mismatch naming, the fleet report merge, and the fleet throughput
-   baseline gate. *)
+   mismatch naming, the fleet report merge, the fleet supervisor's
+   wake-ups and interrupt path, and the fleet throughput baseline
+   gate. *)
 
 open Ims_machine
 open Ims_workloads
@@ -359,6 +360,111 @@ let test_merge_rejects_garbage_line () =
   | Ok _ -> Alcotest.fail "garbage line merged"
   | Error _ -> ()
 
+(* --- Fleet.run: in-process supervision -------------------------------------- *)
+
+(* One /bin/sh shard per script; each script gets its report path as $1. *)
+let sh_specs scripts =
+  List.mapi
+    (fun k script ->
+      let report = tmp_path ".jsonl" in
+      let argv = [| "/bin/sh"; "-c"; script; "sh"; report |] in
+      {
+        Ims_fleet.Fleet.shard = k + 1;
+        fresh_argv = argv;
+        resume_argv = argv;
+        journal = tmp_path ".journal";
+        report;
+        status_file = tmp_path ".status";
+        log_file = tmp_path ".log";
+      })
+    scripts
+
+(* Heartbeats are an hour apart, so only a shard's exit or a signal can
+   wake the supervisor. *)
+let supervise specs =
+  Ims_fleet.Fleet.run ~log:Log.null ~status_file:None ~status_interval:3600.0
+    ~tty:None ~prog:"/bin/sh" ~specs ()
+
+(* A hung supervisor kills the test process instead of stalling CI. *)
+let with_watchdog f =
+  ignore (Unix.alarm 30);
+  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
+
+let test_run_wakes_on_exit () =
+  with_watchdog @@ fun () ->
+  let script = {|sleep 0.02; : > "$1"|} in
+  let fleets = List.init 5 (fun _ -> sh_specs [ script; script ]) in
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun specs ->
+      let o = supervise specs in
+      Alcotest.(check bool)
+        "completed" true
+        (o.reason = Ims_fleet.Fleet.Completed);
+      Alcotest.(check (list (pair int int)))
+        "exit codes" [ (1, 0); (2, 0) ] o.exit_codes)
+    fleets;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "five fleets took %.3fs (< 0.2s)" elapsed)
+    true (elapsed < 0.2)
+
+let sentinel _ = ()
+
+let test_run_interrupted () =
+  with_watchdog @@ fun () ->
+  let before =
+    [
+      ("SIGCHLD", Sys.sigchld, Sys.Signal_default);
+      ("SIGTERM", Sys.sigterm, Sys.Signal_handle sentinel);
+      ("SIGINT", Sys.sigint, Sys.Signal_ignore);
+    ]
+  in
+  let saved = List.map (fun (_, s, b) -> (s, Sys.signal s b)) before in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (s, b) -> Sys.set_signal s b) saved)
+  @@ fun () ->
+  (* Shard 1 signals the supervisor, then takes 50 ms to honour its
+     SIGTERM, so shard 2's exit interrupts the wait for shard 1. *)
+  let slow =
+    "trap 'sleep 0.05; kill $!; wait $!; exit 1' TERM; "
+    ^ "sleep 5 & kill -TERM $PPID; wait"
+  in
+  let t0 = Unix.gettimeofday () in
+  let o = supervise (sh_specs [ slow; "exec sleep 5" ]) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    "interrupted" true
+    (o.reason = Ims_fleet.Fleet.Interrupted);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped after %.3fs (< 2s)" elapsed)
+    true (elapsed < 2.0);
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | _ -> Alcotest.fail "a shard was left unreaped"
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ());
+  List.iter
+    (fun (name, s, b) ->
+      let restored =
+        match (Sys.signal s b, b) with
+        | Sys.Signal_default, Sys.Signal_default
+        | Sys.Signal_ignore, Sys.Signal_ignore ->
+            true
+        | Sys.Signal_handle f, Sys.Signal_handle g -> f == g
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (name ^ " disposition restored")
+        true restored)
+    before
+
+let test_run_rejects_status_interval () =
+  Alcotest.check_raises "zero interval"
+    (Invalid_argument "Fleet.run: status_interval must be positive")
+    (fun () ->
+      ignore
+        (Ims_fleet.Fleet.run ~log:Log.null ~status_file:None
+           ~status_interval:0.0 ~tty:None ~prog:"/bin/sh" ~specs:[] ()))
+
 (* --- Baseline: the fleet throughput gate ------------------------------------ *)
 
 let fleet_snapshot ?(loops = 1000) ?(workers = 4) lps =
@@ -442,6 +548,12 @@ let tests =
         test_merge_rejects_uneven_shards;
       Alcotest.test_case "merge rejects an unparseable report line" `Quick
         test_merge_rejects_garbage_line;
+      Alcotest.test_case "supervisor wakes when a shard exits" `Quick
+        test_run_wakes_on_exit;
+      Alcotest.test_case "interrupt reaps shards and restores signals" `Quick
+        test_run_interrupted;
+      Alcotest.test_case "run refuses a non-positive status interval" `Quick
+        test_run_rejects_status_interval;
       Alcotest.test_case "baseline gates fleet loops/s regressions" `Quick
         test_baseline_gates_fleet_throughput;
       Alcotest.test_case "baseline skips fleet shape mismatches" `Quick
