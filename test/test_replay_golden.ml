@@ -34,7 +34,17 @@
    counter, and the [Printexc.to_string] of what decoding a corrupted
    copy of the payload raised (one byte flipped; truncated).  It also
    renders every field of [Mrt.compile] for every alternative of the
-   four built-in machines at II 1..64, with and without capacities. *)
+   four built-in machines at II 1..64, with and without capacities.
+
+   The placement digest pins the register models' helpers over the same
+   schedules.  Per schedule it renders every field of [Rotreg.place]
+   at the schedule's II, at II + 1 and at 2 * II + 3, each over its own
+   [Lifetime.analyze] and with its [Rotreg.verify] verdict, and at II 0
+   and -1 over the schedule's ranges; [Rotreg.allocate ~keep] for each register class and
+   [Rotreg.allocate_by_class]; the [Mve.of_ranges] unroll; and
+   [Mve.needs_expansion] for every register of the span and one past
+   each end — each piece, or the [Printexc.to_string] of what it
+   raised, on its own line. *)
 
 open Ims_machine
 open Ims_ir
@@ -150,9 +160,60 @@ let render_static s =
          | Ok () -> "ok"
          | Error es -> "error: " ^ String.concat " | " es))
 
-let render_schedule (buf, static, lower) label s =
+let render_alloc (t : Rotreg.t) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "size=%d domain=[%s] base=[%s] blocks=[%s]" t.Rotreg.file_size
+    (ints t.Rotreg.domain)
+    (String.concat ";" (List.map (fun (r, b) -> Printf.sprintf "%d:%d" r b) t.Rotreg.base))
+    (String.concat ";"
+       (List.map (fun (r, b, o) -> Printf.sprintf "%d:%d:%d" r b o) t.Rotreg.blocks))
+
+let render_verify t =
+  match Rotreg.verify t with Ok () -> "ok" | Error es -> String.concat " | " es
+
+let render_placement s =
+  let ddg = s.Schedule.ddg and ii = s.Schedule.ii in
+  let ranges = lazy (Lifetime.analyze s) in
+  (* At a positive II the ranges are the re-timed schedule's own; II 0
+     and -1, where the analysis divides by zero or yields nothing
+     meaningful, place the schedule's ranges. *)
+  let place ii =
+    guard (fun () ->
+        let at = Schedule.with_entries s ~ii s.Schedule.entries in
+        if ii >= 1 then
+          let t = Rotreg.place at (Lifetime.analyze at) in
+          Printf.sprintf "place ii=%d %s verify %s" ii (render_alloc t) (render_verify t)
+        else Printf.sprintf "place ii=%d %s" ii (render_alloc (Rotreg.place at (Lazy.force ranges))))
+  in
+  let by_class cls =
+    guard (fun () ->
+        render_alloc (Rotreg.allocate ~keep:(fun reg -> Regclass.of_reg ddg reg = cls) s))
+  in
+  let mve =
+    guard (fun () ->
+        let mve = Mve.of_ranges s (Lazy.force ranges) in
+        let lo, hi = Ddg.reg_span ddg in
+        Printf.sprintf "unroll=%d expand=%s" mve.Mve.unroll
+          (String.init (hi - lo + 3) (fun x ->
+               if Mve.needs_expansion mve (lo - 1 + x) then '1' else '0')))
+  in
+  String.concat "\n"
+    (List.map place [ ii; ii + 1; (2 * ii) + 3; 0; -1 ]
+    @ List.map (fun cls -> Regclass.name cls ^ " " ^ by_class cls) Regclass.all
+    @ [
+        guard (fun () ->
+            "by class"
+            ^ String.concat ""
+                (List.map
+                   (fun (cls, t) -> " " ^ Regclass.name cls ^ " " ^ render_alloc t)
+                   (Rotreg.allocate_by_class s)));
+        mve;
+      ])
+
+let render_schedule (buf, static, lower, placement) label s =
   Printf.bprintf buf "%s ii=%d\n%s\n%s\n" label s.Schedule.ii (render_check s)
     (render_sim s);
+  Printf.bprintf placement "%s ii=%d\n%s\n" label s.Schedule.ii (render_placement s);
   let on_lowered =
     Schedule.with_entries s ~ddg:(Ddg.map_machine s.Schedule.ddg lower) s.Schedule.entries
   in
@@ -183,15 +244,18 @@ let mutants st s =
         (Printf.sprintf "swap ops %d %d" a b, Schedule.with_entries s entries)
       end)
 
-let render_loop (buf, static) index (name, ddg) =
+let render_loop (buf, static, placement) index (name, ddg) =
   Printf.bprintf buf "== %s supported=%b\n%s\n" name (Interp.supported ddg)
     (guard (fun () -> render_outcome (Interp.run_sequential ddg ~trip:8)));
   Printf.bprintf static "== %s\n" name;
-  let bufs = (buf, static, lowered_machines.(index mod Array.length lowered_machines)) in
+  Printf.bprintf placement "== %s\n" name;
+  let lower = lowered_machines.(index mod Array.length lowered_machines) in
+  let bufs = (buf, static, lower, placement) in
   match (Ims.modulo_schedule ddg).Ims.schedule with
   | None ->
       Printf.bprintf buf "unscheduled\n";
-      Printf.bprintf static "unscheduled\n"
+      Printf.bprintf static "unscheduled\n";
+      Printf.bprintf placement "unscheduled\n"
   | Some s ->
       render_schedule bufs "pristine" s;
       Printf.bprintf buf "%s\n%s\n" (render_wrong_stage s) (render_exit s);
@@ -201,15 +265,17 @@ let render_loop (buf, static) index (name, ddg) =
 let loops () =
   Lfk.all machine @ List.init 400 (fun i -> Corpus.build machine ~seed:13 i)
 
-(* Both renderings, made in one pass over the inputs. *)
+(* The three renderings, made in one pass over the inputs. *)
 let rendered =
   lazy
     (let buf = Buffer.create (1 lsl 20) and static = Buffer.create (1 lsl 20) in
-     List.iteri (render_loop (buf, static)) (loops ());
-     (Buffer.contents buf, Buffer.contents static))
+     let placement = Buffer.create (1 lsl 20) in
+     List.iteri (render_loop (buf, static, placement)) (loops ());
+     (Buffer.contents buf, Buffer.contents static, Buffer.contents placement))
 
 let expected_digest = "64f237a4f5cdee3c2f2cfadbdc106c47"
 let expected_static_digest = "3faa1a90b379ab14f1df4545c7378d0e"
+let expected_placement_digest = "303f700ff5396a4cabfd40dcbc203e2a"
 
 (* --- the compile path ------------------------------------------------- *)
 
@@ -301,15 +367,18 @@ let compile_rendered () =
 
 let expected_compile_digest = "afa65d46a25c3e732bdfb11900dafd4f"
 
-let test_digest () =
+let pinned label expected pick () =
   Alcotest.(check string)
-    "replay verdict digest" expected_digest
-    (Digest.to_hex (Digest.string (fst (Lazy.force rendered))))
+    label expected
+    (Digest.to_hex (Digest.string (pick (Lazy.force rendered))))
 
-let test_static_digest () =
-  Alcotest.(check string)
-    "static verdict digest" expected_static_digest
-    (Digest.to_hex (Digest.string (snd (Lazy.force rendered))))
+let test_digest = pinned "replay verdict digest" expected_digest (fun (r, _, _) -> r)
+
+let test_static_digest =
+  pinned "static verdict digest" expected_static_digest (fun (_, s, _) -> s)
+
+let test_placement_digest =
+  pinned "register placement digest" expected_placement_digest (fun (_, _, p) -> p)
 
 let test_compile_digest () =
   Alcotest.(check string)
@@ -324,4 +393,5 @@ let tests =
       Alcotest.test_case "checker replay verdict digest" `Slow test_digest;
       Alcotest.test_case "static checker verdict digest" `Slow test_static_digest;
       Alcotest.test_case "compile path digest" `Slow test_compile_digest;
+      Alcotest.test_case "register placement digest" `Slow test_placement_digest;
     ] )
