@@ -13,6 +13,11 @@ type t = {
   schedule : Schedule.t;
   unroll : int;  (** kmin; 1 when no expansion is needed. *)
   ranges : Lifetime.range list;
+  first : int;  (** The lowest register in [ranges]. *)
+  kinds : Bytes.t;
+      (** Per register from [first]: whether [ranges] has it, and with
+          more than one copy — {!needs_expansion}'s table, built by
+          {!of_ranges}.  A copy with another [unroll] keeps it valid. *)
 }
 
 val expand : Schedule.t -> t
@@ -29,7 +34,9 @@ val rename : t -> reg:int -> copy:int -> distance:int -> string
     live-ins) keep their plain name ["v3"]. *)
 
 val needs_expansion : t -> int -> bool
-(** Whether {!rename} gives the register one name per kernel copy. *)
+(** Whether {!rename} gives the register one name per kernel copy: it
+    has a range, and that range has more than one copy or the unroll
+    exceeds 1.  Constant time. *)
 
 val instance : t -> copy:int -> distance:int -> int
 (** The kernel copy whose instance a distance-[distance] reader in copy

@@ -39,6 +39,30 @@ let ranges_of ?keep schedule =
     (fun (r : Lifetime.range) -> keep r.Lifetime.reg)
     (Lifetime.analyze schedule)
 
+(* Placement is greedy in definition order (def time, then register):
+   each variant goes at the smallest base satisfying the vacating
+   distance from every already-placed one, and the wraparound
+   constraints then fix the file size:
+
+     base_v = max over u placed before v of base_u + D(u,v)
+     size   = max over w placed at or before v of base_v - base_w + D(v,w)
+
+   (at least 1; [w] before [v] is [base_w <= base_v], as every D is at
+   least 1 and bases strictly increase in placement order; [w = v] is the
+   variant's own next write, its lifetime in iterations).
+
+   At II >= 1 both maxima take one pass.  D(u,v) depends on
+   [last_use(u) - def(v)] and never decreases with it, and [def(v)] never
+   decreases along the placement order, so u's demand [base_u + D(u,v)]
+   on later variants never grows.  Once it is at most [base_p + 1] for
+   the last-placed p, which every later base exceeds, u can never set a
+   base again and leaves the active set.  A variant stays active for at
+   most about D(u, next) placements, so the work is the file size, not
+   the square of the variant count.  For the size, the first-placed
+   variant w0 has both the smallest base (0) and the smallest def time,
+   hence the largest D(v, w): every v's widest wrap is against w0.  At
+   II < 1, where D is not monotone (or divides by zero), the pairwise
+   loops stay. *)
 let place schedule ranges =
   let ii = schedule.Schedule.ii in
   (* [ranges] ascends by register ({!Lifetime.analyze}); [placed] is the
@@ -46,35 +70,61 @@ let place schedule ranges =
   let ranges = Array.of_list ranges in
   let m = Array.length ranges in
   let placed = Array.init m Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      let a = ranges.(a) and b = ranges.(b) in
-      match Int.compare a.Lifetime.def_time b.Lifetime.def_time with
-      | 0 -> Int.compare a.reg b.reg
-      | c -> c)
-    placed;
-  let vacating v w = vacating_distance ~ii ranges.(v) ranges.(w) in
-  (* Greedy linear placement: each variant goes at the smallest base
-     satisfying the vacating distance from every already-placed one;
-     the wraparound constraints then fix the file size. *)
-  let base = Array.make m 0 in
-  Array.iteri
-    (fun q v ->
-      for p = 0 to q - 1 do
-        let u = placed.(p) in
-        base.(v) <- Int.max base.(v) (base.(u) + vacating u v)
-      done)
-    placed;
-  (* size >= base_v - base_w + D(v,w) for every pair with base_w <=
-     base_v (w's writes reach v's cell around the wrap), including
-     v = w (the variant's own next write: its lifetime in iterations). *)
-  let file_size = ref 1 in
-  for v = 0 to m - 1 do
-    for w = 0 to m - 1 do
-      if base.(w) <= base.(v) then
-        file_size := Int.max !file_size (base.(v) - base.(w) + vacating v w)
-    done
+  (* A stable insertion sort: [ranges] mostly arrive nearly in order. *)
+  let after (a : Lifetime.range) (b : Lifetime.range) =
+    a.def_time > b.def_time || (a.def_time = b.def_time && a.reg > b.reg)
+  in
+  for q = 1 to m - 1 do
+    let v = placed.(q) and p = ref (q - 1) in
+    while !p >= 0 && after ranges.(placed.(!p)) ranges.(v) do
+      placed.(!p + 1) <- placed.(!p);
+      decr p
+    done;
+    placed.(!p + 1) <- v
   done;
+  let vacating v w = vacating_distance ~ii ranges.(v) ranges.(w) in
+  let base = Array.make m 0 and file_size = ref 1 in
+  if ii >= 1 then begin
+    let active = Array.make m 0 and live = ref 0 in
+    for q = 0 to m - 1 do
+      let v = placed.(q) in
+      let floor = if q = 0 then 0 else base.(placed.(q - 1)) + 1 in
+      let b = ref floor and kept = ref 0 in
+      for a = 0 to !live - 1 do
+        let u = active.(a) in
+        let demand = base.(u) + vacating u v in
+        if demand > floor then begin
+          b := Int.max !b demand;
+          active.(!kept) <- u;
+          incr kept
+        end
+      done;
+      base.(v) <- !b;
+      active.(!kept) <- v;
+      live := !kept + 1
+    done;
+    if m > 0 then begin
+      let w0 = placed.(0) in
+      for v = 0 to m - 1 do
+        file_size := Int.max !file_size (base.(v) + vacating v w0)
+      done
+    end
+  end
+  else begin
+    Array.iteri
+      (fun q v ->
+        for p = 0 to q - 1 do
+          let u = placed.(p) in
+          base.(v) <- Int.max base.(v) (base.(u) + vacating u v)
+        done)
+      placed;
+    for v = 0 to m - 1 do
+      for w = 0 to m - 1 do
+        if base.(w) <= base.(v) then
+          file_size := Int.max !file_size (base.(v) - base.(w) + vacating v w)
+      done
+    done
+  end;
   let reg v = ranges.(v).Lifetime.reg in
   {
     schedule;
@@ -145,12 +195,20 @@ let pp ppf t =
         reg base omega)
     t.blocks
 
+(* One lifetime analysis and one classification per register serve the
+   three files: [allocate ~keep] per class would repeat both. *)
 let allocate_by_class schedule =
   let ddg = schedule.Ims_core.Schedule.ddg in
+  let classed =
+    List.map
+      (fun (r : Lifetime.range) -> (Regclass.of_reg ddg r.Lifetime.reg, r))
+      (Lifetime.analyze schedule)
+  in
   List.filter_map
     (fun cls ->
       let alloc =
-        allocate ~keep:(fun reg -> Regclass.of_reg ddg reg = cls) schedule
+        place schedule
+          (List.filter_map (fun (c, r) -> if c = cls then Some r else None) classed)
       in
       if alloc.blocks = [] then None else Some (cls, alloc))
     Regclass.all
