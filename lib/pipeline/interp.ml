@@ -86,16 +86,41 @@ let semantics (o : Op.t) =
   | opcode, srcs ->
       Unknown (Printf.sprintf "no semantics for %s/%d" opcode (List.length srcs))
 
-module Mem = Hashtbl.Make (Int)
+(* Address -> dense index, in first-sight order, by open addressing
+   over int arrays: [slots] holds dense indices (-1: empty) by the
+   multiplicative hash of their address, [addrs] each index's address.
+   Sized once, for at most [capacity] addresses at a load of at most
+   one half: no resize, no boxing. *)
+type index = { slots : int array; shift : int; addrs : int array; mutable count : int }
 
-(* The dense index of [key] in [index], allocated on first sight. *)
-let dense index key =
-  match Mem.find_opt index key with
-  | Some x -> x
-  | None ->
-      let x = Mem.length index in
-      Mem.add index key x;
-      x
+let new_index capacity =
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * capacity do incr bits done;
+  {
+    slots = Array.make (1 lsl !bits) (-1);
+    shift = Sys.int_size - !bits;
+    addrs = Array.make capacity 0;
+    count = 0;
+  }
+
+let dense index addr =
+  let mask = Array.length index.slots - 1 in
+  let h = ref ((addr * 0x9E3779B97F4A7C1) lsr index.shift) in
+  while
+    let x = index.slots.(!h) in
+    x >= 0 && index.addrs.(x) <> addr
+  do
+    h := (!h + 1) land mask
+  done;
+  let x = index.slots.(!h) in
+  if x >= 0 then x
+  else begin
+    let x = index.count in
+    index.slots.(!h) <- x;
+    index.addrs.(x) <- addr;
+    index.count <- x + 1;
+    x
+  end
 
 (* Registers are numbered densely in first-sight order (sources,
    predicate, destinations, operation by operation), through a flat
@@ -168,7 +193,7 @@ type log = {
           load, the store instance it read (-1: none). *)
   executed : Bytes.t;  (** Per instance: its guard held. *)
   writer : int array;  (** Walk cell -> instance of its latest write, or -1. *)
-  index : int Mem.t;  (** Address -> dense index. *)
+  index : index;  (** Address -> dense index. *)
   stores : int array;  (** Dense address -> its latest store instance, or -1. *)
   mutable id : int;  (** The instance issuing. *)
   mutable pos : int;  (** Its next slot. *)
@@ -188,7 +213,7 @@ let new_log body ~trip =
     seen = Array.make (slot.(n) * trip) 0;
     executed = Bytes.make (n * trip) '\000';
     writer = Array.make (Array.length body.reg * trip) (-1);
-    index = Mem.create 16;
+    index = new_index (body.accesses * trip);
     stores = Array.make (body.accesses * trip) (-1);
     id = 0;
     pos = 0;
@@ -200,7 +225,7 @@ type state = {
   model : model;
   vals : float array;
   has : Bytes.t;
-  addr : int Mem.t;
+  addr : index;
       (** Address -> dense index, allocated by the first load or store
           of the address; the log's own when recording. *)
   mem : float array;  (** Dense address -> the value stored there. *)
@@ -219,7 +244,7 @@ let start ?log body ~seed ~iters model =
   in
   let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
   let addresses = body.accesses * Int.max 0 iters in
-  let addr = match log with Some (l : log) -> l.index | None -> Mem.create 16 in
+  let addr = match log with Some (l : log) -> l.index | None -> new_index addresses in
   let mem = Array.make addresses 0.0 and stored = Bytes.make addresses '\000' in
   { body; seed; model; vals; has; addr; mem; stored; log }
 
@@ -365,13 +390,12 @@ let outcome st ~trip =
     in
     if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
   in
-  let memory =
-    Mem.fold
-      (fun addr x acc -> if Bytes.get st.stored x <> '\000' then (addr, st.mem.(x)) :: acc else acc)
-      st.addr []
-  in
+  let memory = ref [] in
+  for x = st.addr.count - 1 downto 0 do
+    if Bytes.get st.stored x <> '\000' then memory := (st.addr.addrs.(x), st.mem.(x)) :: !memory
+  done;
   {
-    memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) memory;
+    memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) !memory;
     finals = List.filter_map final (Array.to_list st.body.written);
   }
 
@@ -399,73 +423,146 @@ let sequential ?log body ~seed ~exit_op ~max_trip =
   done;
   (st, !exit_iter)
 
+(* The kernel rows of a schedule at II >= 1, which fix its issue order
+   without a sort (Rau 1994: iteration [i] issues operation [k] at
+   [t_k + i * II]).  Write [t_k = s_k * II + r_k] with stage [s_k] and
+   kernel row [0 <= r_k < II]: cycle [j * II + r] issues exactly the
+   operations of row [r], operation [k] for iteration [j - s_k].  So
+   walking [j] upwards from the lowest stage, and within it the
+   non-empty rows upwards, visits the cycles in increasing order.
+   Within a row, time decreases exactly when the stage does, that is
+   when the iteration increases, so ordering the row by decreasing time,
+   then index, yields each cycle's instances by iteration, then id: the
+   order a stable sort of every instance by cycle would give. *)
+type rows = {
+  kernel : int array;  (** Operation indices by row, then decreasing time, then index. *)
+  stage : int array;  (** Per operation index. *)
+  starts : int array;  (** Row [g]'s operations: [ops.(starts.(g) .. starts.(g + 1) - 1)]. *)
+  lowest : int;  (** The lowest stage ([max_int] without operations). *)
+  highest : int;
+}
+
+let kernel_rows sched =
+  let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
+  let time = Array.make n 0 and stage = Array.make n 0 and row = Array.make n 0 in
+  let lowest = ref max_int and highest = ref min_int in
+  for k = 0 to n - 1 do
+    let t = Schedule.time sched (k + 1) in
+    let s = if t >= 0 then t / ii else -((ii - 1 - t) / ii) in
+    time.(k) <- t;
+    stage.(k) <- s;
+    row.(k) <- t - (s * ii);
+    lowest := Int.min !lowest s;
+    highest := Int.max !highest s
+  done;
+  (* An insertion sort: no closure, and few operations per row. *)
+  let kernel = Array.init n Fun.id in
+  for q = 1 to n - 1 do
+    let k = kernel.(q) in
+    let p = ref (q - 1) in
+    while
+      !p >= 0
+      &&
+      let o = kernel.(!p) in
+      row.(o) > row.(k) || (row.(o) = row.(k) && time.(o) < time.(k))
+    do
+      kernel.(!p + 1) <- kernel.(!p);
+      decr p
+    done;
+    kernel.(!p + 1) <- k
+  done;
+  let starts = ref [ n ] in
+  for q = n - 1 downto 0 do
+    if q = 0 || row.(kernel.(q)) <> row.(kernel.(q - 1)) then starts := q :: !starts
+  done;
+  { kernel; stage; starts = Array.of_list !starts; lowest = !lowest; highest = !highest }
+
 (* Operation instances [i * n + k] (operation id [k + 1] of iteration
    [i]) of the first [iters] iterations that satisfy [keep], in issue
-   order: by cycle [time + i * II], then iteration, then id.  They are
-   generated in (iteration, id) order, then sorted stably by cycle with
-   an LSD radix sort, 16 bits of the cycle offset per pass (one pass
-   unless the cycles span 65,536 or more).  Returned with every
-   instance's cycle. *)
-let issue_order ?(keep = fun _ _ -> true) sched ~iters =
+   order: by cycle [time + i * II], then iteration, then id.  [order]
+   holds them cycle by cycle, the [g]-th cycle where anything issues at
+   positions [cuts.(g)] to [cuts.(g + 1) - 1].  At II >= 1 they come
+   from the kernel rows; at II < 1, which only corrupt schedules reach,
+   they are generated in (iteration, id) order and sorted stably by
+   cycle. *)
+type order = { order : int array; cuts : int array; cycles : int }
+
+let issue_order ?keep sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
-  let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
-  let xs = Array.make (Int.max 0 iters * n) 0 and len = ref 0 in
-  let cycle = Array.make (Int.max 0 iters * n) 0 in
-  let low = ref max_int and high = ref min_int in
-  List.iter
-    (fun i ->
+  let iters = Int.max 0 iters in
+  let kept i k = match keep with None -> true | Some keep -> keep i k in
+  let xs = Array.make (iters * n) 0 and len = ref 0 in
+  let cuts = ref [] and cycles = ref 0 in
+  let cut start =
+    if !len > start then begin
+      cuts := start :: !cuts;
+      incr cycles
+    end
+  in
+  if ii >= 1 then begin
+    let { kernel; stage; starts; lowest; highest } = kernel_rows sched in
+    for j = lowest to highest + iters - 1 do
+      for g = 0 to Array.length starts - 2 do
+        let start = !len in
+        for q = starts.(g) to starts.(g + 1) - 1 do
+          let k = kernel.(q) in
+          let i = j - stage.(k) in
+          if i >= 0 && i < iters && kept i k then begin
+            xs.(!len) <- (i * n) + k;
+            incr len
+          end
+        done;
+        cut start
+      done
+    done
+  end
+  else begin
+    for i = 0 to iters - 1 do
       for k = 0 to n - 1 do
-        let x = (i * n) + k and c = time.(k) + (i * ii) in
-        cycle.(x) <- c;
-        low := Int.min !low c;
-        high := Int.max !high c;
-        if keep i k then (xs.(!len) <- x; incr len)
-      done)
-    (List.init iters Fun.id);
-  let low = !low and top = if !high < !low then 0 else !high - !low in
-  let order = ref (if !len = Array.length xs then xs else Array.sub xs 0 !len)
-  and shift = ref 0 in
-  while !shift < Sys.int_size && top lsr !shift > 0 do
-    let src = !order and dst = Array.make !len 0 in
-    let count = Array.make (Int.min top 0xFFFF + 2) 0 in
-    for p = 0 to !len - 1 do
-      let d = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
-      count.(d + 1) <- count.(d + 1) + 1
+        if kept i k then begin
+          xs.(!len) <- (i * n) + k;
+          incr len
+        end
+      done
     done;
-    for d = 1 to Array.length count - 1 do
-      count.(d) <- count.(d) + count.(d - 1)
-    done;
-    for p = 0 to !len - 1 do
-      let d = ((cycle.(src.(p)) - low) lsr !shift) land 0xFFFF in
-      dst.(count.(d)) <- src.(p);
-      count.(d) <- count.(d) + 1
-    done;
-    order := dst;
-    shift := !shift + 16
-  done;
-  (!order, cycle)
+    let cycle x = Schedule.time sched ((x mod n) + 1) + (x / n * ii) in
+    let sorted = Array.sub xs 0 !len in
+    Array.stable_sort (fun a b -> Int.compare (cycle a) (cycle b)) sorted;
+    Array.iteri
+      (fun p x ->
+        if p = 0 || cycle x <> cycle sorted.(p - 1) then begin
+          cuts := p :: !cuts;
+          incr cycles
+        end;
+        xs.(p) <- x)
+      sorted
+  end;
+  {
+    order = (if !len = Array.length xs then xs else Array.sub xs 0 !len);
+    cuts = Array.of_list (List.rev (!len :: !cuts));
+    cycles = !cycles;
+  }
 
 (* Replay an issue order cycle by cycle with VLIW issue semantics: every
    operation issued in a cycle reads its operands before any operation
    of that cycle writes its result. *)
-let replay st (order, cycle) =
-  let n = Array.length st.body.ops and len = Array.length order in
-  let result = Array.make len 0.0 and writes = Array.make len false in
-  let commit_from first last =
-    for p = first to last - 1 do
-      if writes.(p) then commit st ~result ~slot:p (order.(p) mod n) (order.(p) / n)
+let replay st { order; cuts; cycles } =
+  let n = Array.length st.body.ops in
+  let width = ref 0 in
+  for g = 0 to cycles - 1 do
+    width := Int.max !width (cuts.(g + 1) - cuts.(g))
+  done;
+  let result = Array.make !width 0.0 and writes = Array.make !width false in
+  for g = 0 to cycles - 1 do
+    let first = cuts.(g) in
+    for p = first to cuts.(g + 1) - 1 do
+      let x = order.(p) in
+      writes.(p - first) <- issue st ~result ~slot:(p - first) (x mod n) (x / n)
+    done;
+    for p = first to cuts.(g + 1) - 1 do
+      if writes.(p - first) then commit st ~result ~slot:(p - first) (order.(p) mod n) (order.(p) / n)
     done
-  in
-  let first = ref 0 in
-  Array.iteri
-    (fun p x ->
-      if p > 0 && cycle.(x) <> cycle.(order.(p - 1)) then begin
-        commit_from !first p;
-        first := p
-      end;
-      writes.(p) <- issue st ~result ~slot:p (x mod n) (x / n))
-    order;
-  commit_from !first len;
+  done;
   st
 
 (* Supported for overlapped replay: every register the loop defines gets
@@ -591,8 +688,9 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
    issue, register writes commit at the end of the cycle.  Memory does
    not depend on the register model, so one owner array serves all
    three. *)
-let producers body log ~trip (order, cycle) ~cells ~file =
+let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~file =
   let ops = body.ops and n = Array.length body.ops and nr = Array.length body.reg in
+  let defined = body.defined and seen = log.seen and width = log.width in
   let unroll, spread =
     match cells with
     | Some (Cells { mve; spread }) -> (mve.Mve.unroll, spread)
@@ -606,72 +704,98 @@ let producers body log ~trip (order, cycle) ~cells ~file =
   let copy = Array.init trip (fun j -> j mod unroll)
   and turn = Array.init trip (fun j -> j mod size)
   and base = Array.map (fun b -> if b < 0 then -1 else b mod size) base in
-  let copy_cell r j = if spread.(r) then (r * unroll) + copy.(j) else r * unroll
-  and file_cell r j =
-    let b = base.(r) and t = turn.(j) in
-    if b < 0 then -1 else if b >= t then b - t else b - t + size
-  in
+  (* The register and distance of every read slot of an iteration, laid
+     out as [log.slot]: the predicate first, then the sources; [reads.(k)]
+     counts those of an executed instance of [k]. *)
+  let reg_at = Array.make width 0 and dist_at = Array.make width 0 and reads = Array.make n 0 in
+  Array.iteri
+    (fun k o ->
+      let s = log.slot.(k) and guard = if o.pred >= 0 then 1 else 0 in
+      if guard = 1 then (reg_at.(s) <- o.pred; dist_at.(s) <- o.pred_dist);
+      Array.iteri (fun y r -> reg_at.(s + guard + y) <- r; dist_at.(s + guard + y) <- o.dists.(y)) o.srcs;
+      reads.(k) <- guard + Array.length o.srcs)
+    ops;
   let exact = Array.make (nr * trip) (-1) and copies = Array.make (nr * unroll) (-1) in
-  let rotating = Array.make size (-1) and memory = Array.make (Mem.length log.index) (-1) in
+  let rotating = Array.make size (-1) and memory = Array.make log.index.count (-1) in
   let ok_exact = ref true and ok_cells = ref (Option.is_some cells)
   and ok_file = ref (Option.is_some file) in
-  let fail () = ok_exact := false; ok_cells := false; ok_file := false in
-  let read r d i want =
-    let j = i - d in
-    if !ok_exact && want <> (if j < 0 then j else if j < trip then exact.((r * trip) + j) else -1)
-    then ok_exact := false;
-    if j < 0 || not body.defined.(r) then begin
-      if want <> (if j < 0 then j else -1) then (ok_cells := false; ok_file := false)
-    end
-    else begin
-      if !ok_cells && copies.(copy_cell r j) <> want then ok_cells := false;
-      if !ok_file then
-        let c = file_cell r j in
-        if (if c < 0 then -1 else rotating.(c)) <> want then ok_file := false
-    end
-  in
   (* Register writes of the current cycle, committed at its end: at most
-     one instance of each operation issues in a cycle when II >= 1. *)
-  let pending = Array.make n 0 and npending = ref 0 in
-  let commit () =
-    for p = 0 to !npending - 1 do
-      let x = pending.(p) in
-      let o = ops.(x mod n) and i = x / n in
-      for y = 0 to Array.length o.dsts - 1 do
-        let r = o.dsts.(y) in
-        exact.((r * trip) + i) <- x;
-        copies.(copy_cell r i) <- x;
-        let c = file_cell r i in
-        if c >= 0 then rotating.(c) <- x
+     one instance of each operation issues in a cycle when II >= 1.  The
+     cycles are walked as {!kernel_rows} says, stopping once every model
+     has failed. *)
+  let pending = Array.make n 0 and j = ref lowest and stop_at = highest + trip - 1 in
+  while !j <= stop_at && (!ok_exact || !ok_cells || !ok_file) do
+    for g = 0 to Array.length starts - 2 do
+      let npending = ref 0 in
+      for q = starts.(g) to starts.(g + 1) - 1 do
+        let k = kernel.(q) in
+        let i = !j - stage.(k) in
+        if i >= 0 && i < trip then begin
+          let x = (i * n) + k in
+          let o = ops.(k) and s = log.slot.(k) and at = i * width in
+          let executed = Bytes.get log.executed x <> '\000' in
+          let stop = if executed then s + reads.(k) else if o.pred >= 0 then s + 1 else s in
+          (* Each read resolves as [locate] does: instance [j < 0] is
+             live-in [j] in every model, a never-written register's
+             instance [j >= 0] is -1, and otherwise each model's cell
+             holds the answer. *)
+          for y = s to stop - 1 do
+            let r = reg_at.(y) and want = seen.(at + y) in
+            let j = i - dist_at.(y) in
+            if j < 0 || not defined.(r) then begin
+              if want <> if j < 0 then j else -1 then begin
+                ok_exact := false;
+                ok_cells := false;
+                ok_file := false
+              end
+            end
+            else begin
+              if !ok_exact && want <> if j < trip then exact.((r * trip) + j) else -1 then
+                ok_exact := false;
+              if !ok_cells
+                 && copies.(if spread.(r) then (r * unroll) + copy.(j) else r * unroll) <> want
+              then ok_cells := false;
+              if !ok_file then begin
+                let t = turn.(j) and b = base.(r) in
+                if (if b < 0 then -1 else rotating.(if b >= t then b - t else b - t + size))
+                   <> want
+                then ok_file := false
+              end
+            end
+          done;
+          if executed then
+            match o.sem with
+            | Store -> memory.(seen.(at + stop)) <- x
+            | Branch -> ()
+            | Load when memory.(seen.(at + stop)) <> seen.(at + stop + 1) ->
+                ok_exact := false;
+                ok_cells := false;
+                ok_file := false
+            | _ ->
+                pending.(!npending) <- k;
+                incr npending
+        end
+      done;
+      for p = 0 to !npending - 1 do
+        let k = pending.(p) in
+        let i = !j - stage.(k) in
+        let x = (i * n) + k and dsts = ops.(k).dsts in
+        for y = 0 to Array.length dsts - 1 do
+          let r = dsts.(y) in
+          exact.((r * trip) + i) <- x;
+          if !ok_cells then
+            copies.(if spread.(r) then (r * unroll) + copy.(i) else r * unroll) <- x;
+          if !ok_file then begin
+            let t = turn.(i) and b = base.(r) in
+            if b >= 0 then rotating.(if b >= t then b - t else b - t + size) <- x
+          end
+        done
       done
     done;
-    npending := 0
-  in
-  let len = Array.length order and p = ref 0 in
-  while !p < len && (!ok_exact || !ok_cells || !ok_file) do
-    let x = order.(!p) in
-    if !p > 0 && cycle.(x) <> cycle.(order.(!p - 1)) then commit ();
-    let k = x mod n and i = x / n in
-    let o = ops.(k) and s = (i * log.width) + log.slot.(k) in
-    if o.pred >= 0 then read o.pred o.pred_dist i log.seen.(s);
-    if Bytes.get log.executed x <> '\000' then begin
-      let s = if o.pred >= 0 then s + 1 else s and srcs = Array.length o.srcs in
-      for y = 0 to srcs - 1 do
-        read o.srcs.(y) o.dists.(y) i log.seen.(s + y)
-      done;
-      match o.sem with
-      | Store -> memory.(log.seen.(s + srcs)) <- x
-      | Branch -> ()
-      | Load when memory.(log.seen.(s + srcs)) <> log.seen.(s + srcs + 1) -> fail ()
-      | _ ->
-          pending.(!npending) <- x;
-          incr npending
-    end;
-    incr p
+    incr j
   done;
-  if !p < len then (false, false, false)
+  if !j <= stop_at then (false, false, false)
   else begin
-    commit ();
     (* Finals: the youngest instance for the instance models, the last
        iteration's cell for the finite ones. *)
     let youngest cells r =
@@ -679,16 +803,23 @@ let producers body log ~trip (order, cycle) ~cells ~file =
       while !c >= 0 && cells.((r * trip) + !c) < 0 do decr c done;
       if !c < 0 then -1 else cells.((r * trip) + !c)
     in
-    Array.iter
-      (fun r ->
-        let want = youngest log.writer r in
-        if youngest exact r <> want then ok_exact := false;
-        if copies.(copy_cell r (trip - 1)) <> want then ok_cells := false;
-        let c = file_cell r (trip - 1) in
-        if (if c < 0 then -1 else rotating.(c)) <> want then ok_file := false)
-      body.written;
-    for a = 0 to Mem.length log.index - 1 do
-      if memory.(a) <> log.stores.(a) then fail ()
+    let last = trip - 1 in
+    for w = 0 to Array.length body.written - 1 do
+      let r = body.written.(w) in
+      let want = youngest log.writer r in
+      if youngest exact r <> want then ok_exact := false;
+      if copies.(if spread.(r) then (r * unroll) + copy.(last) else r * unroll) <> want then
+        ok_cells := false;
+      let t = turn.(last) and b = base.(r) in
+      if (if b < 0 then -1 else rotating.(if b >= t then b - t else b - t + size)) <> want then
+        ok_file := false
+    done;
+    for a = 0 to log.index.count - 1 do
+      if memory.(a) <> log.stores.(a) then begin
+        ok_exact := false;
+        ok_cells := false;
+        ok_file := false
+      end
     done;
     (!ok_exact, !ok_cells, !ok_file)
   end
@@ -741,8 +872,8 @@ let check ?(seed = 42) ?metrics ?trip sched =
   | `Unsupported -> Ok ()
   | `Error msg -> Error msg
   | `Ran (st, trip, log) ->
-      (* One compiled body, issue order, lifetime analysis and producer
-         pass serve all three models.  The expansion and the allocation
+      (* One compiled body, lifetime analysis and producer pass, and at
+         most one issue order, serve all three models.  The expansion and the allocation
          are built under a guard, so that an exception from either (or
          from the lifetime analysis they share, which a forced lazy
          re-raises) surfaces only where its value replay would raise
@@ -760,7 +891,7 @@ let check ?(seed = 42) ?metrics ?trip sched =
           | None -> (false, false, false)
           | Some log ->
               let built m = Result.to_option (Lazy.force m) in
-              producers body log ~trip (Lazy.force order) ~cells:(built cells)
+              producers body log ~trip (kernel_rows sched) ~cells:(built cells)
                 ~file:(built file))
       in
       let against label ok model =
