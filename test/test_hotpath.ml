@@ -11,7 +11,8 @@
      ceilings on the four checkers ([Interp.check], [Simulator.run],
      [Schedule.verify], [Lint.schedule]) and on the compile path
      ([Loop_bin.decode], [Mii.compute], [Ims.modulo_schedule],
-     [Loop_bin.crc32]);
+     [Loop_bin.crc32]), plus ceilings on what [Interp.check] and
+     [Simulator.run] allocate directly on the major heap;
    - a counter-regression gate pinning the inner-loop work
      (estart / findslot / mindist / mindist_inc / mrt_bitprobe) of every
      Livermore kernel, so an accidental algorithmic regression fails
@@ -194,9 +195,11 @@ let words f =
    tables from the schedule once, in flat arrays; the ceilings stop
    per-instance allocation (tuple or string hashtable keys, closures,
    list-built operand vectors, a hash table per reservation table) from
-   creeping back.  Measured this way, Interp.check takes 2,762 words on
-   lfk03 and 9,535 on lfk07, Simulator.run 742 and 2,577,
+   creeping back.  Measured this way, Interp.check takes 2,446 words on
+   lfk03 and 7,742 on lfk07, Simulator.run 742 and 2,577,
    Schedule.verify 360 and 1,390, and Lint.schedule 738 and 1,458.
+   Before Interp.check dropped its address hash table and the closures
+   of its producer pass, it took 2,762 and 9,535.
    Before the checkers shared one lifetime analysis and dropped their
    per-call hash tables, Interp.check took 3,969 and 15,205,
    Simulator.run 1,361 and 5,310, Schedule.verify 1,731 and 3,283, and
@@ -224,7 +227,47 @@ let test_replay_allocation_ceilings () =
             sim_ceiling;
           check "Schedule.verify" (words (fun () -> Schedule.verify s)) verify_ceiling;
           check "Lint.schedule" (words (fun () -> Ims_check.Lint.schedule s)) lint_ceiling)
-    [ ("lfk03", 4_200, 1_100, 550, 1_100); ("lfk07", 14_500, 3_900, 2_100, 2_200) ]
+    [ ("lfk03", 3_700, 1_100, 550, 1_100); ("lfk07", 11_600, 3_900, 2_100, 2_200) ]
+
+(* Words allocated directly on the major heap per call of [f], averaged
+   over [reps] calls after one warm-up call.  A minor collection before
+   and after the calls lets the count leave out what the minor heap
+   promoted: what remains are the blocks too large for the minor heap
+   (arrays of more than 256 words), which the ceilings above miss. *)
+let major_words ?(reps = 20) f =
+  ignore (f ());
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int reps
+
+(* The trip-sized tables of the two checker replays: about 1.25 times
+   the counts.  Interp.check allocates 1,251 words directly on the major
+   heap on lfk03 and 8,293 on lfk07, Simulator.run 841 and 1,865.  Before
+   Interp.check took its issue order from the kernel rows (no sorted
+   copy of every instance, no per-instance cycle table) and its address
+   index from flat arrays, it allocated 2,037 and 10,698. *)
+let test_replay_major_ceilings () =
+  let machine = Machine.cydra5 () in
+  List.iter
+    (fun (name, interp_ceiling, sim_ceiling) ->
+      match (Ims.modulo_schedule (Lfk.build machine name)).Ims.schedule with
+      | None -> Alcotest.failf "%s: no schedule" name
+      | Some s ->
+          let check what words ceiling =
+            if words > float_of_int ceiling then
+              Alcotest.failf "%s %s allocates %.0f words on the major heap (ceiling %d)"
+                name what words ceiling
+          in
+          check "Interp.check" (major_words (fun () -> Ims_pipeline.Interp.check s))
+            interp_ceiling;
+          check "Simulator.run" (major_words (fun () -> Ims_pipeline.Simulator.run s))
+            sim_ceiling)
+    [ ("lfk03", 1_600, 1_100); ("lfk07", 10_400, 2_400) ]
 
 (* --- compile-path allocation ceilings -------------------------------------- *)
 
@@ -497,6 +540,8 @@ let tests =
         test_fits_c_allocation_free;
       Alcotest.test_case "checker replay allocation ceilings" `Quick
         test_replay_allocation_ceilings;
+      Alcotest.test_case "checker replay major-heap ceilings" `Quick
+        test_replay_major_ceilings;
       Alcotest.test_case "compile path allocation ceilings" `Quick
         test_compile_allocation_ceilings;
       Alcotest.test_case "lfk inner-loop counter ceilings" `Slow

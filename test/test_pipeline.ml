@@ -879,8 +879,77 @@ let test_rotreg_classed_partition () =
   Alcotest.(check bool) "at least two classes in a predicated loop" true
     (List.length files >= 2)
 
+(* The pairwise placement [Rotreg.place] made before it took one pass
+   at II >= 1: each variant, in (def time, register) order, at the
+   largest base + vacating distance over every variant placed before
+   it, and the file size over every ordered pair whose bases do not
+   decrease.  The oracle for the property below. *)
+let quadratic_place ~ii ranges =
+  let ranges = Array.of_list ranges in
+  let m = Array.length ranges in
+  let placed = Array.init m Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      compare
+        (ranges.(a).Lifetime.def_time, ranges.(a).Lifetime.reg)
+        (ranges.(b).Lifetime.def_time, ranges.(b).Lifetime.reg))
+    placed;
+  let vacating v w =
+    let d = ranges.(v).Lifetime.last_use_time - ranges.(w).Lifetime.def_time in
+    if d < 0 then 1 else ((d + ii - 1) / ii) + 1
+  in
+  let base = Array.make m 0 in
+  Array.iteri
+    (fun q v ->
+      for p = 0 to q - 1 do
+        let u = placed.(p) in
+        base.(v) <- max base.(v) (base.(u) + vacating u v)
+      done)
+    placed;
+  let size = ref 1 in
+  for v = 0 to m - 1 do
+    for w = 0 to m - 1 do
+      if base.(w) <= base.(v) then size := max !size (base.(v) - base.(w) + vacating v w)
+    done
+  done;
+  let reg v = ranges.(v).Lifetime.reg in
+  ( List.map reg (Array.to_list placed),
+    List.init m (fun v -> (reg v, base.(v))),
+    List.init m (fun v -> (reg v, base.(v), vacating v v)),
+    !size )
+
+(* Property: at any II >= 1, over random issue times (negative ones
+   too) and any subset of the ranges, the one-pass placement equals the
+   pairwise one field for field, and [Rotreg.verify] accepts it. *)
+let prop_rotreg_linear_placement =
+  QCheck.Test.make ~count:300 ~name:"rotreg: linear placement = pairwise"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 19 |] in
+      let ddg = Ims_workloads.Synthetic.generate machine rng in
+      let ii = 1 + Random.State.int rng 12 in
+      let low = -Random.State.int rng 16 in
+      let span = 1 + Random.State.int rng 60 in
+      let entries =
+        Array.init (Ims_ir.Ddg.n_total ddg) (fun _ ->
+            { Schedule.time = low + Random.State.int rng span; alt = 0 })
+      in
+      let s = Schedule.make ddg ~ii ~entries in
+      let keep = Random.State.int rng 4 in
+      let ranges =
+        List.filter
+          (fun _ -> keep = 0 || Random.State.int rng 4 < keep)
+          (Lifetime.analyze s)
+      in
+      let t = Rotreg.place s ranges in
+      let domain, base, blocks, size = quadratic_place ~ii ranges in
+      t.Rotreg.domain = domain && t.Rotreg.base = base && t.Rotreg.blocks = blocks
+      && t.Rotreg.file_size = size
+      && Rotreg.verify t = Ok ())
+
 let regclass_tests =
   [
+    QCheck_alcotest.to_alcotest prop_rotreg_linear_placement;
     Alcotest.test_case "regclass: by definition" `Quick test_regclass_by_def;
     Alcotest.test_case "regclass: live-ins by use" `Quick
       test_regclass_live_in_by_use;
