@@ -428,8 +428,8 @@ let sequential ?log body ~seed ~exit_op ~max_trip =
    [t_k + i * II]).  Write [t_k = s_k * II + r_k] with stage [s_k] and
    kernel row [0 <= r_k < II]: cycle [j * II + r] issues exactly the
    operations of row [r], operation [k] for iteration [j - s_k].  So
-   walking [j] upwards from the lowest stage, and within it the
-   non-empty rows upwards, visits the cycles in increasing order.
+   walking the rounds [j] upwards from the lowest stage, and within each
+   the non-empty rows upwards, visits the cycles in increasing order.
    Within a row, time decreases exactly when the stage does, that is
    when the iteration increases, so ordering the row by decreasing time,
    then index, yields each cycle's instances by iteration, then id: the
@@ -437,7 +437,7 @@ let sequential ?log body ~seed ~exit_op ~max_trip =
 type rows = {
   kernel : int array;  (** Operation indices by row, then decreasing time, then index. *)
   stage : int array;  (** Per operation index. *)
-  starts : int array;  (** Row [g]'s operations: [ops.(starts.(g) .. starts.(g + 1) - 1)]. *)
+  starts : int array;  (** Row [g]'s operations: [kernel.(starts.(g) .. starts.(g + 1) - 1)]. *)
   lowest : int;  (** The lowest stage ([max_int] without operations). *)
   highest : int;
 }
@@ -721,15 +721,15 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
   and ok_file = ref (Option.is_some file) in
   (* Register writes of the current cycle, committed at its end: at most
      one instance of each operation issues in a cycle when II >= 1.  The
-     cycles are walked as {!kernel_rows} says, stopping once every model
-     has failed. *)
-  let pending = Array.make n 0 and j = ref lowest and stop_at = highest + trip - 1 in
-  while !j <= stop_at && (!ok_exact || !ok_cells || !ok_file) do
+     cycles are walked as {!kernel_rows} says, round [j] after round
+     [j - 1], stopping once every model has failed. *)
+  let pending = Array.make n 0 and round = ref lowest and last_round = highest + trip - 1 in
+  while !round <= last_round && (!ok_exact || !ok_cells || !ok_file) do
     for g = 0 to Array.length starts - 2 do
       let npending = ref 0 in
       for q = starts.(g) to starts.(g + 1) - 1 do
         let k = kernel.(q) in
-        let i = !j - stage.(k) in
+        let i = !round - stage.(k) in
         if i >= 0 && i < trip then begin
           let x = (i * n) + k in
           let o = ops.(k) and s = log.slot.(k) and at = i * width in
@@ -778,7 +778,7 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
       done;
       for p = 0 to !npending - 1 do
         let k = pending.(p) in
-        let i = !j - stage.(k) in
+        let i = !round - stage.(k) in
         let x = (i * n) + k and dsts = ops.(k).dsts in
         for y = 0 to Array.length dsts - 1 do
           let r = dsts.(y) in
@@ -792,9 +792,9 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
         done
       done
     done;
-    incr j
+    incr round
   done;
-  if !j <= stop_at then (false, false, false)
+  if !round <= last_round then (false, false, false)
   else begin
     (* Finals: the youngest instance for the instance models, the last
        iteration's cell for the finite ones. *)
@@ -873,11 +873,11 @@ let check ?(seed = 42) ?metrics ?trip sched =
   | `Error msg -> Error msg
   | `Ran (st, trip, log) ->
       (* One compiled body, lifetime analysis and producer pass, and at
-         most one issue order, serve all three models.  The expansion and the allocation
-         are built under a guard, so that an exception from either (or
-         from the lifetime analysis they share, which a forced lazy
-         re-raises) surfaces only where its value replay would raise
-         it. *)
+         most one issue order, serve all three models.  The expansion
+         and the allocation are built under a guard, so that an
+         exception from either (or from the lifetime analysis they
+         share, which a forced lazy re-raises) surfaces only where its
+         value replay would raise it. *)
       let reference = lazy (outcome st ~trip) and order = lazy (issue_order sched ~iters:trip) in
       let guarded f = lazy (match f () with m -> Ok m | exception e -> Error e) in
       let ranges = lazy (Lifetime.analyze sched) in

@@ -509,6 +509,36 @@ let test_interp_same_cycle_read_before_write () =
   Alcotest.(check (result unit string)) "all replays agree" (Ok ())
     (Interp.check s)
 
+(* Loads and stores act at issue, so within a cycle the issue order
+   decides what a load finds.  In the first loop, iteration i's store
+   (op 3, time 2) and iteration i + 1's load of the same address (op 1,
+   time 0) share a cycle at II 2, and the load must find the store: the
+   cycle issues by iteration first.  In the second, one iteration's
+   store and load (ops 2 and 3) share a cycle, and the load must find
+   the store: then by id.  Either order reversed would replay a stale
+   value. *)
+let same_cycle_memory_loops =
+  [
+    ("v2 = load v1\nv3 = fadd v2 v0\nstore v1 v3\n", [| 0; 0; 1; 2; 3 |]);
+    ("v4 = fadd v4[1] v0\nstore v1 v4\nv2 = load v1\n", [| 0; 0; 1; 1; 2 |]);
+  ]
+
+let hand_schedule text ~ii times =
+  Schedule.make (Ims_workloads.Loop_parse.parse machine text) ~ii
+    ~entries:(Array.map (fun time -> { Schedule.time; alt = 0 }) times)
+
+let test_interp_same_cycle_memory_order () =
+  List.iter
+    (fun (text, times) ->
+      let s = hand_schedule text ~ii:2 times in
+      let trip = 9 in
+      Alcotest.(check bool) "issue order = sequential" true
+        (Interp.equivalent
+           (Interp.run_sequential s.Schedule.ddg ~trip)
+           (Interp.run_pipelined s ~trip));
+      Alcotest.(check (result unit string)) "check passes" (Ok ()) (Interp.check s))
+    same_cycle_memory_loops
+
 (* Hand-made faults, each visible in one kind of producer only: the
    late store in memory (iteration i + 1 loads before iteration i
    stores), the reordered stores in final memory, the reordered writes
@@ -527,10 +557,6 @@ let interp_faults =
     ("reordered writes", "v1 = copy v0\nv1 = fadd v0 v0\n", 10, [| 0; 3; 0; 4 |]);
     ("late recurrence", "v1 = fadd v2[1] v0\nv2 = fmul v1 v0\n", 2, [| 0; 0; 5; 6 |]);
   ]
-
-let hand_schedule text ~ii times =
-  Schedule.make (Ims_workloads.Loop_parse.parse machine text) ~ii
-    ~entries:(Array.map (fun time -> { Schedule.time; alt = 0 }) times)
 
 (* [Interp.check] against the public replays it stands for: [Ok] exactly
    when the loop is unsupported or the issue-order, finite-MVE and
@@ -658,6 +684,8 @@ let interp_tests =
     Alcotest.test_case "interp: store memory" `Quick test_interp_store_loop_memory;
     Alcotest.test_case "interp: same-cycle read before write" `Quick
       test_interp_same_cycle_read_before_write;
+    Alcotest.test_case "interp: same-cycle memory order" `Quick
+      test_interp_same_cycle_memory_order;
     Alcotest.test_case "interp: partial defs unsupported" `Quick
       test_interp_unsupported_partial_defs;
     Alcotest.test_case "interp: check skips unsupported" `Quick
