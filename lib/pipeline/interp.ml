@@ -485,18 +485,16 @@ let kernel_rows sched =
    from the kernel rows; at II < 1, which only corrupt schedules reach,
    they are generated in (iteration, id) order and sorted stably by
    cycle. *)
-type order = { order : int array; cuts : int array; cycles : int }
+type order = { order : int array; cuts : int array }
 
 let issue_order ?keep sched ~iters =
   let n = Ddg.n_real sched.Schedule.ddg and ii = sched.Schedule.ii in
   let iters = Int.max 0 iters in
-  let kept i k = match keep with None -> true | Some keep -> keep i k in
-  let xs = Array.make (iters * n) 0 and len = ref 0 in
-  let cuts = ref [] and cycles = ref 0 in
-  let cut start =
-    if !len > start then begin
-      cuts := start :: !cuts;
-      incr cycles
+  let xs = Array.make (iters * n) 0 and len = ref 0 and cuts = ref [] in
+  let add i k =
+    if match keep with None -> true | Some keep -> keep i k then begin
+      xs.(!len) <- (i * n) + k;
+      incr len
     end
   in
   if ii >= 1 then begin
@@ -505,24 +503,17 @@ let issue_order ?keep sched ~iters =
       for g = 0 to Array.length starts - 2 do
         let start = !len in
         for q = starts.(g) to starts.(g + 1) - 1 do
-          let k = kernel.(q) in
-          let i = j - stage.(k) in
-          if i >= 0 && i < iters && kept i k then begin
-            xs.(!len) <- (i * n) + k;
-            incr len
-          end
+          let i = j - stage.(kernel.(q)) in
+          if i >= 0 && i < iters then add i kernel.(q)
         done;
-        cut start
+        if !len > start then cuts := start :: !cuts
       done
     done
   end
   else begin
     for i = 0 to iters - 1 do
       for k = 0 to n - 1 do
-        if kept i k then begin
-          xs.(!len) <- (i * n) + k;
-          incr len
-        end
+        add i k
       done
     done;
     let cycle x = Schedule.time sched ((x mod n) + 1) + (x / n * ii) in
@@ -530,37 +521,27 @@ let issue_order ?keep sched ~iters =
     Array.stable_sort (fun a b -> Int.compare (cycle a) (cycle b)) sorted;
     Array.iteri
       (fun p x ->
-        if p = 0 || cycle x <> cycle sorted.(p - 1) then begin
-          cuts := p :: !cuts;
-          incr cycles
-        end;
+        if p = 0 || cycle x <> cycle sorted.(p - 1) then cuts := p :: !cuts;
         xs.(p) <- x)
       sorted
   end;
   {
     order = (if !len = Array.length xs then xs else Array.sub xs 0 !len);
     cuts = Array.of_list (List.rev (!len :: !cuts));
-    cycles = !cycles;
   }
 
 (* Replay an issue order cycle by cycle with VLIW issue semantics: every
    operation issued in a cycle reads its operands before any operation
    of that cycle writes its result. *)
-let replay st { order; cuts; cycles } =
-  let n = Array.length st.body.ops in
-  let width = ref 0 in
-  for g = 0 to cycles - 1 do
-    width := Int.max !width (cuts.(g + 1) - cuts.(g))
-  done;
-  let result = Array.make !width 0.0 and writes = Array.make !width false in
-  for g = 0 to cycles - 1 do
-    let first = cuts.(g) in
-    for p = first to cuts.(g + 1) - 1 do
-      let x = order.(p) in
-      writes.(p - first) <- issue st ~result ~slot:(p - first) (x mod n) (x / n)
+let replay st { order; cuts } =
+  let n = Array.length st.body.ops and len = Array.length order in
+  let result = Array.make len 0.0 and writes = Array.make len false in
+  for g = 0 to Array.length cuts - 2 do
+    for p = cuts.(g) to cuts.(g + 1) - 1 do
+      writes.(p) <- issue st ~result ~slot:p (order.(p) mod n) (order.(p) / n)
     done;
-    for p = first to cuts.(g + 1) - 1 do
-      if writes.(p - first) then commit st ~result ~slot:(p - first) (order.(p) mod n) (order.(p) / n)
+    for p = cuts.(g) to cuts.(g + 1) - 1 do
+      if writes.(p) then commit st ~result ~slot:p (order.(p) mod n) (order.(p) / n)
     done
   done;
   st

@@ -56,9 +56,10 @@ let ranges_of ?keep schedule =
    decreases along the placement order, so u's demand [base_u + D(u,v)]
    on later variants never grows.  Once it is at most [base_p + 1] for
    the last-placed p, which every later base exceeds, u can never set a
-   base again and leaves the active set.  A variant stays active for at
-   most about D(u, next) placements, so the work is the file size, not
-   the square of the variant count.  For the size, the first-placed
+   base again and leaves the active set.  As bases grow by at least 1
+   per placement, u stays active for at most D(u, v) placements after
+   its first successor v: the work is about the file size, not the
+   square of the variant count.  For the size, the first-placed
    variant w0 has both the smallest base (0) and the smallest def time,
    hence the largest D(v, w): every v's widest wrap is against w0.  At
    II < 1, where D is not monotone (or divides by zero), the pairwise
@@ -70,7 +71,7 @@ let place schedule ranges =
   let ranges = Array.of_list ranges in
   let m = Array.length ranges in
   let placed = Array.init m Fun.id in
-  (* A stable insertion sort: [ranges] mostly arrive nearly in order. *)
+  (* A stable insertion sort by (def time, register). *)
   let after (a : Lifetime.range) (b : Lifetime.range) =
     a.def_time > b.def_time || (a.def_time = b.def_time && a.reg > b.reg)
   in
@@ -88,12 +89,12 @@ let place schedule ranges =
     let active = Array.make m 0 and live = ref 0 in
     for q = 0 to m - 1 do
       let v = placed.(q) in
-      let floor = if q = 0 then 0 else base.(placed.(q - 1)) + 1 in
-      let b = ref floor and kept = ref 0 in
+      let least = if q = 0 then 0 else base.(placed.(q - 1)) + 1 in
+      let b = ref least and kept = ref 0 in
       for a = 0 to !live - 1 do
         let u = active.(a) in
         let demand = base.(u) + vacating u v in
-        if demand > floor then begin
+        if demand > least then begin
           b := Int.max !b demand;
           active.(!kept) <- u;
           incr kept

@@ -31,7 +31,9 @@ val allocate : ?keep:(int -> bool) -> Schedule.t -> t
 val place : Schedule.t -> Lifetime.range list -> t
 (** The placement {!allocate} makes, over ranges already computed by
     [Lifetime.analyze] on the same schedule (ascending by register, any
-    subset): [allocate s] is [place s (Lifetime.analyze s)]. *)
+    subset): [allocate s] is [place s (Lifetime.analyze s)].  At II >= 1
+    it takes one pass over the variants, with the bases and file size
+    of the pairwise placement. *)
 
 val base_of : t -> int -> int option
 (** Block base for a register; [None] for live-ins (registers the loop
