@@ -412,14 +412,17 @@ let figure1 () =
     [ ("(a) pipelined add", table "add"); ("(b) pipelined multiply", table "mul") ];
   Format.print_flush ();
   (* The two collisions discussed in section 2.1. *)
-  let mrt = Mrt.linear m ~horizon:64 in
-  Mrt.reserve mrt ~op:0 (table "mul") ~time:10;
+  let horizon = 64 in
+  let mrt = Mrt.linear m ~horizon in
+  let compiled name = Mrt.compile ~ii:horizon ~caps:(Prep.caps m) (table name) in
+  let add = compiled "add" in
+  Mrt.reserve_c mrt ~op:0 (compiled "mul") ~time:10;
   Printf.printf "mul issued at t=10:\n";
   Printf.printf "  add at t=10 fits: %b   (source-bus collision expected)\n"
-    (Mrt.fits mrt (table "add") ~time:10);
+    (Mrt.fits_c mrt add ~time:10);
   Printf.printf "  add at t=12 fits: %b   (result-bus collision expected)\n"
-    (Mrt.fits mrt (table "add") ~time:12);
-  Printf.printf "  add at t=13 fits: %b\n" (Mrt.fits mrt (table "add") ~time:13)
+    (Mrt.fits_c mrt add ~time:12);
+  Printf.printf "  add at t=13 fits: %b\n" (Mrt.fits_c mrt add ~time:13)
 
 (* ----------------------------------------------------------------------- *)
 (* Table 1                                                                  *)
@@ -1331,7 +1334,9 @@ let bechamel () =
   let open Toolkit in
   let fig1_machine = Machine.figure1 () in
   let fig1_add =
-    (List.hd (Machine.opcode fig1_machine "add").Opcode.alternatives).Opcode.table
+    Mrt.compile ~ii:7 ~caps:(Prep.caps fig1_machine)
+      (List.hd (Machine.opcode fig1_machine "add").Opcode.alternatives)
+        .Opcode.table
   in
   let lfk03 = Lfk.build machine "lfk03" in
   let lfk07 = Lfk.build machine "lfk07" in
@@ -1343,7 +1348,7 @@ let bechamel () =
           (Staged.stage (fun () ->
                let mrt = Mrt.create fig1_machine ~ii:7 in
                for t = 0 to 6 do
-                 ignore (Mrt.fits mrt fig1_add ~time:t)
+                 ignore (Mrt.fits_c mrt fig1_add ~time:t)
                done));
         Test.make ~name:"table1-delay"
           (Staged.stage (fun () ->

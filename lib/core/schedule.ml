@@ -100,8 +100,12 @@ let pp ppf t =
 let pp_gantt ppf t =
   let machine = t.ddg.Ddg.machine in
   let mrt = Mrt.create machine ~ii:t.ii in
+  let caps = Prep.caps machine in
   List.iter
-    (fun i -> Mrt.reserve mrt ~op:i (reservation t i) ~time:(time t i))
+    (fun i ->
+      Mrt.reserve_c mrt ~op:i
+        (Mrt.compile ~ii:t.ii ~caps (reservation t i))
+        ~time:(time t i))
     (Ddg.real_ids t.ddg);
   Format.fprintf ppf "Kernel resource usage (II=%d):@." t.ii;
   let width = 4 in

@@ -69,8 +69,7 @@ let run_job ~timer ~timeout ~retry ~sleep ~observe ~time_spans ~token ~job ~f x
   attempt_loop 1 1.0 None
 
 let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
-    ?(sleep = fun (_ : float) -> ()) ?(policy = Ims_par.Chunk.default)
-    ?(observe = false) ?profile ?progress ?(timer = Sys.time) ~f inputs =
+    ?(sleep = fun (_ : float) -> ()) ?(observe = false) ?profile ?progress ?(timer = Sys.time) ~f inputs =
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
@@ -127,7 +126,7 @@ let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
             | None -> ())
   in
   let t_run = timer () in
-  let queue = Ims_par.Work_queue.create ~policy ~workers ~length:n in
+  let queue = Ims_par.Work_queue.create ~workers ~length:n in
   Ims_par.Pool.parallel_for ~workers ~queue body;
   let elapsed = timer () -. t_run in
   let outcomes =
@@ -209,14 +208,12 @@ let stream ?(workers = 1) ?timeout ?(retry = Retry.none) ?cancel
 let streaming_jobs (s : 'a streaming) = Array.length s
 let await (s : 'a streaming) = Array.iter Domain.join s
 
-let map ?jobs ?timeout ?policy f inputs =
-  let outcomes, _, _ =
-    run ?jobs ?timeout ?policy ~f:(fun _shard x -> f x) inputs
-  in
+let map ?jobs ?timeout f inputs =
+  let outcomes, _, _ = run ?jobs ?timeout ~f:(fun _shard x -> f x) inputs in
   outcomes
 
-let map_exn ?jobs ?policy f inputs =
-  List.mapi (fun i o -> Outcome.get ~job:i o) (map ?jobs ?policy f inputs)
+let map_exn ?jobs f inputs =
+  List.mapi (fun i o -> Outcome.get ~job:i o) (map ?jobs f inputs)
 
 let pp_stats ppf s =
   Format.fprintf ppf "%d job%s: %d ok, %d failed, %d timed out" s.jobs

@@ -3,7 +3,8 @@
    - [counts] is a flat [ii * nres] int matrix of occupancy counts; a
      fits probe reads it directly and performs no allocation.
    - [cells] is the matching matrix of occupant op-id lists, consulted
-     only by the displacement machinery ([conflicting_ops], [release])
+     only by the displacement machinery ([conflicting_ops_c],
+     [release_c])
      and the printers — never by [fits].
 
    Reservation tables are precompiled ({!compile}) into a flat
@@ -48,16 +49,6 @@ type ctable = {
   slow : int array;  (* triples the bitboard cannot decide, stride 3 *)
 }
 
-(* Memo for the uncompiled front: tables are built once per machine and
-   shared by physical identity, so hash structurally but compare with
-   [==] — a rebuilt-but-equal table just occupies a second bucket slot. *)
-module Tbl_memo = Hashtbl.Make (struct
-  type t = Reservation.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 type t = {
   ii : int;
   nres : int;
@@ -67,8 +58,6 @@ type t = {
   occ : int array;  (* planes * nres * wpr bit words, see header comment *)
   cells : int list array;  (* occupying ops of the cell, for eviction *)
   mutable bitprobes : int;  (* fits_c probes answered via the bit planes *)
-  memo : ctable Tbl_memo.t;
-      (* physical-equality cache backing the uncompiled API below *)
 }
 
 let create machine ~ii =
@@ -84,7 +73,6 @@ let create machine ~ii =
     occ = Array.make (planes * nres * wpr) 0;
     cells = Array.make (ii * nres) [];
     bitprobes = 0;
-    memo = Tbl_memo.create 8;
   }
 
 let linear machine ~horizon = create machine ~ii:(max 1 horizon)
@@ -233,14 +221,6 @@ let pp_ctable ppf c =
     c.c_ii (ints c.packed) c.c_nres c.never_fits (ints c.bb_off)
     (ints c.bb_word) (ints c.bb_mask) (ints c.slow)
 
-let compiled t table =
-  match Tbl_memo.find_opt t.memo table with
-  | Some c -> c
-  | None ->
-      let c = compile ~ii:t.ii ~caps:t.caps table in
-      Tbl_memo.replace t.memo table c;
-      c
-
 let check_compiled t c =
   if c.c_ii <> t.ii then
     invalid_arg "Mrt: compiled table belongs to a different ii";
@@ -355,16 +335,6 @@ let release_c t ~op c ~time =
     sync_bits t ~slot ~r;
     i := !i + 3
   done
-
-(* --- the Reservation.t front (memoized compilation) ---------------------- *)
-
-let fits t table ~time = fits_c t (compiled t table) ~time
-
-let conflicting_ops t tables ~time =
-  conflicting_ops_c t (Array.of_list (List.map (compiled t) tables)) ~time
-
-let reserve t ~op table ~time = reserve_c t ~op (compiled t table) ~time
-let release t ~op table ~time = release_c t ~op (compiled t table) ~time
 
 let occupants t ~slot ~resource = t.cells.(((slot mod t.ii) * t.nres) + resource)
 

@@ -18,9 +18,6 @@
     {!fits_c} — the innermost operation of FindTimeSlot — is a handful
     of AND probes, zero heap allocation, falling back to the count walk
     only for usages probing a capacity-3+ resource below its brim.
-    The [Reservation.t]-taking functions remain for convenience; they
-    memoize a caps-compiled form per table (by physical equality)
-    inside the MRT.
 
     The same structure doubles as the linear schedule reservation table of
     acyclic list scheduling: build it with {!linear} and a horizon larger
@@ -78,31 +75,12 @@ val release_c : t -> op:int -> ctable -> time:int -> unit
     @raise Invalid_argument if [op] does not hold those cells. *)
 
 val conflicting_ops_c : t -> ctable array -> time:int -> int list
-(** As {!conflicting_ops}, over compiled alternatives. *)
-
-(** {2 The [Reservation.t] front}
-
-    Equivalent to compiling on first use (memoized per table inside the
-    MRT); fine for cold paths and tests. *)
-
-val fits : t -> Reservation.t -> time:int -> bool
-(** [fits t table ~time] is true iff reserving [table] translated to
-    [time] exceeds no cell capacity. *)
-
-val conflicting_ops : t -> Reservation.t list -> time:int -> int list
-(** [conflicting_ops t tables ~time] is the set (sorted, deduplicated) of
-    operation ids that occupy any cell needed by any of [tables] at [time]
-    where the cell cannot also accommodate the new demand.  Unscheduling
-    exactly these operations makes at least one alternative fit (section
-    3.4: "all operations are unscheduled which conflict with the use of
-    any of the alternatives"). *)
-
-val reserve : t -> op:int -> Reservation.t -> time:int -> unit
-(** @raise Invalid_argument if the reservation does not fit. *)
-
-val release : t -> op:int -> Reservation.t -> time:int -> unit
-(** Undo a {!reserve} with identical arguments.
-    @raise Invalid_argument if [op] does not hold those cells. *)
+(** [conflicting_ops_c t alternatives ~time] is the set (sorted,
+    deduplicated) of operation ids that occupy any cell needed by any of
+    [alternatives] at [time] where the cell cannot also accommodate the
+    new demand.  Unscheduling exactly these operations makes at least
+    one alternative fit (section 3.4: "all operations are unscheduled
+    which conflict with the use of any of the alternatives"). *)
 
 val occupants : t -> slot:int -> resource:int -> int list
 (** Current occupants of one cell; [slot] is taken modulo [ii]. *)

@@ -10,32 +10,6 @@ type t = {
   dist : int array;  (* m * m, row-major *)
 }
 
-(* Reusable buffers for the matrix and the inverse index.  Both
-   Recmii's feasibility search and the per-II attempt loops of the
-   schedulers re-run ComputeMinDist with different IIs; a scratch lets
-   each re-run reuse the previous allocation.  A [t] computed through a
-   scratch borrows these buffers — it is invalidated by the next
-   [compute] on the same scratch. *)
-type scratch = { mutable s_dist : int array; mutable s_index : int array }
-
-let scratch () = { s_dist = [||]; s_index = [||] }
-
-let dist_buffer scratch ~cells =
-  match scratch with
-  | None -> Array.make cells neg_inf
-  | Some s ->
-      if Array.length s.s_dist < cells then s.s_dist <- Array.make cells neg_inf
-      else Array.fill s.s_dist 0 cells neg_inf;
-      s.s_dist
-
-let index_buffer scratch ~n =
-  match scratch with
-  | None -> Array.make n (-1)
-  | Some s ->
-      if Array.length s.s_index < n then s.s_index <- Array.make n (-1)
-      else Array.fill s.s_index 0 n (-1);
-      s.s_index
-
 (* --- the max-plus closure core ------------------------------------------- *)
 
 (* In-place max-plus closure of the [m * m] matrix; returns the number
@@ -67,29 +41,23 @@ let bump_closure_counters counters inner =
       c.Counters.mindist_calls <- c.Counters.mindist_calls + 1
   | None -> ()
 
-let compute ?counters ?scratch ddg ~nodes ~ii =
-  let m = Array.length nodes in
-  let n = Ddg.n_total ddg in
-  let index = index_buffer scratch ~n in
-  Array.iteri (fun row id -> index.(id) <- row) nodes;
-  let dist = dist_buffer scratch ~cells:(m * m) in
+(* Section 2.2's ComputeMinDist from scratch: seed the whole graph's
+   edges at [delay - ii * distance] and close. *)
+let full ?counters ddg ~ii =
+  let m = Ddg.n_total ddg in
+  let dist = Array.make (m * m) neg_inf in
   Array.iteri
-    (fun row id ->
+    (fun row edges ->
       List.iter
         (fun (d : Dep.t) ->
-          let col = index.(d.dst) in
-          if col >= 0 then begin
-            let w = d.delay - (ii * d.distance) in
-            if w > dist.((row * m) + col) then dist.((row * m) + col) <- w
-          end)
-        ddg.Ddg.succs.(id))
-    nodes;
+          let w = d.delay - (ii * d.distance) in
+          if w > dist.((row * m) + d.dst) then dist.((row * m) + d.dst) <- w)
+        edges)
+    ddg.Ddg.succs;
   let inner = closure dist ~m in
   bump_closure_counters counters inner;
-  { ii; nodes; index; m; dist }
-
-let full ?counters ?scratch ddg ~ii =
-  compute ?counters ?scratch ddg ~nodes:(Array.init (Ddg.n_total ddg) Fun.id) ~ii
+  let nodes = Array.init m Fun.id in
+  { ii; nodes; index = nodes; m; dist }
 
 (* --- the incremental cross-II solver ------------------------------------- *)
 
@@ -227,28 +195,9 @@ let get t i j =
   if ri < 0 || rj < 0 then invalid_arg "Mindist.get: id not covered";
   t.dist.((ri * t.m) + rj)
 
-let max_diagonal t =
-  let best = ref neg_inf in
+let feasible t =
+  let ok = ref true in
   for i = 0 to t.m - 1 do
-    if t.dist.((i * t.m) + i) > !best then best := t.dist.((i * t.m) + i)
+    if t.dist.((i * t.m) + i) > 0 then ok := false
   done;
-  !best
-
-let feasible t = max_diagonal t <= 0
-
-let feasible_ii ?counters ?scratch ddg ~nodes ~ii =
-  feasible (compute ?counters ?scratch ddg ~nodes ~ii)
-
-let pp ppf t =
-  Format.fprintf ppf "MinDist(ii=%d) over %d nodes@." t.ii
-    (Array.length t.nodes);
-  Array.iteri
-    (fun i id ->
-      Format.fprintf ppf "  %3d |" id;
-      Array.iteri
-        (fun j _ ->
-          if t.dist.((i * t.m) + j) = neg_inf then Format.fprintf ppf "    ."
-          else Format.fprintf ppf " %4d" t.dist.((i * t.m) + j))
-        t.nodes;
-      Format.fprintf ppf "@.")
-    t.nodes
+  !ok

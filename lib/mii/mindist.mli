@@ -23,24 +23,15 @@ type t = private {
   dist : int array;  (** Flat [m * m] matrix, row-major. *)
 }
 
-type scratch
-(** Reusable matrix/index buffers.  MinDist is recomputed for every
-    candidate II by {!Recmii.first_feasible}'s binary search and by the
-    schedulers' per-II attempt loops; passing the same scratch to each
-    {!compute} reuses one allocation across the whole search.  A [t]
-    computed with a scratch borrows its buffers and is invalidated by
-    the next [compute] on that scratch. *)
-
-val scratch : unit -> scratch
-
-val compute :
-  ?counters:Counters.t -> ?scratch:scratch -> Ddg.t -> nodes:int array ->
-  ii:int -> t
-(** All-pairs MinDist over the sub-graph induced by [nodes] (edges with
-    both endpoints inside), by max-plus Floyd-Warshall: O(|nodes|³). *)
-
-val full : ?counters:Counters.t -> ?scratch:scratch -> Ddg.t -> ii:int -> t
-(** MinDist over the whole graph including START and STOP. *)
+val full : ?counters:Counters.t -> Ddg.t -> ii:int -> t
+(** Section 2.2's ComputeMinDist from scratch: all-pairs MinDist over
+    the whole graph, START and STOP included, by one max-plus
+    Floyd-Warshall closure, O(n³).  Production code reaches MinDist
+    through the {!solver}; [full] is the reference it is held to
+    ([test_mii]'s "solver = compute across IIs" property compares them
+    cell for cell), the no-solver default of
+    {!Mii.schedule_length_lower_bound}, and what bench's
+    [table4-mindist-full] times. *)
 
 (** {2 The incremental cross-II solver}
 
@@ -60,7 +51,7 @@ type solver
 
 val solver : ?counters:Counters.t -> Ddg.t -> nodes:int array -> solver
 (** Builds the solver; the forward closure is counted like one
-    {!compute} call ([mindist] / [mindist_calls]). *)
+    {!full} call ([mindist] / [mindist_calls]). *)
 
 val solver_full : ?counters:Counters.t -> Ddg.t -> solver
 (** {!solver} over the whole graph including START and STOP. *)
@@ -74,16 +65,5 @@ val get : t -> int -> int -> int
 (** [get t i j] by operation ids; {!neg_inf} when unconnected.
     @raise Invalid_argument if an id is not covered. *)
 
-val max_diagonal : t -> int
-(** The largest diagonal entry ({!neg_inf} for an acyclic sub-graph). *)
-
 val feasible : t -> bool
 (** No positive diagonal entry (section 2.2's legality test). *)
-
-val feasible_ii :
-  ?counters:Counters.t -> ?scratch:scratch -> Ddg.t -> nodes:int array ->
-  ii:int -> bool
-(** [feasible (compute ...)] without retaining the matrix — the shape of
-    {!Recmii}'s feasibility queries. *)
-
-val pp : Format.formatter -> t -> unit

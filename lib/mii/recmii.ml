@@ -28,9 +28,6 @@ let ii_cap ddg =
     ddg.Ddg.succs;
   !total
 
-let scc_feasible ?counters ?scratch ddg nodes ~ii =
-  Mindist.feasible_ii ?counters ?scratch ddg ~nodes ~ii
-
 (* Smallest feasible II for one SCC, at least [start]: doubling to bracket,
    then binary search (section 2.2).  One incremental solver serves every
    probe of the search — each candidate II costs one pivot-restricted
@@ -76,12 +73,11 @@ let by_mindist ?counters ddg = fold_sccs ?counters ddg ~start:1
 let mii_from ?counters ddg ~resmii = fold_sccs ?counters ddg ~start:resmii
 
 let feasible ?counters ddg ~ii =
-  let sccs = scc_of ?counters ddg in
-  let scratch = Mindist.scratch () in
   Array.for_all
     (fun members ->
-      scc_feasible ?counters ~scratch ddg (Array.of_list members) ~ii)
-    sccs
+      let solver = Mindist.solver ?counters ddg ~nodes:(Array.of_list members) in
+      Mindist.feasible (Mindist.solve ?counters solver ~ii))
+    (scc_of ?counters ddg)
 
 (* Parallel edges between consecutive circuit vertices multiply out into
    (delay, distance) combinations; dominated combinations are pruned. *)

@@ -1,26 +1,22 @@
 type t = {
   length : int;
   workers : int;
-  policy : Chunk.policy;
   next : int Atomic.t;
   chunks : int Atomic.t;
 }
 
-let create ~policy ~workers ~length =
-  {
-    length;
-    workers = max 1 workers;
-    policy;
-    next = Atomic.make 0;
-    chunks = Atomic.make 0;
-  }
+let create ~workers ~length =
+  { length; workers = max 1 workers; next = Atomic.make 0; chunks = Atomic.make 0 }
+
+(* The guided chunk: a [1 / (2 * workers)] share of what remains, at
+   least one job. *)
+let chunk_size t ~remaining = min remaining (max 1 (remaining / (2 * t.workers)))
 
 let rec take t =
   let lo = Atomic.get t.next in
   if lo >= t.length then None
   else
-    let n = Chunk.size t.policy ~workers:t.workers ~remaining:(t.length - lo) in
-    let hi = min t.length (lo + n) in
+    let hi = lo + chunk_size t ~remaining:(t.length - lo) in
     if Atomic.compare_and_set t.next lo hi then begin
       Atomic.incr t.chunks;
       Some (lo, hi)
@@ -28,4 +24,3 @@ let rec take t =
     else take t
 
 let chunks_taken t = Atomic.get t.chunks
-let length t = t.length

@@ -52,12 +52,11 @@ let improve ?(max_rounds = 8) sched =
         { Schedule.time = Schedule.time sched i; alt = Schedule.alt sched i })
   in
   let mrt = Mrt.create machine ~ii in
-  let table_of i k =
-    let opcode = Machine.opcode machine (Ddg.op ddg i).Op.opcode in
-    (List.nth opcode.Opcode.alternatives k).Opcode.table
+  let ctabs =
+    Prep.compile ~caps:(Prep.caps machine) (Prep.alternatives ddg) ~ii
   in
   List.iter
-    (fun i -> Mrt.reserve mrt ~op:i (table_of i entries.(i).Schedule.alt)
+    (fun i -> Mrt.reserve_c mrt ~op:i ctabs.(i).(entries.(i).Schedule.alt)
         ~time:entries.(i).Schedule.time)
     (Ddg.real_ids ddg);
   let lifetime_before = total_lifetime sched in
@@ -77,26 +76,23 @@ let improve ?(max_rounds = 8) sched =
         if l > e then begin
           let t0 = entries.(op).Schedule.time in
           let k0 = entries.(op).Schedule.alt in
-          Mrt.release mrt ~op (table_of op k0) ~time:t0;
+          Mrt.release_c mrt ~op ctabs.(op).(k0) ~time:t0;
           let best = ref (t0, k0, !current_total) in
-          let alternatives =
-            (Machine.opcode machine (Ddg.op ddg op).Op.opcode).Opcode.alternatives
-          in
           for t = e to l do
-            List.iteri
-              (fun k (alt : Opcode.alternative) ->
-                if (t <> t0 || k <> k0) && Mrt.fits mrt alt.Opcode.table ~time:t
+            Array.iteri
+              (fun k c ->
+                if (t <> t0 || k <> k0) && Mrt.fits_c mrt c ~time:t
                 then begin
                   entries.(op) <- { Schedule.time = t; alt = k };
                   let candidate = total_lifetime (rebuild sched entries) in
                   let _, _, best_total = !best in
                   if candidate < best_total then best := (t, k, candidate)
                 end)
-              alternatives
+              ctabs.(op)
           done;
           let t, k, total = !best in
           entries.(op) <- { Schedule.time = t; alt = k };
-          Mrt.reserve mrt ~op (table_of op k) ~time:t;
+          Mrt.reserve_c mrt ~op ctabs.(op).(k) ~time:t;
           if t <> t0 || k <> k0 then begin
             incr moves;
             improved_in_round := true;

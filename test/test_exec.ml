@@ -11,8 +11,7 @@ let machine = Ims_machine.Machine.cydra5 ()
 
 let test_queue_covers_all () =
   let q =
-    Ims_par.Work_queue.create ~policy:Ims_par.Chunk.default ~workers:3
-      ~length:100
+    Ims_par.Work_queue.create ~workers:3 ~length:100
   in
   let seen = Array.make 100 0 in
   let rec drain () =
@@ -34,9 +33,7 @@ let test_queue_covers_all () =
 let test_guided_chunks_shrink () =
   let sizes = ref [] in
   let q =
-    Ims_par.Work_queue.create
-      ~policy:(Ims_par.Chunk.Guided { min_chunk = 1; divisor = 2 })
-      ~workers:4 ~length:1000
+    Ims_par.Work_queue.create ~workers:4 ~length:1000
   in
   let rec drain () =
     match Ims_par.Work_queue.take q with
@@ -56,30 +53,14 @@ let test_guided_chunks_shrink () =
   Alcotest.(check int) "tail grabs are single jobs" 1
     (List.nth sizes (List.length sizes - 1))
 
-let test_fixed_chunks () =
-  Alcotest.(check int) "fixed capped by remaining" 3
-    (Ims_par.Chunk.size (Ims_par.Chunk.Fixed 10) ~workers:4 ~remaining:3);
-  Alcotest.(check int) "fixed" 10
-    (Ims_par.Chunk.size (Ims_par.Chunk.Fixed 10) ~workers:4 ~remaining:50)
-
 (* --- map: parallel = serial --------------------------------------------------- *)
 
 let prop_map_equals_serial =
   QCheck.Test.make ~count:60 ~name:"exec: map at any jobs = List.map"
-    QCheck.(triple (small_list small_int) (int_range 1 6) (int_range 1 5))
-    (fun (xs, jobs, chunk) ->
+    QCheck.(pair (small_list small_int) (int_range 1 6))
+    (fun (xs, jobs) ->
       let f x = (x * x) + 7 in
-      let policies =
-        [
-          Ims_par.Chunk.Fixed chunk;
-          Ims_par.Chunk.Guided { min_chunk = 1; divisor = chunk };
-        ]
-      in
-      List.for_all
-        (fun policy ->
-          Exec.map ~jobs ~policy f xs
-          = List.map (fun x -> Outcome.Done (f x)) xs)
-        policies)
+      Exec.map ~jobs f xs = List.map (fun x -> Outcome.Done (f x)) xs)
 
 (* --- Fault containment --------------------------------------------------------- *)
 
@@ -276,7 +257,6 @@ let tests =
         test_queue_covers_all;
       Alcotest.test_case "queue: guided sizes shrink" `Quick
         test_guided_chunks_shrink;
-      Alcotest.test_case "queue: fixed policy" `Quick test_fixed_chunks;
       QCheck_alcotest.to_alcotest prop_map_equals_serial;
       Alcotest.test_case "containment: Failure isolated" `Quick
         test_failure_contained;

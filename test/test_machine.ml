@@ -57,6 +57,12 @@ let fig1 = Machine.figure1 ()
 let table name =
   (List.hd (Machine.opcode fig1 name).Opcode.alternatives).Opcode.table
 
+(* A reservation table compiled for an MRT of [ii] rows on [machine],
+   with the capacity vector, as the schedulers compile theirs. *)
+let compiled machine ~ii name =
+  Mrt.compile ~ii ~caps:(Ims_core.Prep.caps machine)
+    (List.hd (Machine.opcode machine name).Opcode.alternatives).Opcode.table
+
 let test_fig1_shapes () =
   check "figure 1 add is complex" true
     (Reservation.shape (table "add") = Reservation.Complex);
@@ -67,28 +73,31 @@ let test_fig1_shapes () =
    same time since they will collide in their usage of the source buses" *)
 let test_fig1_same_cycle_collision () =
   let mrt = Mrt.linear fig1 ~horizon:64 in
-  Mrt.reserve mrt ~op:1 (table "mul") ~time:10;
-  check "add cannot issue with mul" false (Mrt.fits mrt (table "add") ~time:10)
+  Mrt.reserve_c mrt ~op:1 (compiled fig1 ~ii:64 "mul") ~time:10;
+  check "add cannot issue with mul" false
+    (Mrt.fits_c mrt (compiled fig1 ~ii:64 "add") ~time:10)
 
 (* "although a multiply may be issued any number of cycles after an add, an
    add may not be issued two cycles after a multiply" *)
 let test_fig1_result_bus_collision () =
   let mrt = Mrt.linear fig1 ~horizon:64 in
-  Mrt.reserve mrt ~op:1 (table "mul") ~time:10;
-  check "add at +1 is fine" true (Mrt.fits mrt (table "add") ~time:11);
+  let add = compiled fig1 ~ii:64 "add" in
+  Mrt.reserve_c mrt ~op:1 (compiled fig1 ~ii:64 "mul") ~time:10;
+  check "add at +1 is fine" true (Mrt.fits_c mrt add ~time:11);
   check "add at +2 collides on the result bus" false
-    (Mrt.fits mrt (table "add") ~time:12);
-  check "add at +3 is fine" true (Mrt.fits mrt (table "add") ~time:13)
+    (Mrt.fits_c mrt add ~time:12);
+  check "add at +3 is fine" true (Mrt.fits_c mrt add ~time:13)
 
 let test_fig1_mul_after_add_ok () =
   let mrt = Mrt.linear fig1 ~horizon:64 in
-  Mrt.reserve mrt ~op:1 (table "add") ~time:10;
+  let mul = compiled fig1 ~ii:64 "mul" in
+  Mrt.reserve_c mrt ~op:1 (compiled fig1 ~ii:64 "add") ~time:10;
   List.iter
     (fun k ->
       check
         (Printf.sprintf "mul at +%d fits" k)
         true
-        (Mrt.fits mrt (table "mul") ~time:(10 + k)))
+        (Mrt.fits_c mrt mul ~time:(10 + k)))
     [ 1; 2; 3; 4; 5 ]
 
 (* --- Machine models ----------------------------------------------------- *)
@@ -140,50 +149,50 @@ let test_divide_blocks_multiplier () =
 
 let test_mrt_wraparound () =
   let mrt = Mrt.create cydra ~ii:4 in
-  let load = (List.hd (Machine.opcode cydra "load").Opcode.alternatives).Opcode.table in
-  Mrt.reserve mrt ~op:1 load ~time:0;
-  Mrt.reserve mrt ~op:2 load ~time:0;
+  let load = compiled cydra ~ii:4 "load" in
+  Mrt.reserve_c mrt ~op:1 load ~time:0;
+  Mrt.reserve_c mrt ~op:2 load ~time:0;
   (* Both ports busy in slot 0: a third load 2*ii later still conflicts. *)
-  check "conflict repeats mod ii" false (Mrt.fits mrt load ~time:8);
-  check "other slots free" true (Mrt.fits mrt load ~time:9)
+  check "conflict repeats mod ii" false (Mrt.fits_c mrt load ~time:8);
+  check "other slots free" true (Mrt.fits_c mrt load ~time:9)
 
 let test_mrt_release_restores () =
   let mrt = Mrt.create cydra ~ii:3 in
-  let fadd = (List.hd (Machine.opcode cydra "fadd").Opcode.alternatives).Opcode.table in
-  Mrt.reserve mrt ~op:7 fadd ~time:5;
-  check "adder busy" false (Mrt.fits mrt fadd ~time:8);
-  Mrt.release mrt ~op:7 fadd ~time:5;
-  check "released" true (Mrt.fits mrt fadd ~time:8)
+  let fadd = compiled cydra ~ii:3 "fadd" in
+  Mrt.reserve_c mrt ~op:7 fadd ~time:5;
+  check "adder busy" false (Mrt.fits_c mrt fadd ~time:8);
+  Mrt.release_c mrt ~op:7 fadd ~time:5;
+  check "released" true (Mrt.fits_c mrt fadd ~time:8)
 
 let test_mrt_conflicting_ops () =
   let mrt = Mrt.create cydra ~ii:2 in
-  let fadd = (List.hd (Machine.opcode cydra "fadd").Opcode.alternatives).Opcode.table in
-  Mrt.reserve mrt ~op:3 fadd ~time:0;
+  let fadd = compiled cydra ~ii:2 "fadd" in
+  Mrt.reserve_c mrt ~op:3 fadd ~time:0;
   Alcotest.(check (list int))
     "the occupant is reported" [ 3 ]
-    (Mrt.conflicting_ops mrt [ fadd ] ~time:2);
+    (Mrt.conflicting_ops_c mrt [| fadd |] ~time:2);
   Alcotest.(check (list int))
     "no conflict, no occupants" []
-    (Mrt.conflicting_ops mrt [ fadd ] ~time:1)
+    (Mrt.conflicting_ops_c mrt [| fadd |] ~time:1)
 
 let test_mrt_reserve_overflow_rejected () =
   let mrt = Mrt.create cydra ~ii:1 in
-  let st = (List.hd (Machine.opcode cydra "store").Opcode.alternatives).Opcode.table in
-  Mrt.reserve mrt ~op:1 st ~time:0;
-  Mrt.reserve mrt ~op:2 st ~time:0;
+  let st = compiled cydra ~ii:1 "store" in
+  Mrt.reserve_c mrt ~op:1 st ~time:0;
+  Mrt.reserve_c mrt ~op:2 st ~time:0;
   check "third reserve rejected" true
     (try
-       Mrt.reserve mrt ~op:3 st ~time:0;
+       Mrt.reserve_c mrt ~op:3 st ~time:0;
        false
      with Invalid_argument _ -> true)
 
 let test_mrt_release_wrong_op_rejected () =
   let mrt = Mrt.create cydra ~ii:2 in
-  let st = (List.hd (Machine.opcode cydra "store").Opcode.alternatives).Opcode.table in
-  Mrt.reserve mrt ~op:1 st ~time:0;
+  let st = compiled cydra ~ii:2 "store" in
+  Mrt.reserve_c mrt ~op:1 st ~time:0;
   check "release of a non-holder rejected" true
     (try
-       Mrt.release mrt ~op:9 st ~time:0;
+       Mrt.release_c mrt ~op:9 st ~time:0;
        false
      with Invalid_argument _ -> true)
 
@@ -198,23 +207,24 @@ let prop_mrt_reserve_release_inverse =
     (fun (ii, moves) ->
       let machine = Machine.cydra5 () in
       let mrt = Mrt.create machine ~ii in
-      let ops = [| "load"; "fadd"; "fmul"; "store" |] in
+      let tables =
+        Array.map (compiled machine ~ii) [| "load"; "fadd"; "fmul"; "store" |]
+      in
       let placed = ref [] in
       List.iteri
         (fun i (which, time) ->
-          let table =
-            (List.hd (Machine.opcode machine ops.(which)).Opcode.alternatives)
-              .Opcode.table
-          in
-          if Mrt.fits mrt table ~time then begin
-            Mrt.reserve mrt ~op:i table ~time;
+          let table = tables.(which) in
+          if Mrt.fits_c mrt table ~time then begin
+            Mrt.reserve_c mrt ~op:i table ~time;
             placed := (i, table, time) :: !placed
           end)
         moves;
-      List.iter (fun (op, table, time) -> Mrt.release mrt ~op table ~time) !placed;
+      List.iter
+        (fun (op, table, time) -> Mrt.release_c mrt ~op table ~time)
+        !placed;
       (* After releasing everything, every original placement fits again. *)
       List.for_all
-        (fun (_, table, time) -> Mrt.fits mrt table ~time)
+        (fun (_, table, time) -> Mrt.fits_c mrt table ~time)
         !placed)
 
 

@@ -40,32 +40,34 @@ let test_mindist_chain () =
 
 let test_mindist_diagonal_tracks_ii () =
   let ddg = reduction machine in
-  (* Self circuit delay 4 distance 1: diagonal is 4 - ii at feasible IIs;
-     below RecMII the max-plus closure only guarantees positivity. *)
+  (* Self circuit delay 4 distance 1: diagonal is 4 - ii at feasible IIs,
+     where the solver is exact; below RecMII the from-scratch closure
+     only guarantees positivity. *)
   List.iter
     (fun ii ->
-      let md = Mindist.compute ddg ~nodes:[| 1 |] ~ii in
+      let md = Mindist.full ddg ~ii in
       Alcotest.(check bool)
         (Printf.sprintf "diagonal positive at ii=%d" ii)
         true
         (Mindist.get md 1 1 > 0))
     [ 1; 2; 3 ];
+  let solver = Mindist.solver ddg ~nodes:[| 1 |] in
   List.iter
     (fun ii ->
-      let md = Mindist.compute ddg ~nodes:[| 1 |] ~ii in
+      let md = Mindist.solve solver ~ii in
       Alcotest.(check int)
         (Printf.sprintf "diagonal at ii=%d" ii)
         (4 - ii) (Mindist.get md 1 1))
     [ 4; 5; 6 ];
-  let md4 = Mindist.compute ddg ~nodes:[| 1 |] ~ii:4 in
-  Alcotest.(check bool) "feasible at RecMII" true (Mindist.feasible md4);
-  let md3 = Mindist.compute ddg ~nodes:[| 1 |] ~ii:3 in
-  Alcotest.(check bool) "infeasible below" false (Mindist.feasible md3)
+  Alcotest.(check bool) "feasible at RecMII" true
+    (Mindist.feasible (Mindist.solve solver ~ii:4));
+  Alcotest.(check bool) "infeasible below" false
+    (Mindist.feasible (Mindist.full ddg ~ii:3))
 
 let test_mindist_zero_diagonal_critical () =
   let ddg = reduction machine in
-  let md = Mindist.compute ddg ~nodes:[| 1 |] ~ii:4 in
-  Alcotest.(check int) "critical circuit has zero slack" 0 (Mindist.max_diagonal md)
+  let md = Mindist.solve (Mindist.solver ddg ~nodes:[| 1 |]) ~ii:4 in
+  Alcotest.(check int) "critical circuit has zero slack" 0 (Mindist.get md 1 1)
 
 (* --- ResMII --------------------------------------------------------------- *)
 
