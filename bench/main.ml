@@ -120,8 +120,7 @@ let pmap f xs = Ims_exec.Exec.map_exn ~jobs f xs
    renders the historical "[bench] ..." stderr lines byte-for-byte, so
    the CI greps over them keep working. *)
 let log =
-  Ims_obs.Log.create ~style:Ims_obs.Log.Bracket ~human:stderr
-    ~timer:Unix.gettimeofday ~tag:"bench" ()
+  Ims_obs.Log.create ~style:Ims_obs.Log.Bracket ~human:stderr ~tag:"bench" ()
 
 (* Per-phase wall clock, accumulated for --bench-json and --profile
    (phase order is the execution order).  Stderr only — stdout stays

@@ -71,10 +71,10 @@ let resolve_loop machine name =
    historical "imsc: ..." / "imsc batch: ..." prefixes, so scripts that
    grep the messages keep working.  (The "merged counters:" line below
    is data, not a diagnostic, and stays un-prefixed at line start.) *)
-let log = Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc" ()
+let log = Log.create ~human:stderr ~tag:"imsc" ()
 
 let batch_log =
-  Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc batch" ()
+  Log.create ~human:stderr ~tag:"imsc batch" ()
 
 (* Exit protocol: 0 ok, 1 failed, 2 completed but degraded (a fallback
    list schedule was substituted for a modulo schedule) — so CI can gate
@@ -1272,7 +1272,7 @@ let cmd_batch =
 (* --- corpus --------------------------------------------------------------------- *)
 
 let corpus_log =
-  Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc corpus" ()
+  Log.create ~human:stderr ~tag:"imsc corpus" ()
 
 let cmd_corpus =
   let out_arg =
@@ -1380,7 +1380,7 @@ let cmd_corpus =
 (* --- fleet ---------------------------------------------------------------- *)
 
 let fleet_log =
-  Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc fleet" ()
+  Log.create ~human:stderr ~tag:"imsc fleet" ()
 
 let cmd_fleet =
   let corpus_arg =
@@ -1631,10 +1631,10 @@ let cmd_fleet =
 (* --- serve / request -------------------------------------------------------- *)
 
 let serve_log =
-  Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc serve" ()
+  Log.create ~human:stderr ~tag:"imsc serve" ()
 
 let request_log =
-  Log.create ~human:stderr ~timer:Unix.gettimeofday ~tag:"imsc request" ()
+  Log.create ~human:stderr ~tag:"imsc request" ()
 
 let cmd_serve =
   let socket_arg =

@@ -70,14 +70,3 @@ let summary v =
            Printf.sprintf "%s: %d diagnostic%s" (checker_name f.checker) n
              (if n = 1 then "" else "s"))
          v.failures)
-
-let pp ppf v =
-  if passed v then
-    Format.fprintf ppf "all checks passed (lint, verify, simulator, interp)"
-  else
-    List.iter
-      (fun f ->
-        List.iter
-          (fun d -> Format.fprintf ppf "%s: %s@." (checker_name f.checker) d)
-          f.diagnostics)
-      v.failures

@@ -59,6 +59,3 @@ val all :
 val summary : verdict -> string
 (** One line: ["all checks passed (lint, verify, simulator, interp)"] or
     ["verify: 2 diagnostics; interp: 1 diagnostic"]. *)
-
-val pp : Format.formatter -> verdict -> unit
-(** Every diagnostic, one per line, prefixed with its checker. *)

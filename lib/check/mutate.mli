@@ -46,15 +46,11 @@ type cls =
   | Inflate_reservation
   | Wrong_stage
 
-val classes : cls list
 val class_name : cls -> string
 
 val must_kill : cls -> bool
 (** True for the classes whose construction guarantees illegality:
     [Shift_op], [Lower_resource], [Inflate_reservation], [Wrong_stage]. *)
-
-val expected : cls -> Check.checker list
-(** The checkers that ought to catch this class. *)
 
 type result_ = {
   cls : cls;

@@ -34,9 +34,6 @@ val reopen : ?sync_every:int -> path:string -> unit -> t
 val append : t -> Ims_obs.Json.t -> unit
 (** Append one record as a single line, fsync'd per [sync_every]. *)
 
-val flush : t -> unit
-(** Force any deferred fsync now. *)
-
 val rewrite :
   path:string -> header:Ims_obs.Json.t -> records:Ims_obs.Json.t list -> t
 (** Atomically replace the log at [path] with [header] + [records]:

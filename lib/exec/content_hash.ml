@@ -1,4 +1,2 @@
 let of_parts parts =
   Stdlib.Digest.to_hex (Stdlib.Digest.string (String.concat "\x00" parts))
-
-let of_string s = of_parts [ s ]

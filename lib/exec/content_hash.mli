@@ -12,6 +12,3 @@
 
 val of_parts : string list -> string
 (** [of_parts parts] is the 32-character lowercase hex digest. *)
-
-val of_string : string -> string
-(** [of_string s] = [of_parts [s]]. *)

@@ -169,25 +169,11 @@ val await : 'a streaming -> unit
 val streaming_jobs : 'a streaming -> int
 (** The worker count of the pool. *)
 
-val map :
-  ?jobs:int ->
-  ?timeout:float ->
-  ('a -> 'b) ->
-  'a list ->
-  'b Outcome.t list
-(** {!run} without telemetry: just the outcomes, in input order. *)
-
 val map_exn : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with fail-fast reporting: every job runs to the
     barrier (containment still holds mid-run), then the first non-[Done]
     outcome raises [Failure] naming the job index.  The drop-in
     replacement for a serial [List.map] whose exceptions were fatal
     anyway. *)
-
-val pp_stats : Format.formatter -> stats -> unit
-(** ["N jobs: N ok, N failed, N timed out; N workers, N chunks"], with
-    [", N cancelled"] and ["; N retried (N attempts total)"] appended
-    only when nonzero — so runs that use no resilience features print
-    exactly the historical line. *)
 
 val summary : stats -> string

@@ -10,12 +10,6 @@ let is_done = function
   | Done _ -> true
   | Failed _ | Timed_out _ | Cancelled _ -> false
 
-let map f = function
-  | Done v -> Done (f v)
-  | Failed e -> Failed e
-  | Timed_out t -> Timed_out t
-  | Cancelled c -> Cancelled c
-
 let get ?job o =
   let where =
     match job with None -> "job" | Some i -> Printf.sprintf "job %d" i
@@ -34,8 +28,6 @@ let get ?job o =
          else
            Printf.sprintf "%s cancelled: %.3fs deadline preempted it at %.3fs"
              where limit elapsed)
-
-let get_exn o = get o
 
 let status = function
   | Done _ -> "ok"

@@ -36,15 +36,11 @@ type 'a t =
           fail-fast, explicit token). *)
 
 val is_done : 'a t -> bool
-val map : ('a -> 'b) -> 'a t -> 'b t
 
 val get : ?job:int -> 'a t -> 'a
 (** @raise Failure on any non-[Done] outcome, naming the job index when
     given (["job 7 failed: ..."]) so a casualty in a big batch is
     locatable from the message alone. *)
-
-val get_exn : 'a t -> 'a
-(** [get ?job:None]. *)
 
 val status : 'a t -> string
 (** ["ok"], ["failed"], ["timed_out"] or ["cancelled"] — the stable tag

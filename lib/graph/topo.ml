@@ -84,21 +84,3 @@ let sort_ignoring_cycles ~n ~succs =
   match kahn ~n ~succs ~force:true with
   | Some order -> order
   | None -> assert false
-
-let longest_path ~n ~succs ~source =
-  let order =
-    match sort ~n ~succs:(fun v -> List.map fst (succs v)) with
-    | Some o -> o
-    | None -> invalid_arg "Topo.longest_path: graph is cyclic"
-  in
-  let dist = Array.make n min_int in
-  dist.(source) <- 0;
-  List.iter
-    (fun v ->
-      if dist.(v) > min_int then
-        List.iter
-          (fun (w, weight) ->
-            if dist.(v) + weight > dist.(w) then dist.(w) <- dist.(v) + weight)
-          (succs v))
-    order;
-  dist

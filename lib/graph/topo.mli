@@ -13,10 +13,3 @@ val sort_ignoring_cycles : n:int -> succs:(int -> int list) -> int list
 (** Kahn's algorithm, breaking ties by smallest vertex and breaking cycles
     by releasing the smallest still-blocked vertex; always returns a
     permutation of [0 .. n-1].  On a DAG it equals {!sort}. *)
-
-val longest_path :
-  n:int -> succs:(int -> (int * int) list) -> source:int -> int array
-(** [longest_path ~n ~succs ~source] is the longest weighted path from
-    [source] to every vertex of a DAG ([min_int] if unreachable); [succs]
-    yields [(target, weight)] pairs.
-    @raise Invalid_argument if the graph is cyclic. *)

@@ -66,8 +66,6 @@ let mem_dep b ?(distance = 0) kind ~src ~dst =
   b.raw_deps <- (kind, distance, src, dst) :: b.raw_deps
 
 let reg_id _ v = v
-let op_id _ r = r
-let num_ops b = b.n
 
 (* Reaching definitions of register [v] for a reference at distance [d]
    made by operation [u] (or at end of body if [u_id] is the body length +

@@ -57,8 +57,6 @@ val mem_dep : t -> ?distance:int -> Dep.kind -> src:opref -> dst:opref -> unit
     defaults to 0. *)
 
 val reg_id : t -> vreg -> int
-val op_id : t -> opref -> int
-val num_ops : t -> int
 
 val finish : ?keep_false_deps:bool -> t -> Ddg.t
 (** Derives the dependence graph.  Flow dependences run from each

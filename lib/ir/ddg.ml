@@ -87,8 +87,6 @@ let make machine ?(model = Dep.Vliw) ops deps =
   List.iter add (List.rev deps);
   { machine; ops = all; succs; preds; model }
 
-let succ_ids t i = List.map (fun (d : Dep.t) -> d.dst) t.succs.(i)
-
 let real_succ_ids t i =
   if is_pseudo t i then []
   else

@@ -51,9 +51,6 @@ val latency : t -> int -> int
 
 val is_pseudo : t -> int -> bool
 
-val succ_ids : t -> int -> int list
-(** Successor vertex ids (with duplicates if parallel edges exist). *)
-
 val real_succ_ids : t -> int -> int list
 (** Successors restricted to real operations and real sources — the graph
     the SCC/circuit statistics are computed on. *)

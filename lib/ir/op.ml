@@ -10,12 +10,6 @@ type t = {
   tag : string;
 }
 
-let cur reg = { reg; distance = 0 }
-
-let prev ?(distance = 1) reg =
-  if distance < 0 then invalid_arg "Op.prev: negative distance";
-  { reg; distance }
-
 let is_pseudo t = t.opcode = "START" || t.opcode = "STOP"
 
 let pp_operand ppf o =

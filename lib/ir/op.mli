@@ -29,12 +29,6 @@ type t = {
   tag : string;  (** Label for listings, e.g. ["x[i] = load a"]. *)
 }
 
-val cur : int -> operand
-(** [cur v] is [v] at distance 0. *)
-
-val prev : ?distance:int -> int -> operand
-(** [prev v] is [v] at distance 1 (or [~distance]). *)
-
 val is_pseudo : t -> bool
 (** True for START and STOP. *)
 

@@ -76,7 +76,6 @@ let create machine ~ii =
   }
 
 let linear machine ~horizon = create machine ~ii:(max 1 horizon)
-let ii t = t.ii
 let bitprobes t = t.bitprobes
 
 (* --- compilation --------------------------------------------------------- *)
@@ -337,19 +336,3 @@ let release_c t ~op c ~time =
   done
 
 let occupants t ~slot ~resource = t.cells.(((slot mod t.ii) * t.nres) + resource)
-
-let pp ppf t =
-  Format.fprintf ppf "MRT(ii=%d)@." t.ii;
-  for slot = 0 to t.ii - 1 do
-    let cells = ref [] in
-    for r = t.nres - 1 downto 0 do
-      let ops = t.cells.((slot * t.nres) + r) in
-      if ops <> [] then
-        cells :=
-          Printf.sprintf "r%d:{%s}" r
-            (String.concat "," (List.map string_of_int ops))
-          :: !cells
-    done;
-    if !cells <> [] then
-      Format.fprintf ppf "  %3d | %s@." slot (String.concat " " !cells)
-  done

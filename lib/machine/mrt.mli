@@ -31,8 +31,6 @@ val create : Machine.t -> ii:int -> t
 val linear : Machine.t -> horizon:int -> t
 (** A non-wrapping table for acyclic scheduling of length [horizon]. *)
 
-val ii : t -> int
-
 (** {2 Precompiled reservation tables}
 
     The hot path of the scheduler: compile each opcode alternative's
@@ -84,5 +82,3 @@ val conflicting_ops_c : t -> ctable array -> time:int -> int list
 
 val occupants : t -> slot:int -> resource:int -> int list
 (** Current occupants of one cell; [slot] is taken modulo [ii]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,7 +21,3 @@ let pseudo name =
   }
 
 let num_alternatives t = List.length t.alternatives
-
-let pp ppf t =
-  Format.fprintf ppf "%s(lat=%d, alts=%d)" t.name t.latency
-    (List.length t.alternatives)

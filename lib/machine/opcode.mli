@@ -25,5 +25,3 @@ val pseudo : string -> t
 (** A pseudo-operation: latency 0, a single empty reservation table. *)
 
 val num_alternatives : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -39,10 +39,6 @@ let shape t =
 let usage_count t acc =
   List.iter (fun u -> acc.(u.resource) <- acc.(u.resource) + 1) t.usages
 
-let pp ppf t =
-  let pp_usage ppf u = Format.fprintf ppf "r%d@@%d" u.resource u.at in
-  Format.fprintf ppf "[%a]" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp_usage) t.usages
-
 let pp_grid ~resources ppf tables =
   let height = List.fold_left (fun acc (_, t) -> max acc t.length) 0 tables in
   let col_width =

@@ -41,8 +41,6 @@ val usage_count : t -> int array -> unit
 (** [usage_count t acc] adds, for each resource [r], the number of uses of
     [r] in [t] to [acc.(r)].  Used by the ResMII bin-packing. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_grid :
   resources:Resource.t array -> Format.formatter -> (string * t) list -> unit
 (** [pp_grid ~resources ppf tables] renders tables side by side as a

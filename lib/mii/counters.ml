@@ -72,16 +72,7 @@ let fields : (string * (t -> int) * (t -> int -> unit)) list =
     ("sched_final", (fun t -> t.sched_steps_final), fun t v -> t.sched_steps_final <- v);
   ]
 
-let names = List.map (fun (name, _, _) -> name) fields
 let to_assoc t = List.map (fun (name, get, _) -> (name, get t)) fields
-
-let of_assoc kvs =
-  let t = create () in
-  List.iter
-    (fun (name, _, set) ->
-      set t (Option.value ~default:0 (List.assoc_opt name kvs)))
-    fields;
-  t
 
 let merge ts =
   let acc = create () in

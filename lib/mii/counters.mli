@@ -48,17 +48,9 @@ val merge : t list -> t
     per-worker counter shards after a parallel run.  Built on the field
     table, so it tracks the field list automatically. *)
 
-val names : string list
-(** The canonical field names in declaration order — the keys of
-    {!to_assoc} and the order every serialised counter object uses. *)
-
 val to_assoc : t -> (string * int) list
 (** [(field name, value)] in declaration order — the names {!pp} prints
     and {!record} registers. *)
-
-val of_assoc : (string * int) list -> t
-(** Inverse of {!to_assoc}: missing keys default to 0, unknown keys are
-    ignored.  The decode half of snapshot/journal round-trips. *)
 
 val record : Ims_obs.Metrics.t -> t -> unit
 (** Adds every field into the registry as counter ["counters.NAME"]. *)

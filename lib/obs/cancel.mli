@@ -35,9 +35,6 @@ exception Cancelled of { elapsed : float; limit : float }
 val null : t
 (** The disabled token: [poll null] is a no-op forever. *)
 
-val default_stride : int
-(** 64 — clock reads per poll on armed tokens. *)
-
 val create :
   ?timer:(unit -> float) ->
   ?parent:t ->

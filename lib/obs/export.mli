@@ -16,14 +16,7 @@
     Chrome form), so serialising the same schedule twice yields the same
     bytes. *)
 
-val jsonl : Buffer.t -> Event.t list -> unit
 val jsonl_string : Event.t list -> string
-
-val chrome :
-  ?process_name:string -> ?thread_name:string -> Buffer.t -> Event.t list -> unit
-(** The trace is prefixed with [process_name]/[thread_name] metadata
-    events (defaults ["imsc"]/["scheduler"]) so Perfetto labels the
-    track instead of showing bare pid 1 / tid 1. *)
 
 val chrome_string :
   ?process_name:string -> ?thread_name:string -> Event.t list -> string

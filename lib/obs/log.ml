@@ -1,81 +1,21 @@
-type level = Debug | Info | Warn | Error
-
-let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-let level_name = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Error -> "error"
-
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type style = Bracket | Colon
+type t = { tag : string; style : style; human : out_channel option }
 
-type t = {
-  tag : string;
-  style : style;
-  mutable threshold : level;
-  mutable human : out_channel option;
-  mutable jsonl : out_channel option;
-  timer : unit -> float;
-}
+let create ?(style = Colon) ?human ~tag () = { tag; style; human }
 
-let null =
-  { tag = ""; style = Colon; threshold = Error; human = None; jsonl = None;
-    timer = (fun () -> 0.0) }
+let emit t ~mark msg =
+  match t.human with
+  | Some oc ->
+      let prefix =
+        match t.style with
+        | Bracket -> Printf.sprintf "[%s] " t.tag
+        | Colon -> Printf.sprintf "%s: " t.tag
+      in
+      output_string oc (prefix ^ mark ^ msg);
+      output_char oc '\n';
+      flush oc
+  | None -> ()
 
-let create ?(threshold = Info) ?(style = Colon) ?human
-    ?(timer = fun () -> 0.0) ~tag () =
-  { tag; style; threshold; human; jsonl = None; timer }
-
-let set_threshold t level = t.threshold <- level
-let attach_jsonl t oc = t.jsonl <- Some oc
-
-let would_log t level =
-  (t.human <> None || t.jsonl <> None) && severity level >= severity t.threshold
-
-let render_human t level msg =
-  let prefix =
-    match t.style with
-    | Bracket -> Printf.sprintf "[%s] " t.tag
-    | Colon -> Printf.sprintf "%s: " t.tag
-  in
-  let severity_mark =
-    match level with Warn -> "warning: " | Error -> "error: " | _ -> ""
-  in
-  prefix ^ severity_mark ^ msg
-
-let emit t level msg =
-  if would_log t level then begin
-    (match t.human with
-    | Some oc ->
-        output_string oc (render_human t level msg);
-        output_char oc '\n';
-        flush oc
-    | None -> ());
-    match t.jsonl with
-    | Some oc ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("ts", Json.Float (t.timer ()));
-                  ("level", Json.String (level_name level));
-                  ("tag", Json.String t.tag);
-                  ("msg", Json.String msg);
-                ]));
-        output_char oc '\n';
-        flush oc
-    | None -> ()
-  end
-
-let logf t level fmt = Printf.ksprintf (fun msg -> emit t level msg) fmt
-let debug t fmt = logf t Debug fmt
-let info t fmt = logf t Info fmt
-let warn t fmt = logf t Warn fmt
-let error t fmt = logf t Error fmt
+let info t fmt = Printf.ksprintf (emit t ~mark:"") fmt
+let warn t fmt = Printf.ksprintf (emit t ~mark:"warning: ") fmt
+let error t fmt = Printf.ksprintf (emit t ~mark:"error: ") fmt

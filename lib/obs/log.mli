@@ -1,25 +1,9 @@
-(** A small leveled logger for the CLIs and the execution engine —
-    replaces ad-hoc [Printf.eprintf] so diagnostics share one threshold,
-    one prefix discipline, and an optional machine-readable JSONL sink.
+(** A small logger for the CLIs and the execution engine — replaces
+    ad-hoc [Printf.eprintf] so diagnostics share one prefix discipline.
 
-    A logger owns a fixed [tag] (the component name) and renders to up
-    to two sinks: a {e human} channel (one prefixed line per message,
-    flushed) and a {e JSONL} channel
-    ([{"ts":…,"level":…,"tag":…,"msg":…}] per line, flushed — the same
-    {!Json} serialisation the traces use).  With no sink attached every
-    call is a cheap no-op, like {!Trace.null}.
-
-    This module stays dependency-free: timestamps come from an injected
-    [timer] (pass [Unix.gettimeofday] from CLIs; the default clock is
-    the constant 0, keeping accidental nondeterminism out of tests). *)
-
-type level = Debug | Info | Warn | Error
-
-val severity : level -> int
-(** [Debug 0 … Error 3]; messages below the threshold are dropped. *)
-
-val level_name : level -> string
-val level_of_string : string -> level option
+    A logger owns a fixed [tag] (the component name) and renders each
+    message as one prefixed, flushed line on its {e human} channel.
+    Without a channel every call is a cheap no-op, like {!Trace.null}. *)
 
 (** Human-line prefix style: [Bracket] renders ["[tag] msg"] (the bench
     harness's historical form), [Colon] renders ["tag: msg"] (the imsc
@@ -29,31 +13,9 @@ type style = Bracket | Colon
 
 type t
 
-val null : t
-(** No sinks: every emission is a branch and nothing else. *)
+val create : ?style:style -> ?human:out_channel -> tag:string -> unit -> t
+(** [style] defaults to [Colon]; no output unless [human] is given. *)
 
-val create :
-  ?threshold:level ->
-  ?style:style ->
-  ?human:out_channel ->
-  ?timer:(unit -> float) ->
-  tag:string ->
-  unit ->
-  t
-(** [threshold] defaults to [Info]; [style] to [Colon]; no sinks unless
-    [human] is given or {!attach_jsonl} is called. *)
-
-val set_threshold : t -> level -> unit
-
-val attach_jsonl : t -> out_channel -> unit
-(** Adds a JSONL sink; the caller owns (and closes) the channel. *)
-
-val would_log : t -> level -> bool
-(** True iff a message at [level] would reach at least one sink — guard
-    expensive message construction with this. *)
-
-val logf : t -> level -> ('a, unit, string, unit) format4 -> 'a
-val debug : t -> ('a, unit, string, unit) format4 -> 'a
 val info : t -> ('a, unit, string, unit) format4 -> 'a
 val warn : t -> ('a, unit, string, unit) format4 -> 'a
 val error : t -> ('a, unit, string, unit) format4 -> 'a

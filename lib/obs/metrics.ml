@@ -1,25 +1,13 @@
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
-type histogram = {
-  mutable count : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
-}
-
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { count : int; sum : float; min : float; max : float }
-
-type instrument = C of counter | G of gauge | H of histogram
+type instrument = C of counter | G of gauge
 
 type t = { tbl : (string, instrument) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
-let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+let kind_name = function C _ -> "counter" | G _ -> "gauge"
 
 let register t name make match_kind wanted =
   match Hashtbl.find_opt t.tbl name with
@@ -58,55 +46,13 @@ let gauge t name =
 let set g v = g.g <- v
 let set_int g v = g.g <- float_of_int v
 
-let histogram t name =
-  register t name
-    (fun () ->
-      let h = { count = 0; sum = 0.0; lo = infinity; hi = neg_infinity } in
-      Hashtbl.add t.tbl name (H h);
-      h)
-    (function H h -> Some h | _ -> None)
-    "histogram"
+let instrument_to_json = function
+  | C c -> Json.Int c.c
+  | G { g } ->
+      if Float.is_integer g && Float.abs g < 1e15 then Json.Int (int_of_float g)
+      else Json.Float g
 
-let observe h v =
-  h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.lo then h.lo <- v;
-  if v > h.hi then h.hi <- v
-
-let to_assoc t =
-  Hashtbl.fold
-    (fun name i acc ->
-      let v =
-        match i with
-        | C c -> Counter c.c
-        | G g -> Gauge g.g
-        | H h -> Histogram { count = h.count; sum = h.sum; min = h.lo; max = h.hi }
-      in
-      (name, v) :: acc)
-    t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let value_to_json = function
-  | Counter n -> Json.Int n
-  | Gauge g -> if Float.is_integer g && Float.abs g < 1e15 then Json.Int (int_of_float g) else Json.Float g
-  | Histogram { count; sum; min; max } ->
-      Json.Obj
-        [
-          ("count", Json.Int count);
-          ("sum", Json.Float sum);
-          ("min", Json.Float min);
-          ("max", Json.Float max);
-        ]
-
-let to_json t = Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) (to_assoc t))
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter n -> Format.fprintf ppf "%s = %d@." name n
-      | Gauge g -> Format.fprintf ppf "%s = %g@." name g
-      | Histogram { count; sum; min; max } ->
-          Format.fprintf ppf "%s = {count %d; sum %g; min %g; max %g}@." name
-            count sum min max)
-    (to_assoc t)
+let to_json t =
+  Json.Obj
+    (Hashtbl.fold (fun name i acc -> (name, instrument_to_json i) :: acc) t.tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b))

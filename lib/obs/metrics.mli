@@ -1,11 +1,11 @@
-(** A unified metrics registry: named counters, gauges and histograms.
+(** A unified metrics registry: named counters and gauges.
 
     One registry per measurement scope (a loop, a suite run, a whole
     process); instruments are registered on first use and are cheap to
     hold — bumping a counter is one mutable-field update, so a hot loop
     can register once outside and increment inside.
 
-    Readout ({!to_assoc}, {!to_json}, {!pp}) is sorted by name, so the
+    Readout ({!to_json}) is sorted by name, so the
     output order is independent of registration order — deterministic
     like everything else in this repository. *)
 
@@ -13,12 +13,6 @@ type t
 
 type counter
 type gauge
-type histogram
-
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { count : int; sum : float; min : float; max : float }
 
 val create : unit -> t
 
@@ -33,15 +27,5 @@ val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val set_int : gauge -> int -> unit
 
-val histogram : t -> string -> histogram
-val observe : histogram -> float -> unit
-
-val to_assoc : t -> (string * value) list
-(** All instruments, sorted by name. *)
-
 val to_json : t -> Json.t
-(** Counters as integers, gauges as numbers, histograms as
-    [{"count":..,"sum":..,"min":..,"max":..}] objects; fields sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** One [name = value] line per instrument, sorted. *)
+(** Counters as integers, gauges as numbers; fields sorted. *)

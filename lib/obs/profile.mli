@@ -27,8 +27,6 @@ val latency_series : string
 (** The series name under which {!add_job} records each job's seconds. *)
 
 val add_phase : t -> string -> count:int -> seconds:float -> unit
-val add_counters : t -> (string * int) list -> unit
-(** Folds each [(name, v)]: total [+= v], per-job maximum [max]'d. *)
 
 val add_sample : t -> string -> float -> unit
 

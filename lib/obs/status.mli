@@ -24,17 +24,8 @@ type counts = {
 }
 
 val zero : total:int -> counts
-val completed : counts -> int
-(** [ok + failed + timed_out + cancelled] — jobs off the queue. *)
 
 type snapshot = { phase : string; counts : counts; elapsed : float }
-
-val throughput : snapshot -> float
-(** Completed jobs per second ([0.] before the clock moves). *)
-
-val eta : snapshot -> float option
-(** Remaining seconds, linearly extrapolated; [None] until at least one
-    job completes (or when nothing remains). *)
 
 val to_json : ?running:bool -> snapshot -> Json.t
 

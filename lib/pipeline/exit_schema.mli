@@ -28,8 +28,6 @@ type kind =
   | Early_exit  (** More than one branch. *)
 
 val classify : Ddg.t -> kind
-val branches : Ddg.t -> int list
-(** The branch operations, ascending. *)
 
 val guard_stores : Ddg.t -> exit_op:int -> Ddg.t
 (** Adds a distance-1 control dependence from the exit branch to every

@@ -129,15 +129,3 @@ let verify t =
     report "claimed %d registers below the density bound %d" t.registers_used
       t.density_lower_bound;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "MVE kernel allocation: period %d, %d intervals, %d registers (density \
-     bound %d)@."
-    t.period
-    (List.length t.intervals)
-    t.registers_used t.density_lower_bound;
-  List.iter
-    (fun ((reg, copy), phys) ->
-      Format.fprintf ppf "  v%d.%d -> r%d@." reg copy phys)
-    t.assignment

@@ -43,5 +43,3 @@ val physical : t -> reg:int -> copy:int -> int option
 val verify : t -> (unit, string list) result
 (** No two overlapping intervals share a physical register, every
     interval is assigned, and the register count is as claimed. *)
-
-val pp : Format.formatter -> t -> unit

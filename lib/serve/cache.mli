@@ -90,5 +90,3 @@ type stats = {
 
 val stats : t -> stats
 val close : t -> unit
-
-val format_version : int

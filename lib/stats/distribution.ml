@@ -42,10 +42,3 @@ let summarize ~min_possible xs =
     max_seen = List.fold_left max neg_infinity xs;
     min_seen = List.fold_left min infinity xs;
   }
-
-let of_ints ~min_possible xs = summarize ~min_possible (List.map float_of_int xs)
-
-let pp ppf s =
-  Format.fprintf ppf
-    "n=%d min-possible=%g freq-of-min=%.3f median=%.2f mean=%.2f max=%g" s.n
-    s.min_possible s.freq_of_min s.median s.mean s.max_seen

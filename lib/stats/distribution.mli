@@ -17,11 +17,6 @@ type summary = {
 val summarize : min_possible:float -> float list -> summary
 (** @raise Invalid_argument on an empty sample list. *)
 
-val of_ints : min_possible:float -> int list -> summary
-
 val quantile : float list -> float -> float
 (** [quantile xs q] for [0 <= q <= 1], by linear interpolation on the
     sorted samples. *)
-
-val mean : float list -> float
-val pp : Format.formatter -> summary -> unit

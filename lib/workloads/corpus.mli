@@ -9,9 +9,6 @@
 open Ims_machine
 open Ims_ir
 
-val loop_name : int -> string
-(** ["syn%07d"] of the 1-based index; [loop_name 0 = "syn0000001"]. *)
-
 val build : Machine.t -> seed:int -> int -> string * Ddg.t
 (** [build machine ~seed i] is corpus record [i] (0-based). *)
 

@@ -22,14 +22,10 @@ exception Corrupt of { offset : int; reason : string }
     the payload for a bare {!decode}).  Registered with
     [Printexc.register_printer]. *)
 
-val magic : string
 val format_version : int
 
 val header_bytes : int
 (** Size of the file header (magic + version). *)
-
-val frame_bytes : int
-(** Size of a record's frame prefix (length + CRC). *)
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3, the zlib polynomial) of a string; exposed for

@@ -2,8 +2,8 @@
    implementation, kept verbatim as an executable oracle for the
    count-matrix rewrite in [Ims_machine.Mrt].  Property tests drive both
    implementations with the same random command sequences and require
-   every observable — fits verdicts, conflict sets, occupant lists, the
-   printed grid — to agree exactly. *)
+   every observable — fits verdicts, conflict sets, occupant lists — to
+   agree exactly. *)
 
 open Ims_machine
 
@@ -82,21 +82,3 @@ let release t ~op table ~time =
     table.Reservation.usages
 
 let occupants t ~slot ~resource = t.cells.(slot mod t.ii).(resource)
-
-let pp ppf t =
-  Format.fprintf ppf "MRT(ii=%d)@." t.ii;
-  Array.iteri
-    (fun slot row ->
-      let cells =
-        Array.to_list row
-        |> List.mapi (fun r ops ->
-               if ops = [] then None
-               else
-                 Some
-                   (Printf.sprintf "r%d:{%s}" r
-                      (String.concat "," (List.map string_of_int ops))))
-        |> List.filter_map Fun.id
-      in
-      if cells <> [] then
-        Format.fprintf ppf "  %3d | %s@." slot (String.concat " " cells))
-    t.cells

@@ -55,18 +55,23 @@ let test_guided_chunks_shrink () =
 
 (* --- map: parallel = serial --------------------------------------------------- *)
 
+(* [Exec.run] without telemetry: just the outcomes, in input order. *)
+let map ~jobs f xs =
+  let outcomes, _, _ = Exec.run ~jobs ~f:(fun _shard x -> f x) xs in
+  outcomes
+
 let prop_map_equals_serial =
   QCheck.Test.make ~count:60 ~name:"exec: map at any jobs = List.map"
     QCheck.(pair (small_list small_int) (int_range 1 6))
     (fun (xs, jobs) ->
       let f x = (x * x) + 7 in
-      Exec.map ~jobs f xs = List.map (fun x -> Outcome.Done (f x)) xs)
+      map ~jobs f xs = List.map (fun x -> Outcome.Done (f x)) xs)
 
 (* --- Fault containment --------------------------------------------------------- *)
 
 let test_failure_contained () =
   let f x = if x = 3 then failwith "boom" else x * 10 in
-  let outcomes = Exec.map ~jobs:4 f [ 0; 1; 2; 3; 4; 5 ] in
+  let outcomes = map ~jobs:4 f [ 0; 1; 2; 3; 4; 5 ] in
   List.iteri
     (fun i o ->
       match o with
@@ -223,7 +228,7 @@ let test_suite_determinism_across_jobs () =
     let cases = Suite.cases ~machine ~count:100 ~jobs () in
     let outcomes, merged, stats = Exec.run ~jobs ~f:measure cases in
     Alcotest.(check int) "no casualties" 100 stats.Exec.ok;
-    (List.map Outcome.get_exn outcomes, merged)
+    (List.mapi (fun job o -> Outcome.get ~job o) outcomes, merged)
   in
   let records1, merged1 = run 1 in
   let records4, merged4 = run 4 in

@@ -379,10 +379,13 @@ let sh_specs scripts =
       })
     scripts
 
+(* A logger with no channel: the supervisor's messages go nowhere. *)
+let quiet = Log.create ~tag:"fleet" ()
+
 (* Heartbeats are an hour apart, so only a shard's exit or a signal can
    wake the supervisor. *)
 let supervise specs =
-  Ims_fleet.Fleet.run ~log:Log.null ~status_file:None ~status_interval:3600.0
+  Ims_fleet.Fleet.run ~log:quiet ~status_file:None ~status_interval:3600.0
     ~tty:None ~prog:"/bin/sh" ~specs ()
 
 (* A hung supervisor kills the test process instead of stalling CI. *)
@@ -462,7 +465,7 @@ let test_run_rejects_status_interval () =
     (Invalid_argument "Fleet.run: status_interval must be positive")
     (fun () ->
       ignore
-        (Ims_fleet.Fleet.run ~log:Log.null ~status_file:None
+        (Ims_fleet.Fleet.run ~log:quiet ~status_file:None
            ~status_interval:0.0 ~tty:None ~prog:"/bin/sh" ~specs:[] ()))
 
 (* --- Baseline: the fleet throughput gate ------------------------------------ *)

@@ -171,17 +171,6 @@ let test_topo_forced_is_permutation () =
     "permutation" [ 0; 1; 2; 3 ]
     (List.sort compare order)
 
-let test_longest_path () =
-  let succs v =
-    match v with
-    | 0 -> [ (1, 2); (2, 10) ]
-    | 1 -> [ (3, 2) ]
-    | 2 -> [ (3, 1) ]
-    | _ -> []
-  in
-  let dist = Topo.longest_path ~n:4 ~succs ~source:0 in
-  Alcotest.(check int) "longest to 3 via 2" 11 dist.(3)
-
 (* The Kahn sort Topo used before its ready set became a heap, kept as
    the oracle: a [Set.Make (Int)] ready set, and on a stall the smallest
    blocked vertex is released. *)
@@ -239,10 +228,6 @@ let prop_topo_matches_reference =
       && Some (Topo.sort_ignoring_cycles ~n ~succs)
          = reference_kahn ~n ~succs ~force:true)
 
-let test_longest_path_unreachable () =
-  let dist = Topo.longest_path ~n:3 ~succs:(fun _ -> []) ~source:0 in
-  Alcotest.(check bool) "unreachable is min_int" true (dist.(2) = min_int)
-
 let tests =
   ( "graph",
     [
@@ -262,7 +247,4 @@ let tests =
       Alcotest.test_case "topo: forced is a permutation" `Quick
         test_topo_forced_is_permutation;
       QCheck_alcotest.to_alcotest prop_topo_matches_reference;
-      Alcotest.test_case "longest path" `Quick test_longest_path;
-      Alcotest.test_case "longest path: unreachable" `Quick
-        test_longest_path_unreachable;
     ] )

@@ -123,11 +123,6 @@ let oracle_session seed =
       then fail "seed %d: occupants disagree at (%d, %d)" seed slot resource
     done
   done;
-  let printed = Format.asprintf "%a" Mrt.pp t in
-  let expected = Format.asprintf "%a" Mrt_ref.pp r in
-  if printed <> expected then
-    fail "seed %d: printed grids disagree:\n%s\nvs reference:\n%s" seed printed
-      expected;
   true
 
 let prop_mrt_oracle =

@@ -169,7 +169,7 @@ let test_transient_failure_retried_to_success () =
   Alcotest.(check int) "all retried" 3 stats.Exec.retried;
   Alcotest.(check int) "two attempts each" 6 stats.Exec.attempts;
   Alcotest.(check (list int)) "values from the second attempts" [ 10; 20; 30 ]
-    (List.map Outcome.get_exn outcomes)
+    (List.mapi (fun job o -> Outcome.get ~job o) outcomes)
 
 let test_on_result_fires_once_per_job () =
   let seen = ref [] in

@@ -57,10 +57,9 @@ let test_summarize () =
 let test_exec_profile_worker_invariant () =
   let job (shard : Ims_exec.Shard.t) i =
     Trace.with_span shard.Ims_exec.Shard.trace "work" (fun () ->
-        let c =
-          Ims_mii.Counters.of_assoc
-            [ ("sched", (i * 7) mod 13); ("mindist", i + 1) ]
-        in
+        let c = Ims_mii.Counters.create () in
+        c.Ims_mii.Counters.sched_steps <- (i * 7) mod 13;
+        c.Ims_mii.Counters.mindist_inner <- i + 1;
         Ims_mii.Counters.add shard.Ims_exec.Shard.counters c;
         i * i)
   in
@@ -233,19 +232,15 @@ let test_baseline_gate () =
 
 (* --- leveled logging --------------------------------------------------------- *)
 
-let test_log_styles_and_threshold () =
+let test_log_styles () =
   with_tmp_dir (fun dir ->
       let human_path = Filename.concat dir "human.log" in
-      let jsonl_path = Filename.concat dir "log.jsonl" in
-      let human = open_out human_path and jsonl = open_out jsonl_path in
+      let human = open_out human_path in
       let log = Log.create ~style:Log.Bracket ~human ~tag:"bench" () in
-      Log.attach_jsonl log jsonl;
-      Log.debug log "dropped below the %s threshold" "Info";
       Log.info log "measured %d loops" 300;
       Log.warn log "torn record";
       Log.error log "regression vs %s" "BENCH_4.json";
       close_out human;
-      close_out jsonl;
       Alcotest.(check (list string))
         "human lines carry the prefix discipline"
         [
@@ -254,20 +249,6 @@ let test_log_styles_and_threshold () =
           "[bench] error: regression vs BENCH_4.json";
         ]
         (String.split_on_char '\n' (String.trim (read_file human_path)));
-      let lines =
-        String.split_on_char '\n' (String.trim (read_file jsonl_path))
-      in
-      Alcotest.(check int) "jsonl drops sub-threshold lines" 3
-        (List.length lines);
-      List.iter
-        (fun line ->
-          match Json.of_string line with
-          | Ok (Json.Obj kvs) ->
-              Alcotest.(check bool) "jsonl lines carry tag+level+msg" true
-                (List.mem_assoc "tag" kvs && List.mem_assoc "level" kvs
-               && List.mem_assoc "msg" kvs)
-          | _ -> Alcotest.failf "jsonl line must parse: %s" line)
-        lines;
       let colon_path = Filename.concat dir "colon.log" in
       let colon = open_out colon_path in
       let cli = Log.create ~human:colon ~tag:"imsc batch" () in
@@ -282,26 +263,16 @@ let test_log_styles_and_threshold () =
 (* --- counters key dedupe ----------------------------------------------------- *)
 
 let test_counters_field_table () =
+  let kvs = Ims_mii.Counters.to_assoc (Ims_mii.Counters.create ()) in
   Alcotest.(check (list string))
     "the canonical key list, in declaration order"
     [
       "scc"; "resmii"; "mindist"; "mindist_calls"; "mindist_inc"; "heightr";
       "estart"; "findslot"; "mrt_bitprobe"; "sched"; "sched_final";
     ]
-    Ims_mii.Counters.names;
-  let c =
-    Ims_mii.Counters.of_assoc
-      [ ("sched", 41); ("unknown_key", 999); ("mindist", 11) ]
-  in
-  let kvs = Ims_mii.Counters.to_assoc c in
-  Alcotest.(check int) "of_assoc round-trips known keys" 41
-    (List.assoc "sched" kvs);
-  Alcotest.(check int) "missing keys default to 0" 0 (List.assoc "scc" kvs);
-  Alcotest.(check bool) "unknown keys are ignored" true
-    (not (List.mem_assoc "unknown_key" kvs));
-  Alcotest.(check (list string))
-    "to_assoc keys are exactly the canonical list" Ims_mii.Counters.names
-    (List.map fst kvs)
+    (List.map fst kvs);
+  Alcotest.(check bool) "a fresh record is all zeros" true
+    (List.for_all (fun (_, v) -> v = 0) kvs)
 
 let tests =
   ( "runobs",
@@ -314,8 +285,7 @@ let tests =
       Alcotest.test_case "status writer rate limit + finish" `Quick
         test_status_writer_rate_limit_and_finish;
       Alcotest.test_case "baseline regression gate" `Quick test_baseline_gate;
-      Alcotest.test_case "log styles + threshold + jsonl" `Quick
-        test_log_styles_and_threshold;
+      Alcotest.test_case "log styles" `Quick test_log_styles;
       Alcotest.test_case "counters field table" `Quick
         test_counters_field_table;
     ] )

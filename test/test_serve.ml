@@ -26,7 +26,7 @@ let test_content_hash_pinned () =
     (Exec.Content_hash.of_parts []);
   Alcotest.(check string)
     "one part" "abcdf51414383cb4ddb47c092f585c46"
-    (Exec.Content_hash.of_string "one part")
+    (Exec.Content_hash.of_parts [ "one part" ])
 
 let test_content_hash_part_boundaries () =
   (* The NUL separator makes part boundaries significant: ["ab";"c"]
@@ -36,11 +36,7 @@ let test_content_hash_part_boundaries () =
     (Exec.Content_hash.of_parts [ "ab"; "c" ]);
   Alcotest.(check string)
     "a|bc" "a5f5d1ebd362d6639389a7e1fede534d"
-    (Exec.Content_hash.of_parts [ "a"; "bc" ]);
-  Alcotest.(check bool)
-    "of_string = singleton of_parts" true
-    (Exec.Content_hash.of_string "xyz"
-    = Exec.Content_hash.of_parts [ "xyz" ])
+    (Exec.Content_hash.of_parts [ "a"; "bc" ])
 
 let test_journal_manifest_hash_is_content_hash () =
   Alcotest.(check string)

@@ -8,7 +8,7 @@ let feq ?(eps = 1e-6) a b = abs_float (a -. b) < eps
 (* --- Distribution ------------------------------------------------------------ *)
 
 let test_summary_basic () =
-  let s = Distribution.of_ints ~min_possible:1.0 [ 1; 1; 2; 3; 13 ] in
+  let s = Distribution.summarize ~min_possible:1.0 [ 1.; 1.; 2.; 3.; 13. ] in
   Alcotest.(check int) "n" 5 s.Distribution.n;
   Alcotest.(check bool) "freq of min" true (feq s.Distribution.freq_of_min 0.4);
   Alcotest.(check bool) "median" true (feq s.Distribution.median 2.0);
@@ -36,7 +36,7 @@ let test_quantile_single () =
 
 let test_freq_of_min_uses_min_possible () =
   (* min_possible is the theoretical minimum, not the observed one. *)
-  let s = Distribution.of_ints ~min_possible:0.0 [ 1; 2; 3 ] in
+  let s = Distribution.summarize ~min_possible:0.0 [ 1.; 2.; 3. ] in
   Alcotest.(check bool) "nothing hits the theoretical minimum" true
     (feq s.Distribution.freq_of_min 0.0);
   Alcotest.(check bool) "observed min tracked separately" true
@@ -120,7 +120,7 @@ let prop_summary_invariants =
   QCheck.Test.make ~count:200 ~name:"distribution: summary invariants"
     QCheck.(list_of_size Gen.(int_range 1 50) (int_range 0 100))
     (fun xs ->
-      let s = Distribution.of_ints ~min_possible:0.0 xs in
+      let s = Distribution.summarize ~min_possible:0.0 (List.map float_of_int xs) in
       s.Distribution.min_seen <= s.Distribution.median
       && s.Distribution.median <= s.Distribution.max_seen
       && s.Distribution.freq_of_min >= 0.0
