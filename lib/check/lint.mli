@@ -22,14 +22,21 @@ val machine : Machine.t -> string list
     non-negative latency and at least one alternative; every reservation
     table referencing only known resources at non-negative cycles; no
     single alternative demanding more copies of a resource in one cycle
-    than the machine has (such a table could never be issued at all). *)
+    than the machine has (such a table could never be issued at all).
+
+    Production reaches it through {!schedule}.  Test hook: test_check
+    ("lint: machine diagnostics") lints deliberately broken machines, which no
+    [Schedule.t] can be built over. *)
 
 val ddg : Ddg.t -> string list
 (** START/STOP pseudo-ops present at ids 0 and n-1; every [ops.(i)]
     carrying id [i]; every real opcode resolvable in the machine; operand
     and edge distances non-negative; every edge filed under its source
     with an in-range destination, and the successor/predecessor mirrors
-    agreeing. *)
+    agreeing.
+
+    Production reaches it through {!schedule}.  Test hook: test_check
+    lints a graph on its own, before any schedule exists. *)
 
 val schedule : Schedule.t -> string list
 (** All of the above for the schedule's machine and graph, plus: II at

@@ -23,6 +23,9 @@ val remove : t -> int -> unit
 (** Delete a rank; no-op when absent. *)
 
 val mem : t -> int -> bool
+(** Oracle hook: test_hotpath ("ready: tournament tree agrees with
+    list") compares membership against a list after every step; the
+    schedulers only ask for {!min_rank}. *)
 
 val min_rank : t -> int
 (** The smallest present rank, or [-1] when the set is empty. *)

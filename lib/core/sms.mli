@@ -23,7 +23,10 @@ open Ims_mii
 
 val ordering : Ddg.t -> ii:int -> int list
 (** The node order the scheduling phase will follow (real operations
-    only); exposed for tests and the harness. *)
+    only).  A paper step only tests drive: test_core ("sms: ordering
+    permutation", "sms: critical seed") checks the swing ordering on its
+    own, apart from the placement that
+    {!modulo_schedule} runs after it. *)
 
 val modulo_schedule :
   ?budget_ratio:float ->

@@ -7,7 +7,10 @@
 
 val sort : n:int -> succs:(int -> int list) -> int list option
 (** [sort ~n ~succs] is a topological order (sources first), or [None] if
-    the graph has a cycle. *)
+    the graph has a cycle.  Production uses {!sort_ignoring_cycles}.
+    Oracle hook: test_graph ("topo agrees with the reference Kahn")
+    holds the strict walk, which reports a cycle instead of breaking
+    it, to its reference. *)
 
 val sort_ignoring_cycles : n:int -> succs:(int -> int list) -> int list
 (** Kahn's algorithm, breaking ties by smallest vertex and breaking cycles

@@ -57,6 +57,8 @@ val mem_dep : t -> ?distance:int -> Dep.kind -> src:opref -> dst:opref -> unit
     defaults to 0. *)
 
 val reg_id : t -> vreg -> int
+(** The register id of a virtual register.  Test hook: test_ir and
+    test_pipeline name registers of a built graph by it. *)
 
 val finish : ?keep_false_deps:bool -> t -> Ddg.t
 (** Derives the dependence graph.  Flow dependences run from each

@@ -35,22 +35,31 @@ type t = { entry : string; blocks : block list }
 
 val validate : t -> (unit, string) result
 (** Entry and every branch target exist and are unique; the graph is
-    acyclic; exactly one block exits. *)
+    acyclic; exactly one block exits.  Section 1's step 1, which only
+    tests drive: test_workloads ("cfg: validates", "cfg: cycle", "cfg:
+    missing target"). *)
 
 val reject_reason : ?max_blocks:int -> t -> string option
 (** The Cydra 5 style candidate filter: [Some reason] if the body is
-    invalid or has more than [max_blocks] (default 30) basic blocks. *)
+    invalid or has more than [max_blocks] (default 30) basic blocks.
+    Section 4.1's filter, which only tests drive: test_workloads ("cfg:
+    size rejection"). *)
 
 val cold_fraction : t -> float
 (** Fraction of the profile weight on the colder arm of each branch,
     averaged — how much predicated work the hyperblock drags along.
-    0 for branch-free bodies. *)
+    0 for branch-free bodies.  Only tests drive it: test_workloads ("cfg:
+    cold fraction"). *)
 
 val to_region : t -> If_conversion.region
 (** Structurize via post-dominators: each branch's arms run to the
     nearest common post-dominator (the join), recursively.
+    Section 1's step 1, which only tests drive, through {!convert}:
+    test_workloads ("cfg: nested diamonds", "cfg: converts + schedules").
     @raise Invalid_argument if {!validate} fails or the graph is not
     structured (arms that cross without joining). *)
 
 val convert : t -> Builder.t -> unit
-(** [to_region] followed by {!If_conversion.convert}. *)
+(** [to_region] followed by {!If_conversion.convert}.  Section 1's
+    IF-conversion, which only tests drive: test_workloads ("cfg: converts
+    + schedules"). *)

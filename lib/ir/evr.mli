@@ -8,7 +8,10 @@
     reconciles EVRs with finite hardware registers. *)
 
 val eliminate_false_deps : Ddg.t -> Ddg.t
-(** Drop all anti- and output dependences. *)
+(** Drop all anti- and output dependences.  A paper step only tests
+    drive: test_ir ("evr removes false deps"). *)
 
 val false_dep_count : Ddg.t -> int
-(** Number of anti- plus output edges between real operations. *)
+(** Number of anti- plus output edges between real operations.  Test
+    hook: test_ir ("evr removes false deps") counts what
+    {!eliminate_false_deps} removed. *)

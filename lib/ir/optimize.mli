@@ -16,7 +16,9 @@
     guarded accumulation is not re-associable). *)
 
 val interleavable : Ddg.t -> int list
-(** Real operation ids that {!interleave} would rewrite. *)
+(** Real operation ids that {!interleave} would rewrite.  Test hook:
+    test_ir ("interleave: finds reduction" and the two skip cases) checks the accumulator detection apart
+    from the rewrite. *)
 
 val interleave : Ddg.t -> factor:int -> Ddg.t
 (** Multiply the self-recurrence distance of every interleavable

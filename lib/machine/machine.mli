@@ -48,7 +48,11 @@ val opcode : t -> string -> Opcode.t
     machine. *)
 
 val latency : t -> string -> int
+
 val resource_by_name : t -> string -> Resource.t
+(** Test hook: test_machine and test_hotpath look resources up by the
+    names their machine descriptions give them. *)
+
 val num_resources : t -> int
 
 val opcode_names : t -> string list

@@ -27,10 +27,13 @@
 exception Parse_error of int * string
 
 val parse : string -> Machine.t
-(** @raise Parse_error on malformed input (line number, message). *)
+(** Production reads files through {!parse_file}.  Test hook:
+    test_machine parses inline descriptions.
+    @raise Parse_error on malformed input (line number, message). *)
 
 val parse_file : string -> Machine.t
 
 val dump : Machine.t -> string
 (** Re-emit a machine in the same format; [parse (dump m)] is
-    equivalent to [m]. *)
+    equivalent to [m].  Oracle: test_machine's round trip holds the
+    parser to it. *)

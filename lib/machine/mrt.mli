@@ -54,7 +54,9 @@ val compile : ii:int -> ?caps:int array -> Reservation.t -> ctable
     @raise Invalid_argument if [ii < 1]. *)
 
 val pp_ctable : Format.formatter -> ctable -> unit
-(** Every field of a compiled table, for tests and debugging. *)
+(** Every field of a compiled table.  Test hook: test_replay_golden's
+    compile-path digest renders every {!compile} of the four machines
+    through it. *)
 
 val bitprobes : t -> int
 (** Number of {!fits_c} probes this MRT answered through the bit

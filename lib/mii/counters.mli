@@ -38,7 +38,9 @@ type t = {
 val create : unit -> t
 
 val reset : t -> unit
-(** Zeroes every field, so one record can be reused across loops. *)
+(** Zeroes every field, so one record can be reused across loops.
+    Production makes a fresh record per loop.  Test hook: test_obs
+    ("counters reset and record") reuses one record across checks. *)
 
 val add : t -> t -> unit
 (** [add acc c] accumulates [c] into [acc]. *)

@@ -64,7 +64,8 @@ val poll : t -> unit
     against the deadline; raise {!Cancelled} if any fired. *)
 
 val polls : t -> int
-(** Polls so far (0 for [null]) — for tests and telemetry. *)
+(** Polls so far (0 for [null]).  Test hook: test_resilience counts
+    polls to show that a token absorbs them and [null] counts none. *)
 
 val deadline : t -> float option
 (** The deadline in seconds, when one was set. *)

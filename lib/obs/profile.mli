@@ -24,7 +24,9 @@ type t
 val create : unit -> t
 
 val latency_series : string
-(** The series name under which {!add_job} records each job's seconds. *)
+(** The series name under which {!add_job} records each job's seconds.
+    Test hook: test_runobs ("exec profile worker-invariant") finds the
+    per-job latencies under it. *)
 
 val add_phase : t -> string -> count:int -> seconds:float -> unit
 
@@ -41,6 +43,8 @@ val add_job :
     totals/maxima, [seconds] into the {!latency_series}. *)
 
 val jobs : t -> int
+(** Test hook: test_runobs ("exec profile worker-invariant") counts the
+    folded jobs; production reads the count from {!to_json}. *)
 
 (** {2 Percentiles} *)
 
@@ -61,15 +65,24 @@ type summary = {
 }
 
 val summarize : float list -> summary option
-(** [None] iff the list is empty. *)
+(** [None] iff the list is empty.  Test hook: test_runobs ("summarize
+    1..10") pins the summary {!to_json} renders for each series. *)
 
-(** {2 Readout (sorted by name)} *)
+(** {2 Readout (sorted by name)}
+
+    Production renders a profile with {!to_json}.  The three readouts
+    below are test hooks: test_runobs ("exec profile worker-invariant")
+    compares them across worker counts field by field, leaving out the
+    wall-clock seconds that {!to_json} mixes in. *)
 
 val phases : t -> (string * (int * float)) list
+(** [(name, (count, seconds))]; test hook for test_runobs, see above. *)
+
 val counters : t -> (string * int * int) list
-(** [(name, total, per-job max)]. *)
+(** [(name, total, per-job max)]; test hook for test_runobs, see above. *)
 
 val series : t -> (string * summary) list
+(** [(name, summary)]; test hook for test_runobs, see above. *)
 
 val to_json : t -> Json.t
 (** [{"jobs":N,"phases":[{"name","count","seconds"}…],

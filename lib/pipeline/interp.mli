@@ -65,7 +65,10 @@ val supported : Ddg.t -> bool
 val run_sequential : ?seed:int -> Ddg.t -> trip:int -> outcome
 
 val run_pipelined : ?seed:int -> Schedule.t -> trip:int -> outcome
-(** @raise Invalid_argument if the loop is not {!supported}. *)
+(** The overlapped issue-order replay as a standalone run.  Oracle:
+    test_pipeline ("interp: check agrees with the replays") holds
+    {!check}, which proves this model by the producer pass, to it.
+    @raise Invalid_argument if the loop is not {!supported}. *)
 
 val equivalent : outcome -> outcome -> bool
 (** Bit-exact agreement (NaN equal to NaN). *)
@@ -106,6 +109,8 @@ val run_rotating : ?seed:int -> Schedule.t -> trip:int -> outcome
     [(base_v + i) mod size], and a distance-[d] reader finds it at
     [(base_v + d + j) mod size].  An allocation whose blocks overlap (or
     are too small for a lifetime) clobbers a live value and diverges.
+    Oracle: test_pipeline ("interp: check agrees with the replays")
+    holds {!check} to it.
     @raise Invalid_argument if the loop is not {!supported}. *)
 
 val run_sequential_with_exit :

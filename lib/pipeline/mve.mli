@@ -43,4 +43,6 @@ val instance : t -> copy:int -> distance:int -> int
     [copy] reads: [(copy - distance) mod unroll]. *)
 
 val code_growth : t -> int
-(** Kernel operations after expansion: [unroll * n_real]. *)
+(** Kernel operations after expansion: [unroll * n_real] — the code
+    growth that modulo variable expansion pays.  Only tests drive it:
+    test_pipeline ("mve: code growth"). *)

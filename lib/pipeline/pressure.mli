@@ -35,5 +35,7 @@ val schedule :
     ["pressure.retry ii=K"] instant event on [trace]. *)
 
 val demand_profile : Ddg.t -> ii_range:int * int -> (int * int) list
-(** [(ii, rotating registers after compaction)] over an II range — how
-    pressure falls as the pipeline relaxes. *)
+(** [(ii, rotating registers after compaction)] over the feasible IIs
+    of a range ({!Ims_mii.Recmii.feasible}) — how pressure falls as the
+    pipeline relaxes.  Only tests drive this II/register trade-off:
+    test_pipeline ("pressure: demand profile"). *)

@@ -38,8 +38,11 @@ type t = {
 val allocate : Schedule.t -> t
 
 val physical : t -> reg:int -> copy:int -> int option
-(** [None] for live-ins. *)
+(** [None] for live-ins.  Test hook: test_pipeline ("regalloc:
+    live-ins") looks a live-in up. *)
 
 val verify : t -> (unit, string list) result
 (** No two overlapping intervals share a physical register, every
-    interval is assigned, and the register count is as claimed. *)
+    interval is assigned, and the register count is as claimed.
+    Oracle: test_pipeline ("regalloc: verifies", "regalloc: valid on
+    random loops") and test_integration hold {!allocate} to it. *)

@@ -45,7 +45,9 @@ val reference : t -> reg:int -> distance:int -> string
 
 val verify : t -> (unit, string list) result
 (** Re-checks, per ordered variant pair, that the rewrite of each
-    physical cell arrives only after the occupying value's last read. *)
+    physical cell arrives only after the occupying value's last read.
+    Oracle: test_pipeline ("rotreg: verifies"), test_integration and
+    test_replay_golden's placement digest hold {!allocate} to it. *)
 
 val allocate_by_class : Schedule.t -> (Regclass.t * t) list
 (** Separate rotating files per register class (the Cydra 5's data /

@@ -25,7 +25,13 @@ val analyze : Schedule.t -> t
     graph. *)
 
 val pipelined_cycles : t -> trip:int -> int
+(** Section 4.3's [SL + (trip - 1) * II] for one entry; {!speedup}
+    divides by it.  A paper step only tests drive on its own:
+    test_pipeline ("tradeoff: formula", "tradeoff: break-even"). *)
+
 val unpipelined_cycles : t -> trip:int -> int
+(** [trip] times the acyclic schedule length; as {!pipelined_cycles},
+    test_pipeline ("tradeoff: break-even") reads it directly. *)
 
 val speedup : t -> trip:int -> float
 (** [unpipelined / pipelined] at the given trip count. *)

@@ -13,7 +13,9 @@
 
 val max_payload : int
 (** Frames above this (16 MiB) are rejected — a corrupt length header
-    must not make the reader allocate unboundedly. *)
+    must not make the reader allocate unboundedly.  Test hook: test_serve
+    ("wire: max_payload frame decodes, +1 ...") builds frames at the
+    limit. *)
 
 val frame : string -> string
 (** The encoded frame bytes for [payload] — for callers that batch
@@ -61,4 +63,6 @@ val read_frame : Unix.file_descr -> decoder -> (string option, string) result
 (** Blocking convenience for clients: feed from [fd] until a frame
     completes.  [Ok None] means EOF {e between} frames; EOF with a
     partial frame buffered is [Error "truncated frame: …"] — a tear is
-    never silently dropped. *)
+    never silently dropped.  The client and server drive {!next} from
+    their own loops; test hook: test_serve ("wire: EOF mid-frame is a
+    truncation") reads a socket through it. *)

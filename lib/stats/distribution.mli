@@ -19,4 +19,6 @@ val summarize : min_possible:float -> float list -> summary
 
 val quantile : float list -> float -> float
 (** [quantile xs q] for [0 <= q <= 1], by linear interpolation on the
-    sorted samples. *)
+    sorted samples — the median of {!summarize}.  Test hook: test_stats
+    ("quantile: interpolation", "quantile: single") pins the
+    interpolation. *)

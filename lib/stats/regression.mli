@@ -18,6 +18,8 @@ val fit_quadratic : (float * float) list -> fit
 (** [y ~ a + b*x + c*x^2]. *)
 
 val predict : fit -> float -> float
+(** The fitted polynomial at [x].  Oracle: test_stats ("fit: predict")
+    checks a fit by evaluating it. *)
 
 val describe : fit -> string
 (** E.g. ["0.0587N^2 + 0.2001N + 0.5000 (sd 12.3, R^2 0.91)"]. *)

@@ -29,15 +29,3 @@ let render ~headers rows =
   Buffer.add_char buf '\n';
   List.iter emit_row rows;
   Buffer.contents buf
-
-let render_kv pairs =
-  let width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 pairs
-  in
-  let buf = Buffer.create 128 in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s  %s\n" width k v))
-    pairs;
-  Buffer.contents buf

@@ -4,6 +4,3 @@ val render : headers:string list -> string list list -> string
 (** Columns are sized to their widest cell; the first column is left
     aligned, the rest right aligned.  A separator row follows the
     headers. *)
-
-val render_kv : (string * string) list -> string
-(** Two-column key/value block without headers. *)

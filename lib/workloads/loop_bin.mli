@@ -25,21 +25,30 @@ exception Corrupt of { offset : int; reason : string }
 val format_version : int
 
 val header_bytes : int
-(** Size of the file header (magic + version). *)
+(** Size of the file header (magic + version).  Test hook: test_fleet
+    checks that a torn corpus is refused at an offset past it. *)
 
 val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3, the zlib polynomial) of a string; exposed for
-    tests.  [crc32 "" = 0l] and the check value is
-    [crc32 "123456789" = 0xCBF43926l]. *)
+(** CRC-32 (IEEE 802.3, the zlib polynomial) of a string.  [crc32 "" =
+    0l] and the check value is [crc32 "123456789" = 0xCBF43926l].  The
+    corpus reader and writer frame with it internally.  Test hook:
+    test_fleet ("crc32 check values", "crc32 agrees with a bitwise
+    reference"), test_hotpath's allocation ceiling and
+    test_replay_golden's compile-path digest call it directly. *)
 
 val encode : name:string -> Ddg.t -> string
-(** One record payload (no frame).
+(** One record payload (no frame); the corpus writer frames it.  Test
+    hook: test_replay_golden's compile-path digest, test_hotpath's
+    decode ceiling and test_fleet encode single payloads.
     @raise Invalid_argument on loops exceeding the format's field
     widths (65535 ops, 255-byte opcodes, 255 operands). *)
 
 val decode : ?base:int -> Machine.t -> string -> string * Ddg.t
 (** [decode machine payload] is [(name, ddg)].  [base] (default 0) is
-    added to the offsets reported in {!Corrupt}.
+    added to the offsets reported in {!Corrupt}.  The corpus reader
+    decodes through it.  Test hook: test_replay_golden's compile-path
+    digest (including decode errors on corrupted payloads),
+    test_hotpath's decode ceiling and test_fleet decode single payloads.
     @raise Corrupt on malformed payloads. *)
 
 (** {1 Writing corpus files} *)

@@ -41,4 +41,7 @@ val execution_time : case -> sl:int -> ii:int -> int
     [EntryFreq*SL + (LoopFreq - EntryFreq)*II]; 0 for unexecuted loops. *)
 
 val executed : case list -> case list
-(** Loops with a non-zero profile. *)
+(** Loops with a non-zero profile — section 4.3's execution-time
+    statistics cover only these.  bench filters its per-loop records
+    the same way; only tests drive this form: test_workloads ("suite:
+    executed filter"). *)

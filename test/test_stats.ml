@@ -108,11 +108,6 @@ let test_table_alignment () =
   Alcotest.(check bool) "consistent width" true
     (List.for_all (fun w -> w = List.hd widths || w <= List.hd widths + 1) widths)
 
-let test_table_kv () =
-  let s = Text_table.render_kv [ ("a", "1"); ("long-key", "2") ] in
-  Alcotest.(check bool) "two lines" true
-    (List.length (String.split_on_char '\n' s |> List.filter (fun l -> l <> "")) = 2)
-
 (* Property: for any non-empty sample, min <= median <= mean is false in
    general but min <= median <= max always holds, and freq_of_min is in
    [0, 1]. *)
@@ -186,7 +181,6 @@ let tests =
       Alcotest.test_case "fit: describe" `Quick test_describe_format;
       Alcotest.test_case "fit: singular" `Quick test_singular_rejected;
       Alcotest.test_case "table: alignment" `Quick test_table_alignment;
-      Alcotest.test_case "table: kv" `Quick test_table_kv;
       QCheck_alcotest.to_alcotest prop_summary_invariants;
       QCheck_alcotest.to_alcotest prop_quadratic_fit_exact;
     ]
