@@ -679,6 +679,29 @@ let parse_shard_spec tag = function
           | Some i, Some n when n >= 1 && i >= 1 && i <= n -> Some (i, n)
           | _ -> bad ()))
 
+(* A fault-injection hook's "NAME:VALUE" (the last ':' splits, so loop
+   names may contain colons); errors start with the command's [tag]. *)
+let parse_inject tag flag = function
+  | None -> None
+  | Some s -> (
+      match String.rindex_opt s ':' with
+      | None -> failwith (Printf.sprintf "%s: --%s expects NAME:VALUE" tag flag)
+      | Some i -> (
+          let name = String.sub s 0 i in
+          let v = String.sub s (i + 1) (String.length s - i - 1) in
+          match float_of_string_opt v with
+          | Some f -> Some (name, f)
+          | None ->
+              failwith (Printf.sprintf "%s: --%s: bad value %S" tag flag v)))
+
+let journal_sync_arg =
+  let doc =
+    "Fsync each journal every $(docv) appends instead of every append \
+     (default 1).  Completed writes survive SIGKILL regardless; this \
+     only trades power-loss durability for throughput on huge runs."
+  in
+  Arg.(value & opt int 1 & info [ "journal-sync" ] ~docv:"N" ~doc)
+
 let cmd_batch =
   let paths_arg =
     let doc =
@@ -703,14 +726,6 @@ let cmd_batch =
        journal written for a different shard."
     in
     Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N" ~doc)
-  in
-  let journal_sync_arg =
-    let doc =
-      "Fsync the journal every $(docv) appends instead of every append \
-       (default 1).  Completed writes survive SIGKILL regardless; this \
-       only trades power-loss durability for throughput on huge runs."
-    in
-    Arg.(value & opt int 1 & info [ "journal-sync" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
     let doc =
@@ -830,24 +845,8 @@ let cmd_batch =
       status_file status_interval =
     wrap_code (fun () ->
         let machine = machine_of model in
-        let parse_inject flag = function
-          | None -> None
-          | Some s -> (
-              match String.rindex_opt s ':' with
-              | None ->
-                  failwith
-                    (Printf.sprintf "batch: --%s expects NAME:VALUE" flag)
-              | Some i -> (
-                  let name = String.sub s 0 i in
-                  let v = String.sub s (i + 1) (String.length s - i - 1) in
-                  match float_of_string_opt v with
-                  | Some f -> Some (name, f)
-                  | None ->
-                      failwith
-                        (Printf.sprintf "batch: --%s: bad value %S" flag v)))
-        in
-        let inject_spin = parse_inject "inject-spin" inject_spin in
-        let inject_flaky = parse_inject "inject-flaky" inject_flaky in
+        let inject_spin = parse_inject "batch" "inject-spin" inject_spin in
+        let inject_flaky = parse_inject "batch" "inject-flaky" inject_flaky in
         let shard = parse_shard_spec "batch" shard_spec in
         let shard_str =
           match shard with
@@ -1209,20 +1208,17 @@ let cmd_batch =
               | _ -> status_of line)
         in
         let casualty_lines =
-          List.filter
-            (fun ((_, _), line) -> status_of line <> "ok")
+          List.filter_map
+            (fun ((_, input), line) ->
+              match Ims_exec.Report.verdict line with
+              | Ims_exec.Report.Casualty -> Some (input, line)
+              | Ims_exec.Report.Clean | Ims_exec.Report.Degraded -> None)
             (List.combine inputs lines)
-        in
-        let casualty_lines =
-          List.map (fun ((_, input), line) -> (input, line)) casualty_lines
         in
         let degraded =
           List.length
             (List.filter
-               (fun line ->
-                 match field "degraded" line with
-                 | Some (Json.Bool true) -> true
-                 | _ -> false)
+               (fun line -> Ims_exec.Report.verdict line = Ims_exec.Report.Degraded)
                lines)
         in
         Log.info batch_log "%s" (Ims_exec.Exec.summary stats);
@@ -1420,12 +1416,6 @@ let cmd_fleet =
   let retries_arg =
     let doc = "Attempts per loop inside each worker (default 1)." in
     Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let journal_sync_arg =
-    let doc =
-      "Fsync each shard journal every $(docv) appends (default 1)."
-    in
-    Arg.(value & opt int 1 & info [ "journal-sync" ] ~docv:"N" ~doc)
   in
   let max_failures_arg =
     let doc =
@@ -1791,21 +1781,7 @@ let cmd_serve =
       backoff_cap pidfile chaos deadline status_file status_interval metrics
       inject_spin =
     wrap_code (fun () ->
-        let inject_spin =
-          match inject_spin with
-          | None -> None
-          | Some s -> (
-              match String.rindex_opt s ':' with
-              | None -> failwith "serve: --inject-spin expects NAME:S"
-              | Some i -> (
-                  let name = String.sub s 0 i in
-                  let v = String.sub s (i + 1) (String.length s - i - 1) in
-                  match float_of_string_opt v with
-                  | Some f -> Some (name, f)
-                  | None ->
-                      failwith
-                        (Printf.sprintf "serve: --inject-spin: bad value %S" v)))
-        in
+        let inject_spin = parse_inject "serve" "inject-spin" inject_spin in
         let cache_policy =
           match Ims_serve.Cache.policy_of_string cache_policy with
           | Ok p -> p
@@ -2027,14 +2003,12 @@ let cmd_request =
                   ->
                     if c then incr cached;
                     (match Json.of_string record with
-                    | Ok (Json.Obj kvs) ->
-                        (match List.assoc_opt "status" kvs with
-                        | Some (Json.String "ok") | None -> ()
-                        | Some _ -> incr casualties);
-                        (match List.assoc_opt "degraded" kvs with
-                        | Some (Json.Bool true) -> incr degraded
-                        | _ -> ())
-                    | _ -> ());
+                    | Ok j -> (
+                        match Ims_exec.Report.verdict j with
+                        | Ims_exec.Report.Casualty -> incr casualties
+                        | Ims_exec.Report.Degraded -> incr degraded
+                        | Ims_exec.Report.Clean -> ())
+                    | Error _ -> ());
                     emit record
                 | Some (Ims_serve.Protocol.Overloaded { depth; capacity; _ })
                   ->

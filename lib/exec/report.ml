@@ -33,6 +33,18 @@ let with_name ~name body_str =
     ^ ","
     ^ String.sub body_str 1 (String.length body_str - 1)
 
+type verdict = Clean | Casualty | Degraded
+
+let verdict = function
+  | Json.Obj kvs -> (
+      match List.assoc_opt "status" kvs with
+      | Some (Json.String "ok") | None -> (
+          match List.assoc_opt "degraded" kvs with
+          | Some (Json.Bool true) -> Degraded
+          | _ -> Clean)
+      | Some _ -> Casualty)
+  | _ -> Clean
+
 let jsonl_string lines =
   String.concat "" (List.map (fun j -> Json.to_string j ^ "\n") lines)
 

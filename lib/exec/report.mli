@@ -33,6 +33,19 @@ val with_name : name:string -> string -> string
     [to_string (line ~name ~fields o) =
      with_name ~name (to_string (Obj (body ~fields o)))]. *)
 
+type verdict =
+  | Clean
+  | Casualty  (** The job failed, timed out or was cancelled. *)
+  | Degraded  (** The job finished on a fallback schedule. *)
+
+val verdict : Json.t -> verdict
+(** How a rendered report line reads back — the one reader behind the
+    0/1/2 exit protocol of [imsc batch], [imsc request] and the fleet
+    merge.  A line whose ["status"] is present and not ["ok"] is a
+    {!Casualty}; otherwise one carrying ["degraded":true] is
+    {!Degraded}.  An absent ["status"] counts as ok, and a value that is
+    not an object reads as {!Clean}. *)
+
 val jsonl_string : Json.t list -> string
 (** One line per object, each ["\n"]-terminated. *)
 

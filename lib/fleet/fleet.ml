@@ -60,50 +60,6 @@ type outcome = {
 
 (* -- shard status files --------------------------------------------- *)
 
-let json_int obj k =
-  match obj with
-  | Json.Obj kvs -> (
-      match List.assoc_opt k kvs with Some (Json.Int i) -> Some i | _ -> None)
-  | _ -> None
-
-(* One shard's latest heartbeat, as written by batch --status-file.
-   [None] on a missing or unreadable file (the shard just started, or
-   died before its first heartbeat) — aggregation treats that as
-   all-zero.  Atomic rename on the writer side means a parseable file
-   is always a complete snapshot. *)
-let read_counts path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | content -> (
-      match Json.of_string (String.trim content) with
-      | Error _ -> None
-      | Ok obj ->
-          let get k = Option.value ~default:0 (json_int obj k) in
-          Some
-            {
-              Status.total = get "total";
-              ok = get "ok";
-              failed = get "failed";
-              timed_out = get "timed_out";
-              cancelled = get "cancelled";
-              retried = get "retried";
-            })
-
-let add_counts (a : Status.counts) (b : Status.counts) =
-  {
-    Status.total = a.Status.total + b.Status.total;
-    ok = a.Status.ok + b.Status.ok;
-    failed = a.Status.failed + b.Status.failed;
-    timed_out = a.Status.timed_out + b.Status.timed_out;
-    cancelled = a.Status.cancelled + b.Status.cancelled;
-    retried = a.Status.retried + b.Status.retried;
-  }
-
 let casualties (c : Status.counts) =
   c.Status.failed + c.Status.timed_out + c.Status.cancelled
 
@@ -239,8 +195,8 @@ let run ?max_failures ?(backoff = fun () -> Backoff.create ())
       let counts =
         List.fold_left
           (fun acc w ->
-            match read_counts w.spec.status_file with
-            | Some c -> add_counts acc c
+            match Status.read_counts w.spec.status_file with
+            | Some c -> Status.add_counts acc c
             | None -> acc)
           (Status.zero ~total:0) workers
       in
@@ -488,13 +444,11 @@ let merge_reports ~reports ~emit =
         match Json.of_string line with
         | Error e ->
             Error (Printf.sprintf "unparseable report line: %s" e)
-        | Ok (Json.Obj kvs) ->
-            (match List.assoc_opt "status" kvs with
-            | Some (Json.String "ok") | None -> ()
-            | Some _ -> incr casualties);
-            (match List.assoc_opt "degraded" kvs with
-            | Some (Json.Bool true) -> incr degraded
-            | _ -> ());
+        | Ok (Json.Obj _ as j) ->
+            (match Ims_exec.Report.verdict j with
+            | Ims_exec.Report.Casualty -> incr casualties
+            | Ims_exec.Report.Degraded -> incr degraded
+            | Ims_exec.Report.Clean -> ());
             Ok ()
         | Ok _ -> Error "report line is not a JSON object"
       in

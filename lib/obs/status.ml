@@ -41,6 +41,42 @@ let to_json ?(running = true) s =
      ]
     @ match eta s with None -> [] | Some e -> [ ("eta_s", Json.Float e) ])
 
+let read_counts path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error _ -> None
+  | content -> (
+      match Json.of_string (String.trim content) with
+      | Ok (Json.Obj kvs) ->
+          let get k =
+            match List.assoc_opt k kvs with Some (Json.Int i) -> i | _ -> 0
+          in
+          Some
+            {
+              total = get "total";
+              ok = get "ok";
+              failed = get "failed";
+              timed_out = get "timed_out";
+              cancelled = get "cancelled";
+              retried = get "retried";
+            }
+      | Ok _ -> Some (zero ~total:0)
+      | Error _ -> None)
+
+let add_counts a b =
+  {
+    total = a.total + b.total;
+    ok = a.ok + b.ok;
+    failed = a.failed + b.failed;
+    timed_out = a.timed_out + b.timed_out;
+    cancelled = a.cancelled + b.cancelled;
+    retried = a.retried + b.retried;
+  }
+
 (* Atomic publication: write a sibling temp file, then rename over the
    target.  POSIX rename replaces the destination atomically, so a
    reader opening the path sees either the previous complete snapshot

@@ -29,6 +29,16 @@ type snapshot = { phase : string; counts : counts; elapsed : float }
 
 val to_json : ?running:bool -> snapshot -> Json.t
 
+val read_counts : string -> counts option
+(** The counts of the snapshot file at [path], as {!to_json} and
+    {!write_atomic} published them; a field the file lacks reads as 0.
+    [None] on a missing or unreadable file (the writer just started, or
+    died before its first heartbeat).  Atomic publication means a
+    parseable file is always a complete snapshot. *)
+
+val add_counts : counts -> counts -> counts
+(** Field-wise sum — how a fleet totals its shards' snapshots. *)
+
 val write_atomic : path:string -> string -> unit
 (** Write [contents] to [path] via temp-file-plus-rename. *)
 

@@ -130,6 +130,45 @@ let test_status_atomic_write () =
         "no temp files survive publication" [ "status.json" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* What [to_json] publishes, [read_counts] reads back: every count
+   survives the file, whether or not the run is still going, and sums
+   field by field. *)
+let test_status_counts_round_trip () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "status.json" in
+      let counts =
+        {
+          Status.total = 40;
+          ok = 31;
+          failed = 2;
+          timed_out = 3;
+          cancelled = 1;
+          retried = 5;
+        }
+      in
+      let snap = { Status.phase = "batch"; counts; elapsed = 2.5 } in
+      List.iter
+        (fun running ->
+          Status.write_atomic ~path
+            (Json.to_string (Status.to_json ~running snap) ^ "\n");
+          Alcotest.(check bool)
+            (Printf.sprintf "counts round-trip (running %b)" running)
+            true
+            (Status.read_counts path = Some counts))
+        [ true; false ];
+      Alcotest.(check bool) "missing file reads as None" true
+        (Status.read_counts (Filename.concat dir "absent.json") = None);
+      Alcotest.(check bool) "sums field by field" true
+        (Status.add_counts counts counts
+        = {
+            Status.total = 80;
+            ok = 62;
+            failed = 4;
+            timed_out = 6;
+            cancelled = 2;
+            retried = 10;
+          }))
+
 let test_status_writer_rate_limit_and_finish () =
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "status.json" in
@@ -282,6 +321,8 @@ let tests =
       Alcotest.test_case "exec profile worker-invariant" `Quick
         test_exec_profile_worker_invariant;
       Alcotest.test_case "status atomic write" `Quick test_status_atomic_write;
+      Alcotest.test_case "status counts round-trip" `Quick
+        test_status_counts_round_trip;
       Alcotest.test_case "status writer rate limit + finish" `Quick
         test_status_writer_rate_limit_and_finish;
       Alcotest.test_case "baseline regression gate" `Quick test_baseline_gate;
