@@ -83,8 +83,8 @@ type class_stats = {
 }
 
 val aggregate : result_ list -> class_stats list
-(** Per-class totals, in {!classes} order (classes with zero mutants
-    included). *)
+(** Per-class totals, in the declaration order of {!cls} (classes with
+    zero mutants included). *)
 
 val escapees : result_ list -> result_ list
 (** Must-kill mutants that their designated checkers missed — the

@@ -69,7 +69,8 @@ let run_job ~timer ~timeout ~retry ~sleep ~observe ~time_spans ~token ~job ~f x
   attempt_loop 1 1.0 None
 
 let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
-    ?(sleep = fun (_ : float) -> ()) ?(observe = false) ?profile ?progress ?(timer = Sys.time) ~f inputs =
+    ?(sleep = fun (_ : float) -> ()) ?(observe = false) ?profile ?progress
+    ?(timer = Sys.time) ~f inputs =
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in

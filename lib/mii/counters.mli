@@ -9,8 +9,8 @@
     kept as-is so that table 4 reproduction stays untouched; {!record}
     bridges it into a registry under the ["counters."] namespace.  A
     single internal field table is the source of truth for field names
-    and order: {!names}, {!to_assoc}, {!of_assoc}, {!merge}, {!pp} and
-    {!record} all derive from it, so the canonical key list appears in
+    and order: {!to_assoc}, {!merge}, {!pp} and {!record} all derive
+    from it, so the canonical key list appears in
     exactly one place. *)
 
 type t = {

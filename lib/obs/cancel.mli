@@ -10,7 +10,7 @@
 
     Preemption is {e cooperative}: OCaml domains cannot be interrupted,
     so a deadline only takes effect at the next poll site.  The clock
-    is read every [stride] polls (default {!default_stride}), not on
+    is read every [stride] polls (default 64), not on
     every poll, so the cost of an armed token on the scheduler's inner
     loop stays one or two loads per decision.
 

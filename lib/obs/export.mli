@@ -2,11 +2,11 @@
 
     Two formats over the same event list:
 
-    - {!jsonl}: one JSON object per line —
+    - {!jsonl_string}: one JSON object per line —
       [{"seq":12,"event":"place","op":5,"time":4,...}] — greppable and
       diffable, the format of choice for suite-wide regression
       artifacts.
-    - {!chrome}: the Chrome [trace_event] format
+    - {!chrome_string}: the Chrome [trace_event] format
       ([{"traceEvents":[...]}]), loadable directly into
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.  Spans
       become ["B"]/["E"] duration events, everything else instant

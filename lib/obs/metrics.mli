@@ -5,9 +5,9 @@
     hold — bumping a counter is one mutable-field update, so a hot loop
     can register once outside and increment inside.
 
-    Readout ({!to_json}) is sorted by name, so the
-    output order is independent of registration order — deterministic
-    like everything else in this repository. *)
+    Readout ({!to_json}) is sorted by name, so the output order is
+    independent of registration order — deterministic like everything
+    else in this repository. *)
 
 type t
 

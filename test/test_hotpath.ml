@@ -265,7 +265,8 @@ let test_replay_major_ceilings () =
    ceilings stop name-keyed lookups, per-edge options and list-built
    tables from creeping back.  Measured this way, Loop_bin.decode takes
    1,745 words on lfk03 and 6,969 on lfk07, Mii.compute 1,137 and 3,189,
-   and Ims.modulo_schedule (MII included) 3,417 and 9,774; before, they
+   and Ims.modulo_schedule (MII included) 3,417 and 9,774 (3,394 and
+   9,751 once each MRT stopped allocating a memo table); before, they
    took 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
    Loop_bin.crc32 allocates only its boxed result (3 words) on any
    input; the boxed Int32 loop took 12,298 on 4 KiB. *)
