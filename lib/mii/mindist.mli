@@ -30,8 +30,8 @@ val full : ?counters:Counters.t -> Ddg.t -> ii:int -> t
     through the {!solver}; [full] is the reference it is held to
     ([test_mii]'s "solver = compute across IIs" property compares them
     cell for cell), the no-solver default of
-    {!Mii.schedule_length_lower_bound}, and what bench's
-    [table4-mindist-full] times. *)
+    {!Mii.schedule_length_lower_bound}, the matrix of the test-only
+    [Sms.ordering], and what bench's [table4-mindist-full] times. *)
 
 (** {2 The incremental cross-II solver}
 

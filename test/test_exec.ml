@@ -276,8 +276,8 @@ let tests =
         test_absorb_into_null_is_noop;
       Alcotest.test_case "suite: records + counters at jobs 1 = 4" `Slow
         test_suite_determinism_across_jobs;
-      Alcotest.test_case "suite: metrics JSONL at jobs 1 = 4" `Slow
-        test_suite_metrics_jsonl_identical;
       Alcotest.test_case "suite: parallel generation deterministic" `Quick
         test_suite_generation_parallel_determinism;
+      Alcotest.test_case "suite: metrics JSONL at jobs 1 = 4" `Slow
+        test_suite_metrics_jsonl_identical;
     ] )

@@ -217,7 +217,8 @@ let test_simulator_reports_early_read () =
       [
         { Op.id = 1; opcode = "load"; dsts = [ 1 ]; srcs = []; pred = None;
           imm = None; tag = "v1 = load" };
-        { Op.id = 2; opcode = "add"; dsts = [ 2 ]; srcs = [ { Op.reg = 1; distance = 0 } ];
+        { Op.id = 2; opcode = "add"; dsts = [ 2 ];
+          srcs = [ { Op.reg = 1; distance = 0 } ];
           pred = None; imm = None; tag = "v2 = add v1" };
       ]
   in
