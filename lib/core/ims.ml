@@ -46,6 +46,8 @@ type state = {
   ready : Ready.t;  (* pending ranks; min = pick of the old O(n) scan *)
   counters : Counters.t option;
   trace : Trace.t;
+  mutable slot_time : int;  (* the answer of [find_time_slot] *)
+  mutable slot_alt : int;  (* its alternative, -1 when forced *)
 }
 
 let bump_estart st k =
@@ -61,52 +63,52 @@ let bump_findslot st k =
 (* The (height desc, id asc) selection of figure 3, as the minimum
    present rank of the indexed ready-set: [by_rank] is a total order by
    exactly that pair, so the least present rank is the operation the
-   former linear scan over the unscheduled list would have picked. *)
+   former linear scan over the unscheduled list would have picked.  -1
+   when every operation is scheduled. *)
 let highest_priority_operation st =
   let r = Ready.min_rank st.ready in
-  if r < 0 then None else Some st.by_rank.(r)
+  if r < 0 then -1 else st.by_rank.(r)
 
 (* Figure 5b: earliest start as constrained by currently scheduled
-   predecessors only. *)
-let calculate_early_start st op =
-  List.fold_left
-    (fun acc (d : Dep.t) ->
+   predecessors only.  Top-level recursion over the edge list, so that
+   a step builds no closure. *)
+let rec early_start st acc = function
+  | [] -> acc
+  | (d : Dep.t) :: rest ->
       bump_estart st 1;
-      if st.time.(d.src) < 0 then acc
-      else max acc (st.time.(d.src) + d.delay - (st.ii * d.distance)))
-    0 st.ddg.Ddg.preds.(op)
+      let acc =
+        if st.time.(d.src) < 0 then acc
+        else max acc (st.time.(d.src) + d.delay - (st.ii * d.distance))
+      in
+      early_start st acc rest
+
+let calculate_early_start st op = early_start st 0 st.ddg.Ddg.preds.(op)
+
+(* The first alternative of [ctabs] that fits at [time], or -1. *)
+let rec first_fit mrt ctabs ~time k =
+  if k >= Array.length ctabs then -1
+  else if Mrt.fits_c mrt ctabs.(k) ~time then k
+  else first_fit mrt ctabs ~time (k + 1)
 
 (* Figure 4: the first conflict-free slot in [min_time, max_time], with
    the alternative that fits; dependence conflicts with successors are
-   deliberately ignored here. *)
+   deliberately ignored here.  The slot goes to [st.slot_time] and the
+   alternative to [st.slot_alt], -1 when no slot is free and
+   [slot_time] is where the operation is forced. *)
 let find_time_slot st op ~min_time ~max_time =
   let ctabs = st.ctabs.(op) in
-  let fits_at t =
-    let rec go k =
-      if k >= Array.length ctabs then None
-      else if Mrt.fits_c st.mrt ctabs.(k) ~time:t then Some k
-      else go (k + 1)
-    in
-    go 0
-  in
-  let rec search t =
-    if t > max_time then None
-    else begin
-      bump_findslot st 1;
-      match fits_at t with
-      | Some k -> Some (t, k)
-      | None -> search (t + 1)
-    end
-  in
-  match search min_time with
-  | Some (t, k) -> `Free (t, k)
-  | None ->
-      let slot =
-        if st.never_scheduled.(op) || min_time > st.prev_time.(op) then
-          min_time
-        else st.prev_time.(op) + 1
-      in
-      `Forced slot
+  let t = ref min_time and k = ref (-1) in
+  while !k < 0 && !t <= max_time do
+    bump_findslot st 1;
+    k := first_fit st.mrt ctabs ~time:!t 0;
+    if !k < 0 then incr t
+  done;
+  st.slot_alt <- !k;
+  st.slot_time <-
+    (if !k >= 0 then !t
+     else if st.never_scheduled.(op) || min_time > st.prev_time.(op) then
+       min_time
+     else st.prev_time.(op) + 1)
 
 let unschedule st op =
   if st.time.(op) >= 0 then begin
@@ -114,6 +116,22 @@ let unschedule st op =
     st.time.(op) <- -1;
     Ready.add st.ready st.rank_of.(op)
   end
+
+(* Displace every scheduled successor of [op], placed at [t], whose
+   dependence is now violated. *)
+let rec displace_successors st op t = function
+  | [] -> ()
+  | (d : Dep.t) :: rest ->
+      if
+        d.dst <> op
+        && st.time.(d.dst) >= 0
+        && st.time.(d.dst) < t + d.delay - (st.ii * d.distance)
+      then begin
+        Trace.evict st.trace ~op:d.dst ~by:op ~time:st.time.(d.dst)
+          ~reason:Event.Dependence;
+        unschedule st d.dst
+      end;
+      displace_successors st op t rest
 
 (* Schedule [op] at [t] with alternative [k] (already known to fit), then
    displace every scheduled successor whose dependence is now violated. *)
@@ -124,18 +142,7 @@ let commit st op ~t ~k =
   st.alt.(op) <- k;
   st.never_scheduled.(op) <- false;
   Ready.remove st.ready st.rank_of.(op);
-  List.iter
-    (fun (d : Dep.t) ->
-      if
-        d.dst <> op
-        && st.time.(d.dst) >= 0
-        && st.time.(d.dst) < t + d.delay - (st.ii * d.distance)
-      then begin
-        Trace.evict st.trace ~op:d.dst ~by:op ~time:st.time.(d.dst)
-          ~reason:Event.Dependence;
-        unschedule st d.dst
-      end)
-    st.ddg.Ddg.succs.(op)
+  displace_successors st op t st.ddg.Ddg.succs.(op)
 
 (* Forced placement (section 3.4): displace every operation that
    conflicts with any alternative at [t], then commit with the first
@@ -147,13 +154,9 @@ let force_commit st op ~t ~estart =
         ~reason:Event.Resource;
       unschedule st victim)
     (Mrt.conflicting_ops_c st.mrt st.ctabs.(op) ~time:t);
-  let rec first_fit k =
-    if k >= Array.length st.ctabs.(op) then
-      invalid_arg "Ims.force_commit: no alternative fits after displacement"
-    else if Mrt.fits_c st.mrt st.ctabs.(op).(k) ~time:t then k
-    else first_fit (k + 1)
-  in
-  let k = first_fit 0 in
+  let k = first_fit st.mrt st.ctabs.(op) ~time:t 0 in
+  if k < 0 then
+    invalid_arg "Ims.force_commit: no alternative fits after displacement";
   Trace.place st.trace ~op ~time:t ~alt:k ~estart ~forced:true;
   commit st op ~t ~k
 
@@ -197,6 +200,8 @@ let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
       ready;
       counters;
       trace;
+      slot_time = 0;
+      slot_alt = -1;
     }
   in
   let budget = ref budget in
@@ -212,21 +217,23 @@ let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
   step ();
   let continue = ref true in
   while !continue do
-    match highest_priority_operation st with
-    | None -> continue := false
-    | Some _ when !budget <= 0 -> continue := false
-    | Some op ->
-        let estart = calculate_early_start st op in
-        let min_time = estart in
-        let max_time = min_time + ii - 1 in
-        (match find_time_slot st op ~min_time ~max_time with
-        | `Free (t, k) ->
-            Trace.place trace ~op ~time:t ~alt:k ~estart ~forced:false;
-            commit st op ~t ~k
-        | `Forced t -> force_commit st op ~t ~estart);
-        decr budget;
-        step ();
-        Cancel.poll cancel
+    let op = highest_priority_operation st in
+    if op < 0 || !budget <= 0 then continue := false
+    else begin
+      let estart = calculate_early_start st op in
+      let min_time = estart in
+      let max_time = min_time + ii - 1 in
+      find_time_slot st op ~min_time ~max_time;
+      let t = st.slot_time and k = st.slot_alt in
+      if k >= 0 then begin
+        Trace.place trace ~op ~time:t ~alt:k ~estart ~forced:false;
+        commit st op ~t ~k
+      end
+      else force_commit st op ~t ~estart;
+      decr budget;
+      step ();
+      Cancel.poll cancel
+    end
   done;
   (match counters with
   | Some c ->

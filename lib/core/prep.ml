@@ -1,25 +1,15 @@
 open Ims_machine
 open Ims_ir
 
-(* Ops sharing an opcode share one physical alternatives array, so the
-   per-II compilation below can dedupe by physical equality: one
-   compiled-table array per distinct opcode, not per operation. *)
+(* Each operation's opcode is resolved in the graph, and the opcode
+   holds its alternatives array, so ops sharing an opcode share one
+   physical array: the per-II compilation below dedupes by physical
+   equality, one compiled-table array per distinct opcode, not per
+   operation. *)
 let alternatives ddg =
-  let machine = ddg.Ddg.machine in
-  let cache = Hashtbl.create 16 in
-  Array.init (Ddg.n_total ddg) (fun i ->
-      let name = (Ddg.op ddg i).Op.opcode in
-      match Hashtbl.find_opt cache name with
-      | Some arr -> arr
-      | None ->
-          let arr =
-            Array.of_list (Machine.opcode machine name).Opcode.alternatives
-          in
-          Hashtbl.add cache name arr;
-          arr)
+  Array.map (fun (oc : Opcode.t) -> oc.Opcode.alt_array) ddg.Ddg.opcodes
 
-let caps machine =
-  Array.map (fun (r : Resource.t) -> r.count) machine.Machine.resources
+let caps machine = machine.Machine.caps
 
 let compile ?caps alternatives ~ii =
   let memo = ref [] in

@@ -11,12 +11,14 @@ open Ims_machine
 open Ims_ir
 
 val alternatives : Ddg.t -> Opcode.alternative array array
-(** Per-operation alternative arrays, one {e shared} physical array per
-    distinct opcode name. *)
+(** Per-operation alternative arrays: each is its opcode's
+    {!Opcode.t.alt_array}, so there is one {e shared} physical array
+    per distinct opcode. *)
 
 val caps : Machine.t -> int array
-(** The machine's per-resource capacity vector, for {!compile}'s
-    [?caps] (which enables the {!Mrt} bitboard probe fast path). *)
+(** The machine's per-resource capacity vector ({!Machine.t.caps}, not
+    to be written), for {!compile}'s [?caps] (which enables the {!Mrt}
+    bitboard probe fast path). *)
 
 val compile :
   ?caps:int array ->

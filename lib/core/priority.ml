@@ -1,25 +1,42 @@
 open Ims_ir
 open Ims_graph
 
-(* Reverse topological order of the distance-0 skeleton.  The order is a
-   property of the graph alone (not of the II), so callers that retry
-   many IIs compute it once with {!plan} and pass it back in. *)
+(* Reverse topological order of the distance-0 skeleton, read off the
+   graph's edge lists in place.  The order is a property of the graph
+   alone (not of the II), so callers that retry many IIs compute it
+   once with {!plan} and pass it back in. *)
 let skeleton_order ddg =
-  let n = Ddg.n_total ddg in
-  let skeleton v =
-    List.filter_map
-      (fun (d : Dep.t) -> if d.distance = 0 then Some d.dst else None)
-      ddg.Ddg.succs.(v)
-  in
-  List.rev (Topo.sort_ignoring_cycles ~n ~succs:skeleton)
+  List.rev
+    (Topo.sort_ignoring_cycles_by ~n:(Ddg.n_total ddg)
+       ~succs:(Array.get ddg.Ddg.succs)
+       ~dst:(fun (d : Dep.t) -> if d.distance = 0 then d.dst else -1))
 
 let plan = skeleton_order
 
-(* [edge_weight] returns [no_edge] for an edge that does not constrain
-   the heights, so a relaxation round allocates nothing. *)
-let no_edge = min_int
+(* One relaxation of [p]'s edges at weight [delay - ii * distance];
+   [acyclic] leaves out the inter-iteration edges.  Top-level recursion
+   over the edge list and the order: a relaxation round allocates
+   nothing. *)
+let rec relax_edges height ~ii ~acyclic steps changed p = function
+  | [] -> ()
+  | (d : Dep.t) :: rest ->
+      incr steps;
+      if (not acyclic) || d.distance = 0 then begin
+        let candidate = height.(d.dst) + d.delay - (ii * d.distance) in
+        if candidate > height.(p) then begin
+          height.(p) <- candidate;
+          changed := true
+        end
+      end;
+      relax_edges height ~ii ~acyclic steps changed p rest
 
-let relax ?counters ?order ?buf ddg ~edge_weight =
+let rec relax_round succs height ~ii ~acyclic steps changed = function
+  | [] -> ()
+  | p :: rest ->
+      relax_edges height ~ii ~acyclic steps changed p succs.(p);
+      relax_round succs height ~ii ~acyclic steps changed rest
+
+let relax ?counters ?order ?buf ddg ~ii ~acyclic =
   let n = Ddg.n_total ddg in
   let height =
     match buf with
@@ -41,21 +58,7 @@ let relax ?counters ?order ?buf ddg ~edge_weight =
     incr rounds;
     if !rounds > n + 2 then
       invalid_arg "Priority.heights: relaxation diverges (II below RecMII?)";
-    List.iter
-      (fun p ->
-        List.iter
-          (fun (d : Dep.t) ->
-            incr steps;
-            let w = edge_weight d in
-            if w <> no_edge then begin
-              let candidate = height.(d.dst) + w in
-              if candidate > height.(p) then begin
-                height.(p) <- candidate;
-                changed := true
-              end
-            end)
-          ddg.Ddg.succs.(p))
-      order
+    relax_round ddg.Ddg.succs height ~ii ~acyclic steps changed order
   done;
   (match counters with
   | Some c -> c.Ims_mii.Counters.heightr_inner <- c.Ims_mii.Counters.heightr_inner + !steps
@@ -63,9 +66,6 @@ let relax ?counters ?order ?buf ddg ~edge_weight =
   height
 
 let heights ?counters ?order ?buf ddg ~ii =
-  relax ?counters ?order ?buf ddg ~edge_weight:(fun d ->
-      d.Dep.delay - (ii * d.Dep.distance))
+  relax ?counters ?order ?buf ddg ~ii ~acyclic:false
 
-let acyclic_heights ddg =
-  relax ddg ~edge_weight:(fun d ->
-      if d.Dep.distance = 0 then d.Dep.delay else no_edge)
+let acyclic_heights ddg = relax ddg ~ii:0 ~acyclic:true

@@ -4,8 +4,9 @@ type result = { component : int array; count : int; steps : int }
    (long straight-line loop bodies) from overflowing the OCaml stack.
    Each vertex is entered once, so both stacks live in arrays of [n]
    slots: Tarjan's vertex stack, and the work stack of (vertex, its
-   successors not yet explored). *)
-let compute ~n ~succs =
+   edges not yet explored).  An ignored edge is dropped from the work
+   stack without counting a step. *)
+let compute_by ~n ~succs ~dst =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -24,17 +25,17 @@ let compute ~n ~succs =
     incr top;
     on_stack.(v) <- true;
     work_v.(!sp) <- v;
-    work_rest.(!sp) <- succs v;
+    work_rest.(!sp) <- succs.(v);
     incr sp
   in
   for v = 0 to n - 1 do
     if index.(v) = -1 then begin
       enter v;
       while !sp > 0 do
-        incr steps;
         let u = work_v.(!sp - 1) in
         match work_rest.(!sp - 1) with
         | [] ->
+            incr steps;
             decr sp;
             if !sp > 0 then begin
               let parent = work_v.(!sp - 1) in
@@ -52,15 +53,22 @@ let compute ~n ~succs =
               done;
               incr count
             end
-        | w :: ws ->
-            work_rest.(!sp - 1) <- ws;
-            if index.(w) = -1 then enter w
-            else if on_stack.(w) && index.(w) < lowlink.(u) then
-              lowlink.(u) <- index.(w)
+        | e :: es ->
+            work_rest.(!sp - 1) <- es;
+            let w = dst e in
+            if w >= 0 then begin
+              incr steps;
+              if index.(w) = -1 then enter w
+              else if on_stack.(w) && index.(w) < lowlink.(u) then
+                lowlink.(u) <- index.(w)
+            end
       done
     end
   done;
   { component; count = !count; steps = !steps }
+
+let compute ~n ~succs =
+  compute_by ~n ~succs:(Array.init n succs) ~dst:Fun.id
 
 let members r =
   let out = Array.make r.count [] in
@@ -70,6 +78,20 @@ let members r =
     out.(c) <- v :: out.(c)
   done;
   out
+
+let rec has_self_edge dst v = function
+  | [] -> false
+  | e :: rest -> dst e = v || has_self_edge dst v rest
+
+let non_trivial_by ~succs ~dst r =
+  let all = members r in
+  let found = ref [] in
+  for c = Array.length all - 1 downto 0 do
+    match all.(c) with
+    | [ v ] when not (has_self_edge dst v succs.(v)) -> ()
+    | vs -> found := vs :: !found
+  done;
+  Array.of_list !found
 
 let non_trivial ~succs r =
   let all = members r in

@@ -18,9 +18,19 @@ val compute : n:int -> succs:(int -> int list) -> result
 (** [compute ~n ~succs] runs Tarjan on the graph with vertices
     [0 .. n-1]. *)
 
+val compute_by : n:int -> succs:'e list array -> dst:('e -> int) -> result
+(** [compute] over edge values, walked in place: [succs.(v)] lists the
+    edges leaving [v], and [dst e] is the vertex edge [e] enters, or a
+    negative number for an edge the walk ignores (it counts in no
+    step).  RecMII runs it on the dependence graph's own edge lists. *)
+
 val members : result -> int list array
 (** [members r] lists the vertices of each component, ascending. *)
 
 val non_trivial : succs:(int -> int list) -> result -> int list array
 (** Components that are genuine recurrences: more than one vertex, or a
     single vertex with a self-edge. *)
+
+val non_trivial_by :
+  succs:'e list array -> dst:('e -> int) -> result -> int list array
+(** {!non_trivial} over edge values, as {!compute_by} reads them. *)

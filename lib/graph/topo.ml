@@ -34,13 +34,34 @@ let pop_min h =
   a.(!i) <- last;
   top
 
+(* In-degree counting and release over one edge list, by top-level
+   recursion so that the walk builds no closure per vertex. *)
+let rec count_in deg dst = function
+  | [] -> ()
+  | e :: rest ->
+      let w = dst e in
+      if w >= 0 then deg.(w) <- deg.(w) + 1;
+      count_in deg dst rest
+
+let rec release deg emitted ready dst = function
+  | [] -> ()
+  | e :: rest ->
+      let w = dst e in
+      if w >= 0 then begin
+        deg.(w) <- deg.(w) - 1;
+        if deg.(w) = 0 && not emitted.(w) then push ready w
+      end;
+      release deg emitted ready dst rest
+
 (* Kahn with the smallest ready vertex first; [force] releases the
    smallest blocked vertex when the ready set empties with vertices
-   remaining. *)
-let kahn ~n ~succs ~force =
-  let succs = Array.init n succs in
+   remaining.  Edges are read in place: [dst e] is the vertex edge [e]
+   enters, or negative for an edge to ignore. *)
+let kahn ~n ~succs ~dst ~force =
   let deg = Array.make n 0 in
-  Array.iter (List.iter (fun w -> deg.(w) <- deg.(w) + 1)) succs;
+  for v = 0 to n - 1 do
+    count_in deg dst (succs v)
+  done;
   let emitted = Array.make n false in
   let ready = { a = Array.make n 0; size = 0 } in
   for v = 0 to n - 1 do
@@ -52,11 +73,7 @@ let kahn ~n ~succs ~force =
     emitted.(v) <- true;
     order := v :: !order;
     decr remaining;
-    List.iter
-      (fun w ->
-        deg.(w) <- deg.(w) - 1;
-        if deg.(w) = 0 && not emitted.(w) then push ready w)
-      succs.(v)
+    release deg emitted ready dst (succs v)
   in
   (* Every vertex below [blocked] has been emitted.  With the ready set
      empty, an unemitted vertex cannot have in-degree zero (it would be
@@ -78,9 +95,37 @@ let kahn ~n ~succs ~force =
     Some (List.rev !order)
   with Cyclic -> None
 
-let sort ~n ~succs = kahn ~n ~succs ~force:false
+(* [succs] is asked once per vertex, as the walk needs each list
+   twice. *)
+let sort ~n ~succs =
+  let succs = Array.init n succs in
+  kahn ~n ~succs:(Array.get succs) ~dst:Fun.id ~force:false
+
+(* Whether every edge of [es] (out of [v]) that is not ignored enters a
+   vertex above [v]. *)
+let rec forward dst v = function
+  | [] -> true
+  | e :: rest ->
+      let w = dst e in
+      (w < 0 || w > v) && forward dst v rest
+
+(* When every edge runs from a lower to a higher vertex, Kahn's walk
+   emits the vertices in increasing order: the smallest vertex not yet
+   emitted has all its predecessors emitted, so it is the smallest ready
+   one.  A loop body's intra-iteration edges run forward in program
+   order, so HeightR's seeding order usually needs no walk at all. *)
+let sort_ignoring_cycles_by ~n ~succs ~dst =
+  let all_forward = ref true and v = ref 0 in
+  while !all_forward && !v < n do
+    all_forward := forward dst !v (succs !v);
+    incr v
+  done;
+  if !all_forward then List.init n Fun.id
+  else
+    match kahn ~n ~succs ~dst ~force:true with
+    | Some order -> order
+    | None -> assert false
 
 let sort_ignoring_cycles ~n ~succs =
-  match kahn ~n ~succs ~force:true with
-  | Some order -> order
-  | None -> assert false
+  let succs = Array.init n succs in
+  sort_ignoring_cycles_by ~n ~succs:(Array.get succs) ~dst:Fun.id

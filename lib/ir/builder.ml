@@ -9,7 +9,7 @@ type t = {
   reg_names : (string, int) Hashtbl.t;
   mutable next_reg : int;
   mutable ops : Op.t list;  (* reversed *)
-  mutable lats : int list;  (* latency of each op in [ops], reversed *)
+  mutable opcodes : Opcode.t list;  (* opcode of each op in [ops], reversed *)
   mutable n : int;
   mutable raw_deps : (Dep.kind * int * int * int) list;  (* kind, dist, src, dst *)
 }
@@ -21,7 +21,7 @@ let create ?(model = Dep.Vliw) machine =
     reg_names = Hashtbl.create 31;
     next_reg = 0;
     ops = [];
-    lats = [];
+    opcodes = [];
     n = 0;
     raw_deps = [];
   }
@@ -45,7 +45,7 @@ let operand (reg, distance) =
   { Op.reg; distance }
 
 let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
-  let latency = (Machine.opcode b.machine opcode).Opcode.latency in
+  let resolved = Machine.opcode b.machine opcode in
   b.n <- b.n + 1;
   let op =
     {
@@ -59,7 +59,7 @@ let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
     }
   in
   b.ops <- op :: b.ops;
-  b.lats <- latency :: b.lats;
+  b.opcodes <- resolved :: b.opcodes;
   b.n
 
 let mem_dep b ?(distance = 0) kind ~src ~dst =
@@ -69,26 +69,33 @@ let reg_id _ v = v
 
 (* Reaching definitions of register [v] for a reference at distance [d]
    made by operation [u] (or at end of body if [u_id] is the body length +
-   1).  An unpredicated definition kills all earlier ones; predicated
-   definitions accumulate until one.  Definitions are scanned backwards
-   from just before [u] (d = 0) or from the end of the body (d > 0). *)
-let reaching_defs ~defs ~preds_of ~u_id ~d =
-  let before = if d = 0 then List.filter (fun id -> id < u_id) defs else defs in
-  let rec collect acc = function
-    | [] -> acc
-    | id :: rest ->
-        if preds_of id = None then id :: acc else collect (id :: acc) rest
-  in
-  collect [] (List.rev before)
+   1), in program order.  An unpredicated definition kills all earlier
+   ones; predicated definitions accumulate until one.  [latest_first]
+   lists the register's definitions backwards from the end of the body;
+   the scan starts just before [u] (d = 0) or at the end of the body
+   (d > 0).  Top-level recursion, so that no closure is built per
+   operand. *)
+let rec defs_before u_id = function
+  | id :: rest when id >= u_id -> defs_before u_id rest
+  | defs -> defs
+
+let rec collect_reaching op_arr acc = function
+  | [] -> acc
+  | id :: rest ->
+      if op_arr.(id - 1).Op.pred = None then id :: acc
+      else collect_reaching op_arr (id :: acc) rest
+
+let reaching_defs op_arr ~latest_first ~u_id ~d =
+  collect_reaching op_arr []
+    (if d = 0 then defs_before u_id latest_first else latest_first)
 
 let finish ?(keep_false_deps = false) b =
   let ops = List.rev b.ops in
-  (* Operation [id] sits at index [id - 1]; the latencies are the ones
-     [add] found when it validated each opcode. *)
+  (* Operation [id] sits at index [id - 1]; the opcodes are the ones
+     [add] resolved when it validated each name. *)
   let op_arr = Array.of_list ops in
-  let lat_arr = Array.of_list (List.rev b.lats) in
-  let pred_of id = op_arr.(id - 1).Op.pred in
-  let latency id = lat_arr.(id - 1) in
+  let opcodes = Array.of_list (List.rev b.opcodes) in
+  let latency id = opcodes.(id - 1).Opcode.latency in
   let deps = ref [] in
   let emit kind ~src ~dst ~distance =
     deps :=
@@ -96,23 +103,21 @@ let finish ?(keep_false_deps = false) b =
         ~succ_latency:(latency dst)
       :: !deps
   in
-  (* Definitions of each register, in program order: consed while
-     walking the body backwards.  Registers are numbered densely from 0
-     by [vreg] and [vregs]. *)
-  let defs = Array.make b.next_reg [] in
+  (* Definitions of each register, latest first: consed while walking
+     the body forwards.  Registers are numbered densely from 0 by [vreg]
+     and [vregs]. *)
+  let latest_first = Array.make b.next_reg [] in
   List.iter
-    (fun (o : Op.t) -> List.iter (fun v -> defs.(v) <- o.id :: defs.(v)) o.dsts)
-    b.ops;
-  let defs_of v = defs.(v) in
+    (fun (o : Op.t) ->
+      List.iter (fun v -> latest_first.(v) <- o.id :: latest_first.(v)) o.dsts)
+    ops;
   (* Flow (and control, for predicates) dependences. *)
   let flow_for kind (u : Op.t) (operand : Op.operand) =
     let v = operand.reg and d = operand.distance in
-    match defs_of v with
+    match latest_first.(v) with
     | [] -> ()  (* live-in: defined outside the loop *)
-    | defs ->
-        let reaching =
-          reaching_defs ~defs ~preds_of:pred_of ~u_id:u.id ~d
-        in
+    | latest_first ->
+        let reaching = reaching_defs op_arr ~latest_first ~u_id:u.id ~d in
         if reaching = [] && d = 0 then
           invalid_arg
             (Printf.sprintf
@@ -130,6 +135,9 @@ let finish ?(keep_false_deps = false) b =
       Option.iter (flow_for Dep.Control u) u.pred)
     ops;
   if keep_false_deps then begin
+    (* The definitions of each register in program order. *)
+    let defs = Array.map List.rev latest_first in
+    let defs_of v = defs.(v) in
     (* Output dependences: successive definitions in order, plus the
        distance-1 back edge from the last to the first.  Registers are
        visited in the iteration order of a hash table filled in order
@@ -231,4 +239,4 @@ let finish ?(keep_false_deps = false) b =
   List.iter
     (fun (kind, distance, src, dst) -> emit kind ~src ~dst ~distance)
     (List.rev b.raw_deps);
-  Ddg.make b.machine ~model:b.model ops !deps
+  Ddg.make b.machine ~model:b.model ~opcodes ops !deps

@@ -3,6 +3,7 @@ open Ims_machine
 type t = {
   machine : Machine.t;
   ops : Op.t array;
+  opcodes : Opcode.t array;
   succs : Dep.t list array;
   preds : Dep.t list array;
   model : Dep.latency_model;
@@ -26,20 +27,21 @@ let reg_span t =
   if !hi < !lo then (0, -1) else (!lo, !hi)
 
 let op t i = t.ops.(i)
-let latency t i = Machine.latency t.machine t.ops.(i).Op.opcode
+let latency t i = t.opcodes.(i).Opcode.latency
 let is_pseudo t i = i = start || i = stop t
 
 let pseudo_op id opcode =
   { Op.id; opcode; dsts = []; srcs = []; pred = None; imm = None; tag = "" }
 
-let make machine ?(model = Dep.Vliw) ops deps =
+let make machine ?(model = Dep.Vliw) ?opcodes:opcodes_given ops deps =
   (* Builders hand the operations over in id order; sort only when not. *)
   let rec dense id = function
     | [] -> true
     | (o : Op.t) :: rest -> o.id = id && dense (id + 1) rest
   in
+  let in_order = dense 1 ops in
   let ops =
-    if dense 1 ops then ops
+    if in_order then ops
     else begin
       let ops = List.sort (fun (a : Op.t) b -> compare a.id b.id) ops in
       List.iteri
@@ -61,10 +63,15 @@ let make machine ?(model = Dep.Vliw) ops deps =
       if d.src < 0 || d.src >= n || d.dst < 0 || d.dst >= n then
         invalid_arg "Ddg.make: edge endpoint out of range")
     deps;
-  let lat = Array.make n 0 in
-  for i = 1 to n_real do
-    lat.(i) <- Machine.latency machine all.(i).Op.opcode
-  done;
+  let opcodes = Array.make n machine.Machine.start_op in
+  (match opcodes_given with
+  | Some given when in_order -> Array.blit given 0 opcodes 1 n_real
+  | _ ->
+      for i = 1 to n_real do
+        opcodes.(i) <- Machine.opcode machine all.(i).Op.opcode
+      done);
+  opcodes.(stop_id) <- machine.Machine.stop_op;
+  let lat i = opcodes.(i).Opcode.latency in
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   let add (d : Dep.t) =
@@ -79,13 +86,13 @@ let make machine ?(model = Dep.Vliw) ops deps =
   for i = n_real downto 1 do
     add
       (Dep.make model Flow ~src:i ~dst:stop_id ~distance:0
-         ~pred_latency:lat.(i) ~succ_latency:0);
+         ~pred_latency:(lat i) ~succ_latency:0);
     add
       (Dep.make model Control ~src:0 ~dst:i ~distance:0 ~pred_latency:0
-         ~succ_latency:lat.(i))
+         ~succ_latency:(lat i))
   done;
   List.iter add (List.rev deps);
-  { machine; ops = all; succs; preds; model }
+  { machine; ops = all; opcodes; succs; preds; model }
 
 let real_succ_ids t i =
   if is_pseudo t i then []
@@ -102,18 +109,23 @@ let real_edges t =
 let edge_count t = List.length (real_edges t)
 
 let real_ops t = Array.to_list t.ops |> List.filter (fun o -> not (Op.is_pseudo o))
+let real_opcodes t = Array.sub t.opcodes 1 (n_real t)
 
 let filter_edges t keep =
-  make t.machine ~model:t.model (real_ops t) (List.filter keep (real_edges t))
+  make t.machine ~model:t.model ~opcodes:(real_opcodes t) (real_ops t)
+    (List.filter keep (real_edges t))
 
 let map_machine t machine =
+  let opcodes = Array.map (fun o -> Machine.opcode machine o.Op.opcode) t.ops in
   let redo (d : Dep.t) =
-    let pred_latency = Machine.latency machine t.ops.(d.src).Op.opcode in
-    let succ_latency = Machine.latency machine t.ops.(d.dst).Op.opcode in
     Dep.make t.model d.kind ~src:d.src ~dst:d.dst ~distance:d.distance
-      ~pred_latency ~succ_latency
+      ~pred_latency:opcodes.(d.src).Opcode.latency
+      ~succ_latency:opcodes.(d.dst).Opcode.latency
   in
-  make machine ~model:t.model (real_ops t) (List.map redo (real_edges t))
+  make machine ~model:t.model
+    ~opcodes:(Array.sub opcodes 1 (n_real t))
+    (real_ops t)
+    (List.map redo (real_edges t))
 
 let pp ppf t =
   Format.fprintf ppf "Loop with %d operations on %s@." (n_real t)

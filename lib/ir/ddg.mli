@@ -12,6 +12,11 @@ open Ims_machine
 type t = private {
   machine : Machine.t;
   ops : Op.t array;  (** [ops.(0)] is START, [ops.(n-1)] is STOP. *)
+  opcodes : Opcode.t array;
+      (** [opcodes.(i)] is [Machine.opcode machine ops.(i).opcode],
+          resolved once by {!make}: the compile path reads latencies,
+          alternatives and usage vectors here instead of looking names
+          up. *)
   succs : Dep.t list array;  (** Outgoing edges per vertex. *)
   preds : Dep.t list array;  (** Incoming edges per vertex. *)
   model : Dep.latency_model;
@@ -23,13 +28,25 @@ val start : int
 val stop : t -> int
 (** The id of the STOP pseudo-operation. *)
 
-val make : Machine.t -> ?model:Dep.latency_model -> Op.t list -> Dep.t list -> t
+val make :
+  Machine.t ->
+  ?model:Dep.latency_model ->
+  ?opcodes:Opcode.t array ->
+  Op.t list ->
+  Dep.t list ->
+  t
 (** [make machine ops deps] wraps real operations (which must carry dense
     ids [1 .. n]) and their dependences with START/STOP and the pseudo
     edges.  [model] (default [Vliw]) is recorded and used for the pseudo
     edges; [deps] should have been built with the same model.
+    [opcodes], when the caller has already resolved them (as {!Builder}
+    does), is [Machine.opcode machine] of each operation of [ops], in
+    the same order; it is used when [ops] come in id order and looked up
+    otherwise.
     @raise Invalid_argument on non-dense ids or out-of-range edge
-    endpoints. *)
+    endpoints.
+    @raise Machine.Unknown_opcode if an opcode to look up is not
+    declared. *)
 
 val n_total : t -> int
 (** Number of vertices including START and STOP. *)

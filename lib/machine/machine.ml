@@ -4,6 +4,9 @@ type t = {
   name : string;
   resources : Resource.t array;
   opcodes : (string, Opcode.t) Hashtbl.t;
+  caps : int array;
+  start_op : Opcode.t;
+  stop_op : Opcode.t;
 }
 
 type builder = {
@@ -24,22 +27,40 @@ let add_opcode b ~name ~latency ~alternatives =
     { Opcode.unit_name; table = Reservation.make usages }
   in
   let opcode =
-    Opcode.make ~name ~latency ~alternatives:(List.map alt alternatives)
+    Opcode.make ~nres:(List.length b.b_resources) ~name ~latency
+      ~alternatives:(List.map alt alternatives)
   in
   if Hashtbl.mem b.b_opcodes name then
     invalid_arg ("Machine.add_opcode: duplicate opcode " ^ name);
   Hashtbl.replace b.b_opcodes name opcode
 
+(* An opcode declared before the last resource is rebuilt so that its
+   usage vectors cover every resource.  Rebuilding in place keeps the
+   table's iteration order, which [Lint.machine] follows. *)
 let finish b =
+  let resources = Array.of_list (List.rev b.b_resources) in
+  let nres = Array.length resources in
+  Hashtbl.filter_map_inplace
+    (fun _ (op : Opcode.t) ->
+      if Array.for_all (fun v -> Array.length v = nres) op.usage then Some op
+      else
+        Some
+          (Opcode.make ~nres ~name:op.name ~latency:op.latency
+             ~alternatives:op.alternatives))
+    b.b_opcodes;
   {
     name = b.b_name;
-    resources = Array.of_list (List.rev b.b_resources);
+    resources;
     opcodes = b.b_opcodes;
+    caps = Array.map (fun (r : Resource.t) -> r.count) resources;
+    start_op = Opcode.pseudo ~nres "START";
+    stop_op = Opcode.pseudo ~nres "STOP";
   }
 
 let opcode t name =
   match name with
-  | "START" | "STOP" -> Opcode.pseudo name
+  | "START" -> t.start_op
+  | "STOP" -> t.stop_op
   | _ -> (
       match Hashtbl.find_opt t.opcodes name with
       | Some op -> op

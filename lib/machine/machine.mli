@@ -17,7 +17,14 @@ type t = private {
   name : string;
   resources : Resource.t array;  (** Indexed by resource id. *)
   opcodes : (string, Opcode.t) Hashtbl.t;
+      (** Filled by the builder; read-only once {!finish} returns. *)
+  caps : int array;  (** [caps.(r)] is [resources.(r).count]. *)
+  start_op : Opcode.t;  (** The ["START"] pseudo opcode. *)
+  stop_op : Opcode.t;  (** The ["STOP"] pseudo opcode. *)
 }
+(** Everything a machine holds is built by {!finish} and never changes
+    afterwards, the per-opcode tables of {!Opcode.t} included, so one
+    machine serves any number of loops and domains. *)
 
 (** {1 Declarative construction} *)
 
@@ -39,13 +46,14 @@ val add_opcode :
     pairs for {!Reservation.make}. *)
 
 val finish : builder -> t
+(** Builds every opcode's tables against the final resource count. *)
 
 (** {1 Queries} *)
 
 val opcode : t -> string -> Opcode.t
 (** @raise Unknown_opcode if the opcode is not declared.  The pseudo
     opcodes ["START"] and ["STOP"] are implicitly available on every
-    machine. *)
+    machine, as {!t.start_op} and {!t.stop_op}. *)
 
 val latency : t -> string -> int
 

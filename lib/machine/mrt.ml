@@ -68,7 +68,7 @@ let create machine ~ii =
     ii;
     nres;
     wpr;
-    caps = Array.map (fun (r : Resource.t) -> r.count) machine.Machine.resources;
+    caps = machine.Machine.caps;
     counts = Array.make (ii * nres) 0;
     occ = Array.make (planes * nres * wpr) 0;
     cells = Array.make (ii * nres) [];
@@ -121,6 +121,101 @@ let collapse ~ii (table : Reservation.t) =
   done;
   packed
 
+(* The word of [Mrt.occ] that fast usage [j] probes when its table
+   issues at slot [s]: the usage's cell offset [u_off.(j)] is already
+   reduced mod ii, so the wrap is a subtraction, and [u_row.(j)] is the
+   first word of its (plane, resource) row. *)
+let usage_word ~ii u_off u_row j s =
+  let c = s + u_off.(j) in
+  u_row.(j) + ((if c >= ii then c - ii else c) / bits_per_word)
+
+(* Merge the fast usages into per-word masks for every issue slot: at
+   issue time [time], the usage (off, r, m) probes plane [caps r - m] of
+   cell ((time + off) mod ii, r), and the slot dependence is only
+   through time mod ii.  Slot [s]'s entries are [bb_off.(s)] up to
+   [bb_off.(s + 1)]; a word's entry is made by the first usage that
+   probes it and collects the bits of the later ones.  Both merges fill
+   arrays of exactly the entries' size: this runs per (opcode, II) in
+   every candidate-II attempt, and an assoc-list version of it once
+   turned the whole bench into minor-GC rendezvous thrash under
+   multiple domains.
+
+   When a row is one word (ii <= 63), a usage probes its row's word at
+   every slot, so every slot has the same entries, one per distinct
+   row in first-use order, and the bit of cell [c] is [1 lsl c]. *)
+let merge_one_word ~ii u_off u_row =
+  let nfast = Array.length u_off in
+  let u_entry = Array.make nfast 0 and per_slot = ref 0 in
+  for j = 0 to nfast - 1 do
+    let first = ref 0 in
+    while u_row.(!first) <> u_row.(j) do
+      incr first
+    done;
+    if !first = j then begin
+      u_entry.(j) <- !per_slot;
+      incr per_slot
+    end
+    else u_entry.(j) <- u_entry.(!first)
+  done;
+  let per_slot = !per_slot in
+  let bb_word = Array.make (max 1 (ii * per_slot)) 0 in
+  let bb_mask = Array.make (max 1 (ii * per_slot)) 0 in
+  let bb_off = Array.make (ii + 1) (ii * per_slot) in
+  for s = 0 to ii - 1 do
+    bb_off.(s) <- s * per_slot;
+    for j = 0 to nfast - 1 do
+      let e = (s * per_slot) + u_entry.(j) in
+      let c = s + u_off.(j) in
+      bb_word.(e) <- u_row.(j);
+      bb_mask.(e) <- bb_mask.(e) lor (1 lsl if c >= ii then c - ii else c)
+    done
+  done;
+  (bb_off, bb_word, bb_mask)
+
+(* Whether no fast usage before [j] probes word [w] at slot [s]. *)
+let rec first_in_word ~ii u_off u_row j s w =
+  j = 0
+  || usage_word ~ii u_off u_row (j - 1) s <> w
+     && first_in_word ~ii u_off u_row (j - 1) s w
+
+(* The merge for rows of several words: the entries are counted first,
+   then each slot's are found by a scan. *)
+let merge_words ~ii u_off u_row =
+  let nfast = Array.length u_off in
+  let entries = ref 0 in
+  for s = 0 to ii - 1 do
+    for j = 0 to nfast - 1 do
+      if first_in_word ~ii u_off u_row j s (usage_word ~ii u_off u_row j s)
+      then incr entries
+    done
+  done;
+  let bb_word = Array.make (max 1 !entries) 0 in
+  let bb_mask = Array.make (max 1 !entries) 0 in
+  let bb_off = Array.make (ii + 1) 0 in
+  let k = ref 0 in
+  for s = 0 to ii - 1 do
+    bb_off.(s) <- !k;
+    for j = 0 to nfast - 1 do
+      let word = usage_word ~ii u_off u_row j s in
+      let bit =
+        let c = s + u_off.(j) in
+        1 lsl ((if c >= ii then c - ii else c) mod bits_per_word)
+      in
+      let e = ref bb_off.(s) in
+      while !e < !k && bb_word.(!e) <> word do
+        incr e
+      done;
+      if !e < !k then bb_mask.(!e) <- bb_mask.(!e) lor bit
+      else begin
+        bb_word.(!k) <- word;
+        bb_mask.(!k) <- bit;
+        incr k
+      end
+    done
+  done;
+  bb_off.(ii) <- !k;
+  (bb_off, bb_word, bb_mask)
+
 let compile ~ii ?caps (table : Reservation.t) =
   if ii < 1 then invalid_arg "Mrt.compile: ii must be >= 1";
   let packed = collapse ~ii table in
@@ -140,76 +235,43 @@ let compile ~ii ?caps (table : Reservation.t) =
       let nres = Array.length caps in
       let wpr = words_per_row ii in
       let ntrip = Array.length packed / 3 in
-      (* One pass splits the usages: a fast one is decided by the bit
-         planes, and its cell offset and base word (plane, resource row)
-         are kept for the merge below; a slow one is copied to [slow].
-         The offsets are already reduced mod ii, so the merge can
-         subtract instead of taking a modulus. *)
-      let never_fits = ref false in
-      let u_off = Array.make ntrip 0 in
-      let u_base = Array.make ntrip 0 in
-      let slow = Array.make (3 * ntrip) 0 in
-      let nfast = ref 0 and nslow = ref 0 in
+      (* A usage is fast when the bit planes decide it, that is unless it
+         probes a capacity-3+ resource below its brim.  One pass counts
+         the fast usages; the next keeps each one's cell offset and row
+         (negative for a usage that can never fit, whose words are never
+         read) and copies the slow ones, in order, to [slow]. *)
+      let never_fits = ref false and nfast = ref 0 in
       for i = 0 to ntrip - 1 do
-        let off = packed.(3 * i)
-        and r = packed.((3 * i) + 1)
-        and m = packed.((3 * i) + 2) in
+        let r = packed.((3 * i) + 1) and m = packed.((3 * i) + 2) in
         if m > caps.(r) then never_fits := true;
-        if caps.(r) - m < planes then begin
-          u_off.(!nfast) <- off;
-          u_base.(!nfast) <- (((caps.(r) - m) * nres) + r) * wpr;
-          incr nfast
-        end
-        else begin
-          Array.blit packed (3 * i) slow (3 * !nslow) 3;
-          incr nslow
-        end
+        if caps.(r) - m < planes then incr nfast
       done;
       let nfast = !nfast in
-      (* Merge the fast usages into per-word masks for every issue slot:
-         at issue time [time], the usage (off, r, m) probes plane
-         [caps r - m] of cell ((time + off) mod ii, r), and the slot
-         dependence is only through time mod ii.  Flat arrays and a
-         linear dedup scan over the (few) entries of the current slot —
-         this runs per (opcode, II) in every candidate-II attempt, and
-         an assoc-list version of it once turned the whole bench into
-         minor-GC rendezvous thrash under multiple domains. *)
-      let cap_entries = max 1 (ii * nfast) in
-      let bb_word = Array.make cap_entries 0 in
-      let bb_mask = Array.make cap_entries 0 in
-      let bb_off = Array.make (ii + 1) 0 in
-      let k = ref 0 in
-      for s = 0 to ii - 1 do
-        bb_off.(s) <- !k;
-        for j = 0 to nfast - 1 do
-          let cell =
-            let c = s + u_off.(j) in
-            if c >= ii then c - ii else c
-          in
-          let word = u_base.(j) + (cell / bits_per_word) in
-          let bit = 1 lsl (cell mod bits_per_word) in
-          let i = ref bb_off.(s) in
-          while !i < !k && bb_word.(!i) <> word do
-            incr i
-          done;
-          if !i < !k then bb_mask.(!i) <- bb_mask.(!i) lor bit
-          else begin
-            bb_word.(!k) <- word;
-            bb_mask.(!k) <- bit;
-            incr k
-          end
-        done
+      let u_off = Array.make nfast 0 and u_row = Array.make nfast 0 in
+      let slow = Array.make (3 * (ntrip - nfast)) 0 in
+      let j = ref 0 in
+      for i = 0 to ntrip - 1 do
+        let r = packed.((3 * i) + 1) and m = packed.((3 * i) + 2) in
+        if caps.(r) - m < planes then begin
+          u_off.(!j) <- packed.(3 * i);
+          u_row.(!j) <- (((caps.(r) - m) * nres) + r) * wpr;
+          incr j
+        end
+        else Array.blit packed (3 * i) slow (3 * (i - !j)) 3
       done;
-      bb_off.(ii) <- !k;
+      let bb_off, bb_word, bb_mask =
+        if wpr = 1 then merge_one_word ~ii u_off u_row
+        else merge_words ~ii u_off u_row
+      in
       {
         c_ii = ii;
         packed;
         c_nres = nres;
         never_fits = !never_fits;
         bb_off;
-        bb_word = Array.sub bb_word 0 (max 1 !k);
-        bb_mask = Array.sub bb_mask 0 (max 1 !k);
-        slow = Array.sub slow 0 (3 * !nslow);
+        bb_word;
+        bb_mask;
+        slow;
       }
 
 let pp_ctable ppf c =

@@ -5,19 +5,37 @@ type t = {
   latency : int;
   alternatives : alternative list;
   is_pseudo : bool;
+  alt_array : alternative array;
+  usage : int array array;
 }
 
-let make ~name ~latency ~alternatives =
-  if alternatives = [] then invalid_arg "Opcode.make: no alternatives";
-  if latency < 0 then invalid_arg "Opcode.make: negative latency";
-  { name; latency; alternatives; is_pseudo = false }
+let usage_vectors ~nres alternatives =
+  Array.map
+    (fun (a : alternative) ->
+      let v = Array.make nres 0 in
+      Reservation.usage_count a.table v;
+      v)
+    alternatives
 
-let pseudo name =
+let build ~nres ~name ~latency ~alternatives ~is_pseudo =
+  let alt_array = Array.of_list alternatives in
   {
     name;
-    latency = 0;
-    alternatives = [ { unit_name = "none"; table = Reservation.empty } ];
-    is_pseudo = true;
+    latency;
+    alternatives;
+    is_pseudo;
+    alt_array;
+    usage = usage_vectors ~nres alt_array;
   }
 
-let num_alternatives t = List.length t.alternatives
+let make ~nres ~name ~latency ~alternatives =
+  if alternatives = [] then invalid_arg "Opcode.make: no alternatives";
+  if latency < 0 then invalid_arg "Opcode.make: negative latency";
+  build ~nres ~name ~latency ~alternatives ~is_pseudo:false
+
+let pseudo ~nres name =
+  build ~nres ~name ~latency:0
+    ~alternatives:[ { unit_name = "none"; table = Reservation.empty } ]
+    ~is_pseudo:true
+
+let num_alternatives t = Array.length t.alt_array

@@ -99,55 +99,75 @@ type solver = {
   sv_dist : int array;  (* work buffer; every solve's [t] borrows it *)
 }
 
+(* Seeds row [row] of the forward matrix from one vertex's distance-0
+   edges into the node set; returns [nback] plus the number of its back
+   edges (distance > 0) into the set.  Top-level recursion, so that no
+   closure is built per vertex. *)
+let rec seed_forward index fwd m row nback = function
+  | [] -> nback
+  | (d : Dep.t) :: rest ->
+      let col = index.(d.dst) in
+      if col < 0 then seed_forward index fwd m row nback rest
+      else if d.distance = 0 then begin
+        if d.delay > fwd.((row * m) + col) then fwd.((row * m) + col) <- d.delay;
+        seed_forward index fwd m row nback rest
+      end
+      else seed_forward index fwd m row (nback + 1) rest
+
+(* Writes one vertex's back edges into the node set to [back] (stride
+   4: row, col, delay, distance) from entry [k] on, marking both ends as
+   pivots; returns the next entry. *)
+let rec list_back index back is_pivot row k = function
+  | [] -> k
+  | (d : Dep.t) :: rest ->
+      let col = index.(d.dst) in
+      if col < 0 || d.distance = 0 then list_back index back is_pivot row k rest
+      else begin
+        back.(4 * k) <- row;
+        back.((4 * k) + 1) <- col;
+        back.((4 * k) + 2) <- d.delay;
+        back.((4 * k) + 3) <- d.distance;
+        is_pivot.(row) <- true;
+        is_pivot.(col) <- true;
+        list_back index back is_pivot row (k + 1) rest
+      end
+
 let solver ?counters ddg ~nodes =
   let m = Array.length nodes in
   let n = Ddg.n_total ddg in
   let index = Array.make n (-1) in
   Array.iteri (fun row id -> index.(id) <- row) nodes;
   let fwd = Array.make (m * m) neg_inf in
-  let back = ref [] in
   let nback = ref 0 in
-  Array.iteri
-    (fun row id ->
-      List.iter
-        (fun (d : Dep.t) ->
-          let col = index.(d.dst) in
-          if col >= 0 then
-            if d.distance = 0 then begin
-              if d.delay > fwd.((row * m) + col) then
-                fwd.((row * m) + col) <- d.delay
-            end
-            else begin
-              back := (row, col, d.delay, d.distance) :: !back;
-              incr nback
-            end)
-        ddg.Ddg.succs.(id))
-    nodes;
+  for row = 0 to m - 1 do
+    nback := seed_forward index fwd m row !nback ddg.Ddg.succs.(nodes.(row))
+  done;
   let inner = closure fwd ~m in
   bump_closure_counters counters inner;
   let sv_back = Array.make (4 * !nback) 0 in
   let is_pivot = Array.make (max 1 m) false in
-  List.iteri
-    (fun i (row, col, delay, distance) ->
-      let base = 4 * (!nback - 1 - i) in
-      sv_back.(base) <- row;
-      sv_back.(base + 1) <- col;
-      sv_back.(base + 2) <- delay;
-      sv_back.(base + 3) <- distance;
-      is_pivot.(row) <- true;
-      is_pivot.(col) <- true)
-    !back;
-  let pivots = ref [] in
-  for r = m - 1 downto 0 do
-    if is_pivot.(r) then pivots := r :: !pivots
+  let k = ref 0 in
+  for row = 0 to m - 1 do
+    k := list_back index sv_back is_pivot row !k ddg.Ddg.succs.(nodes.(row))
   done;
+  let npivots = ref 0 in
+  Array.iter (fun p -> if p then incr npivots) is_pivot;
+  let sv_pivots = Array.make !npivots 0 in
+  npivots := 0;
+  Array.iteri
+    (fun r p ->
+      if p then begin
+        sv_pivots.(!npivots) <- r;
+        incr npivots
+      end)
+    is_pivot;
   {
     sv_nodes = nodes;
     sv_index = index;
     sv_m = m;
     sv_fwd = fwd;
     sv_back;
-    sv_pivots = Array.of_list !pivots;
+    sv_pivots;
     sv_dist = Array.make (max 1 (m * m)) neg_inf;
   }
 

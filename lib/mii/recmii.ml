@@ -4,29 +4,32 @@ open Ims_graph
 (* ceil(a / b) for b > 0 and any sign of a. *)
 let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
-(* Each vertex's real successors are filtered out of its edges once, not
-   on every visit of Tarjan's walk and of the self-loop test. *)
+(* Tarjan's walk and the self-loop test read the graph's edge lists in
+   place, ignoring every edge out of or into a pseudo vertex: the graph
+   of {!Ddg.real_succ_ids}, without building its lists. *)
 let scc_of ?counters ddg =
-  let n = Ddg.n_total ddg in
-  let succs = Array.init n (Ddg.real_succ_ids ddg) in
-  let r = Scc.compute ~n ~succs:(Array.get succs) in
+  let n = Ddg.n_total ddg and stop = Ddg.stop ddg in
+  let succs = ddg.Ddg.succs in
+  let dst (d : Dep.t) =
+    if d.src = Ddg.start || d.src = stop || d.dst = Ddg.start || d.dst = stop
+    then -1
+    else d.dst
+  in
+  let r = Scc.compute_by ~n ~succs ~dst in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
-  Scc.non_trivial ~succs:(Array.get succs) r
+  Scc.non_trivial_by ~succs ~dst r
 
 (* No recurrence can require more than the sum of the positive delays:
    every circuit has distance >= 1, so at that II its slack is already
    non-positive.  Exceeding the cap means a zero-distance circuit. *)
-let ii_cap ddg =
-  let total = ref 1 in
-  Array.iter
-    (fun edges ->
-      List.iter
-        (fun (d : Dep.t) -> if d.delay > 0 then total := !total + d.delay)
-        edges)
-    ddg.Ddg.succs;
-  !total
+let rec add_positive_delays total = function
+  | [] -> total
+  | (d : Dep.t) :: rest ->
+      add_positive_delays (if d.delay > 0 then total + d.delay else total) rest
+
+let ii_cap ddg = Array.fold_left add_positive_delays 1 ddg.Ddg.succs
 
 (* Smallest feasible II for one SCC, at least [start]: doubling to bracket,
    then binary search (section 2.2).  One incremental solver serves every
@@ -62,12 +65,14 @@ let first_feasible ?counters ddg nodes ~start ~cap =
 
 let fold_sccs ?counters ddg ~start =
   let sccs = scc_of ?counters ddg in
-  let cap = ii_cap ddg in
-  Array.fold_left
-    (fun acc members ->
-      let nodes = Array.of_list members in
-      first_feasible ?counters ddg nodes ~start:acc ~cap)
-    start sccs
+  if Array.length sccs = 0 then start
+  else
+    let cap = ii_cap ddg in
+    Array.fold_left
+      (fun acc members ->
+        let nodes = Array.of_list members in
+        first_feasible ?counters ddg nodes ~start:acc ~cap)
+      start sccs
 
 let by_mindist ?counters ddg = fold_sccs ?counters ddg ~start:1
 let mii_from ?counters ddg ~resmii = fold_sccs ?counters ddg ~start:resmii

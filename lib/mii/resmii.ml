@@ -3,38 +3,15 @@ open Ims_ir
 
 let cdiv a b = (a + b - 1) / b
 
-(* Per-alternative usage vectors of one opcode: [v.(k).(r)] is the
-   number of cycles alternative [k] holds resource [r]. *)
-let usage_vectors nres (op : Opcode.t) =
-  Array.of_list
-    (List.map
-       (fun (alt : Opcode.alternative) ->
-         let v = Array.make nres 0 in
-         Reservation.usage_count alt.table v;
-         v)
-       op.Opcode.alternatives)
-
 (* Greedy usage accumulation; returns the final per-resource usage.
-   Each distinct opcode's vectors are built once per call, and an
-   operation with a single alternative is added without being scored. *)
+   Each opcode's per-alternative usage vectors were built with the
+   machine, and an operation with a single alternative is added
+   without being scored. *)
 let accumulate ?counters ddg =
   let machine = ddg.Ddg.machine in
   let nres = Machine.num_resources machine in
-  let caps =
-    Array.map (fun (r : Resource.t) -> r.count) machine.Machine.resources
-  in
+  let caps = machine.Machine.caps in
   let usage = Array.make nres 0 in
-  let built = ref [] in
-  let vectors_of id =
-    let op = Machine.opcode machine (Ddg.op ddg id).Op.opcode in
-    match List.assq_opt op !built with
-    | Some v -> v
-    | None ->
-        let v = usage_vectors nres op in
-        built := (op, v) :: !built;
-        v
-  in
-  let ops = Array.init (Ddg.n_real ddg) (fun i -> vectors_of (i + 1)) in
   let score extra =
     let worst = ref 0 in
     for r = 0 to nres - 1 do
@@ -67,9 +44,16 @@ let accumulate ?counters ddg =
   in
   (* Operations in increasing order of their number of alternatives,
      in id order among equals. *)
-  let most = Array.fold_left (fun m alts -> max m (Array.length alts)) 0 ops in
-  for nalts = 1 to most do
-    Array.iter (fun alts -> if Array.length alts = nalts then take alts) ops
+  let opcodes = ddg.Ddg.opcodes and n_real = Ddg.n_real ddg in
+  let most = ref 0 in
+  for i = 1 to n_real do
+    most := max !most (Array.length opcodes.(i).Opcode.usage)
+  done;
+  for nalts = 1 to !most do
+    for i = 1 to n_real do
+      let alts = opcodes.(i).Opcode.usage in
+      if Array.length alts = nalts then take alts
+    done
   done;
   (usage, caps)
 
