@@ -47,10 +47,9 @@ let verify t =
   (* Resource constraints, in a flat [ii * nres] count matrix filled in
      id order: an operation adds its usages, and if a touched cell is
      then over capacity it takes them back out and is reported — the
-     verdict of [Mrt]'s fits-then-reserve, whose exception texts are
-     kept.  An unknown resource raises before a negative time, as the
-     MRT's table compilation did. *)
-  if t.ii < 1 then invalid_arg "Mrt.create: ii must be >= 1";
+     verdict of [Mrt]'s fits-then-reserve.  An unknown resource raises
+     before a negative time, as the MRT's table compilation did. *)
+  if t.ii < 1 then invalid_arg "Schedule.verify: ii must be >= 1";
   let resources = t.ddg.Ddg.machine.Machine.resources in
   let nres = Array.length resources in
   let counts = Array.make (t.ii * nres) 0 in
@@ -58,7 +57,7 @@ let verify t =
   for i = 1 to Ddg.n_real t.ddg do
     let usages = (reservation t i).Reservation.usages and tm = time t i in
     List.iter (fun (u : Reservation.usage) -> ignore resources.(u.resource)) usages;
-    if tm < 0 then invalid_arg "Mrt: negative time";
+    if tm < 0 then invalid_arg "Schedule.verify: negative time";
     let add by = List.iter (fun u -> counts.(cell tm u) <- counts.(cell tm u) + by) usages in
     add 1;
     if

@@ -88,7 +88,7 @@ let test_verify_resource_verdicts () =
     ]
     2 [ 0; 1; 1; 0; 0 ];
   check "unknown resource" [ "Invalid_argument(\"index out of bounds\")" ] 2 [ 0; 1; 0; 0; 0 ];
-  check "II 0" [ "Invalid_argument(\"Mrt.create: ii must be >= 1\")" ] 0 [ 0; 1; 1; 0; 0 ];
+  check "II 0" [ "Invalid_argument(\"Schedule.verify: ii must be >= 1\")" ] 0 [ 0; 1; 1; 0; 0 ];
   check "no such alternative" [ "Failure(\"nth\")" ] 1 [ 0; 1; 1; 1; 0 ]
 
 (* --- The unified verdict -------------------------------------------------- *)

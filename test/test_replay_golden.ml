@@ -274,7 +274,7 @@ let rendered =
      (Buffer.contents buf, Buffer.contents static, Buffer.contents placement))
 
 let expected_digest = "64f237a4f5cdee3c2f2cfadbdc106c47"
-let expected_static_digest = "3faa1a90b379ab14f1df4545c7378d0e"
+let expected_static_digest = "c35daa1b2fee2ba749d2bb0e2d6f5aa5"
 let expected_placement_digest = "303f700ff5396a4cabfd40dcbc203e2a"
 
 (* --- the compile path ------------------------------------------------- *)
