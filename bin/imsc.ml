@@ -702,6 +702,14 @@ let journal_sync_arg =
   in
   Arg.(value & opt int 1 & info [ "journal-sync" ] ~docv:"N" ~doc)
 
+let inject_spin_arg =
+  let doc =
+    "Test hook: make every loop or request named NAME busy-wait S \
+     seconds (polling its cancellation token) before scheduling."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
+
 let cmd_batch =
   let paths_arg =
     let doc =
@@ -804,16 +812,6 @@ let cmd_batch =
        outstanding loop through the run-level token and exit."
     in
     Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
-  in
-  let inject_spin_arg =
-    let doc =
-      "Test hook: make the loop named NAME busy-wait S seconds \
-       (polling its cancellation token) before scheduling."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
   in
   let inject_flaky_arg =
     let doc =
@@ -1765,16 +1763,6 @@ let cmd_serve =
        queue depth, request counts) as JSON to $(docv) on shutdown."
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let inject_spin_arg =
-    let doc =
-      "Test hook: make requests named NAME busy-wait S seconds (polling \
-       their cancellation token) before scheduling."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
   in
   let run socket jobs queue cache_file cache_entries cache_policy
       cache_max_bytes conn_timeout max_conns supervise max_restarts backoff
