@@ -26,5 +26,6 @@ val compile :
   ii:int ->
   Mrt.ctable array array
 (** Compiled reservation tables for one candidate II, parallel to the
-    input; physically shared alternative arrays compile once.  Pass
+    input; physically shared alternative arrays, and physically shared
+    reservation tables (see {!Machine.add_opcode}), compile once.  Pass
     [~caps] (see {!caps}) to compile with the bitboard fast path. *)

@@ -206,13 +206,16 @@ let finish ?(keep_false_deps = false) b =
       match (o.opcode, o.srcs) with
       | ("load" | "store"), (addr : Op.operand) :: _ ->
           let key = (addr.reg, addr.distance) in
-          let old = Option.value ~default:[] (Hashtbl.find_opt mem_groups key) in
-          Hashtbl.replace mem_groups key (o :: old)
+          (* A group joins the table once; [add] of a new key places it
+             where [replace] would, so the table's order is kept. *)
+          (match Hashtbl.find_opt mem_groups key with
+          | Some group -> group := o :: !group
+          | None -> Hashtbl.add mem_groups key (ref [ o ]))
       | _ -> ())
     ops;
   Hashtbl.iter
     (fun _ group ->
-      let group = List.rev group in  (* program order *)
+      let group = List.rev !group in  (* program order *)
       let last_store = ref None in
       let loads_since = ref [] in
       List.iter

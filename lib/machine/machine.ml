@@ -13,18 +13,31 @@ type builder = {
   b_name : string;
   mutable b_resources : Resource.t list;  (* reversed *)
   b_opcodes : (string, Opcode.t) Hashtbl.t;
+  mutable b_tables : Reservation.t list;  (* every distinct table so far *)
 }
 
-let builder name = { b_name = name; b_resources = []; b_opcodes = Hashtbl.create 31 }
+let builder name =
+  { b_name = name; b_resources = []; b_opcodes = Hashtbl.create 31; b_tables = [] }
 
 let add_resource b name ~count =
   let id = List.length b.b_resources in
   b.b_resources <- Resource.make ~id ~name ~count :: b.b_resources;
   id
 
+(* Equal reservation tables are one value across the machine's opcodes
+   (the Cydra 5's adder table serves eight of them), so a scheduler
+   compiles each distinct table once per II. *)
 let add_opcode b ~name ~latency ~alternatives =
   let alt (unit_name, usages) =
-    { Opcode.unit_name; table = Reservation.make usages }
+    let table = Reservation.make usages in
+    let table =
+      match List.find_opt (fun t -> t = table) b.b_tables with
+      | Some t -> t
+      | None ->
+          b.b_tables <- table :: b.b_tables;
+          table
+    in
+    { Opcode.unit_name; table }
   in
   let opcode =
     Opcode.make ~nres:(List.length b.b_resources) ~name ~latency

@@ -43,7 +43,8 @@ val add_opcode :
   unit
 (** [add_opcode b ~name ~latency ~alternatives] declares an opcode.  Each
     alternative is [(unit_name, usages)] where usages are [(resource, at)]
-    pairs for {!Reservation.make}. *)
+    pairs for {!Reservation.make}.  A table equal to one an earlier
+    alternative declared is that same value. *)
 
 val finish : builder -> t
 (** Builds every opcode's tables against the final resource count. *)
