@@ -522,6 +522,49 @@ let prop_ready_tree =
       done;
       true)
 
+(* --- per-opcode machine tables ---------------------------------------- *)
+
+(* The compile path reads each vertex's opcode, alternatives array and
+   usage vectors from the graph and the machine instead of looking
+   names up per loop.  Over corpus loops on the Cydra 5, and the same
+   loops retargeted to the superscalar (whose opcode tables differ),
+   the resolved opcodes must be the machine's own, the alternatives
+   must equal the name-keyed construction ({!Opcode_ref}) and share one
+   array exactly where it does, and ResMII, the per-resource usage
+   behind it and its step counter must equal the per-call
+   derivation. *)
+let prop_opcode_tables =
+  let cydra = Machine.cydra5 () and wide = Machine.superscalar4 () in
+  QCheck.Test.make ~count:150 ~name:"compile path: machine tables agree with name lookups"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 5_000))
+    (fun (seed, i) ->
+      let _, loop = Corpus.build cydra ~seed i in
+      let agree (ddg : Ims_ir.Ddg.t) =
+        let machine = ddg.Ims_ir.Ddg.machine in
+        let n = Ims_ir.Ddg.n_total ddg in
+        let resolved k =
+          ddg.Ims_ir.Ddg.opcodes.(k)
+          == Machine.opcode machine (Ims_ir.Ddg.op ddg k).Ims_ir.Op.opcode
+        in
+        let alts = Prep.alternatives ddg and ref_alts = Opcode_ref.alternatives ddg in
+        let shared k l = alts.(k) == alts.(l) = (ref_alts.(k) == ref_alts.(l)) in
+        let c = Ims_mii.Counters.create () and ref_c = Ims_mii.Counters.create () in
+        let resmii = Ims_mii.Resmii.compute ~counters:c ddg in
+        let ref_resmii, ref_usage = Opcode_ref.resmii ~counters:ref_c ddg in
+        let usage =
+          List.map (fun (_, uses, _, _) -> uses) (Ims_mii.Resmii.usage_profile ddg)
+        in
+        List.for_all resolved (List.init n Fun.id)
+        && alts = ref_alts
+        && List.for_all
+             (fun k -> List.for_all (shared k) (List.init n Fun.id))
+             (List.init n Fun.id)
+        && resmii = ref_resmii
+        && usage = Array.to_list ref_usage
+        && c.Ims_mii.Counters.resmii_steps = ref_c.Ims_mii.Counters.resmii_steps
+      in
+      agree loop && agree (Ims_ir.Ddg.map_machine loop wide))
+
 let tests =
   ( "hotpath",
     [
@@ -543,4 +586,5 @@ let tests =
       Alcotest.test_case "golden traces under parallel closure" `Quick
         test_golden_traces_parallel_closure;
       QCheck_alcotest.to_alcotest prop_ready_tree;
+      QCheck_alcotest.to_alcotest prop_opcode_tables;
     ] )
