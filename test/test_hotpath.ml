@@ -261,13 +261,15 @@ let test_replay_major_ceilings () =
 (* --- compile-path allocation ceilings -------------------------------------- *)
 
 (* Minor-heap words per call of the compile path's stages.  Decode,
-   MII and IMS set up each loop over flat arrays and native ints; the
-   ceilings stop name-keyed lookups, per-edge options and list-built
-   tables from creeping back.  Measured this way, Loop_bin.decode takes
-   1,745 words on lfk03 and 6,969 on lfk07, Mii.compute 1,137 and 3,189,
-   and Ims.modulo_schedule (MII included) 3,417 and 9,774 (3,394 and
-   9,751 once each MRT stopped allocating a memo table); before, they
-   took 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
+   MII and IMS set up each loop over flat arrays and native ints, read
+   each opcode's tables from the machine and walk the graph's edge
+   lists in place; the ceilings stop name-keyed lookups, per-edge
+   options, closures and list-built tables from creeping back.
+   Measured this way, Loop_bin.decode takes 1,593 words on lfk03 and
+   6,267 on lfk07, Mii.compute 571 and 1,749, and Ims.modulo_schedule
+   (MII included) 1,505 and 3,827; before the machine tables they took
+   1,745 and 6,969, 1,137 and 3,189, and 3,394 and 9,751, and before the
+   flat set-up 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
    Loop_bin.crc32 allocates only its boxed result (3 words) on any
    input; the boxed Int32 loop took 12,298 on 4 KiB. *)
 let test_compile_allocation_ceilings () =
@@ -288,7 +290,7 @@ let test_compile_allocation_ceilings () =
       check name "Ims.modulo_schedule"
         (words (fun () -> Ims.modulo_schedule ddg))
         ims_ceiling)
-    [ ("lfk03", 2_600, 1_700, 5_100); ("lfk07", 10_500, 4_800, 14_700) ];
+    [ ("lfk03", 2_400, 900, 2_300); ("lfk07", 9_400, 2_700, 5_800) ];
   let s = String.init 4096 (fun i -> Char.chr ((i * 7) land 255)) in
   check "4 KiB" "Loop_bin.crc32" (words (fun () -> Loop_bin.crc32 s)) 3
 
