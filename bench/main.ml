@@ -413,7 +413,7 @@ let figure1 () =
   (* The two collisions discussed in section 2.1. *)
   let horizon = 64 in
   let mrt = Mrt.linear m ~horizon in
-  let compiled name = Mrt.compile ~ii:horizon ~caps:(Prep.caps m) (table name) in
+  let compiled name = Mrt.compile ~ii:horizon ~caps:m.Machine.caps (table name) in
   let add = compiled "add" in
   Mrt.reserve_c mrt ~op:0 (compiled "mul") ~time:10;
   Printf.printf "mul issued at t=10:\n";
@@ -1333,7 +1333,7 @@ let bechamel () =
   let open Toolkit in
   let fig1_machine = Machine.figure1 () in
   let fig1_add =
-    Mrt.compile ~ii:7 ~caps:(Prep.caps fig1_machine)
+    Mrt.compile ~ii:7 ~caps:fig1_machine.Machine.caps
       (List.hd (Machine.opcode fig1_machine "add").Opcode.alternatives)
         .Opcode.table
   in

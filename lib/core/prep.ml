@@ -10,8 +10,6 @@ open Ims_ir
 let alternatives ddg =
   Array.map (fun (oc : Opcode.t) -> oc.Opcode.alt_array) ddg.Ddg.opcodes
 
-let caps machine = machine.Machine.caps
-
 let compile ?caps alternatives ~ii =
   let tables = ref [] and arrays = ref [] in
   let compile_table (a : Opcode.alternative) =

@@ -15,11 +15,6 @@ val alternatives : Ddg.t -> Opcode.alternative array array
     {!Opcode.t.alt_array}, so there is one {e shared} physical array
     per distinct opcode. *)
 
-val caps : Machine.t -> int array
-(** The machine's per-resource capacity vector ({!Machine.t.caps}, not
-    to be written), for {!compile}'s [?caps] (which enables the {!Mrt}
-    bitboard probe fast path). *)
-
 val compile :
   ?caps:int array ->
   Opcode.alternative array array ->
@@ -28,4 +23,5 @@ val compile :
 (** Compiled reservation tables for one candidate II, parallel to the
     input; physically shared alternative arrays, and physically shared
     reservation tables (see {!Machine.add_opcode}), compile once.  Pass
-    [~caps] (see {!caps}) to compile with the bitboard fast path. *)
+    [~caps] (the machine's {!Machine.t.caps}) to compile with the
+    bitboard fast path. *)

@@ -7,9 +7,8 @@ open Ims_graph
    once with {!plan} and pass it back in. *)
 let skeleton_order ddg =
   List.rev
-    (Topo.sort_ignoring_cycles_by ~n:(Ddg.n_total ddg)
-       ~succs:(Array.get ddg.Ddg.succs)
-       ~dst:(fun (d : Dep.t) -> if d.distance = 0 then d.dst else -1))
+    (Topo.sort_ignoring_cycles ~succs:ddg.Ddg.succs ~dst:(fun (d : Dep.t) ->
+         if d.distance = 0 then d.dst else -1))
 
 let plan = skeleton_order
 

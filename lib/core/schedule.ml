@@ -99,7 +99,7 @@ let pp ppf t =
 let pp_gantt ppf t =
   let machine = t.ddg.Ddg.machine in
   let mrt = Mrt.create machine ~ii:t.ii in
-  let caps = Prep.caps machine in
+  let caps = machine.Machine.caps in
   List.iter
     (fun i ->
       Mrt.reserve_c mrt ~op:i

@@ -198,7 +198,7 @@ let iterative_schedule ?counters ?(cancel = Ims_obs.Cancel.null) ?prep ddg ~ii
       prev_time = Array.make n 0;
       never_scheduled = Array.make n true;
       alt = Array.make n 0;
-      ctabs = Prep.compile ~caps:(Prep.caps machine) prep.p_alternatives ~ii;
+      ctabs = Prep.compile ~caps:machine.Machine.caps prep.p_alternatives ~ii;
       by_rank;
       rank_of;
       ready;

@@ -279,7 +279,7 @@ let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
   let counters = match counters with Some c -> c | None -> Counters.create () in
   let mii = Mii.compute ~counters ddg in
   let alternatives = Prep.alternatives ddg in
-  let caps = Prep.caps ddg.Ddg.machine in
+  let caps = ddg.Ddg.machine.Machine.caps in
   let solver = Mindist.solver_full ~counters ddg in
   let rec attempt ii tried =
     if ii > mii.Mii.mii + max_delta_ii then

@@ -6,7 +6,8 @@ type result = { component : int array; count : int; steps : int }
    slots: Tarjan's vertex stack, and the work stack of (vertex, its
    edges not yet explored).  An ignored edge is dropped from the work
    stack without counting a step. *)
-let compute_by ~n ~succs ~dst =
+let compute_by ~succs ~dst =
+  let n = Array.length succs in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -67,8 +68,7 @@ let compute_by ~n ~succs ~dst =
   done;
   { component; count = !count; steps = !steps }
 
-let compute ~n ~succs =
-  compute_by ~n ~succs:(Array.init n succs) ~dst:Fun.id
+let compute ~n ~succs = compute_by ~succs:(Array.init n succs) ~dst:Fun.id
 
 let members r =
   let out = Array.make r.count [] in
@@ -94,11 +94,6 @@ let non_trivial_by ~succs ~dst r =
   Array.of_list !found
 
 let non_trivial ~succs r =
-  let all = members r in
-  let found = ref [] in
-  for c = Array.length all - 1 downto 0 do
-    match all.(c) with
-    | [ v ] when not (List.mem v (succs v)) -> ()
-    | vs -> found := vs :: !found
-  done;
-  Array.of_list !found
+  non_trivial_by
+    ~succs:(Array.init (Array.length r.component) succs)
+    ~dst:Fun.id r

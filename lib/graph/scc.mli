@@ -18,11 +18,12 @@ val compute : n:int -> succs:(int -> int list) -> result
 (** [compute ~n ~succs] runs Tarjan on the graph with vertices
     [0 .. n-1]. *)
 
-val compute_by : n:int -> succs:'e list array -> dst:('e -> int) -> result
-(** [compute] over edge values, walked in place: [succs.(v)] lists the
-    edges leaving [v], and [dst e] is the vertex edge [e] enters, or a
-    negative number for an edge the walk ignores (it counts in no
-    step).  RecMII runs it on the dependence graph's own edge lists. *)
+val compute_by : succs:'e list array -> dst:('e -> int) -> result
+(** {!compute} over edge values, walked in place, on the vertices
+    [0 .. Array.length succs - 1]: [succs.(v)] lists the edges leaving
+    [v], and [dst e] is the vertex edge [e] enters, or a negative number
+    for an edge the walk ignores (it counts in no step).  RecMII runs it
+    on the dependence graph's own edge lists. *)
 
 val members : result -> int list array
 (** [members r] lists the vertices of each component, ascending. *)

@@ -57,10 +57,11 @@ let rec release deg emitted ready dst = function
    smallest blocked vertex when the ready set empties with vertices
    remaining.  Edges are read in place: [dst e] is the vertex edge [e]
    enters, or negative for an edge to ignore. *)
-let kahn ~n ~succs ~dst ~force =
+let kahn ~succs ~dst ~force =
+  let n = Array.length succs in
   let deg = Array.make n 0 in
   for v = 0 to n - 1 do
-    count_in deg dst (succs v)
+    count_in deg dst succs.(v)
   done;
   let emitted = Array.make n false in
   let ready = { a = Array.make n 0; size = 0 } in
@@ -73,7 +74,7 @@ let kahn ~n ~succs ~dst ~force =
     emitted.(v) <- true;
     order := v :: !order;
     decr remaining;
-    release deg emitted ready dst (succs v)
+    release deg emitted ready dst succs.(v)
   in
   (* Every vertex below [blocked] has been emitted.  With the ready set
      empty, an unemitted vertex cannot have in-degree zero (it would be
@@ -99,7 +100,7 @@ let kahn ~n ~succs ~dst ~force =
    twice. *)
 let sort ~n ~succs =
   let succs = Array.init n succs in
-  kahn ~n ~succs:(Array.get succs) ~dst:Fun.id ~force:false
+  kahn ~succs ~dst:Fun.id ~force:false
 
 (* Whether every edge of [es] (out of [v]) that is not ignored enters a
    vertex above [v]. *)
@@ -114,18 +115,15 @@ let rec forward dst v = function
    emitted has all its predecessors emitted, so it is the smallest ready
    one.  A loop body's intra-iteration edges run forward in program
    order, so HeightR's seeding order usually needs no walk at all. *)
-let sort_ignoring_cycles_by ~n ~succs ~dst =
+let sort_ignoring_cycles ~succs ~dst =
+  let n = Array.length succs in
   let all_forward = ref true and v = ref 0 in
   while !all_forward && !v < n do
-    all_forward := forward dst !v (succs !v);
+    all_forward := forward dst !v succs.(!v);
     incr v
   done;
   if !all_forward then List.init n Fun.id
   else
-    match kahn ~n ~succs ~dst ~force:true with
+    match kahn ~succs ~dst ~force:true with
     | Some order -> order
     | None -> assert false
-
-let sort_ignoring_cycles ~n ~succs =
-  let succs = Array.init n succs in
-  sort_ignoring_cycles_by ~n ~succs:(Array.get succs) ~dst:Fun.id

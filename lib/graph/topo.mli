@@ -12,17 +12,11 @@ val sort : n:int -> succs:(int -> int list) -> int list option
     holds the strict walk, which reports a cycle instead of breaking
     it, to its reference. *)
 
-val sort_ignoring_cycles : n:int -> succs:(int -> int list) -> int list
-(** Kahn's algorithm, breaking ties by smallest vertex and breaking cycles
-    by releasing the smallest still-blocked vertex; always returns a
-    permutation of [0 .. n-1].  On a DAG it equals {!sort}.  Production
-    uses {!sort_ignoring_cycles_by}.  Oracle hook: test_graph ("topo
-    agrees with the reference Kahn") holds it to its reference Kahn,
-    and so the edge walk it shares with {!sort_ignoring_cycles_by}. *)
-
-val sort_ignoring_cycles_by :
-  n:int -> succs:(int -> 'e list) -> dst:('e -> int) -> int list
-(** {!sort_ignoring_cycles} over edge values, walked in place: [succs v]
-    lists the edges leaving [v], and [dst e] is the vertex edge [e]
-    enters, or a negative number for an edge to ignore.  HeightR's
-    seeding order runs it on the dependence graph's own edge lists. *)
+val sort_ignoring_cycles : succs:'e list array -> dst:('e -> int) -> int list
+(** Kahn's algorithm over the vertices [0 .. Array.length succs - 1],
+    breaking ties by smallest vertex and breaking cycles by releasing the
+    smallest still-blocked vertex; always returns a permutation.  The
+    edges are read in place: [succs.(v)] lists the edges leaving [v], and
+    [dst e] is the vertex edge [e] enters, or a negative number for an
+    edge to ignore.  On a DAG it equals {!sort}.  HeightR's seeding
+    order runs it on the dependence graph's own edge lists. *)

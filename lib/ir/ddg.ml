@@ -109,10 +109,11 @@ let real_edges t =
 let edge_count t = List.length (real_edges t)
 
 let real_ops t = Array.to_list t.ops |> List.filter (fun o -> not (Op.is_pseudo o))
-let real_opcodes t = Array.sub t.opcodes 1 (n_real t)
 
 let filter_edges t keep =
-  make t.machine ~model:t.model ~opcodes:(real_opcodes t) (real_ops t)
+  make t.machine ~model:t.model
+    ~opcodes:(Array.sub t.opcodes 1 (n_real t))
+    (real_ops t)
     (List.filter keep (real_edges t))
 
 let map_machine t machine =

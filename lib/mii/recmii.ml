@@ -8,14 +8,13 @@ let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
    place, ignoring every edge out of or into a pseudo vertex: the graph
    of {!Ddg.real_succ_ids}, without building its lists. *)
 let scc_of ?counters ddg =
-  let n = Ddg.n_total ddg and stop = Ddg.stop ddg in
-  let succs = ddg.Ddg.succs in
+  let stop = Ddg.stop ddg and succs = ddg.Ddg.succs in
   let dst (d : Dep.t) =
     if d.src = Ddg.start || d.src = stop || d.dst = Ddg.start || d.dst = stop
     then -1
     else d.dst
   in
-  let r = Scc.compute_by ~n ~succs ~dst in
+  let r = Scc.compute_by ~succs ~dst in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
@@ -65,14 +64,12 @@ let first_feasible ?counters ddg nodes ~start ~cap =
 
 let fold_sccs ?counters ddg ~start =
   let sccs = scc_of ?counters ddg in
-  if Array.length sccs = 0 then start
-  else
-    let cap = ii_cap ddg in
-    Array.fold_left
-      (fun acc members ->
-        let nodes = Array.of_list members in
-        first_feasible ?counters ddg nodes ~start:acc ~cap)
-      start sccs
+  let cap = ii_cap ddg in
+  Array.fold_left
+    (fun acc members ->
+      let nodes = Array.of_list members in
+      first_feasible ?counters ddg nodes ~start:acc ~cap)
+    start sccs
 
 let by_mindist ?counters ddg = fold_sccs ?counters ddg ~start:1
 let mii_from ?counters ddg ~resmii = fold_sccs ?counters ddg ~start:resmii

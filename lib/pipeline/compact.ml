@@ -53,7 +53,7 @@ let improve ?(max_rounds = 8) sched =
   in
   let mrt = Mrt.create machine ~ii in
   let ctabs =
-    Prep.compile ~caps:(Prep.caps machine) (Prep.alternatives ddg) ~ii
+    Prep.compile ~caps:machine.Machine.caps (Prep.alternatives ddg) ~ii
   in
   List.iter
     (fun i -> Mrt.reserve_c mrt ~op:i ctabs.(i).(entries.(i).Schedule.alt)

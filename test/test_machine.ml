@@ -60,7 +60,7 @@ let table name =
 (* A reservation table compiled for an MRT of [ii] rows on [machine],
    with the capacity vector, as the schedulers compile theirs. *)
 let compiled machine ~ii name =
-  Mrt.compile ~ii ~caps:(Ims_core.Prep.caps machine)
+  Mrt.compile ~ii ~caps:machine.Machine.caps
     (List.hd (Machine.opcode machine name).Opcode.alternatives).Opcode.table
 
 let test_fig1_shapes () =
