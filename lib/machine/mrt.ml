@@ -129,57 +129,22 @@ let usage_word ~ii u_off u_row j s =
   let c = s + u_off.(j) in
   u_row.(j) + ((if c >= ii then c - ii else c) / bits_per_word)
 
-(* Merge the fast usages into per-word masks for every issue slot: at
-   issue time [time], the usage (off, r, m) probes plane [caps r - m] of
-   cell ((time + off) mod ii, r), and the slot dependence is only
-   through time mod ii.  Slot [s]'s entries are [bb_off.(s)] up to
-   [bb_off.(s + 1)]; a word's entry is made by the first usage that
-   probes it and collects the bits of the later ones.  Both merges fill
-   arrays of exactly the entries' size: this runs per (opcode, II) in
-   every candidate-II attempt, and an assoc-list version of it once
-   turned the whole bench into minor-GC rendezvous thrash under
-   multiple domains.
-
-   When a row is one word (ii <= 63), a usage probes its row's word at
-   every slot, so every slot has the same entries, one per distinct
-   row in first-use order, and the bit of cell [c] is [1 lsl c]. *)
-let merge_one_word ~ii u_off u_row =
-  let nfast = Array.length u_off in
-  let u_entry = Array.make nfast 0 and per_slot = ref 0 in
-  for j = 0 to nfast - 1 do
-    let first = ref 0 in
-    while u_row.(!first) <> u_row.(j) do
-      incr first
-    done;
-    if !first = j then begin
-      u_entry.(j) <- !per_slot;
-      incr per_slot
-    end
-    else u_entry.(j) <- u_entry.(!first)
-  done;
-  let per_slot = !per_slot in
-  let bb_word = Array.make (max 1 (ii * per_slot)) 0 in
-  let bb_mask = Array.make (max 1 (ii * per_slot)) 0 in
-  let bb_off = Array.make (ii + 1) (ii * per_slot) in
-  for s = 0 to ii - 1 do
-    bb_off.(s) <- s * per_slot;
-    for j = 0 to nfast - 1 do
-      let e = (s * per_slot) + u_entry.(j) in
-      let c = s + u_off.(j) in
-      bb_word.(e) <- u_row.(j);
-      bb_mask.(e) <- bb_mask.(e) lor (1 lsl if c >= ii then c - ii else c)
-    done
-  done;
-  (bb_off, bb_word, bb_mask)
-
 (* Whether no fast usage before [j] probes word [w] at slot [s]. *)
 let rec first_in_word ~ii u_off u_row j s w =
   j = 0
   || usage_word ~ii u_off u_row (j - 1) s <> w
      && first_in_word ~ii u_off u_row (j - 1) s w
 
-(* The merge for rows of several words: the entries are counted first,
-   then each slot's are found by a scan. *)
+(* Merge the fast usages into per-word masks for every issue slot: at
+   issue time [time], the usage (off, r, m) probes plane [caps r - m] of
+   cell ((time + off) mod ii, r), and the slot dependence is only
+   through time mod ii.  Slot [s]'s entries are [bb_off.(s)] up to
+   [bb_off.(s + 1)]; a word's entry is made by the first usage that
+   probes it and collects the bits of the later ones.  The entries are
+   counted first, so the arrays have exactly their size: this runs per
+   (opcode, II) in every candidate-II attempt, and an assoc-list
+   version of it once turned the whole bench into minor-GC rendezvous
+   thrash under multiple domains. *)
 let merge_words ~ii u_off u_row =
   let nfast = Array.length u_off in
   let entries = ref 0 in
@@ -259,10 +224,7 @@ let compile ~ii ?caps (table : Reservation.t) =
         end
         else Array.blit packed (3 * i) slow (3 * (i - !j)) 3
       done;
-      let bb_off, bb_word, bb_mask =
-        if wpr = 1 then merge_one_word ~ii u_off u_row
-        else merge_words ~ii u_off u_row
-      in
+      let bb_off, bb_word, bb_mask = merge_words ~ii u_off u_row in
       {
         c_ii = ii;
         packed;
