@@ -160,22 +160,6 @@ let force_commit st op ~t ~estart =
   Trace.place st.trace ~op ~time:t ~alt:k ~estart ~forced:true;
   commit st op ~t ~k
 
-(* The ids [0, n) in (height desc, id asc) order: a stable insertion
-   sort by height alone, which keeps equal heights in id order.  Ids
-   mostly come in decreasing height already (a body is in dependence
-   order), so few moves are made. *)
-let rank_by_height height n =
-  let a = Array.make n 0 in
-  for i = 1 to n - 1 do
-    let j = ref (i - 1) in
-    while !j >= 0 && height.(a.(!j)) < height.(i) do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- i
-  done;
-  a
-
 let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
     ?(cancel = Cancel.null) ?prep ddg ~ii ~budget =
   let n = Ddg.n_total ddg in
@@ -190,7 +174,10 @@ let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
     | Source_order -> Array.init n (fun i -> n - i)
     | Reverse_order -> Array.init n (fun i -> i)
   in
-  let by_rank = rank_by_height height n in
+  (* A stable sort of the ids in increasing order by height alone keeps
+     equal heights in id order: the (height desc, id asc) order. *)
+  let by_rank = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> compare height.(b) height.(a)) by_rank;
   let rank_of = Array.make n 0 in
   Array.iteri (fun r op -> rank_of.(op) <- r) by_rank;
   let ready = Ready.create n in

@@ -267,7 +267,7 @@ let test_replay_major_ceilings () =
    options, closures and list-built tables from creeping back.
    Measured this way, Loop_bin.decode takes 1,593 words on lfk03 and
    6,267 on lfk07, Mii.compute 571 and 1,749, and Ims.modulo_schedule
-   (MII included) 1,505 and 3,827; before the machine tables they took
+   (MII included) 1,538 and 3,933; before the machine tables they took
    1,745 and 6,969, 1,137 and 3,189, and 3,394 and 9,751, and before the
    flat set-up 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
    Loop_bin.crc32 allocates only its boxed result (3 words) on any
