@@ -55,7 +55,7 @@ let finish b =
   let nres = Array.length resources in
   Hashtbl.filter_map_inplace
     (fun _ (op : Opcode.t) ->
-      if Array.for_all (fun v -> Array.length v = nres) op.usage then Some op
+      if Array.for_all (fun v -> Array.length v >= nres) op.usage then Some op
       else
         Some
           (Opcode.make ~nres ~name:op.name ~latency:op.latency

@@ -9,10 +9,19 @@ type t = {
   usage : int array array;
 }
 
+(* A vector covers the machine's [nres] resources and every id past
+   them that its table names (an ill-formed machine, which
+   [Lint.machine] reports), so ResMII still meets such an id and fails
+   on it. *)
 let usage_vectors ~nres alternatives =
   Array.map
     (fun (a : alternative) ->
-      let v = Array.make nres 0 in
+      let width =
+        List.fold_left
+          (fun w (u : Reservation.usage) -> max w (u.resource + 1))
+          nres a.table.usages
+      in
+      let v = Array.make width 0 in
       Reservation.usage_count a.table v;
       v)
     alternatives

@@ -23,7 +23,9 @@ type t = private {
   usage : int array array;
       (** [usage.(k).(r)] is the number of cycles alternative [k] holds
           resource [r], for the [nres] resources of the machine: the
-          demand ResMII's bin-packing adds up. *)
+          demand ResMII's bin-packing adds up.  A table that names a
+          resource id past [nres] (an ill-formed machine) makes its
+          vector long enough to hold that id. *)
 }
 
 val make :

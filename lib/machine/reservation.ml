@@ -37,11 +37,7 @@ let shape t =
   | _ -> Complex
 
 let usage_count t acc =
-  List.iter
-    (fun u ->
-      if u.resource >= 0 && u.resource < Array.length acc then
-        acc.(u.resource) <- acc.(u.resource) + 1)
-    t.usages
+  List.iter (fun u -> acc.(u.resource) <- acc.(u.resource) + 1) t.usages
 
 let pp_grid ~resources ppf tables =
   let height = List.fold_left (fun acc (_, t) -> max acc t.length) 0 tables in

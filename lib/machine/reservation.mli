@@ -38,11 +38,9 @@ val shape : t -> shape
 (** [shape t] classifies [t].  The empty table is [Simple]. *)
 
 val usage_count : t -> int array -> unit
-(** [usage_count t acc] adds, for each resource [r] below
-    [Array.length acc], the number of uses of [r] in [t] to [acc.(r)];
-    uses of other resource ids (an ill-formed machine, which
-    [Lint.machine] reports) are skipped.  Builds the per-alternative
-    usage vectors of the ResMII bin-packing ({!Opcode.t.usage}). *)
+(** [usage_count t acc] adds, for each resource [r], the number of uses of
+    [r] in [t] to [acc.(r)].  Builds the per-alternative usage vectors of
+    the ResMII bin-packing ({!Opcode.t.usage}). *)
 
 val pp_grid :
   resources:Resource.t array -> Format.formatter -> (string * t) list -> unit

@@ -6,7 +6,10 @@ let cdiv a b = (a + b - 1) / b
 (* Greedy usage accumulation; returns the final per-resource usage.
    Each opcode's per-alternative usage vectors were built with the
    machine, and an operation with a single alternative is added
-   without being scored. *)
+   without being scored.  The loops run over each vector's own length,
+   which is [nres] unless a table names an undeclared resource: there
+   [usage.(r)] raises, so a loop with an operation of such an opcode
+   has no ResMII. *)
 let accumulate ?counters ddg =
   let machine = ddg.Ddg.machine in
   let nres = Machine.num_resources machine in
@@ -14,7 +17,7 @@ let accumulate ?counters ddg =
   let usage = Array.make nres 0 in
   let score extra =
     let worst = ref 0 in
-    for r = 0 to nres - 1 do
+    for r = 0 to Array.length extra - 1 do
       let total = usage.(r) + extra.(r) in
       if total > 0 then worst := max !worst (cdiv total caps.(r))
     done;
@@ -38,7 +41,7 @@ let accumulate ?counters ddg =
       done
     end;
     let extra = alts.(!best) in
-    for r = 0 to nres - 1 do
+    for r = 0 to Array.length extra - 1 do
       usage.(r) <- usage.(r) + extra.(r)
     done
   in

@@ -91,6 +91,25 @@ let test_verify_resource_verdicts () =
   check "II 0" [ "Invalid_argument(\"Schedule.verify: ii must be >= 1\")" ] 0 [ 0; 1; 1; 0; 0 ];
   check "no such alternative" [ "Failure(\"nth\")" ] 1 [ 0; 1; 1; 1; 0 ]
 
+(* ResMII on the same machine: a loop with an operation whose opcode
+   names an undeclared resource, in any alternative, has no ResMII,
+   rather than one that leaves that usage out; a loop of well-formed
+   opcodes only is bounded as usual ("x" holds A, one copy, for four
+   cycles). *)
+let test_resmii_unknown_resource () =
+  let resmii opcodes =
+    let g = Ims_ir.Builder.create (lint_machine ()) in
+    List.iter
+      (fun opcode -> ignore (Ims_ir.Builder.add g ~opcode ~dsts:[] ~srcs:[] ()))
+      opcodes;
+    match Ims_mii.Resmii.compute (Ims_ir.Builder.finish g) with
+    | r -> string_of_int r
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check string) "well-formed" "4" (resmii [ "x" ]);
+  Alcotest.(check string) "unknown resource"
+    "Invalid_argument(\"index out of bounds\")" (resmii [ "x"; "y" ])
+
 (* --- The unified verdict -------------------------------------------------- *)
 
 let test_check_all_passes_lfk () =
@@ -217,6 +236,8 @@ let tests =
         test_lint_machine_diagnostics;
       Alcotest.test_case "verify: resource verdicts" `Quick
         test_verify_resource_verdicts;
+      Alcotest.test_case "resmii: unknown resource raises" `Quick
+        test_resmii_unknown_resource;
       Alcotest.test_case "all: every LFK schedule passes" `Quick
         test_check_all_passes_lfk;
       Alcotest.test_case "all: pass summary wording" `Quick
