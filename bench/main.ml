@@ -191,14 +191,14 @@ let measure_case ?trace ~budget_ratio (case : Suite.case) =
     Mii.schedule_length_lower_bound ~solver ddg ~ii:out.Ims.mii.Mii.mii
       ~acyclic_length:acyclic
   in
-  let n_total = Ddg.n_total ddg in
-  let scc = Ims_graph.Scc.compute ~n:n_total ~succs:(Ddg.real_succ_ids ddg) in
+  let succs = ddg.Ddg.succs and dst = Ddg.real_dst ddg in
+  let scc = Ims_graph.Scc.compute ~succs ~dst in
   let members = Ims_graph.Scc.members scc in
   let nontrivial_sccs =
     Array.to_list members |> List.filter (fun m -> List.length m > 1) |> List.length
   in
   let scc_sizes =
-    Ims_graph.Scc.non_trivial ~succs:(Ddg.real_succ_ids ddg) scc
+    Ims_graph.Scc.non_trivial ~succs ~dst scc
     |> Array.to_list |> List.map List.length
   in
   {

@@ -57,7 +57,9 @@ let groups ddg ~md =
   let n = Ddg.n_total ddg in
   let preds, succs = real_neighbours ddg in
   let undirected v = if Ddg.is_pseudo ddg v then [] else preds v @ succs v in
-  let comp = Ims_graph.Scc.compute ~n ~succs:undirected in
+  let comp =
+    Ims_graph.Scc.compute ~succs:(Array.init n undirected) ~dst:Fun.id
+  in
   let members = Ims_graph.Scc.members comp in
   let slack = slacks ddg ~md in
   let group_slack vs = List.fold_left (fun acc v -> min acc (slack v)) max_int vs in
@@ -75,11 +77,9 @@ let ordering_md ddg ~md =
   (* Recurrence members seed before everything else: the most
      constrained subgraph claims its slots first (SMS's first rule). *)
   let on_recurrence =
-    let n = Ddg.n_total ddg in
-    let scc = Ims_graph.Scc.compute ~n ~succs:(Ddg.real_succ_ids ddg) in
-    let members =
-      Ims_graph.Scc.non_trivial ~succs:(Ddg.real_succ_ids ddg) scc
-    in
+    let succs = ddg.Ddg.succs and dst = Ddg.real_dst ddg in
+    let scc = Ims_graph.Scc.compute ~succs ~dst in
+    let members = Ims_graph.Scc.non_trivial ~succs ~dst scc in
     let tbl = Hashtbl.create 16 in
     Array.iter (List.iter (fun v -> Hashtbl.replace tbl v ())) members;
     fun v -> Hashtbl.mem tbl v

@@ -21,7 +21,9 @@ let enumerate ?(limit = max_int) ~n succs =
     (* SCC of the subgraph on vertices >= s. *)
     let sub v = List.filter (fun w -> w >= s && w <> v) (succs v) in
     let scc =
-      Scc.compute ~n ~succs:(fun v -> if v >= s then sub v else [])
+      Scc.compute
+        ~succs:(Array.init n (fun v -> if v >= s then sub v else []))
+        ~dst:Fun.id
     in
     let cs = scc.Scc.component.(s) in
     let in_scc v = v >= s && scc.Scc.component.(v) = cs in

@@ -6,7 +6,7 @@ type result = { component : int array; count : int; steps : int }
    slots: Tarjan's vertex stack, and the work stack of (vertex, its
    edges not yet explored).  An ignored edge is dropped from the work
    stack without counting a step. *)
-let compute_by ~succs ~dst =
+let compute ~succs ~dst =
   let n = Array.length succs in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
@@ -68,8 +68,6 @@ let compute_by ~succs ~dst =
   done;
   { component; count = !count; steps = !steps }
 
-let compute ~n ~succs = compute_by ~succs:(Array.init n succs) ~dst:Fun.id
-
 let members r =
   let out = Array.make r.count [] in
   let n = Array.length r.component in
@@ -83,7 +81,7 @@ let rec has_self_edge dst v = function
   | [] -> false
   | e :: rest -> dst e = v || has_self_edge dst v rest
 
-let non_trivial_by ~succs ~dst r =
+let non_trivial ~succs ~dst r =
   let all = members r in
   let found = ref [] in
   for c = Array.length all - 1 downto 0 do
@@ -92,8 +90,3 @@ let non_trivial_by ~succs ~dst r =
     | vs -> found := vs :: !found
   done;
   Array.of_list !found
-
-let non_trivial ~succs r =
-  non_trivial_by
-    ~succs:(Array.init (Array.length r.component) succs)
-    ~dst:Fun.id r

@@ -14,24 +14,20 @@ type result = {
   steps : int;  (** Vertices + edges touched, for complexity accounting. *)
 }
 
-val compute : n:int -> succs:(int -> int list) -> result
-(** [compute ~n ~succs] runs Tarjan on the graph with vertices
-    [0 .. n-1]. *)
-
-val compute_by : succs:'e list array -> dst:('e -> int) -> result
-(** {!compute} over edge values, walked in place, on the vertices
-    [0 .. Array.length succs - 1]: [succs.(v)] lists the edges leaving
-    [v], and [dst e] is the vertex edge [e] enters, or a negative number
-    for an edge the walk ignores (it counts in no step).  RecMII runs it
-    on the dependence graph's own edge lists. *)
+val compute : succs:'e list array -> dst:('e -> int) -> result
+(** [compute ~succs ~dst] runs Tarjan on the graph with vertices
+    [0 .. Array.length succs - 1], reading its edges in place:
+    [succs.(v)] lists the edges leaving [v], and [dst e] is the vertex
+    edge [e] enters, or a negative number for an edge the walk ignores
+    (it counts in no step).  RecMII runs it on the dependence graph's
+    own edge lists, ignoring the pseudo edges; a graph given as vertex
+    lists passes [~dst:Fun.id]. *)
 
 val members : result -> int list array
 (** [members r] lists the vertices of each component, ascending. *)
 
-val non_trivial : succs:(int -> int list) -> result -> int list array
-(** Components that are genuine recurrences: more than one vertex, or a
-    single vertex with a self-edge. *)
-
-val non_trivial_by :
+val non_trivial :
   succs:'e list array -> dst:('e -> int) -> result -> int list array
-(** {!non_trivial} over edge values, as {!compute_by} reads them. *)
+(** Components that are genuine recurrences: more than one vertex, or a
+    single vertex with a self-edge.  The edges are read as {!compute}
+    reads them. *)

@@ -96,11 +96,7 @@ let kahn ~succs ~dst ~force =
     Some (List.rev !order)
   with Cyclic -> None
 
-(* [succs] is asked once per vertex, as the walk needs each list
-   twice. *)
-let sort ~n ~succs =
-  let succs = Array.init n succs in
-  kahn ~succs ~dst:Fun.id ~force:false
+let sort ~succs ~dst = kahn ~succs ~dst ~force:false
 
 (* Whether every edge of [es] (out of [v]) that is not ignored enters a
    vertex above [v]. *)

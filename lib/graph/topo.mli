@@ -5,9 +5,11 @@
     edges, and HeightR's relaxation converges fastest when vertices are
     seeded in reverse topological order of the intra-iteration subgraph. *)
 
-val sort : n:int -> succs:(int -> int list) -> int list option
-(** [sort ~n ~succs] is a topological order (sources first), or [None] if
-    the graph has a cycle.  Production uses {!sort_ignoring_cycles}.
+val sort : succs:'e list array -> dst:('e -> int) -> int list option
+(** [sort ~succs ~dst] is a topological order (sources first) of the
+    vertices [0 .. Array.length succs - 1], or [None] if the graph has a
+    cycle.  The edges are read as {!sort_ignoring_cycles} reads them.
+    Production uses {!sort_ignoring_cycles}.
     Oracle hook: test_graph ("topo agrees with the reference Kahn")
     holds the strict walk, which reports a cycle instead of breaking
     it, to its reference. *)

@@ -94,12 +94,15 @@ let make machine ?(model = Dep.Vliw) ?opcodes:opcodes_given ops deps =
   List.iter add (List.rev deps);
   { machine; ops = all; opcodes; succs; preds; model }
 
+let real_dst t (d : Dep.t) =
+  if is_pseudo t d.src || is_pseudo t d.dst then -1 else d.dst
+
 let real_succ_ids t i =
-  if is_pseudo t i then []
-  else
-    List.filter_map
-      (fun (d : Dep.t) -> if is_pseudo t d.dst then None else Some d.dst)
-      t.succs.(i)
+  List.filter_map
+    (fun d ->
+      let w = real_dst t d in
+      if w < 0 then None else Some w)
+    t.succs.(i)
 
 let real_edges t =
   Array.to_list t.succs |> List.concat

@@ -68,6 +68,12 @@ val latency : t -> int -> int
 
 val is_pseudo : t -> int -> bool
 
+val real_dst : t -> Dep.t -> int
+(** [real_dst t d] is [d.dst] for an edge between two real operations,
+    and [-1] for an edge out of or into a pseudo vertex: the target
+    function with which {!Ims_graph.Scc.compute} walks [t.succs] as the
+    graph of {!real_succ_ids}, in place. *)
+
 val real_succ_ids : t -> int -> int list
 (** Successors restricted to real operations and real sources — the graph
     the SCC/circuit statistics are computed on. *)

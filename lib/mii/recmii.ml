@@ -8,17 +8,12 @@ let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
    place, ignoring every edge out of or into a pseudo vertex: the graph
    of {!Ddg.real_succ_ids}, without building its lists. *)
 let scc_of ?counters ddg =
-  let stop = Ddg.stop ddg and succs = ddg.Ddg.succs in
-  let dst (d : Dep.t) =
-    if d.src = Ddg.start || d.src = stop || d.dst = Ddg.start || d.dst = stop
-    then -1
-    else d.dst
-  in
-  let r = Scc.compute_by ~succs ~dst in
+  let succs = ddg.Ddg.succs and dst = Ddg.real_dst ddg in
+  let r = Scc.compute ~succs ~dst in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
-  Scc.non_trivial_by ~succs ~dst r
+  Scc.non_trivial ~succs ~dst r
 
 (* No recurrence can require more than the sum of the positive delays:
    every circuit has distance >= 1, so at that II its slack is already

@@ -8,19 +8,22 @@ let adj edges n v =
   List.filter_map (fun (a, b) -> if a = v then Some b else None) edges
   |> fun l -> if v < n then l else []
 
+(* The same graph as the edge lists [Scc] and [Topo] walk. *)
+let lists edges n = Array.init n (adj edges n)
+
 (* --- SCC ----------------------------------------------------------------- *)
 
 let test_scc_dag () =
-  let r = Scc.compute ~n:4 ~succs:(adj [ (0, 1); (1, 2); (2, 3) ] 4) in
+  let r = Scc.compute ~succs:(lists [ (0, 1); (1, 2); (2, 3) ] 4) ~dst:Fun.id in
   Alcotest.(check int) "four singleton components" 4 r.Scc.count
 
 let test_scc_cycle () =
-  let r = Scc.compute ~n:3 ~succs:(adj [ (0, 1); (1, 2); (2, 0) ] 3) in
+  let r = Scc.compute ~succs:(lists [ (0, 1); (1, 2); (2, 0) ] 3) ~dst:Fun.id in
   Alcotest.(check int) "one component" 1 r.Scc.count
 
 let test_scc_two_components () =
   let edges = [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
-  let r = Scc.compute ~n:4 ~succs:(adj edges 4) in
+  let r = Scc.compute ~succs:(lists edges 4) ~dst:Fun.id in
   Alcotest.(check int) "two non-trivial components" 2 r.Scc.count;
   Alcotest.(check bool)
     "0 and 1 together" true
@@ -34,9 +37,9 @@ let test_scc_two_components () =
     (r.Scc.component.(1) > r.Scc.component.(2))
 
 let test_scc_self_loop_non_trivial () =
-  let succs = adj [ (1, 1) ] 3 in
-  let r = Scc.compute ~n:3 ~succs in
-  let nt = Scc.non_trivial ~succs r in
+  let succs = lists [ (1, 1) ] 3 in
+  let r = Scc.compute ~succs ~dst:Fun.id in
+  let nt = Scc.non_trivial ~succs ~dst:Fun.id r in
   Alcotest.(check int) "only the self-loop is a recurrence" 1 (Array.length nt);
   Alcotest.(check (list int)) "it is vertex 1" [ 1 ] nt.(0)
 
@@ -59,7 +62,7 @@ let prop_scc_matches_reachability =
     (fun (n, edges) ->
       let edges = List.filter (fun (a, b) -> a < n && b < n) edges in
       let succs = adj edges n in
-      let r = Scc.compute ~n ~succs in
+      let r = Scc.compute ~succs:(lists edges n) ~dst:Fun.id in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -149,7 +152,9 @@ let prop_circuits_match_brute_force =
 (* --- Topo ---------------------------------------------------------------- *)
 
 let test_topo_dag () =
-  match Topo.sort ~n:4 ~succs:(adj [ (0, 1); (0, 2); (1, 3); (2, 3) ] 4) with
+  match
+    Topo.sort ~succs:(lists [ (0, 1); (0, 2); (1, 3); (2, 3) ] 4) ~dst:Fun.id
+  with
   | None -> Alcotest.fail "expected an order"
   | Some order ->
       let pos = Array.make 4 0 in
@@ -161,12 +166,12 @@ let test_topo_dag () =
 let test_topo_cycle_none () =
   Alcotest.(check bool)
     "cycle detected" true
-    (Topo.sort ~n:2 ~succs:(adj [ (0, 1); (1, 0) ] 2) = None)
+    (Topo.sort ~succs:(lists [ (0, 1); (1, 0) ] 2) ~dst:Fun.id = None)
 
 let test_topo_forced_is_permutation () =
   let order =
     Topo.sort_ignoring_cycles
-      ~succs:(Array.init 4 (adj [ (0, 1); (1, 0); (2, 3) ] 4))
+      ~succs:(lists [ (0, 1); (1, 0); (2, 3) ] 4)
       ~dst:Fun.id
   in
   Alcotest.(check (list int))
@@ -228,12 +233,14 @@ let prop_topo_matches_reference =
         (list_of_size Gen.(0 -- 40) (pair (int_range 0 15) (int_range 0 15))))
     (fun (n, edges) ->
       let edges = List.filter (fun (a, b) -> a < n && b < n) edges in
-      let agree succs =
-        Topo.sort ~n ~succs = reference_kahn ~n ~succs ~force:false
-        && Some (Topo.sort_ignoring_cycles ~succs:(Array.init n succs) ~dst:Fun.id)
+      let agree edges =
+        let succs = adj edges n and lists = lists edges n in
+        Topo.sort ~succs:lists ~dst:Fun.id
+        = reference_kahn ~n ~succs ~force:false
+        && Some (Topo.sort_ignoring_cycles ~succs:lists ~dst:Fun.id)
            = reference_kahn ~n ~succs ~force:true
       in
-      agree (adj edges n) && agree (adj (List.filter (fun (a, b) -> a < b) edges) n))
+      agree edges && agree (List.filter (fun (a, b) -> a < b) edges))
 
 let tests =
   ( "graph",

@@ -117,8 +117,9 @@ let test_synthetic_scc_structure () =
     List.length
       (List.filter
          (fun (_, ddg, _) ->
-           let n = Ddg.n_total ddg in
-           let r = Ims_graph.Scc.compute ~n ~succs:(Ddg.real_succ_ids ddg) in
+           let r =
+             Ims_graph.Scc.compute ~succs:ddg.Ddg.succs ~dst:(Ddg.real_dst ddg)
+           in
            let members = Ims_graph.Scc.members r in
            not (Array.exists (fun m -> List.length m > 1) members))
          batch)
