@@ -1187,20 +1187,16 @@ let cmd_batch =
         (* Casualty accounting reads the report lines, not the outcome
            list, so loops journaled as casualties by an interrupted run
            still count after a resume. *)
-        let field key = function
-          | Json.Obj kvs -> List.assoc_opt key kvs
-          | _ -> None
-        in
         let status_of line =
-          match field "status" line with
+          match Json.field line "status" with
           | Some (Json.String s) -> s
           | _ -> "ok"
         in
         let describe_line line =
-          match field "error" line with
+          match Json.field line "error" with
           | Some (Json.String e) -> Printf.sprintf "%s: %s" (status_of line) e
           | _ -> (
-              match field "elapsed_s" line with
+              match Json.field line "elapsed_s" with
               | Some (Json.Float e) ->
                   Printf.sprintf "%s after %.3fs" (status_of line) e
               | _ -> status_of line)
@@ -1539,7 +1535,7 @@ let cmd_fleet =
         let outcome =
           Ims_fleet.Fleet.run ?max_failures
             ~backoff:(fun () ->
-              Ims_serve.Supervisor.Backoff.create ~max_restarts ())
+              Ims_fleet.Supervisor.Backoff.create ~max_restarts ())
             ~resume ~log:fleet_log ~status_file ~status_interval
             ~tty:(if Unix.isatty Unix.stderr then Some stderr else None)
             ~prog:Sys.executable_name ~specs ()
@@ -1810,27 +1806,40 @@ let cmd_serve =
               Log.error serve_log "%s" msg;
               1
         in
+        let write_pid pid =
+          match pidfile with
+          | Some path ->
+              Ims_obs.Status.write_atomic ~path (string_of_int pid ^ "\n")
+          | None -> ()
+        in
         if supervise then begin
-          let backoff =
-            Ims_serve.Supervisor.Backoff.create ~base:backoff ~cap:backoff_cap
-              ~max_restarts ()
+          let module S = Ims_fleet.Supervisor in
+          (* One child, the daemon generation: forked, with --pidfile
+             naming it, so `kill -9 $(cat pidfile)` hits the daemon and
+             never the supervisor. *)
+          let daemon =
+            S.child ~name:"daemon"
+              ~spawn:(fun ~restarts ->
+                let pid = S.fork (fun () -> serve restarts) in
+                write_pid pid;
+                pid)
+              ~completed:(( = ) (Unix.WEXITED 0))
+              (S.Backoff.create ~base:backoff ~cap:backoff_cap ~max_restarts
+                 ())
           in
           match
-            Ims_serve.Supervisor.run ~backoff ?pidfile ~log:serve_log
-              ~child:(fun ~restarts -> serve restarts)
-              ()
+            Fun.protect
+              ~finally:(fun () ->
+                Option.iter
+                  (fun path -> try Sys.remove path with Sys_error _ -> ())
+                  pidfile)
+              (fun () -> S.run ~log:serve_log [ daemon ])
           with
-          | Ok () -> 0
-          | Error msg ->
-              Log.error serve_log "supervisor: %s" msg;
-              1
+          | S.Completed | S.Interrupted -> 0
+          | S.Breaker _ | S.Stopped () -> 1
         end
         else begin
-          (match pidfile with
-          | Some path ->
-              Ims_obs.Status.write_atomic ~path
-                (string_of_int (Unix.getpid ()) ^ "\n")
-          | None -> ());
+          write_pid (Unix.getpid ());
           serve 0
         end)
   in
@@ -2188,13 +2197,11 @@ let cmd_perf =
     | Ok j -> j
     | Error msg -> failwith (Printf.sprintf "perf: cannot parse %s: %s" file msg)
   in
-  let get k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
   let num = function
     | Some (Json.Int i) -> Some (float_of_int i)
     | Some (Json.Float f) -> Some f
     | _ -> None
   in
-  let str = function Some (Json.String s) -> Some s | _ -> None in
   let jlist = function Some (Json.List l) -> l | _ -> [] in
   let fnum ?(def = nan) o = Option.value ~default:def (num o) in
   let fmt_f spec v = if Float.is_nan v then "-" else Printf.sprintf spec v in
@@ -2207,7 +2214,7 @@ let cmd_perf =
       wrap (fun () ->
           let j = read_json file in
           Printf.printf "%s: %s job(s)\n" file
-            (fmt_f "%.0f" (fnum (get "jobs" j)));
+            (fmt_f "%.0f" (fnum (Json.field j "jobs")));
           let table title headers rows =
             if rows <> [] then begin
               Printf.printf "\n%s\n" title;
@@ -2219,31 +2226,31 @@ let cmd_perf =
             (List.map
                (fun ph ->
                  [
-                   Option.value ~default:"?" (str (get "name" ph));
-                   fmt_f "%.0f" (fnum (get "count" ph));
-                   fmt_f "%.3f" (fnum (get "seconds" ph));
+                   Option.value ~default:"?" (Json.str_field ph "name");
+                   fmt_f "%.0f" (fnum (Json.field ph "count"));
+                   fmt_f "%.3f" (fnum (Json.field ph "seconds"));
                  ])
-               (jlist (get "phases" j)));
+               (jlist (Json.field j "phases")));
           table "counters (suite totals and per-job ceilings)"
             [ "counter"; "total"; "per-job max" ]
             (List.map
                (fun c ->
                  [
-                   Option.value ~default:"?" (str (get "name" c));
-                   fmt_f "%.0f" (fnum (get "total" c));
-                   fmt_f "%.0f" (fnum (get "max" c));
+                   Option.value ~default:"?" (Json.str_field c "name");
+                   fmt_f "%.0f" (fnum (Json.field c "total"));
+                   fmt_f "%.0f" (fnum (Json.field c "max"));
                  ])
-               (jlist (get "counters" j)));
+               (jlist (Json.field j "counters")));
           table "series (nearest-rank percentiles)"
             [ "series"; "n"; "mean"; "min"; "p50"; "p90"; "p99"; "max" ]
             (List.map
                (fun s ->
-                 Option.value ~default:"?" (str (get "name" s))
-                 :: fmt_f "%.0f" (fnum (get "count" s))
+                 Option.value ~default:"?" (Json.str_field s "name")
+                 :: fmt_f "%.0f" (fnum (Json.field s "count"))
                  :: List.map
-                      (fun k -> fmt_f "%.4g" (fnum (get k s)))
+                      (fun k -> fmt_f "%.4g" (fnum (Json.field s k)))
                       [ "mean"; "min"; "p50"; "p90"; "p99"; "max" ])
-               (jlist (get "series" j))))
+               (jlist (Json.field j "series"))))
     in
     Cmd.v
       (Cmd.info "show" ~doc:"Render an aggregated run profile as tables")
@@ -2291,31 +2298,34 @@ let cmd_perf =
       wrap (fun () ->
           let files = snapshot_order files in
           let counters_of j =
-            Option.value ~default:(Json.Obj []) (get "counters" j)
+            Option.value ~default:(Json.Obj []) (Json.field j "counters")
           in
           let row file =
             let j = read_json file in
             let cobj = counters_of j in
-            let hist = jlist (get "ii_histogram" j) in
+            let hist = jlist (Json.field j "ii_histogram") in
             let loops, ii_sum =
               List.fold_left
                 (fun (l, s) e ->
-                  let n = fnum ~def:0.0 (get "loops" e) in
-                  (l +. n, s +. (n *. fnum ~def:0.0 (get "ii" e))))
+                  let n = fnum ~def:0.0 (Json.field e "loops") in
+                  (l +. n, s +. (n *. fnum ~def:0.0 (Json.field e "ii"))))
                 (0.0, 0.0) hist
             in
             let measure_s =
               List.fold_left
                 (fun acc ph ->
-                  match str (get "name" ph) with
-                  | Some "measure (table 3)" -> fnum (get "seconds" ph)
+                  match Json.str_field ph "name" with
+                  | Some "measure (table 3)" -> fnum (Json.field ph "seconds")
                   | _ -> acc)
                 nan
-                (jlist (get "phases" j))
+                (jlist (Json.field j "phases"))
             in
             let commit =
-              match Option.map (fun m -> str (get "commit" m)) (get "meta" j) with
-              | Some (Some c) ->
+              match
+                Option.bind (Json.field j "meta") (fun m ->
+                    Json.str_field m "commit")
+              with
+              | Some c ->
                   if String.length c > 9 then String.sub c 0 9 else c
               | _ -> "-"
             in
@@ -2323,18 +2333,18 @@ let cmd_perf =
                a multi-process fleet run, recorded in older snapshots
                such as BENCH_6.json; "-" on snapshots without it. *)
             let fleet_lps =
-              match get "fleet" j with
-              | Some f -> fnum (get "loops_per_s" f)
+              match Json.field j "fleet" with
+              | Some f -> fnum (Json.field f "loops_per_s")
               | None -> nan
             in
             [
               Filename.basename file;
-              fmt_f "%.0f" (fnum (get "suite_count" j));
+              fmt_f "%.0f" (fnum (Json.field j "suite_count"));
               fmt_f "%.3f" (if loops > 0.0 then ii_sum /. loops else nan);
-              fmt_f "%.0f" (fnum (get "mindist" cobj));
-              fmt_f "%.0f" (fnum (get "findslot" cobj));
-              fmt_f "%.0f" (fnum (get "sched" cobj));
-              fmt_f "%.0f" (fnum (get "sched_final" cobj));
+              fmt_f "%.0f" (fnum (Json.field cobj "mindist"));
+              fmt_f "%.0f" (fnum (Json.field cobj "findslot"));
+              fmt_f "%.0f" (fnum (Json.field cobj "sched"));
+              fmt_f "%.0f" (fnum (Json.field cobj "sched_final"));
               fmt_f "%.2f" measure_s;
               fmt_f "%.0f" fleet_lps;
               commit;
@@ -2362,7 +2372,7 @@ let cmd_perf =
                 | Json.Obj kvs ->
                     List.iter
                       (fun (k, v) ->
-                        match (num (Some v), num (get k prev)) with
+                        match (num (Some v), num (Json.field prev k)) with
                         | Some after, Some before when after > before ->
                             Printf.printf
                               "counter regression: %s %s -> %s: %.0f -> %.0f \

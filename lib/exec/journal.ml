@@ -67,17 +67,8 @@ type recovered = {
   torn : bool;
 }
 
-let field obj k =
-  match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let int_field obj k =
-  match field obj k with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field obj k =
-  match field obj k with Some (Json.String s) -> Some s | _ -> None
-
 let parts_field obj =
-  match field obj "parts" with
+  match Json.field obj "parts" with
   | Some (Json.Obj kvs) ->
       List.filter_map
         (fun (k, v) ->
@@ -90,11 +81,11 @@ let parse_manifest line =
   | Error e -> Error ("malformed manifest line: " ^ e)
   | Ok obj -> (
       match
-        ( str_field obj "kind",
-          int_field obj "version",
-          str_field obj "tool",
-          str_field obj "hash",
-          int_field obj "jobs" )
+        ( Json.str_field obj "kind",
+          Json.int_field obj "version",
+          Json.str_field obj "tool",
+          Json.str_field obj "hash",
+          Json.int_field obj "jobs" )
       with
       | Some "manifest", Some version, Some tool, Some hash, Some jobs ->
           if version > format_version then
@@ -109,7 +100,11 @@ let parse_record line =
   match Json.of_string line with
   | Error _ -> None
   | Ok obj -> (
-      match (str_field obj "kind", int_field obj "index", field obj "line") with
+      match
+        ( Json.str_field obj "kind",
+          Json.int_field obj "index",
+          Json.field obj "line" )
+      with
       | Some "job", Some index, Some payload -> Some (index, payload)
       | _ -> None)
 
@@ -137,43 +132,26 @@ let explain_mismatch ~journal ~current =
   Printf.sprintf "%s (journal hash %s, this run %s)" what journal.hash
     current.hash
 
+(* The whole-file read and the torn-tail drop are Append_log's; a
+   final line without its newline (a killed append) is reported as
+   [torn] and re-run.  Any other malformed record is corruption. *)
 let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | "" -> Error "empty journal"
-  | content ->
-      (* A file not ending in '\n' ends in an interrupted append; that
-         trailing fragment is the only place a malformed line is
-         tolerated. *)
-      let complete = String.length content > 0 && content.[String.length content - 1] = '\n' in
-      let lines =
-        String.split_on_char '\n' content
-        |> List.filter (fun l -> l <> "")
-      in
-      (match lines with
-      | [] -> Error "empty journal"
-      | first :: rest -> (
-          match parse_manifest first with
-          | Error e -> Error e
-          | Ok manifest ->
-              let nrec = List.length rest in
-              let rec records i acc = function
-                | [] -> Ok { manifest; entries = List.rev acc; torn = false }
-                | line :: tl -> (
-                    match parse_record line with
-                    | Some entry -> records (i + 1) (entry :: acc) tl
-                    | None ->
-                        if i = nrec - 1 && not complete then
-                          Ok { manifest; entries = List.rev acc; torn = true }
-                        else
-                          Error
-                            (Printf.sprintf
-                               "corrupt journal: malformed record %d of %d" (i + 1)
-                               nrec))
-              in
-              records 0 [] rest))
+  match Append_log.load ~path with
+  | Error e -> Error e
+  | Ok { Append_log.header; records; torn } -> (
+      match parse_manifest header with
+      | Error e -> Error e
+      | Ok manifest ->
+          let nrec = List.length records in
+          let rec parse i acc = function
+            | [] -> Ok { manifest; entries = List.rev acc; torn }
+            | line :: rest -> (
+                match parse_record line with
+                | Some entry -> parse (i + 1) (entry :: acc) rest
+                | None ->
+                    Error
+                      (Printf.sprintf
+                         "corrupt journal: malformed record %d of %d" (i + 1)
+                         nrec))
+          in
+          parse 0 [] records)

@@ -81,6 +81,8 @@ type recovered = {
 }
 
 val read : path:string -> (recovered, string) result
-(** Parse a journal for resume.  [Error] on unreadable file, missing or
-    malformed manifest, unknown version, or a malformed record line
-    that is not the final one. *)
+(** Parse a journal for resume, read by {!Append_log.load}: a final
+    line without its newline is dropped as [torn], even when it holds
+    a complete record, and that job re-runs.  [Error] on unreadable
+    file, missing or malformed manifest, unknown version, or a
+    malformed complete record line. *)

@@ -3,12 +3,12 @@
     status heartbeats, and deterministically merge their reports.
 
     Each worker is an [imsc batch --corpus … --shard i/N] child with
-    its own fsync'd journal, report file, status file, and stderr log.
-    Crash recovery reuses the serve supervisor's pure backoff /
-    circuit-breaker policy ({!Ims_serve.Supervisor.Backoff}) per shard:
-    a worker that dies is relaunched (resuming from its journal when
-    the journal is usable) after capped exponential backoff, and a
-    worker that crash-loops opens its breaker and fails the fleet.
+    its own fsync'd journal, report file, status file, and stderr log,
+    and one child of {!Supervisor.run}, the loop [imsc serve
+    --supervise] also runs on: a worker that dies is relaunched
+    (resuming from its journal when the journal is usable) after
+    capped exponential backoff, and a worker that crash-loops opens its
+    breaker and fails the fleet.
 
     The output contract is byte-determinism: because shard [i] of [N]
     owns exactly the corpus indices [g] with [g mod N = i - 1] in
@@ -45,7 +45,7 @@ type outcome = {
 
 val run :
   ?max_failures:int ->
-  ?backoff:(unit -> Ims_serve.Supervisor.Backoff.t) ->
+  ?backoff:(unit -> Supervisor.Backoff.t) ->
   ?resume:bool ->
   log:Ims_obs.Log.t ->
   status_file:string option ->
@@ -55,20 +55,18 @@ val run :
   specs:spec list ->
   unit ->
   outcome
-(** Launch one worker per spec and supervise until every shard
-    completes or the fleet stops.  The supervisor sleeps until a shard
-    exits (SIGCHLD), SIGTERM or SIGINT arrives, or its next heartbeat
-    or backoff restart is due; it never wakes on a fixed period.  The
-    three signal dispositions are restored on return.  [backoff]
-    builds each shard's restart policy (default
-    {!Ims_serve.Supervisor.Backoff.create}[ ()]).
+(** Launch one worker per spec and supervise them with
+    {!Supervisor.run} until every shard completes or the fleet stops.
+    A shard completes on exit 0, 1 or 2 with its report file present;
+    any other exit is a crash.  [backoff] builds each shard's restart
+    policy (default {!Supervisor.Backoff.create}[ ()]).
     With [resume] (default false), the {e initial} launch also resumes
     shards whose journal survived a previous fleet run; restarts after
-    a crash always resume when possible.  The merged status snapshot
-    (aggregated counts plus per-shard pid/state/restarts) is published
-    atomically to [status_file] and as a TTY line to [tty] at most once
-    per [status_interval], and fleet-wide fail-fast is checked at each
-    of those heartbeats; the final snapshot carries ["running":false]
+    a crash always resume when possible.  The supervisor's tick, once
+    per [status_interval], publishes the merged status snapshot
+    (aggregated counts plus per-shard pid/state/restarts) through a
+    {!Ims_obs.Status.writer} to [status_file] and [tty], and checks
+    fleet-wide fail-fast; the final snapshot carries ["running":false]
     on {e every} exit path, including exceptions.
     @raise Invalid_argument if [status_interval] is not positive. *)
 

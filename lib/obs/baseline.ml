@@ -12,8 +12,6 @@ let describe r =
       (100.0 *. ((r.current /. r.baseline) -. 1.0))
   else Printf.sprintf "%s: %g vs baseline %g (limit %g)" r.metric r.current r.baseline r.limit
 
-let field key = function Json.Obj kvs -> List.assoc_opt key kvs | _ -> None
-
 let number = function
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some (Json.Float f) -> Some f
@@ -23,12 +21,14 @@ let number = function
    mean II): total loops must match exactly (same suite), and the mean
    II is the schedule-quality metric the tolerance gates. *)
 let ii_stats j =
-  match field "ii_histogram" j with
+  match Json.field j "ii_histogram" with
   | Some (Json.List rows) ->
       let loops, weighted =
         List.fold_left
           (fun (loops, weighted) row ->
-            match (number (field "ii" row), number (field "loops" row)) with
+            match
+              (number (Json.field row "ii"), number (Json.field row "loops"))
+            with
             | Some ii, Some n -> (loops +. n, weighted +. (ii *. n))
             | _ -> (loops, weighted))
           (0.0, 0.0) rows
@@ -45,7 +45,9 @@ let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
   in
   (* The run shape must match before any number is comparable. *)
   let exact metric =
-    match (number (field metric baseline), number (field metric current)) with
+    match
+      (number (Json.field baseline metric), number (Json.field current metric))
+    with
     | Some base, Some cur when base <> cur ->
         regressions :=
           { metric; baseline = base; current = cur; limit = base } :: !regressions
@@ -54,7 +56,7 @@ let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
   exact "suite_count";
   if !regressions = [] then begin
     (* Step counters are deterministic per suite: a tight tolerance. *)
-    (match field "counters" baseline with
+    (match Json.field baseline "counters" with
     | Some (Json.Obj kvs) ->
         List.iter
           (fun (name, v) ->
@@ -64,8 +66,8 @@ let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
                 let cur =
                   Option.value ~default:0.0
                     (number
-                       (Option.bind (field "counters" current) (fun c ->
-                            field name c)))
+                       (Option.bind (Json.field current "counters") (fun c ->
+                            Json.field c name)))
                 in
                 flag ("counters." ^ name) ~base ~cur
                   ~limit:(base *. (1.0 +. tolerance)))
@@ -90,11 +92,13 @@ let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
     (* Phase wall clock is machine- and load-dependent: a loose,
        separately-set tolerance. *)
     let phase_seconds j =
-      match field "phases" j with
+      match Json.field j "phases" with
       | Some (Json.List rows) ->
           List.filter_map
             (fun row ->
-              match (field "name" row, number (field "seconds" row)) with
+              match
+                (Json.field row "name", number (Json.field row "seconds"))
+              with
               | Some (Json.String name), Some s -> Some (name, s)
               | _ -> None)
             rows
@@ -114,12 +118,14 @@ let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
        is only comparable when the run shape matches (same corpus size
        and worker count); a --quick smoke snapshot must not gate a
        million-loop run, or vice versa. *)
-    (match (field "fleet" baseline, field "fleet" current) with
+    (match (Json.field baseline "fleet", Json.field current "fleet") with
     | Some bf, Some cf
-      when number (field "loops" bf) = number (field "loops" cf)
-           && number (field "workers" bf) = number (field "workers" cf) -> (
+      when number (Json.field bf "loops") = number (Json.field cf "loops")
+           && number (Json.field bf "workers")
+              = number (Json.field cf "workers") -> (
         match
-          (number (field "loops_per_s" bf), number (field "loops_per_s" cf))
+          ( number (Json.field bf "loops_per_s"),
+            number (Json.field cf "loops_per_s") )
         with
         | Some base, Some cur ->
             let limit = base /. (1.0 +. time_tolerance) in

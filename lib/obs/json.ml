@@ -57,6 +57,14 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
+(* --- members ------------------------------------------------------------ *)
+
+let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
+let int_field obj k = match field obj k with Some (Int i) -> Some i | _ -> None
+
+let str_field obj k =
+  match field obj k with Some (String s) -> Some s | _ -> None
+
 (* --- parsing ------------------------------------------------------------- *)
 
 exception Bad of string

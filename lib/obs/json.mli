@@ -19,6 +19,16 @@ type t =
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
+val field : t -> string -> t option
+(** [field obj k] is member [k] of object [obj]; [None] if [obj] is not
+    an object or has no such member. *)
+
+val int_field : t -> string -> int option
+(** Member [k] when it is an [Int]. *)
+
+val str_field : t -> string -> string option
+(** Member [k] when it is a [String]. *)
+
 val of_string : string -> (t, string) result
 (** A strict parser for the subset this module emits (standard JSON
     minus exponent-heavy corner cases it never produces — though

@@ -24,7 +24,7 @@ let eta s =
   if done_ = 0 || left <= 0 || s.elapsed <= 0.0 then None
   else Some (float_of_int left *. s.elapsed /. float_of_int done_)
 
-let to_json ?(running = true) s =
+let to_json ?(running = true) ?(extra = []) s =
   Json.Obj
     ([
        ("phase", Json.String s.phase);
@@ -39,7 +39,8 @@ let to_json ?(running = true) s =
        ("elapsed_s", Json.Float s.elapsed);
        ("throughput", Json.Float (throughput s));
      ]
-    @ match eta s with None -> [] | Some e -> [ ("eta_s", Json.Float e) ])
+    @ (match eta s with None -> [] | Some e -> [ ("eta_s", Json.Float e) ])
+    @ extra)
 
 let read_counts path =
   match
@@ -51,10 +52,8 @@ let read_counts path =
   | exception Sys_error _ -> None
   | content -> (
       match Json.of_string (String.trim content) with
-      | Ok (Json.Obj kvs) ->
-          let get k =
-            match List.assoc_opt k kvs with Some (Json.Int i) -> i | _ -> 0
-          in
+      | Ok (Json.Obj _ as j) ->
+          let get k = Option.value ~default:0 (Json.int_field j k) in
           Some
             {
               total = get "total";
@@ -122,10 +121,10 @@ type writer = {
 let writer ?(interval = 1.0) ?file ?tty ~timer () =
   { file; tty; interval; timer; last = neg_infinity; tty_dirty = false }
 
-let publish w ~running s =
+let publish w ~running ~extra s =
   (match w.file with
   | Some path ->
-      write_atomic ~path (Json.to_string (to_json ~running s) ^ "\n")
+      write_atomic ~path (Json.to_string (to_json ~running ~extra s) ^ "\n")
   | None -> ());
   match w.tty with
   | Some oc ->
@@ -136,15 +135,15 @@ let publish w ~running s =
       w.tty_dirty <- true
   | None -> ()
 
-let heartbeat w s =
+let heartbeat ?(extra = []) w s =
   let now = w.timer () in
   if now -. w.last >= w.interval then begin
     w.last <- now;
-    publish w ~running:true s
+    publish w ~running:true ~extra s
   end
 
-let finish w s =
-  publish w ~running:false s;
+let finish ?(extra = []) w s =
+  publish w ~running:false ~extra s;
   match w.tty with
   | Some oc when w.tty_dirty ->
       output_char oc '\n';

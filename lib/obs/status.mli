@@ -27,7 +27,10 @@ val zero : total:int -> counts
 
 type snapshot = { phase : string; counts : counts; elapsed : float }
 
-val to_json : ?running:bool -> snapshot -> Json.t
+val to_json :
+  ?running:bool -> ?extra:(string * Json.t) list -> snapshot -> Json.t
+(** [extra] members follow the snapshot's own (default none): how a
+    fleet adds its per-shard detail. *)
 
 val read_counts : string -> counts option
 (** The counts of the snapshot file at [path], as {!to_json} and
@@ -59,9 +62,10 @@ val writer :
     [tty] receives a carriage-returned progress line (pass stderr only
     when it is a terminal). *)
 
-val heartbeat : writer -> snapshot -> unit
-(** Publish, rate-limited to one per interval. *)
+val heartbeat : ?extra:(string * Json.t) list -> writer -> snapshot -> unit
+(** Publish, rate-limited to one per interval; [extra] as in
+    {!to_json}. *)
 
-val finish : writer -> snapshot -> unit
+val finish : ?extra:(string * Json.t) list -> writer -> snapshot -> unit
 (** Publish unconditionally with ["running":false]; settles the TTY
     line with a newline. *)

@@ -52,20 +52,11 @@ type t = {
   mutable torn : bool;
 }
 
-let field obj k =
-  match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let str_field obj k =
-  match field obj k with Some (Json.String s) -> Some s | _ -> None
-
-let int_field obj k =
-  match field obj k with Some (Json.Int i) -> Some i | _ -> None
-
 let parse_header line =
   match Json.of_string line with
   | Error e -> Error ("malformed cache header: " ^ e)
   | Ok obj -> (
-      match (str_field obj "kind", int_field obj "version") with
+      match (Json.str_field obj "kind", Json.int_field obj "version") with
       | Some kind, _ when kind <> header_kind ->
           Error (Printf.sprintf "not a schedule cache (kind %S)" kind)
       | Some _, Some v when v > format_version ->
@@ -81,7 +72,7 @@ let parse_entry line =
   match Json.of_string line with
   | Error _ -> None
   | Ok obj -> (
-      match (str_field obj "key", str_field obj "record") with
+      match (Json.str_field obj "key", Json.str_field obj "record") with
       | Some key, Some record -> Some (key, record)
       | _ -> None)
 

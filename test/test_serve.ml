@@ -695,55 +695,6 @@ let test_chaos_deterministic_and_bounded () =
     "same seed, same fault sequence" true
     (draw () = draw ())
 
-(* --- supervisor backoff ------------------------------------------------------- *)
-
-let test_backoff_doubles_to_cap () =
-  let b =
-    Serve.Supervisor.Backoff.create ~base:0.25 ~cap:1.0 ~healthy:30.
-      ~max_restarts:10 ()
-  in
-  let delay () =
-    match Serve.Supervisor.Backoff.on_crash b ~uptime:0.1 with
-    | Serve.Supervisor.Backoff.Restart d -> d
-    | Serve.Supervisor.Backoff.Give_up -> Alcotest.fail "breaker opened early"
-  in
-  Alcotest.(check (float 1e-9)) "first" 0.25 (delay ());
-  Alcotest.(check (float 1e-9)) "doubled" 0.5 (delay ());
-  Alcotest.(check (float 1e-9)) "doubled again" 1.0 (delay ());
-  Alcotest.(check (float 1e-9)) "capped" 1.0 (delay ())
-
-let test_backoff_healthy_resets_streak () =
-  let b =
-    Serve.Supervisor.Backoff.create ~base:0.25 ~cap:8.0 ~healthy:30.
-      ~max_restarts:3 ()
-  in
-  ignore (Serve.Supervisor.Backoff.on_crash b ~uptime:0.1);
-  ignore (Serve.Supervisor.Backoff.on_crash b ~uptime:0.1);
-  Alcotest.(check int) "streak built" 2 (Serve.Supervisor.Backoff.streak b);
-  (* A generation that stayed up past the healthy window forgives the
-     history: the next crash is treated as the first. *)
-  (match Serve.Supervisor.Backoff.on_crash b ~uptime:31. with
-  | Serve.Supervisor.Backoff.Restart d ->
-      Alcotest.(check (float 1e-9)) "back to base" 0.25 d
-  | Serve.Supervisor.Backoff.Give_up -> Alcotest.fail "healthy uptime must reset");
-  Alcotest.(check int) "streak reset" 1 (Serve.Supervisor.Backoff.streak b)
-
-let test_backoff_circuit_breaker () =
-  let b =
-    Serve.Supervisor.Backoff.create ~base:0.01 ~cap:0.02 ~healthy:30.
-      ~max_restarts:3 ()
-  in
-  for i = 1 to 3 do
-    match Serve.Supervisor.Backoff.on_crash b ~uptime:0.0 with
-    | Serve.Supervisor.Backoff.Restart _ -> ()
-    | Serve.Supervisor.Backoff.Give_up ->
-        Alcotest.fail (Printf.sprintf "breaker opened at crash %d" i)
-  done;
-  match Serve.Supervisor.Backoff.on_crash b ~uptime:0.0 with
-  | Serve.Supervisor.Backoff.Give_up -> ()
-  | Serve.Supervisor.Backoff.Restart _ ->
-      Alcotest.fail "crash loop must open the breaker"
-
 let tests =
   ( "serve",
     [
@@ -799,10 +750,4 @@ let tests =
         test_chaos_spec_parsing;
       Alcotest.test_case "chaos: seeded draws are deterministic" `Quick
         test_chaos_deterministic_and_bounded;
-      Alcotest.test_case "supervisor: backoff doubles to the cap" `Quick
-        test_backoff_doubles_to_cap;
-      Alcotest.test_case "supervisor: healthy uptime resets the streak" `Quick
-        test_backoff_healthy_resets_streak;
-      Alcotest.test_case "supervisor: crash loop opens the breaker" `Quick
-        test_backoff_circuit_breaker;
     ] )
