@@ -2,8 +2,11 @@
 # Bench determinism and CLI contract.
 #
 # 1. Every deterministic table the bench prints (the figure-6 sweep
-#    included) must be byte-identical between --jobs 1 and --jobs 4:
-#    domains may only change wall clock.
+#    included) must match bench_quick.expected byte for byte, at
+#    --jobs 1 and at --jobs 4 (domains may only change wall clock), and
+#    so must the per-loop metrics JSONL of the two runs.  Each run writes
+#    its metrics as metrics.jsonl in its own directory, so the
+#    "per-loop metrics written to" line is the same in both.
 # 2. An unknown flag, or a flag missing its value, prints usage and
 #    exits 2.
 # 3. An output error (here an unwritable --metrics) is one "bench: ..."
@@ -11,14 +14,18 @@
 set -eu
 
 BENCH=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+EXPECTED=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
 
 # The runtest rules share one build directory: work in a private one so
 # no two scripts write the same artifact.
 rm -rf bench_determinism.d && mkdir bench_determinism.d && cd bench_determinism.d
 
-"$BENCH" --quick --jobs 1 > j1.out 2> j1.log
-"$BENCH" --quick --jobs 4 > j4.out 2> j4.log
+mkdir j1 j4
+(cd j1 && "$BENCH" --quick --jobs 1 --metrics metrics.jsonl) > j1.out 2> j1.log
+(cd j4 && "$BENCH" --quick --jobs 4 --metrics metrics.jsonl) > j4.out 2> j4.log
+cmp j1.out "$EXPECTED"
 cmp j1.out j4.out
+cmp j1/metrics.jsonl j4/metrics.jsonl
 
 expect_exit() {
   want=$1
