@@ -383,19 +383,17 @@ let check_baseline file snapshot =
 let schedule_production ~budget_ratio (case : Suite.case) =
   let ddg = case.Suite.ddg in
   let counters = Counters.create () in
-  let mii = Mii.compute_fast ~counters ddg in
-  let n_total = Ddg.n_total ddg in
-  let budget = max 1 (int_of_float (budget_ratio *. float_of_int n_total)) in
-  let prep = Ims.prepare ddg in
-  let rec attempt ii =
-    match Ims.iterative_schedule ~counters ~prep ddg ~ii ~budget with
-    | Some s -> (s, ii)
-    | None ->
-        if ii > mii + 1000 then failwith "bench: production scheme diverged";
-        attempt (ii + 1)
+  let mii =
+    Recmii.mii_from ~counters ddg ~resmii:(Resmii.compute ~counters ddg)
   in
-  let s, ii = attempt mii in
-  (s, ii, mii, counters)
+  let prep = Ims.prepare ddg in
+  let r =
+    Ims.search ~counters ~budget_ratio ddg ~ii:mii ~max_delta_ii:1000
+      (Ims.iterative_schedule ~counters ~prep ddg)
+  in
+  match r.Ims.found with
+  | Some s -> (s, r.Ims.ii, mii, counters)
+  | None -> failwith "bench: production scheme diverged"
 
 (* ----------------------------------------------------------------------- *)
 (* Figure 1                                                                 *)

@@ -6,10 +6,26 @@
     unscheduled and rescheduled later — either because a higher-priority
     operation claimed their resources or because a predecessor moved
     under them.  A budget of [BudgetRatio * NumberOfOperations]
-    scheduling steps bounds the effort per candidate II. *)
+    scheduling steps bounds the effort per candidate II.
+
+    {!search} is figure 2's loop over candidate IIs for every modulo
+    scheduler in the repository ({!Slack}, {!Sms}, [Pressure] and the
+    bench's production scheme included); {!Place} holds figure 3's
+    placement state and primitives, shared with {!Slack}. *)
 
 open Ims_ir
 open Ims_mii
+
+type 'a search = {
+  found : 'a option;
+      (** What the first successful attempt returned; [None] when every
+          candidate II in the range failed. *)
+  ii : int;  (** The II of [found], or the first II past the range. *)
+  attempts : int;  (** Candidate IIs tried. *)
+  steps_total : int;  (** [sched_steps] of the counters at the end. *)
+  steps_final : int;  (** Steps spent at the successful II, else 0. *)
+}
+(** What {!search} returns. *)
 
 type outcome = {
   schedule : Schedule.t option;
@@ -52,8 +68,8 @@ val iterative_schedule :
   ii:int ->
   budget:int ->
   Schedule.t option
-(** One candidate II (figure 3).  Returns [None] when the budget runs out
-    with operations still unscheduled.
+(** One candidate II (figure 3) on the {!Place} engine.  Returns [None]
+    when the budget runs out with operations still unscheduled.
 
     [trace] (default disabled) receives one structured event per
     scheduler decision: [place]/[force] with the Estart, chosen slot and
@@ -67,6 +83,34 @@ val iterative_schedule :
     {!Ims_obs.Cancel.Cancelled}.  A null token costs one branch per
     step, mirroring the disabled-trace discipline. *)
 
+val search :
+  ?trace:Ims_obs.Trace.t ->
+  counters:Counters.t ->
+  budget_ratio:float ->
+  Ddg.t ->
+  ii:int ->
+  max_delta_ii:int ->
+  (ii:int -> budget:int -> 'a option) ->
+  'a search
+(** The candidate-II loop of figure 2, behind every modulo scheduler:
+    calls [attempt ~ii ~budget] at [ii], [ii + 1], ... through
+    [ii + max_delta_ii] and stops at the first that returns [Some].
+    [budget] is [max 1 (budget_ratio * NumberOfOperations)] scheduling
+    steps, the same at every II.  Steps are read off [counters]'
+    [sched_steps]; the successful attempt's are added to
+    [sched_steps_final].  Each attempt is bracketed by an [ii_start] and
+    an [ii_end] event on [trace] (default disabled).
+
+    {!modulo_schedule}, {!Slack.modulo_schedule} and
+    {!Sms.modulo_schedule} start it at the MII; [Pressure.schedule]
+    starts it at the unconstrained II and accepts only an attempt whose
+    rotating registers fit the file; the bench's production scheme
+    starts it at the ResMII-seeded MII. *)
+
+val to_outcome :
+  mii:Mii.t -> counters:Counters.t -> Schedule.t search -> outcome
+(** The outcome of a {!search} over schedules that started at [mii]. *)
+
 val modulo_schedule :
   ?budget_ratio:float ->
   ?max_delta_ii:int ->
@@ -76,9 +120,10 @@ val modulo_schedule :
   ?cancel:Ims_obs.Cancel.t ->
   Ddg.t ->
   outcome
-(** The driver (figure 2).  [max_delta_ii] (default 1000) bounds the
-    search above the MII as a safety net; reaching it indicates a machine
-    model the loop cannot execute on at all.
+(** The driver (figure 2): {!search} from the MII with
+    {!iterative_schedule} as the attempt.  [max_delta_ii] (default 1000)
+    bounds the search above the MII as a safety net; reaching it
+    indicates a machine model the loop cannot execute on at all.
 
     A fired [cancel] token escapes as {!Ims_obs.Cancel.Cancelled} — it
     is {e not} folded into the outcome, because cancellation (the

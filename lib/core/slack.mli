@@ -14,7 +14,12 @@
     Quality target: the same II as IMS (both iterate the candidate II
     from the MII under a budget) with measurably lower register
     pressure; the benchmark harness compares rotating-register file
-    sizes. *)
+    sizes.
+
+    Only the priority, the bounds and the slot direction are Huff's own:
+    the candidate-II loop is {!Ims.search} and the placement engine —
+    commit with successor displacement, forced placement — is {!Place},
+    both shared with IMS.  Slack emits no trace events. *)
 
 open Ims_ir
 open Ims_mii
@@ -26,7 +31,8 @@ val modulo_schedule :
   ?cancel:Ims_obs.Cancel.t ->
   Ddg.t ->
   Ims.outcome
-(** Same contract and outcome shape as {!Ims.modulo_schedule},
-    including the cancellation discipline: [cancel] is polled once per
+(** Same contract and outcome shape as {!Ims.modulo_schedule}:
+    {!Ims.search} from the MII, with the same budget per candidate II,
+    and the same cancellation discipline: [cancel] is polled once per
     scheduling step and a fired token escapes as
     {!Ims_obs.Cancel.Cancelled}. *)

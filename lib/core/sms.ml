@@ -251,11 +251,7 @@ let try_schedule ?counters ?(cancel = Ims_obs.Cancel.null) ddg ~ii ~order ~md
         step ();
         Ims_obs.Cancel.poll cancel;
         true
-    | None ->
-        if Sys.getenv_opt "IMS_SMS_DEBUG" <> None then
-          Printf.eprintf "SMS ii=%d: op %d stuck (e=%d l=%d preds=%b succs=%b)\n"
-            ii v e l has_preds has_succs;
-        false
+    | None -> false
   in
   let ok = List.for_all place order in
   (match counters with
@@ -273,49 +269,21 @@ let try_schedule ?counters ?(cancel = Ims_obs.Cancel.null) ddg ~ii ~order ~md
          ~entries:(Array.init n (fun i -> { Schedule.time = time.(i); alt = alt.(i) })))
   end
 
-let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
-    ?(max_delta_ii = 1000) ?counters ?cancel ddg =
-  ignore budget_ratio;
+let modulo_schedule ?(max_delta_ii = 1000) ?counters ?cancel ddg =
   let counters = match counters with Some c -> c | None -> Counters.create () in
   let mii = Mii.compute ~counters ddg in
   let alternatives = Prep.alternatives ddg in
   let caps = ddg.Ddg.machine.Machine.caps in
   let solver = Mindist.solver_full ~counters ddg in
-  let rec attempt ii tried =
-    if ii > mii.Mii.mii + max_delta_ii then
-      {
-        Ims.schedule = None;
-        ii;
-        mii;
-        attempts = tried;
-        steps_total = counters.Counters.sched_steps;
-        steps_final = 0;
-        counters;
-      }
-    else begin
-      let before = counters.Counters.sched_steps in
+  (* SMS places each operation at most once per II, so the budget goes
+     unused. *)
+  Ims.search ~counters ~budget_ratio:Ims.default_budget_ratio ddg
+    ~ii:mii.Mii.mii ~max_delta_ii (fun ~ii ~budget:_ ->
       (* One MinDist per attempt, shared between the ordering phase and
-         the placement bounds (the ordering's three derived metrics used
-         to recompute it, uncounted, on every candidate II); the solver
-         makes each attempt a pivot-restricted re-closure. *)
+         the placement bounds; the solver makes each attempt a
+         pivot-restricted re-closure. *)
       let md = Mindist.solve ~counters solver ~ii in
       let order = ordering_md ddg ~md in
       let ctabs = Prep.compile ~caps alternatives ~ii in
-      match try_schedule ~counters ?cancel ddg ~ii ~order ~md ~ctabs with
-      | Some schedule ->
-          let steps_final = counters.Counters.sched_steps - before in
-          counters.Counters.sched_steps_final <-
-            counters.Counters.sched_steps_final + steps_final;
-          {
-            Ims.schedule = Some schedule;
-            ii;
-            mii;
-            attempts = tried + 1;
-            steps_total = counters.Counters.sched_steps;
-            steps_final;
-            counters;
-          }
-      | None -> attempt (ii + 1) (tried + 1)
-    end
-  in
-  attempt mii.Mii.mii 0
+      try_schedule ~counters ?cancel ddg ~ii ~order ~md ~ctabs)
+  |> Ims.to_outcome ~mii ~counters

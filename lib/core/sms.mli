@@ -29,14 +29,14 @@ val ordering : Ddg.t -> ii:int -> int list
     {!modulo_schedule} runs after it. *)
 
 val modulo_schedule :
-  ?budget_ratio:float ->
   ?max_delta_ii:int ->
   ?counters:Counters.t ->
   ?cancel:Ims_obs.Cancel.t ->
   Ddg.t ->
   Ims.outcome
-(** Same contract as {!Ims.modulo_schedule}, including the
-    cancellation discipline ([cancel] polled once per placement, fires
-    as {!Ims_obs.Cancel.Cancelled}).  [budget_ratio] is accepted for
-    interface parity but SMS schedules each operation at most once per
-    candidate II, so it only caps pathological II searches. *)
+(** Same contract as {!Ims.modulo_schedule}: {!Ims.search} from the
+    MII, with one ordering and one placement pass as the attempt at each
+    candidate II.  It takes no budget ratio, since it places each
+    operation at most once per II.  The cancellation discipline is the
+    same as well: [cancel] is polled once per placement and fires as
+    {!Ims_obs.Cancel.Cancelled}. *)

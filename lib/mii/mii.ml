@@ -13,13 +13,6 @@ let compute ?counters ?(trace = Trace.null) ddg =
   in
   { resmii; recmii; mii = max resmii recmii }
 
-let compute_fast ?counters ?(trace = Trace.null) ddg =
-  let resmii =
-    Trace.with_span trace "mii.resmii" (fun () -> Resmii.compute ?counters ddg)
-  in
-  Trace.with_span trace "mii.recmii" (fun () ->
-      Recmii.mii_from ?counters ddg ~resmii)
-
 let schedule_length_lower_bound ?solver ddg ~ii ~acyclic_length =
   let md =
     match solver with

@@ -17,12 +17,6 @@ val compute : ?counters:Counters.t -> ?trace:Ims_obs.Trace.t -> Ddg.t -> t
 (** [trace] (default disabled) brackets the two bound computations in
     ["mii.resmii"] / ["mii.recmii"] spans. *)
 
-val compute_fast :
-  ?counters:Counters.t -> ?trace:Ims_obs.Trace.t -> Ddg.t -> int
-(** The production scheme: computes only the MII, seeding the recurrence
-    search at ResMII so that vectorizable loops never pay for a second
-    MinDist pass.  Equals [(compute ddg).mii]. *)
-
 val schedule_length_lower_bound :
   ?solver:Mindist.solver -> Ddg.t -> ii:int -> acyclic_length:int -> int
 (** The paper's lower bound on the schedule length of one iteration for a

@@ -6,33 +6,34 @@
     lifetime sensitivity) is to retry at a larger II: fewer iterations
     overlap, lifetimes span fewer kernel copies, and demand falls.
 
-    This driver wraps a scheduler with that feedback loop: schedule,
+    This driver wraps IMS with that feedback loop: schedule,
     lifetime-compact, allocate rotating registers; if the file is over
-    budget, raise the II and repeat. *)
+    budget, raise the II and repeat.  The loop is {!Ims.search}, the
+    same candidate-II loop the schedulers run. *)
 
 open Ims_ir
 open Ims_core
 
 type result = {
-  outcome : Ims.outcome;  (** The accepted schedule's outcome. *)
+  outcome : Ims.outcome;  (** The unconstrained schedule's outcome. *)
   schedule : Schedule.t;  (** After lifetime compaction. *)
   allocation : Rotreg.t;
   ii_paid : int;
       (** Achieved II minus the unconstrained II — the cycles per
-          iteration the register budget cost. *)
-  retries : int;
+          iteration the register budget cost, and the number of IIs
+          that were retried. *)
 }
 
 val schedule :
   ?budget_ratio:float ->
   ?max_retries:int ->
-  ?trace:Ims_obs.Trace.t ->
   Ddg.t ->
   max_rotating:int ->
   (result, string) Result.t
-(** [Error] if no II within [max_retries] (default 64) of the
-    unconstrained one fits the file.  Each retry at a raised II emits a
-    ["pressure.retry ii=K"] instant event on [trace]. *)
+(** {!Ims.search} from the unconstrained II over at most [max_retries]
+    (default 64) raised IIs; an attempt is accepted only when its
+    compacted schedule's rotating file fits [max_rotating].  [Error] if
+    none does. *)
 
 val demand_profile : Ddg.t -> ii_range:int * int -> (int * int) list
 (** [(ii, rotating registers after compaction)] over the feasible IIs

@@ -185,7 +185,7 @@ let test_mii_max_of_both () =
 let test_mii_fast_equals_full () =
   let ddg = two_op_recurrence machine in
   Alcotest.(check int) "fast = full" (Mii.compute ddg).Mii.mii
-    (Mii.compute_fast ddg)
+    (Recmii.mii_from ddg ~resmii:(Resmii.compute ddg))
 
 let test_schedule_length_lower_bound () =
   let b = Builder.create machine in
@@ -216,7 +216,8 @@ let prop_mii_fast_consistent =
       let rng = Random.State.make [| seed; 13 |] in
       let ddg = Ims_workloads.Synthetic.generate machine rng in
       let m = Mii.compute ddg in
-      Mii.compute_fast ddg = m.Mii.mii && m.Mii.mii = max m.Mii.resmii m.Mii.recmii)
+      Recmii.mii_from ddg ~resmii:(Resmii.compute ddg) = m.Mii.mii
+      && m.Mii.mii = max m.Mii.resmii m.Mii.recmii)
 
 (* Property: the incremental cross-II solver matches the from-scratch
    closure on random loops, cell for cell at every feasible II (from
