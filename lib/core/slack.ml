@@ -108,7 +108,12 @@ let place ~md ~sink_late (st : Place.t) op =
     if late then Place.find_slot st op hi ~last:e ~step:(-1)
     else Place.find_slot st op e ~last:hi ~step:1
   in
-  if found || Place.find_slot st op e ~last:hi_window ~step:1 then
+  (* An op on a recurrence with no slack at this II (MinDist[op][op] =
+     0) whose bracket is empty (L < E) is forced rather than widened: a
+     slot past L displaces its recurrence partner, which then lands past
+     its own bound, and the pair climbs by II every round. *)
+  let widen = not (l < e && Mindist.get md op op = 0) in
+  if found || (widen && Place.find_slot st op e ~last:hi_window ~step:1) then
     Place.commit st op ~estart:e
   else Place.force_commit st op ~estart:e
 

@@ -293,6 +293,19 @@ let test_slack_budget_respected () =
   Alcotest.(check bool) "steps bounded" true
     (out.Ims.steps_final <= 6 * Ddg.n_total ddg)
 
+(* On this loop the recurrence 7 -> 8 -> 7 has no slack at IMS's II 8.
+   Widening op 8's empty bracket to the full modulo window placed it
+   past its late bound, displacing op 7, and the pair climbed to II 11
+   at every budget ratio. *)
+let test_slack_critical_recurrence () =
+  let ddg = random_loop machine 285571 in
+  let a = Ims.modulo_schedule ddg and b = Slack.modulo_schedule ddg in
+  Alcotest.(check int) "ims ii" 8 a.Ims.ii;
+  Alcotest.(check int) "slack ii" a.Ims.ii b.Ims.ii;
+  match b.Ims.schedule with
+  | Some s -> Alcotest.(check bool) "valid" true (Schedule.verify s = Ok ())
+  | None -> Alcotest.fail "no schedule"
+
 let prop_slack_valid_and_parity =
   QCheck.Test.make ~count:60
     ~name:"slack: valid schedules, II within +2 of ims"
@@ -313,6 +326,8 @@ let core_extension_tests =
       test_slack_achieves_mii_on_chain;
     Alcotest.test_case "slack: recurrence" `Quick test_slack_recurrence;
     Alcotest.test_case "slack: budget" `Quick test_slack_budget_respected;
+    Alcotest.test_case "slack: critical recurrence keeps the ii" `Quick
+      test_slack_critical_recurrence;
     QCheck_alcotest.to_alcotest prop_slack_valid_and_parity;
   ]
 
