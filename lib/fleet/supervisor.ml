@@ -53,10 +53,31 @@ let child ~name ~spawn ~completed backoff =
 
 type 'stop reason = Completed | Breaker of int | Stopped of 'stop | Interrupted
 
+(* OCaml numbers the signals it knows by negative constants of its own;
+   name those, and print any other (the OS's number) as it is. *)
+let signal_name s =
+  match
+    List.assoc_opt s
+      Sys.
+        [
+          (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+          (sigchld, "SIGCHLD"); (sigcont, "SIGCONT"); (sigfpe, "SIGFPE");
+          (sighup, "SIGHUP"); (sigill, "SIGILL"); (sigint, "SIGINT");
+          (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE"); (sigprof, "SIGPROF");
+          (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV"); (sigstop, "SIGSTOP");
+          (sigsys, "SIGSYS"); (sigterm, "SIGTERM"); (sigtrap, "SIGTRAP");
+          (sigtstp, "SIGTSTP"); (sigttin, "SIGTTIN"); (sigttou, "SIGTTOU");
+          (sigurg, "SIGURG"); (sigusr1, "SIGUSR1"); (sigusr2, "SIGUSR2");
+          (sigvtalrm, "SIGVTALRM"); (sigxcpu, "SIGXCPU"); (sigxfsz, "SIGXFSZ");
+        ]
+  with
+  | Some name -> name
+  | None -> string_of_int s
+
 let describe = function
   | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
+  | Unix.WSIGNALED s -> "signal " ^ signal_name s
+  | Unix.WSTOPPED s -> "stopped by " ^ signal_name s
 
 let launch c =
   let pid = c.spawn ~restarts:c.restarts in

@@ -137,6 +137,33 @@ let test_supervisor_fork_resets_signals () =
   let reason : unit Supervisor.reason = Supervisor.run ~log:quiet [ c ] in
   Alcotest.(check bool) "completed" true (reason = Supervisor.Completed)
 
+let test_supervisor_names_signals () =
+  with_watchdog @@ fun () ->
+  let file = Filename.temp_file "supervisor" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let oc = open_out file in
+  let log = Ims_obs.Log.create ~human:oc ~tag:"supervisor" () in
+  let c =
+    Supervisor.child ~name:"test"
+      ~spawn:(fun ~restarts:_ ->
+        Supervisor.fork (fun () ->
+            Unix.kill (Unix.getpid ()) Sys.sigkill;
+            Unix._exit 0))
+      ~completed:(( = ) (Unix.WEXITED 0))
+      (Supervisor.Backoff.create ~max_restarts:0 ())
+  in
+  let reason : unit Supervisor.reason = Supervisor.run ~log [ c ] in
+  close_out oc;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Alcotest.(check bool) "breaker" true (reason = Supervisor.Breaker 0);
+  let want = "(signal SIGKILL)" in
+  let found =
+    List.exists
+      (fun i -> String.sub text i (String.length want) = want)
+      (List.init (max 0 (String.length text - String.length want + 1)) Fun.id)
+  in
+  Alcotest.(check bool) ("logged by name: " ^ String.trim text) true found
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -154,5 +181,7 @@ let () =
             test_supervisor_sigterm_cuts_backoff;
           Alcotest.test_case "forked child gets default signals" `Quick
             test_supervisor_fork_resets_signals;
+          Alcotest.test_case "a killed child's signal is named" `Quick
+            test_supervisor_names_signals;
         ] );
     ]
