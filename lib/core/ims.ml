@@ -44,7 +44,7 @@ let prepare ddg =
 let rec early_start (st : Place.t) acc = function
   | [] -> acc
   | (d : Dep.t) :: rest ->
-      Place.count_estart st 1;
+      Place.count_estart st;
       let acc =
         if st.time.(d.src) < 0 then acc
         else max acc (st.time.(d.src) + d.delay - (st.ii * d.distance))

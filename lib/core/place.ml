@@ -51,9 +51,9 @@ let create ?counters ~trace ddg ~ii alternatives ~order =
     slot_alt = -1;
   }
 
-let count_estart st k =
+let count_estart st =
   match st.counters with
-  | Some c -> c.Counters.estart_inner <- c.Counters.estart_inner + k
+  | Some c -> c.Counters.estart_inner <- c.Counters.estart_inner + 1
   | None -> ()
 
 (* The first alternative of [ctabs] that fits at [time], or -1. *)

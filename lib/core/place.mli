@@ -43,8 +43,8 @@ val create :
     {!Prep.alternatives}.  Operations are taken in [order], ties by
     lower id. *)
 
-val count_estart : t -> int -> unit
-(** Adds to the [estart_inner] counter: each scheduler computes its own
+val count_estart : t -> unit
+(** Counts one [estart_inner] step: each scheduler computes its own
     early bound. *)
 
 val find_slot : t -> int -> int -> last:int -> step:int -> bool

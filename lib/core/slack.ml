@@ -56,7 +56,7 @@ let early_bound (st : Place.t) md op =
   let acc = ref 0 in
   for i = 0 to n - 1 do
     if st.time.(i) >= 0 then begin
-      Place.count_estart st 1;
+      Place.count_estart st;
       let d = Mindist.get md i op in
       if d <> neg_inf && st.time.(i) + d > !acc then acc := st.time.(i) + d
     end
@@ -68,7 +68,7 @@ let late_bound (st : Place.t) md op ~default =
   let acc = ref default in
   for i = 0 to n - 1 do
     if st.time.(i) >= 0 then begin
-      Place.count_estart st 1;
+      Place.count_estart st;
       let d = Mindist.get md op i in
       if d <> neg_inf && st.time.(i) - d < !acc then acc := st.time.(i) - d
     end
