@@ -30,10 +30,11 @@ val schedule :
   Ddg.t ->
   max_rotating:int ->
   (result, string) Result.t
-(** {!Ims.search} from the unconstrained II over at most [max_retries]
-    (default 64) raised IIs; an attempt is accepted only when its
-    compacted schedule's rotating file fits [max_rotating].  [Error] if
-    none does. *)
+(** The unconstrained schedule, compacted and allocated, when its
+    rotating file fits [max_rotating]; otherwise {!Ims.search} over at
+    most [max_retries] (default 64) raised IIs, accepting only an
+    attempt whose compacted schedule's file fits.  [Error] if none
+    does. *)
 
 val demand_profile : Ddg.t -> ii_range:int * int -> (int * int) list
 (** [(ii, rotating registers after compaction)] over the feasible IIs
