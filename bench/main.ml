@@ -277,7 +277,7 @@ let dump_metrics file records =
       output_char oc '\n')
     records;
   close_out oc;
-  Printf.printf "\nper-loop metrics written to %s (%d lines)\n" file
+  Ims_obs.Log.info log "per-loop metrics written to %s (%d lines)" file
     (List.length records)
 
 (* Where this trajectory point was measured: pinned to the snapshot so
