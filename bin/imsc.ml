@@ -721,8 +721,9 @@ let cmd_batch =
   let corpus_arg =
     let doc =
       "Schedule the loops of a binary corpus file (the 'imsc corpus \
-       gen' format) instead of textual dumps; records are streamed and \
-       only this process's shard is held in memory."
+       gen' format) instead of textual dumps; records are streamed, and \
+       for each loop of its shard this process keeps the record and the \
+       rendered report line, not the schedule."
     in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"FILE" ~doc)
   in
@@ -945,6 +946,8 @@ let cmd_batch =
           failwith
             "batch: --journal and --resume are mutually exclusive (resume \
              appends to the resumed journal)";
+        (* Each loop's report line by corpus index: the resumed ones
+           from the journal, then each fresh one as its job completes. *)
         let completed : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
         let my_indices : (int, unit) Hashtbl.t = Hashtbl.create 97 in
         List.iter (fun (g, _) -> Hashtbl.replace my_indices g ()) inputs;
@@ -1027,25 +1030,36 @@ let cmd_batch =
               ~trace:shard.Ims_exec.Shard.trace
               ~cancel:shard.Ims_exec.Shard.cancel ddg
           in
-          ( h,
-            Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
-            Ddg.n_real ddg )
+          (* The job renders its own report line on its worker domain and
+             returns only that line and the achieved II (for --profile),
+             so the DDG, schedule, verdict and scheduler outcome die with
+             the job instead of living until the end of the run.  The
+             field definitions live in Ims_serve.Render — shared with the
+             serve daemon, which is what makes a served (or cached)
+             record byte-identical to a batch one. *)
+          ( Ims_exec.Report.line ~name:input.in_name
+              ~fields:Ims_serve.Render.done_fields
+              (Ims_exec.Outcome.Done
+                 ( h,
+                   Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
+                   Ddg.n_real ddg )),
+            h.Ims_check.Fallback.schedule.Ims_core.Schedule.ii )
         in
-        (* Rendering is pure per (input, outcome), so the line journaled
-           at completion time and the line in the final report are the
-           same bytes.  The field definitions live in Ims_serve.Render —
-           shared with the serve daemon, which is what makes a served
-           (or cached) record byte-identical to a batch one.  Quarantined
-           loops (any final non-ok outcome) additionally carry the
-           acyclic fallback schedule when the loop at least parses — the
-           run still ships a correct, checked schedule for a loop whose
-           pipelining was cancelled. *)
-        let render input outcome =
-          let extra =
-            Ims_serve.Render.casualty_extra ~reparse:input.load outcome
-          in
-          Ims_exec.Report.line ~name:input.in_name ~extra
-            ~fields:Ims_serve.Render.done_fields outcome
+        (* A casualty's line is rendered here, once.  Quarantined loops
+           (any final non-ok outcome) additionally carry the acyclic
+           fallback schedule when the loop at least parses — the run
+           still ships a correct, checked schedule for a loop whose
+           pipelining was cancelled.  [fields] only renders [Done]
+           values, which arrive as lines already. *)
+        let line_of input = function
+          | Ims_exec.Outcome.Done (line, _) -> line
+          | casualty ->
+              Ims_exec.Report.line ~name:input.in_name
+                ~extra:
+                  (Ims_serve.Render.casualty_extra ~reparse:input.load
+                     casualty)
+                ~fields:(fun _ -> [])
+                casualty
         in
         let retry =
           Ims_exec.Retry.create ~max_attempts:(max 1 retries) ~backoff
@@ -1060,29 +1074,24 @@ let cmd_batch =
         in
         let pending_arr = Array.of_list pending in
         let failures = ref 0 in
-        let on_result =
-          match (writer, max_failures) with
-          | None, None -> None
-          | _ ->
-              Some
-                (fun i outcome ->
-                  let idx, input = pending_arr.(i) in
-                  (match writer with
-                  | Some w ->
-                      Ims_exec.Journal.append w ~index:idx
-                        (render input outcome)
-                  | None -> ());
-                  match (run_cancel, max_failures) with
-                  | Some tok, Some limit
-                    when not (Ims_exec.Outcome.is_done outcome) ->
-                      incr failures;
-                      if !failures > limit && not (Cancel.cancelled tok) then begin
-                        Log.warn batch_log
-                          "%d casualties — cancelling outstanding jobs"
-                          !failures;
-                        Cancel.cancel tok
-                      end
-                  | _ -> ())
+        (* The value journaled here is the value the report writes. *)
+        let on_result i outcome =
+          let idx, input = pending_arr.(i) in
+          let line = line_of input outcome in
+          Hashtbl.replace completed idx line;
+          (match writer with
+          | Some w -> Ims_exec.Journal.append w ~index:idx line
+          | None -> ());
+          match (run_cancel, max_failures) with
+          | Some tok, Some limit when not (Ims_exec.Outcome.is_done outcome)
+            ->
+              incr failures;
+              if !failures > limit && not (Cancel.cancelled tok) then begin
+                Log.warn batch_log "%d casualties — cancelling outstanding jobs"
+                  !failures;
+                Cancel.cancel tok
+              end
+          | _ -> ()
         in
         let profile = Option.map (fun _ -> Profile.create ()) profile_file in
         let t_start = Unix.gettimeofday () in
@@ -1138,7 +1147,7 @@ let cmd_batch =
         @@ fun () ->
         let outcomes, merged, stats =
           Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
-            ?cancel:run_cancel ?on_result ?profile ?progress ~sleep:Unix.sleepf
+            ?cancel:run_cancel ~on_result ?profile ?progress ~sleep:Unix.sleepf
             ~timer:Unix.gettimeofday ~f:schedule_one pending
         in
         finish_status
@@ -1157,10 +1166,8 @@ let cmd_batch =
                the IIs distributed" alongside the wall-clock view. *)
             List.iter
               (function
-                | Ims_exec.Outcome.Done ((h : Ims_check.Fallback.t), _, _) ->
-                    Profile.add_sample p "ii"
-                      (float_of_int
-                         h.Ims_check.Fallback.schedule.Ims_core.Schedule.ii)
+                | Ims_exec.Outcome.Done (_, ii) ->
+                    Profile.add_sample p "ii" (float_of_int ii)
                 | _ -> ())
               outcomes;
             write_file file (Json.to_string (Profile.to_json p) ^ "\n")
@@ -1168,19 +1175,7 @@ let cmd_batch =
         (match writer with
         | Some w -> Ims_exec.Journal.close w
         | None -> ());
-        let fresh : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
-        List.iter2
-          (fun (idx, input) outcome ->
-            Hashtbl.replace fresh idx (render input outcome))
-          pending outcomes;
-        let lines =
-          List.map
-            (fun (g, _) ->
-              match Hashtbl.find_opt fresh g with
-              | Some line -> line
-              | None -> Hashtbl.find completed g)
-            inputs
-        in
+        let lines = List.map (fun (g, _) -> Hashtbl.find completed g) inputs in
         (match report with
         | Some file -> Ims_exec.Report.write_jsonl file lines
         | None -> print_string (Ims_exec.Report.jsonl_string lines));

@@ -36,3 +36,24 @@ cmp det-j1.jsonl det-j4.jsonl
 grep '^merged counters' det-j1.stderr > det-j1.counters
 grep '^merged counters' det-j4.stderr > det-j4.counters
 cmp det-j1.counters det-j4.counters
+
+# Memory: a worker keeps each loop's corpus record and rendered report
+# line, not its schedule, so the peak major heap grows by well under
+# 1,500 words per loop (about 710 measured; about 2,870 when every
+# loop's DDG, schedule and verdict lived until the end of the run).
+# The slope between a 200- and a 2,000-loop corpus cancels the fixed
+# start-up heap; at --jobs 1 both counts are deterministic.
+heap_words() {
+  "$IMSC" corpus gen --seed 1994 --count "$1" --out "mem-$1.ilb" 2> /dev/null
+  OCAMLRUNPARAM=v=0x400 "$IMSC" batch --corpus "mem-$1.ilb" --jobs 1 \
+    --report "mem-$1.jsonl" 2> "mem-$1.stderr"
+  sed -n 's/^top_heap_words: *//p' "mem-$1.stderr"
+}
+small=$(heap_words 200)
+large=$(heap_words 2000)
+per_loop=$(( (large - small) / 1800 ))
+if [ "$per_loop" -ge 1500 ]; then
+  echo "batch heap grows $per_loop words per loop ($small at 200 loops," \
+    "$large at 2,000); the ceiling is 1,500" >&2
+  exit 1
+fi

@@ -42,6 +42,12 @@ sed -n 's/.*\({"name":"ii","count":[^}]*}\).*/\1/p' obs-prof-j4.json > ii-j4.txt
 test -s ii-j1.txt
 cmp ii-j1.txt ii-j4.txt
 
+# The batch job hands the profile its II apart from the report line, so
+# the series must count and sum the report's "ii" fields.
+report_ii=$(sed -n 's/.*"ii":\([0-9]*\).*/\1/p' obs-j1.jsonl |
+  awk '{ n++; s += $1 } END { printf "\"count\":%d,\"sum\":%d", n, s }')
+grep -q "\"name\":\"ii\",$report_ii," ii-j1.txt
+
 # The final status snapshot is complete: every job accounted for and
 # the run marked finished.
 grep -q '"running":false' obs-status.json
