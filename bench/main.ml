@@ -241,11 +241,18 @@ let measure_job (shard : Ims_exec.Shard.t) case =
   r
 
 let measure_records ?profile ?progress cases =
-  let outcomes, _, _ =
-    Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
-      ~f:measure_job cases
+  let total = List.length cases in
+  let progress =
+    Option.map (fun g c -> g { c with Ims_obs.Status.total }) progress
   in
-  List.mapi (fun i o -> Ims_exec.Outcome.get ~job:i o) outcomes
+  let outcomes = ref [] in
+  let _ : Ims_exec.Exec.stats =
+    Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
+      ~f:measure_job
+      ~deliver:(fun _ o -> outcomes := o :: !outcomes)
+      (List.to_seq cases)
+  in
+  List.mapi (fun i o -> Ims_exec.Outcome.get ~job:i o) (List.rev !outcomes)
 
 let dump_metrics file records =
   let open Ims_obs in

@@ -651,14 +651,9 @@ let expand_loop_inputs ~tag paths =
   inputs
 
 (* One schedulable loop, wherever it came from: a textual dump file or
-   a record of a binary corpus.  [load] defers the parse/decode to the
-   worker that schedules it; [origin] names the culprit for quarantine
-   and casualty messages. *)
-type batch_input = {
-  in_name : string;
-  origin : string;
-  load : unit -> Ddg.t;
-}
+   a record of a binary corpus, at its global [index].  [load] defers
+   the parse/decode to the worker that schedules it. *)
+type batch_input = { index : int; in_name : string; load : unit -> Ddg.t }
 
 (* "I/N" (1-based I): this process schedules the residue class
    [g mod N = I - 1] of the global input indices. *)
@@ -721,9 +716,9 @@ let cmd_batch =
   let corpus_arg =
     let doc =
       "Schedule the loops of a binary corpus file (the 'imsc corpus \
-       gen' format) instead of textual dumps; records are streamed, and \
-       for each loop of its shard this process keeps the record and the \
-       rendered report line, not the schedule."
+       gen' format) instead of textual dumps.  The whole file is \
+       validated first; then this shard's records are streamed, and no \
+       record or report line is kept once its loop is written."
     in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"FILE" ~doc)
   in
@@ -847,65 +842,91 @@ let cmd_batch =
         let inject_spin = parse_inject "batch" "inject-spin" inject_spin in
         let inject_flaky = parse_inject "batch" "inject-flaky" inject_flaky in
         let shard = parse_shard_spec "batch" shard_spec in
-        let shard_str =
-          match shard with
-          | None -> "1/1"
-          | Some (i, nsh) -> Printf.sprintf "%d/%d" i nsh
+        let first, stride =
+          match shard with None -> (0, 1) | Some (i, nsh) -> (i - 1, nsh)
         in
-        let in_shard g =
-          match shard with None -> true | Some (i, nsh) -> g mod nsh = i - 1
-        in
-        (* Inputs carry their global corpus index; this process keeps
-           (and schedules, journals, reports) only its residue class.
-           The corpus hash covers the *whole* corpus either way, so
-           every shard of one run shares the corpus ingredient and
-           differs only in the shard ingredient. *)
-        let inputs, corpus_hash =
+        (* Inputs carry their global corpus index; this process
+           schedules, journals and reports only its residue class.  The
+           corpus hash covers the *whole* corpus either way, so every
+           shard of one run shares the corpus ingredient and differs
+           only in the shard ingredient.  [loops resumed] streams the
+           shard's loops that [resumed] does not hold, in index order;
+           [origin] names a loop's source for quarantine. *)
+        let total, corpus_hash, origin, loops =
           match corpus with
           | Some cpath ->
               if paths <> [] then
                 failwith
                   "batch: --corpus and PATH arguments are mutually \
                    exclusive";
-              let acc = ref [] in
-              let _total =
-                Loop_bin.iter cpath (fun r ->
-                    if in_shard r.Loop_bin.index then
-                      acc :=
-                        ( r.Loop_bin.index,
-                          {
-                            in_name = r.Loop_bin.name;
-                            origin =
-                              Printf.sprintf "%s#%d" cpath
-                                r.Loop_bin.index;
-                            load =
-                              (fun () ->
-                                snd (Loop_bin.decode_record machine r));
-                          } )
-                        :: !acc)
+              (* One validating pass that keeps nothing: a corrupt corpus
+                 is refused before any job runs or any journal line is
+                 written.  The run pass then steps over the other shards'
+                 frames without reading them. *)
+              let total = Loop_bin.iter cpath ignore in
+              let loops resumed =
+                let c = Loop_bin.open_corpus cpath in
+                let skip k =
+                  for _ = 1 to k do
+                    ignore (Loop_bin.skip c)
+                  done
+                in
+                skip first;
+                let next () =
+                  match Loop_bin.next c with
+                  | None ->
+                      Loop_bin.close_cursor c;
+                      None
+                  | Some r ->
+                      skip (stride - 1);
+                      Some r
+                in
+                Seq.filter_map
+                  (fun (r : Loop_bin.record) ->
+                    if resumed r.index then None
+                    else
+                      Some
+                        {
+                          index = r.index;
+                          in_name = r.name;
+                          load =
+                            (fun () -> snd (Loop_bin.decode_record machine r));
+                        })
+                  (Seq.of_dispenser next)
               in
-              (List.rev !acc, Digest.to_hex (Digest.file cpath))
+              ( total,
+                Digest.to_hex (Digest.file cpath),
+                Printf.sprintf "%s#%d" cpath,
+                loops )
           | None ->
-              let files = expand_loop_inputs ~tag:"batch" paths in
-              let all =
-                List.mapi
-                  (fun g (name, path) ->
-                    ( g,
-                      {
-                        in_name = name;
-                        origin = path;
-                        load =
-                          (fun () -> Loop_parse.parse_file machine path);
-                      } ))
-                  files
+              let files =
+                Array.of_list (expand_loop_inputs ~tag:"batch" paths)
               in
-              ( List.filter (fun (g, _) -> in_shard g) all,
+              let total = Array.length files in
+              let loops resumed =
+                Seq.filter_map
+                  (fun g ->
+                    if g mod stride <> first || resumed g then None
+                    else
+                      let name, path = files.(g) in
+                      Some
+                        {
+                          index = g;
+                          in_name = name;
+                          load = (fun () -> Loop_parse.parse_file machine path);
+                        })
+                  (Seq.init total Fun.id)
+              in
+              ( total,
                 Ims_exec.Journal.manifest_hash
                   (List.concat_map
                      (fun (name, path) -> [ name; read_file_bytes path ])
-                     files) )
+                     (Array.to_list files)),
+                (fun g -> snd files.(g)),
+                loops )
         in
-        let n = List.length inputs in
+        let n = (total - first - 1 + stride) / stride in
+        let mine g = g >= 0 && g < total && g mod stride = first in
         (* The manifest pins everything a journaled result depends on,
            one named ingredient at a time, so a refused resume can say
            *which* of machine / flags / corpus / shard diverged. *)
@@ -929,7 +950,7 @@ let cmd_batch =
                   string_of_float escalate;
                 ] );
             ("corpus", corpus_hash);
-            ("shard", shard_str);
+            ("shard", Printf.sprintf "%d/%d" (first + 1) stride);
           ]
         in
         let manifest_hash = Ims_exec.Journal.hash_of_parts manifest_parts in
@@ -946,11 +967,9 @@ let cmd_batch =
           failwith
             "batch: --journal and --resume are mutually exclusive (resume \
              appends to the resumed journal)";
-        (* Each loop's report line by corpus index: the resumed ones
-           from the journal, then each fresh one as its job completes. *)
-        let completed : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
-        let my_indices : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-        List.iter (fun (g, _) -> Hashtbl.replace my_indices g ()) inputs;
+        (* The report lines of this shard's loops that a resumed journal
+           already holds; they are replayed verbatim, not re-run. *)
+        let resumed : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
         (match resume with
         | None -> ()
         | Some path -> (
@@ -982,12 +1001,12 @@ let cmd_batch =
                   Log.warn batch_log "ignoring torn final record in %s" path;
                 List.iter
                   (fun (i, line) ->
-                    if Hashtbl.mem my_indices i then
-                      Hashtbl.replace completed i line)
+                    if mine i then Hashtbl.replace resumed i line)
                   r.Ims_exec.Journal.entries;
                 Log.info batch_log
                   "resuming — %d of %d job(s) already journaled"
-                  (Hashtbl.length completed) n));
+                  (Hashtbl.length resumed) n));
+        let pending = n - Hashtbl.length resumed in
         let writer =
           match (resume, journal) with
           | Some path, _ ->
@@ -998,10 +1017,7 @@ let cmd_batch =
                    current_manifest)
           | None, None -> None
         in
-        let pending =
-          List.filter (fun (g, _) -> not (Hashtbl.mem completed g)) inputs
-        in
-        let schedule_one (shard : Ims_exec.Shard.t) (_, input) =
+        let schedule_one (shard : Ims_exec.Shard.t) input =
           (* A parse/decode error propagates and becomes this loop's
              Failed outcome (with file/offset via the registered
              printers); a scheduling casualty degrades to the list
@@ -1033,10 +1049,9 @@ let cmd_batch =
           (* The job renders its own report line on its worker domain and
              returns only that line and the achieved II (for --profile),
              so the DDG, schedule, verdict and scheduler outcome die with
-             the job instead of living until the end of the run.  The
-             field definitions live in Ims_serve.Render — shared with the
-             serve daemon, which is what makes a served (or cached)
-             record byte-identical to a batch one. *)
+             the job.  The field definitions live in Ims_serve.Render —
+             shared with the serve daemon, which is what makes a served
+             (or cached) record byte-identical to a batch one. *)
           ( Ims_exec.Report.line ~name:input.in_name
               ~fields:Ims_serve.Render.done_fields
               (Ims_exec.Outcome.Done
@@ -1045,12 +1060,13 @@ let cmd_batch =
                    Ddg.n_real ddg )),
             h.Ims_check.Fallback.schedule.Ims_core.Schedule.ii )
         in
-        (* A casualty's line is rendered here, once.  Quarantined loops
-           (any final non-ok outcome) additionally carry the acyclic
-           fallback schedule when the loop at least parses — the run
-           still ships a correct, checked schedule for a loop whose
-           pipelining was cancelled.  [fields] only renders [Done]
-           values, which arrive as lines already. *)
+        (* A casualty's line is rendered once, as it completes, for the
+           journal; it waits in [casualty_lines] until the report reaches
+           its index.  Quarantined loops (any final non-ok outcome)
+           additionally carry the acyclic fallback schedule when the
+           loop at least parses — the run still ships a correct, checked
+           schedule for a loop whose pipelining was cancelled. *)
+        let casualty_lines : (int, Json.t) Hashtbl.t = Hashtbl.create 7 in
         let line_of input = function
           | Ims_exec.Outcome.Done (line, _) -> line
           | casualty ->
@@ -1072,26 +1088,25 @@ let cmd_batch =
           | Some _ -> Some (Cancel.create ~timer:Unix.gettimeofday ())
           | None -> None
         in
-        let pending_arr = Array.of_list pending in
         let failures = ref 0 in
         (* The value journaled here is the value the report writes. *)
-        let on_result i outcome =
-          let idx, input = pending_arr.(i) in
+        let on_result input outcome =
           let line = line_of input outcome in
-          Hashtbl.replace completed idx line;
           (match writer with
-          | Some w -> Ims_exec.Journal.append w ~index:idx line
+          | Some w -> Ims_exec.Journal.append w ~index:input.index line
           | None -> ());
-          match (run_cancel, max_failures) with
-          | Some tok, Some limit when not (Ims_exec.Outcome.is_done outcome)
-            ->
-              incr failures;
-              if !failures > limit && not (Cancel.cancelled tok) then begin
-                Log.warn batch_log "%d casualties — cancelling outstanding jobs"
-                  !failures;
-                Cancel.cancel tok
-              end
-          | _ -> ()
+          if not (Ims_exec.Outcome.is_done outcome) then begin
+            Hashtbl.replace casualty_lines input.index line;
+            match (run_cancel, max_failures) with
+            | Some tok, Some limit ->
+                incr failures;
+                if !failures > limit && not (Cancel.cancelled tok) then begin
+                  Log.warn batch_log
+                    "%d casualties — cancelling outstanding jobs" !failures;
+                  Cancel.cancel tok
+                end
+            | _ -> ()
+          end
         in
         let profile = Option.map (fun _ -> Profile.create ()) profile_file in
         let t_start = Unix.gettimeofday () in
@@ -1115,7 +1130,7 @@ let cmd_batch =
            "finished" from "died between heartbeats".  Idempotent: the
            success path publishes the full stats and the protective
            finally becomes a no-op. *)
-        let last_counts = ref (Status.zero ~total:(List.length pending)) in
+        let last_counts = ref (Status.zero ~total:pending) in
         let finished = ref false in
         let finish_status counts =
           Option.iter
@@ -1134,6 +1149,7 @@ let cmd_batch =
         let progress =
           Option.map
             (fun w counts ->
+              let counts = { counts with Status.total = pending } in
               last_counts := counts;
               Status.heartbeat w
                 {
@@ -1145,10 +1161,64 @@ let cmd_batch =
         in
         Fun.protect ~finally:(fun () -> finish_status !last_counts)
         @@ fun () ->
-        let outcomes, merged, stats =
-          Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
-            ?cancel:run_cancel ~on_result ?profile ?progress ~sleep:Unix.sleepf
-            ~timer:Unix.gettimeofday ~f:schedule_one pending
+        (* The report is written in index order as lines leave the
+           engine, the replayed ones merged in by index.  Casualty,
+           degraded and quarantine accounting read the report lines, not
+           the outcomes, so loops journaled as casualties by an
+           interrupted run still count after a resume. *)
+        let casualties = ref [] and degraded = ref 0 in
+        let replay =
+          Array.of_list
+            (List.sort compare
+               (Hashtbl.fold (fun g _ acc -> g :: acc) resumed []))
+        in
+        let next_replay = ref 0 in
+        let stats =
+          Ims_exec.Report.with_output report @@ fun oc ->
+          let emit g line =
+            output_string oc (Json.to_string line);
+            output_char oc '\n';
+            match Ims_exec.Report.verdict line with
+            | Ims_exec.Report.Casualty -> casualties := (g, line) :: !casualties
+            | Ims_exec.Report.Degraded -> incr degraded
+            | Ims_exec.Report.Clean -> ()
+          in
+          let replay_below g =
+            while !next_replay < Array.length replay && replay.(!next_replay) < g
+            do
+              let r = replay.(!next_replay) in
+              emit r (Hashtbl.find resumed r);
+              incr next_replay
+            done
+          in
+          let deliver input outcome =
+            let line =
+              match outcome with
+              | Ims_exec.Outcome.Done (line, ii) ->
+                  (* The achieved IIs make a deterministic series, so the
+                     profile answers "how were the IIs distributed"
+                     alongside the wall-clock view. *)
+                  Option.iter
+                    (fun p -> Profile.add_sample p "ii" (float_of_int ii))
+                    profile;
+                  line
+              | _ ->
+                  let line = Hashtbl.find casualty_lines input.index in
+                  Hashtbl.remove casualty_lines input.index;
+                  line
+            in
+            replay_below input.index;
+            emit input.index line
+          in
+          let stats =
+            Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
+              ?cancel:run_cancel ~on_result ?profile ?progress
+              ~sleep:Unix.sleepf ~timer:Unix.gettimeofday ~f:schedule_one
+              ~deliver
+              (loops (Hashtbl.mem resumed))
+          in
+          replay_below max_int;
+          stats
         in
         finish_status
           {
@@ -1161,82 +1231,53 @@ let cmd_batch =
           };
         (match (profile_file, profile) with
         | Some file, Some p ->
-            (* The achieved IIs make a deterministic series (outcomes
-               are in input order), so the profile answers "how were
-               the IIs distributed" alongside the wall-clock view. *)
-            List.iter
-              (function
-                | Ims_exec.Outcome.Done (_, ii) ->
-                    Profile.add_sample p "ii" (float_of_int ii)
-                | _ -> ())
-              outcomes;
             write_file file (Json.to_string (Profile.to_json p) ^ "\n")
         | _ -> ());
         (match writer with
         | Some w -> Ims_exec.Journal.close w
         | None -> ());
-        let lines = List.map (fun (g, _) -> Hashtbl.find completed g) inputs in
-        (match report with
-        | Some file -> Ims_exec.Report.write_jsonl file lines
-        | None -> print_string (Ims_exec.Report.jsonl_string lines));
-        (* Casualty accounting reads the report lines, not the outcome
-           list, so loops journaled as casualties by an interrupted run
-           still count after a resume. *)
-        let status_of line =
-          match Json.field line "status" with
-          | Some (Json.String s) -> s
-          | _ -> "ok"
-        in
-        let describe_line line =
+        let casualties = List.rev !casualties in
+        let describe line =
+          let status =
+            match Json.field line "status" with
+            | Some (Json.String s) -> s
+            | _ -> "ok"
+          in
           match Json.field line "error" with
-          | Some (Json.String e) -> Printf.sprintf "%s: %s" (status_of line) e
+          | Some (Json.String e) -> Printf.sprintf "%s: %s" status e
           | _ -> (
               match Json.field line "elapsed_s" with
-              | Some (Json.Float e) ->
-                  Printf.sprintf "%s after %.3fs" (status_of line) e
-              | _ -> status_of line)
-        in
-        let casualty_lines =
-          List.filter_map
-            (fun ((_, input), line) ->
-              match Ims_exec.Report.verdict line with
-              | Ims_exec.Report.Casualty -> Some (input, line)
-              | Ims_exec.Report.Clean | Ims_exec.Report.Degraded -> None)
-            (List.combine inputs lines)
-        in
-        let degraded =
-          List.length
-            (List.filter
-               (fun line -> Ims_exec.Report.verdict line = Ims_exec.Report.Degraded)
-               lines)
+              | Some (Json.Float e) -> Printf.sprintf "%s after %.3fs" status e
+              | _ -> status)
         in
         Log.info batch_log "%s" (Ims_exec.Exec.summary stats);
         (* Deliberately NOT routed through the logger: scripts match
            this data line anchored at start of line (^merged counters). *)
         Format.eprintf "merged counters: %a@." Ims_mii.Counters.pp
-          merged.Ims_exec.Shard.counters;
+          stats.Ims_exec.Exec.counters;
         List.iter
-          (fun (input, line) ->
-            Printf.eprintf "  %s: %s\n" input.in_name (describe_line line))
-          casualty_lines;
+          (fun (_, line) ->
+            match Json.field line "name" with
+            | Some (Json.String name) ->
+                Printf.eprintf "  %s: %s\n" name (describe line)
+            | _ -> ())
+          casualties;
         (match quarantine with
         | None -> ()
         | Some file ->
             let oc = open_out file in
-            List.iter
-              (fun (input, _) -> output_string oc (input.origin ^ "\n"))
-              casualty_lines;
+            List.iter (fun (g, _) -> output_string oc (origin g ^ "\n")) casualties;
             close_out oc;
-            if casualty_lines <> [] then
+            if casualties <> [] then
               Log.info batch_log "%d poison input(s) quarantined to %s"
-                (List.length casualty_lines) file);
-        if casualty_lines <> [] then begin
+                (List.length casualties) file);
+        if casualties <> [] then begin
           Log.error batch_log "completed with casualties (see report)";
           1
         end
-        else if degraded > 0 then begin
+        else if !degraded > 0 then begin
           Log.warn batch_log "%d loop(s) degraded to the acyclic list schedule"
-            degraded;
+            !degraded;
           2
         end
         else 0)
@@ -1271,8 +1312,8 @@ let cmd_corpus =
   in
   let seed_arg =
     let doc =
-      "Generator seed.  Loop $(i)i$(b,) of a corpus is a pure function \
-       of (seed, i), so any prefix or shard regenerates byte-identically."
+      "Generator seed.  Loop $(i,i) of a corpus is a pure function of \
+       (seed, $(i,i)), so any prefix or shard regenerates byte-identically."
     in
     Arg.(value & opt int 1994 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
@@ -1552,48 +1593,34 @@ let cmd_fleet =
             let reports =
               List.map (fun (s : Ims_fleet.Fleet.spec) -> s.report) specs
             in
-            let merge emit =
-              Ims_fleet.Fleet.merge_reports ~reports ~emit
-            in
-            let result =
-              match report with
-              | Some file ->
-                  let tmp = file ^ ".tmp" in
-                  let oc = open_out_bin tmp in
-                  let r =
-                    Fun.protect
-                      ~finally:(fun () -> close_out_noerr oc)
-                      (fun () ->
-                        merge (fun line -> output_string oc (line ^ "\n")))
+            let stats =
+              Ims_exec.Report.with_output report (fun oc ->
+                  let emit line =
+                    output_string oc line;
+                    output_char oc '\n'
                   in
-                  (match r with
-                  | Ok _ -> Sys.rename tmp file
-                  | Error _ -> if Sys.file_exists tmp then Sys.remove tmp);
-                  r
-              | None -> merge (fun line -> print_string (line ^ "\n"))
+                  match Ims_fleet.Fleet.merge_reports ~reports ~emit with
+                  | Ok stats -> stats
+                  | Error e -> failwith (Printf.sprintf "fleet: merge: %s" e))
             in
-            match result with
-            | Error e -> failwith (Printf.sprintf "fleet: merge: %s" e)
-            | Ok stats ->
-                Log.info fleet_log
-                  "merged %d line(s) from %d shard(s), %d restart(s) \
-                   survived"
-                  stats.Ims_fleet.Fleet.lines workers
-                  outcome.Ims_fleet.Fleet.restarts;
-                if stats.Ims_fleet.Fleet.merge_casualties > 0 then begin
-                  Log.error fleet_log "completed with %d casualt%s (see report)"
-                    stats.Ims_fleet.Fleet.merge_casualties
-                    (if stats.Ims_fleet.Fleet.merge_casualties = 1 then "y"
-                     else "ies");
-                  1
-                end
-                else if stats.Ims_fleet.Fleet.merge_degraded > 0 then begin
-                  Log.warn fleet_log
-                    "%d loop(s) degraded to the acyclic list schedule"
-                    stats.Ims_fleet.Fleet.merge_degraded;
-                  2
-                end
-                else 0))
+            Log.info fleet_log
+              "merged %d line(s) from %d shard(s), %d restart(s) survived"
+              stats.Ims_fleet.Fleet.lines workers
+              outcome.Ims_fleet.Fleet.restarts;
+            if stats.Ims_fleet.Fleet.merge_casualties > 0 then begin
+              Log.error fleet_log "completed with %d casualt%s (see report)"
+                stats.Ims_fleet.Fleet.merge_casualties
+                (if stats.Ims_fleet.Fleet.merge_casualties = 1 then "y"
+                 else "ies");
+              1
+            end
+            else if stats.Ims_fleet.Fleet.merge_degraded > 0 then begin
+              Log.warn fleet_log
+                "%d loop(s) degraded to the acyclic list schedule"
+                stats.Ims_fleet.Fleet.merge_degraded;
+              2
+            end
+            else 0))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -1,15 +1,27 @@
-(** The batch execution engine: run independent jobs across domains.
+(** The job engine: run independent jobs across domains.
 
-    The contract, in order of importance:
+    One worker loop serves both entry points: pull the next input under
+    the engine's lock, run it through the per-job attempt machinery,
+    and hand the result on.  {!run} drives it over a finite sequence,
+    with the calling domain as the last worker, and delivers results in
+    input order; {!stream} drives it over an {!Intake} on spawned
+    domains, for a daemon, and responds in completion order.
 
-    {b Determinism.}  [run ~f inputs] returns outcomes in input order,
-    each slot written exactly once by whichever worker drew that index,
-    and merges telemetry shards in job order — so output order {e and}
-    content are byte-identical to a serial run regardless of worker
-    count or interleaving.  ([~timeout] and [~deadline] are the opt-in
+    The contract of {!run}, in order of importance:
+
+    {b Determinism.}  Results leave through a reorder window in input
+    order: [deliver] sees them in that order, and the merged counters
+    and the profile fold as they pass — so output order {e and} content
+    are byte-identical to a serial run regardless of worker count or
+    interleaving.  ([~timeout] and [~deadline] are the opt-in
     exceptions: whether a borderline job crosses a wall-clock limit is
     inherently racy, and a [Timed_out]/[Cancelled] outcome carries
     measured seconds.)
+
+    {b Bounded memory.}  Inputs are pulled one at a time as workers
+    free up, so a corpus streams through: at most [jobs] inputs are
+    pulled and unfinished at once, and the window holds only the
+    results that finished ahead of the oldest running job.
 
     {b Fault containment.}  Each job runs under its own handler; an
     exception becomes {!Outcome.Failed} for that job alone and every
@@ -27,13 +39,7 @@
     attempts; only the final attempt's outcome and telemetry survive.
     A run-level [cancel] token is the fail-fast gate: once cancelled,
     unstarted jobs complete immediately as [Cancelled] and running
-    jobs are preempted at their next poll.
-
-    {b Self-scheduling.}  Jobs are drawn from a chunked atomic queue
-    ({!Ims_par.Work_queue}) in guided chunks, so a long-tail job cannot
-    serialize the run behind a static partition.
-
-    The engine is synchronous: [run] is itself the barrier. *)
+    jobs are preempted at their next poll. *)
 
 type stats = {
   jobs : int;
@@ -44,8 +50,9 @@ type stats = {
   retried : int;  (** Jobs that needed more than one attempt. *)
   attempts : int;  (** Total attempts across all jobs (>= jobs). *)
   workers : int;  (** Actually used: [min jobs (length inputs)], >= 1. *)
-  chunks : int;  (** Queue grabs — an indicator of scheduling granularity. *)
   elapsed : float;  (** Of the whole batch, by the injected timer. *)
+  counters : Ims_mii.Counters.t;
+      (** The final attempts' step counters, summed in input order. *)
 }
 
 val default_jobs : unit -> int
@@ -57,20 +64,24 @@ val run :
   ?deadline:float ->
   ?retry:Retry.policy ->
   ?cancel:Ims_obs.Cancel.t ->
-  ?on_result:(int -> 'b Outcome.t -> unit) ->
+  ?on_result:('a -> 'b Outcome.t -> unit) ->
   ?sleep:(float -> unit) ->
-  ?observe:bool ->
   ?profile:Ims_obs.Profile.t ->
   ?progress:(Ims_obs.Status.counts -> unit) ->
   ?timer:(unit -> float) ->
   f:(Shard.t -> 'a -> 'b) ->
-  'a list ->
-  'b Outcome.t list * Shard.t * stats
-(** [run ~f inputs] applies [f shard input] to every input and returns
-    (outcomes in input order, merged telemetry shard, casualty stats).
+  deliver:('a -> 'b Outcome.t -> unit) ->
+  'a Seq.t ->
+  stats
+(** [run ~f ~deliver inputs] applies [f shard input] to every input,
+    calls [deliver input outcome] once per input {e in input order},
+    and returns the casualty stats with the merged counters.  [inputs]
+    is forced once, node by node, under the engine's lock, so an
+    ephemeral sequence over a file cursor is fine.
 
-    [jobs] defaults to {!default_jobs}; [1] runs inline on the calling
-    domain (no spawn).
+    [jobs] defaults to {!default_jobs}; the calling domain is the last
+    worker, so [1] runs inline (no spawn).  No more than [min jobs
+    (length inputs)] workers run.
 
     [timeout] is the {e soft} per-job wall-clock limit in seconds: an
     overrunning job still completes, but its value is discarded as
@@ -94,67 +105,59 @@ val run :
     [Cancelled] without running, while started jobs are preempted at
     their next poll through the parent link.
 
-    [on_result i outcome] fires once per job as it completes (final
-    attempt only), in completion order, serialized under a mutex —
-    the hook for journaling and fail-fast gates.  Keep it cheap; it is
-    on the critical path of every worker.
-
-    [observe] gives each job's shard a live trace sink (default:
-    [Trace.null]).
+    [on_result input outcome] fires once per job as it completes (final
+    attempt only), in completion order — the hook for journaling and
+    fail-fast gates.  [progress] then fires with the live
+    {!Ims_obs.Status.counts} tally (its [total] counts the inputs pulled
+    so far; a caller that knows the size overrides it) — the hook for
+    heartbeat files and TTY progress lines.  Then the result enters the
+    reorder window, and every result it releases folds its counters
+    (and, with [profile], its shard) and goes to [deliver].  All three
+    hooks run under the engine's lock, one at a time, on whichever
+    worker finished the job; keep them cheap.  If a hook or [inputs]
+    raises, the workers stop pulling and the exception resurfaces from
+    [run] once they have joined.
 
     [profile] opts into run-level profiling: each job's shard gets a
     timing-only trace ({!Ims_obs.Trace.timer_only}, fed by [timer]),
-    and after the barrier every job folds into the profile {e in input
-    order} — phase spans, step counters, and the job's total wall-clock
-    seconds (including retries) into the latency series.  Counter
-    totals/maxima and series contents are therefore byte-identical at
-    any [jobs]; only the seconds vary.
+    and each job folds into the profile in input order — phase spans,
+    step counters, and the job's total wall-clock seconds (including
+    retries) into the latency series.  Counter totals/maxima and series
+    contents are therefore byte-identical at any [jobs]; only the
+    seconds vary.
 
-    [progress] fires with the live {!Ims_obs.Status.counts} tally after
-    each job completes, in completion order under the same mutex as
-    [on_result] (after it) — the hook for heartbeat files and TTY
-    progress lines.  Keep it cheap.
-
-    [timer] (default [Sys.time]) feeds limits and
-    [stats.elapsed]; inject a wall clock (e.g. [Unix.gettimeofday]) for
-    meaningful deadlines under parallelism — [Sys.time] is process-CPU
-    time summed over domains. *)
+    [timer] (default [Sys.time]) feeds limits and [stats.elapsed];
+    inject a wall clock (e.g. [Unix.gettimeofday]) for meaningful
+    deadlines under parallelism — [Sys.time] is process-CPU time summed
+    over domains. *)
 
 (** {2 Stream intake}
 
-    [run] materializes its inputs; a daemon cannot.  The stream form
-    consumes an {!Intake} — jobs arrive for the lifetime of the
-    process, workers pull as they free up, and results leave through a
-    callback instead of a returned list.  Both forms share the same
-    per-job engine (attempts, retry policy, soft timeout, cooperative
-    cancellation), so a job behaves identically whether it came from a
-    file corpus or a socket. *)
+    A daemon cannot hand {!run} a finite sequence: jobs arrive for the
+    lifetime of the process.  The stream form runs the same worker loop
+    over an {!Intake}: workers pull as they free up, and each result
+    leaves through a callback, in completion order.  A job behaves
+    identically whether it came from a file corpus or a socket. *)
 
 type 'a streaming
 (** A running pool of stream workers. *)
 
 val stream :
   ?workers:int ->
-  ?timeout:float ->
-  ?retry:Retry.policy ->
-  ?cancel:Ims_obs.Cancel.t ->
-  ?sleep:(float -> unit) ->
-  ?observe:bool ->
   ?timer:(unit -> float) ->
   ?deadline_of:('a -> float option) ->
   f:(Shard.t -> 'a -> 'b) ->
   respond:('a -> 'b Outcome.t -> Shard.t -> int -> unit) ->
   'a Intake.t ->
   'a streaming
-(** [stream ~f ~respond intake] spawns [workers] domains (all spawned —
-    the calling domain keeps running, e.g. an accept loop) that pull
-    jobs from [intake] until it is closed and drained; {!await} then
-    joins them.
+(** [stream ~f ~respond intake] spawns [workers] (default 1) domains —
+    all spawned, the calling domain keeps running, e.g. an accept loop
+    — that pull jobs from [intake] until it is closed and drained;
+    {!await} then joins them.
 
     [deadline_of] arms a {e per-job} preemptive deadline (the daemon's
-    per-request deadline), where [run]'s [deadline] is one value for the
-    whole batch; [cancel] is the pool-level kill switch, parent of every
-    job token as in [run].
+    per-request deadline), fed by [timer] (default [Sys.time]).  Each
+    job runs one attempt.
 
     [respond x outcome shard attempts] fires on the job's worker as it
     completes — possibly concurrently across workers; serialize inside
@@ -170,8 +173,8 @@ val streaming_jobs : 'a streaming -> int
 (** The worker count of the pool. *)
 
 val map_exn : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] with fail-fast reporting: every job runs to the
-    barrier (containment still holds mid-run), then the first non-[Done]
+(** Parallel [List.map] with fail-fast reporting: every job runs
+    (containment still holds mid-run), then the first non-[Done]
     outcome raises [Failure] naming the job index.  The drop-in
     replacement for a serial [List.map] whose exceptions were fatal
     anyway. *)

@@ -1,14 +1,14 @@
 (** A bounded, blocking, multi-producer/multi-consumer job queue: the
     stream form of job intake.
 
-    {!Exec.run} materializes its whole input list up front — right for
-    a batch over a file corpus, wrong for a daemon where requests
-    arrive over a socket for the lifetime of the process.  An intake is
-    the daemon-shaped source: producers {!try_add} jobs as they arrive
-    and are told immediately when the queue is at its high-water mark
-    (backpressure — the caller turns that into a structured [Overloaded]
-    response instead of queueing unboundedly); consumers {!take} jobs,
-    blocking while the queue is empty and the intake is still open.
+    {!Exec.run} pulls from a finite sequence — right for a batch over a
+    file corpus, wrong for a daemon where requests arrive over a socket
+    for the lifetime of the process.  An intake is the daemon-shaped
+    source: producers {!try_add} jobs as they arrive and are told
+    immediately when the queue is at its high-water mark (backpressure
+    — the caller turns that into a structured [Overloaded] response
+    instead of queueing unboundedly); consumers {!take} jobs, blocking
+    while the queue is empty and the intake is still open.
 
     {!close} is the end-of-stream marker: already-queued jobs are still
     drained, then every blocked or future {!take} returns [None] — the

@@ -45,10 +45,30 @@ let verdict = function
       | Some _ -> Casualty)
   | _ -> Clean
 
-let jsonl_string lines =
-  String.concat "" (List.map (fun j -> Json.to_string j ^ "\n") lines)
-
-let write_jsonl file lines =
-  let oc = open_out file in
-  output_string oc (jsonl_string lines);
-  close_out oc
+(* A rename replaces whatever sits at [file]: a symlink would become a
+   regular file and its target stay empty, and a device would be
+   swapped out.  So only an absent or regular [file] is staged. *)
+let with_output file f =
+  match file with
+  | None ->
+      let r = f stdout in
+      flush stdout;
+      r
+  | Some file -> (
+      let staged =
+        match (Unix.lstat file).Unix.st_kind with
+        | Unix.S_REG -> true
+        | _ -> false
+        | exception Unix.Unix_error _ -> true
+      in
+      let path = if staged then file ^ ".tmp" else file in
+      let oc = open_out_bin path in
+      match f oc with
+      | r ->
+          close_out oc;
+          if staged then Sys.rename path file;
+          r
+      | exception e ->
+          close_out_noerr oc;
+          if staged && Sys.file_exists path then Sys.remove path;
+          raise e)

@@ -46,7 +46,11 @@ val verdict : Json.t -> verdict
     {!Degraded}.  An absent ["status"] counts as ok, and a value that is
     not an object reads as {!Clean}. *)
 
-val jsonl_string : Json.t list -> string
-(** One line per object, each ["\n"]-terminated. *)
-
-val write_jsonl : string -> Json.t list -> unit
+val with_output : string option -> (out_channel -> 'a) -> 'a
+(** [with_output file f] runs [f] on the channel a report goes to:
+    stdout for [None], else [file].  An absent or regular [file] is
+    staged: [f] writes [file.tmp], which is renamed over [file] when [f]
+    returns and removed when it raises, so [file] never holds a partial
+    report.  Anything else at [file] (a symlink, a device, a pipe) is
+    written in place, since a rename would replace the link or the
+    device instead of writing through it. *)

@@ -1,18 +1,17 @@
-(** Per-job observability and control shards.
+(** Per-job telemetry and control shards.
 
     The telemetry layer's sinks ({!Ims_obs.Trace.t},
     {!Ims_mii.Counters.t}) are single-writer mutable buffers; sharing
     one across domains would race.  So the engine hands every job its
     own shard — owned exclusively by whichever worker runs that job —
-    and, after the barrier, {!merge} folds the shards {e in job order}:
-    traces are absorbed with their sequence numbers re-stamped
-    ({!Ims_obs.Trace.absorb}) and counters are summed
-    ({!Ims_mii.Counters.merge}).
+    and folds it into the run's totals as the job's result leaves the
+    engine's reorder window, {e in job order}: counters are summed and,
+    when profiling, span times and counters go to the run profile.
 
-    Because the merge order is the job order, never the (racy)
-    completion order, the merged trace and counters are byte-identical
-    to what a serial run over the same jobs would have produced — this
-    is what keeps [--trace] and [--metrics] exports stable under
+    Because the fold order is the job order, never the (racy)
+    completion order, the merged counters are byte-identical to what a
+    serial run over the same jobs would have produced — this is what
+    keeps [--profile] and the [merged counters] line stable under
     [--jobs N].
 
     The shard also carries the job's control context: its cancellation
@@ -21,7 +20,8 @@
     retry policy is active. *)
 
 type t = {
-  trace : Ims_obs.Trace.t;  (** [Trace.null] unless observing. *)
+  trace : Ims_obs.Trace.t;
+      (** [Trace.null] unless the run is profiled. *)
   counters : Ims_mii.Counters.t;
   cancel : Ims_obs.Cancel.t;
       (** This attempt's token; [Cancel.null] when no deadline or
@@ -30,23 +30,13 @@ type t = {
 }
 
 val create :
-  ?observe:bool ->
   ?time_spans:bool ->
   ?timer:(unit -> float) ->
   ?cancel:Ims_obs.Cancel.t ->
   ?attempt:int ->
   unit ->
   t
-(** A fresh shard; [observe] (default false) allocates a real trace
-    sink instead of [Trace.null].  [time_spans] (default false, implied
-    by [observe]) allocates a {!Ims_obs.Trace.timer_only} sink instead:
-    no events, but per-phase wall time still accumulates — the cheap
-    mode run-level profiling uses.  [timer] feeds span timing for
-    either kind of sink (default [Sys.time]). *)
-
-val merge : t list -> t
-(** Fold shards in list order into one shard with a contiguous,
-    renumbered event stream and summed counters.  A timing-only shard
-    set merges into a timing-only shard (span tables folded, no
-    events).  The merged shard's control fields are neutral
-    ([Cancel.null], attempt 1). *)
+(** A fresh shard.  [time_spans] (default false) allocates a
+    {!Ims_obs.Trace.timer_only} sink instead of [Trace.null]: no
+    events, but per-phase wall time accumulates, fed by [timer]
+    (default [Sys.time]) — the cheap mode run-level profiling uses. *)

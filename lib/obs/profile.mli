@@ -16,8 +16,9 @@
     so they are byte-identical at any worker count; phase and latency
     seconds are wall clock and are not.  All readout is sorted by name.
 
-    Accumulation is single-threaded: the execution engine folds each
-    job's shard in after the pool barrier, never from worker domains. *)
+    Accumulation is single-writer: the execution engine folds each
+    job's shard in job order, under its lock, as the job's result
+    leaves the reorder window. *)
 
 type t
 

@@ -38,7 +38,6 @@ let timer_only ?(timer = Sys.time) () =
   }
 
 let enabled t = t.enabled
-let times_spans t = t.time_spans
 
 let emit t payload =
   if t.enabled then begin

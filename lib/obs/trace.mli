@@ -33,10 +33,6 @@ val timer_only : ?timer:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
 
-val times_spans : t -> bool
-(** True for {!create}d and {!timer_only} traces: {!with_span} is
-    accumulating the phase table. *)
-
 val emit : t -> Event.payload -> unit
 (** Appends (when enabled).  Prefer the typed emitters below on hot
     paths: they perform the enabled check {e before} allocating the

@@ -411,6 +411,22 @@ let next c =
       c.idx <- c.idx + 1;
       Some rec_
 
+let skip c =
+  let frame = Bytes.create frame_bytes in
+  match read_exact c.ic frame frame_bytes with
+  | 0 -> false
+  | got when got < frame_bytes ->
+      corrupt c.off "truncated record frame (need %d bytes, have %d)"
+        frame_bytes got
+  | _ ->
+      let len = Int32.to_int (Bytes.get_int32_le frame 0) in
+      if len < 0 || len > max_record_bytes then
+        corrupt c.off "implausible record length %d" len;
+      c.off <- c.off + frame_bytes + len;
+      c.idx <- c.idx + 1;
+      seek_in c.ic c.off;
+      true
+
 let decode_record machine (r : record) =
   decode ~base:(r.offset + frame_bytes) machine r.payload
 

@@ -82,6 +82,13 @@ val next : cursor -> record option
     @raise Corrupt on a torn frame, truncated payload or CRC mismatch,
     with the offending absolute byte offset. *)
 
+val skip : cursor -> bool
+(** Step over the next record without reading or CRC-checking its
+    payload: [false] at a clean end of file.  For a reader that takes
+    every Nth record of a corpus already validated by {!iter}; a
+    payload cut short by the end of file shows as the end of file.
+    @raise Corrupt on a torn frame or an implausible length. *)
+
 val close_cursor : cursor -> unit
 
 val decode_record : Machine.t -> record -> string * Ddg.t

@@ -13,7 +13,11 @@
 #   5. a non-positive --status-interval is refused before any shard
 #      starts;
 #   6. SIGTERM to a live fleet stops every shard, and the fleet exits 1
-#      with a settled status file.
+#      with a settled status file;
+#   7. a symlinked --report, for batch and for fleet, keeps the link
+#      and fills its target;
+#   8. the corpus gen and batch help pages render without a cmdliner
+#      error.
 set -eu
 
 IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -140,6 +144,35 @@ LEFT=$(grep -o '"pid":[1-9][0-9]*' term-status.json | cut -d: -f2 || true)
 for PID in $PIDS $LEFT; do
   if kill -0 "$PID" 2> /dev/null; then
     echo "shard pid $PID outlived the fleet" >&2
+    exit 1
+  fi
+done
+
+# --- 7. a symlinked --report is written through, not replaced ------------
+
+# A report is staged and renamed into place only when its path is absent
+# or a regular file; a rename over a link would leave the target empty.
+: > batch-target.jsonl
+ln -s batch-target.jsonl batch-link.jsonl
+"$IMSC" batch --corpus corpus.ilb --jobs 2 --report batch-link.jsonl 2> /dev/null
+test -L batch-link.jsonl
+cmp single.jsonl batch-target.jsonl
+
+rm -rf runlink
+mkdir runlink
+ln -s fleet-target.jsonl fleet-link.jsonl
+"$IMSC" fleet --corpus corpus.ilb --workers 2 --dir runlink \
+  --report fleet-link.jsonl 2> /dev/null
+test -L fleet-link.jsonl
+cmp single.jsonl fleet-target.jsonl
+
+# --- 8. help pages render cleanly -------------------------------------------
+
+for cmd in "corpus gen" batch; do
+  # shellcheck disable=SC2086
+  "$IMSC" $cmd --help=plain > help.out 2>&1
+  if grep -q "cmdliner error" help.out; then
+    echo "imsc $cmd --help=plain: $(grep "cmdliner error" help.out)" >&2
     exit 1
   fi
 done

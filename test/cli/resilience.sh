@@ -13,7 +13,9 @@
 #   6. a flaky loop (injected transient fault) must be retried to
 #      success and leave the report identical to the clean run;
 #   7. --max-failures must cancel the outstanding loops through the
-#      run-level token.
+#      run-level token;
+#   8. a real SIGKILL mid-run leaves no file at the --report path, and
+#      a resume from its journal writes the clean report.
 set -eu
 
 IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -112,3 +114,24 @@ grep -q '"status":"failed"' failfast.jsonl
 test "$(grep -c '"status":"cancelled"' failfast.jsonl)" -eq 8
 # Fail-fast must not skip the final "running":false heartbeat either.
 grep -q '"running":false' failfast-status.json
+
+# --- 8. SIGKILL mid-run: no partial report, resume completes ----------------
+
+# lfk07 (the fifth loop) spins, so the four loops before it are
+# journaled, and their report lines written, when the kill lands.
+"$IMSC" batch rcorpus --jobs 1 --inject-spin lfk07.loop:60 \
+  --journal killed.journal --report killed.jsonl 2> killed.stderr &
+pid=$!
+i=0
+while [ "$(wc -l < killed.journal 2> /dev/null || echo 0)" -lt 5 ] \
+      && [ "$i" -lt 300 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+kill -9 "$pid"
+wait "$pid" 2> /dev/null || true
+test "$(wc -l < killed.journal)" -ge 5
+test ! -e killed.jsonl
+"$IMSC" batch rcorpus --jobs 2 --resume killed.journal \
+  --report killed.jsonl 2> killed-resumed.stderr
+cmp clean.jsonl killed.jsonl

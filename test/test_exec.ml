@@ -1,64 +1,26 @@
-(* Tests for the parallel batch-scheduling engine: the determinism
-   contract (any --jobs produces the serial bytes), fault containment,
-   soft timeouts, the chunked work queue, and telemetry shard merging. *)
+(* Tests for the job engine: the determinism contract (any --jobs
+   produces the serial bytes), the reorder window, fault containment,
+   soft timeouts, and telemetry merging. *)
 
 open Ims_exec
 open Ims_workloads
 
 let machine = Ims_machine.Machine.cydra5 ()
 
-(* --- Work queue ------------------------------------------------------------- *)
-
-let test_queue_covers_all () =
-  let q =
-    Ims_par.Work_queue.create ~workers:3 ~length:100
-  in
-  let seen = Array.make 100 0 in
-  let rec drain () =
-    match Ims_par.Work_queue.take q with
-    | None -> ()
-    | Some (lo, hi) ->
-        Alcotest.(check bool) "non-empty chunk" true (lo < hi);
-        for i = lo to hi - 1 do
-          seen.(i) <- seen.(i) + 1
-        done;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check bool) "every index exactly once" true
-    (Array.for_all (fun c -> c = 1) seen);
-  Alcotest.(check bool) "chunked, not one-by-one" true
-    (Ims_par.Work_queue.chunks_taken q < 100)
-
-let test_guided_chunks_shrink () =
-  let sizes = ref [] in
-  let q =
-    Ims_par.Work_queue.create ~workers:4 ~length:1000
-  in
-  let rec drain () =
-    match Ims_par.Work_queue.take q with
-    | None -> ()
-    | Some (lo, hi) ->
-        sizes := (hi - lo) :: !sizes;
-        drain ()
-  in
-  drain ();
-  let sizes = List.rev !sizes in
-  Alcotest.(check int) "first grab is big" 125 (List.hd sizes);
-  Alcotest.(check bool) "monotone non-increasing" true
-    (fst
-       (List.fold_left
-          (fun (ok, prev) s -> (ok && s <= prev, s))
-          (true, max_int) sizes));
-  Alcotest.(check int) "tail grabs are single jobs" 1
-    (List.nth sizes (List.length sizes - 1))
-
 (* --- map: parallel = serial --------------------------------------------------- *)
+
+(* [run deliver] collects what [deliver] sees, in delivery order, with
+   the run's stats. *)
+let collect run =
+  let out = ref [] in
+  let stats = run (fun _ o -> out := o :: !out) in
+  (List.rev !out, stats)
 
 (* [Exec.run] without telemetry: just the outcomes, in input order. *)
 let map ~jobs f xs =
-  let outcomes, _, _ = Exec.run ~jobs ~f:(fun _shard x -> f x) xs in
-  outcomes
+  fst
+    (collect (fun deliver ->
+         Exec.run ~jobs ~f:(fun _shard x -> f x) ~deliver (List.to_seq xs)))
 
 let prop_map_equals_serial =
   QCheck.Test.make ~count:60 ~name:"exec: map at any jobs = List.map"
@@ -66,6 +28,87 @@ let prop_map_equals_serial =
     (fun (xs, jobs) ->
       let f x = (x * x) + 7 in
       map ~jobs f xs = List.map (fun x -> Outcome.Done (f x)) xs)
+
+(* --- The worker loop and its reorder window ---------------------------------- *)
+
+(* Job 0 is held until every later job has finished (with one worker it
+   cannot be: it runs first), yet [deliver] still sees input order. *)
+let test_in_order_delivery () =
+  List.iter
+    (fun jobs ->
+      let n = 12 in
+      let done_after_0 = Atomic.make 0 in
+      let f _ x =
+        if x = 0 && jobs > 1 then begin
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          while
+            Atomic.get done_after_0 < n - 1 && Unix.gettimeofday () < give_up
+          do
+            Domain.cpu_relax ()
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: job 0 outlives the rest" jobs)
+            (n - 1) (Atomic.get done_after_0)
+        end
+        else if x > 0 then Atomic.incr done_after_0;
+        x
+      in
+      let delivered = ref [] in
+      let _ : Exec.stats =
+        Exec.run ~jobs ~f
+          ~deliver:(fun x o ->
+            Alcotest.(check bool) "delivered done" true (o = Outcome.Done x);
+            delivered := x :: !delivered)
+          (Seq.init n Fun.id)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs %d: input order" jobs)
+        (List.init n Fun.id) (List.rev !delivered))
+    [ 1; 2; 4 ]
+
+let test_jobs_1_inline () =
+  let caller = (Domain.self () :> int) in
+  let outcomes, stats =
+    collect (fun deliver ->
+        Exec.run ~jobs:1
+          ~f:(fun _ _ -> (Domain.self () :> int))
+          ~deliver (Seq.init 5 Fun.id))
+  in
+  Alcotest.(check int) "one worker" 1 stats.Exec.workers;
+  Alcotest.(check bool) "every job ran on the calling domain" true
+    (List.for_all (fun o -> o = Outcome.Done caller) outcomes)
+
+(* The engine pulls an input only when a worker is free for it: at no
+   moment are more than [jobs] inputs pulled and unfinished. *)
+let test_pull_bounded () =
+  List.iter
+    (fun jobs ->
+      let open_ = Atomic.make 0 and peak = Atomic.make 0 in
+      let next = ref 0 in
+      let source () =
+        if !next >= 40 then None
+        else begin
+          let k = Atomic.fetch_and_add open_ 1 + 1 in
+          if k > Atomic.get peak then Atomic.set peak k;
+          incr next;
+          Some !next
+        end
+      in
+      let f _ x =
+        Unix.sleepf 0.001;
+        Atomic.decr open_;
+        x
+      in
+      let stats =
+        Exec.run ~jobs ~f ~deliver:(fun _ _ -> ()) (Seq.of_dispenser source)
+      in
+      Alcotest.(check int) "every input ran" 40 stats.Exec.ok;
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: at most %d open (saw %d)" jobs jobs
+           (Atomic.get peak))
+        true
+        (Atomic.get peak <= jobs))
+    [ 1; 2; 4 ]
 
 (* --- Fault containment --------------------------------------------------------- *)
 
@@ -86,7 +129,11 @@ let test_failure_contained () =
       | Outcome.Timed_out _ | Outcome.Cancelled _ ->
           Alcotest.fail "unexpected timeout")
     outcomes;
-  let _, _, stats = Exec.run ~jobs:4 ~f:(fun _ x -> f x) [ 0; 1; 2; 3; 4; 5 ] in
+  let _, stats =
+    collect (fun deliver ->
+        Exec.run ~jobs:4 ~f:(fun _ x -> f x) ~deliver
+          (List.to_seq [ 0; 1; 2; 3; 4; 5 ]))
+  in
   Alcotest.(check int) "stats.ok" 5 stats.Exec.ok;
   Alcotest.(check int) "stats.failed" 1 stats.Exec.failed;
   Alcotest.(check int) "stats.timed_out" 0 stats.Exec.timed_out
@@ -110,8 +157,10 @@ let test_soft_timeout () =
     clock := !clock +. 1.0;
     !clock
   in
-  let outcomes, _, stats =
-    Exec.run ~jobs:1 ~timeout:0.5 ~timer ~f:(fun _ x -> x) [ 1; 2; 3 ]
+  let outcomes, stats =
+    collect (fun deliver ->
+        Exec.run ~jobs:1 ~timeout:0.5 ~timer ~f:(fun _ x -> x) ~deliver
+          (List.to_seq [ 1; 2; 3 ]))
   in
   Alcotest.(check int) "all timed out" 3 stats.Exec.timed_out;
   List.iter
@@ -124,11 +173,14 @@ let test_soft_timeout () =
     outcomes
 
 let test_summary_line () =
-  let _, _, stats =
-    Exec.run ~jobs:2 ~f:(fun _ x -> if x = 0 then failwith "x" else x) [ 0; 1 ]
+  let _, stats =
+    collect (fun deliver ->
+        Exec.run ~jobs:2
+          ~f:(fun _ x -> if x = 0 then failwith "x" else x)
+          ~deliver (List.to_seq [ 0; 1 ]))
   in
   Alcotest.(check string) "summary"
-    "2 jobs: 1 ok, 1 failed, 0 timed out; 2 workers, 2 chunks"
+    "2 jobs: 1 ok, 1 failed, 0 timed out; 2 workers"
     (Exec.summary stats)
 
 (* --- Telemetry merging ---------------------------------------------------------- *)
@@ -223,20 +275,38 @@ let metrics_jsonl records =
          ^ "\n")
        records)
 
+(* Every fold the window makes — merged counters, the profile's
+   counters and a caller's [ii] series fed from [deliver] — reads the
+   same at jobs 1 and jobs 4. *)
 let test_suite_determinism_across_jobs () =
   let run jobs =
     let cases = Suite.cases ~machine ~count:100 ~jobs () in
-    let outcomes, merged, stats = Exec.run ~jobs ~f:measure cases in
+    let profile = Ims_obs.Profile.create () in
+    let outcomes, stats =
+      collect (fun deliver ->
+          Exec.run ~jobs ~profile ~f:measure
+            ~deliver:(fun c o ->
+              (match o with
+              | Outcome.Done r ->
+                  Ims_obs.Profile.add_sample profile "ii" (float_of_int r.r_ii)
+              | _ -> ());
+              deliver c o)
+            (List.to_seq cases))
+    in
     Alcotest.(check int) "no casualties" 100 stats.Exec.ok;
-    (List.mapi (fun job o -> Outcome.get ~job o) outcomes, merged)
+    ( List.mapi (fun job o -> Outcome.get ~job o) outcomes,
+      Ims_mii.Counters.to_assoc stats.Exec.counters,
+      Ims_obs.Profile.counters profile,
+      List.assoc_opt "ii" (Ims_obs.Profile.series profile) )
   in
-  let records1, merged1 = run 1 in
-  let records4, merged4 = run 4 in
+  let records1, merged1, profile1, ii1 = run 1 in
+  let records4, merged4, profile4, ii4 = run 4 in
   Alcotest.(check bool) "identical record lists" true (records1 = records4);
   Alcotest.(check (list (pair string int)))
-    "identical merged counters"
-    (Ims_mii.Counters.to_assoc merged1.Shard.counters)
-    (Ims_mii.Counters.to_assoc merged4.Shard.counters)
+    "identical merged counters" merged1 merged4;
+  Alcotest.(check bool) "identical profile counters" true (profile1 = profile4);
+  Alcotest.(check bool) "ii series present and identical" true
+    (ii1 <> None && ii1 = ii4)
 
 let test_suite_metrics_jsonl_identical () =
   let jsonl jobs =
@@ -258,11 +328,13 @@ let test_suite_generation_parallel_determinism () =
 let tests =
   ( "exec",
     [
-      Alcotest.test_case "queue: full disjoint coverage" `Quick
-        test_queue_covers_all;
-      Alcotest.test_case "queue: guided sizes shrink" `Quick
-        test_guided_chunks_shrink;
       QCheck_alcotest.to_alcotest prop_map_equals_serial;
+      Alcotest.test_case "window: input order with job 0 held" `Quick
+        test_in_order_delivery;
+      Alcotest.test_case "window: jobs 1 runs on the caller" `Quick
+        test_jobs_1_inline;
+      Alcotest.test_case "window: at most jobs inputs open" `Quick
+        test_pull_bounded;
       Alcotest.test_case "containment: Failure isolated" `Quick
         test_failure_contained;
       Alcotest.test_case "containment: map_exn after barrier" `Quick

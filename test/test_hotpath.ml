@@ -462,25 +462,18 @@ let test_golden_trace_forced () = check_golden golden_forced
    buffer are per call, so concurrent schedules share no state and
    each decision trace must still match the recording byte for byte.
    DDGs are built up front so the domains only schedule; results are
-   checked on the calling domain after the join.  Six jobs on two
-   workers make every guided chunk a single job. *)
+   checked on the calling domain after the join. *)
 let test_golden_traces_parallel_closure () =
   let goldens =
-    Array.of_list
-      (List.concat_map
-         (fun g -> [ g; g ])
-         [ golden_lfk20; golden_lfk23; golden_forced ])
+    List.concat_map
+      (fun g -> [ g; g ])
+      [ golden_lfk20; golden_lfk23; golden_forced ]
   in
-  let ddgs = Array.map (fun (_, build, _) -> build ()) goldens in
-  let results = Array.make (Array.length goldens) (false, []) in
-  let queue =
-    Ims_par.Work_queue.create ~workers:2 ~length:(Array.length goldens)
-  in
-  Ims_par.Pool.parallel_for ~workers:2 ~queue (fun i ->
-      results.(i) <- decisions ddgs.(i));
-  Array.iteri
-    (fun i (name, _, expected) -> check_decisions name results.(i) expected)
-    goldens
+  let ddgs = List.map (fun (_, build, _) -> build ()) goldens in
+  let results = Ims_exec.Exec.map_exn ~jobs:2 decisions ddgs in
+  List.iter2
+    (fun (name, _, expected) result -> check_decisions name result expected)
+    goldens results
 
 (* --- indexed ready set --------------------------------------------------- *)
 

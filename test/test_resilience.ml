@@ -121,6 +121,12 @@ let test_outcome_get_names_job () =
 
 (* --- Engine: preemptive deadline, retries, fail-fast ---------------------------- *)
 
+(* [Exec.run] over a list, collecting the delivered outcomes. *)
+let run_list run xs =
+  let out = ref [] in
+  let stats = run (fun _ o -> out := o :: !out) (List.to_seq xs) in
+  (List.rev !out, stats)
+
 let test_deadline_preempts_and_escalates () =
   (* Each attempt spins "forever" but polls its token, so the deadline
      preempts it; two attempts with escalation 2 then give up.  Total
@@ -135,8 +141,12 @@ let test_deadline_preempts_and_escalates () =
   in
   let retry = Retry.create ~max_attempts:2 ~escalation:2.0 () in
   let t0 = Unix.gettimeofday () in
-  let outcomes, _, stats =
-    Exec.run ~jobs:1 ~deadline:0.05 ~retry ~timer:Unix.gettimeofday ~f [ () ]
+  let outcomes, stats =
+    run_list
+      (fun deliver s ->
+        Exec.run ~jobs:1 ~deadline:0.05 ~retry ~timer:Unix.gettimeofday ~f
+          ~deliver s)
+      [ () ]
   in
   let wall = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "wall clock bounded by the deadlines" true (wall < 10.0);
@@ -164,7 +174,9 @@ let test_transient_failure_retried_to_success () =
   let f (shard : Shard.t) x =
     if shard.Shard.attempt <= 1 then failwith "transient wobble" else x * 10
   in
-  let outcomes, _, stats = Exec.run ~jobs:2 ~retry ~f [ 1; 2; 3 ] in
+  let outcomes, stats =
+    run_list (fun deliver s -> Exec.run ~jobs:2 ~retry ~f ~deliver s) [ 1; 2; 3 ]
+  in
   Alcotest.(check int) "all ok" 3 stats.Exec.ok;
   Alcotest.(check int) "all retried" 3 stats.Exec.retried;
   Alcotest.(check int) "two attempts each" 6 stats.Exec.attempts;
@@ -173,10 +185,13 @@ let test_transient_failure_retried_to_success () =
 
 let test_on_result_fires_once_per_job () =
   let seen = ref [] in
-  let outcomes, _, _ =
-    Exec.run ~jobs:4
-      ~on_result:(fun i o -> seen := (i, Outcome.is_done o) :: !seen)
-      ~f:(fun _ x -> x * 2)
+  let outcomes, _ =
+    run_list
+      (fun deliver s ->
+        Exec.run ~jobs:4
+          ~on_result:(fun x o -> seen := (x, Outcome.is_done o) :: !seen)
+          ~f:(fun _ x -> x * 2)
+          ~deliver s)
       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
   in
   Alcotest.(check int) "eight outcomes" 8 (List.length outcomes);
@@ -189,13 +204,17 @@ let test_run_level_cancel_fail_fast () =
      run token, and every later job is preempted without running. *)
   let tok = Cancel.create ~timer:Unix.gettimeofday () in
   let ran = ref [] in
-  let outcomes, _, stats =
-    Exec.run ~jobs:1 ~cancel:tok
-      ~on_result:(fun _ o -> if not (Outcome.is_done o) then Cancel.cancel tok)
-      ~f:(fun (shard : Shard.t) x ->
-        Cancel.poll shard.Shard.cancel;
-        ran := x :: !ran;
-        if x = 0 then failwith "boom" else x)
+  let outcomes, stats =
+    run_list
+      (fun deliver s ->
+        Exec.run ~jobs:1 ~cancel:tok
+          ~on_result:(fun _ o ->
+            if not (Outcome.is_done o) then Cancel.cancel tok)
+          ~f:(fun (shard : Shard.t) x ->
+            Cancel.poll shard.Shard.cancel;
+            ran := x :: !ran;
+            if x = 0 then failwith "boom" else x)
+          ~deliver s)
       [ 0; 1; 2; 3 ]
   in
   Alcotest.(check int) "one hard failure" 1 stats.Exec.failed;

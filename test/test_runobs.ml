@@ -52,8 +52,9 @@ let test_summarize () =
 (* --- profile fold determinism ---------------------------------------------- *)
 
 (* Counter totals/maxima and series contents depend only on the job
-   set; the engine folds shards in input order after the barrier, so
-   the readout must be identical at any worker count. *)
+   set; the engine folds shards in input order as they leave its
+   reorder window, so the readout must be identical at any worker
+   count. *)
 let test_exec_profile_worker_invariant () =
   let job (shard : Ims_exec.Shard.t) i =
     Trace.with_span shard.Ims_exec.Shard.trace "work" (fun () ->
@@ -66,7 +67,11 @@ let test_exec_profile_worker_invariant () =
   let inputs = List.init 24 Fun.id in
   let run jobs =
     let p = Profile.create () in
-    let _, _, _ = Ims_exec.Exec.run ~jobs ~profile:p ~f:job inputs in
+    let _ : Ims_exec.Exec.stats =
+      Ims_exec.Exec.run ~jobs ~profile:p ~f:job
+        ~deliver:(fun _ _ -> ())
+        (List.to_seq inputs)
+    in
     p
   in
   let p1 = run 1 and p4 = run 4 in
