@@ -141,23 +141,20 @@ let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
      (and [deliver]) sees the serial order at any worker count. *)
   let window = Hashtbl.create 16 in
   let next_out = ref 0 in
-  let pass_out (x, outcome, (shard : Shard.t), seconds) =
-    incr next_out;
-    Ims_mii.Counters.add counters shard.counters;
-    (match profile with
-    | Some p ->
-        Profile.add_job p
-          ~spans:(Trace.span_times shard.trace)
-          ~counters:(Ims_mii.Counters.to_assoc shard.counters)
-          ~seconds ()
-    | None -> ());
-    deliver x outcome
-  in
   let rec drain () =
     match Hashtbl.find_opt window !next_out with
-    | Some r ->
+    | Some (x, outcome, (shard : Shard.t), seconds) ->
         Hashtbl.remove window !next_out;
-        pass_out r;
+        incr next_out;
+        Ims_mii.Counters.add counters shard.counters;
+        (match profile with
+        | Some p ->
+            Profile.add_job p
+              ~spans:(Trace.span_times shard.trace)
+              ~counters:(Ims_mii.Counters.to_assoc shard.counters)
+              ~seconds ()
+        | None -> ());
+        deliver x outcome;
         drain ()
     | None -> ()
   in
@@ -176,12 +173,8 @@ let run ?jobs ?timeout ?deadline ?(retry = Retry.none) ?cancel ?on_result
         live := bump !live outcome n;
         attempts := !attempts + n;
         (match progress with Some g -> g !live | None -> ());
-        let r = (x, outcome, shard, seconds) in
-        if i = !next_out then begin
-          pass_out r;
-          drain ()
-        end
-        else Hashtbl.replace window i r)
+        Hashtbl.replace window i (x, outcome, shard, seconds);
+        drain ())
   in
   let worker () =
     try
