@@ -849,9 +849,9 @@ let cmd_batch =
            schedules, journals and reports only its residue class.  The
            corpus hash covers the *whole* corpus either way, so every
            shard of one run shares the corpus ingredient and differs
-           only in the shard ingredient.  [loops resumed] streams the
-           shard's loops that [resumed] does not hold, in index order;
-           [origin] names a loop's source for quarantine. *)
+           only in the shard ingredient.  [loops ()] streams the shard's
+           loops in index order; [origin] names a loop's source for
+           quarantine. *)
         let total, corpus_hash, origin, loops =
           match corpus with
           | Some cpath ->
@@ -864,7 +864,7 @@ let cmd_batch =
                  written.  The run pass then steps over the other shards'
                  frames without reading them. *)
               let total = Loop_bin.iter cpath ignore in
-              let loops resumed =
+              let loops () =
                 let c = Loop_bin.open_corpus cpath in
                 let skip k =
                   for _ = 1 to k do
@@ -881,17 +881,13 @@ let cmd_batch =
                       skip (stride - 1);
                       Some r
                 in
-                Seq.filter_map
+                Seq.map
                   (fun (r : Loop_bin.record) ->
-                    if resumed r.index then None
-                    else
-                      Some
-                        {
-                          index = r.index;
-                          in_name = r.name;
-                          load =
-                            (fun () -> snd (Loop_bin.decode_record machine r));
-                        })
+                    {
+                      index = r.index;
+                      in_name = r.name;
+                      load = (fun () -> snd (Loop_bin.decode_record machine r));
+                    })
                   (Seq.of_dispenser next)
               in
               ( total,
@@ -903,19 +899,18 @@ let cmd_batch =
                 Array.of_list (expand_loop_inputs ~tag:"batch" paths)
               in
               let total = Array.length files in
-              let loops resumed =
-                Seq.filter_map
+              let loops () =
+                Seq.map
                   (fun g ->
-                    if g mod stride <> first || resumed g then None
-                    else
-                      let name, path = files.(g) in
-                      Some
-                        {
-                          index = g;
-                          in_name = name;
-                          load = (fun () -> Loop_parse.parse_file machine path);
-                        })
-                  (Seq.init total Fun.id)
+                    let name, path = files.(g) in
+                    {
+                      index = g;
+                      in_name = name;
+                      load = (fun () -> Loop_parse.parse_file machine path);
+                    })
+                  (Seq.filter
+                     (fun g -> g mod stride = first)
+                     (Seq.init total Fun.id))
               in
               ( total,
                 Ims_exec.Journal.manifest_hash
@@ -1215,7 +1210,9 @@ let cmd_batch =
               ?cancel:run_cancel ~on_result ?profile ?progress
               ~sleep:Unix.sleepf ~timer:Unix.gettimeofday ~f:schedule_one
               ~deliver
-              (loops (Hashtbl.mem resumed))
+              (Seq.filter
+                 (fun input -> not (Hashtbl.mem resumed input.index))
+                 (loops ()))
           in
           replay_below max_int;
           stats
