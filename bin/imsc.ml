@@ -1163,11 +1163,8 @@ let cmd_batch =
            interrupted run still count after a resume. *)
         let casualties = ref [] and degraded = ref 0 in
         let replay =
-          Array.of_list
-            (List.sort compare
-               (Hashtbl.fold (fun g _ acc -> g :: acc) resumed []))
+          ref (List.sort compare (Hashtbl.fold (fun g _ gs -> g :: gs) resumed []))
         in
-        let next_replay = ref 0 in
         let stats =
           Ims_exec.Report.with_output report @@ fun oc ->
           let emit g line =
@@ -1178,13 +1175,13 @@ let cmd_batch =
             | Ims_exec.Report.Degraded -> incr degraded
             | Ims_exec.Report.Clean -> ()
           in
-          let replay_below g =
-            while !next_replay < Array.length replay && replay.(!next_replay) < g
-            do
-              let r = replay.(!next_replay) in
-              emit r (Hashtbl.find resumed r);
-              incr next_replay
-            done
+          let rec replay_below g =
+            match !replay with
+            | r :: rest when r < g ->
+                replay := rest;
+                emit r (Hashtbl.find resumed r);
+                replay_below g
+            | _ -> ()
           in
           let deliver input outcome =
             let line =

@@ -123,7 +123,7 @@ grep -q '"running":false' failfast-status.json
   --journal killed.journal --report killed.jsonl 2> killed.stderr &
 pid=$!
 i=0
-while [ "$(wc -l < killed.journal 2> /dev/null || echo 0)" -lt 5 ] \
+while [ "$(cat killed.journal 2> /dev/null | wc -l)" -lt 5 ] \
       && [ "$i" -lt 300 ]; do
   sleep 0.1
   i=$((i + 1))
