@@ -328,13 +328,11 @@ let test_suite_generation_parallel_determinism () =
 let tests =
   ( "exec",
     [
-      QCheck_alcotest.to_alcotest prop_map_equals_serial;
       Alcotest.test_case "window: input order with job 0 held" `Quick
         test_in_order_delivery;
       Alcotest.test_case "window: jobs 1 runs on the caller" `Quick
         test_jobs_1_inline;
-      Alcotest.test_case "window: at most jobs inputs open" `Quick
-        test_pull_bounded;
+      QCheck_alcotest.to_alcotest prop_map_equals_serial;
       Alcotest.test_case "containment: Failure isolated" `Quick
         test_failure_contained;
       Alcotest.test_case "containment: map_exn after barrier" `Quick
@@ -352,4 +350,6 @@ let tests =
         test_suite_generation_parallel_determinism;
       Alcotest.test_case "suite: metrics JSONL at jobs 1 = 4" `Slow
         test_suite_metrics_jsonl_identical;
+      Alcotest.test_case "window: at most jobs inputs open" `Quick
+        test_pull_bounded;
     ] )
