@@ -780,7 +780,8 @@ let cmd_batch =
   let journal_arg =
     let doc =
       "Append every completed loop to a crash-safe journal at $(docv) \
-       (fsync'd JSONL; survives SIGKILL with at most one torn line)."
+       (length- and CRC-framed records, each written whole; survives \
+       SIGKILL with at most one torn final record)."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
@@ -963,49 +964,54 @@ let cmd_batch =
             "batch: --journal and --resume are mutually exclusive (resume \
              appends to the resumed journal)";
         (* The report lines of this shard's loops that a resumed journal
-           already holds; they are replayed verbatim, not re-run. *)
-        let resumed : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
-        (match resume with
-        | None -> ()
-        | Some path -> (
-            match Ims_exec.Journal.read ~path with
-            | Error msg ->
-                failwith (Printf.sprintf "batch: cannot resume: %s" msg)
-            | Ok r ->
-                if r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool
-                   <> "imsc-batch"
-                then
-                  failwith
-                    (Printf.sprintf
-                       "batch: %s is a %S journal, not an imsc-batch one" path
-                       r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool);
-                if
-                  r.Ims_exec.Journal.manifest.Ims_exec.Journal.hash
-                  <> manifest_hash
-                then
-                  failwith
-                    (Printf.sprintf
-                       "batch: %s: journal %s was written with a \
-                        different configuration — refusing to reuse its \
-                        results"
-                       (Ims_exec.Journal.explain_mismatch
-                          ~journal:r.Ims_exec.Journal.manifest
-                          ~current:current_manifest)
-                       path);
-                if r.Ims_exec.Journal.torn then
-                  Log.warn batch_log "ignoring torn final record in %s" path;
-                List.iter
-                  (fun (i, line) ->
+           already holds; their bytes are replayed verbatim, not re-run.
+           The journal is read once: the scan that fills this table also
+           finds where the resumed run appends. *)
+        let resumed : (int, string) Hashtbl.t = Hashtbl.create 97 in
+        let recovered =
+          match resume with
+          | None -> None
+          | Some path -> (
+              match
+                Ims_exec.Journal.scan ~path (fun i line ->
                     if mine i then Hashtbl.replace resumed i line)
-                  r.Ims_exec.Journal.entries;
-                Log.info batch_log
-                  "resuming — %d of %d job(s) already journaled"
-                  (Hashtbl.length resumed) n));
+              with
+              | Error msg ->
+                  failwith
+                    (Printf.sprintf "batch: cannot resume from %s: %s" path msg)
+              | Ok r ->
+                  if r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool
+                     <> "imsc-batch"
+                  then
+                    failwith
+                      (Printf.sprintf
+                         "batch: %s is a %S journal, not an imsc-batch one" path
+                         r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool);
+                  if
+                    r.Ims_exec.Journal.manifest.Ims_exec.Journal.hash
+                    <> manifest_hash
+                  then
+                    failwith
+                      (Printf.sprintf
+                         "batch: %s: journal %s was written with a \
+                          different configuration — refusing to reuse its \
+                          results"
+                         (Ims_exec.Journal.explain_mismatch
+                            ~journal:r.Ims_exec.Journal.manifest
+                            ~current:current_manifest)
+                         path);
+                  if r.Ims_exec.Journal.torn then
+                    Log.warn batch_log "ignoring torn final record in %s" path;
+                  Log.info batch_log
+                    "resuming — %d of %d job(s) already journaled"
+                    (Hashtbl.length resumed) n;
+                  Some (path, r))
+        in
         let pending = n - Hashtbl.length resumed in
         let writer =
-          match (resume, journal) with
-          | Some path, _ ->
-              Some (Ims_exec.Journal.reopen ~sync_every:journal_sync ~path ())
+          match (recovered, journal) with
+          | Some (path, r), _ ->
+              Some (Ims_exec.Journal.reopen ~sync_every:journal_sync ~path r)
           | None, Some path ->
               Some
                 (Ims_exec.Journal.create ~sync_every:journal_sync ~path
@@ -1167,8 +1173,8 @@ let cmd_batch =
         in
         let stats =
           Ims_exec.Report.with_output report @@ fun oc ->
-          let emit g line =
-            output_string oc (Json.to_string line);
+          let emit g text line =
+            output_string oc text;
             output_char oc '\n';
             match Ims_exec.Report.verdict line with
             | Ims_exec.Report.Casualty -> casualties := (g, line) :: !casualties
@@ -1179,7 +1185,11 @@ let cmd_batch =
             match !replay with
             | r :: rest when r < g ->
                 replay := rest;
-                emit r (Hashtbl.find resumed r);
+                let text = Hashtbl.find resumed r in
+                (match Json.of_string text with
+                | Ok line -> emit r text line
+                | Error e ->
+                    failwith (Printf.sprintf "batch: journaled line %d: %s" r e));
                 replay_below g
             | _ -> ()
           in
@@ -1200,7 +1210,7 @@ let cmd_batch =
                   line
             in
             replay_below input.index;
-            emit input.index line
+            emit input.index (Json.to_string line) line
           in
           let stats =
             Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
@@ -1662,9 +1672,10 @@ let cmd_serve =
   in
   let cache_file_arg =
     let doc =
-      "Persist the schedule cache to $(docv) (fsync'd append-only JSONL \
-       with a version header): a restarted daemon replays it and starts \
-       warm, surviving even SIGKILL with at most one torn entry."
+      "Persist the schedule cache to $(docv) (an fsync'd append-only log \
+       of length- and CRC-framed entries behind a versioned header): a \
+       restarted daemon replays it and starts warm, surviving even \
+       SIGKILL with at most one torn entry."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
   in

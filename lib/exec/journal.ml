@@ -8,12 +8,11 @@ type manifest = {
   parts : (string * string) list;
 }
 
-(* Version 2 added [parts]: the overall hash's named ingredients
-   (machine / flags / corpus / shard), recorded so a resume refusal can
-   say *which* one diverged instead of printing two opaque digests.
-   Version 1 journals (no "parts" field) still parse, with an empty
-   list. *)
-let format_version = 2
+(* The first frame is the manifest's JSON; each later frame is a job's
+   index (u32, little-endian) followed by its report line's bytes. *)
+let format_version = 3
+let kind =
+  { Frame.magic = "IJNL"; version = format_version; name = "batch journal" }
 let manifest_hash = Content_hash.of_parts
 
 let hash_of_parts parts =
@@ -21,96 +20,57 @@ let hash_of_parts parts =
 
 let manifest_json m =
   Json.Obj
-    ([
-       ("kind", Json.String "manifest");
-       ("version", Json.Int m.version);
-       ("tool", Json.String m.tool);
-       ("hash", Json.String m.hash);
-       ("jobs", Json.Int m.jobs);
-     ]
-    @
-    match m.parts with
-    | [] -> []
-    | parts ->
-        [
-          ( "parts",
-            Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) parts)
-          );
-        ])
+    [
+      ("tool", Json.String m.tool);
+      ("hash", Json.String m.hash);
+      ("jobs", Json.Int m.jobs);
+      ("parts", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) m.parts));
+    ]
 
-(* The fsync'd append / torn-tail-truncation machinery is shared with
-   the serve daemon's schedule cache (Append_log); the journal adds the
-   manifest and the per-job record schema on top. *)
-type writer = Append_log.t
+type writer = Frame.writer
 
-let create ?sync_every ~path m =
-  Append_log.create ?sync_every ~path
-    ~header:(manifest_json { m with version = format_version })
-    ()
+let create ?(sync_every = 1) ~path m =
+  let w = Frame.create (Frame.Every sync_every) kind path in
+  Frame.write w (Json.to_string (manifest_json m));
+  w
 
-let reopen ?sync_every ~path () = Append_log.reopen ?sync_every ~path ()
+let append w ~index line =
+  let line = Json.to_string line in
+  let payload = Bytes.create (4 + String.length line) in
+  Bytes.set_int32_le payload 0 (Int32.of_int index);
+  Bytes.blit_string line 0 payload 4 (String.length line);
+  Frame.write w (Bytes.unsafe_to_string payload)
 
-let append w ~index payload =
-  Append_log.append w
-    (Json.Obj
-       [
-         ("kind", Json.String "job");
-         ("index", Json.Int index);
-         ("line", payload);
-       ])
+let close = Frame.close
 
-let close = Append_log.close
+type recovered = { manifest : manifest; torn : bool; length : int }
 
-type recovered = {
-  manifest : manifest;
-  entries : (int * Json.t) list;
-  torn : bool;
-}
-
-let parts_field obj =
-  match Json.field obj "parts" with
-  | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with Json.String s -> Some (k, s) | _ -> None)
-        kvs
-  | _ -> []
-
-let parse_manifest line =
-  match Json.of_string line with
-  | Error e -> Error ("malformed manifest line: " ^ e)
+let parse_manifest payload =
+  let parts obj =
+    match Json.field obj "parts" with
+    | Some (Json.Obj kvs) ->
+        Some
+          (List.filter_map
+             (function k, Json.String s -> Some (k, s) | _ -> None)
+             kvs)
+    | _ -> None
+  in
+  match Json.of_string payload with
+  | Error e -> Error ("malformed journal manifest: " ^ e)
   | Ok obj -> (
       match
-        ( Json.str_field obj "kind",
-          Json.int_field obj "version",
-          Json.str_field obj "tool",
+        ( Json.str_field obj "tool",
           Json.str_field obj "hash",
-          Json.int_field obj "jobs" )
+          Json.int_field obj "jobs",
+          parts obj )
       with
-      | Some "manifest", Some version, Some tool, Some hash, Some jobs ->
-          if version > format_version then
-            Error
-              (Printf.sprintf "journal format version %d is newer than this \
-                               build understands (%d)"
-                 version format_version)
-          else Ok { version; tool; hash; jobs; parts = parts_field obj }
-      | _ -> Error "first line is not a journal manifest")
-
-let parse_record line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok obj -> (
-      match
-        ( Json.str_field obj "kind",
-          Json.int_field obj "index",
-          Json.field obj "line" )
-      with
-      | Some "job", Some index, Some payload -> Some (index, payload)
-      | _ -> None)
+      | Some tool, Some hash, Some jobs, Some parts ->
+          Ok { version = format_version; tool; hash; jobs; parts }
+      | _ -> Error "malformed journal manifest")
 
 (* Name the diverged ingredients, not just the digests.  Components are
    compared by name across both manifests; one side missing a name
-   (e.g. a version-1 journal with no parts at all) still reports it. *)
+   still reports it. *)
 let explain_mismatch ~journal ~current =
   let names =
     List.map fst journal.parts
@@ -132,26 +92,32 @@ let explain_mismatch ~journal ~current =
   Printf.sprintf "%s (journal hash %s, this run %s)" what journal.hash
     current.hash
 
-(* The whole-file read and the torn-tail drop are Append_log's; a
-   final line without its newline (a killed append) is reported as
-   [torn] and re-run.  Any other malformed record is corruption. *)
-let read ~path =
-  match Append_log.load ~path with
-  | Error e -> Error e
-  | Ok { Append_log.header; records; torn } -> (
-      match parse_manifest header with
-      | Error e -> Error e
-      | Ok manifest ->
-          let nrec = List.length records in
-          let rec parse i acc = function
-            | [] -> Ok { manifest; entries = List.rev acc; torn }
-            | line :: rest -> (
-                match parse_record line with
-                | Some entry -> parse (i + 1) (entry :: acc) rest
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "corrupt journal: malformed record %d of %d" (i + 1)
-                         nrec))
-          in
-          parse 0 [] records)
+let scan ~path f =
+  match Frame.open_in kind path with
+  | exception Sys_error msg -> Error msg
+  | Error e -> Error (Frame.describe e)
+  | Ok c ->
+      Fun.protect ~finally:(fun () -> Frame.close_in c) @@ fun () ->
+      let rec records manifest =
+        let at = Frame.offset c in
+        match Frame.next c with
+        | Ok None -> Ok { manifest; torn = false; length = at }
+        | Error (Frame.Torn at) -> Ok { manifest; torn = true; length = at }
+        | Error e -> Error ("corrupt journal: " ^ Frame.describe e)
+        | Ok (Some p) when String.length p < 4 ->
+            Error
+              (Printf.sprintf
+                 "corrupt journal: the job frame at byte %d has no index" at)
+        | Ok (Some p) ->
+            f
+              (Int32.to_int (String.get_int32_le p 0) land 0xffff_ffff)
+              (String.sub p 4 (String.length p - 4));
+            records manifest
+      in
+      match Frame.next c with
+      | Ok None | Error (Frame.Torn _) -> Error "the journal holds no manifest"
+      | Error e -> Error ("corrupt journal: " ^ Frame.describe e)
+      | Ok (Some p) -> Result.bind (parse_manifest p) records
+
+let reopen ?(sync_every = 1) ~path r =
+  Frame.reopen (Frame.Every sync_every) path ~at:r.length

@@ -1,28 +1,28 @@
-(** Crash-safe JSONL journaling for batch runs.
+(** Crash-safe journaling for batch runs.
 
-    A journal is an append-only file: one manifest line, then one
-    record per {e completed} job, each line fsync'd before the append
-    returns — so after a SIGKILL the file holds every job that finished
-    plus at most one torn final line.
+    A journal is a {!Frame} file of its own kind (magic ["IJNL"],
+    version {!format_version}): the manifest frame, then one frame per
+    {e completed} job, each written whole before the append returns —
+    so after a SIGKILL the file holds every job that finished plus at
+    most one torn final frame.
 
     The manifest pins what the run {e was}: a content hash over the
     machine model, the scheduling flags, and the corpus bytes
-    ({!manifest_hash}).  Resume refuses a journal whose hash differs —
-    journaled records are only byte-reusable against the identical
-    inputs and configuration.  Since format version 2 the manifest also
-    records the named per-component hashes ([parts]) so the refusal can
-    say which ingredient diverged ({!explain_mismatch}).
+    ({!manifest_hash}), and the named per-component hashes ([parts])
+    behind it, so a refusal can say which ingredient diverged
+    ({!explain_mismatch}).  Resume refuses a journal whose hash
+    differs — journaled records are only byte-reusable against the
+    identical inputs and configuration.
 
-    Record lines are [{"kind":"job","index":I,"line":J}] where [J] is
-    the job's finished report line, stored verbatim; resume replays [J]
-    into the final report unchanged, which is what makes a resumed
-    report byte-identical to an uninterrupted run's.
+    A job frame is the job's index (u32, little-endian) followed by its
+    finished report line, as bytes; resume replays those bytes into the
+    final report unchanged, which is what makes a resumed report
+    byte-identical to an uninterrupted run's.
 
-    {!read} tolerates exactly one torn record, and only at the end of
-    the file (the interrupted append); a malformed line anywhere else
-    is corruption and an error.  Duplicate indices keep the last
-    record, so a job re-journaled after a resume wins over its earlier
-    self. *)
+    {!scan} tolerates exactly one torn frame, at the end of the file
+    (the interrupted append); any other damage is corruption and an
+    error.  Duplicate indices keep the last record, so a job
+    re-journaled after a resume wins over its earlier self. *)
 
 type manifest = {
   version : int;  (** Journal format version; {!format_version}. *)
@@ -31,8 +31,7 @@ type manifest = {
   jobs : int;  (** Total jobs in the run (not: completed). *)
   parts : (string * string) list;
       (** Named ingredient digests (e.g. ["machine"], ["flags"],
-          ["corpus"], ["shard"]) behind [hash]; empty on version-1
-          journals. *)
+          ["corpus"], ["shard"]) behind [hash]. *)
 }
 
 val format_version : int
@@ -50,20 +49,14 @@ val hash_of_parts : (string * string) list -> string
 val explain_mismatch : journal:manifest -> current:manifest -> string
 (** A refusal message naming each component whose digest diverged
     ("manifest mismatch: corpus diverged (…)"); falls back to the bare
-    digests when no named component differs (e.g. a version-1
-    journal). *)
+    digests when no named component differs (e.g. a manifest written
+    without parts). *)
 
 type writer
 
 val create : ?sync_every:int -> path:string -> manifest -> writer
-(** Truncate/create [path] and write the manifest line (fsync'd).
-    [sync_every] (default 1) groups fsyncs per {!Append_log}. *)
-
-val reopen : ?sync_every:int -> path:string -> unit -> writer
-(** Open an existing journal for appending (resume); the caller has
-    already validated it with {!read}.  A torn trailing fragment is
-    truncated away first, so the next append starts on its own line
-    and a later resume sees a well-formed file. *)
+(** Truncate/create [path] and write the manifest frame.  [sync_every]
+    (default 1) groups fsyncs as {!Frame.Every} does. *)
 
 val append : writer -> index:int -> Ims_obs.Json.t -> unit
 (** Append one job record (fsync'd per [sync_every]).  Serialize calls
@@ -74,15 +67,19 @@ val close : writer -> unit
 
 type recovered = {
   manifest : manifest;
-  entries : (int * Ims_obs.Json.t) list;
-      (** (index, stored line), in file order, duplicates included —
-          fold with last-wins. *)
-  torn : bool;  (** A truncated final record was dropped. *)
+  torn : bool;  (** A torn final frame was dropped. *)
+  length : int;  (** Bytes of complete frames: where {!reopen} appends. *)
 }
 
-val read : path:string -> (recovered, string) result
-(** Parse a journal for resume, read by {!Append_log.load}: a final
-    line without its newline is dropped as [torn], even when it holds
-    a complete record, and that job re-runs.  [Error] on unreadable
-    file, missing or malformed manifest, unknown version, or a
-    malformed complete record line. *)
+val scan : path:string -> (int -> string -> unit) -> (recovered, string) result
+(** Stream a journal in one pass, in constant memory: [f index line]
+    sees every complete job frame in file order, duplicates included
+    (fold with last-wins).  A torn final frame is dropped and reported
+    as [torn]; that job re-runs.  [Error] on an unreadable file, a file
+    of another kind or version, a missing or malformed manifest, or a
+    corrupt frame. *)
+
+val reopen : ?sync_every:int -> path:string -> recovered -> writer
+(** Open a scanned journal for appending (resume) at its [length],
+    truncating the torn frame first, so the next append starts on a
+    frame boundary and a later resume sees a well-formed file. *)

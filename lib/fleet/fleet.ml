@@ -90,16 +90,17 @@ let spawn ~log ~prog spec ~resume =
         pid;
       pid)
 
-(* A journal is resumable when it exists, is non-empty, and its
-   manifest parses.  A journal torn inside its manifest line (killed
-   during the very first write) is removed so the shard restarts
-   fresh instead of crash-looping on "cannot resume". *)
+(* A journal is resumable when it exists, is non-empty, and scans
+   clean: one streamed pass, in constant memory, that keeps no record.
+   An unusable journal (say, torn inside its manifest: killed during
+   the very first write) is removed so the shard restarts fresh instead
+   of crash-looping on "cannot resume". *)
 let resumable ~log spec =
   let path = spec.journal in
   Sys.file_exists path
   && (Unix.stat path).Unix.st_size > 0
   &&
-  match Ims_exec.Journal.read ~path with
+  match Ims_exec.Journal.scan ~path (fun _ _ -> ()) with
   | Ok _ -> true
   | Error msg ->
       Log.warn log "shard %d: discarding unusable journal %s (%s)" spec.shard

@@ -1,15 +1,8 @@
-open Ims_obs
 open Ims_exec
 
-let format_version = 1
-let header_kind = "imsc-schedule-cache"
-
-let header_json =
-  Json.Obj
-    [
-      ("kind", Json.String header_kind);
-      ("version", Json.Int format_version);
-    ]
+(* An entry frame is the key's length (u32, little-endian), the key,
+   then the record's bytes as stored. *)
+let kind = { Frame.magic = "ISCH"; version = 2; name = "schedule cache" }
 
 type policy = Fifo | Lru
 
@@ -26,7 +19,7 @@ let policy_of_string = function
 type node = {
   key : string;
   record : string;
-  line_bytes : int;  (* encoded log-line size, the byte-accounting unit *)
+  entry_bytes : int;  (* encoded frame size, the byte-accounting unit *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -39,9 +32,8 @@ type t = {
   mutable head : node option;
   mutable tail : node option;
   mutable live_bytes : int;
-  header_bytes : int;
   path : string option;
-  mutable log : Append_log.t option;
+  mutable log : Frame.writer option;
   mutable log_bytes : int;
   m : Mutex.t;
   mutable hits : int;
@@ -52,35 +44,26 @@ type t = {
   mutable torn : bool;
 }
 
-let parse_header line =
-  match Json.of_string line with
-  | Error e -> Error ("malformed cache header: " ^ e)
-  | Ok obj -> (
-      match (Json.str_field obj "kind", Json.int_field obj "version") with
-      | Some kind, _ when kind <> header_kind ->
-          Error (Printf.sprintf "not a schedule cache (kind %S)" kind)
-      | Some _, Some v when v > format_version ->
-          Error
-            (Printf.sprintf
-               "cache format version %d is newer than this build understands \
-                (%d)"
-               v format_version)
-      | Some _, Some _ -> Ok ()
-      | _ -> Error "first line is not a schedule-cache header")
+let entry_payload ~key record =
+  let klen = String.length key in
+  let b = Bytes.create (4 + klen + String.length record) in
+  Bytes.set_int32_le b 0 (Int32.of_int klen);
+  Bytes.blit_string key 0 b 4 klen;
+  Bytes.blit_string record 0 b (4 + klen) (String.length record);
+  Bytes.unsafe_to_string b
 
-let parse_entry line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok obj -> (
-      match (Json.str_field obj "key", Json.str_field obj "record") with
-      | Some key, Some record -> Some (key, record)
-      | _ -> None)
+let parse_entry p =
+  let klen =
+    if String.length p < 4 then -1
+    else Int32.to_int (String.get_int32_le p 0) land 0xffff_ffff
+  in
+  if klen < 0 || 4 + klen > String.length p then None
+  else
+    let rest = 4 + klen in
+    Some (String.sub p 4 klen, String.sub p rest (String.length p - rest))
 
-let entry_json ~key record =
-  Json.Obj [ ("key", Json.String key); ("record", Json.String record) ]
-
-let entry_line_bytes ~key record =
-  String.length (Json.to_string (entry_json ~key record)) + 1
+let entry_bytes ~key record =
+  Frame.frame_bytes + 4 + String.length key + String.length record
 
 (* --- linked-list plumbing (all under the caller's lock) -------------------- *)
 
@@ -102,13 +85,13 @@ let evict_head t =
   | Some victim ->
       unlink t victim;
       Hashtbl.remove t.table victim.key;
-      t.live_bytes <- t.live_bytes - victim.line_bytes;
+      t.live_bytes <- t.live_bytes - victim.entry_bytes;
       t.evictions <- t.evictions + 1
 
 let over_byte_cap t =
   match t.max_bytes with
   | None -> false
-  | Some mb -> t.header_bytes + t.live_bytes > mb
+  | Some mb -> Frame.header_bytes + t.live_bytes > mb
 
 (* Unsynchronized insert used under the caller's lock (and during
    replay, before the cache is shared).  Returns whether the entry is
@@ -117,16 +100,16 @@ let over_byte_cap t =
 let insert t ~key record =
   if Hashtbl.mem t.table key then false
   else begin
-    let line_bytes = entry_line_bytes ~key record in
+    let entry_bytes = entry_bytes ~key record in
     match t.max_bytes with
-    | Some mb when t.header_bytes + line_bytes > mb ->
+    | Some mb when Frame.header_bytes + entry_bytes > mb ->
         t.evictions <- t.evictions + 1;
         false
     | _ ->
-        let n = { key; record; line_bytes; prev = None; next = None } in
+        let n = { key; record; entry_bytes; prev = None; next = None } in
         Hashtbl.replace t.table key n;
         push_tail t n;
-        t.live_bytes <- t.live_bytes + line_bytes;
+        t.live_bytes <- t.live_bytes + entry_bytes;
         while Hashtbl.length t.table > t.capacity || over_byte_cap t do
           evict_head t
         done;
@@ -141,21 +124,19 @@ let insert t ~key record =
 let live_records t =
   let rec go acc = function
     | None -> List.rev acc
-    | Some n -> go (entry_json ~key:n.key n.record :: acc) n.next
+    | Some n -> go (entry_payload ~key:n.key n.record :: acc) n.next
   in
   go [] t.head
 
-let compacted_size t = t.header_bytes + t.live_bytes
+let compacted_size t = Frame.header_bytes + t.live_bytes
 
 (* Under the lock.  Rewrites the log to hold exactly the live entries;
    a no-op when there is nothing to reclaim. *)
 let compact_locked t =
   match (t.log, t.path) with
   | Some old_log, Some path when t.log_bytes > compacted_size t ->
-      let log = Append_log.rewrite ~path ~header:header_json
-          ~records:(live_records t)
-      in
-      Append_log.close old_log;
+      let log = Frame.rewrite (Frame.Every 1) kind path (live_records t) in
+      Frame.close old_log;
       t.log <- Some log;
       t.log_bytes <- compacted_size t;
       t.compactions <- t.compactions + 1;
@@ -174,8 +155,6 @@ let needs_compaction t =
 
 (* --- public API -------------------------------------------------------------- *)
 
-let header_line_bytes = String.length (Json.to_string header_json) + 1
-
 let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
   let capacity = max 1 capacity in
   let fresh () =
@@ -187,7 +166,6 @@ let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
       head = None;
       tail = None;
       live_bytes = 0;
-      header_bytes = header_line_bytes;
       path;
       log = None;
       log_bytes = 0;
@@ -209,45 +187,56 @@ let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
         | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
       in
       if size = 0 then
-        match Append_log.create ~path ~header:header_json () with
+        match Frame.create (Frame.Every 1) kind path with
         | log ->
             let t = fresh () in
             t.log <- Some log;
-            t.log_bytes <- t.header_bytes;
+            t.log_bytes <- Frame.header_bytes;
             Ok t
         | exception Unix.Unix_error (e, _, _) ->
             Error
               (Printf.sprintf "cannot create cache %s: %s" path
                  (Unix.error_message e))
-      else (
-        match Append_log.load ~path with
-        | Error e -> Error (Printf.sprintf "cannot read cache %s: %s" path e)
-        | Ok { Append_log.header; records; torn } -> (
-            match parse_header header with
+      else
+        match Frame.open_in kind path with
+        | exception Sys_error e -> Error ("cannot read cache " ^ e)
+        | Error e -> Error (Printf.sprintf "%s: %s" path (Frame.describe e))
+        | Ok c -> (
+            (* Replay in file order, in one pass: duplicates are
+               first-wins like [add], capacity evictions replay
+               identically, so the resident set equals what the dying
+               daemon held (minus any torn tail). *)
+            let t = fresh () in
+            let rec replay () =
+              let at = Frame.offset c in
+              match Frame.next c with
+              | Ok None -> Ok at
+              | Error (Frame.Torn at) ->
+                  t.torn <- true;
+                  Ok at
+              | Error e -> Error (Frame.describe e)
+              | Ok (Some p) -> (
+                  match parse_entry p with
+                  | Some (key, record) ->
+                      ignore (insert t ~key record);
+                      t.loaded <- t.loaded + 1;
+                      replay ()
+                  | None ->
+                      Error
+                        (Printf.sprintf
+                           "corrupt at byte %d: an entry shorter than its key"
+                           at))
+            in
+            let replayed = replay () in
+            Frame.close_in c;
+            t.evictions <- 0 (* replay evictions don't count *);
+            match replayed with
             | Error e -> Error (Printf.sprintf "%s: %s" path e)
-            | Ok () ->
-                (* Replay in file order: duplicates are first-wins like
-                   [add], capacity evictions replay identically, so the
-                   resident set equals what the dying daemon held (minus
-                   any torn tail). *)
-                let t = fresh () in
-                t.torn <- torn;
-                List.iter
-                  (fun line ->
-                    match parse_entry line with
-                    | Some (key, record) ->
-                        ignore (insert t ~key record);
-                        t.loaded <- t.loaded + 1
-                    | None -> ())
-                  records;
-                t.evictions <- 0 (* replay evictions don't count *);
-                (match Append_log.reopen ~path () with
+            | Ok at -> (
+                match Frame.reopen (Frame.Every 1) path ~at with
                 | log ->
                     t.log <- Some log;
-                    t.log_bytes <-
-                      (match (Unix.stat path).Unix.st_size with
-                      | s -> s
-                      | exception Unix.Unix_error _ -> compacted_size t);
+                    t.log_bytes <- at;
                     (* A reopened log may carry a dead daemon's garbage
                        (evicted entries, duplicates) or already overrun
                        the disk cap — reclaim before serving. *)
@@ -256,7 +245,7 @@ let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
                 | exception Unix.Unix_error (e, _, _) ->
                     Error
                       (Printf.sprintf "cannot reopen cache %s: %s" path
-                         (Unix.error_message e)))))
+                         (Unix.error_message e))))
 
 let with_lock t f =
   Mutex.lock t.m;
@@ -283,8 +272,8 @@ let add t ~key record =
       if insert t ~key record then begin
         match t.log with
         | Some log ->
-            Append_log.append log (entry_json ~key record);
-            t.log_bytes <- t.log_bytes + entry_line_bytes ~key record;
+            Frame.write log (entry_payload ~key record);
+            t.log_bytes <- t.log_bytes + entry_bytes ~key record;
             if needs_compaction t then ignore (compact_locked t)
         | None -> ()
       end)
@@ -319,4 +308,4 @@ let stats t =
 
 let close t =
   with_lock t (fun () ->
-      match t.log with Some log -> Append_log.close log | None -> ())
+      match t.log with Some log -> Frame.close log | None -> ())

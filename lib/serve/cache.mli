@@ -12,7 +12,7 @@
     {2 Bounds}
 
     Residency is bounded two ways: an entry-count [capacity] and an
-    optional byte cap [max_bytes] (measured in encoded log-line bytes,
+    optional byte cap [max_bytes] (measured in encoded frame bytes,
     header included — i.e. the size the persistent file compacts down
     to).  Either bound evicts from the cold end of the residency order;
     the [policy] chooses what "cold" means — [Fifo] (insertion age) or
@@ -22,10 +22,11 @@
 
     {2 Persistence and compaction}
 
-    Persistence is an {!Ims_exec.Append_log}: a version header then one
-    fsync'd line per insertion, so a SIGKILLed daemon loses at most the
-    entry being written; {!open_} truncates a torn tail and replays the
-    rest, making a restarted daemon warm.  Eviction makes the
+    Persistence is an {!Ims_exec.Frame} file of its own kind (magic
+    ["ISCH"], version 2): one fsync'd frame per insertion, holding the
+    key and the record's bytes, so a SIGKILLed daemon loses at most the
+    entry being written; {!open_} replays the log in one pass and
+    truncates a torn final frame, making a restarted daemon warm.  Eviction makes the
     append-only file grow past the live set; when the garbage exceeds
     the live bytes (2× + slack) or the file overruns [max_bytes], the
     log is {e compacted}: live entries are rewritten to a temp file in
@@ -56,10 +57,10 @@ val open_ :
 (** [capacity] defaults to 4096 entries; [policy] to [Fifo]; no byte
     cap unless [max_bytes] is given.  Without [path] the cache is
     memory-only.  With [path]: a missing or empty file is created; an
-    existing one is validated (header kind and version), replayed, and
+    existing one is validated (magic and version), replayed, and
     compacted up front if it already exceeds the trigger.  [Error] on a
-    foreign or newer-versioned file — refusing is safer than silently
-    serving another configuration's schedules. *)
+    file of another kind or version, or a corrupt frame — refusing is
+    safer than silently serving another configuration's schedules. *)
 
 val find : t -> key:string -> string option
 (** The stored record body, counting a hit or a miss (and refreshing

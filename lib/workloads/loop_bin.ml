@@ -3,16 +3,11 @@ open Ims_ir
 
 (* Binary loop wire format.
 
-   A corpus file is a fixed 8-byte header — 4-byte magic "ILBC" plus a
-   little-endian u32 format version — followed by length-prefixed
-   records.  Each record frame is
-
-     u32 payload_length | u32 crc32(payload) | payload
-
-   so a reader can skip, shard or stream without decoding, and a torn
-   or bit-flipped record is rejected with the byte offset of the
-   damage, mirroring Append_log's torn-tail discipline on the journal
-   side.
+   A corpus file is a Frame file of kind "ILBC" version 1: one frame
+   per loop, so a reader can skip, shard or stream without decoding,
+   and a torn or bit-flipped record is rejected with the byte offset of
+   the damage, by the same rule as the batch journal and the schedule
+   cache.
 
    The payload encodes one named loop at the builder-DSL level: the
    operation list (opcode, dsts, srcs with iteration distances,
@@ -35,33 +30,9 @@ let () =
              reason)
     | _ -> None)
 
-let magic = "ILBC"
-let format_version = 1
-let header_bytes = 8
-let frame_bytes = 8
-
-(* Corrupt length words must not trigger giant allocations: no sane
-   loop record approaches this. *)
-let max_record_bytes = 1 lsl 24
-
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven over native
-   ints: the 32-bit register lives in the low bits of an OCaml int, so
-   only the result is boxed.  The table is built once, when the module
-   is initialised, and never written again. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32 s =
-  let c = ref 0xffffffff in
-  for i = 0 to String.length s - 1 do
-    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
-  Int32.of_int (!c lxor 0xffffffff)
+let kind = { Ims_exec.Frame.magic = "ILBC"; version = 1; name = "loop corpus" }
+let format_version = kind.version
+let header_bytes = Ims_exec.Frame.header_bytes
 
 (* -- encoding ------------------------------------------------------- *)
 
@@ -231,7 +202,7 @@ let decode ?(base = 0) machine payload =
   let model = model_of_code (base + r.pos) (get_u8 r "latency model") in
   let b = Builder.create ~model machine in
   let nregs = get_u32 r "register count" in
-  if nregs > max_record_bytes then
+  if nregs > Ims_exec.Frame.max_payload then
     corrupt (base + r.pos - 4) "implausible register count %d" nregs;
   let regs = Builder.vregs b nregs in
   (* A bad register is reported at the start of its own field, like
@@ -297,35 +268,13 @@ let decode ?(base = 0) machine payload =
       (String.length payload - r.pos);
   (name, Builder.finish b)
 
-(* -- file writer ---------------------------------------------------- *)
+(* -- corpus files ------------------------------------------------------ *)
 
-type writer = { oc : out_channel; wbuf : Buffer.t }
+type writer = Ims_exec.Frame.writer
 
-let create_writer path =
-  let oc = open_out_bin path in
-  let wbuf = Buffer.create (1 lsl 16) in
-  Buffer.add_string wbuf magic;
-  Buffer.add_int32_le wbuf (Int32.of_int format_version);
-  { oc; wbuf }
-
-let write w ~name ddg =
-  let payload = encode ~name ddg in
-  add_u32 w.wbuf (String.length payload);
-  Buffer.add_int32_le w.wbuf (crc32 payload);
-  Buffer.add_string w.wbuf payload;
-  (* Flush in coarse chunks: the stream is append-only and readers only
-     consume completed files, so buffering is purely a syscall saver. *)
-  if Buffer.length w.wbuf >= 1 lsl 16 then begin
-    Buffer.output_buffer w.oc w.wbuf;
-    Buffer.clear w.wbuf
-  end
-
-let close_writer w =
-  Buffer.output_buffer w.oc w.wbuf;
-  Buffer.clear w.wbuf;
-  close_out w.oc
-
-(* -- streaming cursor ----------------------------------------------- *)
+let create_writer path = Ims_exec.Frame.(create Buffered kind path)
+let write w ~name ddg = Ims_exec.Frame.write w (encode ~name ddg)
+let close_writer = Ims_exec.Frame.close
 
 type record = {
   index : int;  (** 0-based position of the record in its file. *)
@@ -334,101 +283,43 @@ type record = {
   payload : string;
 }
 
-type cursor = {
-  ic : in_channel;
-  mutable off : int;
-  mutable idx : int;
-}
+type cursor = { frames : Ims_exec.Frame.cursor; mutable idx : int }
 
-let read_exact ic buf n =
-  (* [really_input] raises on EOF; we need the partial count. *)
-  let got = ref 0 in
-  (try
-     while !got < n do
-       let k = input ic buf !got (n - !got) in
-       if k = 0 then raise Exit else got := !got + k
-     done
-   with Exit | End_of_file -> ());
-  !got
+let checked = function
+  | Ok v -> v
+  | Error (Ims_exec.Frame.Torn offset) ->
+      corrupt offset "truncated record (the file ends inside it)"
+  | Error (Ims_exec.Frame.Corrupt (offset, reason)) ->
+      raise (Corrupt { offset; reason })
 
 let open_corpus path =
-  let ic = open_in_bin path in
-  let hdr = Bytes.create header_bytes in
-  let got = read_exact ic hdr header_bytes in
-  if got < header_bytes then begin
-    close_in ic;
-    corrupt got "truncated header (need %d bytes, have %d)" header_bytes
-      got
-  end;
-  if Bytes.sub_string hdr 0 4 <> magic then begin
-    close_in ic;
-    corrupt 0 "bad magic %S (want %S)" (Bytes.sub_string hdr 0 4) magic
-  end;
-  let version = Int32.to_int (Bytes.get_int32_le hdr 4) in
-  if version <> format_version then begin
-    close_in ic;
-    corrupt 4 "unsupported format version %d (this build reads %d)"
-      version format_version
-  end;
-  { ic; off = header_bytes; idx = 0 }
+  { frames = checked (Ims_exec.Frame.open_in kind path); idx = 0 }
 
-let close_cursor c = close_in c.ic
+let close_cursor c = Ims_exec.Frame.close_in c.frames
 
 let next c =
-  let frame = Bytes.create frame_bytes in
-  match read_exact c.ic frame frame_bytes with
-  | 0 -> None
-  | got when got < frame_bytes ->
-      corrupt c.off "truncated record frame (need %d bytes, have %d)"
-        frame_bytes got
-  | _ ->
-      let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-      if len < 0 || len > max_record_bytes then
-        corrupt c.off "implausible record length %d" len;
-      let stored_crc = Bytes.get_int32_le frame 4 in
-      let payload = Bytes.create len in
-      let got = read_exact c.ic payload len in
-      if got < len then
-        corrupt
-          (c.off + frame_bytes)
-          "truncated record payload (need %d bytes, have %d)" len got;
-      let payload = Bytes.unsafe_to_string payload in
-      if crc32 payload <> stored_crc then
-        corrupt
-          (c.off + frame_bytes)
-          "CRC mismatch on record %d (stored %08lx, computed %08lx)"
-          c.idx stored_crc (crc32 payload);
+  let offset = Ims_exec.Frame.offset c.frames in
+  match checked (Ims_exec.Frame.next c.frames) with
+  | None -> None
+  | Some payload ->
       (* The name prefixes the payload; records can be routed by name
          and index without paying for a full decode. *)
       let name =
-        let r = { s = payload; base = c.off + frame_bytes; pos = 0 } in
-        get_str16 r "loop name"
+        get_str16
+          { s = payload; base = offset + Ims_exec.Frame.frame_bytes; pos = 0 }
+          "loop name"
       in
-      let rec_ =
-        { index = c.idx; offset = c.off; name; payload }
-      in
-      c.off <- c.off + frame_bytes + len;
+      let r = { index = c.idx; offset; name; payload } in
       c.idx <- c.idx + 1;
-      Some rec_
+      Some r
 
 let skip c =
-  let frame = Bytes.create frame_bytes in
-  match read_exact c.ic frame frame_bytes with
-  | 0 -> false
-  | got when got < frame_bytes ->
-      corrupt c.off "truncated record frame (need %d bytes, have %d)"
-        frame_bytes got
-  | _ ->
-      let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-      if len < 0 || len > max_record_bytes then
-        corrupt c.off "implausible record length %d" len;
-      c.off <- c.off + frame_bytes + len;
-      c.idx <- c.idx + 1;
-      seek_in c.ic c.off;
-      true
+  let more = checked (Ims_exec.Frame.skip c.frames) in
+  if more then c.idx <- c.idx + 1;
+  more
 
 let decode_record machine (r : record) =
-  decode ~base:(r.offset + frame_bytes) machine r.payload
+  decode ~base:(r.offset + Ims_exec.Frame.frame_bytes) machine r.payload
 
 let iter path f =
   let c = open_corpus path in

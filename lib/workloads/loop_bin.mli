@@ -1,11 +1,9 @@
 (** Versioned binary loop wire format.
 
-    A corpus file is an 8-byte header (magic ["ILBC"], little-endian
-    u32 format version) followed by length-prefixed records, each
-    framed as [u32 payload_length | u32 crc32 | payload].  Torn or
-    bit-flipped records are rejected with {!Corrupt} carrying the byte
-    offset of the damage — the streaming analogue of [Append_log]'s
-    torn-tail truncation.
+    A corpus file is an {!Ims_exec.Frame} file of kind ["ILBC"]
+    version 1: one frame per loop.  Torn or bit-flipped records are
+    rejected with {!Corrupt} carrying the byte offset of the damage,
+    by the same rule as every other durable file.
 
     The payload carries one named loop at the builder-DSL level:
     operations plus exactly the dependence edges {!Loop_dump.derivable}
@@ -27,14 +25,6 @@ val format_version : int
 val header_bytes : int
 (** Size of the file header (magic + version).  Test hook: test_fleet
     checks that a torn corpus is refused at an offset past it. *)
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3, the zlib polynomial) of a string.  [crc32 "" =
-    0l] and the check value is [crc32 "123456789" = 0xCBF43926l].  The
-    corpus reader and writer frame with it internally.  Test hook:
-    test_fleet ("crc32 check values", "crc32 agrees with a bitwise
-    reference"), test_hotpath's allocation ceiling and
-    test_replay_golden's compile-path digest call it directly. *)
 
 val encode : name:string -> Ddg.t -> string
 (** One record payload (no frame); the corpus writer frames it.  Test
@@ -79,8 +69,8 @@ val open_corpus : string -> cursor
 
 val next : cursor -> record option
 (** The next CRC-checked record, or [None] at a clean end of file.
-    @raise Corrupt on a torn frame, truncated payload or CRC mismatch,
-    with the offending absolute byte offset. *)
+    @raise Corrupt on a torn frame, an implausible length or a CRC
+    mismatch, at the damaged frame's absolute byte offset. *)
 
 val skip : cursor -> bool
 (** Step over the next record without reading or CRC-checking its

@@ -127,8 +127,9 @@ wait "$DAEMON_PID" || true
 DAEMON_PID=""
 test "$(wc -c < bounded.cache)" -le "$CAP"
 
-# What a SIGKILL mid-append leaves behind: a final line with no newline.
-printf '{"key":"torn","record":"{}' >> bounded.cache
+# What a SIGKILL mid-append leaves behind: a final frame cut short (it
+# claims 100 payload bytes and holds 10).
+printf '\144\000\000\000\000\000\000\000\004\000\000\000torn{}' >> bounded.cache
 
 "$IMSC" serve --socket "$SOCK" --jobs 1 --cache bounded.cache \
   --cache-max-bytes "$CAP" --cache-policy lru 2> serve-bounded2.stderr &
@@ -170,5 +171,7 @@ if "$IMSC" serve --socket "$SOCK" --cache foreign.cache \
   exit 1
 fi
 grep -qi "circuit breaker" breaker.stderr
+# The JSON text file is refused by its magic, by the kind expected.
+grep -q "not a schedule cache" breaker.stderr
 
 echo "chaos.sh: all checks passed"

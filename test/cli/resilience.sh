@@ -6,7 +6,8 @@
 #      report;
 #   3. resume when everything is already journaled must replay without
 #      scheduling anything — still byte-identical;
-#   4. a journal written under different flags must be refused;
+#   4. a journal written under different flags, or a file of another
+#      kind, must be refused;
 #   5. a hung loop (injected spin) must be preempted by the deadline,
 #      retried with escalation, quarantined, and must not block the
 #      other loops or the wall clock;
@@ -37,17 +38,16 @@ test "$(wc -l < clean.jsonl)" -eq 8
 
 # --- 2. torn-journal resume ------------------------------------------------
 
-# Keep the manifest plus four complete records, then append the first
-# 25 bytes of the fifth record with no newline — exactly what a SIGKILL
-# during the fsync'd append leaves behind.
-head -n 5 clean.journal > torn.journal
-sed -n '6p' clean.journal | cut -c1-25 | tr -d '\n' >> torn.journal
+# Keep the first half of the journal's bytes: the cut lands inside a
+# record's frame, exactly what a SIGKILL during the append leaves
+# behind.
+head -c $(( $(wc -c < clean.journal) / 2 )) clean.journal > torn.journal
 
 "$IMSC" batch rcorpus --jobs 2 --resume torn.journal \
   --report resumed.jsonl 2> resumed.stderr
 cmp clean.jsonl resumed.jsonl
 grep -q "torn" resumed.stderr
-grep -q "resuming — 4 of 8" resumed.stderr
+grep -q "resuming — 3 of 8" resumed.stderr
 
 # --- 3. resume with nothing left to do -------------------------------------
 
@@ -65,6 +65,15 @@ if "$IMSC" batch rcorpus --budget-ratio 3.0 --resume other-flags.journal \
   exit 1
 fi
 grep -qi "mismatch" mismatch.stderr
+
+# A file of another kind is refused by name before anything runs.
+"$IMSC" corpus gen --out other-kind.ilb --count 2 --seed 1 2> /dev/null
+if "$IMSC" batch rcorpus --resume other-kind.ilb \
+     --report other-kind.jsonl 2> other-kind.stderr; then
+  echo "a corpus given as --resume must be refused" >&2
+  exit 1
+fi
+grep -q "not a batch journal" other-kind.stderr
 
 # --- 5. hung loop: preempted, escalated, quarantined ------------------------
 
@@ -118,20 +127,23 @@ grep -q '"running":false' failfast-status.json
 # --- 8. SIGKILL mid-run: no partial report, resume completes ----------------
 
 # lfk07 (the fifth loop) spins, so the four loops before it are
-# journaled, and their report lines written, when the kill lands.
+# journaled, and their report lines written, when the kill lands.  A
+# job is journaled before the heartbeat counts it, and an interval
+# shorter than any job publishes every completion.
 "$IMSC" batch rcorpus --jobs 1 --inject-spin lfk07.loop:60 \
+  --status-file killed-status.json --status-interval 0.000001 \
   --journal killed.journal --report killed.jsonl 2> killed.stderr &
 pid=$!
 i=0
-while [ "$(cat killed.journal 2> /dev/null | wc -l)" -lt 5 ] \
-      && [ "$i" -lt 300 ]; do
+until grep -q '"done":4' killed-status.json 2> /dev/null \
+      || [ "$i" -ge 300 ]; do
   sleep 0.1
   i=$((i + 1))
 done
 kill -9 "$pid"
 wait "$pid" 2> /dev/null || true
-test "$(wc -l < killed.journal)" -ge 5
 test ! -e killed.jsonl
 "$IMSC" batch rcorpus --jobs 2 --resume killed.journal \
   --report killed.jsonl 2> killed-resumed.stderr
+grep -q "resuming — 4 of 8" killed-resumed.stderr
 cmp clean.jsonl killed.jsonl

@@ -87,8 +87,9 @@ cmp batch.jsonl warm2.jsonl
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
-# What a SIGKILL mid-append leaves behind: a final line with no newline.
-printf '{"key":"torn","record":"{}' >> sched.cache
+# What a SIGKILL mid-append leaves behind: a final frame cut short (it
+# claims 100 payload bytes and holds 10).
+printf '\144\000\000\000\000\000\000\000\004\000\000\000torn{}' >> sched.cache
 
 "$IMSC" serve --socket "$SOCK" --jobs 2 --cache sched.cache \
   --status-file serve-status.json --metrics serve-metrics.json \

@@ -19,4 +19,5 @@ let () =
       Test_fleet.tests;
       Test_serve.tests;
       Test_integration.tests;
+      Test_frame.tests;
     ]

@@ -143,11 +143,11 @@ let test_bad_magic () =
   | exception Loop_bin.Corrupt { offset; _ } ->
       Alcotest.(check int) "offset of the magic" 0 offset
 
-(* --- Loop_bin: the frame CRC ----------------------------------------------- *)
+(* --- Frame: the frame CRC -------------------------------------------------- *)
 
 let test_crc_check_value () =
-  Alcotest.(check int32) "empty string" 0l (Loop_bin.crc32 "");
-  Alcotest.(check int32) "check value" 0xCBF43926l (Loop_bin.crc32 "123456789")
+  Alcotest.(check int32) "empty string" 0l (Ims_exec.Frame.crc32 "");
+  Alcotest.(check int32) "check value" 0xCBF43926l (Ims_exec.Frame.crc32 "123456789")
 
 (* Bit at a time, no table: the definition of the reflected CRC-32. *)
 let crc32_bitwise s =
@@ -164,7 +164,7 @@ let crc32_bitwise s =
 let test_crc_matches_bitwise =
   QCheck.Test.make ~count:200 ~name:"crc32 agrees with a bitwise reference"
     QCheck.(string_of_size Gen.(0 -- 4096))
-    (fun s -> Loop_bin.crc32 s = crc32_bitwise s)
+    (fun s -> Ims_exec.Frame.crc32 s = crc32_bitwise s)
 
 (* A one-operation payload, "fadd v<dst> <- v<src> if v<pred>", laid out
    by hand so that every field's offset is known:
@@ -295,7 +295,7 @@ let test_manifest_parts_roundtrip () =
   let w = Ims_exec.Journal.create ~path (manifest parts) in
   Ims_exec.Journal.append w ~index:0 (Json.String "line0");
   Ims_exec.Journal.close w;
-  match Ims_exec.Journal.read ~path with
+  match Ims_exec.Journal.scan ~path (fun _ _ -> ()) with
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check (list (pair string string)))

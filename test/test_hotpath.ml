@@ -11,7 +11,7 @@
      ceilings on the four checkers ([Interp.check], [Simulator.run],
      [Schedule.verify], [Lint.schedule]) and on the compile path
      ([Loop_bin.decode], [Mii.compute], [Ims.modulo_schedule],
-     [Loop_bin.crc32]), plus ceilings on what [Interp.check] and
+     [Frame.crc32]), plus ceilings on what [Interp.check] and
      [Simulator.run] allocate directly on the major heap;
    - a counter-regression gate pinning the inner-loop work
      (estart / findslot / mindist / mindist_inc / mrt_bitprobe) of every
@@ -270,7 +270,7 @@ let test_replay_major_ceilings () =
    (MII included) 1,538 and 3,933; before the machine tables they took
    1,745 and 6,969, 1,137 and 3,189, and 3,394 and 9,751, and before the
    flat set-up 2,568 and 10,688, 1,824 and 6,781, and 5,869 and 17,545.
-   Loop_bin.crc32 allocates only its boxed result (3 words) on any
+   Frame.crc32 allocates only its boxed result (3 words) on any
    input; the boxed Int32 loop took 12,298 on 4 KiB. *)
 let test_compile_allocation_ceilings () =
   let machine = Machine.cydra5 () in
@@ -292,7 +292,7 @@ let test_compile_allocation_ceilings () =
         ims_ceiling)
     [ ("lfk03", 2_400, 900, 2_300); ("lfk07", 9_400, 2_700, 5_800) ];
   let s = String.init 4096 (fun i -> Char.chr ((i * 7) land 255)) in
-  check "4 KiB" "Loop_bin.crc32" (words (fun () -> Loop_bin.crc32 s)) 3
+  check "4 KiB" "Frame.crc32" (words (fun () -> Ims_exec.Frame.crc32 s)) 3
 
 (* --- counter-regression gate -------------------------------------------- *)
 

@@ -306,7 +306,7 @@ let render_corruptions machine st ~name payload =
 
 let render_compile buf machine index (name, ddg) =
   let payload = Loop_bin.encode ~name ddg in
-  Printf.bprintf buf "== %s crc=%08lx\n%s\n" name (Loop_bin.crc32 payload)
+  Printf.bprintf buf "== %s crc=%08lx\n%s\n" name (Ims_exec.Frame.crc32 payload)
     (render_decode machine payload);
   let st = Random.State.make [| 17; index |] in
   Printf.bprintf buf "%s\n" (render_corruptions machine st ~name payload);

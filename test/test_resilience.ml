@@ -306,30 +306,52 @@ let temp_path name =
 let manifest hash jobs =
   { Journal.version = Journal.format_version; tool = "test"; hash; jobs; parts = [] }
 
+(* Every complete record, in file order, as (index, line bytes). *)
+let scan path =
+  let entries = ref [] in
+  Result.map
+    (fun r -> (r, List.rev !entries))
+    (Journal.scan ~path (fun i line -> entries := (i, line) :: !entries))
+
+let append_bytes path s =
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc s;
+  close_out oc
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
 let test_journal_roundtrip () =
   let path = temp_path "journal" in
   let w = Journal.create ~path (manifest "abc" 3) in
   Journal.append w ~index:0 (Json.Obj [ ("ii", Json.Int 4) ]);
   Journal.append w ~index:2 (Json.Obj [ ("ii", Json.Int 7) ]);
   Journal.close w;
-  (match Journal.read ~path with
-  | Error msg -> Alcotest.failf "read failed: %s" msg
-  | Ok r ->
-      Alcotest.(check string) "hash" "abc" r.Journal.manifest.Journal.hash;
-      Alcotest.(check int) "jobs" 3 r.Journal.manifest.Journal.jobs;
-      Alcotest.(check bool) "not torn" false r.Journal.torn;
-      Alcotest.(check (list int)) "indices in file order" [ 0; 2 ]
-        (List.map fst r.Journal.entries));
+  let r =
+    match scan path with
+    | Error msg -> Alcotest.failf "read failed: %s" msg
+    | Ok (r, entries) ->
+        Alcotest.(check string) "hash" "abc" r.Journal.manifest.Journal.hash;
+        Alcotest.(check int) "jobs" 3 r.Journal.manifest.Journal.jobs;
+        Alcotest.(check bool) "not torn" false r.Journal.torn;
+        Alcotest.(check (list (pair int string)))
+          "indices and line bytes in file order"
+          [ (0, {|{"ii":4}|}); (2, {|{"ii":7}|}) ]
+          entries;
+        r
+  in
   (* Reopen and append: last-wins duplicate for index 0. *)
-  let w = Journal.reopen ~path () in
+  let w = Journal.reopen ~path r in
   Journal.append w ~index:0 (Json.Obj [ ("ii", Json.Int 5) ]);
   Journal.close w;
-  (match Journal.read ~path with
+  (match scan path with
   | Error msg -> Alcotest.failf "re-read failed: %s" msg
-  | Ok r ->
+  | Ok (_, entries) ->
       Alcotest.(check (list int)) "duplicate preserved for last-wins fold"
         [ 0; 2; 0 ]
-        (List.map fst r.Journal.entries));
+        (List.map fst entries));
   Sys.remove path
 
 let test_journal_tolerates_torn_tail () =
@@ -337,42 +359,45 @@ let test_journal_tolerates_torn_tail () =
   let w = Journal.create ~path (manifest "h" 2) in
   Journal.append w ~index:0 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
-  (* Simulate a SIGKILL mid-append: a record prefix with no newline. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"kind\":\"job\",\"index\":1,\"li";
-  close_out oc;
-  (match Journal.read ~path with
-  | Error msg -> Alcotest.failf "torn tail must be tolerated: %s" msg
-  | Ok r ->
-      Alcotest.(check bool) "torn reported" true r.Journal.torn;
-      Alcotest.(check (list int)) "intact records kept" [ 0 ]
-        (List.map fst r.Journal.entries));
-  (* Reopen must truncate the fragment, or the next append would fuse
-     with it into one corrupt line and poison a second resume. *)
-  let w = Journal.reopen ~path () in
+  (* Simulate a SIGKILL mid-append: a frame that claims 40 payload
+     bytes, of which only 5 made it to disk. *)
+  append_bytes path "\040\000\000\000\000\000\000\000\001\000\000\000{";
+  let r =
+    match scan path with
+    | Error msg -> Alcotest.failf "torn tail must be tolerated: %s" msg
+    | Ok (r, entries) ->
+        Alcotest.(check bool) "torn reported" true r.Journal.torn;
+        Alcotest.(check (list int)) "intact records kept" [ 0 ]
+          (List.map fst entries);
+        r
+  in
+  (* Reopen must truncate the fragment, or the next frame would start
+     inside it and poison a second resume. *)
+  let w = Journal.reopen ~path r in
   Journal.append w ~index:1 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
-  (match Journal.read ~path with
+  (match scan path with
   | Error msg -> Alcotest.failf "resumed journal must stay readable: %s" msg
-  | Ok r ->
+  | Ok (r, entries) ->
       Alcotest.(check bool) "no longer torn" false r.Journal.torn;
       Alcotest.(check (list int)) "fragment replaced by the real record"
         [ 0; 1 ]
-        (List.map fst r.Journal.entries));
+        (List.map fst entries));
   Sys.remove path
 
 let test_journal_rejects_midfile_corruption () =
   let path = temp_path "corrupt" in
   let w = Journal.create ~path (manifest "h" 2) in
   Journal.append w ~index:0 (Json.Obj [ ("ok", Json.Bool true) ]);
+  let record0_end = (Unix.stat path).Unix.st_size in
+  Journal.append w ~index:1 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
-  (* A torn line that is NOT final (a complete record follows) is
+  (* A damaged frame that is NOT final (a complete record follows) is
      corruption, not a crash artifact. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "garbage not json\n";
-  output_string oc "{\"kind\":\"job\",\"index\":1,\"line\":{}}\n";
-  close_out oc;
-  (match Journal.read ~path with
+  let bytes = Bytes.of_string (read_file path) in
+  Bytes.set bytes (record0_end - 3) 'X';
+  write_file path (Bytes.to_string bytes);
+  (match Journal.scan ~path (fun _ _ -> ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mid-file corruption must be rejected");
   Sys.remove path
@@ -381,12 +406,12 @@ let test_journal_rejects_future_version () =
   (* [create] always stamps the current format version, so a future
      journal has to be forged by hand. *)
   let path = temp_path "version" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"kind\":\"manifest\",\"version\":%d,\"tool\":\"test\",\"hash\":\"h\",\"jobs\":1}\n"
-    (Journal.format_version + 1);
-  close_out oc;
-  (match Journal.read ~path with
+  let w = Journal.create ~path (manifest "h" 1) in
+  Journal.close w;
+  let bytes = Bytes.of_string (read_file path) in
+  Bytes.set_int32_le bytes 4 (Int32.of_int (Journal.format_version + 1));
+  write_file path (Bytes.to_string bytes);
+  (match Journal.scan ~path (fun _ _ -> ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "future format version must be rejected");
   Sys.remove path

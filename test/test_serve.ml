@@ -421,9 +421,10 @@ let test_cache_torn_tail_truncated () =
   | Ok c ->
       Serve.Cache.add c ~key:"good" "{\"ii\":2}";
       Serve.Cache.close c);
-  (* A SIGKILL mid-append leaves a final line without its newline. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"key\":\"torn\",\"record\":\"{}\"";
+  (* A SIGKILL mid-append leaves a final frame cut short: this one
+     claims 40 payload bytes and holds 10. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "\040\000\000\000\000\000\000\000\004\000\000\000torn{}";
   close_out oc;
   match Serve.Cache.open_ ~capacity:8 ~path () with
   | Error e -> Alcotest.fail e
