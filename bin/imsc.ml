@@ -1018,12 +1018,14 @@ let cmd_batch =
                    current_manifest)
           | None, None -> None
         in
-        let schedule_one (shard : Ims_exec.Shard.t) input =
-          (* A parse/decode error propagates and becomes this loop's
-             Failed outcome (with file/offset via the registered
-             printers); a scheduling casualty degrades to the list
-             schedule; a fired deadline escapes as Cancel.Cancelled and
-             becomes the Cancelled outcome. *)
+        (* A parse/decode error propagates and becomes this loop's Failed
+           outcome (with file/offset via the registered printers); a
+           scheduling casualty degrades to the list schedule; a fired
+           deadline escapes as Cancel.Cancelled and becomes the Cancelled
+           outcome.  The job renders its own line on its worker domain,
+           so the DDG and schedule die with the job; the line's bytes go
+           unchanged to the journal and the report. *)
+        let f (shard : Ims_exec.Shard.t) input =
           (match inject_flaky with
           | Some (fname, k)
             when fname = input.in_name
@@ -1032,51 +1034,21 @@ let cmd_batch =
                 (Printf.sprintf "transient injected fault (attempt %d)"
                    shard.Ims_exec.Shard.attempt)
           | _ -> ());
-          (match inject_spin with
-          | Some (sname, secs) when sname = input.in_name ->
-              let stop = Unix.gettimeofday () +. secs in
-              while Unix.gettimeofday () < stop do
-                Cancel.poll shard.Ims_exec.Shard.cancel
-              done
-          | _ -> ());
-          let ddg = input.load () in
-          let h =
-            Ims_check.Fallback.modulo_schedule_or_fallback
-              ~budget_ratio:budget ~max_delta_ii
-              ~counters:shard.Ims_exec.Shard.counters
-              ~trace:shard.Ims_exec.Shard.trace
-              ~cancel:shard.Ims_exec.Shard.cancel ddg
+          let j =
+            Ims_serve.Render.job ?inject_spin ~budget_ratio:budget
+              ~max_delta_ii shard ~name:input.in_name input.load
           in
-          (* The job renders its own report line on its worker domain and
-             returns only that line and the achieved II (for --profile),
-             so the DDG, schedule, verdict and scheduler outcome die with
-             the job.  The field definitions live in Ims_serve.Render —
-             shared with the serve daemon, which is what makes a served
-             (or cached) record byte-identical to a batch one. *)
-          ( Ims_exec.Report.line ~name:input.in_name
-              ~fields:Ims_serve.Render.done_fields
-              (Ims_exec.Outcome.Done
-                 ( h,
-                   Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
-                   Ddg.n_real ddg )),
-            h.Ims_check.Fallback.schedule.Ims_core.Schedule.ii )
+          { j with body = Ims_exec.Report.with_name ~name:input.in_name j.body }
         in
         (* A casualty's line is rendered once, as it completes, for the
            journal; it waits in [casualty_lines] until the report reaches
-           its index.  Quarantined loops (any final non-ok outcome)
-           additionally carry the acyclic fallback schedule when the
-           loop at least parses — the run still ships a correct, checked
-           schedule for a loop whose pipelining was cancelled. *)
-        let casualty_lines : (int, Json.t) Hashtbl.t = Hashtbl.create 7 in
+           its index. *)
+        let casualty_lines : (int, string) Hashtbl.t = Hashtbl.create 7 in
         let line_of input = function
-          | Ims_exec.Outcome.Done (line, _) -> line
+          | Ims_exec.Outcome.Done (j : Ims_serve.Render.job) -> j.body
           | casualty ->
-              Ims_exec.Report.line ~name:input.in_name
-                ~extra:
-                  (Ims_serve.Render.casualty_extra ~reparse:input.load
-                     casualty)
-                ~fields:(fun _ -> [])
-                casualty
+              Ims_exec.Report.with_name ~name:input.in_name
+                (Ims_serve.Render.casualty_body ~reparse:input.load casualty)
         in
         let retry =
           Ims_exec.Retry.create ~max_attempts:(max 1 retries) ~backoff
@@ -1094,7 +1066,7 @@ let cmd_batch =
         let on_result input outcome =
           let line = line_of input outcome in
           (match writer with
-          | Some w -> Ims_exec.Journal.append w ~index:input.index line
+          | Some w -> Ims_exec.Journal.append_line w ~index:input.index line
           | None -> ());
           if not (Ims_exec.Outcome.is_done outcome) then begin
             Hashtbl.replace casualty_lines input.index line;
@@ -1163,31 +1135,31 @@ let cmd_batch =
         Fun.protect ~finally:(fun () -> finish_status !last_counts)
         @@ fun () ->
         (* The report is written in index order as lines leave the
-           engine, the replayed ones merged in by index.  Casualty,
-           degraded and quarantine accounting read the report lines, not
-           the outcomes, so loops journaled as casualties by an
-           interrupted run still count after a resume. *)
-        let casualties = ref [] and degraded = ref 0 in
+           engine, the replayed ones merged in by index.  A fresh line's
+           verdict comes from its outcome; a replayed line is parsed for
+           its verdict, so loops journaled as casualties by an
+           interrupted run still count after a resume.  [casualties]
+           keeps each casualty's status members for the stderr list. *)
+        let tally = ref Ims_exec.Report.empty and casualties = ref [] in
         let replay =
           ref (List.sort compare (Hashtbl.fold (fun g _ gs -> g :: gs) resumed []))
         in
         let stats =
           Ims_exec.Report.with_output report @@ fun oc ->
-          let emit g text line =
-            output_string oc text;
+          let emit g line verdict status =
+            output_string oc line;
             output_char oc '\n';
-            match Ims_exec.Report.verdict line with
-            | Ims_exec.Report.Casualty -> casualties := (g, line) :: !casualties
-            | Ims_exec.Report.Degraded -> incr degraded
-            | Ims_exec.Report.Clean -> ()
+            tally := Ims_exec.Report.add !tally verdict;
+            if verdict = Ims_exec.Report.Casualty then
+              casualties := (g, status ()) :: !casualties
           in
           let rec replay_below g =
             match !replay with
             | r :: rest when r < g ->
                 replay := rest;
-                let text = Hashtbl.find resumed r in
-                (match Json.of_string text with
-                | Ok line -> emit r text line
+                let line = Hashtbl.find resumed r in
+                (match Json.of_string line with
+                | Ok j -> emit r line (Ims_exec.Report.verdict j) (fun () -> j)
                 | Error e ->
                     failwith (Printf.sprintf "batch: journaled line %d: %s" r e));
                 replay_below g
@@ -1196,27 +1168,28 @@ let cmd_batch =
           let deliver input outcome =
             let line =
               match outcome with
-              | Ims_exec.Outcome.Done (line, ii) ->
+              | Ims_exec.Outcome.Done (j : Ims_serve.Render.job) ->
                   (* The achieved IIs make a deterministic series, so the
                      profile answers "how were the IIs distributed"
                      alongside the wall-clock view. *)
                   Option.iter
-                    (fun p -> Profile.add_sample p "ii" (float_of_int ii))
+                    (fun p -> Profile.add_sample p "ii" (float_of_int j.ii))
                     profile;
-                  line
+                  j.body
               | _ ->
                   let line = Hashtbl.find casualty_lines input.index in
                   Hashtbl.remove casualty_lines input.index;
                   line
             in
             replay_below input.index;
-            emit input.index (Json.to_string line) line
+            emit input.index line (Ims_serve.Render.verdict outcome) (fun () ->
+                Ims_exec.Report.line ~name:input.in_name ~fields:(fun _ -> [])
+                  outcome)
           in
           let stats =
             Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
               ?cancel:run_cancel ~on_result ?profile ?progress
-              ~sleep:Unix.sleepf ~timer:Unix.gettimeofday ~f:schedule_one
-              ~deliver
+              ~sleep:Unix.sleepf ~timer:Unix.gettimeofday ~f ~deliver
               (Seq.filter
                  (fun input -> not (Hashtbl.mem resumed input.index))
                  (loops ()))
@@ -1275,16 +1248,14 @@ let cmd_batch =
             if casualties <> [] then
               Log.info batch_log "%d poison input(s) quarantined to %s"
                 (List.length casualties) file);
-        if casualties <> [] then begin
-          Log.error batch_log "completed with casualties (see report)";
-          1
-        end
-        else if !degraded > 0 then begin
-          Log.warn batch_log "%d loop(s) degraded to the acyclic list schedule"
-            !degraded;
-          2
-        end
-        else 0)
+        let code = Ims_exec.Report.exit_code !tally in
+        (match code with
+        | 1 -> Log.error batch_log "completed with casualties (see report)"
+        | 2 ->
+            Log.warn batch_log "%d loop(s) degraded to the acyclic list schedule"
+              !tally.Ims_exec.Report.degraded
+        | _ -> ());
+        code)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1597,34 +1568,32 @@ let cmd_fleet =
             let reports =
               List.map (fun (s : Ims_fleet.Fleet.spec) -> s.report) specs
             in
-            let stats =
+            let tally =
               Ims_exec.Report.with_output report (fun oc ->
                   let emit line =
                     output_string oc line;
                     output_char oc '\n'
                   in
                   match Ims_fleet.Fleet.merge_reports ~reports ~emit with
-                  | Ok stats -> stats
+                  | Ok tally -> tally
                   | Error e -> failwith (Printf.sprintf "fleet: merge: %s" e))
             in
             Log.info fleet_log
               "merged %d line(s) from %d shard(s), %d restart(s) survived"
-              stats.Ims_fleet.Fleet.lines workers
+              tally.Ims_exec.Report.lines workers
               outcome.Ims_fleet.Fleet.restarts;
-            if stats.Ims_fleet.Fleet.merge_casualties > 0 then begin
-              Log.error fleet_log "completed with %d casualt%s (see report)"
-                stats.Ims_fleet.Fleet.merge_casualties
-                (if stats.Ims_fleet.Fleet.merge_casualties = 1 then "y"
-                 else "ies");
-              1
-            end
-            else if stats.Ims_fleet.Fleet.merge_degraded > 0 then begin
-              Log.warn fleet_log
-                "%d loop(s) degraded to the acyclic list schedule"
-                stats.Ims_fleet.Fleet.merge_degraded;
-              2
-            end
-            else 0))
+            let code = Ims_exec.Report.exit_code tally in
+            (match code with
+            | 1 ->
+                let n = tally.Ims_exec.Report.casualties in
+                Log.error fleet_log "completed with %d casualt%s (see report)" n
+                  (if n = 1 then "y" else "ies")
+            | 2 ->
+                Log.warn fleet_log
+                  "%d loop(s) degraded to the acyclic list schedule"
+                  tally.Ims_exec.Report.degraded
+            | _ -> ());
+            code))
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -2010,79 +1979,58 @@ let cmd_request =
           | Error msg -> failwith ("request: " ^ msg)
         in
         let by_id = Hashtbl.create 97 in
-            List.iter
-              (fun r ->
-                Hashtbl.replace by_id (Ims_serve.Protocol.response_id r) r)
-              responses;
-            let cached = ref 0 and casualties = ref 0 and degraded = ref 0 in
-            let buf = Buffer.create 4096 in
+        List.iter
+          (fun r -> Hashtbl.replace by_id (Ims_serve.Protocol.response_id r) r)
+          responses;
+        (* One line per loop, in request order; a response that is not a
+           report stands in as a casualty line. *)
+        let cached = ref 0 and tally = ref Ims_exec.Report.empty in
+        let line name response =
+          let casualty members =
+            ( Json.to_string (Json.Obj (("name", Json.String name) :: members)),
+              Ims_exec.Report.Casualty )
+          in
+          match response with
+          | Some (Ims_serve.Protocol.Report { cached = c; record; _ }) ->
+              if c then incr cached;
+              ( record,
+                match Json.of_string record with
+                | Ok j -> Ims_exec.Report.verdict j
+                | Error _ -> Ims_exec.Report.Clean )
+          | Some (Ims_serve.Protocol.Overloaded { depth; capacity; _ }) ->
+              Log.warn request_log "%s: overloaded (queue %d/%d)" name depth
+                capacity;
+              casualty [ ("status", Json.String "overloaded") ]
+          | Some (Ims_serve.Protocol.Error { message; _ }) ->
+              Log.error request_log "%s: %s" name message;
+              casualty
+                [ ("status", Json.String "error"); ("error", Json.String message) ]
+          | _ ->
+              Log.error request_log "%s: no response" name;
+              casualty
+                [
+                  ("status", Json.String "error");
+                  ("error", Json.String "no response");
+                ]
+        in
+        Ims_exec.Report.with_output report (fun oc ->
             List.iteri
               (fun i (name, _) ->
-                let emit line =
-                  Buffer.add_string buf line;
-                  Buffer.add_char buf '\n'
-                in
-                match Hashtbl.find_opt by_id (i + 1) with
-                | Some (Ims_serve.Protocol.Report { cached = c; record; _ })
-                  ->
-                    if c then incr cached;
-                    (match Json.of_string record with
-                    | Ok j -> (
-                        match Ims_exec.Report.verdict j with
-                        | Ims_exec.Report.Casualty -> incr casualties
-                        | Ims_exec.Report.Degraded -> incr degraded
-                        | Ims_exec.Report.Clean -> ())
-                    | Error _ -> ());
-                    emit record
-                | Some (Ims_serve.Protocol.Overloaded { depth; capacity; _ })
-                  ->
-                    incr casualties;
-                    Log.warn request_log "%s: overloaded (queue %d/%d)" name
-                      depth capacity;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "overloaded");
-                            ]))
-                | Some (Ims_serve.Protocol.Error { message; _ }) ->
-                    incr casualties;
-                    Log.error request_log "%s: %s" name message;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "error");
-                              ("error", Json.String message);
-                            ]))
-                | Some _ | None ->
-                    incr casualties;
-                    Log.error request_log "%s: no response" name;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "error");
-                              ("error", Json.String "no response");
-                            ])))
-              inputs;
-            (match report with
-            | Some file -> write_file file (Buffer.contents buf)
-            | None -> print_string (Buffer.contents buf));
-            (if stats then
-               match Hashtbl.find_opt by_id stats_id with
-               | Some (Ims_serve.Protocol.Stats_reply { metrics; _ }) ->
-                   print_string (Json.to_string metrics ^ "\n")
-               | _ -> Log.warn request_log "no stats reply");
-            if shutdown && Hashtbl.mem by_id bye_id then
-              Log.info request_log "daemon acknowledged shutdown";
-            if n > 0 then
-              Log.info request_log "%d of %d loop(s) served from cache"
-                !cached n;
-            if !casualties > 0 then 1 else if !degraded > 0 then 2 else 0)
+                let text, verdict = line name (Hashtbl.find_opt by_id (i + 1)) in
+                output_string oc text;
+                output_char oc '\n';
+                tally := Ims_exec.Report.add !tally verdict)
+              inputs);
+        (if stats then
+           match Hashtbl.find_opt by_id stats_id with
+           | Some (Ims_serve.Protocol.Stats_reply { metrics; _ }) ->
+               print_string (Json.to_string metrics ^ "\n")
+           | _ -> Log.warn request_log "no stats reply");
+        if shutdown && Hashtbl.mem by_id bye_id then
+          Log.info request_log "daemon acknowledged shutdown";
+        if n > 0 then
+          Log.info request_log "%d of %d loop(s) served from cache" !cached n;
+        Ims_exec.Report.exit_code !tally)
   in
   Cmd.v
     (Cmd.info "request"

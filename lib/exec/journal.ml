@@ -34,12 +34,13 @@ let create ?(sync_every = 1) ~path m =
   Frame.write w (Json.to_string (manifest_json m));
   w
 
-let append w ~index line =
-  let line = Json.to_string line in
+let append_line w ~index line =
   let payload = Bytes.create (4 + String.length line) in
   Bytes.set_int32_le payload 0 (Int32.of_int index);
   Bytes.blit_string line 0 payload 4 (String.length line);
   Frame.write w (Bytes.unsafe_to_string payload)
+
+let append w ~index line = append_line w ~index (Json.to_string line)
 
 let close = Frame.close
 

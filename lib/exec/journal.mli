@@ -15,9 +15,11 @@
     identical inputs and configuration.
 
     A job frame is the job's index (u32, little-endian) followed by its
-    finished report line, as bytes; resume replays those bytes into the
-    final report unchanged, which is what makes a resumed report
-    byte-identical to an uninterrupted run's.
+    finished report line, as bytes: the line is rendered once, on the
+    job's worker, and the journal and the report store the same bytes.
+    Resume replays those bytes into the final report unchanged, which
+    is what makes a resumed report byte-identical to an uninterrupted
+    run's.
 
     {!scan} tolerates exactly one torn frame, at the end of the file
     (the interrupted append); any other damage is corruption and an
@@ -58,10 +60,13 @@ val create : ?sync_every:int -> path:string -> manifest -> writer
 (** Truncate/create [path] and write the manifest frame.  [sync_every]
     (default 1) groups fsyncs as {!Frame.Every} does. *)
 
+val append_line : writer -> index:int -> string -> unit
+(** Append one job's finished report line, as bytes (fsync'd per
+    [sync_every]).  Serialize calls yourself — the engine's [on_result]
+    hook already runs under a mutex. *)
+
 val append : writer -> index:int -> Ims_obs.Json.t -> unit
-(** Append one job record (fsync'd per [sync_every]).  Serialize calls
-    yourself — the engine's [on_result] hook already runs under a
-    mutex. *)
+(** {!append_line} of the rendered line. *)
 
 val close : writer -> unit
 

@@ -45,6 +45,19 @@ let verdict = function
       | Some _ -> Casualty)
   | _ -> Clean
 
+type tally = { lines : int; casualties : int; degraded : int }
+
+let empty = { lines = 0; casualties = 0; degraded = 0 }
+
+let add t v =
+  let t = { t with lines = t.lines + 1 } in
+  match v with
+  | Clean -> t
+  | Casualty -> { t with casualties = t.casualties + 1 }
+  | Degraded -> { t with degraded = t.degraded + 1 }
+
+let exit_code t = if t.casualties > 0 then 1 else if t.degraded > 0 then 2 else 0
+
 (* A rename replaces whatever sits at [file]: a symlink would become a
    regular file and its target stay empty, and a device would be
    swapped out.  So only an absent or regular [file] is staged. *)

@@ -6,7 +6,13 @@
     text; timeouts and cancellations carry the measured seconds (and
     the limit, when one was set).  Nothing non-deterministic is emitted
     for successful jobs, so two runs at different [--jobs] produce
-    byte-identical reports. *)
+    byte-identical reports.
+
+    A line is rendered once, as a body without its name
+    ({!body}), and completed by the string splice {!with_name}; from
+    there it travels as bytes to the journal, the cache and the report.
+    Every front end folds its lines' {!verdict}s into one {!tally}, and
+    {!exit_code} maps that to the 0/1/2 exit status. *)
 
 open Ims_obs
 
@@ -39,12 +45,22 @@ type verdict =
   | Degraded  (** The job finished on a fallback schedule. *)
 
 val verdict : Json.t -> verdict
-(** How a rendered report line reads back — the one reader behind the
-    0/1/2 exit protocol of [imsc batch], [imsc request] and the fleet
-    merge.  A line whose ["status"] is present and not ["ok"] is a
-    {!Casualty}; otherwise one carrying ["degraded":true] is
-    {!Degraded}.  An absent ["status"] counts as ok, and a value that is
-    not an object reads as {!Clean}. *)
+(** How a rendered report line reads back.  A line whose ["status"] is
+    present and not ["ok"] is a {!Casualty}; otherwise one carrying
+    ["degraded":true] is {!Degraded}.  An absent ["status"] counts as
+    ok, and a value that is not an object reads as {!Clean}. *)
+
+type tally = { lines : int; casualties : int; degraded : int }
+(** The verdicts of a report's lines — the one count behind the 0/1/2
+    exit protocol of [imsc batch], [imsc request] and the fleet merge. *)
+
+val empty : tally
+
+val add : tally -> verdict -> tally
+(** Count one more line. *)
+
+val exit_code : tally -> int
+(** [1] if any line is a casualty, else [2] if any degraded, else [0]. *)
 
 val with_output : string option -> (out_channel -> 'a) -> 'a
 (** [with_output file f] runs [f] on the channel a report goes to:

@@ -203,8 +203,6 @@ let run ?max_failures ?(backoff = fun () -> Supervisor.Backoff.create ())
 
 (* -- deterministic merge -------------------------------------------- *)
 
-type merge_stats = { lines : int; merge_casualties : int; merge_degraded : int }
-
 (* Shard i's report lists its residue class in ascending global order,
    so the single-process report is exactly the round-robin interleave
    starting at shard 1.  The first exhausted channel fixes the total;
@@ -217,20 +215,13 @@ let merge_reports ~reports ~emit =
   Fun.protect
     ~finally:(fun () -> Array.iter close_in_noerr ics)
     (fun () ->
-      let casualties = ref 0 and degraded = ref 0 in
-      let classify line =
+      let verdict line =
         match Json.of_string line with
-        | Error e ->
-            Error (Printf.sprintf "unparseable report line: %s" e)
-        | Ok (Json.Obj _ as j) ->
-            (match Ims_exec.Report.verdict j with
-            | Ims_exec.Report.Casualty -> incr casualties
-            | Ims_exec.Report.Degraded -> incr degraded
-            | Ims_exec.Report.Clean -> ());
-            Ok ()
+        | Error e -> Error (Printf.sprintf "unparseable report line: %s" e)
+        | Ok (Json.Obj _ as j) -> Ok (Ims_exec.Report.verdict j)
         | Ok _ -> Error "report line is not a JSON object"
       in
-      let rec go g =
+      let rec go g tally =
         let k = g mod n in
         match input_line ics.(k) with
         | exception End_of_file ->
@@ -249,20 +240,12 @@ let merge_reports ~reports ~emit =
                      "shard %d report holds extra lines — shards did \
                       not split one corpus"
                      shard)
-            | None -> Ok g)
+            | None -> Ok tally)
         | line -> (
-            match classify line with
+            match verdict line with
             | Error e -> Error (Printf.sprintf "global index %d: %s" g e)
-            | Ok () ->
+            | Ok v ->
                 emit line;
-                go (g + 1))
+                go (g + 1) (Ims_exec.Report.add tally v))
       in
-      match go 0 with
-      | Error e -> Error e
-      | Ok total ->
-          Ok
-            {
-              lines = total;
-              merge_casualties = !casualties;
-              merge_degraded = !degraded;
-            })
+      go 0 Ims_exec.Report.empty)

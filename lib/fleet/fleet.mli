@@ -70,15 +70,12 @@ val run :
     on {e every} exit path, including exceptions.
     @raise Invalid_argument if [status_interval] is not positive. *)
 
-type merge_stats = {
-  lines : int;  (** Total report lines merged. *)
-  merge_casualties : int;  (** Lines whose ["status"] is not ["ok"]. *)
-  merge_degraded : int;  (** Lines with ["degraded":true]. *)
-}
-
 val merge_reports :
-  reports:string list -> emit:(string -> unit) -> (merge_stats, string) result
+  reports:string list ->
+  emit:(string -> unit) ->
+  (Ims_exec.Report.tally, string) result
 (** Round-robin interleave the shard reports (listed in shard order
-    1..N) into global-index order, calling [emit] per line.  [Error] if
-    any line is unparseable or the shards' line counts are inconsistent
-    with a single corpus split N ways. *)
+    1..N) into global-index order, calling [emit] per line, and tally
+    the merged lines' verdicts.  [Error] if any line is unparseable or
+    the shards' line counts are inconsistent with a single corpus split
+    N ways. *)

@@ -1,17 +1,17 @@
-(** The canonical per-loop report record, shared by [imsc batch] and
+(** The per-loop job and its report record, shared by [imsc batch] and
     the serve daemon.
 
-    One definition, used by both paths, is what makes "a cache hit is
-    byte-identical to a cold schedule" and "a served corpus is
-    byte-identical to a batch run" checkable with [cmp] rather than
-    arguable: the record's fields, order and rendering exist exactly
-    once. *)
+    One job body and one definition of the record, used by both paths,
+    is what makes "a cache hit is byte-identical to a cold schedule"
+    and "a served corpus is byte-identical to a batch run" checkable
+    with [cmp] rather than arguable.  The job renders the record to
+    bytes on its worker; those bytes go unchanged to the journal, the
+    cache, the report and the wire. *)
 
 open Ims_obs
 
 type scheduled = Ims_check.Fallback.t * int * int
-(** (hardened outcome, schedule length, real-operation count) — what
-    one loop's scheduling job returns. *)
+(** (hardened outcome, schedule length, real-operation count). *)
 
 val cache_key :
   machine_dump:string -> budget_ratio:float -> max_delta_ii:int ->
@@ -22,34 +22,42 @@ val cache_key :
     search; they do not change its answer, and preempted searches are
     never cached). *)
 
-val schedule_dump :
-  machine:Ims_machine.Machine.t ->
-  budget_ratio:float ->
-  max_delta_ii:int ->
-  ?counters:Ims_mii.Counters.t ->
-  ?trace:Trace.t ->
-  ?cancel:Cancel.t ->
-  string ->
-  scheduled
-(** Parse a loop dump and run it through the degradation ladder — the
-    serve worker's job body.  Raises like {!Ims_workloads.Loop_parse}
-    and re-raises a fired [cancel] (the engine converts both to
-    structured outcomes). *)
-
 val done_fields : scheduled -> (string * Json.t) list
 (** The successful record's fields: n/ii/sl, the scheduler statistics
     when the scheduler returned, and the degradation marker. *)
 
-val casualty_extra :
-  reparse:(unit -> Ims_ir.Ddg.t) ->
-  'v Ims_exec.Outcome.t ->
-  (string * Json.t) list
-(** The quarantine annotations for non-ok outcomes: [quarantined:true],
-    plus — for a cancelled loop whose [reparse] succeeds — the checked
-    acyclic fallback's II and SL, so the record still carries a correct
-    schedule for a loop whose pipelining was preempted. *)
+type job = {
+  body : string;  (** The record minus its ["name"] member. *)
+  ii : int;  (** The achieved II, for [imsc batch --profile]. *)
+  degraded : bool;  (** Finished on the fallback schedule. *)
+}
+
+val job :
+  ?inject_spin:string * float ->
+  budget_ratio:float ->
+  max_delta_ii:int ->
+  Ims_exec.Shard.t ->
+  name:string ->
+  (unit -> Ims_ir.Ddg.t) ->
+  job
+(** [job shard ~name load]: busy-wait while polling the shard's cancel
+    token if [inject_spin] names [name] (the [--inject-spin] fault),
+    then [load ()], run the degradation ladder with the shard's
+    counters, trace and token, and render the body.  The schedule is
+    not returned.  Raises what [load] raises, and re-raises a fired
+    token; the engine turns both into outcomes. *)
+
+val casualty_body :
+  reparse:(unit -> Ims_ir.Ddg.t) -> 'a Ims_exec.Outcome.t -> string
+(** The body of a non-[Done] outcome: its status and error or seconds,
+    [quarantined:true], and for a cancelled loop whose [reparse]
+    succeeds, the checked acyclic fallback's II and SL. *)
+
+val verdict : job Ims_exec.Outcome.t -> Ims_exec.Report.verdict
+(** A fresh line's verdict, from its outcome and [degraded] flag; equal
+    to {!Ims_exec.Report.verdict} of the parsed line. *)
 
 val body_string :
   reparse:(unit -> Ims_ir.Ddg.t) -> scheduled Ims_exec.Outcome.t -> string
-(** The rendered record minus its ["name"] member — the cacheable
-    form; {!Ims_exec.Report.with_name} completes it per request. *)
+(** The body of an outcome scheduled elsewhere, rendered as {!job} and
+    {!casualty_body} render it. *)

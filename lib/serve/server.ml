@@ -261,30 +261,23 @@ let run config ~machine_of ~log =
           in
 
           (* Worker side. *)
-          let f (shard : Ims_exec.Shard.t) (j : job) =
-            (match config.inject_spin with
-            | Some (name, secs) when name = j.name ->
-                let until = U.gettimeofday () +. secs in
-                while U.gettimeofday () < until do
-                  Cancel.poll shard.Ims_exec.Shard.cancel
-                done
-            | _ -> ());
-            Render.schedule_dump ~machine:j.machine
-              ~budget_ratio:j.budget_ratio ~max_delta_ii:j.max_delta_ii
-              ~counters:shard.Ims_exec.Shard.counters
-              ~trace:shard.Ims_exec.Shard.trace
-              ~cancel:shard.Ims_exec.Shard.cancel j.dump
+          let load (j : job) () =
+            Ims_workloads.Loop_parse.parse j.machine j.dump
+          in
+          let f shard (j : job) =
+            Render.job ?inject_spin:config.inject_spin
+              ~budget_ratio:j.budget_ratio ~max_delta_ii:j.max_delta_ii shard
+              ~name:j.name (load j)
           in
           let respond (j : job) outcome _shard attempts =
             let body =
-              Render.body_string
-                ~reparse:(fun () ->
-                  Ims_workloads.Loop_parse.parse j.machine j.dump)
-                outcome
+              match outcome with
+              | Ims_exec.Outcome.Done r ->
+                  Cache.add cache ~key:j.key r.Render.body;
+                  r.Render.body
+              | casualty ->
+                  Render.casualty_body ~reparse:(load j) casualty
             in
-            (match outcome with
-            | Ims_exec.Outcome.Done _ -> Cache.add cache ~key:j.key body
-            | _ -> ());
             with_tally (fun () ->
                 (match outcome with
                 | Ims_exec.Outcome.Done _ -> incr t_ok

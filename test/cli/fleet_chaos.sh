@@ -5,6 +5,9 @@
 #   2. clean fleet runs at two different shard counts produce merged
 #      reports byte-identical to the single-process run — the
 #      round-robin merge is shard-count-invariant;
+#   2b. starved with --budget-ratio 0.1 --max-delta-ii 0, a batch and a
+#      2-worker fleet over a 40-loop corpus both exit 2 with the same
+#      report;
 #   3. kill -9 of a worker process mid-run: the fleet supervisor
 #      restarts it with --resume from its fsync'd journal, and the
 #      merged report is STILL byte-identical to the clean run;
@@ -50,6 +53,22 @@ for W in 2 5; do
     --report "fleet$W.jsonl" 2> "fleet$W.stderr"
   cmp single.jsonl "fleet$W.jsonl"
 done
+
+# --- 2b. one exit protocol: a starved batch and fleet both exit 2 ------------
+
+"$IMSC" corpus gen --out corpus-deg.ilb --count 40 --seed 1994 2> /dev/null
+RC=0
+"$IMSC" batch --corpus corpus-deg.ilb --jobs 1 --budget-ratio 0.1 \
+  --max-delta-ii 0 --report single-deg.jsonl 2> /dev/null || RC=$?
+test "$RC" -eq 2
+rm -rf rundeg
+mkdir rundeg
+RC=0
+"$IMSC" fleet --corpus corpus-deg.ilb --workers 2 --dir rundeg \
+  --budget-ratio 0.1 --max-delta-ii 0 --report fleet-deg.jsonl \
+  2> fleet-deg.stderr || RC=$?
+test "$RC" -eq 2
+cmp single-deg.jsonl fleet-deg.jsonl
 
 # --- 3. kill -9 a worker mid-run; the merge must not notice ------------------
 

@@ -4,6 +4,9 @@
 #   2. a repeat request is served entirely from cache, byte-identically;
 #   3. concurrent clients — cold (racing the same uncached loops) and
 #      warm — all receive the batch-identical report;
+#   3b. starved with --budget-ratio 0.1 --max-delta-ii 0, batch and
+#      request both exit 2 with the same report, and request leaves no
+#      staged .tmp file behind;
 #   4. kill -9 the daemon, restart it against the same cache file (with
 #      a simulated torn append): it starts warm, answers everything
 #      from cache byte-identically, reports the hits in --stats, and a
@@ -81,6 +84,22 @@ wait $C1
 wait $C2
 cmp batch.jsonl warm1.jsonl
 cmp batch.jsonl warm2.jsonl
+
+# --- 3b. one exit protocol: a starved batch and request both exit 2 ----------
+
+# Under --budget-ratio 0.1 --max-delta-ii 0 some loops degrade to the
+# acyclic list schedule: batch and request exit 2 with the same report,
+# and request stages its --report like batch does (no .tmp left behind).
+RC=0
+"$IMSC" batch scorpus --jobs 2 --budget-ratio 0.1 --max-delta-ii 0 \
+  --report batch-deg.jsonl 2> /dev/null || RC=$?
+test "$RC" -eq 2
+RC=0
+"$IMSC" request scorpus --socket "$SOCK" --budget-ratio 0.1 --max-delta-ii 0 \
+  --report served-deg.jsonl 2> /dev/null || RC=$?
+test "$RC" -eq 2
+cmp batch-deg.jsonl served-deg.jsonl
+test -z "$(ls ./*.tmp 2> /dev/null)"
 
 # --- 4. kill -9, warm restart, graceful shutdown ----------------------------
 

@@ -333,11 +333,12 @@ let test_merge_interleaves () =
       ~emit:(fun l -> out := l :: !out)
   with
   | Error e -> Alcotest.fail e
-  | Ok stats ->
+  | Ok tally ->
       Alcotest.(check (list string)) "global order" global (List.rev !out);
-      Alcotest.(check int) "lines" 7 stats.Ims_fleet.Fleet.lines;
-      Alcotest.(check int) "casualties" 1 stats.Ims_fleet.Fleet.merge_casualties;
-      Alcotest.(check int) "degraded" 1 stats.Ims_fleet.Fleet.merge_degraded
+      Alcotest.(check int) "lines" 7 tally.Ims_exec.Report.lines;
+      Alcotest.(check int) "casualties" 1 tally.Ims_exec.Report.casualties;
+      Alcotest.(check int) "degraded" 1 tally.Ims_exec.Report.degraded;
+      Alcotest.(check int) "exit code" 1 (Ims_exec.Report.exit_code tally)
 
 let test_merge_rejects_uneven_shards () =
   let a = tmp_path ".jsonl" and b = tmp_path ".jsonl" in

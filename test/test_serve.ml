@@ -318,8 +318,26 @@ let test_protocol_defaults () =
 
 (* --- report body / with_name ------------------------------------------------- *)
 
-(* The byte-compatibility law the cache depends on: storing the body
-   and splicing the name later must equal rendering the full line. *)
+(* One loop through [Render.job] on the batch engine, for the outcome
+   the front ends render. *)
+let job_outcome ?timeout ?deadline ?inject_spin ?(budget_ratio = 2.0)
+    ?(max_delta_ii = 1000) ~name load =
+  let out = ref None in
+  ignore
+    (Exec.Exec.run ~jobs:1 ?timeout ?deadline ~timer:Unix.gettimeofday
+       ~f:(fun shard () ->
+         Serve.Render.job ?inject_spin ~budget_ratio ~max_delta_ii shard ~name
+           load)
+       ~deliver:(fun () o -> out := Some o)
+       (Seq.return ()));
+  Option.get !out
+
+(* The byte-compatibility law the cache and the batch report depend on:
+   storing the body and splicing the name later must equal rendering
+   the full line.  The job's rendering of each outcome kind must also
+   equal the line [Report.line] renders from the same schedule (the
+   perf harness's rendering), and the job's verdict the parsed line's;
+   the tally maps those verdicts to the 0/1/2 exit code. *)
 let test_with_name_law () =
   let fields (ii : int) = [ ("ii", Json.Int ii); ("f", Json.Float 0.25) ] in
   let outcomes =
@@ -344,7 +362,104 @@ let test_with_name_law () =
     outcomes;
   Alcotest.(check string)
     "empty body" "{\"name\":\"n\"}"
-    (Exec.Report.with_name ~name:"n" "{}")
+    (Exec.Report.with_name ~name:"n" "{}");
+  let machine = Ims_machine.Machine.cydra5 () in
+  let lfk name () = Ims_workloads.Lfk.build machine name in
+  let unparseable () =
+    Ims_workloads.Loop_parse.parse machine "x = load a\ny =\n"
+  in
+  let done_line ~name ~budget_ratio ~max_delta_ii load =
+    let ddg = load () in
+    let h =
+      Ims_check.Fallback.modulo_schedule_or_fallback ~budget_ratio
+        ~max_delta_ii ddg
+    in
+    Exec.Report.line ~name ~extra:[] ~fields:Serve.Render.done_fields
+      (Exec.Outcome.Done
+         ( h,
+           Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
+           Ims_ir.Ddg.n_real ddg ))
+  in
+  let casualty_line ~name ?fallback outcome =
+    let fallback_fields =
+      match (fallback, outcome) with
+      | Some load, Exec.Outcome.Cancelled { elapsed; limit } ->
+          let s =
+            (Ims_check.Fallback.fallback (load ())
+               ~reason:(Ims_check.Fallback.Cancelled { elapsed; limit }))
+              .Ims_check.Fallback.schedule
+          in
+          [
+            ("fallback_ii", Json.Int s.Ims_core.Schedule.ii);
+            ("fallback_sl", Json.Int (Ims_core.Schedule.length s));
+          ]
+      | _ -> []
+    in
+    Exec.Report.line ~name
+      ~extra:(("quarantined", Json.Bool true) :: fallback_fields)
+      ~fields:Serve.Render.done_fields
+      (match outcome with
+      | Exec.Outcome.Done _ -> Alcotest.fail (name ^ ": not a casualty")
+      | Exec.Outcome.Failed e -> Exec.Outcome.Failed e
+      | Exec.Outcome.Timed_out { elapsed; limit } ->
+          Exec.Outcome.Timed_out { elapsed; limit }
+      | Exec.Outcome.Cancelled { elapsed; limit } ->
+          Exec.Outcome.Cancelled { elapsed; limit })
+  in
+  let kind ~status ~name ?(budget_ratio = 2.0) ?(max_delta_ii = 1000)
+      ?timeout ?deadline ?spin ?(fallback = false) load =
+    let outcome =
+      job_outcome ?timeout ?deadline
+        ?inject_spin:(Option.map (fun secs -> (name, secs)) spin)
+        ~budget_ratio ~max_delta_ii ~name load
+    in
+    Alcotest.(check string) (name ^ ": status") status
+      (Exec.Outcome.status outcome);
+    let body, expected =
+      match outcome with
+      | Exec.Outcome.Done j ->
+          (j.Serve.Render.body, done_line ~name ~budget_ratio ~max_delta_ii load)
+      | casualty ->
+          ( Serve.Render.casualty_body ~reparse:load casualty,
+            casualty_line ~name
+              ?fallback:(if fallback then Some load else None)
+              casualty )
+    in
+    let line = Exec.Report.with_name ~name body in
+    Alcotest.(check string) (name ^ ": job line = Report.line")
+      (Json.to_string expected) line;
+    let verdict = Serve.Render.verdict outcome in
+    Alcotest.(check bool) (name ^ ": verdict of the parsed line") true
+      (Result.map Exec.Report.verdict (Json.of_string line) = Ok verdict);
+    verdict
+  in
+  let ok = kind ~status:"ok" ~name:"ok" (lfk "lfk01") in
+  let degraded =
+    kind ~status:"ok" ~name:"degraded" ~budget_ratio:0.1 ~max_delta_ii:0
+      (lfk "lfk03")
+  in
+  let failed = kind ~status:"failed" ~name:"failed" unparseable in
+  let _timed_out =
+    kind ~status:"timed_out" ~name:"timed_out" ~timeout:0.001 ~spin:0.01
+      (lfk "lfk01")
+  in
+  let _cancelled =
+    kind ~status:"cancelled" ~name:"cancelled" ~deadline:0.01 ~spin:5.0
+      ~fallback:true (lfk "lfk07")
+  in
+  let _cancelled_unparseable =
+    kind ~status:"cancelled" ~name:"cancelled_unparseable" ~deadline:0.01
+      ~spin:5.0 unparseable
+  in
+  Alcotest.(check bool) "degraded verdict" true
+    (degraded = Exec.Report.Degraded);
+  let exit_code verdicts =
+    Exec.Report.exit_code (List.fold_left Exec.Report.add Exec.Report.empty verdicts)
+  in
+  Alcotest.(check int) "clean lines exit 0" 0 (exit_code [ ok; ok ]);
+  Alcotest.(check int) "a casualty and a degraded line exit 1" 1
+    (exit_code [ ok; degraded; failed ]);
+  Alcotest.(check int) "degraded lines exit 2" 2 (exit_code [ ok; degraded ])
 
 (* --- cache ------------------------------------------------------------------- *)
 
