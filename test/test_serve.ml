@@ -397,14 +397,8 @@ let test_with_name_law () =
     in
     Exec.Report.line ~name
       ~extra:(("quarantined", Json.Bool true) :: fallback_fields)
-      ~fields:Serve.Render.done_fields
-      (match outcome with
-      | Exec.Outcome.Done _ -> Alcotest.fail (name ^ ": not a casualty")
-      | Exec.Outcome.Failed e -> Exec.Outcome.Failed e
-      | Exec.Outcome.Timed_out { elapsed; limit } ->
-          Exec.Outcome.Timed_out { elapsed; limit }
-      | Exec.Outcome.Cancelled { elapsed; limit } ->
-          Exec.Outcome.Cancelled { elapsed; limit })
+      ~fields:(fun _ -> [])
+      outcome
   in
   let kind ~status ~name ?(budget_ratio = 2.0) ?(max_delta_ii = 1000)
       ?timeout ?deadline ?spin ?(fallback = false) load =
