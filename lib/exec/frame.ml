@@ -7,22 +7,50 @@ let frame_bytes = 8
    of any kind approaches this. *)
 let max_payload = 1 lsl 24
 
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven over native
-   ints: the 32-bit register lives in the low bits of an OCaml int, so
-   only the result is boxed.  The table is built once, when the module
-   is initialised, and never written again. *)
+(* CRC-32 (IEEE 802.3, the zlib polynomial) over native ints: the
+   32-bit register lives in the low bits of an OCaml int, so only the
+   result is boxed.  Slicing-by-8: [crc_table.((k * 256) + b)] is the
+   CRC of byte [b] followed by [k] zero bytes, so eight table lookups
+   fold eight bytes at once, read as two little-endian words; the bytes
+   past the last whole eight go one at a time through the [k = 0]
+   table.  The table is built once, when the module is initialised, and
+   never written again. *)
 let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let c = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(c land 0xff) lxor (c lsr 8)
+    done
+  done;
+  t
 
 let crc32 s =
-  let c = ref 0xffffffff in
-  for i = 0 to String.length s - 1 do
-    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  let t = crc_table and len = String.length s in
+  let c = ref 0xffffffff and i = ref 0 in
+  while !i + 8 <= len do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xffffffff)
+    and hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xffffffff in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  for i = !i to len - 1 do
+    c := t.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xffffffff)
 

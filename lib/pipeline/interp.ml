@@ -10,13 +10,21 @@ let float_eq a b = (Float.is_nan a && Float.is_nan b) || a = b
    Instances before iteration 0 (the EVR preloads that precondition
    back-substituted chains, j = -1, -2, ...) step back by one stride per
    instance, exactly as the compensation code before a back-substituted
-   loop would set them up. *)
-let live_in ~seed r j =
-  assert (j < 0);
-  float_of_int (r + 1) *. 1_048_576.0
-  +. (float_of_int (((r + seed) * 7919) mod 101) /. 8.0)
-  +. 1.0
-  +. (8.0 *. float_of_int (j + 1))
+   loop would set them up.  A run computes each register's base once
+   ([live_in_bases], by dense register); instance [j] is
+   [live_in bases r j]. *)
+let live_in_bases ~seed regs =
+  let bases = Array.create_float (Array.length regs) in
+  Array.iteri
+    (fun r reg ->
+      bases.(r) <-
+        float_of_int (reg + 1) *. 1_048_576.0
+        +. (float_of_int (((reg + seed) * 7919) mod 101) /. 8.0)
+        +. 1.0)
+    regs;
+  bases
+
+let[@inline] live_in bases r j = bases.(r) +. (8.0 *. float_of_int (j + 1))
 
 (* Uninitialised memory reads a deterministic function of the address. *)
 let default_cell addr =
@@ -28,7 +36,7 @@ exception Unsupported of string
 
 (* --- the compiled loop body ----------------------------------------------
 
-   Every replay runs over one compilation of the loop body: registers
+   Every run goes over one compilation of the loop body: registers
    renumbered densely (the original numbers kept for [live_in] and the
    outcome), each operation's semantics resolved once from its opcode and
    arity, operands and destinations as int arrays. *)
@@ -52,8 +60,8 @@ type cop = {
 type body = {
   ops : cop array;  (** Operation [id] at index [id - 1]. *)
   reg : int array;  (** Dense register -> original number. *)
-  defined : bool array;
-  written : int array;  (** Defined registers, ascending original number. *)
+  defs : int;  (** Registers [0 .. defs - 1] are the ones the loop writes. *)
+  written : int array;  (** Those, by ascending original number. *)
   accesses : int;  (** Loads and stores per iteration. *)
   args : float array;  (** Operand scratch. *)
 }
@@ -85,6 +93,37 @@ let semantics (o : Op.t) =
   | "branch", _ -> Branch
   | opcode, srcs ->
       Unknown (Printf.sprintf "no semantics for %s/%d" opcode (List.length srcs))
+
+(* [out.(at) <-] the value operation [o] computes from its operands
+   [a.(0 ..)]: the opcode semantics every run shares.  Loads and stores
+   touch the run's own memory, so their callers compute them; an
+   operation without semantics raises here, once its operands are
+   read. *)
+let eval o a out at =
+  out.(at) <-
+    (match o.sem with
+    | Add_stride delta -> a.(0) +. delta
+    | Sub_stride delta -> a.(0) -. delta
+    | (Sum | Diff | Prod) as sem ->
+        let s = ref a.(0) in
+        for x = 1 to Array.length o.srcs - 1 do
+          s := match sem with Sum -> !s +. a.(x) | Diff -> !s -. a.(x) | _ -> !s *. a.(x)
+        done;
+        !s
+    | Quot ->
+        let s = ref 1.0 in
+        for x = 1 to Array.length o.srcs - 1 do s := !s *. a.(x) done;
+        a.(0) /. !s
+    | Sqrt -> Float.sqrt (Float.abs a.(0))
+    | Copy -> a.(0)
+    | Less -> if a.(0) < a.(1) then 1.0 else 0.0
+    | Pred_set -> if a.(0) <> 0.0 then 1.0 else 0.0
+    | Pred_reset -> if a.(0) <> 0.0 then 0.0 else 1.0
+    | Store | Load | Branch -> 0.0
+    | Unknown msg -> raise (Unsupported msg))
+
+(* Whether an executed [o] writes its destinations. *)
+let writes_back o = match o.sem with Store | Branch -> false | _ -> true
 
 (* Address -> dense index, in first-sight order, by open addressing
    over int arrays: [slots] holds dense indices (-1: empty) by the
@@ -122,9 +161,37 @@ let dense index addr =
     x
   end
 
-(* Registers are numbered densely in first-sight order (sources,
-   predicate, destinations, operation by operation), through a flat
-   table over the span of register numbers. *)
+(* A run's memory: per dense address, the instance of its latest store
+   (-1: none) and that store's value.  A run of [iters] iterations finds
+   at most one new address per access, so [accesses * iters] dense
+   addresses suffice. *)
+type memory = { index : index; stores : int array; values : float array }
+
+let new_memory accesses ~iters =
+  let addresses = accesses * Int.max 0 iters in
+  { index = new_index addresses; stores = Array.make addresses (-1); values = Array.create_float addresses }
+
+(* Instance [x] stores [a.(1)] at address [a.(0)]; returns the address's
+   dense index. *)
+let store m a x =
+  let d = dense m.index (int_of_float a.(0)) in
+  m.stores.(d) <- x;
+  m.values.(d) <- a.(1);
+  d
+
+(* [out.(at) <-] what a load from address [a.(0)] reads; returns the
+   address's dense index. *)
+let load m a out at =
+  let addr = int_of_float a.(0) in
+  let d = dense m.index addr in
+  out.(at) <- (if m.stores.(d) >= 0 then m.values.(d) else default_cell addr);
+  d
+
+(* Registers are numbered densely through a flat table over the span of
+   register numbers: first the destinations, operation by operation, so
+   that the written registers come first and the trip-sized tables need
+   no rows for the others; then, in first-sight order, the registers only
+   read (sources, then predicate). *)
 let compile ddg =
   let n = Ddg.n_real ddg and lo, hi = Ddg.reg_span ddg in
   let index = Array.make (hi - lo + 1) (-1) and count = ref 0 in
@@ -135,6 +202,8 @@ let compile ddg =
     end;
     index.(r - lo)
   in
+  let dsts = Array.init n (fun k -> Array.of_list (List.map dense (Ddg.op ddg (k + 1)).Op.dsts)) in
+  let defs = !count in
   let compile_op k =
     let o = Ddg.op ddg (k + 1) in
     let srcs = Array.of_list o.Op.srcs in
@@ -143,35 +212,209 @@ let compile ddg =
     let pred, pred_dist =
       match o.Op.pred with Some p -> (dense p.reg, p.distance) | None -> (-1, 0)
     in
-    let dsts = Array.of_list (List.map dense o.Op.dsts) in
-    { sem = semantics o; srcs; dists; pred; pred_dist; dsts }
+    { sem = semantics o; srcs; dists; pred; pred_dist; dsts = dsts.(k) }
   in
   let ops = Array.init n compile_op in
-  let reg = Array.make !count 0 and defined = Array.make !count false in
-  Array.iteri (fun i x -> if x >= 0 then reg.(x) <- i + lo) index;
-  Array.iter (fun o -> Array.iter (fun r -> defined.(r) <- true) o.dsts) ops;
-  let written = ref [] in
-  for i = Array.length index - 1 downto 0 do
-    let x = index.(i) in
-    if x >= 0 && defined.(x) then written := x :: !written
-  done;
+  let reg = Array.make !count 0 and written = Array.make defs 0 and w = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if x >= 0 then begin
+        reg.(x) <- i + lo;
+        if x < defs then begin
+          written.(!w) <- x;
+          incr w
+        end
+      end)
+    index;
   let arity = Array.fold_left (fun m o -> Int.max m (Array.length o.srcs)) 1 ops in
   let accesses =
     Array.fold_left (fun a o -> match o.sem with Store | Load -> a + 1 | _ -> a) 0 ops
   in
-  { ops; reg; defined; written = Array.of_list !written; accesses; args = Array.make arity 0.0 }
+  { ops; reg; defs; written; accesses; args = Array.make arity 0.0 }
 
-(* --- register models -------------------------------------------------------
+(* An outcome from a run's memory and the cell [final r] of every
+   written register's last value in [vals] (-1: none). *)
+let outcome_of body m ~final vals =
+  let memory = ref [] in
+  for d = m.index.count - 1 downto 0 do
+    if m.stores.(d) >= 0 then memory := (m.index.addrs.(d), m.values.(d)) :: !memory
+  done;
+  let final r =
+    let c = final r in
+    if c >= 0 then Some (body.reg.(r), vals.(c)) else None
+  in
+  {
+    memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) !memory;
+    finals = List.filter_map final (Array.to_list body.written);
+  }
+
+(* --- the recorded sequential run ---------------------------------------------
+
+   Every sequential run — {!check}'s reference, {!supports} and the
+   public sequential runs — walks the iterations, and in each the
+   operations in program order.  A read of register [r] at distance [d]
+   in iteration [i] finds the youngest instance of [r] at or before
+   [i - d] (iterations that did not write it keep the value), or else
+   the live-in.  The run records, by identity rather than value, what
+   each read found: instance [x = i * n + k] is operation id [k + 1] of
+   iteration [i], and a producer is the instance whose register write a
+   read found, or the live-in index [j < 0] it synthesised.  A read of a
+   register the loop never writes finds a live-in in every model, so it
+   is not logged. *)
+
+type log = {
+  trip : int;  (** Iterations held: register [r]'s instance [j] is cell [r * trip + j]. *)
+  slot : int array;  (** Operation [k]'s first slot in an iteration. *)
+  width : int;  (** Slots per iteration. *)
+  seen : int array;
+      (** Instance [x]'s slots, from [i * width + slot.(k)]: the producer
+          its predicate read (if guarded by a written register) and each
+          source read of a written register; then, for a store or load,
+          the dense index of its address, and for a load, the store
+          instance it read (-1: none). *)
+  executed : Bytes.t;  (** Per instance: its guard held. *)
+  writer : int array;  (** Cell -> instance of its latest write, or -1. *)
+  vals : float array;  (** Cell -> the value of that write. *)
+  mem : memory;  (** The run's stores. *)
+  mutable iter : int;  (** The iteration running. *)
+}
+
+(* The log of a run of at most [trip] iterations. *)
+let new_log body ~trip =
+  let n = Array.length body.ops and trip = Int.max 0 trip in
+  let logged r = if r >= 0 && r < body.defs then 1 else 0 in
+  let slot = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun k o ->
+      let extra = match o.sem with Store -> 1 | Load -> 2 | _ -> 0 in
+      slot.(k + 1) <-
+        Array.fold_left (fun s r -> s + logged r) (slot.(k) + extra + logged o.pred) o.srcs)
+    body.ops;
+  let cells = body.defs * trip in
+  {
+    trip;
+    slot;
+    width = slot.(n);
+    seen = Array.make (slot.(n) * trip) 0;
+    executed = Bytes.make (n * trip) '\000';
+    writer = Array.make cells (-1);
+    vals = Array.create_float cells;
+    mem = new_memory body.accesses ~iters:trip;
+    iter = 0;
+  }
+
+(* The cell of the youngest instance of written register [r] at or
+   before [j] in [writer], [trip] instances per register, or the live-in
+   instance [j < 0] to synthesise. *)
+let[@inline] youngest writer trip r j =
+  let c = ref (Int.min j (trip - 1)) in
+  while !c >= 0 && writer.((r * trip) + !c) < 0 do
+    decr c
+  done;
+  if !c < 0 then Int.min j (-1) else (r * trip) + !c
+
+(* Run the loop sequentially into [l] until operation [exit_op]'s first
+   operand is non-zero (or for [max_trip <= l.trip] iterations); in the
+   exiting iteration, operations after the exit do not execute.
+   [exit_op = 0] (START) never exits.  Returns the exit iteration
+   ([max_trip] if none); [l.iter] names the iteration an exception left
+   from. *)
+let record l body ~seed ~exit_op ~max_trip =
+  let ops = body.ops and n = Array.length body.ops and defs = body.defs and a = body.args in
+  let { trip; slot; width; seen; writer; vals; mem; _ } = l in
+  let bases = live_in_bases ~seed body.reg and result = [| 0.0 |] in
+  (* [a.(x) <-] the value of [(r, d)] as iteration [i] reads it; returns
+     its cell, or the live-in instance. *)
+  let[@inline] fetch x r d i =
+    let c = if r < defs then youngest writer trip r (i - d) else Int.min (i - d) (-1) in
+    a.(x) <- (if c >= 0 then vals.(c) else live_in bases r c);
+    c
+  in
+  (* [fetch], logging the producer of a written register in slot [p];
+     returns the next slot. *)
+  let[@inline] read p x r d i =
+    let c = fetch x r d i in
+    if r < defs then begin
+      seen.(p) <- (if c >= 0 then writer.(c) else c);
+      p + 1
+    end
+    else p
+  in
+  let[@inline] step k i =
+    let o = ops.(k) and x = (i * n) + k in
+    let p = (i * width) + slot.(k) in
+    let p = if o.pred >= 0 then read p 0 o.pred o.pred_dist i else p in
+    if o.pred < 0 || a.(0) <> 0.0 then begin
+      Bytes.set l.executed x '\001';
+      let p = ref p in
+      for y = 0 to Array.length o.srcs - 1 do
+        p := read !p y o.srcs.(y) o.dists.(y) i
+      done;
+      (match o.sem with
+      | Store -> seen.(!p) <- store mem a x
+      | Load ->
+          let d = load mem a result 0 in
+          seen.(!p) <- d;
+          seen.(!p + 1) <- mem.stores.(d)
+      | _ -> eval o a result 0);
+      if writes_back o then begin
+        let v = result.(0) in
+        for y = 0 to Array.length o.dsts - 1 do
+          let c = (o.dsts.(y) * trip) + i in
+          vals.(c) <- v;
+          writer.(c) <- x
+        done
+      end
+    end
+  in
+  let exit_iter = ref max_trip and i = ref 0 in
+  while !i < max_trip && !exit_iter = max_trip do
+    l.iter <- !i;
+    let k = ref 0 in
+    while !k < n && !exit_iter = max_trip do
+      step !k !i;
+      let o = ops.(!k) in
+      if !k + 1 = exit_op && Array.length o.srcs > 0 then begin
+        ignore (fetch 0 o.srcs.(0) o.dists.(0) !i);
+        if a.(0) <> 0.0 then exit_iter := !i
+      end;
+      incr k
+    done;
+    incr i
+  done;
+  !exit_iter
+
+let sequential body ~seed ~exit_op ~max_trip =
+  let l = new_log body ~trip:max_trip in
+  let exit_iter = record l body ~seed ~exit_op ~max_trip in
+  (l, exit_iter)
+
+(* Memory, and the value of every register the loop writes, after the
+   first [trip] iterations of the run: each one's youngest instance. *)
+let recorded body l ~trip =
+  outcome_of body l.mem
+    ~final:(fun r -> Int.max (-1) (youngest l.writer l.trip r (trip - 1)))
+    l.vals
+
+(* Whether every register the loop writes has instances [0 .. upto - 1]. *)
+let written_through body l ~upto =
+  Array.for_all
+    (fun r ->
+      let rec from j = j >= upto || (l.writer.((r * l.trip) + j) >= 0 && from (j + 1)) in
+      from 0)
+    body.written
+
+(* --- overlapped replays -------------------------------------------------------
 
    A replay keeps register values in flat cells; the model maps a
-   (register, instance) pair to its cell. *)
+   (register, instance) pair to its cell.  Only written registers have
+   cells: a read of any other finds the live-in before the model is
+   consulted. *)
 
 type model =
-  | Walk of int
-      (** Sequential, [iters] instances per register in cells
-          [r * iters + j]; a read finds the youngest instance at or before
-          its target (unwritten iterations keep the value). *)
-  | Exact of int  (** Issue order: the same cells, but exactly [i - d]. *)
+  | Exact of int
+      (** Issue order, [iters] instances per register in cells
+          [r * iters + j]; a read finds exactly instance [i - d]. *)
   | Cells of { mve : Mve.t; spread : bool array }
       (** Finite MVE registers: one cell per kernel copy for the [spread]
           registers, a single cell for the others. *)
@@ -179,88 +422,45 @@ type model =
       (** The physical rotating file, rotating one cell per iteration;
           [base] is -1 for a register without a rotating base. *)
 
-(* What a recorded sequential run saw, by producer identity rather than
-   value.  Instance [x = i * n + k] is operation id [k + 1] of iteration
-   [i]; a producer is the instance whose register write a read found, or
-   the live-in index [j < 0] it synthesised. *)
-type log = {
-  slot : int array;  (** Operation [k]'s first slot in an iteration. *)
-  width : int;  (** Slots per iteration. *)
-  seen : int array;
-      (** Instance [x]'s slots, from [i * width + slot.(k)]: the producer
-          its predicate read (if guarded) and each source read; then, for
-          a store or load, the dense index of its address, and for a
-          load, the store instance it read (-1: none). *)
-  executed : Bytes.t;  (** Per instance: its guard held. *)
-  writer : int array;  (** Walk cell -> instance of its latest write, or -1. *)
-  index : index;  (** Address -> dense index. *)
-  stores : int array;  (** Dense address -> its latest store instance, or -1. *)
-  mutable id : int;  (** The instance issuing. *)
-  mutable pos : int;  (** Its next slot. *)
-}
-
-let new_log body ~trip =
-  let n = Array.length body.ops in
-  let slot = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun k o ->
-      let extra = match o.sem with Store -> 1 | Load -> 2 | _ -> 0 in
-      slot.(k + 1) <- slot.(k) + Array.length o.srcs + extra + if o.pred >= 0 then 1 else 0)
-    body.ops;
-  {
-    slot;
-    width = slot.(n);
-    seen = Array.make (slot.(n) * trip) 0;
-    executed = Bytes.make (n * trip) '\000';
-    writer = Array.make (Array.length body.reg * trip) (-1);
-    index = new_index (body.accesses * trip);
-    stores = Array.make (body.accesses * trip) (-1);
-    id = 0;
-    pos = 0;
-  }
-
 type state = {
   body : body;
-  seed : int;
+  bases : float array;  (** {!live_in_bases}. *)
   model : model;
   vals : float array;
   has : Bytes.t;
-  addr : index;
-      (** Address -> dense index, allocated by the first load or store
-          of the address; the log's own when recording. *)
-  mem : float array;  (** Dense address -> the value stored there. *)
-  stored : Bytes.t;  (** Dense address -> a store wrote it. *)
-  log : log option;  (** Recording a [Walk] run. *)
+  mem : memory;  (** The replay's stores. *)
 }
 
-(* A replay of [iters] iterations: each access finds at most one new
-   address, so [accesses * iters] dense addresses suffice. *)
-let start ?log body ~seed ~iters model =
+(* A replay of [iters] iterations. *)
+let start body ~seed ~iters model =
   let cells =
     match model with
-    | Walk iters | Exact iters -> Array.length body.reg * Int.max 0 iters
-    | Cells { mve; _ } -> Array.length body.reg * Int.max 1 (abs mve.Mve.unroll)
+    | Exact iters -> body.defs * Int.max 0 iters
+    | Cells { mve; _ } -> body.defs * Int.max 1 (abs mve.Mve.unroll)
     | File { size; _ } -> size
   in
-  let vals = Array.make cells 0.0 and has = Bytes.make cells '\000' in
-  let addresses = body.accesses * Int.max 0 iters in
-  let addr = match log with Some (l : log) -> l.index | None -> new_index addresses in
-  let mem = Array.make addresses 0.0 and stored = Bytes.make addresses '\000' in
-  { body; seed; model; vals; has; addr; mem; stored; log }
+  {
+    body;
+    bases = live_in_bases ~seed body.reg;
+    model;
+    vals = Array.make cells 0.0;
+    has = Bytes.make cells '\000';
+    mem = new_memory body.accesses ~iters;
+  }
 
 let present st c = Bytes.get st.has c <> '\000'
 
-(* The cell of [(r, d)] in iteration [i]: instance [i - d], the MVE
-   copy {!Mve.rename} names, or rotating cell [(base + d - i) mod size]
-   (architectural register [x] read in iteration [i] is physical cell
-   [(x - i) mod size]); -1 for a register without a rotating base.
-   Writes land in [cell ~d:0].  A hand-built expansion (the [?mve] hook)
-   may carry an unroll of 0, which raises [Division_by_zero] as
-   {!Mve.rename} does, or a negative one, whose copies number 0, -1, ...
-   — hence [abs]. *)
+(* The cell of written register [r]'s [(r, d)] in iteration [i]:
+   instance [i - d], the MVE copy {!Mve.rename} names, or rotating cell
+   [(base + d - i) mod size] (architectural register [x] read in
+   iteration [i] is physical cell [(x - i) mod size]); -1 for a register
+   without a rotating base.  Writes land in [cell ~d:0].  A hand-built
+   expansion (the [?mve] hook) may carry an unroll of 0, which raises
+   [Division_by_zero] as {!Mve.rename} does, or a negative one, whose
+   copies number 0, -1, ... — hence [abs]. *)
 let cell st r ~d i =
   match st.model with
-  | Walk iters | Exact iters -> (r * iters) + i - d
+  | Exact iters -> (r * iters) + i - d
   | Cells { mve; spread } ->
       let width = Int.max 1 (abs mve.Mve.unroll) and copy = i mod mve.Mve.unroll in
       if spread.(r) then (r * width) + abs (Mve.instance mve ~copy ~distance:d)
@@ -269,38 +469,23 @@ let cell st r ~d i =
       if base.(r) < 0 then -1 else (((base.(r) + d - i) mod size) + size) mod size
 
 (* Where iteration [i]'s read of [(r, d)] finds its value: a cell
-   ([>= 0]), or the live-in instance [j < 0] to synthesise. *)
+   ([>= 0]), the live-in instance [j < 0] to synthesise, or -1 for an
+   instance not (yet) written. *)
 let locate st r d i =
   let j = i - d in
-  match st.model with
-  | Walk iters ->
-      (* A register the loop never writes has no instance to find. *)
-      let c = ref (if st.body.defined.(r) then Int.min j (iters - 1) else -1) in
-      while !c >= 0 && not (present st ((r * iters) + !c)) do
-        decr c
-      done;
-      if !c < 0 then Int.min j (-1) else (r * iters) + !c
-  | Exact iters ->
-      if j < 0 then j
-      else if j < iters && present st ((r * iters) + j) then (r * iters) + j
-      else -1
-  | Cells _ | File _ ->
-      if j < 0 then j
-      else if not st.body.defined.(r) then -1
-      else
+  if j < 0 then j
+  else if r >= st.body.defs then -1
+  else
+    match st.model with
+    | Exact iters -> if j < iters && present st ((r * iters) + j) then (r * iters) + j else -1
+    | Cells _ | File _ ->
         let c = cell st r ~d i in
         if c >= 0 && present st c then c else -1
 
 (* [args.(x) <- value of (r, d) as read by iteration i]. *)
 let fetch st x r d i =
   let c = locate st r d i in
-  (match st.log with
-  | Some l ->
-      l.seen.(l.pos) <- (if c >= 0 then l.writer.(c) else c);
-      l.pos <- l.pos + 1
-  | None -> ());
-  st.body.args.(x) <-
-    (if c >= 0 then st.vals.(c) else live_in ~seed:st.seed st.body.reg.(r) c)
+  st.body.args.(x) <- (if c >= 0 then st.vals.(c) else live_in st.bases r c)
 
 (* Issue operation [k] of iteration [i]: read its operands and execute
    it, up to its register write.  Returns whether it writes, the result
@@ -309,59 +494,16 @@ let fetch st x r d i =
 let issue st ~result ~slot k i =
   let o = st.body.ops.(k) in
   let a = st.body.args in
-  (match st.log with
-  | Some l ->
-      l.id <- (i * Array.length st.body.ops) + k;
-      l.pos <- (i * l.width) + l.slot.(k)
-  | None -> ());
   (o.pred < 0 || (fetch st 0 o.pred o.pred_dist i; a.(0) <> 0.0))
   && begin
-    (match st.log with Some l -> Bytes.set l.executed l.id '\001' | None -> ());
-    let n = Array.length o.srcs in
-    for x = 0 to n - 1 do
+    for x = 0 to Array.length o.srcs - 1 do
       fetch st x o.srcs.(x) o.dists.(x) i
     done;
-    result.(slot) <-
-      (match o.sem with
-      | Add_stride delta -> a.(0) +. delta
-      | Sub_stride delta -> a.(0) -. delta
-      | (Sum | Diff | Prod) as sem ->
-          let s = ref a.(0) in
-          for x = 1 to n - 1 do
-            s := match sem with Sum -> !s +. a.(x) | Diff -> !s -. a.(x) | _ -> !s *. a.(x)
-          done;
-          !s
-      | Quot ->
-          let s = ref 1.0 in
-          for x = 1 to n - 1 do s := !s *. a.(x) done;
-          a.(0) /. !s
-      | Sqrt -> Float.sqrt (Float.abs a.(0))
-      | Copy -> a.(0)
-      | Less -> if a.(0) < a.(1) then 1.0 else 0.0
-      | Pred_set -> if a.(0) <> 0.0 then 1.0 else 0.0
-      | Pred_reset -> if a.(0) <> 0.0 then 0.0 else 1.0
-      | Store ->
-          let x = dense st.addr (int_of_float a.(0)) in
-          (match st.log with
-          | Some l ->
-              l.seen.(l.pos) <- x;
-              l.stores.(x) <- l.id
-          | None -> ());
-          st.mem.(x) <- a.(1);
-          Bytes.set st.stored x '\001';
-          0.0
-      | Load ->
-          let addr = int_of_float a.(0) in
-          let x = dense st.addr addr in
-          (match st.log with
-          | Some l ->
-              l.seen.(l.pos) <- x;
-              l.seen.(l.pos + 1) <- l.stores.(x)
-          | None -> ());
-          if Bytes.get st.stored x <> '\000' then st.mem.(x) else default_cell addr
-      | Branch -> 0.0
-      | Unknown msg -> raise (Unsupported msg));
-    match o.sem with Store | Branch -> false | _ -> true
+    (match o.sem with
+    | Store -> ignore (store st.mem a ((i * Array.length st.body.ops) + k))
+    | Load -> ignore (load st.mem a result slot)
+    | _ -> eval o a result slot);
+    writes_back o
   end
 
 (* Write back the result of operation [k] of iteration [i]. *)
@@ -371,57 +513,27 @@ let commit st ~result ~slot k i =
     let c = cell st dsts.(x) ~d:0 i in
     if c >= 0 then begin
       st.vals.(c) <- result.(slot);
-      Bytes.set st.has c '\001';
-      match st.log with
-      | Some l -> l.writer.(c) <- (i * Array.length st.body.ops) + k
-      | None -> ()
+      Bytes.set st.has c '\001'
     end
   done
 
 (* Memory, and the value of every register the loop writes, after
-   [trip] iterations: the youngest instance for the instance models,
-   the last iteration's cell for the finite ones. *)
+   [trip] iterations: the youngest instance for the instance model, the
+   last iteration's cell for the finite ones. *)
 let outcome st ~trip =
   let final r =
-    let c =
-      match st.model with
-      | Walk n | Exact n -> locate { st with model = Walk n } r 0 (trip - 1)
-      | Cells _ | File _ -> if trip < 1 then -1 else cell st r ~d:0 (trip - 1)
-    in
-    if c >= 0 && present st c then Some (st.body.reg.(r), st.vals.(c)) else None
+    match st.model with
+    | Exact n ->
+        let c = ref (Int.min (trip - 1) (n - 1)) in
+        while !c >= 0 && not (present st ((r * n) + !c)) do
+          decr c
+        done;
+        if !c < 0 then -1 else (r * n) + !c
+    | Cells _ | File _ ->
+        let c = if trip < 1 then -1 else cell st r ~d:0 (trip - 1) in
+        if c >= 0 && present st c then c else -1
   in
-  let memory = ref [] in
-  for x = st.addr.count - 1 downto 0 do
-    if Bytes.get st.stored x <> '\000' then memory := (st.addr.addrs.(x), st.mem.(x)) :: !memory
-  done;
-  {
-    memory = List.sort (fun (a, _) (b, _) -> Int.compare a b) !memory;
-    finals = List.filter_map final (Array.to_list st.body.written);
-  }
-
-(* --- replays --------------------------------------------------------------- *)
-
-(* Sequential execution until operation [exit_op]'s first operand is
-   non-zero (or for [max_trip] iterations); in the exiting iteration,
-   operations after the exit do not execute.  [exit_op = 0] (START)
-   never exits.  Returns the state and the exit iteration. *)
-let sequential ?log body ~seed ~exit_op ~max_trip =
-  let st = start ?log body ~seed ~iters:max_trip (Walk max_trip) and result = body.args in
-  let exit_iter = ref max_trip and i = ref 0 in
-  while !i < max_trip && !exit_iter = max_trip do
-    let k = ref 0 in
-    while !k < Array.length body.ops && !exit_iter = max_trip do
-      let o = body.ops.(!k) in
-      if issue st ~result ~slot:0 !k !i then commit st ~result ~slot:0 !k !i;
-      if !k + 1 = exit_op && Array.length o.srcs > 0 then begin
-        fetch st 0 o.srcs.(0) o.dists.(0) !i;
-        if body.args.(0) <> 0.0 then exit_iter := !i
-      end;
-      incr k
-    done;
-    incr i
-  done;
-  (st, !exit_iter)
+  outcome_of st.body st.mem ~final st.vals
 
 (* The kernel rows of a schedule at II >= 1, which fix its issue order
    without a sort (Rau 1994: iteration [i] issues operation [k] at
@@ -552,26 +664,22 @@ let replay st { order; cuts } =
 let supports body =
   match sequential body ~seed:42 ~exit_op:0 ~max_trip:6 with
   | exception Unsupported _ -> false
-  | st, _ ->
-      Array.for_all
-        (fun r -> List.for_all (fun j -> present st ((r * 6) + j)) [ 0; 1; 2; 3; 4; 5 ])
-        body.written
+  | l, _ -> written_through body l ~upto:6
 
 let supported ddg = supports (compile ddg)
 
 let run_sequential ?(seed = 42) ddg ~trip =
-  outcome (fst (sequential (compile ddg) ~seed ~exit_op:0 ~max_trip:trip)) ~trip
+  let body = compile ddg in
+  recorded body (fst (sequential body ~seed ~exit_op:0 ~max_trip:trip)) ~trip
 
-(* A register the loop never writes needs no cell: its reads resolve to
-   live-ins before the model is consulted. *)
 let mve_model body (mve : Mve.t) =
-  let spread = Array.mapi (fun r reg -> body.defined.(r) && Mve.needs_expansion mve reg) body.reg in
+  let spread = Array.init body.defs (fun r -> Mve.needs_expansion mve body.reg.(r)) in
   Cells { mve; spread }
 
 let rotating_model body (alloc : Rotreg.t) =
   (* [Rotreg.base_of] of every written register in one merge: [written]
      and [alloc.base] both ascend by register. *)
-  let base = Array.make (Array.length body.reg) (-1) in
+  let base = Array.make body.defs (-1) in
   let rec merge bases w =
     if w < Array.length body.written then
       let r = body.written.(w) in
@@ -616,8 +724,9 @@ let equivalent a b =
 let exit_trip ~max_trip x = if x = max_trip then max_trip else x + 1
 
 let run_sequential_with_exit ?(seed = 42) ddg ~exit_op ~max_trip =
-  let st, x = sequential (compile ddg) ~seed ~exit_op ~max_trip in
-  (outcome st ~trip:(exit_trip ~max_trip x), x)
+  let body = compile ddg in
+  let l, x = sequential body ~seed ~exit_op ~max_trip in
+  (recorded body l ~trip:(exit_trip ~max_trip x), x)
 
 let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
   let ddg = sched.Schedule.ddg in
@@ -658,7 +767,8 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
    model's value replay decides. *)
 
 (* Whether each model — issue order, MVE [cells], rotating [file]; a
-   finite model is [None] when building it raised — reproduces [log].
+   finite model is [None] when building it raised — reproduces [log]
+   over its [trip] iterations.
    Every model keeps one owner array, cell -> instance whose write it
    holds (-1 when empty), and maps instance [j >= 0] of register [r] to
    a cell from [(r, j)] alone, as [cell] does: [r * trip + j]; kernel
@@ -669,35 +779,46 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
    issue, register writes commit at the end of the cycle.  Memory does
    not depend on the register model, so one owner array serves all
    three. *)
-let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~file =
-  let ops = body.ops and n = Array.length body.ops and nr = Array.length body.reg in
-  let defined = body.defined and seen = log.seen and width = log.width in
+let producers body log { kernel; stage; starts; lowest; highest } ~cells ~file =
+  let ops = body.ops and n = Array.length body.ops and defs = body.defs in
+  let seen = log.seen and width = log.width and trip = log.trip in
   let unroll, spread =
     match cells with
     | Some (Cells { mve; spread }) -> (mve.Mve.unroll, spread)
-    | _ -> (1, Array.make nr false)
+    | _ -> (1, Array.make defs false)
   in
   let size, base =
-    match file with Some (File { size; base }) -> (size, base) | _ -> (1, Array.make nr (-1))
+    match file with Some (File { size; base }) -> (size, base) | _ -> (1, Array.make defs (-1))
   in
   (* Instance [j]'s kernel copy and rotation, tabled for [0 <= j < trip],
      with the bases reduced into [0, size): no division per access. *)
   let copy = Array.init trip (fun j -> j mod unroll)
   and turn = Array.init trip (fun j -> j mod size)
   and base = Array.map (fun b -> if b < 0 then -1 else b mod size) base in
-  (* The register and distance of every read slot of an iteration, laid
-     out as [log.slot]: the predicate first, then the sources; [reads.(k)]
-     counts those of an executed instance of [k]. *)
+  (* The register and distance of every logged read slot of an
+     iteration, laid out as [log.slot]: the predicate first, then the
+     sources, each only if the loop writes it; [reads.(k)] counts those
+     of an executed instance of [k]. *)
+  let slot = log.slot and executed = log.executed in
   let reg_at = Array.make width 0 and dist_at = Array.make width 0 and reads = Array.make n 0 in
-  Array.iteri
-    (fun k o ->
-      let s = log.slot.(k) and guard = if o.pred >= 0 then 1 else 0 in
-      if guard = 1 then (reg_at.(s) <- o.pred; dist_at.(s) <- o.pred_dist);
-      Array.iteri (fun y r -> reg_at.(s + guard + y) <- r; dist_at.(s + guard + y) <- o.dists.(y)) o.srcs;
-      reads.(k) <- guard + Array.length o.srcs)
-    ops;
-  let exact = Array.make (nr * trip) (-1) and copies = Array.make (nr * unroll) (-1) in
-  let rotating = Array.make size (-1) and memory = Array.make log.index.count (-1) in
+  for k = 0 to n - 1 do
+    let o = ops.(k) and y = ref slot.(k) in
+    if o.pred >= 0 && o.pred < defs then begin
+      reg_at.(!y) <- o.pred;
+      dist_at.(!y) <- o.pred_dist;
+      incr y
+    end;
+    for x = 0 to Array.length o.srcs - 1 do
+      if o.srcs.(x) < defs then begin
+        reg_at.(!y) <- o.srcs.(x);
+        dist_at.(!y) <- o.dists.(x);
+        incr y
+      end
+    done;
+    reads.(k) <- !y - slot.(k)
+  done;
+  let exact = Array.make (defs * trip) (-1) and copies = Array.make (defs * unroll) (-1) in
+  let rotating = Array.make size (-1) and memory = Array.make log.mem.index.count (-1) in
   let ok_exact = ref true and ok_cells = ref (Option.is_some cells)
   and ok_file = ref (Option.is_some file) in
   (* Register writes of the current cycle, committed at its end: at most
@@ -712,25 +833,19 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
         let k = kernel.(q) in
         let i = !round - stage.(k) in
         if i >= 0 && i < trip then begin
-          let x = (i * n) + k in
-          let o = ops.(k) and s = log.slot.(k) and at = i * width in
-          let executed = Bytes.get log.executed x <> '\000' in
-          let stop = if executed then s + reads.(k) else if o.pred >= 0 then s + 1 else s in
-          (* Each read resolves as [locate] does: instance [j < 0] is
-             live-in [j] in every model, a never-written register's
-             instance [j >= 0] is -1, and otherwise each model's cell
-             holds the answer. *)
+          let x = (i * n) + k and o = ops.(k) and s = slot.(k) and at = i * width in
+          let executed = Bytes.get executed x <> '\000' in
+          let stop =
+            if executed then s + reads.(k) else if o.pred >= 0 && o.pred < defs then s + 1 else s
+          in
+          (* Each read resolves as [locate] does.  Instance [j < 0] is
+             live-in [j] in every model, as in the sequential run, so
+             only [j >= 0] can disagree; then each model's cell holds
+             the answer. *)
           for y = s to stop - 1 do
             let r = reg_at.(y) and want = seen.(at + y) in
             let j = i - dist_at.(y) in
-            if j < 0 || not defined.(r) then begin
-              if want <> if j < 0 then j else -1 then begin
-                ok_exact := false;
-                ok_cells := false;
-                ok_file := false
-              end
-            end
-            else begin
+            if j >= 0 then begin
               if !ok_exact && want <> if j < trip then exact.((r * trip) + j) else -1 then
                 ok_exact := false;
               if !ok_cells
@@ -763,7 +878,7 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
         let x = (i * n) + k and dsts = ops.(k).dsts in
         for y = 0 to Array.length dsts - 1 do
           let r = dsts.(y) in
-          exact.((r * trip) + i) <- x;
+          if !ok_exact then exact.((r * trip) + i) <- x;
           if !ok_cells then
             copies.(if spread.(r) then (r * unroll) + copy.(i) else r * unroll) <- x;
           if !ok_file then begin
@@ -779,7 +894,7 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
   else begin
     (* Finals: the youngest instance for the instance models, the last
        iteration's cell for the finite ones. *)
-    let youngest cells r =
+    let newest cells r =
       let c = ref (trip - 1) in
       while !c >= 0 && cells.((r * trip) + !c) < 0 do decr c done;
       if !c < 0 then -1 else cells.((r * trip) + !c)
@@ -787,16 +902,16 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
     let last = trip - 1 in
     for w = 0 to Array.length body.written - 1 do
       let r = body.written.(w) in
-      let want = youngest log.writer r in
-      if youngest exact r <> want then ok_exact := false;
+      let want = newest log.writer r in
+      if newest exact r <> want then ok_exact := false;
       if copies.(if spread.(r) then (r * unroll) + copy.(last) else r * unroll) <> want then
         ok_cells := false;
       let t = turn.(last) and b = base.(r) in
       if (if b < 0 then -1 else rotating.(if b >= t then b - t else b - t + size)) <> want then
         ok_file := false
     done;
-    for a = 0 to log.index.count - 1 do
-      if memory.(a) <> log.stores.(a) then begin
+    for a = 0 to log.mem.index.count - 1 do
+      if memory.(a) <> log.mem.stores.(a) then begin
         ok_exact := false;
         ok_cells := false;
         ok_file := false
@@ -807,42 +922,31 @@ let producers body log ~trip { kernel; stage; starts; lowest; highest } ~cells ~
 
 (* The sequential reference of [check]: [`Unsupported] for a loop
    {!supported} rejects, [`Error] when an executed operation has no
-   semantics, else the state after [trip] iterations and, when the
-   producer pass applies (II and trip at least 1), its log. *)
+   semantics, else the log of [trip] iterations. *)
 let reference_run body ~seed ?trip sched =
-  let ii = sched.Schedule.ii and n = Array.length body.ops in
+  let ii = sched.Schedule.ii in
   let trip () = Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip in
   match if seed = 42 && ii <> 0 then Some (trip ()) else None with
   | Some trip when trip >= 6 -> (
       (* [supports] is this very run cut after six iterations: the same
-         seed, and a [Walk] read in iteration [i < 6] finds the same
-         instance whether the run keeps 6 or [trip] iterations per
-         register, since no iteration after [i] has written yet.  So
-         [supports] raises iff this run raises before iteration 6, and
-         otherwise sees the same presence of instances 0-5.  (Folding
-         needs the trip first, and the default one divides by II: at
-         II 0, [supports] must answer first.) *)
+         seed, and a read in iteration [i < 6] finds the same instance
+         whether the run keeps 6 or [trip] iterations per register,
+         since no iteration after [i] has written yet.  So [supports]
+         raises iff this run raises before iteration 6, and otherwise
+         sees the same presence of instances 0-5.  (Folding needs the
+         trip first, and the default one divides by II: at II 0,
+         [supports] must answer first.) *)
       let log = new_log body ~trip in
-      let supported () =
-        Array.for_all
-          (fun r ->
-            let rec from j = j > 5 || (log.writer.((r * trip) + j) >= 0 && from (j + 1)) in
-            from 0)
-          body.written
-      in
-      match sequential ~log body ~seed ~exit_op:0 ~max_trip:trip with
+      match record log body ~seed ~exit_op:0 ~max_trip:trip with
       | exception Unsupported msg ->
-          if log.id / n < 6 || not (supported ()) then `Unsupported else `Error msg
-      | st, _ ->
-          if supported () then `Ran (st, trip, if ii >= 1 then Some log else None)
-          else `Unsupported)
+          if log.iter < 6 || not (written_through body log ~upto:6) then `Unsupported
+          else `Error msg
+      | _ -> if written_through body log ~upto:6 then `Ran log else `Unsupported)
   | _ when not (supports body) -> `Unsupported
   | _ -> (
-      let trip = trip () in
-      let log = if ii >= 1 && trip >= 1 then Some (new_log body ~trip) else None in
-      match sequential ?log body ~seed ~exit_op:0 ~max_trip:trip with
+      match sequential body ~seed ~exit_op:0 ~max_trip:(trip ()) with
       | exception Unsupported msg -> `Error msg
-      | st, _ -> `Ran (st, trip, log))
+      | log, _ -> `Ran log)
 
 let check ?(seed = 42) ?metrics ?trip sched =
   let replays =
@@ -852,14 +956,15 @@ let check ?(seed = 42) ?metrics ?trip sched =
   match reference_run body ~seed ?trip sched with
   | `Unsupported -> Ok ()
   | `Error msg -> Error msg
-  | `Ran (st, trip, log) ->
+  | `Ran log ->
       (* One compiled body, lifetime analysis and producer pass, and at
          most one issue order, serve all three models.  The expansion
          and the allocation are built under a guard, so that an
          exception from either (or from the lifetime analysis they
          share, which a forced lazy re-raises) surfaces only where its
          value replay would raise it. *)
-      let reference = lazy (outcome st ~trip) and order = lazy (issue_order sched ~iters:trip) in
+      let trip = log.trip in
+      let reference = lazy (recorded body log ~trip) and order = lazy (issue_order sched ~iters:trip) in
       let guarded f = lazy (match f () with m -> Ok m | exception e -> Error e) in
       let ranges = lazy (Lifetime.analyze sched) in
       let cells = guarded (fun () -> mve_model body (Mve.of_ranges sched (Lazy.force ranges)))
@@ -868,12 +973,10 @@ let check ?(seed = 42) ?metrics ?trip sched =
       in
       let proved =
         lazy
-          (match log with
-          | None -> (false, false, false)
-          | Some log ->
-              let built m = Result.to_option (Lazy.force m) in
-              producers body log ~trip (kernel_rows sched) ~cells:(built cells)
-                ~file:(built file))
+          (if sched.Schedule.ii < 1 || trip < 1 then (false, false, false)
+           else
+             let built m = Result.to_option (Lazy.force m) in
+             producers body log (kernel_rows sched) ~cells:(built cells) ~file:(built file))
       in
       let against label ok model =
         Option.iter Ims_obs.Metrics.incr replays;

@@ -27,6 +27,20 @@
     non-zero, [pred_reset] its complement; a guarded operation whose
     predicate is 0 writes nothing.
 
+    Two loops execute operations.  Every sequential run goes through
+    the {e recorder}: {!run_sequential}, {!run_sequential_with_exit},
+    the short run behind {!supported}, the exit search of
+    {!run_pipelined_with_exit} and the reference of {!check}.  It walks
+    the iterations in program order, finds each read's value in the
+    youngest instance of its register at or before the target iteration
+    (or the live-in), and always writes the producer log that {!check}'s
+    producer pass reads.  The overlapped replays ({!run_pipelined},
+    {!run_mve}, {!run_rotating}, and a {!check} model the producer pass
+    could not prove) go through the second loop.  There a register model
+    maps each (register, instance) to a cell and the issue order is
+    replayed cycle by cycle.  Both loops read each operation's result
+    from one opcode-semantics function.
+
     {!supported} restricts the pipelined replay to loops where every
     register written under a predicate is written on {e every} iteration
     (complementary guard arms) — otherwise a reader needs the
@@ -34,14 +48,17 @@
     not obliged to have executed yet.
 
     {!check} decides most register models without a value replay.  Its
-    sequential reference run also records, by identity, the producer of
-    every read: the operation instance whose write it found, or the
-    live-in it synthesised.  It also records which instances executed, the address
-    and source store of every load and store, and the final producer of
-    every register and memory cell.  One integer pass over the issue
-    order then tracks, for each register model, which instance every
-    cell holds; each model maps instance [j] of register [r] to its cell
-    from [(r, j)] alone ([r * trip + j], kernel copy [j mod unroll], or
+    reference is the recorder's log: by identity, the producer of every
+    read of a register the loop writes (the operation instance whose
+    write it found, or the live-in it synthesised; a register the loop
+    never writes reads a live-in in every model, so it is not logged),
+    which instances executed, the address and source store of every
+    load and store, and the final producer of every register and memory
+    cell.  The first six iterations of that run are the support test,
+    so a supported loop is executed sequentially once.  One integer
+    pass over the issue order then tracks, for each register model,
+    which instance every cell holds; each model maps instance [j] of
+    register [r] to its cell from [(r, j)] alone ([r * trip + j], kernel copy [j mod unroll], or
     rotating cell [(base_r - j) mod size]).  A model under which every
     read, final register and final memory cell finds the recorded
     producer computes the reference's outcome: by induction over the

@@ -20,22 +20,26 @@ let run ?trip sched =
   let trip = Option.value ~default:((2 * stages) + 3) trip in
   let errors = ref [] in
   let report_err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let ids = Array.of_list (Ddg.real_ids ddg) in
-  let ops = Array.map (Ddg.op ddg) ids in
-  let time = Array.map (Schedule.time sched) ids in
-  (* Per-operation tables, hoisted out of the iteration loops.  Lookups
-     run in the order the replay first needs them — every latency, then
-     (only if an iteration runs) every reservation — so a corrupt
-     schedule raises the same first exception. *)
-  let latency = Array.map (fun o -> Machine.latency machine o.Op.opcode) ops in
+  let n = Ddg.n_real ddg in
+  let time = Array.init n (fun k -> Schedule.time sched (k + 1)) in
+  (* Per-operation tables, hoisted out of the iteration loops, from the
+     graph's resolved opcodes.  They are built in the order the replay
+     first needs them — every latency, then (only if an iteration runs)
+     every reservation — so a corrupt schedule raises the same first
+     exception. *)
+  let opcodes = ddg.Ddg.opcodes in
+  let latency = Array.init n (fun k -> opcodes.(k + 1).Opcode.latency) in
   let usages =
     if trip <= 0 then [||]
     else
       (* Per operation, packed (cycle offset, resource, capacity)
-         triples. *)
-      Array.map
-        (fun id ->
-          let us = (Schedule.reservation sched id).Reservation.usages in
+         triples of its chosen alternative; an alternative out of range
+         raises as [List.nth] does in {!Schedule.reservation}. *)
+      Array.init n (fun k ->
+          let alts = opcodes.(k + 1).Opcode.alt_array and a = Schedule.alt sched (k + 1) in
+          if a < 0 then invalid_arg "List.nth";
+          if a >= Array.length alts then failwith "nth";
+          let us = alts.(a).Opcode.table.Reservation.usages in
           let packed = Array.make (3 * List.length us) 0 in
           List.iteri
             (fun x (u : Reservation.usage) ->
@@ -44,46 +48,47 @@ let run ?trip sched =
               packed.((3 * x) + 2) <- resources.(u.resource).Resource.count)
             us;
           packed)
-        ids
   in
   (* Write-back time of register [v] in iteration [j]: its last writer
      [k] in program order completes at [time + j * II + latency].
      [writer] holds it by [v - low] ([-1]: not defined). *)
   let low, high = Ddg.reg_span ddg in
   let writer = Array.make (high - low + 1) (-1) in
-  Array.iteri (fun k o -> List.iter (fun v -> writer.(v - low) <- k) o.Op.dsts) ops;
+  for k = 0 to n - 1 do
+    List.iter (fun v -> writer.(v - low) <- k) (Ddg.op ddg (k + 1)).Op.dsts
+  done;
   let ready k j = time.(k) + (j * ii) + latency.(k) in
   (* Per operation, every operand read (sources, then the predicate) as
      packed (register, distance, writer) triples; writer -1 is a
      live-in. *)
   let reads =
-    Array.map
-      (fun o ->
-        let operands = o.Op.srcs @ Option.to_list o.Op.pred in
-        let packed = Array.make (3 * List.length operands) 0 in
-        List.iteri
-          (fun x (s : Op.operand) ->
-            packed.(3 * x) <- s.reg;
-            packed.((3 * x) + 1) <- s.distance;
-            packed.((3 * x) + 2) <- writer.(s.reg - low))
-          operands;
+    Array.init n (fun k ->
+        let o = Ddg.op ddg (k + 1) in
+        let nsrcs = List.length o.Op.srcs in
+        let packed = Array.make (3 * (nsrcs + Bool.to_int (Option.is_some o.Op.pred))) 0 in
+        let put x (s : Op.operand) =
+          packed.(3 * x) <- s.reg;
+          packed.((3 * x) + 1) <- s.distance;
+          packed.((3 * x) + 2) <- writer.(s.reg - low)
+        in
+        List.iteri put o.Op.srcs;
+        Option.iter (put nsrcs) o.Op.pred;
         packed)
-      ops
   in
   (* Value-timing check. *)
   for iter = 0 to trip - 1 do
-    for k = 0 to Array.length ops - 1 do
+    for k = 0 to n - 1 do
       let t = time.(k) + (iter * ii) and rd = reads.(k) in
       for x = 0 to (Array.length rd / 3) - 1 do
         let reg = rd.(3 * x) and d = rd.((3 * x) + 1) and w = rd.((3 * x) + 2) in
         let src_iter = iter - d in
         if src_iter >= 0 && w >= 0 then
           if src_iter >= trip then
-            report_err "op %d iter %d reads undefined v%d instance" ids.(k) iter reg
+            report_err "op %d iter %d reads undefined v%d instance" (k + 1) iter reg
           else if ready w src_iter > t then
             report_err
               "op %d iter %d reads v%d[%d] at cycle %d but it is ready only at %d"
-              ids.(k) iter reg d t (ready w src_iter)
+              (k + 1) iter reg d t (ready w src_iter)
       done
     done
   done;
@@ -117,7 +122,7 @@ let run ?trip sched =
       done
     done
   done;
-  let issues = Int.max 0 trip * Array.length ids in
+  let issues = Int.max 0 trip * n in
   (* Completion time: the latest write-back of any register instance. *)
   let completion = ref 0 in
   if trip > 0 then

@@ -147,7 +147,9 @@ let test_bad_magic () =
 
 let test_crc_check_value () =
   Alcotest.(check int32) "empty string" 0l (Ims_exec.Frame.crc32 "");
-  Alcotest.(check int32) "check value" 0xCBF43926l (Ims_exec.Frame.crc32 "123456789")
+  Alcotest.(check int32) "check value" 0xCBF43926l (Ims_exec.Frame.crc32 "123456789");
+  Alcotest.(check int32) "bytewise oracle's check value" 0xCBF43926l
+    (Crc_ref.crc32 "123456789")
 
 (* Bit at a time, no table: the definition of the reflected CRC-32. *)
 let crc32_bitwise s =
@@ -165,6 +167,17 @@ let test_crc_matches_bitwise =
   QCheck.Test.make ~count:200 ~name:"crc32 agrees with a bitwise reference"
     QCheck.(string_of_size Gen.(0 -- 4096))
     (fun s -> Ims_exec.Frame.crc32 s = crc32_bitwise s)
+
+(* The slicing-by-8 loop against the bytewise one it replaced, on
+   substrings at every alignment and with every tail length. *)
+let test_crc_matches_bytewise =
+  QCheck.Test.make ~count:500
+    ~name:"crc32 agrees with the bytewise loop at any offset and length"
+    QCheck.(triple (string_of_size Gen.(0 -- 600)) (int_bound 1_000) (int_bound 1_000))
+    (fun (s, a, b) ->
+      let off = a mod (String.length s + 1) in
+      let sub = String.sub s off (b mod (String.length s - off + 1)) in
+      Ims_exec.Frame.crc32 sub = Crc_ref.crc32 sub)
 
 (* A one-operation payload, "fadd v<dst> <- v<src> if v<pred>", laid out
    by hand so that every field's offset is known:
@@ -525,6 +538,7 @@ let tests =
       QCheck_alcotest.to_alcotest test_roundtrip_qcheck;
       Alcotest.test_case "crc32 check values" `Quick test_crc_check_value;
       QCheck_alcotest.to_alcotest test_crc_matches_bitwise;
+      QCheck_alcotest.to_alcotest test_crc_matches_bytewise;
       Alcotest.test_case "Loop_bin round-trips every Livermore kernel" `Quick
         test_roundtrip_lfk;
       Alcotest.test_case "corpus file round-trips through iter" `Quick

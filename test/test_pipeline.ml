@@ -659,6 +659,82 @@ let test_interp_check_equal_values () =
   Alcotest.(check bool) "the reader issues before the second write" true
     (Schedule.time s 3 < Schedule.time s 2)
 
+(* The recorder behind every sequential run against the generic
+   register-model path it replaced, kept as [Interp_ref]: the same
+   outcome bit for bit, the same exit iteration and support verdict, or
+   the same exception.  [test_interp_check_matches_replays] takes
+   [run_sequential] as its oracle, so this keeps that oracle independent
+   of the recorder. *)
+let sequential_agrees name ddg ~seed ~trip =
+  let bits l = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) l in
+  let run f =
+    match f () with
+    | v -> Ok v
+    | exception e ->
+        (* The two copies' [Unsupported] differ only by module path. *)
+        let s = Printexc.to_string e and tag = "Unsupported(" in
+        let rec from i =
+          if i + String.length tag > String.length s then s
+          else if String.sub s i (String.length tag) = tag then String.sub s i (String.length s - i)
+          else from (i + 1)
+        in
+        Error (from 0)
+  in
+  let check what a b =
+    if a <> b then Alcotest.failf "%s: %s differs from the reference" name what
+  in
+  let ours (o : Interp.outcome) = (bits o.memory, bits o.finals)
+  and theirs (o : Interp_ref.outcome) = (bits o.memory, bits o.finals) in
+  check "supported" (run (fun () -> Interp.supported ddg)) (run (fun () -> Interp_ref.supported ddg));
+  check
+    (Printf.sprintf "run_sequential ~seed:%d ~trip:%d" seed trip)
+    (Result.map ours (run (fun () -> Interp.run_sequential ~seed ddg ~trip)))
+    (Result.map theirs (run (fun () -> Interp_ref.run_sequential ~seed ddg ~trip)));
+  let n = Ddg.n_real ddg in
+  List.iter
+    (fun exit_op ->
+      check
+        (Printf.sprintf "run_sequential_with_exit ~seed:%d ~exit_op:%d ~max_trip:%d" seed exit_op
+           trip)
+        (Result.map
+           (fun (o, x) -> (ours o, x))
+           (run (fun () -> Interp.run_sequential_with_exit ~seed ddg ~exit_op ~max_trip:trip)))
+        (Result.map
+           (fun (o, x) -> (theirs o, x))
+           (run (fun () -> Interp_ref.run_sequential_with_exit ~seed ddg ~exit_op ~max_trip:trip))))
+    [ 0; 1; (n + 1) / 2; n ]
+
+let test_interp_sequential_matches_reference () =
+  let runs = [| (42, 11); (7, 5); (2026, 1); (42, 0); (13, 14); (42, -2); (42, 4) |] in
+  let parse (name, text) = (name, Ims_workloads.Loop_parse.parse machine text) in
+  let loops =
+    List.map parse
+      ([
+         ("executed op without semantics", "v1 = sqrt v0 v2\n");
+         ("guarded op without semantics", "v2 = pred_set v0\nv1 = sqrt v0 v3 when v2\n");
+         ("never-taken guard", "v2 = pred_reset v0\nv1 = fadd v0 v0 when v2\n");
+         ("distant live-in", "v1 = fadd v1[1] v0[2]\n");
+       ]
+      @ List.map (fun (name, text, _, _) -> (name, text)) interp_faults)
+    @ List.init 200 (fun i -> Ims_workloads.Corpus.build machine ~seed:29 i)
+  in
+  List.iteri
+    (fun i (name, ddg) ->
+      List.iter
+        (fun (seed, trip) -> sequential_agrees name ddg ~seed ~trip)
+        [ runs.(i mod Array.length runs); runs.((i + 3) mod Array.length runs) ])
+    loops
+
+let prop_interp_sequential_matches_reference =
+  QCheck.Test.make ~count:100
+    ~name:"interp: sequential runs match the reference on random loops"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 10_000) (int_range (-1) 12))
+    (fun (loop, seed, trip) ->
+      let rng = Random.State.make [| loop; 29 |] in
+      let ddg = Ims_workloads.Synthetic.generate machine rng in
+      sequential_agrees (Printf.sprintf "synthetic %d" loop) ddg ~seed ~trip;
+      true)
+
 let prop_interp_equivalence =
   QCheck.Test.make ~count:40
     ~name:"interp: pipelined execution computes sequential values"
@@ -1195,4 +1271,9 @@ let tests =
     @ pipeline_extension_tests
     @ pipeline_extension_tests2 @ interp_tests @ exit_schema_tests
     @ pressure_tests @ regclass_tests @ replay_tests @ exit_replay_tests
-    @ codegen_size_tests )
+    @ codegen_size_tests
+    @ [
+        Alcotest.test_case "interp: sequential runs match the reference" `Quick
+          test_interp_sequential_matches_reference;
+        QCheck_alcotest.to_alcotest prop_interp_sequential_matches_reference;
+      ] )
