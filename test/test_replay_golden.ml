@@ -32,9 +32,13 @@
    [Loop_dump] of the decoded payload, the MII, the [Priority.plan]
    order, the [Ims.modulo_schedule] outcome with every entry and every
    counter, and the [Printexc.to_string] of what decoding a corrupted
-   copy of the payload raised (one byte flipped; truncated).  It also
-   renders every field of [Mrt.compile] for every alternative of the
-   four built-in machines at II 1..64, with and without capacities.
+   copy of the payload raised (one byte flipped; truncated).
+
+   The compiled-table digest renders every field of [Mrt.compile] for
+   every alternative of the four built-in machines at II 1..64, with
+   and without capacities.  It is the only digest a change of the
+   compiled form may move; the compile digest pins what the loops
+   decode, bound and schedule to.
 
    The placement digest pins the register models' helpers over the same
    schedules.  Per schedule it renders every field of [Rotreg.place]
@@ -362,10 +366,15 @@ let compile_rendered () =
     (fun index (name, ddg) ->
       render_compile buf wide index (name, Ddg.map_machine ddg wide))
     loops;
+  Buffer.contents buf
+
+let ctables_rendered () =
+  let buf = Buffer.create (1 lsl 22) in
   render_ctables buf;
   Buffer.contents buf
 
-let expected_compile_digest = "afa65d46a25c3e732bdfb11900dafd4f"
+let expected_compile_digest = "cbee34f63130ad2f766b9ce26d880293"
+let expected_ctable_digest = "dfdecdae65f4c62c711925667a924de1"
 
 let pinned label expected pick () =
   Alcotest.(check string)
@@ -385,6 +394,11 @@ let test_compile_digest () =
     "compile path digest" expected_compile_digest
     (Digest.to_hex (Digest.string (compile_rendered ())))
 
+let test_ctable_digest () =
+  Alcotest.(check string)
+    "compiled table digest" expected_ctable_digest
+    (Digest.to_hex (Digest.string (ctables_rendered ())))
+
 (* A suite name longer than the others widens Alcotest's label column
    and truncates every other test's printed name. *)
 let tests =
@@ -393,5 +407,6 @@ let tests =
       Alcotest.test_case "checker replay verdict digest" `Slow test_digest;
       Alcotest.test_case "static checker verdict digest" `Slow test_static_digest;
       Alcotest.test_case "compile path digest" `Slow test_compile_digest;
+      Alcotest.test_case "compiled table digest" `Slow test_ctable_digest;
       Alcotest.test_case "register placement digest" `Slow test_placement_digest;
     ] )
