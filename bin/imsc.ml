@@ -867,19 +867,17 @@ let cmd_batch =
               let total = Loop_bin.iter cpath ignore in
               let loops () =
                 let c = Loop_bin.open_corpus cpath in
-                let skip k =
-                  for _ = 1 to k do
-                    ignore (Loop_bin.skip c)
-                  done
-                in
-                skip first;
+                (* Stops at the end of the corpus: a shard count past
+                   the corpus size costs no read per absent frame. *)
+                let rec skip k = k = 0 || (Loop_bin.skip c && skip (k - 1)) in
+                ignore (skip first);
                 let next () =
                   match Loop_bin.next c with
                   | None ->
                       Loop_bin.close_cursor c;
                       None
                   | Some r ->
-                      skip (stride - 1);
+                      ignore (skip (stride - 1));
                       Some r
                 in
                 Seq.map

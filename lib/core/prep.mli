@@ -24,4 +24,4 @@ val compile :
     input; physically shared alternative arrays, and physically shared
     reservation tables (see {!Machine.add_opcode}), compile once.  Pass
     [~caps] (the machine's {!Machine.t.caps}) to compile with the
-    bitboard fast path. *)
+    bit-plane fast path. *)

@@ -25,9 +25,15 @@ let stage_count t =
   in
   (latest / t.ii) + 1
 
+(* The graph's resolved opcode, not a lookup of its name; an
+   alternative out of range raises what [List.nth] on the alternatives
+   list would. *)
 let reservation t i =
-  let opcode = Machine.opcode t.ddg.Ddg.machine (Ddg.op t.ddg i).Op.opcode in
-  (List.nth opcode.Opcode.alternatives (alt t i)).Opcode.table
+  let alts = t.ddg.Ddg.opcodes.(i).Opcode.alt_array in
+  let a = alt t i in
+  if a < 0 then invalid_arg "List.nth";
+  if a >= Array.length alts then failwith "nth";
+  alts.(a).Opcode.table
 
 let verify t =
   let errors = ref [] in

@@ -42,7 +42,10 @@ val stage_count : t -> int
 
 val reservation : t -> int -> Ims_machine.Reservation.t
 (** The reservation table of the alternative actually chosen for an
-    operation. *)
+    operation, read from the graph's resolved opcode.
+    @raise Invalid_argument ["List.nth"] if the chosen alternative is
+    negative, and [Failure "nth"] if it is past the opcode's last, as
+    [List.nth] on the alternatives list would. *)
 
 val verify : t -> (unit, string list) result
 (** Re-checks, from scratch, that (a) every dependence edge satisfies

@@ -68,25 +68,47 @@ let compute ~succs ~dst =
   done;
   { component; count = !count; steps = !steps }
 
-let members r =
-  let out = Array.make r.count [] in
+(* A counting sort by component: each vertex is placed below the end of
+   its component, highest vertex first, so each component's vertices
+   come out ascending. *)
+let grouped r =
   let n = Array.length r.component in
+  let first = Array.make (r.count + 1) 0 in
+  Array.iter (fun c -> first.(c) <- first.(c) + 1) r.component;
+  for c = 1 to r.count - 1 do
+    first.(c) <- first.(c) + first.(c - 1)
+  done;
+  first.(r.count) <- n;
+  let order = Array.make n 0 in
   for v = n - 1 downto 0 do
     let c = r.component.(v) in
-    out.(c) <- v :: out.(c)
+    first.(c) <- first.(c) - 1;
+    order.(first.(c)) <- v
   done;
-  out
+  (order, first)
+
+let members r =
+  let order, first = grouped r in
+  Array.init r.count (fun c ->
+      Array.to_list (Array.sub order first.(c) (first.(c + 1) - first.(c))))
 
 let rec has_self_edge dst v = function
   | [] -> false
   | e :: rest -> dst e = v || has_self_edge dst v rest
 
+let recurrent ~succs ~dst (order, first) c =
+  first.(c + 1) - first.(c) > 1
+  ||
+  let v = order.(first.(c)) in
+  has_self_edge dst v succs.(v)
+
 let non_trivial ~succs ~dst r =
-  let all = members r in
+  let ((order, first) as g) = grouped r in
   let found = ref [] in
-  for c = Array.length all - 1 downto 0 do
-    match all.(c) with
-    | [ v ] when not (has_self_edge dst v succs.(v)) -> ()
-    | vs -> found := vs :: !found
+  for c = r.count - 1 downto 0 do
+    if recurrent ~succs ~dst g c then
+      found :=
+        Array.to_list (Array.sub order first.(c) (first.(c + 1) - first.(c)))
+        :: !found
   done;
   Array.of_list !found

@@ -23,11 +23,27 @@ val compute : succs:'e list array -> dst:('e -> int) -> result
     own edge lists, ignoring the pseudo edges; a graph given as vertex
     lists passes [~dst:Fun.id]. *)
 
+val grouped : result -> int array * int array
+(** [grouped r] is [(order, first)]: [order] lists the vertices
+    component by component, ascending within each, and component [c]
+    is [order.(first.(c))] to [order.(first.(c + 1) - 1)].  The flat
+    form of {!members}, with no list per component; RecMII walks its
+    components through it. *)
+
 val members : result -> int list array
 (** [members r] lists the vertices of each component, ascending. *)
 
+val recurrent :
+  succs:'e list array ->
+  dst:('e -> int) ->
+  int array * int array ->
+  int ->
+  bool
+(** [recurrent ~succs ~dst (grouped r) c]: whether component [c] is a
+    genuine recurrence, with more than one vertex or a single vertex
+    with a self-edge.  The edges are read as {!compute} reads them. *)
+
 val non_trivial :
   succs:'e list array -> dst:('e -> int) -> result -> int list array
-(** Components that are genuine recurrences: more than one vertex, or a
-    single vertex with a self-edge.  The edges are read as {!compute}
-    reads them. *)
+(** The {!members} of the {!recurrent} components, in component
+    order. *)

@@ -44,13 +44,12 @@ let operand (reg, distance) =
   if distance < 0 then invalid_arg "Builder: negative operand distance";
   { Op.reg; distance }
 
-let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
-  let resolved = Machine.opcode b.machine opcode in
+let add_resolved b ?(tag = "") ?pred ?imm (resolved : Opcode.t) ~dsts ~srcs =
   b.n <- b.n + 1;
   let op =
     {
       Op.id = b.n;
-      opcode;
+      opcode = resolved.Opcode.name;
       dsts;
       srcs = List.map operand srcs;
       pred = Option.map operand pred;
@@ -61,6 +60,9 @@ let add b ?(tag = "") ?pred ?imm ~opcode ~dsts ~srcs () =
   b.ops <- op :: b.ops;
   b.opcodes <- resolved :: b.opcodes;
   b.n
+
+let add b ?tag ?pred ?imm ~opcode ~dsts ~srcs () =
+  add_resolved b ?tag ?pred ?imm (Machine.opcode b.machine opcode) ~dsts ~srcs
 
 let mem_dep b ?(distance = 0) kind ~src ~dst =
   b.raw_deps <- (kind, distance, src, dst) :: b.raw_deps

@@ -52,6 +52,21 @@ val add :
     guarding predicate register and its distance.
     @raise Machine.Unknown_opcode if [opcode] is not in the machine. *)
 
+val add_resolved :
+  t ->
+  ?tag:string ->
+  ?pred:vreg * int ->
+  ?imm:float ->
+  Opcode.t ->
+  dsts:vreg list ->
+  srcs:(vreg * int) list ->
+  opref
+(** {!add} with the opcode already resolved in the builder's machine,
+    which it must come from: the operation's opcode name is the
+    opcode's own string, looked up in nothing.  [Loop_bin.decode]
+    resolves each distinct name of a record once and adds every
+    operation through it. *)
+
 val mem_dep : t -> ?distance:int -> Dep.kind -> src:opref -> dst:opref -> unit
 (** Declares a memory (or other extra-register) dependence; [distance]
     defaults to 0. *)

@@ -20,16 +20,26 @@
    [c], "count + m <= c" is exactly "plane [c - m] bit clear", so when
    [c - m <= 1] — every resource of the machines we model — the probe
    for one usage is a single AND.  Compilation against the machine's
-   capacity vector precomputes, for each issue slot [s = time mod ii],
-   the merged per-word masks over all of the table's usages, so a whole
-   probe is a handful of AND/load pairs.  Usages with [c - m >= 2] (a
-   capacity-3+ resource probed below its brim) fall back to the count
-   walk, and a usage with [m > c] can never fit at any time.  Compiling
-   without capacities yields a ctable that probes purely by count walk,
-   byte-identical to the historical behaviour. *)
+   capacity vector keeps, per such usage, its cell offset and the first
+   word of the plane row it probes: at issue slot [s = time mod ii] the
+   usage's cell is [s + offset], wrapped once, and its word and bit are
+   a shift and a mask away.  Every walk reduces the time modulo [ii]
+   once and wraps each cell the same way.  The compiled form is O(usages),
+   whatever the II, so compiling a loop's tables costs no more at II 100
+   than at II 2.  Usages with [c - m >= 2] (a capacity-3+ resource
+   probed below its brim) fall back to the count walk, and a usage with
+   [m > c] can never fit at any time.  Compiling without capacities
+   yields a ctable that probes purely by count walk, byte-identical to
+   the historical behaviour. *)
 
-let bits_per_word = 63
-let words_per_row ii = (ii + bits_per_word - 1) / bits_per_word
+(* 32 cells per word of [occ]: a power of two, so a cell's word and bit
+   are a shift and a mask. *)
+let word_shift = 5
+let word_mask = (1 lsl word_shift) - 1
+let words_per_row ii = (ii + word_mask) lsr word_shift
+
+(* The slot of a cell [off] slots after slot [s]; both are below [ii]. *)
+let wrap ii c = if c >= ii then c - ii else c
 
 (* Number of bit planes carried by [occ]: plane p tracks count >= p+1.
    Two planes cover probes on resources of capacity <= 2 at any
@@ -41,12 +51,14 @@ type ctable = {
   packed : int array;
       (* all (slot_offset, resource, mult) triples, stride 3; the
          reserve/release/conflict walk *)
-  c_nres : int;  (* 0 = compiled without capacities: no bitboard data *)
+  c_nres : int;  (* 0 = compiled without capacities: no bit-plane data *)
   never_fits : bool;  (* some usage has mult > cap: no time ever fits *)
-  bb_off : int array;  (* length ii+1; per-issue-slot extent in bb_* *)
-  bb_word : int array;  (* merged word indices into Mrt.occ *)
-  bb_mask : int array;  (* masks, one per bb_word entry *)
-  slow : int array;  (* triples the bitboard cannot decide, stride 3 *)
+  probe : int array;
+      (* what [fits_c] reads: the usages the bit planes decide, as
+         (slot_offset, first word of the probed plane row) pairs, up to
+         [fast_end]; then the triples they cannot decide, stride 3.
+         Compiled without capacities, all of [packed]. *)
+  fast_end : int;
 }
 
 type t = {
@@ -80,169 +92,113 @@ let bitprobes t = t.bitprobes
 
 (* --- compilation --------------------------------------------------------- *)
 
-(* The (at mod ii, resource) collapse over a sorted int array: each
-   usage becomes the key [slot * stride + resource], so usages of one
-   modulo cell sort next to each other and the key order is the
-   (slot, resource) order.  Returns the packed triples. *)
-let collapse ~ii (table : Reservation.t) =
-  let stride =
-    1
-    + List.fold_left
-        (fun m (u : Reservation.usage) -> max m u.resource)
-        0 table.usages
-  in
-  let keys = Array.make (List.length table.usages) 0 in
-  List.iteri
-    (fun i (u : Reservation.usage) ->
-      keys.(i) <- ((u.at mod ii) * stride) + u.resource)
-    table.usages;
-  let n = Array.length keys in
-  (* Reservation.make sorts the usages by (at, resource), so when no
-     usage wraps (ii at least the table's length) the keys arrive
-     sorted. *)
-  let sorted = ref true in
-  for i = 1 to n - 1 do
-    if keys.(i) < keys.(i - 1) then sorted := false
-  done;
-  if not !sorted then Array.sort Int.compare keys;
-  let distinct = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
-  done;
-  let packed = Array.make (3 * !distinct) 0 in
-  let j = ref (-3) in
-  for i = 0 to n - 1 do
-    if i = 0 || keys.(i) <> keys.(i - 1) then begin
-      j := !j + 3;
-      packed.(!j) <- keys.(i) / stride;
-      packed.(!j + 1) <- keys.(i) mod stride
-    end;
-    packed.(!j + 2) <- packed.(!j + 2) + 1
-  done;
-  packed
+(* The cells of a usage list sorted by (at, resource), counted and then
+   packed from triple [j] on: equal cells are next to each other. *)
+let rec count_cells n at r = function
+  | [] -> n
+  | (u : Reservation.usage) :: rest ->
+      count_cells (if u.at = at && u.resource = r then n else n + 1) u.at
+        u.resource rest
 
-(* The word of [Mrt.occ] that fast usage [j] probes when its table
-   issues at slot [s]: the usage's cell offset [u_off.(j)] is already
-   reduced mod ii, so the wrap is a subtraction, and [u_row.(j)] is the
-   first word of its (plane, resource) row. *)
-let usage_word ~ii u_off u_row j s =
-  let c = s + u_off.(j) in
-  u_row.(j) + ((if c >= ii then c - ii else c) / bits_per_word)
-
-(* Whether no fast usage before [j] probes word [w] at slot [s]. *)
-let rec first_in_word ~ii u_off u_row j s w =
-  j = 0
-  || usage_word ~ii u_off u_row (j - 1) s <> w
-     && first_in_word ~ii u_off u_row (j - 1) s w
-
-(* Merge the fast usages into per-word masks for every issue slot: at
-   issue time [time], the usage (off, r, m) probes plane [caps r - m] of
-   cell ((time + off) mod ii, r), and the slot dependence is only
-   through time mod ii.  Slot [s]'s entries are [bb_off.(s)] up to
-   [bb_off.(s + 1)]; a word's entry is made by the first usage that
-   probes it and collects the bits of the later ones.  The entries are
-   counted first, so the arrays have exactly their size: this runs per
-   (opcode, II) in every candidate-II attempt, and an assoc-list
-   version of it once turned the whole bench into minor-GC rendezvous
-   thrash under multiple domains. *)
-let merge_words ~ii u_off u_row =
-  let nfast = Array.length u_off in
-  let entries = ref 0 in
-  for s = 0 to ii - 1 do
-    for j = 0 to nfast - 1 do
-      if first_in_word ~ii u_off u_row j s (usage_word ~ii u_off u_row j s)
-      then incr entries
-    done
-  done;
-  let bb_word = Array.make (max 1 !entries) 0 in
-  let bb_mask = Array.make (max 1 !entries) 0 in
-  let bb_off = Array.make (ii + 1) 0 in
-  let k = ref 0 in
-  for s = 0 to ii - 1 do
-    bb_off.(s) <- !k;
-    for j = 0 to nfast - 1 do
-      let word = usage_word ~ii u_off u_row j s in
-      let bit =
-        let c = s + u_off.(j) in
-        1 lsl ((if c >= ii then c - ii else c) mod bits_per_word)
+let rec pack_cells packed j = function
+  | [] -> ()
+  | (u : Reservation.usage) :: rest ->
+      let j =
+        if j >= 0 && packed.(j) = u.at && packed.(j + 1) = u.resource then j
+        else begin
+          packed.(j + 3) <- u.at;
+          packed.(j + 4) <- u.resource;
+          j + 3
+        end
       in
-      let e = ref bb_off.(s) in
-      while !e < !k && bb_word.(!e) <> word do
-        incr e
-      done;
-      if !e < !k then bb_mask.(!e) <- bb_mask.(!e) lor bit
-      else begin
-        bb_word.(!k) <- word;
-        bb_mask.(!k) <- bit;
-        incr k
-      end
-    done
-  done;
-  bb_off.(ii) <- !k;
-  (bb_off, bb_word, bb_mask)
+      packed.(j + 2) <- packed.(j + 2) + 1;
+      pack_cells packed j rest
+
+(* The (at mod ii, resource) collapse, returning the packed triples in
+   (slot, resource) order.  Reservation.make sorts the usages by (at,
+   resource), so when no usage wraps (ii at least the table's length)
+   they pack as they come.  Otherwise each usage becomes the key
+   [slot * stride + resource] in a sorted int array, so usages of one
+   modulo cell sort next to each other and the key order is the (slot,
+   resource) order. *)
+let collapse ~ii (table : Reservation.t) =
+  if ii >= table.length then begin
+    let packed = Array.make (3 * count_cells 0 (-1) (-1) table.usages) 0 in
+    pack_cells packed (-3) table.usages;
+    packed
+  end
+  else begin
+    let stride =
+      1
+      + List.fold_left
+          (fun m (u : Reservation.usage) -> max m u.resource)
+          0 table.usages
+    in
+    let keys = Array.make (List.length table.usages) 0 in
+    List.iteri
+      (fun i (u : Reservation.usage) ->
+        keys.(i) <- ((u.at mod ii) * stride) + u.resource)
+      table.usages;
+    Array.sort Int.compare keys;
+    let n = Array.length keys in
+    let distinct = ref 0 in
+    for i = 0 to n - 1 do
+      if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
+    done;
+    let packed = Array.make (3 * !distinct) 0 in
+    let j = ref (-3) in
+    for i = 0 to n - 1 do
+      if i = 0 || keys.(i) <> keys.(i - 1) then begin
+        j := !j + 3;
+        packed.(!j) <- keys.(i) / stride;
+        packed.(!j + 1) <- keys.(i) mod stride
+      end;
+      packed.(!j + 2) <- packed.(!j + 2) + 1
+    done;
+    packed
+  end
 
 let compile ~ii ?caps (table : Reservation.t) =
   if ii < 1 then invalid_arg "Mrt.compile: ii must be >= 1";
   let packed = collapse ~ii table in
   match caps with
   | None ->
-      {
-        c_ii = ii;
-        packed;
-        c_nres = 0;
-        never_fits = false;
-        bb_off = [||];
-        bb_word = [||];
-        bb_mask = [||];
-        slow = packed;
-      }
+      { c_ii = ii; packed; c_nres = 0; never_fits = false; probe = packed; fast_end = 0 }
   | Some caps ->
       let nres = Array.length caps in
       let wpr = words_per_row ii in
       let ntrip = Array.length packed / 3 in
       (* A usage is fast when the bit planes decide it, that is unless it
          probes a capacity-3+ resource below its brim.  One pass counts
-         the fast usages; the next keeps each one's cell offset and row
-         (negative for a usage that can never fit, whose words are never
-         read) and copies the slow ones, in order, to [slow]. *)
+         the fast usages; the next writes each one's cell offset and the
+         first word of the plane row it probes (negative for a usage that
+         can never fit, whose words are never read) to the front of
+         [probe], and copies the slow ones, in order, behind them. *)
       let never_fits = ref false and nfast = ref 0 in
       for i = 0 to ntrip - 1 do
         let r = packed.((3 * i) + 1) and m = packed.((3 * i) + 2) in
         if m > caps.(r) then never_fits := true;
         if caps.(r) - m < planes then incr nfast
       done;
-      let nfast = !nfast in
-      let u_off = Array.make nfast 0 and u_row = Array.make nfast 0 in
-      let slow = Array.make (3 * (ntrip - nfast)) 0 in
+      let fast_end = 2 * !nfast in
+      let probe = Array.make (fast_end + (3 * (ntrip - !nfast))) 0 in
       let j = ref 0 in
       for i = 0 to ntrip - 1 do
         let r = packed.((3 * i) + 1) and m = packed.((3 * i) + 2) in
         if caps.(r) - m < planes then begin
-          u_off.(!j) <- packed.(3 * i);
-          u_row.(!j) <- (((caps.(r) - m) * nres) + r) * wpr;
+          probe.(2 * !j) <- packed.(3 * i);
+          probe.((2 * !j) + 1) <- (((caps.(r) - m) * nres) + r) * wpr;
           incr j
         end
-        else Array.blit packed (3 * i) slow (3 * (i - !j)) 3
+        else Array.blit packed (3 * i) probe (fast_end + (3 * (i - !j))) 3
       done;
-      let bb_off, bb_word, bb_mask = merge_words ~ii u_off u_row in
-      {
-        c_ii = ii;
-        packed;
-        c_nres = nres;
-        never_fits = !never_fits;
-        bb_off;
-        bb_word;
-        bb_mask;
-        slow;
-      }
+      { c_ii = ii; packed; c_nres = nres; never_fits = !never_fits; probe; fast_end }
 
 let pp_ctable ppf c =
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
   Format.fprintf ppf
-    "ii=%d packed=[%s] nres=%d never_fits=%b bb_off=[%s] bb_word=[%s] \
-     bb_mask=[%s] slow=[%s]"
-    c.c_ii (ints c.packed) c.c_nres c.never_fits (ints c.bb_off)
-    (ints c.bb_word) (ints c.bb_mask) (ints c.slow)
+    "ii=%d packed=[%s] nres=%d never_fits=%b probe=[%s] fast_end=%d" c.c_ii
+    (ints c.packed) c.c_nres c.never_fits (ints c.probe) c.fast_end
 
 let check_compiled t c =
   if c.c_ii <> t.ii then
@@ -256,37 +212,35 @@ let check_compiled t c =
    probe state compiles to a heap-allocated closure without flambda,
    and the whole point of the compiled form is a zero-allocation probe
    (asserted with Gc.allocated_bytes in the test suite). *)
-let rec fits_from p len counts caps nres ii time i =
+let rec fits_from p len counts caps nres ii s i =
   i >= len
   ||
   let r = p.(i + 1) in
-  let idx = (((time + p.(i)) mod ii) * nres) + r in
+  let idx = (wrap ii (s + p.(i)) * nres) + r in
   counts.(idx) + p.(i + 2) <= caps.(r)
-  && fits_from p len counts caps nres ii time (i + 3)
+  && fits_from p len counts caps nres ii s (i + 3)
 
-let rec bb_clear occ bw bm j j1 =
-  j >= j1 || (occ.(bw.(j)) land bm.(j) = 0 && bb_clear occ bw bm (j + 1) j1)
+(* Whether every fast usage from pair [i] up to [fast_end] finds its
+   plane bit clear at issue slot [s]. *)
+let rec fast_clear occ f fast_end ii s i =
+  i >= fast_end
+  ||
+  let c = wrap ii (s + f.(i)) in
+  occ.(f.(i + 1) + (c lsr word_shift)) land (1 lsl (c land word_mask)) = 0
+  && fast_clear occ f fast_end ii s (i + 2)
 
 let fits_c t c ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
   check_compiled t c;
-  if c.c_nres = 0 then
-    let p = c.packed in
-    fits_from p (Array.length p) t.counts t.caps t.nres t.ii time 0
-  else begin
-    t.bitprobes <- t.bitprobes + 1;
-    (not c.never_fits)
-    && (let s = time mod t.ii in
-        bb_clear t.occ c.bb_word c.bb_mask c.bb_off.(s) c.bb_off.(s + 1))
-    &&
-    let p = c.slow in
-    let len = Array.length p in
-    len = 0 || fits_from p len t.counts t.caps t.nres t.ii time 0
-  end
+  if c.c_nres <> 0 then t.bitprobes <- t.bitprobes + 1;
+  let p = c.probe and s = time mod t.ii in
+  (not c.never_fits)
+  && fast_clear t.occ p c.fast_end t.ii s 0
+  && fits_from p (Array.length p) t.counts t.caps t.nres t.ii s c.fast_end
 
 let conflicting_ops_c t ctabs ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
-  let ops = ref [] in
+  let ops = ref [] and s = time mod t.ii in
   Array.iter
     (fun c ->
       check_compiled t c;
@@ -294,7 +248,7 @@ let conflicting_ops_c t ctabs ~time =
       let i = ref 0 in
       while !i < Array.length p do
         let r = p.(!i + 1) in
-        let idx = (((time + p.(!i)) mod t.ii) * t.nres) + r in
+        let idx = (wrap t.ii (s + p.(!i)) * t.nres) + r in
         if t.counts.(idx) + p.(!i + 2) > t.caps.(r) then
           ops := t.cells.(idx) @ !ops;
         i := !i + 3
@@ -307,9 +261,9 @@ let conflicting_ops_c t ctabs ~time =
    of the count matrix. *)
 let sync_bits t ~slot ~r =
   let cnt = t.counts.((slot * t.nres) + r) in
-  let w0 = (r * t.wpr) + (slot / bits_per_word) in
+  let w0 = (r * t.wpr) + (slot lsr word_shift) in
   let w1 = (t.nres * t.wpr) + w0 in
-  let bit = 1 lsl (slot mod bits_per_word) in
+  let bit = 1 lsl (slot land word_mask) in
   if cnt >= 1 then t.occ.(w0) <- t.occ.(w0) lor bit
   else t.occ.(w0) <- t.occ.(w0) land lnot bit;
   if cnt >= 2 then t.occ.(w1) <- t.occ.(w1) lor bit
@@ -318,10 +272,10 @@ let sync_bits t ~slot ~r =
 let reserve_c t ~op c ~time =
   if not (fits_c t c ~time) then
     invalid_arg "Mrt.reserve: reservation does not fit";
-  let p = c.packed in
+  let p = c.packed and s = time mod t.ii in
   let i = ref 0 in
   while !i < Array.length p do
-    let slot = (time + p.(!i)) mod t.ii in
+    let slot = wrap t.ii (s + p.(!i)) in
     let r = p.(!i + 1) in
     let idx = (slot * t.nres) + r in
     let mult = p.(!i + 2) in
@@ -344,10 +298,10 @@ let remove_once op occupants =
 let release_c t ~op c ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
   check_compiled t c;
-  let p = c.packed in
+  let p = c.packed and s = time mod t.ii in
   let i = ref 0 in
   while !i < Array.length p do
-    let slot = (time + p.(!i)) mod t.ii in
+    let slot = wrap t.ii (s + p.(!i)) in
     let r = p.(!i + 1) in
     let idx = (slot * t.nres) + r in
     let mult = p.(!i + 2) in

@@ -13,11 +13,12 @@
     least [p + 1] occupants.  Reservation tables are {e precompiled}
     once per (table, ii) pair into a flat [(slot_offset, resource,
     mult)] form; compiling additionally against the machine's capacity
-    vector ([?caps]) lowers every usage with [cap - mult <= 1] to
-    per-issue-slot merged (word, mask) pairs over the bit planes, so
-    {!fits_c} — the innermost operation of FindTimeSlot — is a handful
-    of AND probes, zero heap allocation, falling back to the count walk
-    only for usages probing a capacity-3+ resource below its brim.
+    vector ([?caps]) lowers every usage with [cap - mult <= 1] to a
+    (cell offset, plane row) pair, so {!fits_c} — the innermost
+    operation of FindTimeSlot — tests one bit per usage with zero heap
+    allocation, falling back to the count walk only for usages probing a
+    capacity-3+ resource below its brim.  Either compiled form is
+    O(usages) in size and time, independent of [ii].
 
     The same structure doubles as the linear schedule reservation table of
     acyclic list scheduling: build it with {!linear} and a horizon larger
@@ -42,14 +43,15 @@ type ctable
 (** A reservation table lowered to a flat [(slot_offset, resource,
     multiplicity)] int array, with the modulo collapse of duplicate
     [(at mod ii, resource)] cells already performed — plus, when
-    compiled with [~caps], the per-issue-slot bitboard probe plan. *)
+    compiled with [~caps], the bit-plane row of each usage the planes
+    decide. *)
 
 val compile : ii:int -> ?caps:int array -> Reservation.t -> ctable
 (** [compile ~ii ?caps table].  Without [caps] the compiled form probes
     purely by count walk (byte-identical to the historical behaviour,
     and valid on any MRT of the same [ii]).  With [caps] — the
     machine's per-resource capacity vector, as stored by {!create} —
-    the probe additionally gets the bitboard fast path, and the ctable
+    the probe additionally gets the bit-plane fast path, and the ctable
     is only valid on MRTs with that many resources.
     @raise Invalid_argument if [ii < 1]. *)
 

@@ -95,72 +95,86 @@ type solver = {
   sv_m : int;
   sv_fwd : int array;  (* closed forward matrix, immutable after build *)
   sv_back : back_edges;
-  sv_pivots : int array;  (* distinct back-edge endpoint rows, ascending *)
+      (* followed, from [sv_pivots], by the distinct back-edge endpoint
+         rows, ascending: the pivots of every solve *)
+  sv_pivots : int;
   sv_dist : int array;  (* work buffer; every solve's [t] borrows it *)
 }
 
 (* Seeds row [row] of the forward matrix from one vertex's distance-0
-   edges into the node set; returns [nback] plus the number of its back
-   edges (distance > 0) into the set.  Top-level recursion, so that no
-   closure is built per vertex. *)
-let rec seed_forward index fwd m row nback = function
+   edges into the node set, and marks both ends of each of its back
+   edges (distance > 0) into the set as pivots, by a non-[neg_inf] entry
+   of [is_pivot]; returns [nback] plus the number of those back edges.
+   Top-level recursion, so that no closure is built per vertex. *)
+let rec seed_forward index fwd is_pivot m row nback = function
   | [] -> nback
   | (d : Dep.t) :: rest ->
       let col = index.(d.dst) in
-      if col < 0 then seed_forward index fwd m row nback rest
+      if col < 0 then seed_forward index fwd is_pivot m row nback rest
       else if d.distance = 0 then begin
         if d.delay > fwd.((row * m) + col) then fwd.((row * m) + col) <- d.delay;
-        seed_forward index fwd m row nback rest
+        seed_forward index fwd is_pivot m row nback rest
       end
-      else seed_forward index fwd m row (nback + 1) rest
+      else begin
+        is_pivot.(row) <- 0;
+        is_pivot.(col) <- 0;
+        seed_forward index fwd is_pivot m row (nback + 1) rest
+      end
 
 (* Writes one vertex's back edges into the node set to [back] (stride
-   4: row, col, delay, distance) from entry [k] on, marking both ends as
-   pivots; returns the next entry. *)
-let rec list_back index back is_pivot row k = function
+   4: row, col, delay, distance) from entry [k] on; returns the next
+   entry. *)
+let rec list_back index back row k = function
   | [] -> k
   | (d : Dep.t) :: rest ->
       let col = index.(d.dst) in
-      if col < 0 || d.distance = 0 then list_back index back is_pivot row k rest
+      if col < 0 || d.distance = 0 then list_back index back row k rest
       else begin
         back.(4 * k) <- row;
         back.((4 * k) + 1) <- col;
         back.((4 * k) + 2) <- d.delay;
         back.((4 * k) + 3) <- d.distance;
-        is_pivot.(row) <- true;
-        is_pivot.(col) <- true;
-        list_back index back is_pivot row (k + 1) rest
+        list_back index back row (k + 1) rest
       end
 
-let solver ?counters ddg ~nodes =
+let solver ?counters ?index ddg ~nodes =
   let m = Array.length nodes in
-  let n = Ddg.n_total ddg in
-  let index = Array.make n (-1) in
-  Array.iteri (fun row id -> index.(id) <- row) nodes;
+  let index =
+    match index with
+    | Some index -> index
+    | None -> Array.make (Ddg.n_total ddg) (-1)
+  in
+  for row = 0 to m - 1 do
+    index.(nodes.(row)) <- row
+  done;
   let fwd = Array.make (m * m) neg_inf in
+  (* Each solve overwrites the work buffer, so until the first one its
+     first [m] entries mark the pivot rows. *)
+  let dist = Array.make (max 1 (m * m)) neg_inf in
   let nback = ref 0 in
   for row = 0 to m - 1 do
-    nback := seed_forward index fwd m row !nback ddg.Ddg.succs.(nodes.(row))
+    nback :=
+      seed_forward index fwd dist m row !nback ddg.Ddg.succs.(nodes.(row))
   done;
   let inner = closure fwd ~m in
   bump_closure_counters counters inner;
-  let sv_back = Array.make (4 * !nback) 0 in
-  let is_pivot = Array.make (max 1 m) false in
+  let npivots = ref 0 in
+  for r = 0 to m - 1 do
+    if dist.(r) <> neg_inf then incr npivots
+  done;
+  let sv_pivots = 4 * !nback in
+  let sv_back = Array.make (sv_pivots + !npivots) 0 in
   let k = ref 0 in
   for row = 0 to m - 1 do
-    k := list_back index sv_back is_pivot row !k ddg.Ddg.succs.(nodes.(row))
+    k := list_back index sv_back row !k ddg.Ddg.succs.(nodes.(row))
   done;
-  let npivots = ref 0 in
-  Array.iter (fun p -> if p then incr npivots) is_pivot;
-  let sv_pivots = Array.make !npivots 0 in
-  npivots := 0;
-  Array.iteri
-    (fun r p ->
-      if p then begin
-        sv_pivots.(!npivots) <- r;
-        incr npivots
-      end)
-    is_pivot;
+  let p = ref sv_pivots in
+  for r = 0 to m - 1 do
+    if dist.(r) <> neg_inf then begin
+      sv_back.(!p) <- r;
+      incr p
+    end
+  done;
   {
     sv_nodes = nodes;
     sv_index = index;
@@ -168,7 +182,7 @@ let solver ?counters ddg ~nodes =
     sv_fwd = fwd;
     sv_back;
     sv_pivots;
-    sv_dist = Array.make (max 1 (m * m)) neg_inf;
+    sv_dist = dist;
   }
 
 let solve ?counters s ~ii =
@@ -177,29 +191,28 @@ let solve ?counters s ~ii =
   Array.blit s.sv_fwd 0 dist 0 (m * m);
   let b = s.sv_back in
   let e = ref 0 in
-  while !e < Array.length b do
+  while !e < s.sv_pivots do
     let idx = (b.(!e) * m) + b.(!e + 1) in
     let w = b.(!e + 2) - (ii * b.(!e + 3)) in
     if w > dist.(idx) then dist.(idx) <- w;
     e := !e + 4
   done;
   let inc = ref 0 in
-  Array.iter
-    (fun k ->
-      let kbase = k * m in
-      for i = 0 to m - 1 do
-        let ibase = i * m in
-        let dik = dist.(ibase + k) in
-        if dik > neg_inf then begin
-          incr inc;
-          for j = 0 to m - 1 do
-            let dkj = dist.(kbase + j) in
-            if dkj > neg_inf && dik + dkj > dist.(ibase + j) then
-              dist.(ibase + j) <- dik + dkj
-          done
-        end
-      done)
-    s.sv_pivots;
+  for p = s.sv_pivots to Array.length b - 1 do
+    let kbase = b.(p) * m in
+    for i = 0 to m - 1 do
+      let ibase = i * m in
+      let dik = dist.(ibase + b.(p)) in
+      if dik > neg_inf then begin
+        incr inc;
+        for j = 0 to m - 1 do
+          let dkj = dist.(kbase + j) in
+          if dkj > neg_inf && dik + dkj > dist.(ibase + j) then
+            dist.(ibase + j) <- dik + dkj
+        done
+      end
+    done
+  done;
   (match counters with
   | Some c -> c.Counters.mindist_inc <- c.Counters.mindist_inc + !inc
   | None -> ());

@@ -49,9 +49,16 @@ type solver
 (** The II-invariant half of MinDist over a fixed node set: the closed
     forward matrix, the back-edge list, and the pivot set. *)
 
-val solver : ?counters:Counters.t -> Ddg.t -> nodes:int array -> solver
+val solver :
+  ?counters:Counters.t -> ?index:int array -> Ddg.t -> nodes:int array -> solver
 (** Builds the solver; the forward closure is counted like one
-    {!full} call ([mindist] / [mindist_calls]). *)
+    {!full} call ([mindist] / [mindist_calls]).  [index], when given,
+    stands in for the fresh op-id-to-row array of {!t.index}: it must
+    have one entry per vertex and hold -1 at every id outside [nodes].
+    The solver writes the rows of [nodes] into it and keeps it, so the
+    caller may put the -1s back only once it is done with the solver
+    and its results.  RecMII passes one such array to the solver of
+    each SCC in turn. *)
 
 val solver_full : ?counters:Counters.t -> Ddg.t -> solver
 (** {!solver} over the whole graph including START and STOP. *)

@@ -6,14 +6,29 @@ let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
 (* Tarjan's walk and the self-loop test read the graph's edge lists in
    place, ignoring every edge out of or into a pseudo vertex: the graph
-   of {!Ddg.real_succ_ids}, without building its lists. *)
-let scc_of ?counters ddg =
+   of {!Ddg.real_succ_ids}, without building its lists.  [f acc solver]
+   runs on the solver of each recurrent SCC in component order, while
+   [go acc] holds.  The solvers share one op-id-to-row array, reset
+   after each SCC. *)
+let fold_sccs ?counters ddg ~go f init =
   let succs = ddg.Ddg.succs and dst = Ddg.real_dst ddg in
   let r = Scc.compute ~succs ~dst in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
-  Scc.non_trivial ~succs ~dst r
+  let ((order, first) as g) = Scc.grouped r in
+  let index = Array.make (Array.length succs) (-1) in
+  let rec from c acc =
+    if c = r.Scc.count || not (go acc) then acc
+    else if not (Scc.recurrent ~succs ~dst g c) then from (c + 1) acc
+    else begin
+      let nodes = Array.sub order first.(c) (first.(c + 1) - first.(c)) in
+      let acc = f acc (Mindist.solver ?counters ~index ddg ~nodes) in
+      Array.iter (fun v -> index.(v) <- -1) nodes;
+      from (c + 1) acc
+    end
+  in
+  from 0 init
 
 (* No recurrence can require more than the sum of the positive delays:
    every circuit has distance >= 1, so at that II its slack is already
@@ -29,8 +44,7 @@ let ii_cap ddg = Array.fold_left add_positive_delays 1 ddg.Ddg.succs
    then binary search (section 2.2).  One incremental solver serves every
    probe of the search — each candidate II costs one pivot-restricted
    re-closure instead of a from-scratch Floyd-Warshall. *)
-let first_feasible ?counters ddg nodes ~start ~cap =
-  let solver = Mindist.solver ?counters ddg ~nodes in
+let first_feasible ?counters solver ~start ~cap =
   let probe ii = Mindist.feasible (Mindist.solve ?counters solver ~ii) in
   if probe start then start
   else begin
@@ -57,24 +71,20 @@ let first_feasible ?counters ddg nodes ~start ~cap =
     !good
   end
 
-let fold_sccs ?counters ddg ~start =
-  let sccs = scc_of ?counters ddg in
+let search ?counters ddg ~start =
   let cap = ii_cap ddg in
-  Array.fold_left
-    (fun acc members ->
-      let nodes = Array.of_list members in
-      first_feasible ?counters ddg nodes ~start:acc ~cap)
-    start sccs
+  fold_sccs ?counters ddg
+    ~go:(fun _ -> true)
+    (fun acc solver -> first_feasible ?counters solver ~start:acc ~cap)
+    start
 
-let by_mindist ?counters ddg = fold_sccs ?counters ddg ~start:1
-let mii_from ?counters ddg ~resmii = fold_sccs ?counters ddg ~start:resmii
+let by_mindist ?counters ddg = search ?counters ddg ~start:1
+let mii_from ?counters ddg ~resmii = search ?counters ddg ~start:resmii
 
 let feasible ?counters ddg ~ii =
-  Array.for_all
-    (fun members ->
-      let solver = Mindist.solver ?counters ddg ~nodes:(Array.of_list members) in
-      Mindist.feasible (Mindist.solve ?counters solver ~ii))
-    (scc_of ?counters ddg)
+  fold_sccs ?counters ddg ~go:Fun.id
+    (fun _ solver -> Mindist.feasible (Mindist.solve ?counters solver ~ii))
+    true
 
 (* Parallel edges between consecutive circuit vertices multiply out into
    (delay, distance) combinations; dominated combinations are pruned. *)

@@ -189,12 +189,27 @@ let get_i64 r what =
 
 let get_str r len what =
   need r len what;
-  let s = String.sub r.s r.pos len in
+  let s = if len = 0 then "" else String.sub r.s r.pos len in
   r.pos <- r.pos + len;
   s
 
-let get_str8 r what = get_str r (get_u8 r what) what
 let get_str16 r what = get_str r (get_u16 r what) what
+
+(* Whether the bytes of [s] at [pos + i] onwards spell [name] from its
+   byte [i] on; the caller has checked that they are as many. *)
+let rec same_bytes s pos name i =
+  i = String.length name
+  || String.get s (pos + i) = String.get name i && same_bytes s pos name (i + 1)
+
+(* The cell of [resolved] whose opcode is named by the [len] bytes of
+   [s] at [pos], or [] if none is.  A record names about six distinct
+   opcodes across some twenty operations, so a scan of the ones it has
+   named so far, in place, beats cutting the name out and hashing it. *)
+let rec find_named s pos len = function
+  | [] -> []
+  | (oc : Opcode.t) :: rest as cell ->
+      if String.length oc.name = len && same_bytes s pos oc.name 0 then cell
+      else find_named s pos len rest
 
 let decode ?(base = 0) machine payload =
   let r = { s = payload; base; pos = 0 } in
@@ -223,10 +238,27 @@ let decode ?(base = 0) machine payload =
     (check_reg at reg, distance)
   in
   let nops = get_u16 r "operation count" in
+  (* The opcodes this record has named so far, each resolved once. *)
+  let named = ref [] in
   let refs =
     Array.init nops (fun _ ->
         let at = base + r.pos in
-        let opcode = get_str8 r "opcode" in
+        let len = get_u8 r "opcode" in
+        need r len "opcode";
+        let name_at = r.pos in
+        r.pos <- r.pos + len;
+        (* An unknown name is reported only once the whole operation has
+           been read, so that a truncation inside it is reported first. *)
+        let opcode =
+          match find_named payload name_at len !named with
+          | _ :: _ as cell -> cell
+          | [] -> (
+              match Machine.opcode machine (String.sub payload name_at len) with
+              | oc ->
+                  named := oc :: !named;
+                  !named
+              | exception Machine.Unknown_opcode _ -> [])
+        in
         let ndsts = get_u8 r "destination count" in
         let dsts = List.init ndsts (fun _ -> vreg "dst reg") in
         let nsrcs = get_u8 r "source count" in
@@ -244,9 +276,11 @@ let decode ?(base = 0) machine payload =
           | f -> corrupt (base + r.pos - 1) "bad immediate flag %d" f
         in
         let tag = get_str16 r "tag" in
-        try Builder.add b ~tag ?pred ?imm ~opcode ~dsts ~srcs ()
-        with Machine.Unknown_opcode op ->
-          corrupt at "opcode %S not in machine" op)
+        match opcode with
+        | oc :: _ -> Builder.add_resolved b ~tag ?pred ?imm oc ~dsts ~srcs
+        | [] ->
+            corrupt at "opcode %S not in machine"
+              (String.sub payload name_at len))
   in
   let ndeps = get_u32 r "dependence count" in
   for _ = 1 to ndeps do

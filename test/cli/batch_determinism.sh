@@ -58,3 +58,19 @@ if [ "$per_loop" -ge 50 ]; then
     "$large at 20,000); the ceiling is 50" >&2
   exit 1
 fi
+
+# Shards past the corpus size: on a one-loop corpus, shard 1 of 100,000
+# reports that loop as a single-shard run does, stopping at the end of
+# the corpus instead of skipping on past it, and shard 2 has no loops of
+# its own: it exits 0 with an empty report.
+"$IMSC" corpus gen --seed 1994 --count 1 --out one.ilb 2> /dev/null
+"$IMSC" batch --corpus one.ilb --jobs 1 --report one-all.jsonl 2> /dev/null
+"$IMSC" batch --corpus one.ilb --shard 1/100000 --jobs 1 \
+  --report one-first.jsonl 2> /dev/null
+cmp one-all.jsonl one-first.jsonl
+"$IMSC" batch --corpus one.ilb --shard 2/100000 --jobs 1 \
+  --report one-empty.jsonl 2> /dev/null
+if [ ! -f one-empty.jsonl ] || [ -s one-empty.jsonl ]; then
+  echo "a shard with no loops must write an empty report" >&2
+  exit 1
+fi

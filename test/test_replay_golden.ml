@@ -374,7 +374,7 @@ let ctables_rendered () =
   Buffer.contents buf
 
 let expected_compile_digest = "cbee34f63130ad2f766b9ce26d880293"
-let expected_ctable_digest = "dfdecdae65f4c62c711925667a924de1"
+let expected_ctable_digest = "7e94233932d87e63c12aabd45e28d4f6"
 
 let pinned label expected pick () =
   Alcotest.(check string)
