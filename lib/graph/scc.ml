@@ -96,19 +96,12 @@ let rec has_self_edge dst v = function
   | [] -> false
   | e :: rest -> dst e = v || has_self_edge dst v rest
 
-let recurrent ~succs ~dst (order, first) c =
-  first.(c + 1) - first.(c) > 1
-  ||
-  let v = order.(first.(c)) in
-  has_self_edge dst v succs.(v)
-
 let non_trivial ~succs ~dst r =
-  let ((order, first) as g) = grouped r in
+  let all = members r in
   let found = ref [] in
-  for c = r.count - 1 downto 0 do
-    if recurrent ~succs ~dst g c then
-      found :=
-        Array.to_list (Array.sub order first.(c) (first.(c + 1) - first.(c)))
-        :: !found
+  for c = Array.length all - 1 downto 0 do
+    match all.(c) with
+    | [ v ] when not (has_self_edge dst v succs.(v)) -> ()
+    | vs -> found := vs :: !found
   done;
   Array.of_list !found

@@ -33,17 +33,9 @@ val grouped : result -> int array * int array
 val members : result -> int list array
 (** [members r] lists the vertices of each component, ascending. *)
 
-val recurrent :
-  succs:'e list array ->
-  dst:('e -> int) ->
-  int array * int array ->
-  int ->
-  bool
-(** [recurrent ~succs ~dst (grouped r) c]: whether component [c] is a
-    genuine recurrence, with more than one vertex or a single vertex
-    with a self-edge.  The edges are read as {!compute} reads them. *)
 
 val non_trivial :
   succs:'e list array -> dst:('e -> int) -> result -> int list array
-(** The {!members} of the {!recurrent} components, in component
-    order. *)
+(** Components that are genuine recurrences: more than one vertex, or a
+    single vertex with a self-edge.  The edges are read as {!compute}
+    reads them. *)

@@ -131,10 +131,16 @@ let finish ?(keep_false_deps = false) b =
           List.iter (fun def -> emit kind ~src:def ~dst:u.id ~distance:d)
             reaching
   in
+  let rec flow_all (u : Op.t) = function
+    | [] -> ()
+    | operand :: rest ->
+        flow_for Dep.Flow u operand;
+        flow_all u rest
+  in
   List.iter
     (fun (u : Op.t) ->
-      List.iter (flow_for Dep.Flow u) u.srcs;
-      Option.iter (flow_for Dep.Control u) u.pred)
+      flow_all u u.srcs;
+      match u.pred with Some p -> flow_for Dep.Control u p | None -> ())
     ops;
   if keep_false_deps then begin
     (* The definitions of each register in program order. *)

@@ -4,29 +4,39 @@ open Ims_graph
 (* ceil(a / b) for b > 0 and any sign of a. *)
 let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
-(* Tarjan's walk and the self-loop test read the graph's edge lists in
-   place, ignoring every edge out of or into a pseudo vertex: the graph
-   of {!Ddg.real_succ_ids}, without building its lists.  [f acc solver]
+(* Whether vertex [v] has a self-edge.  No pseudo vertex has one, so
+   the test needs no {!Ddg.real_dst}. *)
+let rec has_self_edge v = function
+  | [] -> false
+  | (d : Dep.t) :: rest -> d.dst = v || has_self_edge v rest
+
+(* Tarjan's walk reads the graph's edge lists in place, ignoring every
+   edge out of or into a pseudo vertex: the graph of
+   {!Ddg.real_succ_ids}, without building its lists.  [f acc solver]
    runs on the solver of each recurrent SCC in component order, while
-   [go acc] holds.  The solvers share one op-id-to-row array, reset
-   after each SCC. *)
+   [go acc] holds: as {!Scc.non_trivial} decides, an SCC is recurrent
+   when it has more than one vertex or a self-edge.  The solvers share
+   one op-id-to-row array, reset after each SCC. *)
 let fold_sccs ?counters ddg ~go f init =
-  let succs = ddg.Ddg.succs and dst = Ddg.real_dst ddg in
-  let r = Scc.compute ~succs ~dst in
+  let succs = ddg.Ddg.succs in
+  let r = Scc.compute ~succs ~dst:(Ddg.real_dst ddg) in
   (match counters with
   | Some c -> c.Counters.scc_steps <- c.Counters.scc_steps + r.Scc.steps
   | None -> ());
-  let ((order, first) as g) = Scc.grouped r in
+  let order, first = Scc.grouped r in
   let index = Array.make (Array.length succs) (-1) in
   let rec from c acc =
     if c = r.Scc.count || not (go acc) then acc
-    else if not (Scc.recurrent ~succs ~dst g c) then from (c + 1) acc
-    else begin
-      let nodes = Array.sub order first.(c) (first.(c + 1) - first.(c)) in
-      let acc = f acc (Mindist.solver ?counters ~index ddg ~nodes) in
-      Array.iter (fun v -> index.(v) <- -1) nodes;
-      from (c + 1) acc
-    end
+    else
+      let lo = first.(c) and m = first.(c + 1) - first.(c) in
+      if m = 1 && not (has_self_edge order.(lo) succs.(order.(lo))) then
+        from (c + 1) acc
+      else begin
+        let nodes = Array.sub order lo m in
+        let acc = f acc (Mindist.solver ?counters ~index ddg ~nodes) in
+        Array.iter (fun v -> index.(v) <- -1) nodes;
+        from (c + 1) acc
+      end
   in
   from 0 init
 

@@ -1,7 +1,11 @@
 open Ims_machine
 open Ims_ir
 
-let cdiv a b = (a + b - 1) / b
+(* ceil(a / b) for a >= 0.  Capacities are 1 or 2 on nearly every
+   resource, and those need no integer division, which costs tens of
+   cycles in the alternative scoring below. *)
+let cdiv a b =
+  if b = 1 then a else if b = 2 then (a + 1) lsr 1 else (a + b - 1) / b
 
 (* Greedy usage accumulation; returns the final per-resource usage.
    Each opcode's per-alternative usage vectors were built with the

@@ -237,6 +237,7 @@ let decode ?(base = 0) machine payload =
     let distance = get_u32 r what in
     (check_reg at reg, distance)
   in
+  let dst_reg _ = vreg "dst reg" and src_operand _ = operand "src operand" in
   let nops = get_u16 r "operation count" in
   (* The opcodes this record has named so far, each resolved once. *)
   let named = ref [] in
@@ -260,9 +261,9 @@ let decode ?(base = 0) machine payload =
               | exception Machine.Unknown_opcode _ -> [])
         in
         let ndsts = get_u8 r "destination count" in
-        let dsts = List.init ndsts (fun _ -> vreg "dst reg") in
+        let dsts = List.init ndsts dst_reg in
         let nsrcs = get_u8 r "source count" in
-        let srcs = List.init nsrcs (fun _ -> operand "src operand") in
+        let srcs = List.init nsrcs src_operand in
         let pred =
           match get_u8 r "predicate flag" with
           | 0 -> None
