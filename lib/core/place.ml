@@ -25,10 +25,7 @@ let create ?counters ~trace ddg ~ii alternatives ~order =
   let n = Ddg.n_total ddg in
   let machine = ddg.Ddg.machine in
   (* A stable sort keeps the ids of equal priority in increasing order. *)
-  let by_rank = Array.make n 0 in
-  for op = 1 to n - 1 do
-    by_rank.(op) <- op
-  done;
+  let by_rank = Array.init n Fun.id in
   Array.stable_sort order by_rank;
   let rank_of = Array.make n 0 in
   Array.iteri (fun r op -> rank_of.(op) <- r) by_rank;

@@ -41,6 +41,12 @@ let words_per_row ii = (ii + word_mask) lsr word_shift
 (* The slot of a cell [off] slots after slot [s]; both are below [ii]. *)
 let wrap ii c = if c >= ii then c - ii else c
 
+(* [time mod ii] for [time >= 0].  Most schedule times lie in the first
+   two stages (seven in ten on the compile corpus), and there the slot
+   needs no integer division, which costs tens of cycles a probe. *)
+let slot_of ii time =
+  if time < ii then time else if time < 2 * ii then time - ii else time mod ii
+
 (* Number of bit planes carried by [occ]: plane p tracks count >= p+1.
    Two planes cover probes on resources of capacity <= 2 at any
    multiplicity, and capacity > 2 at multiplicity >= c - 1. *)
@@ -92,78 +98,60 @@ let bitprobes t = t.bitprobes
 
 (* --- compilation --------------------------------------------------------- *)
 
-(* The cells of a usage list sorted by (at, resource), counted and then
-   packed from triple [j] on: equal cells are next to each other. *)
-let rec count_cells n at r = function
-  | [] -> n
-  | (u : Reservation.usage) :: rest ->
-      count_cells (if u.at = at && u.resource = r then n else n + 1) u.at
-        u.resource rest
-
-let rec pack_cells packed j = function
-  | [] -> ()
-  | (u : Reservation.usage) :: rest ->
-      let j =
-        if j >= 0 && packed.(j) = u.at && packed.(j + 1) = u.resource then j
-        else begin
-          packed.(j + 3) <- u.at;
-          packed.(j + 4) <- u.resource;
-          j + 3
-        end
-      in
-      packed.(j + 2) <- packed.(j + 2) + 1;
-      pack_cells packed j rest
-
-(* The (at mod ii, resource) collapse, returning the packed triples in
-   (slot, resource) order.  Reservation.make sorts the usages by (at,
-   resource), so when no usage wraps (ii at least the table's length)
-   they pack as they come.  Otherwise each usage becomes the key
-   [slot * stride + resource] in a sorted int array, so usages of one
-   modulo cell sort next to each other and the key order is the (slot,
-   resource) order. *)
+(* The (at mod ii, resource) collapse over a sorted int array: each
+   usage becomes the key [slot * stride + resource], so usages of one
+   modulo cell sort next to each other and the key order is the
+   (slot, resource) order.  Returns the packed triples. *)
 let collapse ~ii (table : Reservation.t) =
-  if ii >= table.length then begin
-    let packed = Array.make (3 * count_cells 0 (-1) (-1) table.usages) 0 in
-    pack_cells packed (-3) table.usages;
-    packed
-  end
-  else begin
-    let stride =
-      1
-      + List.fold_left
-          (fun m (u : Reservation.usage) -> max m u.resource)
-          0 table.usages
-    in
-    let keys = Array.make (List.length table.usages) 0 in
-    List.iteri
-      (fun i (u : Reservation.usage) ->
-        keys.(i) <- ((u.at mod ii) * stride) + u.resource)
-      table.usages;
-    Array.sort Int.compare keys;
-    let n = Array.length keys in
-    let distinct = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
-    done;
-    let packed = Array.make (3 * !distinct) 0 in
-    let j = ref (-3) in
-    for i = 0 to n - 1 do
-      if i = 0 || keys.(i) <> keys.(i - 1) then begin
-        j := !j + 3;
-        packed.(!j) <- keys.(i) / stride;
-        packed.(!j + 1) <- keys.(i) mod stride
-      end;
-      packed.(!j + 2) <- packed.(!j + 2) + 1
-    done;
-    packed
-  end
+  let stride =
+    1
+    + List.fold_left
+        (fun m (u : Reservation.usage) -> max m u.resource)
+        0 table.usages
+  in
+  let keys = Array.make (List.length table.usages) 0 in
+  List.iteri
+    (fun i (u : Reservation.usage) ->
+      keys.(i) <- ((u.at mod ii) * stride) + u.resource)
+    table.usages;
+  let n = Array.length keys in
+  (* Reservation.make sorts the usages by (at, resource), so when no
+     usage wraps (ii at least the table's length) the keys arrive
+     sorted. *)
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if keys.(i) < keys.(i - 1) then sorted := false
+  done;
+  if not !sorted then Array.sort Int.compare keys;
+  let distinct = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || keys.(i) <> keys.(i - 1) then incr distinct
+  done;
+  let packed = Array.make (3 * !distinct) 0 in
+  let j = ref (-3) in
+  for i = 0 to n - 1 do
+    if i = 0 || keys.(i) <> keys.(i - 1) then begin
+      j := !j + 3;
+      packed.(!j) <- keys.(i) / stride;
+      packed.(!j + 1) <- keys.(i) mod stride
+    end;
+    packed.(!j + 2) <- packed.(!j + 2) + 1
+  done;
+  packed
 
 let compile ~ii ?caps (table : Reservation.t) =
   if ii < 1 then invalid_arg "Mrt.compile: ii must be >= 1";
   let packed = collapse ~ii table in
   match caps with
   | None ->
-      { c_ii = ii; packed; c_nres = 0; never_fits = false; probe = packed; fast_end = 0 }
+      {
+        c_ii = ii;
+        packed;
+        c_nres = 0;
+        never_fits = false;
+        probe = packed;
+        fast_end = 0;
+      }
   | Some caps ->
       let nres = Array.length caps in
       let wpr = words_per_row ii in
@@ -192,7 +180,14 @@ let compile ~ii ?caps (table : Reservation.t) =
         end
         else Array.blit packed (3 * i) probe (fast_end + (3 * (i - !j))) 3
       done;
-      { c_ii = ii; packed; c_nres = nres; never_fits = !never_fits; probe; fast_end }
+      {
+        c_ii = ii;
+        packed;
+        c_nres = nres;
+        never_fits = !never_fits;
+        probe;
+        fast_end;
+      }
 
 let pp_ctable ppf c =
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
@@ -233,14 +228,14 @@ let fits_c t c ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
   check_compiled t c;
   if c.c_nres <> 0 then t.bitprobes <- t.bitprobes + 1;
-  let p = c.probe and s = time mod t.ii in
+  let p = c.probe and s = slot_of t.ii time in
   (not c.never_fits)
   && fast_clear t.occ p c.fast_end t.ii s 0
   && fits_from p (Array.length p) t.counts t.caps t.nres t.ii s c.fast_end
 
 let conflicting_ops_c t ctabs ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
-  let ops = ref [] and s = time mod t.ii in
+  let ops = ref [] and s = slot_of t.ii time in
   Array.iter
     (fun c ->
       check_compiled t c;
@@ -272,7 +267,7 @@ let sync_bits t ~slot ~r =
 let reserve_c t ~op c ~time =
   if not (fits_c t c ~time) then
     invalid_arg "Mrt.reserve: reservation does not fit";
-  let p = c.packed and s = time mod t.ii in
+  let p = c.packed and s = slot_of t.ii time in
   let i = ref 0 in
   while !i < Array.length p do
     let slot = wrap t.ii (s + p.(!i)) in
@@ -298,7 +293,7 @@ let remove_once op occupants =
 let release_c t ~op c ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
   check_compiled t c;
-  let p = c.packed and s = time mod t.ii in
+  let p = c.packed and s = slot_of t.ii time in
   let i = ref 0 in
   while !i < Array.length p do
     let slot = wrap t.ii (s + p.(!i)) in

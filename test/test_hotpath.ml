@@ -292,12 +292,13 @@ let test_replay_major_ceilings () =
    place; the ceilings stop name-keyed lookups, per-edge options,
    closures, list-built tables and per-II plans from creeping back.
    syn:12 schedules at II 112, where a per-issue-slot table would show.
-   Measured this way, Loop_bin.decode takes 1,604 words on lfk03, 6,165
-   on lfk07 and 5,092 on syn:12; Mii.compute 382, 923 and 1,921;
-   Prep.compile at the scheduled II 307, 385 and 326; and
-   Ims.modulo_schedule (MII included) 1,227, 2,790 and 5,337.  Before
-   compiled tables lost their per-issue-slot probe plan and RecMII its
-   per-SCC whole-graph index, they took (minor words, then major words
+   Measured this way, Loop_bin.decode takes 1,439 words on lfk03, 5,400
+   on lfk07 and 4,467 on syn:12; Mii.compute 380, 921 and 1,919;
+   Prep.compile at the scheduled II 286, 411 and 390; and
+   Ims.modulo_schedule (MII included) 1,204, 2,814 and 5,399.  Before
+   compiled tables lost their per-issue-slot probe plan, RecMII its
+   per-SCC whole-graph index and decode its per-operation closures and
+   name lookups, they took (minor words, then major words
    where any) 1,593, 6,267 and 5,166; 571, 1,749 and 1,077 + 1,252;
    441, 714 and 3,268; and 1,550, 3,945 and 5,609 + 3,046.  Before the
    machine tables, on lfk03 and lfk07, decode took 1,745 and 6,969
@@ -340,9 +341,9 @@ let test_compile_allocation_ceilings () =
         (total_words (fun () -> Ims.modulo_schedule ddg))
         ims_ceiling)
     [
-      ("lfk03", 2_000, 500, 400, 1_550);
-      ("lfk07", 7_700, 1_200, 500, 3_500);
-      ("syn:12", 6_400, 2_400, 420, 6_700);
+      ("lfk03", 1_800, 500, 360, 1_500);
+      ("lfk07", 6_800, 1_200, 520, 3_500);
+      ("syn:12", 5_600, 2_400, 490, 6_750);
     ];
   let s = String.init 4096 (fun i -> Char.chr ((i * 7) land 255)) in
   check "4 KiB" "Frame.crc32" (words (fun () -> Ims_exec.Frame.crc32 s)) 3
