@@ -201,10 +201,11 @@ let rec same_bytes s pos name i =
   i = String.length name
   || String.get s (pos + i) = String.get name i && same_bytes s pos name (i + 1)
 
-(* The cell of [resolved] whose opcode is named by the [len] bytes of
-   [s] at [pos], or [] if none is.  A record names about six distinct
-   opcodes across some twenty operations, so a scan of the ones it has
-   named so far, in place, beats cutting the name out and hashing it. *)
+(* The cell of an opcode list whose opcode is named by the [len] bytes
+   of [s] at [pos], or [] if none is.  A record names about six distinct
+   opcodes across some twenty operations: scanning the ones it has
+   named so far resolves the others with no copy of the name and no
+   string hash. *)
 let rec find_named s pos len = function
   | [] -> []
   | (oc : Opcode.t) :: rest as cell ->
