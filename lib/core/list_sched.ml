@@ -24,9 +24,8 @@ let schedule ?(cancel = Ims_obs.Cancel.null) ddg =
   let mrt = Mrt.linear ddg.Ddg.machine ~horizon in
   (* Compiled once per (opcode, horizon) — [place] used to rebuild the
      alternatives array from the opcode repertoire on every call.
-     Deliberately capless: bitboard compilation is O(horizon) per
-     opcode, and the acyclic scheduler probes each operation a handful
-     of times — the count walk is cheaper than building the planes. *)
+     Capless: the acyclic scheduler probes each operation a handful of
+     times, and the count walk serves that without the bit planes. *)
   let ctabs =
     Prep.compile (Prep.alternatives ddg) ~ii:(max 1 horizon)
   in
