@@ -43,8 +43,7 @@ type opts = {
   bench_json : string option;
   profile_file : string option;
   baseline : string option;
-  tolerance : float option;  (* fractional: 0.1 = 10% *)
-  time_tolerance : float option;
+  time_tolerance : float option;  (* fractional: 3.0 = 300% *)
   status_file : string option;
   status_interval : float;
 }
@@ -52,8 +51,7 @@ type opts = {
 let opts =
   let quick = ref false and jobs = ref (Ims_exec.Exec.default_jobs ()) in
   let metrics = ref None and bench_json = ref None and profile = ref None in
-  let baseline = ref None and tolerance = ref None in
-  let time_tolerance = ref None in
+  let baseline = ref None and time_tolerance = ref None in
   let status_file = ref None and status_interval = ref 1.0 in
   let file r = Arg.String (fun v -> r := Some v) in
   let non_negative flag set =
@@ -77,9 +75,6 @@ let opts =
       ("--bench-json", file bench_json, "FILE  the run's snapshot");
       ("--profile", file profile, "FILE  the run profile");
       ("--baseline", file baseline, "BENCH.json  fail on a regression vs it");
-      ( "--tolerance",
-        non_negative "--tolerance" (fun f -> tolerance := Some f),
-        "F  counter tolerance for --baseline (0.1 = 10%)" );
       ( "--time-tolerance",
         non_negative "--time-tolerance" (fun f -> time_tolerance := Some f),
         "F  wall-clock tolerance for --baseline" );
@@ -99,7 +94,6 @@ let opts =
     bench_json = !bench_json;
     profile_file = !profile;
     baseline = !baseline;
-    tolerance = !tolerance;
     time_tolerance = !time_tolerance;
     status_file = !status_file;
     status_interval = !status_interval;
@@ -221,7 +215,7 @@ let measure_case ?trace ~budget_ratio (case : Suite.case) =
    trajectory point measured on?"). *)
 let measure_manifest_hash =
   lazy
-    (Ims_exec.Journal.manifest_hash
+    (Ims_exec.Content_hash.of_parts
        [
          "bench-measure";
          string_of_int suite_count;
@@ -358,8 +352,9 @@ let dump_bench_json file snapshot =
   Ims_obs.Log.info log "run summary written to %s" file
 
 (* --baseline BENCH.json: the perf-regression gate.  Counters and the
-   mean achieved II are deterministic, so they get the tight tolerance;
-   phase seconds are runner wall clock and get the loose one.  Any
+   mean achieved II are deterministic, so they get the fixed tight
+   tolerance (10%); phase seconds are runner wall clock and get the
+   loose --time-tolerance.  Any
    regression names its metric on stderr and fails the run. *)
 let check_baseline file snapshot =
   let open Ims_obs in
@@ -373,8 +368,8 @@ let check_baseline file snapshot =
   | Error msg -> failwith (Printf.sprintf "bench: cannot parse %s: %s" file msg)
   | Ok baseline -> (
       match
-        Baseline.compare_snapshots ?tolerance:opts.tolerance
-          ?time_tolerance:opts.time_tolerance ~baseline ~current:snapshot ()
+        Baseline.compare_snapshots ?time_tolerance:opts.time_tolerance
+          ~baseline ~current:snapshot ()
       with
       | [] -> Log.info log "baseline %s: no regressions" file
       | regressions ->
@@ -1418,43 +1413,14 @@ let main () =
     "Iterative modulo scheduling — evaluation harness (%d-loop suite%s)\n"
     suite_count
     (if quick then ", --quick" else "");
-  let t_start = Unix.gettimeofday () in
   let profile = Option.map (fun _ -> Ims_obs.Profile.create ()) opts.profile_file in
-  let status =
-    Option.map
-      (fun file ->
-        Ims_obs.Status.writer ~interval:opts.status_interval ~file
-          ~timer:Unix.gettimeofday ())
-      opts.status_file
-  in
-  let last_counts = ref (Ims_obs.Status.zero ~total:0) in
-  let progress =
-    Option.map
-      (fun w counts ->
-        last_counts := counts;
-        Ims_obs.Status.heartbeat w
-          {
-            Ims_obs.Status.phase = "measure (table 3)";
-            counts;
-            elapsed = Unix.gettimeofday () -. t_start;
-          })
-      status
-  in
-  let finish () =
-    Option.iter
-      (fun w ->
-        Ims_obs.Status.finish w
-          {
-            Ims_obs.Status.phase = "done";
-            counts = !last_counts;
-            elapsed = Unix.gettimeofday () -. t_start;
-          })
-      status
-  in
   (* The final status ("running":false) is published on every exit
      path, so a watcher never sees a dead run as still running. *)
   let snapshot =
-    Fun.protect ~finally:finish @@ fun () ->
+    Ims_obs.Status.with_run ?file:opts.status_file
+      ~interval:opts.status_interval ~timer:Unix.gettimeofday
+      ~phase:"measure (table 3)" ~final_phase:"done" ~total:0
+    @@ fun progress ->
     figure1 ();
     table1 ();
     table2 ();

@@ -1,14 +1,29 @@
 (* imsc — the iterative-modulo-scheduling research driver.
 
-   Subcommands:
+   Subcommands, one loop at a time:
      machine    dump a machine model (and the figure 1 reservation grids)
      list       list the built-in loops
      show       print a loop's operations and dependence graph
+     export     emit a loop in the textual format
+     report     everything about one loop: bounds, schedule, registers
+     dot        emit the dependence graph for Graphviz
      mii        ResMII / RecMII / MII with the per-resource profile
      schedule   modulo schedule a loop and print the kernel
      codegen    emit rotating-register or MVE code
      simulate   run the pipelined loop on the cycle-accurate checker
+     check      the checker stack on one loop; seeded mutation testing
+   over many loops:
      suite      summary statistics over the 1327-loop suite
+     batch      schedule loop dumps or a binary corpus in parallel
+     corpus     generate and validate binary loop corpora
+     fleet      a sharded batch as supervised worker processes
+     serve      the scheduling daemon on a Unix-domain socket
+     request    schedule loop dumps through a running daemon
+     cache      inspect and compact the daemon's schedule cache
+     perf       render run profiles and the bench trajectory
+
+   The job front ends (batch, fleet, serve, request, corpus gen) share
+   one declaration of each common option ("job options" below).
 
    Loops are named: a Livermore kernel ("lfk07"), a synthetic seed
    ("syn:1234"), or a file in the textual loop format ("path/to/loop"). *)
@@ -689,6 +704,40 @@ let parse_inject tag flag = function
           | None ->
               failwith (Printf.sprintf "%s: --%s: bad value %S" tag flag v)))
 
+(* --- job options ----------------------------------------------------------- *)
+
+(* The options the job front ends (batch, fleet, serve, request, corpus
+   gen) share, each declared once. *)
+
+let jobs_arg default =
+  let doc = "Worker domains per process." in
+  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let timeout_arg =
+  let doc =
+    "Soft per-loop wall-clock limit in seconds: an overrunning loop \
+     still completes (domains cannot be preempted) but is reported as \
+     timed_out instead of ok."
+  in
+  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"S" ~doc)
+
+let deadline_arg =
+  let doc =
+    "Preemptive per-loop (per-request) deadline in seconds: the \
+     scheduler polls a cancellation token and aborts the loop \
+     mid-search as cancelled.  A daemon applies its own to requests \
+     that carry none."
+  in
+  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
+
+let retries_arg =
+  let doc =
+    "Attempts per loop (default 1 = no retry).  Transient failures \
+     back off exponentially; cancelled/timed-out attempts escalate \
+     the deadline."
+  in
+  Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
+
 let journal_sync_arg =
   let doc =
     "Fsync each journal every $(docv) appends instead of every append \
@@ -696,6 +745,120 @@ let journal_sync_arg =
      only trades power-loss durability for throughput on huge runs."
   in
   Arg.(value & opt int 1 & info [ "journal-sync" ] ~docv:"N" ~doc)
+
+let report_arg =
+  let doc = "Write the per-loop JSONL report to $(docv) (default stdout)." in
+  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
+
+let status_file_arg =
+  let doc =
+    "Heartbeat: atomically rewrite $(docv) with a JSON status snapshot \
+     (jobs done/failed/retried, throughput, ETA; a fleet adds each \
+     shard's pid, state and restarts) every --status-interval seconds; \
+     the final write carries \"running\":false.  A reader never sees \
+     a torn file."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "status-file" ] ~docv:"FILE" ~doc)
+
+let status_interval_arg =
+  let doc = "Seconds between status heartbeats." in
+  Arg.(value & opt float 1.0 & info [ "status-interval" ] ~docv:"S" ~doc)
+
+let max_failures_arg =
+  let doc =
+    "Fail fast: after more than $(docv) casualties (across the whole \
+     fleet, for a fleet), cancel every outstanding loop and exit."
+  in
+  Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
+
+let max_restarts_arg =
+  let doc =
+    "Circuit breaker: give up after $(docv) consecutive crashes of one \
+     worker process (a daemon that stays up resets the streak)."
+  in
+  Arg.(value & opt int 10 & info [ "max-restarts" ] ~docv:"N" ~doc)
+
+let shard_arg =
+  let doc =
+    "Only the residue class I/N of the global indices (1-based I: \
+     shard 2/4 takes indices 1, 5, 9, ...).  A generated shard is \
+     byte-identical to that class of the full corpus; a batch journal \
+     pins its shard, so a resume refuses another shard's journal."
+  in
+  Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N" ~doc)
+
+let socket_arg =
+  let doc =
+    "The daemon's Unix-domain socket path (keep it short — sun_path is \
+     ~100 bytes)."
+  in
+  Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+
+(* What a fleet forwards to each worker batch: the flags that shape a
+   result and the worker's pace.  One term parses them for batch and
+   fleet, whose --jobs defaults differ. *)
+type job_opts = {
+  model : string;
+  jobs : int;
+  budget : float;
+  max_delta_ii : int;
+  timeout : float option;
+  deadline : float option;
+  retries : int;
+  journal_sync : int;
+  status_interval : float;
+}
+
+let job_opts_term ~jobs =
+  let make model jobs budget max_delta_ii timeout deadline retries
+      journal_sync status_interval =
+    {
+      model;
+      jobs;
+      budget;
+      max_delta_ii;
+      timeout;
+      deadline;
+      retries;
+      journal_sync;
+      status_interval;
+    }
+  in
+  Term.(
+    const make $ machine_arg $ jobs_arg jobs $ budget_arg $ max_delta_ii_arg
+    $ timeout_arg $ deadline_arg $ retries_arg $ journal_sync_arg
+    $ status_interval_arg)
+
+(* [o] as a worker batch's flags; an unset limit is left out. *)
+let job_argv o =
+  let limit flag = function None -> [] | Some v -> [ flag; string_of_float v ] in
+  [
+    "--machine"; o.model;
+    "--jobs"; string_of_int o.jobs;
+    "--budget-ratio"; string_of_float o.budget;
+    "--max-delta-ii"; string_of_int o.max_delta_ii;
+    "--retries"; string_of_int o.retries;
+    "--journal-sync"; string_of_int o.journal_sync;
+    "--status-interval"; string_of_float o.status_interval;
+  ]
+  @ limit "--timeout" o.timeout
+  @ limit "--deadline" o.deadline
+
+(* The journal manifest's "flags" ingredient: every flag a journaled
+   line depends on, rendered as journals have always rendered them, so
+   existing journals still resume. *)
+let flags_hash o ~escalate =
+  let limit = function None -> "-" | Some v -> string_of_float v in
+  Ims_exec.Content_hash.of_parts
+    [
+      string_of_float o.budget;
+      string_of_int o.max_delta_ii;
+      limit o.timeout;
+      limit o.deadline;
+      string_of_int o.retries;
+      string_of_float escalate;
+    ]
 
 let inject_spin_arg =
   let doc =
@@ -722,49 +885,6 @@ let cmd_batch =
     in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"FILE" ~doc)
   in
-  let shard_arg =
-    let doc =
-      "Schedule only the residue class I/N of the global input indices \
-       (1-based I: shard 2/4 takes indices 1, 5, 9, ...).  The shard \
-       spec is part of the journal manifest, so a resume refuses a \
-       journal written for a different shard."
-    in
-    Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains (default: the runtime's recommended domain count)."
-    in
-    Arg.(
-      value
-      & opt int (Ims_exec.Exec.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let timeout_arg =
-    let doc =
-      "Soft per-loop wall-clock limit in seconds: an overrunning loop \
-       still completes (domains cannot be preempted) but is reported as \
-       timed_out instead of ok."
-    in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"S" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Preemptive per-loop wall-clock limit in seconds: the scheduler \
-       polls a cancellation token and aborts the loop mid-search as \
-       cancelled.  Bounds wall clock (to polling granularity), unlike \
-       the soft --timeout."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let retries_arg =
-    let doc =
-      "Attempts per loop (default 1 = no retry).  Transient failures \
-       back off exponentially; cancelled/timed-out attempts escalate \
-       the deadline by --escalate."
-    in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-  in
   let backoff_arg =
     let doc = "Initial retry backoff in seconds (doubles per attempt)." in
     Arg.(value & opt float 0.05 & info [ "backoff" ] ~docv:"S" ~doc)
@@ -772,10 +892,6 @@ let cmd_batch =
   let escalate_arg =
     let doc = "Deadline multiplier per cancelled/timed-out attempt." in
     Arg.(value & opt float 2.0 & info [ "escalate" ] ~docv:"F" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the per-loop JSONL report to $(docv) (default stdout)." in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   let journal_arg =
     let doc =
@@ -803,13 +919,6 @@ let cmd_batch =
     Arg.(
       value & opt (some string) None & info [ "quarantine" ] ~docv:"FILE" ~doc)
   in
-  let max_failures_arg =
-    let doc =
-      "Fail fast: after more than $(docv) casualties, cancel every \
-       outstanding loop through the run-level token and exit."
-    in
-    Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
-  in
   let inject_flaky_arg =
     let doc =
       "Test hook: make the loop named NAME fail with a transient error \
@@ -820,24 +929,10 @@ let cmd_batch =
       & opt (some string) None
       & info [ "inject-flaky" ] ~docv:"NAME:K" ~doc)
   in
-  let status_file_arg =
-    let doc =
-      "Heartbeat: atomically rewrite $(docv) with a JSON run-status \
-       snapshot (jobs done/failed/retried, throughput, ETA) every \
-       --status-interval seconds; the final write carries \
-       \"running\":false.  A reader never sees a torn file."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "status-file" ] ~docv:"FILE" ~doc)
-  in
-  let status_interval_arg =
-    let doc = "Seconds between status heartbeats." in
-    Arg.(value & opt float 1.0 & info [ "status-interval" ] ~docv:"S" ~doc)
-  in
-  let run model paths corpus shard_spec jobs budget max_delta_ii timeout
-      deadline retries backoff escalate report journal journal_sync resume
-      quarantine max_failures inject_spin inject_flaky profile_file
-      status_file status_interval =
+  let run ({ model; jobs; budget; max_delta_ii; timeout; deadline; retries;
+             journal_sync; status_interval } as o) paths corpus shard_spec
+      backoff escalate report journal resume quarantine max_failures
+      inject_spin inject_flaky profile_file status_file =
     wrap_code (fun () ->
         let machine = machine_of model in
         let inject_spin = parse_inject "batch" "inject-spin" inject_spin in
@@ -912,7 +1007,7 @@ let cmd_batch =
                      (Seq.init total Fun.id))
               in
               ( total,
-                Ims_exec.Journal.manifest_hash
+                Ims_exec.Content_hash.of_parts
                   (List.concat_map
                      (fun (name, path) -> [ name; read_file_bytes path ])
                      (Array.to_list files)),
@@ -927,22 +1022,9 @@ let cmd_batch =
         let manifest_parts =
           [
             ( "machine",
-              Ims_exec.Journal.manifest_hash
+              Ims_exec.Content_hash.of_parts
                 [ Format.asprintf "%a" Machine.pp machine ] );
-            ( "flags",
-              Ims_exec.Journal.manifest_hash
-                [
-                  string_of_float budget;
-                  string_of_int max_delta_ii;
-                  (match timeout with
-                  | None -> "-"
-                  | Some t -> string_of_float t);
-                  (match deadline with
-                  | None -> "-"
-                  | Some d -> string_of_float d);
-                  string_of_int retries;
-                  string_of_float escalate;
-                ] );
+            ("flags", flags_hash o ~escalate);
             ("corpus", corpus_hash);
             ("shard", Printf.sprintf "%d/%d" (first + 1) stride);
           ]
@@ -1080,58 +1162,6 @@ let cmd_batch =
           end
         in
         let profile = Option.map (fun _ -> Profile.create ()) profile_file in
-        let t_start = Unix.gettimeofday () in
-        (* Live status: the heartbeat file on request, the TTY progress
-           line whenever stderr is a terminal.  Both read the same
-           snapshots; the file is published by atomic rename so a
-           monitor never parses a torn write. *)
-        let tty = Unix.isatty Unix.stderr in
-        let status_writer =
-          if status_file <> None || tty then
-            Some
-              (Status.writer ~interval:status_interval ?file:status_file
-                 ?tty:(if tty then Some stderr else None)
-                 ~timer:Unix.gettimeofday ())
-          else None
-        in
-        (* The final "running":false snapshot must land on every exit
-           path — normal completion, --max-failures fail-fast, deadline
-           cancellation, or an exception escaping mid-run (say, a
-           journal write error) — so a monitor can always tell
-           "finished" from "died between heartbeats".  Idempotent: the
-           success path publishes the full stats and the protective
-           finally becomes a no-op. *)
-        let last_counts = ref (Status.zero ~total:pending) in
-        let finished = ref false in
-        let finish_status counts =
-          Option.iter
-            (fun w ->
-              if not !finished then begin
-                finished := true;
-                Status.finish w
-                  {
-                    Status.phase = "batch";
-                    counts;
-                    elapsed = Unix.gettimeofday () -. t_start;
-                  }
-              end)
-            status_writer
-        in
-        let progress =
-          Option.map
-            (fun w counts ->
-              let counts = { counts with Status.total = pending } in
-              last_counts := counts;
-              Status.heartbeat w
-                {
-                  Status.phase = "batch";
-                  counts;
-                  elapsed = Unix.gettimeofday () -. t_start;
-                })
-            status_writer
-        in
-        Fun.protect ~finally:(fun () -> finish_status !last_counts)
-        @@ fun () ->
         (* The report is written in index order as lines leave the
            engine, the replayed ones merged in by index.  A fresh line's
            verdict comes from its outcome; a replayed line is parsed for
@@ -1142,7 +1172,23 @@ let cmd_batch =
         let replay =
           ref (List.sort compare (Hashtbl.fold (fun g _ gs -> g :: gs) resumed []))
         in
+        (* Live status: the heartbeat file on request, the TTY progress
+           line whenever stderr is a terminal.  The final snapshot
+           lands however the run ends: completion, --max-failures
+           fail-fast, or an exception escaping mid-run (say, a journal
+           write error).  The last heartbeat counts every job, as the
+           run's stats do. *)
         let stats =
+          Status.with_run ?file:status_file
+            ?tty:(if Unix.isatty Unix.stderr then Some stderr else None)
+            ~interval:status_interval ~timer:Unix.gettimeofday ~phase:"batch"
+            ~total:pending
+          @@ fun beat ->
+          let progress =
+            Option.map
+              (fun beat counts -> beat { counts with Status.total = pending })
+              beat
+          in
           Ims_exec.Report.with_output report @@ fun oc ->
           let emit g line verdict status =
             output_string oc line;
@@ -1195,15 +1241,6 @@ let cmd_batch =
           replay_below max_int;
           stats
         in
-        finish_status
-          {
-            Status.total = stats.Ims_exec.Exec.jobs;
-            ok = stats.Ims_exec.Exec.ok;
-            failed = stats.Ims_exec.Exec.failed;
-            timed_out = stats.Ims_exec.Exec.timed_out;
-            cancelled = stats.Ims_exec.Exec.cancelled;
-            retried = stats.Ims_exec.Exec.retried;
-          };
         (match (profile_file, profile) with
         | Some file, Some p ->
             write_file file (Json.to_string (Profile.to_json p) ^ "\n")
@@ -1261,12 +1298,12 @@ let cmd_batch =
          "Schedule every loop in the given dumps in parallel and emit a \
           per-loop JSONL report")
     Term.(
-      const run $ machine_arg $ paths_arg $ corpus_arg $ shard_arg $ jobs_arg
-      $ budget_arg $ max_delta_ii_arg $ timeout_arg $ deadline_arg
-      $ retries_arg $ backoff_arg $ escalate_arg $ report_arg $ journal_arg
-      $ journal_sync_arg $ resume_arg $ quarantine_arg $ max_failures_arg
-      $ inject_spin_arg $ inject_flaky_arg $ profile_file_arg
-      $ status_file_arg $ status_interval_arg)
+      const run
+      $ job_opts_term ~jobs:(Ims_exec.Exec.default_jobs ())
+      $ paths_arg $ corpus_arg $ shard_arg $ backoff_arg $ escalate_arg
+      $ report_arg $ journal_arg $ resume_arg $ quarantine_arg
+      $ max_failures_arg $ inject_spin_arg $ inject_flaky_arg
+      $ profile_file_arg $ status_file_arg)
 
 (* --- corpus --------------------------------------------------------------------- *)
 
@@ -1289,14 +1326,6 @@ let cmd_corpus =
        (seed, $(i,i)), so any prefix or shard regenerates byte-identically."
     in
     Arg.(value & opt int 1994 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let shard_arg =
-    let doc =
-      "Generate only the residue class I/N of the corpus (1-based I).  \
-       The written records are byte-identical to the same residue class \
-       of the full corpus."
-    in
-    Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N" ~doc)
   in
   let cmd_gen =
     let run model out count seed shard_spec =
@@ -1404,40 +1433,6 @@ let cmd_fleet =
     Arg.(
       required & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
   in
-  let jobs_arg =
-    let doc = "Worker domains per shard process (default 1)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let timeout_arg =
-    let doc = "Soft per-loop wall-clock limit in seconds (per worker)." in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"S" ~doc)
-  in
-  let deadline_arg =
-    let doc = "Preemptive per-loop deadline in seconds (per worker)." in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let retries_arg =
-    let doc = "Attempts per loop inside each worker (default 1)." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let max_failures_arg =
-    let doc =
-      "Run-level fail-fast: terminate every worker once more than \
-       $(docv) casualties have accumulated across the whole fleet."
-    in
-    Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
-  in
-  let max_restarts_arg =
-    let doc =
-      "Per-shard circuit breaker: give up after $(docv) consecutive \
-       crashes of one worker."
-    in
-    Arg.(value & opt int 10 & info [ "max-restarts" ] ~docv:"N" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the merged JSONL report to $(docv) (default stdout)." in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
-  in
   let resume_arg =
     let doc =
       "Resume a previous fleet run from the journals in --dir: shards \
@@ -1446,27 +1441,12 @@ let cmd_fleet =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let status_file_arg =
-    let doc =
-      "Atomically rewrite $(docv) with the merged fleet status (summed \
-       shard counters plus per-shard pid/state/restarts) every \
-       --status-interval seconds; the final write carries \
-       \"running\":false."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "status-file" ] ~docv:"FILE" ~doc)
-  in
-  let status_interval_arg =
-    let doc = "Seconds between merged status heartbeats; must be positive." in
-    Arg.(value & opt float 1.0 & info [ "status-interval" ] ~docv:"S" ~doc)
-  in
-  let run model corpus workers dir jobs budget max_delta_ii timeout deadline
-      retries journal_sync max_failures max_restarts report resume
-      status_file status_interval =
+  let run o corpus workers dir max_failures max_restarts report resume
+      status_file =
     wrap_code (fun () ->
-        ignore (machine_of model);
+        ignore (machine_of o.model);
         if workers < 1 then failwith "fleet: --workers must be at least 1";
-        if not (status_interval > 0.0) then
+        if not (o.status_interval > 0.0) then
           failwith "fleet: --status-interval must be positive";
         if not (Sys.file_exists corpus) then
           failwith (Printf.sprintf "fleet: no such corpus: %s" corpus);
@@ -1483,39 +1463,10 @@ let cmd_fleet =
               and status_file = file "status.json"
               and log_file = file "log" in
               let common =
-                [
-                  Sys.executable_name;
-                  "batch";
-                  "--machine";
-                  model;
-                  "--corpus";
-                  corpus;
-                  "--shard";
-                  Printf.sprintf "%d/%d" i workers;
-                  "--jobs";
-                  string_of_int jobs;
-                  "--budget-ratio";
-                  string_of_float budget;
-                  "--max-delta-ii";
-                  string_of_int max_delta_ii;
-                  "--retries";
-                  string_of_int retries;
-                  "--journal-sync";
-                  string_of_int journal_sync;
-                  "--report";
-                  report;
-                  "--status-file";
-                  status_file;
-                  "--status-interval";
-                  string_of_float status_interval;
-                ]
-                @ (match timeout with
-                  | None -> []
-                  | Some t -> [ "--timeout"; string_of_float t ])
-                @
-                match deadline with
-                | None -> []
-                | Some d -> [ "--deadline"; string_of_float d ]
+                [ Sys.executable_name; "batch"; "--corpus"; corpus ]
+                @ [ "--shard"; Printf.sprintf "%d/%d" i workers ]
+                @ [ "--report"; report; "--status-file"; status_file ]
+                @ job_argv o
               in
               {
                 Ims_fleet.Fleet.shard = i;
@@ -1539,13 +1490,14 @@ let cmd_fleet =
                 [ s.journal; s.report; s.status_file; s.log_file ])
             specs;
         Log.info fleet_log
-          "%d worker(s) x %d domain(s) over %s (run dir %s)" workers jobs
+          "%d worker(s) x %d domain(s) over %s (run dir %s)" workers o.jobs
           corpus dir;
         let outcome =
           Ims_fleet.Fleet.run ?max_failures
             ~backoff:(fun () ->
               Ims_fleet.Supervisor.Backoff.create ~max_restarts ())
-            ~resume ~log:fleet_log ~status_file ~status_interval
+            ~resume ~log:fleet_log ~status_file
+            ~status_interval:o.status_interval
             ~tty:(if Unix.isatty Unix.stderr then Some stderr else None)
             ~prog:Sys.executable_name ~specs ()
         in
@@ -1600,10 +1552,9 @@ let cmd_fleet =
           crashed workers from their journals and merge the shard \
           reports byte-identically to a single-process run")
     Term.(
-      const run $ machine_arg $ corpus_arg $ workers_arg $ dir_arg $ jobs_arg
-      $ budget_arg $ max_delta_ii_arg $ timeout_arg $ deadline_arg
-      $ retries_arg $ journal_sync_arg $ max_failures_arg $ max_restarts_arg
-      $ report_arg $ resume_arg $ status_file_arg $ status_interval_arg)
+      const run $ job_opts_term ~jobs:1 $ corpus_arg $ workers_arg $ dir_arg
+      $ max_failures_arg $ max_restarts_arg $ report_arg $ resume_arg
+      $ status_file_arg)
 
 (* --- serve / request -------------------------------------------------------- *)
 
@@ -1614,21 +1565,6 @@ let request_log =
   Log.create ~human:stderr ~tag:"imsc request" ()
 
 let cmd_serve =
-  let socket_arg =
-    let doc =
-      "Unix-domain socket path to listen on (keep it short — sun_path is \
-       ~100 bytes)."
-    in
-    Arg.(
-      required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  in
-  let jobs_arg =
-    let doc = "Scheduling worker domains." in
-    Arg.(
-      value
-      & opt int (Ims_exec.Exec.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let queue_arg =
     let doc =
       "Admission high-water mark: a schedule request arriving with this \
@@ -1693,13 +1629,6 @@ let cmd_serve =
     in
     Arg.(value & flag & info [ "supervise" ] ~doc)
   in
-  let max_restarts_arg =
-    let doc =
-      "Circuit breaker: give up after this many consecutive fast \
-       crashes (a daemon that stays up resets the streak)."
-    in
-    Arg.(value & opt int 10 & info [ "max-restarts" ] ~docv:"N" ~doc)
-  in
   let backoff_arg =
     let doc =
       "First restart delay in seconds (doubles per consecutive crash)."
@@ -1726,26 +1655,6 @@ let cmd_serve =
        exercising the client's reconnect-and-replay path."
     in
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Default preemptive per-request deadline in seconds, used when a \
-       request does not carry its own."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let status_file_arg =
-    let doc =
-      "Heartbeat: atomically rewrite $(docv) with a JSON status snapshot \
-       (requests served, queue state) every --status-interval seconds; \
-       the shutdown write carries \"running\":false."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "status-file" ] ~docv:"FILE" ~doc)
-  in
-  let status_interval_arg =
-    let doc = "Seconds between status heartbeats." in
-    Arg.(value & opt float 1.0 & info [ "status-interval" ] ~docv:"S" ~doc)
   in
   let metrics_arg =
     let doc =
@@ -1844,7 +1753,9 @@ let cmd_serve =
           Unix-domain socket, answered through a content-addressed, \
           disk-persistent schedule cache")
     Term.(
-      const run $ socket_arg $ jobs_arg $ queue_arg $ cache_file_arg
+      const run $ socket_arg
+      $ jobs_arg (Ims_exec.Exec.default_jobs ())
+      $ queue_arg $ cache_file_arg
       $ cache_entries_arg $ cache_policy_arg $ cache_max_bytes_arg
       $ conn_timeout_arg $ max_conns_arg $ supervise_arg $ max_restarts_arg
       $ backoff_arg $ backoff_cap_arg $ pidfile_arg $ chaos_arg
@@ -1858,19 +1769,6 @@ let cmd_request =
        --shutdown)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
-  in
-  let socket_arg =
-    let doc = "The daemon's Unix-domain socket." in
-    Arg.(
-      required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  in
-  let deadline_arg =
-    let doc = "Preemptive per-request deadline in seconds." in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the per-loop JSONL report to $(docv) (default stdout)." in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   let stats_arg =
     let doc =

@@ -36,8 +36,10 @@ let ii_stats j =
       if loops > 0.0 then Some (loops, weighted /. loops) else None
   | _ -> None
 
-let compare_snapshots ?(tolerance = 0.10) ?(time_tolerance = 3.0) ~baseline
-    ~current () =
+(* The deterministic families' tolerance: 10%. *)
+let tolerance = 0.10
+
+let compare_snapshots ?(time_tolerance = 3.0) ~baseline ~current () =
   let regressions = ref [] in
   let flag metric ~base ~cur ~limit =
     if cur > limit then

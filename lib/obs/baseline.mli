@@ -7,8 +7,8 @@
 
     - {e counters} (total table 4 step counts) and the
       {e II histogram}'s frequency-weighted mean are deterministic for
-      a given suite, so they are gated by the tight [tolerance]
-      (default 10%);
+      a given suite, so they are gated by a tight fixed tolerance of
+      10%;
     - {e phase seconds} are wall clock on whatever machine ran the
       bench, so they are gated by the loose [time_tolerance] (default
       300%) — set it from CI to whatever the runner noise demands;
@@ -35,11 +35,10 @@ val describe : regression -> string
 (** One line: ["counters.mindist: 123456 vs baseline 98651 (limit 108516, +25.1%)"]. *)
 
 val compare_snapshots :
-  ?tolerance:float ->
   ?time_tolerance:float ->
   baseline:Json.t ->
   current:Json.t ->
   unit ->
   regression list
-(** Empty means the gate passes.  Tolerances are fractions (0.10 =
-    10%). *)
+(** Empty means the gate passes.  [time_tolerance] is a fraction
+    (3.0 = 300%). *)

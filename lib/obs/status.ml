@@ -150,3 +150,22 @@ let finish ?(extra = []) w s =
       flush oc;
       w.tty_dirty <- false
   | _ -> ()
+
+let with_run ?interval ?file ?tty ~timer ~phase ?(final_phase = phase) ?final
+    ~total f =
+  if file = None && tty = None then f None
+  else begin
+    let w = writer ?interval ?file ?tty ~timer () in
+    let t0 = timer () in
+    let last = ref (zero ~total) in
+    let snapshot phase counts = { phase; counts; elapsed = timer () -. t0 } in
+    let beat counts =
+      last := counts;
+      heartbeat w (snapshot phase counts)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        let counts = match final with Some g -> g () | None -> !last in
+        finish w (snapshot final_phase counts))
+      (fun () -> f (Some beat))
+  end

@@ -69,3 +69,25 @@ val heartbeat : ?extra:(string * Json.t) list -> writer -> snapshot -> unit
 val finish : ?extra:(string * Json.t) list -> writer -> snapshot -> unit
 (** Publish unconditionally with ["running":false]; settles the TTY
     line with a newline. *)
+
+val with_run :
+  ?interval:float ->
+  ?file:string ->
+  ?tty:out_channel ->
+  timer:(unit -> float) ->
+  phase:string ->
+  ?final_phase:string ->
+  ?final:(unit -> counts) ->
+  total:int ->
+  ((counts -> unit) option -> 'a) ->
+  'a
+(** The status policy of a run: heartbeats as work completes, then one
+    final ["running":false] snapshot on every exit path, so a monitor
+    can always tell "finished" from "died between heartbeats".
+    [with_run ~phase ~total f] calls [f beat]; [beat counts] publishes
+    a {!heartbeat} (rate-limited by [interval]).  [beat] is [None] when
+    there is neither [file] nor [tty], and then nothing is published.
+    Whether [f] returns or raises, a {!finish} follows, phased
+    [final_phase] (default [phase]) and counting [final ()] (default:
+    the last counts beaten, or [zero ~total] before the first).
+    Elapsed time runs from the call. *)

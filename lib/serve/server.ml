@@ -199,12 +199,7 @@ let run config ~machine_of ~log =
           Metrics.set_int g_capacity (Ims_exec.Intake.capacity intake);
           Metrics.set_int g_restarts config.restarts;
           let tally_m = Mutex.create () in
-          let with_tally f =
-            Mutex.lock tally_m;
-            let r = f () in
-            Mutex.unlock tally_m;
-            r
-          in
+          let with_tally f = Mutex.protect tally_m f in
           let t_total = ref 0
           and t_ok = ref 0
           and t_failed = ref 0
@@ -221,13 +216,6 @@ let run config ~machine_of ~log =
                   cancelled = !t_cancelled;
                   retried = !t_retried;
                 })
-          in
-          let snapshot () =
-            {
-              Status.phase = "serve";
-              counts = counts ();
-              elapsed = U.gettimeofday () -. t0;
-            }
           in
           let synced = ref (0, 0, 0, 0) in
           let sync_cache () =
@@ -467,14 +455,6 @@ let run config ~machine_of ~log =
                 close_conn conn
             | exception U.Unix_error (U.EINTR, _, _) -> ()
           in
-          let status_writer =
-            match config.status_file with
-            | None -> None
-            | Some file ->
-                Some
-                  (Status.writer ~interval:config.status_interval ~file
-                     ~timer:U.gettimeofday ())
-          in
           Log.info log "serving on %s: %d worker(s), queue %d, cache %d %s%s%s%s"
             config.socket
             (Ims_exec.Exec.streaming_jobs workers)
@@ -493,68 +473,79 @@ let run config ~machine_of ~log =
             Log.warn log "generation %d: restarted by the supervisor"
               config.restarts;
 
-          while not (Atomic.get stop) do
-            let watch =
-              lfd
-              :: List.filter_map
-                   (fun c -> if c.open_ then Some c.fd else None)
-                   !conns
-            in
-            (match U.select watch [] [] 0.2 with
-            | exception U.Unix_error (U.EINTR, _, _) -> ()
-            | ready, _, _ ->
-                List.iter
-                  (fun fd ->
-                    if fd == lfd then accept ()
-                    else
-                      match
-                        List.find_opt (fun c -> c.fd == fd && c.open_) !conns
-                      with
-                      | Some conn -> pump conn
-                      | None -> ())
-                  ready);
-            (match config.conn_timeout with
-            | Some limit ->
-                let now = U.gettimeofday () in
-                List.iter
-                  (fun c ->
-                    if c.open_ then
-                      match c.partial_since with
-                      | Some t when now -. t > limit ->
-                          Log.warn log
-                            "closing slow connection (frame incomplete for \
-                             %.1fs)"
-                            (now -. t);
-                          close_conn c
-                      | _ -> ())
-                  !conns
-            | None -> ());
-            conns := List.filter (fun c -> c.open_) !conns;
+          (* The final "running":false snapshot lands however the loop
+             ends: a shutdown request, a signal, or an exception (say,
+             accept failing with EMFILE).  The connections close first,
+             so a daemon out of descriptors still has one to write it
+             with. *)
+          let () =
+            Status.with_run ?file:config.status_file
+              ~interval:config.status_interval ~timer:U.gettimeofday
+              ~phase:"serve" ~final:counts ~total:0
+            @@ fun beat ->
+            Fun.protect ~finally:(fun () -> List.iter close_conn !conns)
+            @@ fun () ->
+            while not (Atomic.get stop) do
+              let watch =
+                lfd
+                :: List.filter_map
+                     (fun c -> if c.open_ then Some c.fd else None)
+                     !conns
+              in
+              (match U.select watch [] [] 0.2 with
+              | exception U.Unix_error (U.EINTR, _, _) -> ()
+              | ready, _, _ ->
+                  List.iter
+                    (fun fd ->
+                      if fd == lfd then accept ()
+                      else
+                        match
+                          List.find_opt (fun c -> c.fd == fd && c.open_) !conns
+                        with
+                        | Some conn -> pump conn
+                        | None -> ())
+                    ready);
+              (match config.conn_timeout with
+              | Some limit ->
+                  let now = U.gettimeofday () in
+                  List.iter
+                    (fun c ->
+                      if c.open_ then
+                        match c.partial_since with
+                        | Some t when now -. t > limit ->
+                            Log.warn log
+                              "closing slow connection (frame incomplete for \
+                               %.1fs)"
+                              (now -. t);
+                            close_conn c
+                        | _ -> ())
+                    !conns
+              | None -> ());
+              conns := List.filter (fun c -> c.open_) !conns;
+              sync_cache ();
+              Metrics.set_int g_depth (Ims_exec.Intake.depth intake);
+              Metrics.set_int g_conns (List.length !conns);
+              Metrics.set_int g_uptime (int_of_float (U.gettimeofday () -. t0));
+              Option.iter (fun beat -> beat (counts ())) beat
+            done;
+
+            (* Shutdown: stop accepting, drain the queue through the
+               workers (responses still go out), then persist and
+               settle. *)
+            (try U.close lfd with U.Unix_error _ -> ());
+            let queued = Ims_exec.Intake.depth intake in
+            if queued > 0 then Log.info log "draining %d queued job(s)" queued;
+            Ims_exec.Intake.close intake;
+            Ims_exec.Exec.await workers;
             sync_cache ();
             Metrics.set_int g_depth (Ims_exec.Intake.depth intake);
-            Metrics.set_int g_conns (List.length !conns);
-            Metrics.set_int g_uptime (int_of_float (U.gettimeofday () -. t0));
-            Option.iter (fun w -> Status.heartbeat w (snapshot ())) status_writer
-          done;
-
-          (* Shutdown: stop accepting, drain the queue through the
-             workers (responses still go out), then persist and
-             settle. *)
-          (try U.close lfd with U.Unix_error _ -> ());
-          let queued = Ims_exec.Intake.depth intake in
-          if queued > 0 then Log.info log "draining %d queued job(s)" queued;
-          Ims_exec.Intake.close intake;
-          Ims_exec.Exec.await workers;
-          sync_cache ();
-          Metrics.set_int g_depth (Ims_exec.Intake.depth intake);
-          Metrics.set_int g_conns 0;
-          (match config.metrics_file with
-          | Some path ->
-              let json = with_tally (fun () -> Metrics.to_json metrics) in
-              Status.write_atomic ~path (Json.to_string json)
-          | None -> ());
-          Option.iter (fun w -> Status.finish w (snapshot ())) status_writer;
-          List.iter close_conn !conns;
+            Metrics.set_int g_conns 0;
+            (match config.metrics_file with
+            | Some path ->
+                let json = with_tally (fun () -> Metrics.to_json metrics) in
+                Status.write_atomic ~path (Json.to_string json)
+            | None -> ())
+          in
           Cache.close cache;
           (try U.unlink config.socket with U.Unix_error _ -> ());
           let s = Cache.stats cache in

@@ -22,7 +22,9 @@
     Shutdown (a [shutdown] request, SIGTERM or SIGINT) stops accepting,
     closes the intake, drains queued jobs through the workers (their
     responses still go out), persists the final metrics snapshot and
-    status heartbeat, and removes the socket. *)
+    status heartbeat, and removes the socket.  The final
+    ["running":false] status snapshot ({!Ims_obs.Status.with_run}) is
+    published also when an exception escapes the accept loop. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (mind sun_path limits). *)

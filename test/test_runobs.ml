@@ -207,6 +207,52 @@ let test_status_writer_rate_limit_and_finish () =
             (List.assoc_opt "running" kvs = Some (Json.Bool false))
       | _ -> Alcotest.fail "final status must parse")
 
+(* [Status.with_run]: heartbeats as work completes, then a final
+   "running":false snapshot of the last counts whether the run returns
+   or raises; nothing at all without a file or a terminal. *)
+let test_status_with_run_exit_policy () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "status.json" in
+      let field name =
+        match Json.of_string (read_file path) with
+        | Ok j -> Json.field j name
+        | Error e -> Alcotest.failf "status must parse: %s" e
+      in
+      let run ?final_phase f =
+        Status.with_run ~file:path ~interval:0.0 ~timer:(fun () -> 0.0)
+          ~phase:"work" ?final_phase ~total:3 f
+      in
+      let r =
+        run ~final_phase:"done" (fun beat ->
+            Alcotest.(check bool) "a file gives a beat" true (beat <> None);
+            Option.iter
+              (fun beat -> beat { (Status.zero ~total:3) with Status.ok = 2 })
+              beat;
+            Alcotest.(check bool) "heartbeats run" true
+              (field "running" = Some (Json.Bool true));
+            7)
+      in
+      Alcotest.(check int) "the result passes through" 7 r;
+      Alcotest.(check bool) "return: running:false" true
+        (field "running" = Some (Json.Bool false));
+      Alcotest.(check bool) "return: the final phase" true
+        (field "phase" = Some (Json.String "done"));
+      Alcotest.(check bool) "return: the last counts" true
+        (field "ok" = Some (Json.Int 2));
+      (match run (fun _ -> failwith "mid-run") with
+      | _ -> Alcotest.fail "the exception must escape"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "raise: running:false" true
+        (field "running" = Some (Json.Bool false));
+      Alcotest.(check bool) "raise before a beat: zero of the total" true
+        (field "total" = Some (Json.Int 3) && field "ok" = Some (Json.Int 0));
+      Sys.remove path;
+      Status.with_run ~timer:(fun () -> 0.0) ~phase:"work" ~total:1 (fun beat ->
+          Alcotest.(check bool) "no file, no terminal: no beat" true
+            (beat = None));
+      Alcotest.(check bool) "and nothing published" false
+        (Sys.file_exists path))
+
 (* --- the perf-regression gate ----------------------------------------------- *)
 
 let snapshot ?(suite = 2) ?(mindist = 100) ?(ii = 5) ?(measure = 1.0) () =
@@ -330,6 +376,8 @@ let tests =
         test_status_counts_round_trip;
       Alcotest.test_case "status writer rate limit + finish" `Quick
         test_status_writer_rate_limit_and_finish;
+      Alcotest.test_case "status exit policy (with_run)" `Quick
+        test_status_with_run_exit_policy;
       Alcotest.test_case "baseline regression gate" `Quick test_baseline_gate;
       Alcotest.test_case "log styles" `Quick test_log_styles;
       Alcotest.test_case "counters field table" `Quick
