@@ -13,10 +13,9 @@ type manifest = {
 let format_version = 3
 let kind =
   { Frame.magic = "IJNL"; version = format_version; name = "batch journal" }
-let manifest_hash = Content_hash.of_parts
 
 let hash_of_parts parts =
-  manifest_hash (List.concat_map (fun (k, v) -> [ k; v ]) parts)
+  Content_hash.of_parts (List.concat_map (fun (k, v) -> [ k; v ]) parts)
 
 let manifest_json m =
   Json.Obj

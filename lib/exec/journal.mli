@@ -8,7 +8,7 @@
 
     The manifest pins what the run {e was}: a content hash over the
     machine model, the scheduling flags, and the corpus bytes
-    ({!manifest_hash}), and the named per-component hashes ([parts])
+    ({!hash_of_parts}), and the named per-component hashes ([parts])
     behind it, so a refusal can say which ingredient diverged
     ({!explain_mismatch}).  Resume refuses a journal whose hash
     differs — journaled records are only byte-reusable against the
@@ -29,7 +29,7 @@
 type manifest = {
   version : int;  (** Journal format version; {!format_version}. *)
   tool : string;  (** e.g. ["imsc-batch"] — guards cross-tool reuse. *)
-  hash : string;  (** {!manifest_hash} of machine+flags+corpus. *)
+  hash : string;  (** {!hash_of_parts} of machine+flags+corpus. *)
   jobs : int;  (** Total jobs in the run (not: completed). *)
   parts : (string * string) list;
       (** Named ingredient digests (e.g. ["machine"], ["flags"],
@@ -38,15 +38,13 @@ type manifest = {
 
 val format_version : int
 
-val manifest_hash : string list -> string
-(** Hex digest over the parts (order-sensitive); include everything
-    that must match for journaled results to be reusable.  This is
-    {!Content_hash.of_parts} — the same definition keys the serve
-    daemon's schedule cache. *)
-
 val hash_of_parts : (string * string) list -> string
 (** The overall manifest hash derived from named component digests
-    (names and values both bound, order-sensitive). *)
+    (names and values both bound, order-sensitive): the
+    {!Content_hash.of_parts} of the names and digests, the definition
+    that also keys the serve daemon's schedule cache.  A component
+    digest is itself a {!Content_hash.of_parts} of everything that must
+    match for journaled results to be reusable. *)
 
 val explain_mismatch : journal:manifest -> current:manifest -> string
 (** A refusal message naming each component whose digest diverged

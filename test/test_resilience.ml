@@ -417,13 +417,14 @@ let test_journal_rejects_future_version () =
   Sys.remove path
 
 let test_manifest_hash_sensitivity () =
-  let h = Journal.manifest_hash [ "machine"; "flags"; "corpus" ] in
+  let hash = Ims_exec.Content_hash.of_parts in
+  let h = hash [ "machine"; "flags"; "corpus" ] in
   Alcotest.(check bool) "hash is order-sensitive" true
-    (h <> Journal.manifest_hash [ "flags"; "machine"; "corpus" ]);
+    (h <> hash [ "flags"; "machine"; "corpus" ]);
   Alcotest.(check bool) "hash sees content" true
-    (h <> Journal.manifest_hash [ "machine"; "flags"; "corpus2" ]);
+    (h <> hash [ "machine"; "flags"; "corpus2" ]);
   Alcotest.(check string) "hash is stable" h
-    (Journal.manifest_hash [ "machine"; "flags"; "corpus" ])
+    (hash [ "machine"; "flags"; "corpus" ])
 
 let tests =
   ( "resilience",

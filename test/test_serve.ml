@@ -38,12 +38,6 @@ let test_content_hash_part_boundaries () =
     "a|bc" "a5f5d1ebd362d6639389a7e1fede534d"
     (Exec.Content_hash.of_parts [ "a"; "bc" ])
 
-let test_journal_manifest_hash_is_content_hash () =
-  Alcotest.(check string)
-    "one definition"
-    (Exec.Content_hash.of_parts [ "m"; "flags"; "corpus" ])
-    (Exec.Journal.manifest_hash [ "m"; "flags"; "corpus" ])
-
 (* --- intake ------------------------------------------------------------------ *)
 
 let test_intake_backpressure () =
@@ -812,8 +806,6 @@ let tests =
         test_content_hash_pinned;
       Alcotest.test_case "content hash: part boundaries" `Quick
         test_content_hash_part_boundaries;
-      Alcotest.test_case "content hash: journal uses the same definition"
-        `Quick test_journal_manifest_hash_is_content_hash;
       Alcotest.test_case "intake: backpressure at the high-water mark" `Quick
         test_intake_backpressure;
       Alcotest.test_case "intake: close drains then ends" `Quick
