@@ -48,7 +48,14 @@
    [Rotreg.allocate_by_class]; the [Mve.of_ranges] unroll; and
    [Mve.needs_expansion] for every register of the span and one past
    each end — each piece, or the [Printexc.to_string] of what it
-   raised, on its own line. *)
+   raised, on its own line.
+
+   The scheduler family digest pins what every scheduler places: over
+   the Livermore kernels and syn:1..400 (the loops [imsc] builds for
+   those names on the Cydra 5), the II and every (time, alternative) of
+   [Ims], [Slack], [Sms] with the bench's [~max_delta_ii:64], and the
+   acyclic [List_sched].  Two more digests pin the [Counters] of the
+   same runs, one for IMS and Slack and one for SMS. *)
 
 open Ims_machine
 open Ims_ir
@@ -373,6 +380,69 @@ let ctables_rendered () =
   render_ctables buf;
   Buffer.contents buf
 
+(* --- the scheduler family ---------------------------------------------- *)
+
+let render_entries buf (s : Schedule.t) =
+  Printf.bprintf buf "ii=%d" s.Schedule.ii;
+  Array.iter
+    (fun (e : Schedule.entry) ->
+      Printf.bprintf buf " %d:%d" e.Schedule.time e.Schedule.alt)
+    s.Schedule.entries;
+  Buffer.add_char buf '\n'
+
+let render_outcome_entries buf label (o : Ims.outcome) =
+  Printf.bprintf buf "%s " label;
+  match o.Ims.schedule with
+  | None -> Printf.bprintf buf "unscheduled ii=%d\n" o.Ims.ii
+  | Some s -> render_entries buf s
+
+let render_counters buf label (o : Ims.outcome) =
+  Printf.bprintf buf "%s" label;
+  List.iter
+    (fun (k, v) -> Printf.bprintf buf " %s=%d" k v)
+    (Ims_mii.Counters.to_assoc o.Ims.counters);
+  Buffer.add_char buf '\n'
+
+(* The 27 Livermore kernels and syn:1..400, as [imsc] resolves them. *)
+let family_loops () =
+  Lfk.all machine
+  @ List.init 400 (fun i ->
+        let seed = i + 1 in
+        ( Printf.sprintf "syn:%d" seed,
+          Synthetic.generate machine (Random.State.make [| seed |]) ))
+
+(* Every schedule of IMS, Slack, SMS (with the bench's [~max_delta_ii:64])
+   and the acyclic list scheduler, then the IMS and Slack counters, then
+   the SMS counters: three renderings, made in one pass. *)
+let family_rendered =
+  lazy
+    (let sched = Buffer.create (1 lsl 20) and counters = Buffer.create (1 lsl 20) in
+     let sms_counters = Buffer.create (1 lsl 16) in
+     List.iter
+       (fun (name, ddg) ->
+         let ims = Ims.modulo_schedule ddg in
+         let slack = Slack.modulo_schedule ddg in
+         let sms = Sms.modulo_schedule ~max_delta_ii:64 ddg in
+         Printf.bprintf sched "== %s\n" name;
+         render_outcome_entries sched "ims" ims;
+         render_outcome_entries sched "slack" slack;
+         render_outcome_entries sched "sms" sms;
+         Printf.bprintf sched "list ";
+         (match List_sched.schedule ddg with
+         | s -> render_entries sched s
+         | exception e -> Printf.bprintf sched "raised %s\n" (Printexc.to_string e));
+         Printf.bprintf counters "== %s\n" name;
+         render_counters counters "ims" ims;
+         render_counters counters "slack" slack;
+         Printf.bprintf sms_counters "== %s\n" name;
+         render_counters sms_counters "sms" sms)
+       (family_loops ());
+     (Buffer.contents sched, Buffer.contents counters, Buffer.contents sms_counters))
+
+let expected_family_digest = "42c3d9c119238f71fb096c2d736f1b9e"
+let expected_family_counters_digest = "dc1ed06f1213eb6f7122788f351aad61"
+let expected_sms_counters_digest = "1f164040c3bca5c96387622bae55e41b"
+
 let expected_compile_digest = "cbee34f63130ad2f766b9ce26d880293"
 let expected_ctable_digest = "7e94233932d87e63c12aabd45e28d4f6"
 
@@ -388,6 +458,21 @@ let test_static_digest =
 
 let test_placement_digest =
   pinned "register placement digest" expected_placement_digest (fun (_, _, p) -> p)
+
+let family_pinned label expected pick () =
+  Alcotest.(check string)
+    label expected
+    (Digest.to_hex (Digest.string (pick (Lazy.force family_rendered))))
+
+let test_family_digest =
+  family_pinned "scheduler family digest" expected_family_digest (fun (s, _, _) -> s)
+
+let test_family_counters_digest =
+  family_pinned "ims and slack counter digest" expected_family_counters_digest
+    (fun (_, c, _) -> c)
+
+let test_sms_counters_digest =
+  family_pinned "sms counter digest" expected_sms_counters_digest (fun (_, _, c) -> c)
 
 let test_compile_digest () =
   Alcotest.(check string)
@@ -409,4 +494,7 @@ let tests =
       Alcotest.test_case "compile path digest" `Slow test_compile_digest;
       Alcotest.test_case "compiled table digest" `Slow test_ctable_digest;
       Alcotest.test_case "register placement digest" `Slow test_placement_digest;
+      Alcotest.test_case "scheduler family digest" `Slow test_family_digest;
+      Alcotest.test_case "ims and slack counter digest" `Slow test_family_counters_digest;
+      Alcotest.test_case "sms counter digest" `Slow test_sms_counters_digest;
     ] )
