@@ -58,17 +58,13 @@ let schedule ?(cancel = Ims_obs.Cancel.null) ddg =
     let rec try_time t =
       if t >= horizon then
         invalid_arg "List_sched: horizon exceeded (machine oversubscribed?)";
-      let rec try_alt k =
-        if k >= Array.length ctabs.(i) then None
-        else if Mrt.fits_c mrt ctabs.(i).(k) ~time:t then Some k
-        else try_alt (k + 1)
-      in
-      match try_alt 0 with
-      | Some k ->
-          Mrt.reserve_c mrt ~op:i ctabs.(i).(k) ~time:t;
-          times.(i) <- t;
-          alts.(i) <- k
-      | None -> try_time (t + 1)
+      let k = Mrt.first_fit mrt ctabs.(i) ~time:t in
+      if k >= 0 then begin
+        Mrt.reserve_c mrt ~op:i ctabs.(i).(k) ~time:t;
+        times.(i) <- t;
+        alts.(i) <- k
+      end
+      else try_time (t + 1)
     in
     try_time (estart i)
   in

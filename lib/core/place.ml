@@ -56,11 +56,33 @@ let count_estart st =
   | Some c -> c.Counters.estart_inner <- c.Counters.estart_inner + 1
   | None -> ()
 
-(* The first alternative of [ctabs] that fits at [time], or -1. *)
-let rec first_fit mrt ctabs ~time k =
-  if k >= Array.length ctabs then -1
-  else if Mrt.fits_c mrt ctabs.(k) ~time then k
-  else first_fit mrt ctabs ~time (k + 1)
+(* The MinDist bracket: a scheduled operation [i] at time [t_i] forces
+   E(op) >= t_i + MinDist[i][op] and L(op) <= t_i - MinDist[op][i].
+   Each fold visits every scheduled operation and counts one
+   [estart_inner] step per visit. *)
+let early_bound st md op =
+  let acc = ref 0 in
+  for i = 0 to Array.length st.time - 1 do
+    if st.time.(i) >= 0 then begin
+      count_estart st;
+      let d = Mindist.get md i op in
+      if d <> Mindist.neg_inf && st.time.(i) + d > !acc then
+        acc := st.time.(i) + d
+    end
+  done;
+  !acc
+
+let late_bound st md op ~default =
+  let acc = ref default in
+  for i = 0 to Array.length st.time - 1 do
+    if st.time.(i) >= 0 then begin
+      count_estart st;
+      let d = Mindist.get md op i in
+      if d <> Mindist.neg_inf && st.time.(i) - d < !acc then
+        acc := st.time.(i) - d
+    end
+  done;
+  !acc
 
 (* Figure 4's scan, in either direction: probe [t], [t + step], ... up
    to [last] inclusive; [(t - last) * step > 0] once [t] is past [last]. *)
@@ -70,7 +92,7 @@ let rec find_slot st op t ~last ~step =
     (match st.counters with
     | Some c -> c.Counters.findslot_inner <- c.Counters.findslot_inner + 1
     | None -> ());
-    let k = first_fit st.mrt st.ctabs.(op) ~time:t 0 in
+    let k = Mrt.first_fit st.mrt st.ctabs.(op) ~time:t in
     if k >= 0 then begin
       st.slot_time <- t;
       st.slot_alt <- k;
@@ -133,7 +155,7 @@ let force_commit st op ~estart =
         ~reason:Event.Resource;
       unschedule st victim)
     (Mrt.conflicting_ops_c st.mrt st.ctabs.(op) ~time:t);
-  let k = first_fit st.mrt st.ctabs.(op) ~time:t 0 in
+  let k = Mrt.first_fit st.mrt st.ctabs.(op) ~time:t in
   if k < 0 then
     invalid_arg "Place.force_commit: no alternative fits after displacement";
   Trace.place st.trace ~op ~time:t ~alt:k ~estart ~forced:true;
@@ -155,10 +177,14 @@ let run st ~budget ~cancel place =
     let r = Ready.min_rank st.ready in
     if r < 0 || !budget <= 0 then continue := false
     else begin
-      place st st.by_rank.(r);
-      decr budget;
-      step ();
-      Cancel.poll cancel
+      let op = st.by_rank.(r) in
+      place st op;
+      if st.time.(op) < 0 then continue := false
+      else begin
+        decr budget;
+        step ();
+        Cancel.poll cancel
+      end
     end
   done;
   (match st.counters with
@@ -172,7 +198,8 @@ let run st ~budget ~cancel place =
            (Array.init (Ddg.n_total st.ddg) (fun i ->
                 { Schedule.time = st.time.(i); alt = st.alt.(i) })))
   else begin
-    Trace.budget_exhausted st.trace ~ii:st.ii
-      ~unplaced:(Ready.cardinal st.ready);
+    if !budget <= 0 then
+      Trace.budget_exhausted st.trace ~ii:st.ii
+        ~unplaced:(Ready.cardinal st.ready);
     None
   end

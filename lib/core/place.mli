@@ -1,13 +1,16 @@
 (** The placement engine of one candidate II (Rau 1994, section 3.4),
-    shared by {!Ims} and {!Slack}.
+    shared by {!Ims}, {!Slack} and {!Sms}.
 
     It holds the partial schedule and the modulo reservation table, and
     its primitives are the ones figure 3 spells out: find a
     conflict-free slot, schedule an operation there and displace the
     successors whose dependences it now violates, or — when no slot is
     free — force the operation in and displace whatever it collides
-    with.  The two schedulers differ only in the priority order they
-    pass to {!create} and in the window their placement step scans. *)
+    with.  The three schedulers differ in the priority order they pass
+    to {!create} and in their placement step: IMS scans up from its
+    Estart, Slack and SMS scan inside the MinDist bracket of
+    {!early_bound} and {!late_bound}, and IMS and Slack force when no
+    slot is free while SMS gives the candidate II up. *)
 
 open Ims_machine
 open Ims_ir
@@ -47,6 +50,17 @@ val count_estart : t -> unit
 (** Counts one [estart_inner] step: each scheduler computes its own
     early bound. *)
 
+val early_bound : t -> Mindist.t -> int -> int
+(** [early_bound st md op]: the earliest time the scheduled operations
+    allow [op], [max (0, t_i + MinDist[i][op])] over every scheduled
+    [i].  With only START placed it is the static Estart. *)
+
+val late_bound : t -> Mindist.t -> int -> default:int -> int
+(** [late_bound st md op ~default]: the latest time the scheduled
+    operations allow [op], [min (default, t_i - MinDist[op][i])] over
+    every scheduled [i].  Both bounds count one [estart_inner] step per
+    scheduled operation they visit. *)
+
 val find_slot : t -> int -> int -> last:int -> step:int -> bool
 (** [find_slot st op t ~last ~step] probes the times [t], [t + step],
     ... through [last] (figure 4) and stops at the first where an
@@ -73,6 +87,8 @@ val run :
   Schedule.t option
 (** Schedules START at time 0, then repeatedly hands the
     highest-priority unscheduled operation to the placement step until
-    none is left or [budget] steps (START's included) are spent.  Each
-    step counts one [sched_steps] and polls [cancel].  [None] when the
-    budget ran out; the trace then gets a [budget_exhausted] event. *)
+    none is left, [budget] steps (START's included) are spent, or a
+    step leaves its operation unscheduled.  Each step that places its
+    operation counts one [sched_steps] and polls [cancel].  [None] when
+    the attempt ended with operations unplaced; when the budget ran out
+    the trace gets a [budget_exhausted] event. *)

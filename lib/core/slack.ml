@@ -3,10 +3,9 @@ open Ims_ir
 open Ims_mii
 
 (* One candidate II of the lifetime-sensitive scheduler.  The MinDist
-   matrix gives transitive bounds: a scheduled operation [i] at time
-   [t_i] forces  E(op) >= t_i + MinDist[i][op]  and
-   L(op) <= t_i - MinDist[op][i].  With nothing but START placed these
-   reduce to Huff's static Estart/Lstart. *)
+   matrix gives transitive bounds ({!Place.early_bound} and
+   {!Place.late_bound}); with nothing but START placed they reduce to
+   Huff's static Estart/Lstart. *)
 
 (* Graph-dependent artifacts reused across the candidate-II attempts:
    the alternatives, the static producer/consumer bias, and the
@@ -50,39 +49,14 @@ let solver_of ?counters prep ddg =
 
 let neg_inf = Mindist.neg_inf
 
-(* The dynamic bounds fold over every scheduled operation (time >= 0). *)
-let early_bound (st : Place.t) md op =
-  let n = Array.length st.time in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    if st.time.(i) >= 0 then begin
-      Place.count_estart st;
-      let d = Mindist.get md i op in
-      if d <> neg_inf && st.time.(i) + d > !acc then acc := st.time.(i) + d
-    end
-  done;
-  !acc
-
-let late_bound (st : Place.t) md op ~default =
-  let n = Array.length st.time in
-  let acc = ref default in
-  for i = 0 to n - 1 do
-    if st.time.(i) >= 0 then begin
-      Place.count_estart st;
-      let d = Mindist.get md op i in
-      if d <> neg_inf && st.time.(i) - d < !acc then acc := st.time.(i) - d
-    end
-  done;
-  !acc
-
 (* One placement step: the conflict-free slot nearest the preferred end
    of [E, min(L, E+II-1)], else the first in the full modulo window
    [E, E+II-1], else forced as IMS does. *)
 let place ~md ~sink_late (st : Place.t) op =
   let ddg = st.ddg and ii = st.ii in
-  let e = early_bound st md op in
+  let e = Place.early_bound st md op in
   let hi_window = e + ii - 1 in
-  let l = late_bound st md op ~default:hi_window in
+  let l = Place.late_bound st md op ~default:hi_window in
   let hi = min hi_window (max e l) in
   (* Direction is decided against what is already placed: with
      consumers fixed and producers not, sliding late shortens the

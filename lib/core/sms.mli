@@ -15,6 +15,12 @@
     from its late bound backward, or inside the bracket, and simply
     retries the whole loop at II+1 on the first failure.
 
+    The scheduling phase runs on {!Place}, the engine IMS and Slack
+    share: the swing order (STOP last) is the priority, the MinDist
+    bracket is {!Place.early_bound} and {!Place.late_bound}, and a step
+    that finds no free slot leaves its operation unscheduled, which
+    ends the attempt.  SMS never forces and never displaces.
+
     The "swing" buys short lifetimes without Huff's machinery; the cost
     is more candidate IIs on tangled loops (no repair, only restart). *)
 

@@ -233,6 +233,14 @@ let fits_c t c ~time =
   && fast_clear t.occ p c.fast_end t.ii s 0
   && fits_from p (Array.length p) t.counts t.caps t.nres t.ii s c.fast_end
 
+(* Top-level recursion for the same reason as [fits_from]. *)
+let rec first_fit_from t ctabs ~time k =
+  if k >= Array.length ctabs then -1
+  else if fits_c t ctabs.(k) ~time then k
+  else first_fit_from t ctabs ~time (k + 1)
+
+let first_fit t ctabs ~time = first_fit_from t ctabs ~time 0
+
 let conflicting_ops_c t ctabs ~time =
   if time < 0 then invalid_arg "Mrt: negative time";
   let ops = ref [] and s = slot_of t.ii time in

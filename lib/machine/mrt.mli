@@ -69,6 +69,12 @@ val fits_c : t -> ctable -> time:int -> bool
 (** Allocation-free admission probe: true iff reserving the compiled
     table translated to [time] exceeds no cell capacity. *)
 
+val first_fit : t -> ctable array -> time:int -> int
+(** [first_fit t alternatives ~time] is the index of the first of
+    [alternatives] that {!fits_c} at [time], or [-1] when none does:
+    the alternative probe of every scheduler, one {!fits_c} per
+    alternative tried. *)
+
 val reserve_c : t -> op:int -> ctable -> time:int -> unit
 (** @raise Invalid_argument if the reservation does not fit. *)
 

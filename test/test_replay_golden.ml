@@ -441,7 +441,7 @@ let family_rendered =
 
 let expected_family_digest = "42c3d9c119238f71fb096c2d736f1b9e"
 let expected_family_counters_digest = "dc1ed06f1213eb6f7122788f351aad61"
-let expected_sms_counters_digest = "1f164040c3bca5c96387622bae55e41b"
+let expected_sms_counters_digest = "4986956cb36992fa0176ad188bc571ac"
 
 let expected_compile_digest = "cbee34f63130ad2f766b9ce26d880293"
 let expected_ctable_digest = "7e94233932d87e63c12aabd45e28d4f6"
