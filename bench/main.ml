@@ -1473,9 +1473,10 @@ let main () =
   section "DONE"
 
 (* Run errors ([failwith] with a "bench: " prefix) and output errors (an
-   unwritable --metrics, --bench-json, --profile or --status-file) are
-   rendered as one line and exit 1 — 2 stays the usage-error code —
-   rather than escaping as a Fatal error with an escaped payload. *)
+   unwritable --metrics, --bench-json or --profile) are rendered as one
+   line and exit 1 — 2 stays the usage-error code — rather than escaping
+   as a Fatal error with an escaped payload.  An unwritable --status-file
+   is only warned about ({!Ims_obs.Status}). *)
 let () =
   try main () with
   | Failure msg ->

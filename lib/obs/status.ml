@@ -116,15 +116,33 @@ type writer = {
   timer : unit -> float;
   mutable last : float;
   mutable tty_dirty : bool;
+  mutable warned : bool;  (* a failed write was reported *)
 }
 
 let writer ?(interval = 1.0) ?file ?tty ~timer () =
-  { file; tty; interval; timer; last = neg_infinity; tty_dirty = false }
+  {
+    file;
+    tty;
+    interval;
+    timer;
+    last = neg_infinity;
+    tty_dirty = false;
+    warned = false;
+  }
 
+(* A status file only reports on the run, so a write that fails is
+   warned about once and never aborts it; every later heartbeat tries
+   again. *)
 let publish w ~running ~extra s =
   (match w.file with
-  | Some path ->
-      write_atomic ~path (Json.to_string (to_json ~running ~extra s) ^ "\n")
+  | Some path -> (
+      try write_atomic ~path (Json.to_string (to_json ~running ~extra s) ^ "\n")
+      with Sys_error msg ->
+        if not w.warned then begin
+          w.warned <- true;
+          Log.warn (Log.create ~human:stderr ~tag:"status" ())
+            "cannot write %s: %s" path msg
+        end)
   | None -> ());
   match w.tty with
   | Some oc ->

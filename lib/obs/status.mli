@@ -12,7 +12,11 @@
 
     A {!writer} rate-limits publication to one heartbeat per [interval]
     (by the injected timer — this module stays dependency-free; pass
-    [Unix.gettimeofday]); {!finish} always publishes. *)
+    [Unix.gettimeofday]); {!finish} always publishes.  Publication is
+    best-effort: a snapshot that cannot be written is warned about once
+    on stderr, naming the path, and never raises, so a status file
+    cannot change the run it reports on; every later heartbeat tries
+    again. *)
 
 type counts = {
   total : int;

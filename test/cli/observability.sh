@@ -2,7 +2,8 @@
 # Run-level observability end to end: --profile dumps parse and render,
 # their deterministic parts (counter totals/maxima, II series) are
 # byte-identical across worker counts, --status-file leaves a complete
-# final snapshot, and `perf report` tabulates the BENCH trajectory.
+# final snapshot and an unwritable one leaves the run alone, and
+# `perf report` tabulates the BENCH trajectory.
 set -eu
 
 IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -53,6 +54,20 @@ grep -q "\"name\":\"ii\",$report_ii," ii-j1.txt
 grep -q '"running":false' obs-status.json
 grep -q '"total":4' obs-status.json
 grep -q '"done":4' obs-status.json
+
+# A status file that cannot be written is warned about once and leaves
+# the run alone: report, journal and exit code equal those of the same
+# run without --status-file.
+"$IMSC" batch obs-corpus --jobs 1 --report plain.jsonl \
+  --journal plain.journal 2> /dev/null
+code=0
+"$IMSC" batch obs-corpus --jobs 1 --report nostatus.jsonl \
+  --journal nostatus.journal --status-file missing-dir/s.json \
+  2> nostatus.err || code=$?
+test "$code" -eq 0
+cmp plain.jsonl nostatus.jsonl
+cmp plain.journal nostatus.journal
+test "$(grep -c 'missing-dir/s.json' nostatus.err)" -eq 1
 
 # The trajectory table names each snapshot it was given.
 "$IMSC" perf report "$BENCH_SNAPSHOT" > report.txt

@@ -253,6 +253,29 @@ let test_status_with_run_exit_policy () =
       Alcotest.(check bool) "and nothing published" false
         (Sys.file_exists path))
 
+(* A status file only reports on the run: a write that fails neither
+   aborts it nor changes its value, and a later heartbeat tries again. *)
+let test_status_write_best_effort () =
+  with_tmp_dir (fun dir ->
+      let sub = Filename.concat dir "missing" in
+      let path = Filename.concat sub "status.json" in
+      let r =
+        Status.with_run ~file:path ~interval:0.0 ~timer:(fun () -> 0.0)
+          ~phase:"work" ~total:2 (fun beat ->
+            let beat = Option.get beat in
+            beat { (Status.zero ~total:2) with Status.ok = 1 };
+            Sys.mkdir sub 0o755;
+            beat { (Status.zero ~total:2) with Status.ok = 2 };
+            Alcotest.(check bool) "a later heartbeat publishes" true
+              (Sys.file_exists path);
+            Sys.remove path;
+            Sys.rmdir sub;
+            42)
+      in
+      Alcotest.(check int) "the result passes through" 42 r;
+      Alcotest.(check bool) "the failed final write leaves nothing" false
+        (Sys.file_exists path))
+
 (* --- the perf-regression gate ----------------------------------------------- *)
 
 let snapshot ?(suite = 2) ?(mindist = 100) ?(ii = 5) ?(measure = 1.0) () =
@@ -378,6 +401,8 @@ let tests =
         test_status_writer_rate_limit_and_finish;
       Alcotest.test_case "status exit policy (with_run)" `Quick
         test_status_with_run_exit_policy;
+      Alcotest.test_case "status writes are best-effort" `Quick
+        test_status_write_best_effort;
       Alcotest.test_case "baseline regression gate" `Quick test_baseline_gate;
       Alcotest.test_case "log styles" `Quick test_log_styles;
       Alcotest.test_case "counters field table" `Quick
