@@ -366,6 +366,12 @@ let run config ~machine_of ~log =
                         end))
           in
           let conns = ref [] in
+          (* Out of descriptors (EMFILE/ENFILE), a pending connection
+             stays in the backlog, refused for now, and the listening
+             socket sits out the next select round so that it cannot
+             spin the loop; accepting resumes once one is free.  The
+             first such refusal is warned about, the later ones not. *)
+          let starved = ref false and skip_listen = ref false in
           let accept () =
             match U.accept ~cloexec:true lfd with
             | fd, _ ->
@@ -410,6 +416,14 @@ let run config ~machine_of ~log =
                   ((U.EAGAIN | U.EWOULDBLOCK | U.EINTR | U.ECONNABORTED), _, _)
               ->
                 ()
+            | exception U.Unix_error (((U.EMFILE | U.ENFILE) as e), _, _) ->
+                if not !starved then
+                  Log.warn log
+                    "cannot accept a connection (%s): serving the open ones \
+                     until a descriptor is free"
+                    (U.error_message e);
+                starved := true;
+                skip_listen := true
           in
           let buf = Bytes.create 65536 in
           let pump conn =
@@ -474,10 +488,9 @@ let run config ~machine_of ~log =
               config.restarts;
 
           (* The final "running":false snapshot lands however the loop
-             ends: a shutdown request, a signal, or an exception (say,
-             accept failing with EMFILE).  The connections close first,
-             so a daemon out of descriptors still has one to write it
-             with. *)
+             ends: a shutdown request, a signal, or an exception.  The
+             connections close first, so a daemon out of descriptors
+             still has one to write it with. *)
           let () =
             Status.with_run ?file:config.status_file
               ~interval:config.status_interval ~timer:U.gettimeofday
@@ -487,11 +500,12 @@ let run config ~machine_of ~log =
             @@ fun () ->
             while not (Atomic.get stop) do
               let watch =
-                lfd
-                :: List.filter_map
-                     (fun c -> if c.open_ then Some c.fd else None)
-                     !conns
+                List.filter_map
+                  (fun c -> if c.open_ then Some c.fd else None)
+                  !conns
               in
+              let watch = if !skip_listen then watch else lfd :: watch in
+              skip_listen := false;
               (match U.select watch [] [] 0.2 with
               | exception U.Unix_error (U.EINTR, _, _) -> ()
               | ready, _, _ ->

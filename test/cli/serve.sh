@@ -14,7 +14,9 @@
 #      "running":false status and removes the socket;
 #   5. a flooded 1-deep queue answers with structured overloaded
 #      responses (backpressure), and a per-request deadline preempts a
-#      hung request mid-spin.
+#      hung request mid-spin;
+#   6. out of file descriptors, the daemon refuses the surplus
+#      connections, keeps serving, and serves again once they are gone.
 set -eu
 
 IMSC=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -158,5 +160,47 @@ grep -q '"quarantined":true' spin.jsonl
 "$IMSC" request --socket "$SOCK" --shutdown 2> /dev/null
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
+
+# --- 6. out of descriptors ----------------------------------------------------
+
+# With its descriptor limit four above its idle baseline, the daemon
+# cannot accept a dozen slow clients: it warns once, keeps serving the
+# connections it holds, and accepts again once the slow clients are gone.
+"$IMSC" serve --socket "$SOCK" --jobs 1 2> /dev/null &
+DAEMON_PID=$!
+"$IMSC" request --socket "$SOCK" --stats > /dev/null 2>&1
+baseline=$(ls "/proc/$DAEMON_PID/fd" | wc -l)
+"$IMSC" request --socket "$SOCK" --shutdown 2> /dev/null
+wait "$DAEMON_PID" 2> /dev/null || true
+DAEMON_PID=""
+
+sh -c 'ulimit -n "$1"; exec "$2" serve --socket "$3" --jobs 1' sh \
+  $((baseline + 4)) "$IMSC" "$SOCK" 2> emfile.stderr &
+DAEMON_PID=$!
+"$IMSC" request --socket "$SOCK" --stats > /dev/null 2>&1
+DRIBBLERS=""
+for _ in 1 2 3 4 5 6 7 8 9 10 11 12; do
+  "$IMSC" request --socket "$SOCK" --inject-dribble 1 --timeout 20 \
+    2> /dev/null &
+  DRIBBLERS="$DRIBBLERS $!"
+done
+sleep 2
+if ! kill -0 "$DAEMON_PID" 2> /dev/null; then
+  for p in $DRIBBLERS; do kill "$p" 2> /dev/null || true; done
+  echo "serve.sh: the daemon died out of descriptors" >&2
+  cat emfile.stderr >&2
+  exit 1
+fi
+for p in $DRIBBLERS; do kill "$p" 2> /dev/null || true; done
+for p in $DRIBBLERS; do wait "$p" 2> /dev/null || true; done
+"$IMSC" request scorpus/lfk01.loop --socket "$SOCK" \
+  --report emfile.jsonl 2> /dev/null
+"$IMSC" batch scorpus/lfk01.loop --jobs 1 --report emfile-batch.jsonl \
+  2> /dev/null
+cmp emfile-batch.jsonl emfile.jsonl
+"$IMSC" request --socket "$SOCK" --shutdown 2> /dev/null
+wait "$DAEMON_PID"
+DAEMON_PID=""
+test "$(grep -c 'cannot accept a connection' emfile.stderr)" -eq 1
 
 echo "serve.sh: all checks passed"
