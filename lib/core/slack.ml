@@ -1,4 +1,3 @@
-open Ims_machine
 open Ims_ir
 open Ims_mii
 
@@ -6,17 +5,6 @@ open Ims_mii
    matrix gives transitive bounds ({!Place.early_bound} and
    {!Place.late_bound}); with nothing but START placed they reduce to
    Huff's static Estart/Lstart. *)
-
-(* Graph-dependent artifacts reused across the candidate-II attempts:
-   the alternatives, the static producer/consumer bias, and the
-   incremental MinDist solver (created on the first attempt, with that
-   caller's counters; every later candidate II pays only a
-   pivot-restricted re-closure). *)
-type prep = {
-  p_alternatives : Opcode.alternative array array;
-  p_sink_late : bool array;
-  mutable p_solver : Mindist.solver option;
-}
 
 (* Producers sink late (their output lifetime starts later); consumers
    rise early (their input lifetimes close sooner).  An operation with
@@ -31,23 +19,6 @@ let sink_late ddg =
       in
       List.length (real ddg.Ddg.preds.(op))
       < List.length (real ddg.Ddg.succs.(op)))
-
-let prepare ddg =
-  {
-    p_alternatives = Prep.alternatives ddg;
-    p_sink_late = sink_late ddg;
-    p_solver = None;
-  }
-
-let solver_of ?counters prep ddg =
-  match prep.p_solver with
-  | Some s -> s
-  | None ->
-      let s = Mindist.solver_full ?counters ddg in
-      prep.p_solver <- Some s;
-      s
-
-let neg_inf = Mindist.neg_inf
 
 (* One placement step: the conflict-free slot nearest the preferred end
    of [E, min(L, E+II-1)], else the first in the full modulo window
@@ -91,33 +62,30 @@ let place ~md ~sink_late (st : Place.t) op =
     Place.commit st op ~estart:e
   else Place.force_commit st op ~estart:e
 
-let iterative_schedule ?counters ?(cancel = Ims_obs.Cancel.null) ?prep ddg ~ii
-    ~budget =
-  let n = Ddg.n_total ddg in
-  let prep = match prep with Some p -> p | None -> prepare ddg in
-  let md = Mindist.solve ?counters (solver_of ?counters prep ddg) ~ii in
-  let stop = Ddg.stop ddg in
-  let critical_path = max 0 (Mindist.get md Ddg.start stop) in
-  (* Least slack first: smaller is more urgent. *)
-  let slack =
-    Array.init n (fun op ->
-        let e = Mindist.get md Ddg.start op in
-        let l = Mindist.get md op stop in
-        if e = neg_inf || l = neg_inf then max_int / 2
-        else critical_path - e - l)
-  in
-  let st =
-    Place.create ?counters ~trace:Ims_obs.Trace.null ddg ~ii
-      prep.p_alternatives
-      ~order:(fun a b -> compare slack.(a) slack.(b))
-  in
-  Place.run st ~budget ~cancel (place ~md ~sink_late:prep.p_sink_late)
-
 let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
-    ?(max_delta_ii = 1000) ?counters ?cancel ddg =
+    ?(max_delta_ii = 1000) ?counters ?(cancel = Ims_obs.Cancel.null) ddg =
   let counters = match counters with Some c -> c | None -> Counters.create () in
   let mii = Mii.compute ~counters ddg in
-  let prep = prepare ddg in
+  let n = Ddg.n_total ddg and stop = Ddg.stop ddg in
+  let alternatives = Prep.alternatives ddg and sink_late = sink_late ddg in
+  (* The incremental MinDist solver, made on the first attempt: every
+     later candidate II pays only a pivot-restricted re-closure. *)
+  let solver = lazy (Mindist.solver_full ~counters ddg) in
   Ims.search ~counters ~budget_ratio ddg ~ii:mii.Mii.mii ~max_delta_ii
-    (iterative_schedule ~counters ?cancel ~prep ddg)
+    (fun ~ii ~budget ->
+      let md = Mindist.solve ~counters (Lazy.force solver) ~ii in
+      let critical_path = max 0 (Mindist.get md Ddg.start stop) in
+      (* Least slack first: smaller is more urgent. *)
+      let slack =
+        Array.init n (fun op ->
+            let e = Mindist.get md Ddg.start op in
+            let l = Mindist.get md op stop in
+            if e = Mindist.neg_inf || l = Mindist.neg_inf then max_int / 2
+            else critical_path - e - l)
+      in
+      let st =
+        Place.create ~counters ~trace:Ims_obs.Trace.null ddg ~ii alternatives
+          ~order:(fun a b -> compare slack.(a) slack.(b))
+      in
+      Place.run st ~budget ~cancel (place ~md ~sink_late))
   |> Ims.to_outcome ~mii ~counters

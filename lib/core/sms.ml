@@ -24,7 +24,9 @@ let real_neighbours ddg =
    region, so an operation is never ordered after both sides of its own
    bracket have been pinned by unrelated regions. *)
 let groups ddg ~preds ~succs ~slack =
-  let undirected v = if Ddg.is_pseudo ddg v then [] else preds.(v) @ succs.(v) in
+  let undirected v =
+    if Ddg.is_pseudo ddg v then [] else preds.(v) @ succs.(v)
+  in
   let comp =
     Ims_graph.Scc.compute
       ~succs:(Array.init (Ddg.n_total ddg) undirected)
