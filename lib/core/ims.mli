@@ -11,7 +11,7 @@
     {!search} is figure 2's loop over candidate IIs for every modulo
     scheduler in the repository ({!Slack}, {!Sms}, [Pressure] and the
     bench's production scheme included); {!Place} holds figure 3's
-    placement state and primitives, shared with {!Slack}. *)
+    placement state and primitives, shared with {!Slack} and {!Sms}. *)
 
 open Ims_ir
 open Ims_mii

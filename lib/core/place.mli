@@ -47,8 +47,8 @@ val create :
     lower id. *)
 
 val count_estart : t -> unit
-(** Counts one [estart_inner] step: each scheduler computes its own
-    early bound. *)
+(** Counts one [estart_inner] step, for a placement step that computes
+    its own early bound (IMS's Estart) rather than {!early_bound}. *)
 
 val early_bound : t -> Mindist.t -> int -> int
 (** [early_bound st md op]: the earliest time the scheduled operations

@@ -16,10 +16,11 @@
     pressure; the benchmark harness compares rotating-register file
     sizes.
 
-    Only the priority, the bounds and the slot direction are Huff's own:
-    the candidate-II loop is {!Ims.search} and the placement engine —
-    commit with successor displacement, forced placement — is {!Place},
-    both shared with IMS.  Slack emits no trace events. *)
+    Only the priority and the slot direction are Huff's own: the
+    candidate-II loop is {!Ims.search} and the placement engine — the
+    MinDist bounds, commit with successor displacement, forced
+    placement — is {!Place}, both shared with IMS and SMS.  Slack emits
+    no trace events. *)
 
 open Ims_ir
 open Ims_mii

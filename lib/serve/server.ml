@@ -371,7 +371,7 @@ let run config ~machine_of ~log =
              socket sits out the next select round so that it cannot
              spin the loop; accepting resumes once one is free.  The
              first such refusal is warned about, the later ones not. *)
-          let starved = ref false and skip_listen = ref false in
+          let fd_warned = ref false and skip_listen = ref false in
           let accept () =
             match U.accept ~cloexec:true lfd with
             | fd, _ ->
@@ -417,12 +417,12 @@ let run config ~machine_of ~log =
               ->
                 ()
             | exception U.Unix_error (((U.EMFILE | U.ENFILE) as e), _, _) ->
-                if not !starved then
+                if not !fd_warned then
                   Log.warn log
                     "cannot accept a connection (%s): serving the open ones \
                      until a descriptor is free"
                     (U.error_message e);
-                starved := true;
+                fd_warned := true;
                 skip_listen := true
           in
           let buf = Bytes.create 65536 in
